@@ -7,11 +7,11 @@ Usage, from the root of the repository:
 Each run goes through `cli.validate_config` and `cli.run_config` in this
 process: the `dbac-lab` command minus interpreter start-up.  One client sends
 the runs one after another (a closed loop), with `workers = 1` in every
-config.  With `--trace 0` the batch runs at least three times, each time
-with other variants of the same templates, and again while another
-repetition fits in `--seconds`; the last stdout line carries the end-to-end
-metrics named in BENCHMARK.json.  With `--trace 1` one repetition runs
-untraced and then traced, and the last line carries the per-layer metrics.
+config.  With `--trace 0` the batch runs a fixed number of times, set by
+`--seconds` alone, each time with other variants of the same templates; the
+last stdout line carries the end-to-end metrics named in BENCHMARK.json.
+With `--trace 1` one repetition runs untraced and then traced, and the last
+line carries the per-layer metrics.
 The line before it is a report: environment, sample counts, failures, the
 machine's measured slowdown and, when tracing, the call-count consistency
 check.
@@ -60,6 +60,11 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 
 MIN_REPS = 3
+# Elapsed seconds of one repetition, launches included, on the shared 2-core
+# Intel Xeon VM the benchmark was sized on.  `--seconds` buys that many
+# repetitions.  The count never depends on the clock, so every run of a
+# workload attempts, and fails, the same number of runs.
+REP_SECONDS = {"sweep": 8.5, "search": 7.0, "ptm": 9.5}
 # fresh-interpreter launches after each repetition, for setup_s
 LAUNCHES_PER_REP = 3
 # fastest probe() seen on an otherwise idle 2-core Intel Xeon VM
@@ -232,16 +237,20 @@ def environment(seed: int) -> dict:
     }
 
 
+def repetitions(workload: str, seconds: float) -> int:
+    """How many times the batch runs in a `seconds`-long measurement."""
+    return max(MIN_REPS, int(seconds // REP_SECONDS[workload]))
+
+
 def measure(cli, workload, seed, seconds, tiny, reference) -> tuple[dict, dict]:
-    """Repeat the batch, each time with other seed-chosen variants, at least
-    MIN_REPS times and then while another repetition fits in `seconds`."""
+    """Repeat the batch repetitions(workload, seconds) times, each time with
+    other seed-chosen variants."""
     executions, failed, wrong, errors, walls, slow = [], [], [], {}, [], []
     launch_seconds()  # fills the page cache, and compiles bytecode where that is written
     launches = []
     started = time.perf_counter()
-    rep = 0
-    while True:
-        rep_started = time.perf_counter()
+    reps = repetitions(workload, seconds)
+    for rep in range(reps):
         runs = workloads.batch(workload, seed, rep, tiny)
         work = WORK / workload / f"rep{rep}"
         lat, errs, slowdowns = run_batch(cli, runs, work)
@@ -254,11 +263,7 @@ def measure(cli, workload, seed, seconds, tiny, reference) -> tuple[dict, dict]:
         for run, err in zip(runs, errs):
             if err:
                 errors.setdefault(run.kind, err)
-        rep += 1
         launches += [launch_seconds() for _ in range(LAUNCHES_PER_REP)]
-        now = time.perf_counter()
-        if rep >= MIN_REPS and now - started + (now - rep_started) > seconds:
-            break
     attempted = len(failed)
     metrics = latency_metrics(executions)
     metrics["ok_frac"] = 1.0 - sum(failed) / attempted
@@ -266,7 +271,8 @@ def measure(cli, workload, seed, seconds, tiny, reference) -> tuple[dict, dict]:
     metrics["setup_s"] = statistics.median(launches)
     report = {
         "setup_launches": len(launches),
-        "repetitions": rep,
+        "repetitions": reps,
+        "elapsed_s": time.perf_counter() - started,
         "latency_samples": len(workloads.template_indices(workload, tiny)),
         "executions": attempted,
         "repetition_wall_s": walls,

@@ -137,6 +137,17 @@ class Seeds(unittest.TestCase):
                 self.assertEqual(first, again)
                 self.assertNotEqual(first, other)
 
+    def test_failure_count_does_not_depend_on_seed(self):
+        # all variants of a template raise, or none does, and the repetition
+        # count is set by --seconds alone: every seed fails the same runs
+        for workload in workloads.WORKLOADS:
+            runs = checks.load_reference(workload)["runs"]
+            for index in range(len(workloads.TEMPLATES[workload])):
+                with self.subTest(workload=workload, template=index):
+                    statuses = {runs[f"{workload}/{index}/{v}"]["status"] for v in range(workloads.VARIANTS)}
+                    self.assertEqual(len(statuses), 1)
+        self.assertGreater(bench.repetitions("sweep", 30), 1)
+
     def test_every_variant_has_a_reference(self):
         for workload in workloads.WORKLOADS:
             with self.subTest(workload=workload):

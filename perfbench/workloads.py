@@ -168,10 +168,15 @@ def _sweep_templates() -> list[Template]:
         k = design.randint(1, 4)
         m = design.randint(1, min(9, 39 // k))
         out.append(Template("trajectory-dme", "trajectory", {"k": k, "m": m}, _trajectory))
-    # long chains, k*M >= 40.  At the recording commit the first two complete,
-    # (5, 8) fails for some step sizes, and the rest fail with "density matrix
-    # trace differs from 1".  They stay in: failures are part of the measurement.
-    for k, m in ((4, 10), (3, 14), (5, 8), (6, 8), (8, 5), (10, 4), (20, 2)):
+    # long chains, k*M >= 40.  At the recording commit the first two complete
+    # and the rest fail with "density matrix trace differs from 1".  They stay
+    # in: failures are part of the measurement.  Each chain's outcome is the
+    # same for all its variants, with the largest trace error at least 3.5x
+    # away from the 1e-11 tolerance, so the failure count is the same for every
+    # seed and does not hang on rounding.  (5, 8) is not used: its trace error
+    # straddles the tolerance (4e-13 to 1.6e-11 over step sizes), so the seed's
+    # choice of variant would set the failure count.
+    for k, m in ((4, 10), (3, 14), (8, 6), (6, 8), (8, 5), (10, 4), (20, 2)):
         out.append(Template("trajectory-long", "trajectory", {"k": k, "m": m}, _long_chain))
     for m_max in (6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27, 30, 34, 38, 44):
         out.append(Template("trotter", "trotter", {"m_max": m_max}, _trotter))
