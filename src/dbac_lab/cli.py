@@ -8,7 +8,13 @@ trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys are rejected.  Angles are radians unless the
 value carries a `deg` suffix.  Every run writes `results_manifest.json` with a
 sha256 checksum per emitted file; identical config and seed give byte-identical
-output.  Exit codes: 0 success, 1 config error, 2 acceptance failure.
+output.  Exit codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime
+failure (the experiment raised after its config was accepted; a one-line
+`runtime error: ...` goes to stderr and the manifest records the failed stage).
+
+`--workers` (config key `workers`) is accepted for compatibility and must be
+>= 1, but it is a no-op: every experiment runs in this process, vectorized
+where it pays (sweep-theta simulates all its angles as one batch).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -66,6 +71,10 @@ _PI = float(np.pi)
 
 class ConfigError(ValueError):
     pass
+
+
+class RunError(RuntimeError):
+    """An experiment raised after its config was accepted (exit code 3)."""
 
 
 def _parse_angle(text: str) -> float:
@@ -311,13 +320,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # experiment runners: each writes files into `out` and may return a summary
 # ---------------------------------------------------------------------------
@@ -330,27 +332,15 @@ def _analytic_energy_chain(theta: float, s: Sequence[float]) -> float:
     return e
 
 
-def _sweep_theta_point(args):
-    theta, cfg_tuple = args
-    k, m, s, recursion, noise_fields = cfg_tuple
-    schedule = DbacSchedule(s=s, m=m, recursion=recursion)
-    noise = NoiseModel(*noise_fields) if noise_fields else None
-    rec = dbac_via_dme(theta, schedule, noise)
-    return (theta, rec.energies[-1], rec.instruction_energies, _analytic_energy_chain(theta, s))
-
-
 def _run_sweep_theta(cfg: ExperimentConfig, out: Path) -> None:
     schedule = cfg.schedule()
-    noise = cfg.noise()
-    noise_fields = (noise.p1, noise.p2, noise.t1_us, noise.t2_us) if noise else None
     thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
-    cfg_tuple = (schedule.k, schedule.m, tuple(schedule.s), schedule.recursion, noise_fields)
-    results = _map(_sweep_theta_point, [(float(t), cfg_tuple) for t in thetas], cfg.workers)
+    records = dbac_via_dme(thetas, schedule, cfg.noise())
     n_instr = sum(schedule.m)
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
     rows = [
-        [theta, e_target, *instr, e_analytic]
-        for theta, e_target, instr, e_analytic in results
+        [theta, rec.energies[-1], *rec.instruction_energies, _analytic_energy_chain(theta, schedule.s)]
+        for theta, rec in zip(thetas.tolist(), records)
     ]
     _write_csv(out / "sweep_theta.csv", header, rows)
 
@@ -462,6 +452,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
     started = time.perf_counter()
     summary = None
     failure = None
+    error = None
     runner = {
         "sweep-theta": _run_sweep_theta,
         "sweep-s": _run_sweep_s,
@@ -479,6 +470,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
     except ConfigError:
         raise
     except Exception as exc:  # record the failed stage before propagating
+        error = exc
         failure = f"{type(exc).__name__}: {exc}"
     files = {
         p.name: _sha256(p)
@@ -502,7 +494,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
         }
     (out / "results_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if failure is not None:
-        raise RuntimeError(f"experiment failed; manifest records the stage: {failure}")
+        raise RunError(f"experiment failed; manifest records the stage: {failure}") from error
     return manifest
 
 
@@ -528,6 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except RunError as exc:
+        print("runtime error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 3
     if cfg.experiment == "acceptance" and manifest["acceptance"]["failed"]:
         return 2
     return 0

@@ -23,14 +23,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .dme import dme_step_exact, dme_step_instruction_marginal, reflector
+from .dme import partial_swap, reflector
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import (
     BlochVector,
-    DensityMatrix,
     HamiltonianSpec,
     PureState,
     bloch_vector,
+    check_density,
     energy,
     rx_init,
     variance,
@@ -138,11 +138,8 @@ def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) 
     spec = h or HamiltonianSpec.default_single_qubit()
     if spec.matrix.shape[0] != psi.amplitudes.size:
         raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    u = (
-        qmath.herm_expm(spec.matrix, 1j * t)
-        @ reflector(psi, t)
-        @ qmath.herm_expm(spec.matrix, -1j * t)
-    )
+    em = qmath.herm_expm(spec.matrix, -1j * t)  # exp(+i t H) is its adjoint
+    u = em.conj().T @ reflector(psi, t) @ em
     return PureState.from_vector(u @ psi.amplitudes)
 
 
@@ -173,11 +170,8 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
         variances.append(variance(current, h))
         refl_state = current
         data = original if schedule.recursion == "fresh" else current
-        u = (
-            qmath.herm_expm(h.matrix, 1j * t)
-            @ reflector(refl_state, t)
-            @ qmath.herm_expm(h.matrix, -1j * t)
-        )
+        em = qmath.herm_expm(h.matrix, -1j * t)  # exp(+i t H) is its adjoint
+        u = em.conj().T @ reflector(refl_state, t) @ em
         current = PureState.from_vector(u @ data.amplitudes)
         energies.append(energy(current, h))
         fids.append(_ground_fidelity(np.outer(current.amplitudes, current.amplitudes.conj()), pg))
@@ -193,73 +187,100 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     )
 
 
-def _depolarize_full(rho: np.ndarray, p: float) -> np.ndarray:
-    if p <= 0:
-        return rho
-    d = rho.shape[0]
-    return (1.0 - p) * rho + p * np.trace(rho).real * np.eye(d, dtype=complex) / d
+def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[op rho] for every state of a (B, d, d) batch."""
+    return np.einsum("ij,bji->b", op, rho).real
+
+
+def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
+    """(1 - p) rho + p I/2 for unit-trace single-qubit states."""
+    return (1.0 - p) * rho + 0.5 * p * qmath.I2
 
 
 def dbac_via_dme(
-    theta: float,
+    theta: float | np.ndarray,
     schedule: DbacSchedule,
     noise: Optional[NoiseModel] = None,
-) -> CoolingRecord:
+) -> CoolingRecord | tuple[CoolingRecord, ...]:
     """Full density-matrix simulation with reflectors realized by partial swaps.
 
-    The initial state is R_X(theta)|0>.  Step j consumes M_j fresh instruction
-    copies of the previous step's output; with depolarizing noise, p1 acts after
-    each echo rotation and p2 on each two-register interaction.  The closing
-    echo rotation is applied so states, not only energies, are correct.
+    The initial state is R_X(theta)|0>.  ``theta`` is one angle, which gives a
+    :class:`CoolingRecord`, or a 1-D array of angles, which gives a tuple of
+    records, one per angle, all simulated as one batch.
+
+    Step j consumes M_j fresh instruction copies of the previous step's
+    output, each through one :func:`dme.partial_swap` call over the batch.
+    With depolarizing noise, p1 acts after each echo rotation and p2 on each
+    two-register interaction; depolarizing the joint register and then tracing
+    out one side leaves (1 - p2) sigma' + p2 I/2 on either marginal, so the p2
+    path is closed form too.  The closing echo rotation is applied so states,
+    not only energies, are correct.
+
+    Every state is validated as a batch: the initial states, each
+    instruction state before its variance is taken, each step's output
+    before its Bloch vector is taken and, without p2 noise, the data state
+    and instruction marginal after every partial swap.  The exact step,
+    :func:`dme.dme_step_exact` on an explicit joint state, is not called here;
+    it is the oracle this simulation is tested against.
     """
     if schedule.m is None:
         raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
     h = schedule.hamiltonian
     if h.num_qubits != 1:
         raise DimensionMismatchError("dbac_via_dme simulates the single-qubit protocol")
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1 or thetas.size == 0:
+        raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
     p1 = noise.p1 if noise else 0.0
     p2 = noise.p2 if noise else 0.0
+    hm = h.matrix
+    hm2 = hm @ hm
     pg = _ground_projector(h)
-    rho0 = rx_init(theta).density().matrix
-    instr = rho0
-    data = rho0
-    energies = [float(np.trace(h.matrix @ rho0).real)]
-    fids = [_ground_fidelity(rho0, pg)]
+    amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)])
+    rho0 = check_density(amps[:, :, None] * amps.conj()[:, None, :])
+    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+    instr = data = rho0
+    energies = [_expect(hm, rho0)]
+    fids = [np.clip(_expect(pg, rho0), 0.0, 1.0)]
     variances = []
-    traj = [bloch_vector(DensityMatrix(rho0))]
-    instr_energies: list[float] = []
-    out = rho0
-    for j, t in enumerate(schedule.s):
-        variances.append(variance(DensityMatrix(instr), h))
-        em = qmath.herm_expm(h.matrix, -1j * t)
-        sig = _depolarize_full(em @ data @ em.conj().T, p1)
-        for _ in range(schedule.m[j]):
-            # delta = -t/M so that each partial swap approximates exp(+i(t/M) instr)
+    traj = [[_expect(p, rho0) for p in paulis]]
+    instr_energies = []
+    for t, m in zip(schedule.s, schedule.m):
+        instr = check_density(instr)
+        variances.append(_expect(hm2, instr) - _expect(hm, instr) ** 2)
+        em = qmath.herm_expm(hm, -1j * t)  # exp(+i t H) is its adjoint
+        sig = _depolarize(em @ data @ em.conj().T, p1)
+        # delta = -t/M so that each partial swap approximates exp(+i(t/M) instr)
+        delta = -t / m
+        for _ in range(m):
+            sig, marg = partial_swap(instr, sig, delta)
             if p2 > 0:
-                u = qmath.herm_expm(qmath.swap_operator(2), 1j * t / schedule.m[j])
-                joint = _depolarize_full(u @ np.kron(instr, sig) @ u.conj().T, p2)
-                sig = qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(1,)))
-                marg = qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(0,)))
+                sig, marg = _depolarize(sig, p2), _depolarize(marg, p2)
             else:
-                delta = -t / schedule.m[j]
-                marg = dme_step_instruction_marginal(instr, sig, delta).matrix
-                sig = dme_step_exact(instr, sig, delta).matrix
-            instr_energies.append(float(np.trace(h.matrix @ marg).real))
-        ep = qmath.herm_expm(h.matrix, 1j * t)
-        out = _depolarize_full(ep @ sig @ ep.conj().T, p1)
-        energies.append(float(np.trace(h.matrix @ out).real))
-        fids.append(_ground_fidelity(out, pg))
-        traj.append(bloch_vector(DensityMatrix(out)))
+                sig, marg = check_density(sig), check_density(marg)
+            instr_energies.append(_expect(hm, marg))
+        out = check_density(_depolarize(em.conj().T @ sig @ em, p1))
+        energies.append(_expect(hm, out))
+        fids.append(np.clip(_expect(pg, out), 0.0, 1.0))
+        traj.append([_expect(p, out) for p in paulis])
         instr = out
         data = out if schedule.recursion == "chain" else rho0
-    return CoolingRecord(
-        energies=tuple(energies),
-        variances=tuple(variances),
-        fidelities=tuple(fids),
-        copies_consumed=copies_accounting(schedule)["inputs_total"],
-        trajectory=tuple(traj),
-        instruction_energies=tuple(instr_energies),
+    copies = copies_accounting(schedule)["inputs_total"]
+    energies, variances, fids = np.array(energies), np.array(variances), np.array(fids)
+    instr_energies = np.array(instr_energies)
+    traj = np.array(traj)  # (k + 1, 3, B)
+    records = tuple(
+        CoolingRecord(
+            energies=tuple(energies[:, b].tolist()),
+            variances=tuple(variances[:, b].tolist()),
+            fidelities=tuple(fids[:, b].tolist()),
+            copies_consumed=copies,
+            trajectory=tuple(BlochVector(*xyz) for xyz in traj[:, :, b].tolist()),
+            instruction_energies=tuple(instr_energies[:, b].tolist()),
+        )
+        for b in range(thetas.size)
     )
+    return records if thetas.ndim else records[0]
 
 
 def synthesize_uk(
@@ -334,22 +355,17 @@ def _via_dme_final_energy_sgrid(theta, k, m, s, mode="chain"):
     instr = batch.copy()
     data = batch
     phase = np.exp(1j * s)  # e^{-isH} = diag(e^{is}, e^{-is}) for H = -Z
+    phase2, phase2_conj = phase * phase, np.conj(phase * phase)
+    delta = -s / m
     out = batch
     for _ in range(k):
         sig = data.copy()
-        sig[:, 0, 1] *= phase * phase
-        sig[:, 1, 0] *= np.conj(phase * phase)
-        delta = -s / m
-        c, sn = np.cos(delta), np.sin(delta)
+        sig[:, 0, 1] *= phase2
+        sig[:, 1, 0] *= phase2_conj
         for _ in range(m):
-            comm = sig @ instr - instr @ sig
-            sig = (
-                (c * c)[:, None, None] * sig
-                + 1j * (c * sn)[:, None, None] * comm
-                + (sn * sn)[:, None, None] * instr
-            )
-        sig[:, 0, 1] *= np.conj(phase * phase)
-        sig[:, 1, 0] *= phase * phase
+            sig = partial_swap(instr, sig, delta)[0]
+        sig[:, 0, 1] *= phase2_conj
+        sig[:, 1, 0] *= phase2
         out = sig
         instr = out
         data = out if mode == "chain" else batch

@@ -7,8 +7,23 @@ Conventions fixed here and used package-wide:
 * One step with angle delta sends sigma to
   cos^2(delta) sigma + i cos(delta) sin(delta) [sigma, rho] + sin^2(delta) rho,
   which approximates exp(-i delta rho) sigma exp(+i delta rho) to first order.
+  The instruction register is left in the mirror image
+  cos^2(delta) rho - i cos(delta) sin(delta) [sigma, rho] + sin^2(delta) sigma.
 * M-step Trotterization consumes a fresh instruction copy per step and carries
   error O(t^2 / M) in trace distance.
+* Depolarizing the joint register with probability p before the partial
+  trace leaves (1 - p) sigma' + p I/d on either register, where sigma' is the
+  noiseless marginal; ``dbac.dbac_via_dme`` applies two-qubit noise this way.
+
+:func:`partial_swap` is the one inner loop behind every multi-step DME path
+(:func:`dme_trotter`, ``dbac.dbac_via_dme`` and the step-size search engine):
+it applies both closed forms to a whole ``(B, d, d)`` batch of states, with one
+angle or one per batch entry, and validates nothing.  Each output's trace is a
+convex combination of the inputs' traces, so trace errors do not compound over
+a chain of steps.  :func:`dme_step_exact` keeps the definition itself, a kron of
+the two registers conjugated by exp(-i delta SWAP) and partially traced; its
+trace is the product tr(rho) tr(sigma), and it serves only as the oracle the
+closed form is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, check_density
 
 
 @dataclass(frozen=True)
@@ -67,31 +82,45 @@ def dme_step_exact(rho, sigma, delta: float) -> DensityMatrix:
     return DensityMatrix(qmath.partial_trace(joint, part))
 
 
+def partial_swap(instr, sig, delta):
+    """One partial-swap step on a batch: ``(data output, instruction marginal)``.
+
+    ``instr`` and ``sig`` are matrices or ``(B, d, d)`` batches of them, and
+    ``delta`` is a scalar or a length-B array.  The two marginals of the joint
+    state sum to ``instr + sig``, so the instruction marginal costs one
+    addition and one subtraction on top of the data output.  Nothing is
+    validated.
+    """
+    delta = np.asarray(delta)[..., None, None]
+    c, sn = np.cos(delta), np.sin(delta)
+    out = c * c * sig + 1j * (c * sn) * (sig @ instr - instr @ sig) + sn * sn * instr
+    return out, instr + sig - out
+
+
 def dme_step_closed_form(rho, sigma, delta: float) -> DensityMatrix:
     """Closed form of the one-step channel; agrees with dme_step_exact entrywise."""
     r, s = _pair(rho, sigma)
-    c, sn = np.cos(delta), np.sin(delta)
-    out = c * c * s + 1j * c * sn * (s @ r - r @ s) + sn * sn * r
-    return DensityMatrix(out)
+    return DensityMatrix(partial_swap(r, s, delta)[0])
 
 
 def dme_step_instruction_marginal(rho, sigma, delta: float) -> DensityMatrix:
     """State left on the instruction register after one partial-swap interaction."""
     r, s = _pair(rho, sigma)
-    d = r.shape[0]
-    u = qmath.herm_expm(qmath.swap_operator(d), -1j * delta)
-    joint = u @ np.kron(r, s) @ u.conj().T
-    part = qmath.QubitPartition(dims=(d, d), keep=(0,))
-    return DensityMatrix(qmath.partial_trace(joint, part))
+    return DensityMatrix(partial_swap(r, s, delta)[1])
 
 
 def dme_trotter(rho, sigma, params: DmeParams) -> DensityMatrix:
-    """Apply m partial-swap steps of angle t/m, each with a fresh copy of rho."""
+    """Apply m partial-swap steps of angle t/m, each with a fresh copy of rho.
+
+    Every intermediate state is validated, in one batch after the last step.
+    """
     r, s = _pair(rho, sigma)
-    out = s
+    steps = []
     for _ in range(params.m):
-        out = dme_step_exact(r, out, params.delta).matrix
-    return DensityMatrix(out)
+        s = partial_swap(r, s, params.delta)[0]
+        steps.append(s)
+    check_density(np.stack(steps))
+    return DensityMatrix(s)
 
 
 def exact_conjugation(rho, sigma, t: float) -> np.ndarray:

@@ -61,6 +61,24 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Hermiticity, unit-trace and positivity checks on a matrix, or on a whole
+    ``(B, d, d)`` batch at once; returns a new array holding the Hermitian part.
+
+    Whichever matrix of a batch fails, the error is the one a single
+    :class:`DensityMatrix` would raise.
+    """
+    mh = np.conj(m).swapaxes(-1, -2)
+    if np.abs(m - mh).max() > DM_TOL:
+        raise ContractViolationError("density matrix is not Hermitian")
+    m = 0.5 * (m + mh)
+    if np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0).max() > DM_TOL:
+        raise ContractViolationError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(m).min() < -EIG_TOL:
+        raise ContractViolationError("density matrix has a negative eigenvalue")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator."""
@@ -70,14 +88,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = qmath.as_complex_matrix(self.matrix)
         qmath.check_square_power_of_two(m)
-        if np.abs(m - m.conj().T).max() > DM_TOL:
-            raise ContractViolationError("density matrix is not Hermitian")
-        m = 0.5 * (m + m.conj().T)
-        if abs(np.trace(m).real - 1.0) > DM_TOL:
-            raise ContractViolationError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -EIG_TOL:
-            raise ContractViolationError("density matrix has a negative eigenvalue")
-        m = m.copy()
+        m = check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

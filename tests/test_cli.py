@@ -68,6 +68,11 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="does not exist"):
             cli.validate_config(tmp_path / "nope.txt", out_override=tmp_path)
 
+    def test_workers_below_one_rejected(self, tmp_path):
+        # --workers is a no-op, but configs that set it are still checked
+        with pytest.raises(cli.ConfigError, match="workers"):
+            cli.validate_config(None, experiment="trotter", out_override=tmp_path, workers_override=0)
+
     def test_missing_out_dir(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="out"):
             cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\n"))
@@ -160,6 +165,36 @@ class TestRunners:
         rows = (tmp_path / "out" / "grid_km.csv").read_text().splitlines()
         assert rows[0] == "k,M,s_opt,F_min_basin"
         assert rows[1].startswith("1,1,") and rows[2].startswith("1,exact,")
+
+
+class TestInProcessMain:
+    def test_long_dme_chain_trajectory_exits_zero(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "experiment = trajectory\ntheta = 2.0\nk = 6\nm = 8\ns = 0.8\n")
+        assert cli.main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 8  # header + k+1 states
+
+    def test_exit_three_on_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg, out):
+            raise ValueError("synthetic\nfailure")
+
+        monkeypatch.setattr(cli, "_run_trotter", boom)
+        assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "ValueError: synthetic failure" in err
+        manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
+        assert manifest["failed_stage"]["error"] == "ValueError: synthetic\nfailure"
+
+    def test_runtime_failure_chains_its_cause(self, tmp_path, monkeypatch):
+        def boom(cfg, out):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cli, "_run_trotter", boom)
+        cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
+        with pytest.raises(cli.RunError) as info:
+            cli.run_config(cfg)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestCommandLine:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dbac_lab import qmath
+from dbac_lab import dbac, qmath
 from dbac_lab.dbac import (
     BasinResult,
     CoolingRecord,
+    RECURSION_MODES,
     DbacSchedule,
     basin_min_fidelity,
     best_final_fidelity,
@@ -19,7 +22,7 @@ from dbac_lab.dbac import (
     step_size_grid,
     synthesize_uk,
 )
-from dbac_lab.dme import reflector
+from dbac_lab.dme import dme_step_exact, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError
 from dbac_lab.states import HamiltonianSpec, PureState, energy, fidelity, rx_init
 from dbac_lab.tomography import NoiseModel
@@ -27,6 +30,67 @@ from dbac_lab.tomography import NoiseModel
 from conftest import random_state, random_unitary
 
 H = HamiltonianSpec.default_single_qubit()
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _depths(max_steps, max_k):
+    """(k, M) pairs with k * M <= max_steps."""
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(1, max(1, max_steps // k)))
+    )
+
+
+def _oracle_via_dme(theta, schedule, noise=None):
+    """One angle of dbac_via_dme, with one explicit joint state per partial swap.
+
+    Without p2 noise the data register steps with dme_step_exact; the
+    instruction marginal, and with p2 noise both marginals, are partial traces
+    of the joint state, which p2 depolarizes whole.  The joint state's trace
+    is tr(instr) tr(sig), so each instruction copy is rescaled to unit trace:
+    otherwise its rounding error would grow by M + 1 per chained step.
+    Returns (energies, instruction energies, final state).
+    """
+    h = schedule.hamiltonian.matrix
+    p1 = noise.p1 if noise else 0.0
+    p2 = noise.p2 if noise else 0.0
+
+    def depolarize(rho, p):
+        d = rho.shape[0]
+        return (1.0 - p) * rho + p * np.trace(rho).real * np.eye(d) / d
+
+    def marginal(joint, keep):
+        return qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(keep,)))
+
+    rho0 = rx_init(theta).density().matrix
+    instr = data = rho0
+    energies, instr_energies = [np.trace(h @ rho0).real], []
+    for t, m in zip(schedule.s, schedule.m):
+        instr = instr / np.trace(instr).real
+        em = qmath.herm_expm(h, -1j * t)
+        sig = depolarize(em @ data @ em.conj().T, p1)
+        u = qmath.herm_expm(qmath.swap_operator(2), 1j * t / m)
+        for _ in range(m):
+            joint = depolarize(u @ np.kron(instr, sig) @ u.conj().T, p2)
+            marg = marginal(joint, 0)
+            sig = marginal(joint, 1) if p2 > 0 else dme_step_exact(instr, sig, -t / m).matrix
+            instr_energies.append(np.trace(h @ marg).real)
+        ep = qmath.herm_expm(h, 1j * t)
+        out = depolarize(ep @ sig @ ep.conj().T, p1)
+        energies.append(np.trace(h @ out).real)
+        instr = out
+        data = out if schedule.recursion == "chain" else rho0
+    return energies, instr_energies, out
+
+
+def _assert_matches_oracle(thetas, schedule, noise):
+    records = dbac_via_dme(np.array(thetas), schedule, noise)
+    assert len(records) == len(thetas)
+    for theta, rec in zip(thetas, records):
+        energies, instr_energies, out = _oracle_via_dme(theta, schedule, noise)
+        assert np.abs(np.subtract(rec.energies, energies)).max() < 1e-12
+        assert np.abs(np.subtract(rec.instruction_energies, instr_energies)).max() < 1e-12
+        bloch = [np.trace(p @ out).real for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)]
+        assert np.abs(np.subtract(rec.trajectory[-1], bloch)).max() < 1e-12
 
 
 class TestStepExact:
@@ -174,6 +238,89 @@ class TestViaDme:
         chain = dbac_via_dme(1.8, DbacSchedule.uniform(2, np.pi / 4, m=1, recursion="chain"))
         fresh = dbac_via_dme(1.8, DbacSchedule.uniform(2, np.pi / 4, m=1, recursion="fresh"))
         assert abs(chain.energies[-1] - fresh.energies[-1]) > 1e-6
+
+
+class TestViaDmeBatch:
+    THETAS = st.lists(st.floats(0.0, np.pi), min_size=1, max_size=4)
+    STEP = st.floats(0.05, 1.5)
+
+    @PROPERTY
+    @given(thetas=THETAS, km=_depths(39, 8), s=STEP, mode=st.sampled_from(RECURSION_MODES))
+    @example(thetas=[2.0], km=(4, 9), s=1.2, mode="chain")
+    def test_noiseless_matches_exact_step_oracle(self, thetas, km, s, mode):
+        k, m = km
+        _assert_matches_oracle(thetas, DbacSchedule.uniform(k, s, m=m, recursion=mode), None)
+
+    @PROPERTY
+    @given(
+        thetas=THETAS,
+        km=_depths(39, 8),
+        s=STEP,
+        mode=st.sampled_from(RECURSION_MODES),
+        p1=st.sampled_from([0.0, 1e-3, 0.02]),
+        p2=st.floats(1e-4, 0.1),
+    )
+    def test_p2_closed_form_matches_joint_depolarize(self, thetas, km, s, mode, p1, p2):
+        k, m = km
+        schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
+        _assert_matches_oracle(thetas, schedule, NoiseModel(p1=p1, p2=p2))
+
+    @PROPERTY
+    @given(
+        km=_depths(200, 40),
+        s=st.floats(0.3, 1.2),
+        mode=st.sampled_from(RECURSION_MODES),
+        noise=st.sampled_from([None, (1e-3, 0.0), (0.0, 0.02), (2e-3, 0.01)]),
+    )
+    @example(km=(6, 8), s=1.0, mode="chain", noise=None)
+    @example(km=(20, 2), s=0.9, mode="chain", noise=None)
+    @example(km=(10, 20), s=1.2, mode="chain", noise=(2e-3, 0.01))
+    @example(km=(200, 1), s=0.7, mode="fresh", noise=(0.0, 0.02))
+    def test_long_chains_keep_states_physical(self, km, s, mode, noise):
+        k, m = km
+        states = []
+        swap, check = dbac.partial_swap, dbac.check_density
+
+        def recording_swap(instr, sig, delta):
+            out = swap(instr, sig, delta)
+            states.extend((instr, sig, *out))
+            return out
+
+        def recording_check(rho):
+            states.append(rho)
+            return check(rho)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dbac, "partial_swap", recording_swap)
+            mp.setattr(dbac, "check_density", recording_check)
+            records = dbac_via_dme(
+                np.linspace(0.2, 3.0, 3),
+                DbacSchedule.uniform(k, s, m=m, recursion=mode),
+                NoiseModel(*noise) if noise else None,
+            )
+        assert len(records) == 3 and all(len(r.instruction_energies) == k * m for r in records)
+        batch = np.concatenate(states)
+        assert np.abs(np.trace(batch, axis1=1, axis2=2).real - 1.0).max() <= 1e-12
+        assert np.abs(batch - np.conj(batch).swapaxes(1, 2)).max() <= 1e-12
+        assert np.linalg.eigvalsh(batch).min() >= -1e-10
+
+    def test_batch_matches_single_angle_calls(self):
+        thetas = np.linspace(0.1, 3.0, 7)
+        schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion="fresh")
+        noise = NoiseModel(p1=1e-3, p2=1e-2)
+        batch = dbac_via_dme(thetas, schedule, noise)
+        assert isinstance(batch, tuple) and len(batch) == thetas.size
+        for theta, rec in zip(thetas, batch):
+            single = dbac_via_dme(theta, schedule, noise)
+            assert isinstance(single, CoolingRecord)
+            for field in ("energies", "variances", "fidelities", "instruction_energies", "trajectory"):
+                assert np.abs(np.subtract(getattr(rec, field), getattr(single, field))).max() < 1e-14
+            assert rec.copies_consumed == single.copies_consumed == 5 * 3 * 4
+
+    @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([]), [0.3, np.nan]])
+    def test_bad_theta_rejected(self, theta):
+        with pytest.raises(ContractViolationError):
+            dbac_via_dme(theta, DbacSchedule.uniform(1, 0.5, m=1))
 
 
 class TestSynthesizeUk:

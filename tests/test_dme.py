@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.dme import (
@@ -7,8 +9,10 @@ from dbac_lab.dme import (
     dme_error,
     dme_step_closed_form,
     dme_step_exact,
+    dme_step_instruction_marginal,
     dme_trotter,
     exact_conjugation,
+    partial_swap,
     reflector,
 )
 from dbac_lab.errors import ContractViolationError
@@ -18,6 +22,18 @@ from conftest import random_density
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _joint_marginals(rho, sigma, delta):
+    """(data, instruction) marginals of exp(-i delta SWAP) (rho (x) sigma) exp(+i delta SWAP)."""
+    u = qmath.herm_expm(qmath.swap_operator(2), -1j * delta)
+    joint = u @ np.kron(rho, sigma) @ u.conj().T
+    return tuple(
+        qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(i,))) for i in (1, 0)
+    )
 
 
 class TestReflector:
@@ -103,7 +119,50 @@ class TestDmeStep:
         assert purity < 0.99
 
 
+class TestPartialSwap:
+    @PROPERTY
+    @given(seed=SEEDS, batch=st.integers(1, 6), per_entry=st.booleans())
+    def test_matches_partial_traces_of_joint_state(self, seed, batch, per_entry):
+        rng = np.random.default_rng(seed)
+        instr = np.array([random_density(rng) for _ in range(batch)])
+        sig = np.array([random_density(rng) for _ in range(batch)])
+        deltas = rng.uniform(-np.pi, np.pi, batch)
+        out, marg = partial_swap(instr, sig, deltas if per_entry else deltas[0])
+        assert out.shape == marg.shape == (batch, 2, 2)
+        for b in range(batch):
+            want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b if per_entry else 0])
+            assert np.abs(out[b] - want_out).max() < 1e-12
+            assert np.abs(marg[b] - want_marg).max() < 1e-12
+
+    def test_wrappers_are_the_kernel(self, rng):
+        rho, sigma = random_density(rng), random_density(rng)
+        out, marg = partial_swap(rho, sigma, 0.4)
+        assert np.abs(dme_step_closed_form(rho, sigma, 0.4).matrix - out).max() < 1e-15
+        assert np.abs(dme_step_instruction_marginal(rho, sigma, 0.4).matrix - marg).max() < 1e-15
+
+    def test_trace_error_is_not_amplified(self, rng):
+        # the exact step's joint state has trace tr(instr) tr(sig), so a chain
+        # of exact steps multiplies trace errors; the closed form averages them
+        instr = random_density(rng) * (1 + 1e-9)
+        sig = random_density(rng)
+        for _ in range(200):
+            sig, marg = partial_swap(instr, sig, -0.3)
+            for state in (sig, marg):
+                assert abs(np.trace(state).real - 1) <= 1e-9 + 1e-14
+
+
 class TestDmeTrotter:
+    @PROPERTY
+    @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m=st.integers(1, 64))
+    def test_matches_exact_step_loop(self, seed, t, m):
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_density(rng), random_density(rng)
+        want = sigma
+        for _ in range(m):
+            want = dme_step_exact(rho, want, t / m).matrix
+        assert np.abs(dme_trotter(rho, sigma, DmeParams(t, m)).matrix - want).max() < 1e-12
+
+
     def test_m_one_is_single_step(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
         t = 0.77

@@ -9,6 +9,7 @@ from dbac_lab.states import (
     HamiltonianSpec,
     PureState,
     bloch_vector,
+    check_density,
     energy,
     excess_energy,
     fidelity,
@@ -188,3 +189,31 @@ class TestValidation:
     def test_bloch_is_namedtuple(self):
         b = BlochVector(0.0, 0.0, 1.0)
         assert b.z == 1.0 and b.norm() == 1.0
+
+
+class TestCheckDensity:
+    GOOD = np.diag([0.7, 0.3]).astype(complex)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+            (np.diag([0.6, 0.6]), "trace differs from 1"),
+            (np.diag([1.2, -0.2]), "negative eigenvalue"),
+        ],
+    )
+    def test_batch_fails_like_a_single_matrix(self, bad, message):
+        bad = bad.astype(complex)
+        with pytest.raises(ContractViolationError, match=message):
+            DensityMatrix(bad)
+        with pytest.raises(ContractViolationError, match=message):
+            check_density(np.stack([self.GOOD, bad, self.GOOD]))
+
+    def test_returns_hermitian_part_of_every_entry(self):
+        skew = np.array([[0.0, 1e-13j], [1e-13j, 0.0]])
+        batch = np.stack([self.GOOD + skew, self.GOOD])
+        out = check_density(batch)
+        assert out.shape == batch.shape
+        assert np.abs(out - np.conj(out).swapaxes(-1, -2)).max() == 0.0
+        assert np.abs(out - self.GOOD).max() < 1e-16
+        assert np.abs(DensityMatrix(batch[0]).matrix - out[0]).max() == 0.0
