@@ -258,14 +258,20 @@ def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
 # --- serialization: one gate per line, `KIND [angle] [qubit [qubit]]` ---------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def format_number(value) -> str:
+    """A number as every emitted file writes it: integers and strings as they
+    are, anything else as a float to 12 significant digits."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return f"{float(value):.12g}"
 
 
 def serialize_circuit(c: Circuit) -> str:
     lines = [f"CIRCUIT {c.num_qubits} {c.label}".rstrip()]
     for g in c.gates:
-        parts = [g.kind] + [_fmt(p) for p in g.params] + [str(q) for q in g.qubits]
+        parts = [g.kind] + [format_number(p) for p in g.params] + [str(q) for q in g.qubits]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -5,12 +5,13 @@ Usage:
 
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
-with `#` comments; unknown keys are rejected.  Angles are radians unless the
-value carries a `deg` suffix.  Every run writes `results_manifest.json` with a
-sha256 checksum per emitted file; identical config and seed give byte-identical
-output.  Exit codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime
-failure (the experiment raised after its config was accepted; a one-line
-`runtime error: ...` goes to stderr and the manifest records the failed stage).
+with `#` comments; unknown keys, and noise keys the experiment does not apply,
+are rejected.  Angles are radians unless the value carries a `deg` suffix.
+Every run writes `results_manifest.json` with a sha256 checksum per emitted
+file; identical config and seed give byte-identical output.  Exit codes:
+0 success, 1 config error, 2 acceptance failure, 3 runtime failure (the
+experiment raised after its config was accepted; a one-line `runtime error:
+...` goes to stderr and the manifest records the failed stage).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__, acceptance
 from .baselines import PolarizedQubit, cem_round_closed, hbac_step
-from .circuits import compile_udme_native
+from .circuits import compile_udme_native, format_number
 from .dbac import (
     DbacSchedule,
     basin_min_fidelity,
@@ -156,6 +157,15 @@ _SCHEMA = {
 }
 
 
+# The noise keys each experiment applies (trajectory only with finite m).  A
+# config that sets any other noise key is rejected rather than run without it.
+_NOISE_KEYS = {
+    "sweep-theta": ("noise_p1", "noise_p2"),
+    "trajectory": ("noise_p1", "noise_p2"),
+    "ptm": ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = ""
@@ -203,7 +213,7 @@ class ExperimentConfig:
         return DbacSchedule(s=s, m=m, recursion=self.recursion)
 
     def noise(self) -> Optional[NoiseModel]:
-        if self.noise_p1 == 0 and self.noise_p2 == 0 and self.noise_t1_us is None:
+        if (self.noise_p1, self.noise_p2, self.noise_t1_us, self.noise_t2_us) == (0, 0, None, None):
             return None
         return NoiseModel(
             p1=self.noise_p1, p2=self.noise_p2, t1_us=self.noise_t1_us, t2_us=self.noise_t2_us
@@ -243,6 +253,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
     if cfg.experiment == "sweep-s" and cfg.m is not None and len(set(cfg.m)) != 1:
         raise ConfigError("m: sweep-s uses one common depth per step")
+    used = () if cfg.experiment == "trajectory" and cfg.m is None else _NOISE_KEYS.get(cfg.experiment, ())
+    for name in ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"):
+        if getattr(cfg, name) not in (0, None) and name not in used:
+            applied = ", ".join(used) or "none"
+            raise ConfigError(f"{name}: {cfg.experiment} would run without it (applies: {applied})")
     try:
         cfg.noise()
         if cfg.experiment in ("sweep-theta", "sweep-s", "trajectory"):
@@ -301,18 +316,10 @@ def validate_config(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.12g}"
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(format_number(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 

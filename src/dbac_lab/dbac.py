@@ -29,7 +29,6 @@ from .states import (
     BlochVector,
     HamiltonianSpec,
     PureState,
-    bloch_vector,
     check_density,
     energy,
     rx_init,
@@ -133,63 +132,74 @@ def _energy_law(e0, t):
     return e0 - 2.0 * st2 * (1.0 - e0**2) * ((1.0 - np.cos(t)) * e0 + np.cos(t))
 
 
+def _exact_step(h: HamiltonianSpec, refl: np.ndarray, data: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t H) exp(i t |refl><refl|) exp(-i t H) data, normalized, on raw
+    unit vectors; a dense application of every factor, not the closed form."""
+    em = h.expm(-1j * t)  # exp(+i t H) is its adjoint
+    u = em.conj().T @ reflector(refl, t) @ em
+    v = u @ data
+    return v / np.linalg.norm(v)
+
+
 def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) -> PureState:
     """exp(i t H) exp(i t |psi><psi|) exp(-i t H) |psi>, renormalized."""
     spec = h or HamiltonianSpec.default_single_qubit()
     if spec.matrix.shape[0] != psi.amplitudes.size:
         raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    em = qmath.herm_expm(spec.matrix, -1j * t)  # exp(+i t H) is its adjoint
-    u = em.conj().T @ reflector(psi, t) @ em
-    return PureState.from_vector(u @ psi.amplitudes)
-
-
-def _ground_projector(h: HamiltonianSpec) -> np.ndarray:
-    w, v = np.linalg.eigh(h.matrix)
-    sel = w <= w.min() + 1e-9
-    vg = v[:, sel]
-    return vg @ vg.conj().T
-
-
-def _ground_fidelity(rho: np.ndarray, pg: np.ndarray) -> float:
-    return float(min(max(np.trace(pg @ rho).real, 0.0), 1.0))
-
-
-def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecord:
-    """Iterate exact-reflector steps per the schedule, recording per-step observables."""
-    h = schedule.hamiltonian
-    if h.matrix.shape[0] != psi.amplitudes.size:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    pg = _ground_projector(h)
-    original = psi
-    current = psi
-    energies = [energy(current, h)]
-    fids = [_ground_fidelity(np.outer(current.amplitudes, current.amplitudes.conj()), pg)]
-    variances = []
-    traj = [bloch_vector(current)] if psi.num_qubits == 1 else []
-    for j, t in enumerate(schedule.s):
-        variances.append(variance(current, h))
-        refl_state = current
-        data = original if schedule.recursion == "fresh" else current
-        em = qmath.herm_expm(h.matrix, -1j * t)  # exp(+i t H) is its adjoint
-        u = em.conj().T @ reflector(refl_state, t) @ em
-        current = PureState.from_vector(u @ data.amplitudes)
-        energies.append(energy(current, h))
-        fids.append(_ground_fidelity(np.outer(current.amplitudes, current.amplitudes.conj()), pg))
-        if psi.num_qubits == 1:
-            traj.append(bloch_vector(current))
-    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
-    return CoolingRecord(
-        energies=tuple(energies),
-        variances=tuple(variances),
-        fidelities=tuple(fids),
-        copies_consumed=copies,
-        trajectory=tuple(traj),
-    )
+    return PureState(_exact_step(spec, psi.amplitudes, psi.amplitudes, t))
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[op rho] for every state of a (B, d, d) batch."""
-    return np.einsum("ij,bji->b", op, rho).real
+    """Tr[op rho] for every state of a (..., d, d) stack."""
+    return np.einsum("ij,...ji->...", op, rho).real
+
+
+def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[CoolingRecord, ...]:
+    """One record per batch entry of a run's (k + 1, B, d, d) stack of states
+    and its (n, B, d, d) instruction marginals, both validated by one
+    :func:`check_density` call on a flat (N, d, d) batch."""
+    k1, b, d, _ = states.shape
+    stack = np.concatenate([states, np.reshape(marginals, (-1, b, d, d))])
+    checked = check_density(stack.reshape(-1, d, d)).reshape(-1, b, d, d)
+    states, marginals = checked[:k1], checked[k1:]
+    h = schedule.hamiltonian
+    energies = _expect(h.matrix, states)
+    variances = _expect(h.matrix @ h.matrix, states[:-1]) - energies[:-1] ** 2
+    fids = np.clip(_expect(h.ground_projector, states), 0.0, 1.0)
+    instr_energies = _expect(h.matrix, marginals)
+    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+    bloch = np.stack([_expect(p, states) for p in paulis], axis=-1) if d == 2 else np.empty((0, b, 3))
+    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
+    return tuple(
+        CoolingRecord(
+            energies=tuple(energies[:, i].tolist()),
+            variances=tuple(variances[:, i].tolist()),
+            fidelities=tuple(fids[:, i].tolist()),
+            copies_consumed=copies,
+            trajectory=tuple(BlochVector(*xyz) for xyz in bloch[:, i].tolist()),
+            instruction_energies=tuple(instr_energies[:, i].tolist()),
+        )
+        for i in range(b)
+    )
+
+
+def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecord:
+    """Iterate exact-reflector steps per the schedule, recording per-step observables.
+
+    H and psi were validated on construction; the loop steps raw vectors, and
+    the record builder validates the k + 1 states once, as a batch.
+    """
+    h = schedule.hamiltonian
+    if h.matrix.shape[0] != psi.amplitudes.size:
+        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
+    original = current = psi.amplitudes
+    vectors = [current]
+    for t in schedule.s:
+        data = original if schedule.recursion == "fresh" else current
+        current = _exact_step(h, current, data, t)
+        vectors.append(current)
+    v = np.array(vectors)[:, None, :]  # (k + 1, 1, d)
+    return _records(schedule, v[..., :, None] * v.conj()[..., None, :])[0]
 
 
 def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
@@ -213,42 +223,32 @@ def dbac_via_dme(
     With depolarizing noise, p1 acts after each echo rotation and p2 on each
     two-register interaction; depolarizing the joint register and then tracing
     out one side leaves (1 - p2) sigma' + p2 I/2 on either marginal, so the p2
-    path is closed form too.  The closing echo rotation is applied so states,
-    not only energies, are correct.
+    path is closed form too.  Damping (``t1_us``) is not modeled and is
+    rejected.  The closing echo rotation makes states, not only energies, right.
 
-    Every state is validated as a batch: the initial states, each
-    instruction state before its variance is taken, each step's output
-    before its Bloch vector is taken and, without p2 noise, the data state
-    and instruction marginal after every partial swap.  The exact step,
-    :func:`dme.dme_step_exact` on an explicit joint state, is not called here;
-    it is the oracle this simulation is tested against.
+    The loop validates nothing: every reported state (initial states, step
+    outputs, instruction marginals) is validated once, as one batch, by the
+    record builder.  :func:`dme.dme_step_exact` is the oracle this is tested
+    against, not called here.
     """
     if schedule.m is None:
         raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
     h = schedule.hamiltonian
     if h.num_qubits != 1:
         raise DimensionMismatchError("dbac_via_dme simulates the single-qubit protocol")
+    if noise is not None and noise.t1_us is not None:
+        raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1 or thetas.size == 0:
         raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
     p1 = noise.p1 if noise else 0.0
     p2 = noise.p2 if noise else 0.0
-    hm = h.matrix
-    hm2 = hm @ hm
-    pg = _ground_projector(h)
     amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)])
-    rho0 = check_density(amps[:, :, None] * amps.conj()[:, None, :])
-    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+    rho0 = amps[:, :, None] * amps.conj()[:, None, :]
     instr = data = rho0
-    energies = [_expect(hm, rho0)]
-    fids = [np.clip(_expect(pg, rho0), 0.0, 1.0)]
-    variances = []
-    traj = [[_expect(p, rho0) for p in paulis]]
-    instr_energies = []
+    states, marginals = [rho0], []
     for t, m in zip(schedule.s, schedule.m):
-        instr = check_density(instr)
-        variances.append(_expect(hm2, instr) - _expect(hm, instr) ** 2)
-        em = qmath.herm_expm(hm, -1j * t)  # exp(+i t H) is its adjoint
+        em = h.expm(-1j * t)  # exp(+i t H) is its adjoint
         sig = _depolarize(em @ data @ em.conj().T, p1)
         # delta = -t/M so that each partial swap approximates exp(+i(t/M) instr)
         delta = -t / m
@@ -256,30 +256,11 @@ def dbac_via_dme(
             sig, marg = partial_swap(instr, sig, delta)
             if p2 > 0:
                 sig, marg = _depolarize(sig, p2), _depolarize(marg, p2)
-            else:
-                sig, marg = check_density(sig), check_density(marg)
-            instr_energies.append(_expect(hm, marg))
-        out = check_density(_depolarize(em.conj().T @ sig @ em, p1))
-        energies.append(_expect(hm, out))
-        fids.append(np.clip(_expect(pg, out), 0.0, 1.0))
-        traj.append([_expect(p, out) for p in paulis])
-        instr = out
-        data = out if schedule.recursion == "chain" else rho0
-    copies = copies_accounting(schedule)["inputs_total"]
-    energies, variances, fids = np.array(energies), np.array(variances), np.array(fids)
-    instr_energies = np.array(instr_energies)
-    traj = np.array(traj)  # (k + 1, 3, B)
-    records = tuple(
-        CoolingRecord(
-            energies=tuple(energies[:, b].tolist()),
-            variances=tuple(variances[:, b].tolist()),
-            fidelities=tuple(fids[:, b].tolist()),
-            copies_consumed=copies,
-            trajectory=tuple(BlochVector(*xyz) for xyz in traj[:, :, b].tolist()),
-            instruction_energies=tuple(instr_energies[:, b].tolist()),
-        )
-        for b in range(thetas.size)
-    )
+            marginals.append(marg)
+        instr = _depolarize(em.conj().T @ sig @ em, p1)
+        states.append(instr)
+        data = instr if schedule.recursion == "chain" else rho0
+    records = _records(schedule, np.array(states), marginals)
     return records if thetas.ndim else records[0]
 
 
@@ -304,14 +285,8 @@ def synthesize_uk(
             raise ContractViolationError("step sizes must be positive")
         a = float(np.sqrt(s))
         refl0 = np.eye(dim, dtype=complex) + (np.exp(1j * a) - 1.0) * p0
-        u = (
-            qmath.herm_expm(h.matrix, 1j * a)
-            @ u
-            @ refl0
-            @ u.conj().T
-            @ qmath.herm_expm(h.matrix, -1j * a)
-            @ u
-        )
+        em = h.expm(-1j * a)  # e^{+i a H} is its adjoint
+        u = em.conj().T @ u @ refl0 @ u.conj().T @ em @ u
     return u
 
 
@@ -403,6 +378,14 @@ def _final_energy_sgrid(e0, k, m, s, mode="chain"):
     return _via_dme_final_energy_sgrid(theta, k, m, s, mode)
 
 
+def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
+    """The argument checks shared by the step-size search entry points."""
+    if k < 1 or (m is not None and m < 1):
+        raise ContractViolationError("k and m must be positive")
+    if mode not in RECURSION_MODES:
+        raise ContractViolationError(f"recursion must be one of {RECURSION_MODES}")
+
+
 def step_size_grid() -> np.ndarray:
     """The search grid for common step sizes: (0, pi] at resolution 1e-3."""
     return _S_GRID.copy()
@@ -413,6 +396,7 @@ def final_fidelities_over_s(
 ) -> np.ndarray:
     """Ground-state fidelity after the k-step protocol, for each common step
     size in ``s_values`` (noiseless, H = -Z; ``m=None`` selects exact reflectors)."""
+    _check_search_args(k, m, mode)
     e0 = -float(np.cos(theta))
     energies = _final_energy_sgrid(e0, k, m, np.asarray(s_values, dtype=float), mode)
     return (1.0 - energies) / 2.0
@@ -426,8 +410,7 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     """
     if abs(e0) >= 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
-    if k < 1 or (m is not None and m < 1):
-        raise ContractViolationError("k and m must be positive")
+    _check_search_args(k, m, mode)
     energies = _final_energy_sgrid(e0, k, m, _S_GRID, mode)
     best = energies.min()
     idx = int(np.argmax(energies <= best + _TIE_TOL))
@@ -440,6 +423,7 @@ def best_final_fidelity(
     """Best ground-state fidelity achievable with an optimized common step size."""
     if not 0.0 < f0 <= 1.0:
         raise ContractViolationError("f0 must lie in (0, 1]")
+    _check_search_args(k, m, mode)
     e0 = 1.0 - 2.0 * f0
     energies = _final_energy_sgrid(e0, k, m, _S_GRID, mode)
     return float((1.0 - energies.min()) / 2.0)
@@ -456,6 +440,7 @@ def basin_min_fidelity(
     """
     if not 0.0 < f_target < 1.0:
         raise ContractViolationError("f_target must lie in (0, 1)")
+    _check_search_args(k, m, mode)
     hi = 1.0 - 1e-6
     lo = 1e-6
     if best_final_fidelity(hi, k, m, mode) < f_target:

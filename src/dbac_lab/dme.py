@@ -18,7 +18,10 @@ Conventions fixed here and used package-wide:
 :func:`partial_swap` is the one inner loop behind every multi-step DME path
 (:func:`dme_trotter`, ``dbac.dbac_via_dme`` and the step-size search engine):
 it applies both closed forms to a whole ``(B, d, d)`` batch of states, with one
-angle or one per batch entry, and validates nothing.  Each output's trace is a
+angle or one per batch entry, and validates nothing.  Its callers validate once,
+outside the loop: :func:`dme_trotter` checks all its intermediate states in one
+batch, and ``dbac.dbac_via_dme`` checks every state it reports in one batch
+after its last step; the search engine checks none.  Each output's trace is a
 convex combination of the inputs' traces, so trace errors do not compound over
 a chain of steps.  :func:`dme_step_exact` keeps the definition itself, a kron of
 the two registers conjugated by exp(-i delta SWAP) and partially traced; its
@@ -56,11 +59,14 @@ class DmeParams:
         return self.t / self.m
 
 
-def reflector(psi: PureState, t: float) -> np.ndarray:
-    """exp(i t |psi><psi|) = I + (e^{it} - 1)|psi><psi|; Grover reflection at t = pi."""
+def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
+    """exp(i t |psi><psi|) = I + (e^{it} - 1)|psi><psi|; Grover reflection at t = pi.
+
+    ``psi`` is a :class:`PureState` or a unit vector, taken as it is.
+    """
     if not np.isfinite(t):
         raise ContractViolationError("t must be finite")
-    v = psi.amplitudes
+    v = psi.amplitudes if isinstance(psi, PureState) else psi
     return np.eye(v.size, dtype=complex) + (np.exp(1j * t) - 1.0) * np.outer(v, v.conj())
 
 

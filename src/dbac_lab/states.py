@@ -7,6 +7,7 @@ convention R_P(theta) = exp(-i theta P / 2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -105,7 +106,9 @@ State = Union[PureState, DensityMatrix]
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hermitian generator for the cooling protocol."""
+    """Hermitian generator for the cooling protocol, validated once, on
+    construction; its eigensystem is computed once, on first use, and
+    :meth:`expm` and :attr:`ground_projector` check nothing again."""
 
     matrix: np.ndarray
 
@@ -115,13 +118,36 @@ class HamiltonianSpec:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    @functools.cache
     def default_single_qubit(cls) -> "HamiltonianSpec":
-        """H = -Z, ground state |0> at energy -1."""
+        """H = -Z, ground state |0> at energy -1; one shared instance."""
         return cls(-qmath.PAULI_Z)
 
     @property
     def num_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
+
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and the matching eigenvectors as columns, read-only."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+    def expm(self, scale: complex) -> np.ndarray:
+        """exp(scale * H) from the cached eigensystem; ``scale`` is not checked."""
+        w, v = self.eig
+        return (v * np.exp(complex(scale) * w)) @ v.conj().T
+
+    @functools.cached_property
+    def ground_projector(self) -> np.ndarray:
+        """Projector onto the eigenspace within 1e-9 of the lowest eigenvalue, read-only."""
+        w, v = self.eig
+        vg = v[:, w <= w.min() + 1e-9]
+        p = vg @ vg.conj().T
+        p.setflags(write=False)
+        return p
 
 
 class BlochVector(NamedTuple):
@@ -216,7 +242,7 @@ def ite_evolve(psi: PureState, tau: float, h: HamiltonianSpec | None = None) -> 
     spec = h or HamiltonianSpec.default_single_qubit()
     if spec.matrix.shape[0] != psi.amplitudes.size:
         raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    w, v = np.linalg.eigh(spec.matrix)
+    w, v = spec.eig
     coeff = v.conj().T @ psi.amplitudes
     damped = coeff * np.exp(-tau * (w - w.min()))
     norm = np.linalg.norm(damped)

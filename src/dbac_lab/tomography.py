@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .circuits import Circuit, gate_matrix
+from .circuits import Circuit, format_number, gate_matrix
 from .errors import ContractViolationError, DimensionMismatchError
 
 PAULI_LABELS_1Q = "IXYZ"
@@ -200,5 +200,5 @@ def ptm_to_csv(ptm: PTM) -> str:
     labels = pauli_labels(ptm.n_qubits)
     lines = ["basis," + ",".join(labels)]
     for i, lb in enumerate(labels):
-        lines.append(lb + "," + ",".join(f"{v:.12g}" for v in ptm.r[i]))
+        lines.append(lb + "," + ",".join(format_number(v) for v in ptm.r[i]))
     return "\n".join(lines) + "\n"

@@ -222,3 +222,37 @@ class TestCommandLine:
         fa = json.loads((tmp_path / "a" / "results_manifest.json").read_text())["files"]
         fb = json.loads((tmp_path / "b" / "results_manifest.json").read_text())["files"]
         assert fa == fb
+
+
+class TestIgnoredNoiseRejected:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = sweep-theta\nnoise_t1_us = 0.01\n",
+            "experiment = trajectory\nm = 2\nnoise_t1_us = 0.01\nnoise_t2_us = 0.01\n",
+            "experiment = trajectory\nm = exact\nnoise_p1 = 0.01\n",
+            "experiment = trajectory\nm = exact\nnoise_p2 = 0.01\n",
+            "experiment = ptm\nnoise_t2_us = 5\n",
+            "experiment = ptm\nnoise_p1 = 0.01\nnoise_t2_us = 5\n",
+            "experiment = grid-km\nnoise_p2 = 0.01\n",
+        ],
+    )
+    def test_exit_one(self, tmp_path, capsys, text):
+        cfg = _write_cfg(tmp_path, text)
+        experiment = text.split("\n", 1)[0].split("=")[1].strip()
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and ("noise_" in err or "t2 requires t1" in err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = sweep-theta\ntheta_count = 3\nnoise_p1 = 0.01\nnoise_p2 = 0.01\n",
+            "experiment = trajectory\nm = 2\nnoise_p2 = 0.01\n",
+            "experiment = ptm\nphi_list = 0.3\nnoise_t1_us = 50\nnoise_t2_us = 60\n",
+        ],
+    )
+    def test_applied_noise_accepted(self, tmp_path, text):
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
+        assert cfg.noise() is not None

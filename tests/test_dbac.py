@@ -24,7 +24,7 @@ from dbac_lab.dbac import (
 )
 from dbac_lab.dme import dme_step_exact, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError
-from dbac_lab.states import HamiltonianSpec, PureState, energy, fidelity, rx_init
+from dbac_lab.states import HamiltonianSpec, PureState, bloch_vector, energy, fidelity, rx_init, variance
 from dbac_lab.tomography import NoiseModel
 
 from conftest import random_state, random_unitary
@@ -493,3 +493,126 @@ class TestScheduleValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):
             DbacSchedule(s=(0.5,), recursion="sideways")
+
+
+def _random_hamiltonian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return HamiltonianSpec(0.5 * (a + a.conj().T))
+
+
+def _degenerate_hamiltonian(rng):
+    """Two-qubit H = U diag(-1, -1, 0, 2) U^dag: a two-dimensional ground space
+    spanned by U's first two columns, returned as the second value."""
+    u = random_unitary(rng, 4)
+    return HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T), u[:, :2]
+
+
+def _oracle_recursive_exact(psi, schedule, ground):
+    """dbac_recursive_exact one public step at a time; ``ground`` holds an
+    orthonormal basis of the ground space as columns."""
+    h = schedule.hamiltonian
+    states, variances = [psi], []
+    for t in schedule.s:
+        current = states[-1]
+        variances.append(variance(current, h))
+        if schedule.recursion == "chain":
+            states.append(dbac_step_exact(current, t, h))
+        else:
+            u = qmath.herm_expm(h.matrix, 1j * t) @ reflector(current, t) @ qmath.herm_expm(h.matrix, -1j * t)
+            states.append(PureState.from_vector(u @ psi.amplitudes))
+    fids = [float(np.sum(np.abs(ground.conj().T @ s.amplitudes) ** 2)) for s in states]
+    traj = [bloch_vector(s) for s in states] if psi.num_qubits == 1 else []
+    return [energy(s, h) for s in states], variances, fids, traj
+
+
+class TestRecursiveExactOracle:
+    @pytest.mark.parametrize("mode", RECURSION_MODES)
+    @pytest.mark.parametrize("kind", ["1q", "2q", "2q-degenerate"])
+    def test_record_matches_public_step_loop(self, rng, mode, kind):
+        for trial in range(4):
+            if kind == "2q-degenerate":
+                h, ground = _degenerate_hamiltonian(rng)
+            else:
+                h = _random_hamiltonian(rng, 2 if kind == "1q" else 4)
+                ground = np.linalg.eigh(h.matrix)[1][:, :1]
+            dim = h.matrix.shape[0]
+            psi = PureState.from_vector(random_state(rng, dim))
+            k = 1 + trial % 3 + (trial // 3) * 3
+            m = None if trial % 2 else (2,) * k
+            s = tuple(rng.uniform(0.1, 2.0, size=k))
+            schedule = DbacSchedule(s=s, m=m, hamiltonian=h, recursion=mode)
+            rec = dbac_recursive_exact(psi, schedule)
+            energies, variances, fids, traj = _oracle_recursive_exact(psi, schedule, ground)
+            assert np.abs(np.subtract(rec.energies, energies)).max() < 1e-12
+            assert np.abs(np.subtract(rec.variances, variances)).max() < 1e-12
+            assert np.abs(np.subtract(rec.fidelities, fids)).max() < 1e-12
+            assert len(rec.trajectory) == len(traj) == (k + 1 if dim == 2 else 0)
+            if traj:
+                assert np.abs(np.subtract(rec.trajectory, traj)).max() < 1e-12
+            assert rec.copies_consumed == (k + 1 if m is None else 3**k)
+            assert rec.instruction_energies == ()
+
+
+class TestSearchEngineOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        theta=st.floats(0.0, np.pi),
+        km=_depths(16, 16),
+        exact=st.booleans(),
+        s_values=st.lists(st.floats(1e-3, np.pi), min_size=1, max_size=4),
+        mode=st.sampled_from(RECURSION_MODES),
+    )
+    def test_final_fidelities_match_simulators(self, theta, km, exact, s_values, mode):
+        k, m = km
+        m = None if exact else m
+        fids = final_fidelities_over_s(theta, k, m, s_values, mode)
+        assert fids.shape == (len(s_values),)
+        for s, f in zip(s_values, fids):
+            schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
+            if m is None:
+                rec = dbac_recursive_exact(rx_init(theta), schedule)
+            else:
+                rec = dbac_via_dme(theta, schedule)
+            assert abs(rec.fidelities[-1] - f) < 1e-12
+
+
+class TestSearchArgumentChecks:
+    @pytest.mark.parametrize(
+        "k, m, mode", [(0, 1, "chain"), (1, 0, "chain"), (0, None, "fresh"), (1, 1, "chian")]
+    )
+    def test_each_entry_point_rejects(self, k, m, mode):
+        calls = (
+            lambda: optimal_step(0.2, k, m, mode),
+            lambda: best_final_fidelity(0.5, k, m, mode),
+            lambda: basin_min_fidelity(k, m, 0.9, mode),
+            lambda: final_fidelities_over_s(1.0, k, m, [0.5], mode),
+        )
+        for call in calls:
+            with pytest.raises(ContractViolationError):
+                call()
+
+
+def test_via_dme_rejects_damping():
+    with pytest.raises(ContractViolationError, match="t1"):
+        dbac_via_dme(1.0, DbacSchedule.uniform(1, 0.5, m=1), NoiseModel(t1_us=0.01))
+
+
+def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
+    # H is checked when the spec is built and diagonalized once, on first use
+    h = HamiltonianSpec(np.array([[-1.0, 0.3], [0.3, 1.0]], dtype=complex))
+    calls = {"check_hermitian": 0, "eigh": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(qmath, "check_hermitian", counting("check_hermitian", qmath.check_hermitian))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    dbac_recursive_exact(rx_init(1.0), DbacSchedule.uniform(10, 0.4, hamiltonian=h, recursion="fresh"))
+    dbac_via_dme(np.linspace(0.2, 3.0, 4), DbacSchedule.uniform(5, 0.4, m=3, hamiltonian=h))
+    for t in np.linspace(0.0, np.pi, 20):
+        dbac_step_exact(rx_init(1.0), t, h)
+    assert calls == {"check_hermitian": 0, "eigh": 1}

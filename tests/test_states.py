@@ -217,3 +217,25 @@ class TestCheckDensity:
         assert np.abs(out - np.conj(out).swapaxes(-1, -2)).max() == 0.0
         assert np.abs(out - self.GOOD).max() < 1e-16
         assert np.abs(DensityMatrix(batch[0]).matrix - out[0]).max() == 0.0
+
+
+class TestHamiltonianEigensystem:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_expm_matches_herm_expm(self, rng, dim):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = HamiltonianSpec(0.5 * (a + a.conj().T))
+        for scale in (-0.7j, 1.3j, -0.4, 2.0 - 0.5j):
+            assert np.abs(h.expm(scale) - qmath.herm_expm(h.matrix, scale)).max() < 1e-12
+
+    def test_ground_projector_spans_degenerate_ground_space(self):
+        u = random_unitary(np.random.default_rng(7), 4)
+        h = HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T)
+        ground = u[:, :2]
+        assert np.abs(h.ground_projector - ground @ ground.conj().T).max() < 1e-12
+
+    def test_default_is_one_shared_read_only_instance(self):
+        h = HamiltonianSpec.default_single_qubit()
+        assert h is HamiltonianSpec.default_single_qubit()
+        for arr in (h.matrix, *h.eig, h.ground_projector):
+            assert not arr.flags.writeable
+        assert np.array_equal(h.ground_projector, np.diag([1.0, 0.0]))
