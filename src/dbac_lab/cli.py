@@ -6,10 +6,10 @@ Usage:
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, and noise keys the experiment does not apply,
-are rejected.  Angles are radians unless the value carries a `deg` suffix.
-Every run writes `results_manifest.json` with a sha256 checksum per emitted
-file; identical config and seed give byte-identical output.  Exit codes:
-0 success, 1 config error, 2 acceptance failure, 3 runtime failure (the
+are rejected.  Angles are finite, in radians unless the value carries a `deg`
+suffix.  Every run writes `results_manifest.json` with a sha256 checksum per
+emitted file; identical config and seed give byte-identical output.  Exit
+codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime failure (the
 experiment raised after its config was accepted; a one-line `runtime error:
 ...` goes to stderr and the manifest records the failed stage).
 
@@ -80,9 +80,10 @@ class RunError(RuntimeError):
 
 def _parse_angle(text: str) -> float:
     text = text.strip()
-    if text.lower().endswith("deg"):
-        return float(np.deg2rad(float(text[:-3])))
-    return float(text)
+    value = float(np.deg2rad(float(text[:-3]))) if text.lower().endswith("deg") else float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _parse_angle_list(text: str) -> tuple[float, ...]:
@@ -253,6 +254,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
     if cfg.experiment == "sweep-s" and cfg.m is not None and len(set(cfg.m)) != 1:
         raise ConfigError("m: sweep-s uses one common depth per step")
+    if cfg.experiment == "grid-km" and abs(float(np.cos(cfg.theta))) >= 1.0:
+        raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
     used = () if cfg.experiment == "trajectory" and cfg.m is None else _NOISE_KEYS.get(cfg.experiment, ())
     for name in ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"):
         if getattr(cfg, name) not in (0, None) and name not in used:

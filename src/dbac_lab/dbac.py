@@ -132,21 +132,15 @@ def _energy_law(e0, t):
     return e0 - 2.0 * st2 * (1.0 - e0**2) * ((1.0 - np.cos(t)) * e0 + np.cos(t))
 
 
-def _exact_step(h: HamiltonianSpec, refl: np.ndarray, data: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t H) exp(i t |refl><refl|) exp(-i t H) data, normalized, on raw
-    unit vectors; a dense application of every factor, not the closed form."""
-    em = h.expm(-1j * t)  # exp(+i t H) is its adjoint
-    u = em.conj().T @ reflector(refl, t) @ em
-    v = u @ data
-    return v / np.linalg.norm(v)
-
-
 def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) -> PureState:
-    """exp(i t H) exp(i t |psi><psi|) exp(-i t H) |psi>, renormalized."""
+    """exp(i t H) exp(i t |psi><psi|) exp(-i t H) |psi>, renormalized, by a
+    dense application of every factor."""
     spec = h or HamiltonianSpec.default_single_qubit()
     if spec.matrix.shape[0] != psi.amplitudes.size:
         raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    return PureState(_exact_step(spec, psi.amplitudes, psi.amplitudes, t))
+    em = spec.expm(-1j * t)  # exp(+i t H) is its adjoint
+    v = em.conj().T @ reflector(psi, t) @ em @ psi.amplitudes
+    return PureState(v / np.linalg.norm(v))
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -156,19 +150,20 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[CoolingRecord, ...]:
     """One record per batch entry of a run's (k + 1, B, d, d) stack of states
-    and its (n, B, d, d) instruction marginals, both validated by one
-    :func:`check_density` call on a flat (N, d, d) batch."""
+    and its (n, B, d, d) instruction marginals, both in H's eigenbasis and
+    validated by one :func:`check_density` call on a flat (N, d, d) batch.
+    The observables are rotated into that basis, not the states out of it."""
     k1, b, d, _ = states.shape
     stack = np.concatenate([states, np.reshape(marginals, (-1, b, d, d))])
     checked = check_density(stack.reshape(-1, d, d)).reshape(-1, b, d, d)
     states, marginals = checked[:k1], checked[k1:]
-    h = schedule.hamiltonian
-    energies = _expect(h.matrix, states)
-    variances = _expect(h.matrix @ h.matrix, states[:-1]) - energies[:-1] ** 2
-    fids = np.clip(_expect(h.ground_projector, states), 0.0, 1.0)
-    instr_energies = _expect(h.matrix, marginals)
+    w, v = schedule.hamiltonian.eig
+    energies = _expect(np.diag(w), states)
+    variances = _expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
+    fids = np.clip(_expect(v.conj().T @ schedule.hamiltonian.ground_projector @ v, states), 0.0, 1.0)
+    instr_energies = _expect(np.diag(w), marginals)
     paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
-    bloch = np.stack([_expect(p, states) for p in paulis], axis=-1) if d == 2 else np.empty((0, b, 3))
+    bloch = np.stack([_expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
     copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
     return tuple(
         CoolingRecord(
@@ -186,25 +181,23 @@ def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[
 def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecord:
     """Iterate exact-reflector steps per the schedule, recording per-step observables.
 
-    H and psi were validated on construction; the loop steps raw vectors, and
-    the record builder validates the k + 1 states once, as a batch.
+    H and psi were validated on construction; :func:`_exact_steps` steps raw
+    vectors in H's eigenbasis, and the record builder validates the k + 1
+    states once, as a batch.
     """
     h = schedule.hamiltonian
     if h.matrix.shape[0] != psi.amplitudes.size:
         raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    original = current = psi.amplitudes
-    vectors = [current]
-    for t in schedule.s:
-        data = original if schedule.recursion == "fresh" else current
-        current = _exact_step(h, current, data, t)
-        vectors.append(current)
-    v = np.array(vectors)[:, None, :]  # (k + 1, 1, d)
-    return _records(schedule, v[..., :, None] * v.conj()[..., None, :])[0]
+    w, v = h.eig
+    psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
+    steps = _exact_steps(psi0, np.array(schedule.s)[:, None], w, schedule.recursion)
+    vecs = np.array([psi0, *steps])  # (k + 1, 1, d)
+    return _records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :])[0]
 
 
 def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """(1 - p) rho + p I/2 for unit-trace single-qubit states."""
-    return (1.0 - p) * rho + 0.5 * p * qmath.I2
+    return (1.0 - p) * rho + 0.5 * p * qmath.I2 if p else rho
 
 
 def dbac_via_dme(
@@ -226,10 +219,10 @@ def dbac_via_dme(
     path is closed form too.  Damping (``t1_us``) is not modeled and is
     rejected.  The closing echo rotation makes states, not only energies, right.
 
-    The loop validates nothing: every reported state (initial states, step
-    outputs, instruction marginals) is validated once, as one batch, by the
-    record builder.  :func:`dme.dme_step_exact` is the oracle this is tested
-    against, not called here.
+    The steps run in H's eigenbasis (:func:`_dme_steps`) and validate nothing:
+    every reported state (initial states, step outputs, instruction marginals)
+    is validated once, as one batch, by the record builder.
+    :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
     """
     if schedule.m is None:
         raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
@@ -241,25 +234,14 @@ def dbac_via_dme(
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1 or thetas.size == 0:
         raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
-    p1 = noise.p1 if noise else 0.0
-    p2 = noise.p2 if noise else 0.0
-    amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)])
-    rho0 = amps[:, :, None] * amps.conj()[:, None, :]
-    instr = data = rho0
+    w, v = h.eig
+    amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)]) @ v.conj()
+    rho0 = amps[:, :, None] * amps.conj()[:, None, :]  # (B, 2, 2), eigenbasis
     states, marginals = [rho0], []
-    for t, m in zip(schedule.s, schedule.m):
-        em = h.expm(-1j * t)  # exp(+i t H) is its adjoint
-        sig = _depolarize(em @ data @ em.conj().T, p1)
-        # delta = -t/M so that each partial swap approximates exp(+i(t/M) instr)
-        delta = -t / m
-        for _ in range(m):
-            sig, marg = partial_swap(instr, sig, delta)
-            if p2 > 0:
-                sig, marg = _depolarize(sig, p2), _depolarize(marg, p2)
-            marginals.append(marg)
-        instr = _depolarize(em.conj().T @ sig @ em, p1)
-        states.append(instr)
-        data = instr if schedule.recursion == "chain" else rho0
+    steps = np.array(schedule.s)[:, None]
+    for out, margs in _dme_steps(rho0, steps, schedule.m, w, schedule.recursion, noise, keep_marginals=True):
+        states.append(out)
+        marginals.extend(margs)
     records = _records(schedule, np.array(states), marginals)
     return records if thetas.ndim else records[0]
 
@@ -318,64 +300,81 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# vectorized search engines (H = -Z single-qubit family, common step size)
+# batched cooling engines, in the eigenbasis of H
 # ---------------------------------------------------------------------------
+# exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases.
+# Each engine steps B states over a (k, B) or (k, 1) array of step sizes, one
+# row per step, and yields every step's output in that basis.  The simulators
+# and the step-size search share them; the dense dbac_step_exact is the oracle.
 
 
-def _via_dme_final_energy_sgrid(theta, k, m, s, mode="chain"):
-    """Final energy for every common step size in `s` (noiseless, H = -Z)."""
-    s = np.asarray(s, dtype=float)
-    rho0 = rx_init(theta).density().matrix
-    batch = np.broadcast_to(rho0, (s.size, 2, 2)).copy()
-    instr = batch.copy()
-    data = batch
-    phase = np.exp(1j * s)  # e^{-isH} = diag(e^{is}, e^{-is}) for H = -Z
-    phase2, phase2_conj = phase * phase, np.conj(phase * phase)
-    delta = -s / m
-    out = batch
-    for _ in range(k):
+def _exact_steps(psi0, steps, w, recursion):
+    """Exact-reflector steps of a (B, d) or (1, d) batch of unit vectors: the
+    reflector exp(it|cur><cur|) = I + (e^{it} - 1)|cur><cur| is a rank-1 update."""
+    cur, t_prev = psi0, None
+    for t in steps:
+        if not np.array_equal(t, t_prev):  # the phases repeat with the step size
+            e = np.exp(-1j * t[:, None] * w)  # exp(-itH)
+            ec, r, t_prev = e.conj(), np.exp(1j * t[:, None]) - 1.0, t
+        out = (cur if recursion == "chain" else psi0) * e
+        out += r * np.sum(cur.conj() * out, axis=-1, keepdims=True) * cur
+        out *= ec
+        out /= np.linalg.norm(out, axis=-1, keepdims=True)
+        cur = out
+        yield cur
+
+
+def _dme_steps(rho0, steps, depths, w, recursion, noise=None, keep_marginals=False):
+    """DME steps of a (B, 2, 2) batch: yields each step's output and, with
+    ``keep_marginals``, its M_j = ``depths[j]`` instruction marginals.
+    ``partial_swap`` is looked up in this module, so a test can trace it."""
+    p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
+    instr = data = rho0
+    t_prev = None
+    for t, m in zip(steps, depths):
+        if not np.array_equal(t, t_prev):  # the phases repeat with the step size
+            z = np.exp(-1j * t * (w[0] - w[1]))  # exp(-itH) rho exp(+itH) multiplies rho_01 by z
+            zc, t_prev = z.conj(), t
         sig = data.copy()
-        sig[:, 0, 1] *= phase2
-        sig[:, 1, 0] *= phase2_conj
+        sig[:, 0, 1] *= z
+        sig[:, 1, 0] *= zc
+        sig = _depolarize(sig, p1)
+        delta = -t / m  # each partial swap approximates exp(+i(t/M) instr)
+        margs = []
         for _ in range(m):
-            sig = partial_swap(instr, sig, delta)[0]
-        sig[:, 0, 1] *= phase2_conj
-        sig[:, 1, 0] *= phase2
-        out = sig
-        instr = out
-        data = out if mode == "chain" else batch
-    return (out[:, 1, 1] - out[:, 0, 0]).real
+            sig, marg = partial_swap(instr, sig, delta)
+            sig = _depolarize(sig, p2)
+            if keep_marginals:
+                margs.append(_depolarize(marg, p2))
+        sig[:, 0, 1] *= zc  # sig is this step's own array
+        sig[:, 1, 0] *= z
+        instr = _depolarize(sig, p1)
+        yield instr, margs
+        data = instr if recursion == "chain" else rho0
 
 
-def _exact_final_energy_sgrid(e0, k, s, mode="chain"):
-    """Exact-reflector final energies over the step-size grid."""
-    s = np.asarray(s, dtype=float)
-    if mode == "chain":
-        e = np.full(s.shape, float(e0))
+def _final_energies(theta: float, k: int, m: Optional[int], s: np.ndarray, mode: str) -> np.ndarray:
+    """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
+    the default H, for each common step size in ``s``; ``m=None`` selects
+    exact reflectors, whose chain recursion follows the closed-form law."""
+    if m is None and mode == "chain":
+        e = np.full(s.shape, -float(np.cos(theta)))
         for _ in range(k):
             e = _energy_law(e, s)
         return e
-    theta = float(np.arccos(np.clip(-e0, -1.0, 1.0)))
-    psi0 = rx_init(theta).amplitudes
-    cur = np.broadcast_to(psi0, (s.size, 2)).copy()
-    base = cur.copy()
-    eis = np.exp(1j * s)
-    for _ in range(k):
-        chi = cur
-        v = base * np.stack([eis, np.conj(eis)], axis=1)  # e^{-isH}|psi0>
-        overlap = np.sum(np.conj(chi) * v, axis=1)
-        v = v + ((np.exp(1j * s) - 1.0) * overlap)[:, None] * chi
-        v = v * np.stack([np.conj(eis), eis], axis=1)  # e^{+isH}
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        cur = v
-    return (np.abs(cur[:, 1]) ** 2 - np.abs(cur[:, 0]) ** 2).astype(float)
-
-
-def _final_energy_sgrid(e0, k, m, s, mode="chain"):
+    w, v = HamiltonianSpec.default_single_qubit().eig
+    psi0 = rx_init(theta).amplitudes @ v.conj()
+    steps = np.broadcast_to(s, (k, s.size))
     if m is None:
-        return _exact_final_energy_sgrid(e0, k, s, mode)
-    theta = float(np.arccos(np.clip(-e0, -1.0, 1.0)))
-    return _via_dme_final_energy_sgrid(theta, k, m, s, mode)
+        for out in _exact_steps(psi0[None], steps, w, mode):
+            pass
+        populations = np.abs(out) ** 2
+    else:
+        rho0 = np.broadcast_to(np.outer(psi0, psi0.conj()), (s.size, 2, 2)).copy()
+        for out, _ in _dme_steps(rho0, steps, (m,) * k, w, mode):
+            pass
+        populations = np.diagonal(out, axis1=1, axis2=2).real
+    return populations @ w
 
 
 def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
@@ -395,10 +394,9 @@ def final_fidelities_over_s(
     theta: float, k: int, m: Optional[int], s_values, mode: str = "chain"
 ) -> np.ndarray:
     """Ground-state fidelity after the k-step protocol, for each common step
-    size in ``s_values`` (noiseless, H = -Z; ``m=None`` selects exact reflectors)."""
+    size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact reflectors)."""
     _check_search_args(k, m, mode)
-    e0 = -float(np.cos(theta))
-    energies = _final_energy_sgrid(e0, k, m, np.asarray(s_values, dtype=float), mode)
+    energies = _final_energies(theta, k, m, np.asarray(s_values, dtype=float), mode)
     return (1.0 - energies) / 2.0
 
 
@@ -411,7 +409,7 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     if abs(e0) >= 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
     _check_search_args(k, m, mode)
-    energies = _final_energy_sgrid(e0, k, m, _S_GRID, mode)
+    energies = _final_energies(float(np.arccos(-e0)), k, m, _S_GRID, mode)
     best = energies.min()
     idx = int(np.argmax(energies <= best + _TIE_TOL))
     return float(_S_GRID[idx])
@@ -424,8 +422,7 @@ def best_final_fidelity(
     if not 0.0 < f0 <= 1.0:
         raise ContractViolationError("f0 must lie in (0, 1]")
     _check_search_args(k, m, mode)
-    e0 = 1.0 - 2.0 * f0
-    energies = _final_energy_sgrid(e0, k, m, _S_GRID, mode)
+    energies = _final_energies(float(np.arccos(2.0 * f0 - 1.0)), k, m, _S_GRID, mode)
     return float((1.0 - energies.min()) / 2.0)
 
 

@@ -15,18 +15,24 @@ Conventions fixed here and used package-wide:
   trace leaves (1 - p) sigma' + p I/d on either register, where sigma' is the
   noiseless marginal; ``dbac.dbac_via_dme`` applies two-qubit noise this way.
 
-:func:`partial_swap` is the one inner loop behind every multi-step DME path
-(:func:`dme_trotter`, ``dbac.dbac_via_dme`` and the step-size search engine):
-it applies both closed forms to a whole ``(B, d, d)`` batch of states, with one
-angle or one per batch entry, and validates nothing.  Its callers validate once,
-outside the loop: :func:`dme_trotter` checks all its intermediate states in one
-batch, and ``dbac.dbac_via_dme`` checks every state it reports in one batch
-after its last step; the search engine checks none.  Each output's trace is a
-convex combination of the inputs' traces, so trace errors do not compound over
-a chain of steps.  :func:`dme_step_exact` keeps the definition itself, a kron of
-the two registers conjugated by exp(-i delta SWAP) and partially traced; its
-trace is the product tr(rho) tr(sigma), and it serves only as the oracle the
-closed form is tested against.
+:func:`partial_swap` is the one inner loop behind every DME path: it applies
+both closed forms to a whole ``(B, d, d)`` batch of states, with one angle or
+one per batch entry, and validates nothing.  Its callers validate once, outside
+any loop:
+
+* :func:`dme_step_closed_form` and :func:`dme_step_instruction_marginal` wrap
+  their one output in a :class:`DensityMatrix`;
+* :func:`dme_trotter` checks all its intermediate states in one batch;
+* ``dbac._dme_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
+  runs ``dbac.dbac_via_dme``, whose record builder checks every state it
+  reports in one batch after the last step, and the step-size search, which
+  keeps only final energies and checks none.
+
+Each output's trace is a convex combination of the inputs' traces, so trace
+errors do not compound over a chain of steps.  :func:`dme_step_exact` keeps the
+definition itself, a kron of the two registers conjugated by exp(-i delta SWAP)
+and partially traced; its trace is the product tr(rho) tr(sigma), and it serves
+only as the oracle the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -92,15 +98,23 @@ def partial_swap(instr, sig, delta):
     """One partial-swap step on a batch: ``(data output, instruction marginal)``.
 
     ``instr`` and ``sig`` are matrices or ``(B, d, d)`` batches of them, and
-    ``delta`` is a scalar or a length-B array.  The two marginals of the joint
-    state sum to ``instr + sig``, so the instruction marginal costs one
-    addition and one subtraction on top of the data output.  Nothing is
-    validated.
+    ``delta`` is a scalar or, for a batch, a length-B array.  The two marginals
+    of the joint state sum to ``instr + sig``, so the instruction marginal
+    costs one addition and one subtraction on top of the data output.  Nothing
+    is validated.  The sums are built in place, because each batch-sized
+    temporary can cost fresh pages from the system and the step-size search
+    calls this thousands of times per run.
     """
     delta = np.asarray(delta)[..., None, None]
     c, sn = np.cos(delta), np.sin(delta)
-    out = c * c * sig + 1j * (c * sn) * (sig @ instr - instr @ sig) + sn * sn * instr
-    return out, instr + sig - out
+    out = np.matmul(sig, instr, dtype=complex)
+    out -= instr @ sig
+    out *= 1j * (c * sn)
+    out += c * c * sig
+    out += sn * sn * instr
+    marg = np.add(instr, sig, dtype=complex)
+    marg -= out
+    return out, marg
 
 
 def dme_step_closed_form(rho, sigma, delta: float) -> DensityMatrix:

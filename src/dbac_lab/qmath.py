@@ -168,11 +168,6 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).sum())
 
 
-def frobenius_distance(a, b) -> float:
-    """Frobenius-norm distance, exposed for diagnostics only."""
-    return float(np.linalg.norm(as_complex_matrix(a) - as_complex_matrix(b)))
-
-
 def swap_operator(d: int = 2) -> np.ndarray:
     """SWAP on two d-dimensional registers: SWAP |v,w> = |w,v>."""
     s = np.zeros((d * d, d * d), dtype=complex)

@@ -100,12 +100,13 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
             raise ContractViolationError("depolarizing probabilities must lie in [0, 1]")
-        if self.t1_us is not None and self.t1_us <= 0:
+        # written so that NaN fails every comparison
+        if self.t1_us is not None and not self.t1_us > 0:
             raise ContractViolationError("t1 must be positive")
         if self.t2_us is not None:
             if self.t1_us is None:
                 raise ContractViolationError("t2 requires t1")
-            if self.t2_us <= 0 or self.t2_us > 2 * self.t1_us:
+            if not 0 < self.t2_us <= 2 * self.t1_us:
                 raise ContractViolationError("t2 must lie in (0, 2*t1]")
 
     @property

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,8 +201,11 @@ class TestInProcessMain:
 
 class TestCommandLine:
     def _run(self, *args):
+        # the child imports dbac_lab from where this process did, installed or not
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         return subprocess.run(
-            [sys.executable, "-m", "dbac_lab.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "dbac_lab.cli", *args], capture_output=True, text=True, env=env
         )
 
     def test_exit_zero_on_success(self, tmp_path):
@@ -256,3 +261,25 @@ class TestIgnoredNoiseRejected:
     def test_applied_noise_accepted(self, tmp_path, text):
         cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
         assert cfg.noise() is not None
+
+
+class TestUnusableValuesRejected:
+    # each of these passed validation and then exited 3 as a runtime error
+    @pytest.mark.parametrize(
+        "text, names_line",
+        [
+            ("experiment = trajectory\nm = 2\ntheta = nan\n", True),
+            ("experiment = trajectory\nm = exact\ntheta = -inf deg\n", True),
+            ("experiment = sweep-theta\ntheta_stop = nan\n", True),
+            ("experiment = grid-km\ntheta = 0\n", False),
+            ("experiment = grid-km\ntheta = 180deg\n", False),
+            ("experiment = ptm\nnoise_t1_us = nan\n", False),
+        ],
+    )
+    def test_exit_one(self, tmp_path, capsys, text, names_line):
+        cfg = _write_cfg(tmp_path, text)
+        experiment = text.split("\n", 1)[0].split("=")[1].strip()
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and ("line " in err) == names_line
+        assert not (tmp_path / "out").exists()

@@ -243,13 +243,15 @@ class TestViaDme:
 class TestViaDmeBatch:
     THETAS = st.lists(st.floats(0.0, np.pi), min_size=1, max_size=4)
     STEP = st.floats(0.05, 1.5)
+    # -Z, and an H whose eigenbasis is not the computational basis
+    HAMILTONIANS = st.sampled_from([H, HamiltonianSpec(np.array([[-1.0, 0.3], [0.3, 1.0]]))])
 
     @PROPERTY
-    @given(thetas=THETAS, km=_depths(39, 8), s=STEP, mode=st.sampled_from(RECURSION_MODES))
-    @example(thetas=[2.0], km=(4, 9), s=1.2, mode="chain")
-    def test_noiseless_matches_exact_step_oracle(self, thetas, km, s, mode):
+    @given(thetas=THETAS, km=_depths(39, 8), s=STEP, mode=st.sampled_from(RECURSION_MODES), h=HAMILTONIANS)
+    @example(thetas=[2.0], km=(4, 9), s=1.2, mode="chain", h=H)
+    def test_noiseless_matches_exact_step_oracle(self, thetas, km, s, mode, h):
         k, m = km
-        _assert_matches_oracle(thetas, DbacSchedule.uniform(k, s, m=m, recursion=mode), None)
+        _assert_matches_oracle(thetas, DbacSchedule.uniform(k, s, m=m, hamiltonian=h, recursion=mode), None)
 
     @PROPERTY
     @given(
@@ -259,10 +261,11 @@ class TestViaDmeBatch:
         mode=st.sampled_from(RECURSION_MODES),
         p1=st.sampled_from([0.0, 1e-3, 0.02]),
         p2=st.floats(1e-4, 0.1),
+        h=HAMILTONIANS,
     )
-    def test_p2_closed_form_matches_joint_depolarize(self, thetas, km, s, mode, p1, p2):
+    def test_p2_closed_form_matches_joint_depolarize(self, thetas, km, s, mode, p1, p2, h):
         k, m = km
-        schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
+        schedule = DbacSchedule.uniform(k, s, m=m, hamiltonian=h, recursion=mode)
         _assert_matches_oracle(thetas, schedule, NoiseModel(p1=p1, p2=p2))
 
     @PROPERTY

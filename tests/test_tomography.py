@@ -150,6 +150,13 @@ class TestNoiseModel:
         with pytest.raises(ContractViolationError):
             NoiseModel(t2_us=10.0)
 
+    @pytest.mark.parametrize(
+        "t1, t2", [(float("nan"), None), (float("nan"), 10.0), (10.0, float("nan")), (-1.0, None)]
+    )
+    def test_rejects_nan_and_nonpositive_times(self, t1, t2):
+        with pytest.raises(ContractViolationError):
+            NoiseModel(t1_us=t1, t2_us=t2)
+
     def test_ptm_entries_bounded(self):
         with pytest.raises(ContractViolationError):
             PTM(1, 2 * np.eye(4))
