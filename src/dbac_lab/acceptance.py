@@ -46,7 +46,7 @@ from .dbac import (
     final_fidelities_over_s,
     step_size_grid,
 )
-from .dme import DmeParams, dme_error, dme_step_exact
+from .dme import dme_errors, dme_step_exact
 from .states import DensityMatrix, HamiltonianSpec, PureState, energy, rx_init
 from .tomography import NoiseModel, process_fidelity, ptm_of_channel, ptm_of_circuit, unitary_channel
 
@@ -122,7 +122,7 @@ def criterion_3() -> CriterionResult:
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.full((2, 2), 0.5, dtype=complex)
     ms = np.array([1, 2, 4, 8, 16, 32, 64])
-    errs = np.array([dme_error(rho, sigma, DmeParams(np.pi / 4, int(m))) for m in ms])
+    errs = dme_errors(rho, sigma, np.pi / 4, ms)
     slope = float(np.polyfit(np.log(ms), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = -1.2 <= slope <= -0.8 and elapsed < 1.0

@@ -43,7 +43,7 @@ from .dbac import (
     final_fidelities_over_s,
     optimal_step,
 )
-from .dme import DmeParams, dme_error
+from .dme import dme_errors
 from .errors import ContractViolationError
 from .qmath import herm_expm, swap_operator
 from .states import rx_init
@@ -241,7 +241,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("rounds: must be >= 1")
     if not 0.0 <= cfg.x0 < 1.0:
         raise ConfigError("x0: must lie in [0, 1)")
-    if abs(cfg.eps0) > 1 or abs(cfg.eps_bath) > 1:
+    if not (abs(cfg.eps0) <= 1 and abs(cfg.eps_bath) <= 1):  # NaN fails too
         raise ConfigError("eps0/eps_bath: polarizations must lie in [-1, 1]")
     if cfg.workers < 1:
         raise ConfigError("workers: must be >= 1")
@@ -386,9 +386,8 @@ def _run_trotter(cfg: ExperimentConfig, out: Path) -> None:
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     sigma = b @ b.conj().T
     sigma /= np.trace(sigma).real
-    rows = []
-    for m in range(1, cfg.m_max + 1):
-        rows.append([cfg.t, m, dme_error(rho, sigma, DmeParams(cfg.t, m))])
+    ms = np.arange(1, cfg.m_max + 1)
+    rows = [[cfg.t, m, err] for m, err in zip(ms, dme_errors(rho, sigma, cfg.t, ms))]
     _write_csv(out / "trotter.csv", ["t", "M", "error"], rows)
 
 

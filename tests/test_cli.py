@@ -274,6 +274,8 @@ class TestUnusableValuesRejected:
             ("experiment = grid-km\ntheta = 0\n", False),
             ("experiment = grid-km\ntheta = 180deg\n", False),
             ("experiment = ptm\nnoise_t1_us = nan\n", False),
+            ("experiment = baselines\neps0 = nan\n", False),
+            ("experiment = baselines\neps_bath = nan\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):

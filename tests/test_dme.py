@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbac_lab import qmath
+from dbac_lab import cli, dme, qmath
 from dbac_lab.dme import (
     DmeParams,
     dme_error,
+    dme_errors,
     dme_step_closed_form,
     dme_step_exact,
     dme_step_instruction_marginal,
@@ -15,7 +16,7 @@ from dbac_lab.dme import (
     partial_swap,
     reflector,
 )
-from dbac_lab.errors import ContractViolationError
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, rx_init
 
 from conftest import random_density
@@ -25,6 +26,8 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
+SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
+CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
 
 
 def _joint_marginals(rho, sigma, delta):
@@ -134,6 +137,34 @@ class TestPartialSwap:
             assert np.abs(out[b] - want_out).max() < 1e-12
             assert np.abs(marg[b] - want_marg).max() < 1e-12
 
+    def test_matches_partial_traces_at_search_batch(self, rng):
+        instr = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
+        sig = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
+        deltas = rng.uniform(-np.pi, np.pi, SEARCH_BATCH)
+        out, marg = partial_swap(instr, sig, deltas)
+        for b in range(SEARCH_BATCH):
+            want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b])
+            assert np.abs(out[b] - want_out).max() < 1e-12
+            assert np.abs(marg[b] - want_marg).max() < 1e-12
+
+    def test_matches_partial_traces_on_one_matrix(self, rng):
+        for delta in (0.4, -2.1, np.pi / 2):
+            rho, sigma = random_density(rng), random_density(rng)
+            out, marg = partial_swap(rho, sigma, delta)
+            want_out, want_marg = _joint_marginals(rho, sigma, delta)
+            assert out.shape == marg.shape == (2, 2)
+            assert np.abs(out - want_out).max() < 1e-12
+            assert np.abs(marg - want_marg).max() < 1e-12
+
+    def test_zero_angle_returns_sigma_exactly(self, rng):
+        # the batched Trotter loop parks finished depths at angle 0
+        instr = np.array([random_density(rng) for _ in range(5)])
+        sig = np.array([random_density(rng) for _ in range(5)])
+        assert np.array_equal(partial_swap(instr, sig, np.zeros(5))[0], sig)
+        out = partial_swap(instr, sig, [0.3, 0.0, -1.0, 0.0, 0.0])[0]
+        assert np.array_equal(out[[1, 3, 4]], sig[[1, 3, 4]])
+        assert np.array_equal(partial_swap(instr[0], sig[0], 0.0)[0], sig[0])
+
     def test_wrappers_are_the_kernel(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
         out, marg = partial_swap(rho, sigma, 0.4)
@@ -218,3 +249,103 @@ class TestDmeError:
         errs = np.array([dme_error(GROUND, PLUS, DmeParams(np.pi / 4, int(m))) for m in ms])
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert -1.2 <= slope <= -0.8
+
+
+class TestDmeErrors:
+    @staticmethod
+    def _oracle(rho, sigma, t, m):
+        state = sigma
+        for _ in range(m):
+            state = dme_step_exact(rho, state, t / m).matrix
+        return qmath.trace_distance(state, exact_conjugation(rho, sigma, t))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m_max=st.integers(1, 64))
+    def test_matches_exact_step_loop(self, seed, t, m_max):
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_density(rng), random_density(rng)
+        ms = np.arange(1, m_max + 1)
+        errs = dme_errors(rho, sigma, t, ms)
+        assert errs.shape == (m_max,)
+        for m, err in zip(ms, errs):
+            assert abs(err - self._oracle(rho, sigma, t, m)) < 1e-13
+
+    def test_criterion_3_depths(self, rng):
+        for rho, sigma in ((GROUND, PLUS), (random_density(rng), random_density(rng))):
+            errs = dme_errors(rho, sigma, np.pi / 4, CRITERION_3_DEPTHS)
+            for m, err in zip(CRITERION_3_DEPTHS, errs):
+                assert abs(err - self._oracle(rho, sigma, np.pi / 4, m)) < 1e-13
+
+    def test_depths_in_any_order_match_one_depth_runs(self, rng):
+        rho, sigma = random_density(rng), random_density(rng)
+        ms = [5, 1, 12, 5, 3]
+        errs = dme_errors(rho, sigma, 0.8, ms)
+        for m, err in zip(ms, errs):
+            assert abs(err - dme_error(rho, sigma, DmeParams(0.8, m))) < 1e-15
+
+    @pytest.mark.parametrize(
+        "t, ms", [(np.nan, [1]), (1.0, []), (1.0, [2, 0]), (1.0, [1.5]), (1.0, [[1, 2]])]
+    )
+    def test_rejects_bad_arguments(self, t, ms):
+        with pytest.raises(ContractViolationError):
+            dme_errors(GROUND, PLUS, t, ms)
+
+    def test_every_intermediate_state_checked_in_bounded_batches(self, monkeypatch):
+        sizes = []
+        check = dme.check_density
+
+        def counting_check(states):
+            sizes.append(len(states))
+            return check(states)
+
+        monkeypatch.setattr(dme, "check_density", counting_check)
+        dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
+        assert sizes == [64 * 7]
+        sizes.clear()
+        monkeypatch.setattr(dme, "_CHECK_BATCH_STATES", 30)
+        dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
+        assert sum(sizes) == 64 * 7 and max(sizes) <= 30
+
+    def test_invalid_intermediate_state_raises(self):
+        with pytest.raises(ContractViolationError, match="trace"):
+            dme_errors(GROUND, 2 * PLUS, 0.9, [1, 3])
+
+    def test_trotter_run_makes_one_kernel_call_per_step(self, tmp_path, monkeypatch):
+        # one batch over all depths: m_max calls, not m_max (m_max + 1) / 2
+        calls = []
+        swap = dme.partial_swap
+
+        def counting_swap(instr, sig, delta):
+            calls.append(np.shape(sig))
+            return swap(instr, sig, delta)
+
+        monkeypatch.setattr(dme, "partial_swap", counting_swap)
+        cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
+        cli.run_config(cfg)
+        assert calls == [(cfg.m_max, 2, 2)] * cfg.m_max
+
+
+class TestQubitOnlyEntryPoints:
+    FOUR = np.eye(4, dtype=complex) / 4
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, s: dme_step_closed_form(r, s, 0.3),
+            lambda r, s: dme_step_instruction_marginal(r, s, 0.3),
+            lambda r, s: dme_trotter(r, s, DmeParams(0.3, 2)),
+            lambda r, s: dme_error(r, s, DmeParams(0.3, 2)),
+            lambda r, s: dme_errors(r, s, 0.3, [1, 2]),
+        ],
+        ids=["closed_form", "instruction_marginal", "trotter", "error", "errors"],
+    )
+    def test_rejects_larger_registers(self, rng, call):
+        sigma = random_density(rng, 4)
+        with pytest.raises(DimensionMismatchError):
+            call(self.FOUR, sigma)
+
+    def test_exact_step_takes_any_dimension(self, rng):
+        sigma = random_density(rng, 4)
+        out = dme_step_exact(self.FOUR, sigma, 0.3).matrix
+        assert out.shape == (4, 4)
+        assert np.abs(dme_step_exact(self.FOUR, sigma, 0.0).matrix - sigma).max() < 1e-14
