@@ -32,7 +32,7 @@ from .dbac import (  # noqa: F401
     step_size_grid,
     synthesize_uk,
 )
-from .dme import DmeParams, dme_error, dme_errors, dme_step_closed_form, dme_step_exact, dme_trotter, reflector  # noqa: F401
+from .dme import dme_errors, dme_step_exact, exact_conjugation, partial_swap, reflector  # noqa: F401
 from .states import (  # noqa: F401
     BlochVector,
     DensityMatrix,

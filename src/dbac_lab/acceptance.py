@@ -48,7 +48,7 @@ from .dbac import (
 )
 from .dme import dme_errors, dme_step_exact
 from .states import DensityMatrix, HamiltonianSpec, PureState, energy, rx_init
-from .tomography import NoiseModel, process_fidelity, ptm_of_channel, ptm_of_circuit, unitary_channel
+from .tomography import NoiseModel, process_fidelity, ptm_of_circuit, ptm_of_kraus
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,7 @@ def criterion_9() -> CriterionResult:
     worst = 0.0
     monotone = True
     for phi in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
-        target = unitary_channel(qmath.herm_expm(qmath.swap_operator(2), -1j * phi))
-        r_ideal = ptm_of_channel(target, 2)
+        r_ideal = ptm_of_kraus([qmath.herm_expm(qmath.swap_operator(2), -1j * phi)], 2)
         r_compiled = ptm_of_circuit(compile_udme_native(phi))
         f = process_fidelity(r_ideal, r_compiled)
         worst = max(worst, abs(f["f_pro"] - 1.0))

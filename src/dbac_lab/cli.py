@@ -47,14 +47,7 @@ from .dme import dme_errors
 from .errors import ContractViolationError
 from .qmath import herm_expm, swap_operator
 from .states import rx_init
-from .tomography import (
-    NoiseModel,
-    process_fidelity,
-    ptm_of_channel,
-    ptm_of_circuit,
-    ptm_to_csv,
-    unitary_channel,
-)
+from .tomography import NoiseModel, process_fidelity, ptm_of_circuit, ptm_of_kraus, ptm_to_csv
 
 EXPERIMENTS = (
     "sweep-theta",
@@ -132,7 +125,6 @@ _SCHEMA = {
     "k": (_parse_int, "k"),
     "m": (_parse_m_list, "m"),
     "s": (_parse_angle_list, "s"),
-    "phi": (_parse_angle, "phi"),
     "recursion": (_parse_str, "recursion"),
     "theta": (_parse_angle, "theta"),
     "theta_start": (_parse_angle, "theta_start"),
@@ -176,7 +168,6 @@ class ExperimentConfig:
     k: int = 1
     m: Optional[tuple[int, ...]] = (1,)
     s: tuple[float, ...] = (_PI / 4,)
-    phi: float = _PI / 4
     recursion: str = "chain"
     theta: float = _PI / 2
     theta_start: float = 0.0
@@ -395,8 +386,7 @@ def _run_ptm(cfg: ExperimentConfig, out: Path) -> None:
     noise = cfg.noise()
     summary = []
     for i, phi in enumerate(cfg.phi_list):
-        target = unitary_channel(herm_expm(swap_operator(2), -1j * phi))
-        r_ideal = ptm_of_channel(target, 2)
+        r_ideal = ptm_of_kraus([herm_expm(swap_operator(2), -1j * phi)], 2)
         circuit = compile_udme_native(phi)
         r_compiled = ptm_of_circuit(circuit)
         (out / f"ptm_analytic_{i}.csv").write_text(ptm_to_csv(r_ideal))

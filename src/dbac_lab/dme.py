@@ -1,4 +1,4 @@
-"""Density-matrix exponentiation: partial-swap channel, closed form, and Trotterization.
+"""Density-matrix exponentiation: the partial-swap channel and its Trotterization.
 
 Conventions fixed here and used package-wide:
 
@@ -23,56 +23,32 @@ matrix products, because numpy's batched matmul makes one BLAS call per 2x2
 matrix, which costs several times the elementwise arithmetic on a large batch.
 Its callers validate once, outside any loop:
 
-* :func:`dme_step_closed_form` and :func:`dme_step_instruction_marginal` wrap
-  their one output in a :class:`DensityMatrix`;
 * :func:`dme_errors` runs the Trotter circuits of several depths M as one
   batch, one kernel call per step, and checks all their intermediate states
-  after the loop in one batch (in bounded batches for very deep circuits);
-  :func:`dme_trotter` and :func:`dme_error` are its one-depth cases;
+  after the loop in one batch (in bounded batches for very deep circuits).  It
+  takes only qubit registers and raises :class:`DimensionMismatchError` for
+  anything else;
 * ``dbac._dme_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
   runs ``dbac.dbac_via_dme``, whose record builder checks every state it
   reports in one batch after the last step, and the step-size search, which
   keeps only final energies and checks none.
-
-These entry points take only qubit registers and raise
-:class:`DimensionMismatchError` for anything else.
 
 Each output's trace is a convex combination of the inputs' traces, so trace
 errors do not compound over a chain of steps.  :func:`dme_step_exact` keeps the
 definition itself, a kron of the two registers conjugated by exp(-i delta SWAP)
 and partially traced; its trace is the product tr(rho) tr(sigma), and it serves
 only as the oracle the closed form is tested against, for any register
-dimension d.
+dimension d.  :func:`exact_conjugation` is the M -> infinity limit that
+:func:`dme_errors` measures against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import DensityMatrix, PureState, check_density
-
-
-@dataclass(frozen=True)
-class DmeParams:
-    """Total conjugation duration t split into m partial-swap steps."""
-
-    t: float
-    m: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ContractViolationError("t must be finite")
-        if int(self.m) < 1:
-            raise ContractViolationError("m must be a positive integer")
-        object.__setattr__(self, "m", int(self.m))
-
-    @property
-    def delta(self) -> float:
-        return self.t / self.m
 
 
 def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
@@ -91,13 +67,6 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     s = sigma.matrix if isinstance(sigma, DensityMatrix) else qmath.as_complex_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError("instruction and data registers differ in dimension")
-    return r, s
-
-
-def _qubit_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    r, s = _pair(rho, sigma)
-    if r.shape != (2, 2):
-        raise DimensionMismatchError(f"the closed form is for one qubit, got shape {r.shape}")
     return r, s
 
 
@@ -143,18 +112,6 @@ def partial_swap(instr, sig, delta):
     return out, marg
 
 
-def dme_step_closed_form(rho, sigma, delta: float) -> DensityMatrix:
-    """Closed form of the one-step channel; agrees with dme_step_exact entrywise."""
-    r, s = _qubit_pair(rho, sigma)
-    return DensityMatrix(partial_swap(r, s, delta)[0])
-
-
-def dme_step_instruction_marginal(rho, sigma, delta: float) -> DensityMatrix:
-    """State left on the instruction register after one partial-swap interaction."""
-    r, s = _qubit_pair(rho, sigma)
-    return DensityMatrix(partial_swap(r, s, delta)[1])
-
-
 # The most intermediate states one check_density call takes (4 MiB of 2x2
 # states).  A trotter run has max(ms) * len(ms) = m_max^2 of them, and one call
 # on all of them peaked at 1.1 GB at m_max = 2000.
@@ -180,15 +137,6 @@ def _trotter(r: np.ndarray, s: np.ndarray, t: float, ms: np.ndarray) -> np.ndarr
     return sig
 
 
-def dme_trotter(rho, sigma, params: DmeParams) -> DensityMatrix:
-    """Apply m partial-swap steps of angle t/m, each with a fresh copy of rho.
-
-    Every intermediate state is validated, as :func:`dme_errors` does.
-    """
-    r, s = _qubit_pair(rho, sigma)
-    return DensityMatrix(_trotter(r, s, params.t, np.array([params.m]))[0])
-
-
 def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
     """exp(-i t rho) sigma exp(+i t rho), the channel's M -> infinity limit."""
     r, s = _pair(rho, sigma)
@@ -204,10 +152,8 @@ def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     ms = np.asarray(ms)
     if ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu" or ms.min() < 1:
         raise ContractViolationError("ms must be a non-empty 1-D array of positive integers")
-    r, s = _qubit_pair(rho, sigma)
+    r, s = _pair(rho, sigma)
+    if r.shape != (2, 2):
+        raise DimensionMismatchError(f"the closed form is for one qubit, got shape {r.shape}")
     return qmath.trace_distance(_trotter(r, s, t, ms), exact_conjugation(r, s, t))
 
-
-def dme_error(rho, sigma, params: DmeParams) -> float:
-    """Trace distance between the Trotterized channel output and the exact conjugation."""
-    return float(dme_errors(rho, sigma, params.t, [params.m])[0])

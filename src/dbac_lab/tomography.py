@@ -5,10 +5,20 @@ R[i][j] = Tr[P_i E(P_j)] / 2^n over the unnormalized Pauli strings ordered
 lexicographically with identity first (II, IX, IY, IZ, XI, ... for n = 2).
 Unitary channels give orthogonal PTMs; trace preservation shows up as a first
 row (1, 0, ..., 0).
+
+PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
+:func:`ptm_of_circuit` builds a circuit's PTM gate by gate, each gate's PTM
+from :func:`ptm_of_kraus` (a unitary is one Kraus operator) followed by the
+PTM of the noise on the gate's qubits: diagonal for depolarizing, from the
+Kraus operators for damping and dephasing.  :func:`ptm_of_channel` is the
+black-box route, which probes a channel given as a callable with every Pauli
+string; the tests use it on a dense gate-by-gate channel as the oracle the
+composed PTMs are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -30,6 +40,17 @@ def pauli_matrix(label: str) -> np.ndarray:
     return qmath.kron_all(qmath.PAULIS_1Q[ch] for ch in label)
 
 
+@functools.cache
+def _pauli_basis(n: int) -> np.ndarray:
+    """The Pauli strings on n <= 2 qubits in :func:`pauli_labels` order, as one
+    read-only ``(4^n, 2^n, 2^n)`` array, built on first use."""
+    if n > 2:
+        raise ContractViolationError("full PTMs are built for at most 2 qubits")
+    basis = np.array([pauli_matrix(lb) for lb in pauli_labels(n)])
+    basis.setflags(write=False)
+    return basis
+
+
 @dataclass(frozen=True)
 class PTM:
     """Real transfer matrix in the Pauli basis; flags non-trace-preserving maps."""
@@ -43,8 +64,9 @@ class PTM:
         mat = np.asarray(self.r, dtype=float)
         if mat.shape != (d2, d2):
             raise DimensionMismatchError(f"PTM for {self.n_qubits} qubit(s) must be {d2}x{d2}")
-        if np.abs(mat).max() > 1.0 + 1e-9:
-            raise ContractViolationError("PTM entries must lie in [-1, 1]")
+        # written so that NaN and +-inf fail the comparison
+        if not np.abs(mat).max() <= 1.0 + 1e-9:
+            raise ContractViolationError("PTM entries must be finite and lie in [-1, 1]")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "r", mat)
@@ -54,31 +76,43 @@ class PTM:
         return 2**self.n_qubits
 
 
-Channel = Callable[[np.ndarray], np.ndarray]
-
-
-def unitary_channel(u) -> Channel:
-    mat = qmath.as_complex_matrix(u)
-    return lambda rho: mat @ rho @ mat.conj().T
-
-
-def ptm_of_channel(ch: Channel, n: int) -> PTM:
-    """Tomograph a channel callable by probing it with the Pauli basis."""
-    if n > 2:
-        raise ContractViolationError("full PTMs are built for at most 2 qubits")
-    labels = pauli_labels(n)
-    dim = 2**n
-    outs = [ch(pauli_matrix(lb)) for lb in labels]
-    r = np.empty((len(labels), len(labels)), dtype=float)
-    for i, lb in enumerate(labels):
-        pi = pauli_matrix(lb)
-        for j, out in enumerate(outs):
-            r[i, j] = np.trace(pi @ out).real / dim
-    first = r[0]
-    expected = np.zeros(len(labels))
-    expected[0] = 1.0
-    tp = bool(np.abs(first - expected).max() <= 1e-10)
+def _ptm(r: np.ndarray, n: int) -> PTM:
+    """Wrap a transfer matrix, flagged trace preserving when its first row is
+    (1, 0, ..., 0) to 1e-10."""
+    tp = bool(np.abs(r[0] - np.eye(len(r))[0]).max() <= 1e-10)
     return PTM(n_qubits=n, r=r, trace_preserving=tp)
+
+
+def ptm_of_channel(ch: Callable[[np.ndarray], np.ndarray], n: int) -> PTM:
+    """Tomograph a channel callable by probing it with the Pauli basis.
+
+    This is the black-box route; the tests use it as the oracle that the
+    composed PTMs of :func:`ptm_of_circuit` are checked against.
+    """
+    basis = _pauli_basis(n)
+    rows = basis.reshape(len(basis), -1)
+    images = np.array([ch(p) for p in basis]).reshape(len(basis), -1)
+    # Tr[P_i X] = <P_i, X>, the Hilbert-Schmidt product, as P_i is Hermitian
+    return _ptm((rows.conj() @ images.T).real / 2**n, n)
+
+
+def ptm_of_kraus(kraus: Sequence[np.ndarray], n: int) -> PTM:
+    """PTM of rho -> sum_K K rho K^dag on n <= 2 qubits; a unitary is a single
+    Kraus operator.
+
+    R_ij = sum_K Tr[P_i K P_j K^dag] / 2^n, taken through the superoperator
+    S = sum_K K (x) conj(K), which maps the row-major flattening of rho to that
+    of the channel's output: R = conj(B) S B^T / 2^n, with B the Pauli basis
+    flattened to rows.
+    """
+    basis = _pauli_basis(n)
+    d = basis.shape[1]
+    k = np.asarray(kraus, dtype=complex)
+    if k.ndim != 3 or k.shape[1:] != (d, d):
+        raise DimensionMismatchError(f"Kraus operators on {n} qubit(s) must be {d}x{d}")
+    sup = np.einsum("kab,kcd->acbd", k, k.conj()).reshape(d * d, d * d)
+    rows = basis.reshape(len(basis), -1)
+    return _ptm((rows.conj() @ sup @ rows.T).real / d, n)
 
 
 @dataclass(frozen=True)
@@ -108,30 +142,12 @@ class NoiseModel:
                 raise ContractViolationError("t2 requires t1")
             if not 0 < self.t2_us <= 2 * self.t1_us:
                 raise ContractViolationError("t2 must lie in (0, 2*t1]")
+        if not (0 <= self.gate_time_1q_us < np.inf and 0 <= self.gate_time_2q_us < np.inf):
+            raise ContractViolationError("gate times must be finite and non-negative")
 
     @property
     def enabled(self) -> bool:
         return self.p1 > 0 or self.p2 > 0 or self.t1_us is not None
-
-
-def _apply_kraus_on(rho: np.ndarray, kraus: Sequence[np.ndarray], qubit: int, n: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        full = qmath.embed_gate(k, (qubit,), n)
-        out += full @ rho @ full.conj().T
-    return out
-
-
-def depolarize(rho: np.ndarray, qubits: Sequence[int], n: int, p: float) -> np.ndarray:
-    """Replace the marginal on `qubits` with the maximally mixed state w.p. p."""
-    if p <= 0:
-        return rho
-    labels = pauli_labels(len(qubits))
-    acc = np.zeros_like(rho)
-    for lb in labels:
-        full = qmath.embed_gate(pauli_matrix(lb), tuple(qubits), n)
-        acc += full @ rho @ full.conj().T
-    return (1.0 - p) * rho + p * acc / len(labels)
 
 
 def _damping_kraus(noise: NoiseModel, dt_us: float) -> list[np.ndarray]:
@@ -149,41 +165,36 @@ def _damping_kraus(noise: NoiseModel, dt_us: float) -> list[np.ndarray]:
     return kraus
 
 
-def apply_gate_noise(rho: np.ndarray, noise: NoiseModel, qubits: Sequence[int], n: int) -> np.ndarray:
+def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """PTM of the noise after a gate on `qubits`: depolarizing with p1 (or p2 for
+    a two-qubit gate), then damping and dephasing on each of the gate's qubits
+    for the gate's duration."""
     two_qubit = len(qubits) == 2
     p = noise.p2 if two_qubit else noise.p1
-    out = depolarize(rho, qubits, n, p)
+    # depolarizing keeps the Pauli strings that are the identity on `qubits`
+    # and scales every other one by 1 - p
+    r = np.diag([1.0 if all(lb[q] == "I" for q in qubits) else 1.0 - p for lb in pauli_labels(n)])
     if noise.t1_us is not None:
         dt = noise.gate_time_2q_us if two_qubit else noise.gate_time_1q_us
         kraus = _damping_kraus(noise, dt)
         for q in qubits:
-            out = _apply_kraus_on(out, kraus, q, n)
-    return out
-
-
-def circuit_channel(c: Circuit, noise: Optional[NoiseModel] = None) -> Channel:
-    """Gate-by-gate channel of a circuit, with noise composed after each gate."""
-    steps = []
-    for g in c.gates:
-        if g.kind == "BARRIER":
-            continue
-        steps.append((qmath.embed_gate(gate_matrix(g), g.qubits, c.num_qubits), g.qubits))
-
-    def ch(rho: np.ndarray) -> np.ndarray:
-        out = np.asarray(rho, dtype=complex)
-        for full, qubits in steps:
-            out = full @ out @ full.conj().T
-            if noise is not None and noise.enabled:
-                out = apply_gate_noise(out, noise, qubits, c.num_qubits)
-        return out
-
-    return ch
+            r = ptm_of_kraus([qmath.embed_gate(k, (q,), n) for k in kraus], n).r @ r
+    return r
 
 
 def ptm_of_circuit(c: Circuit, noise: Optional[NoiseModel] = None) -> PTM:
-    if c.num_qubits > 2:
-        raise ContractViolationError("full PTMs are built for at most 2 qubits")
-    return ptm_of_channel(circuit_channel(c, noise), c.num_qubits)
+    """Product of the gates' PTMs in gate order, each followed by the PTM of
+    the noise on the gate's qubits when `noise` is enabled."""
+    n = c.num_qubits
+    noisy = noise is not None and noise.enabled
+    r = np.eye(len(_pauli_basis(n)))  # which rejects n > 2, even for an empty circuit
+    for g in c.gates:
+        if g.kind == "BARRIER":
+            continue
+        r = ptm_of_kraus([qmath.embed_gate(gate_matrix(g), g.qubits, n)], n).r @ r
+        if noisy:
+            r = _noise_ptm(noise, g.qubits, n) @ r
+    return _ptm(r, n)
 
 
 def process_fidelity(r_ideal: PTM, r: PTM) -> dict[str, float]:

@@ -23,7 +23,6 @@ class TestConfigValidation:
             _write_cfg(tmp_path, "experiment = sweep-theta\n"), out_override=tmp_path / "o"
         )
         assert cfg.s == (np.pi / 4,)
-        assert cfg.phi == np.pi / 4
         assert cfg.k == 1 and cfg.m == (1,)
         assert cfg.seed == 0
 
@@ -36,6 +35,14 @@ class TestConfigValidation:
             cli.validate_config(
                 _write_cfg(tmp_path, "experiment = trotter\nwobble = 3\n"), out_override=tmp_path
             )
+
+    def test_phi_key_exits_one(self, tmp_path, capsys):
+        # no experiment reads a single phi (ptm takes phi_list), so the key is unknown
+        cfg = _write_cfg(tmp_path, "experiment = ptm\nphi = 0.3\n")
+        assert cli.main(["ptm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'phi'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_m_names_field(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="m"):

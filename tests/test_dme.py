@@ -4,18 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import cli, dme, qmath
-from dbac_lab.dme import (
-    DmeParams,
-    dme_error,
-    dme_errors,
-    dme_step_closed_form,
-    dme_step_exact,
-    dme_step_instruction_marginal,
-    dme_trotter,
-    exact_conjugation,
-    partial_swap,
-    reflector,
-)
+from dbac_lab.dme import dme_errors, dme_step_exact, exact_conjugation, partial_swap, reflector
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, rx_init
 
@@ -28,6 +17,16 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
 SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
 CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
+
+
+def _trotter(rho, sigma, t, m):
+    """The final state of one M-step Trotter circuit."""
+    return dme._trotter(rho, sigma, t, np.array([m]))[0]
+
+
+def _error(rho, sigma, t, m):
+    """The trace-distance error of one M-step Trotter circuit."""
+    return float(dme_errors(rho, sigma, t, [m])[0])
 
 
 def _joint_marginals(rho, sigma, delta):
@@ -87,13 +86,13 @@ class TestDmeStep:
                 worst,
                 np.abs(
                     dme_step_exact(rho, sigma, delta).matrix
-                    - dme_step_closed_form(rho, sigma, delta).matrix
+                    - partial_swap(rho, sigma, delta)[0]
                 ).max(),
             )
         assert worst < 1e-12
 
     def test_quarter_pi_closed_value(self):
-        out = dme_step_closed_form(GROUND, PLUS, np.pi / 4).matrix
+        out = partial_swap(GROUND, PLUS, np.pi / 4)[0]
         comm = PLUS @ GROUND - GROUND @ PLUS
         expected = 0.5 * (PLUS + GROUND) + 0.5j * comm
         assert np.abs(out - expected).max() < 1e-14
@@ -103,7 +102,7 @@ class TestDmeStep:
         comm = GROUND @ PLUS - PLUS @ GROUND
         devs = []
         for delta in (1e-2, 5e-3, 2.5e-3):
-            out = dme_step_closed_form(GROUND, PLUS, delta).matrix
+            out = partial_swap(GROUND, PLUS, delta)[0]
             devs.append(np.abs(out - (PLUS - 1j * delta * comm)).max())
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.05)
         assert devs[1] / devs[2] == pytest.approx(4.0, rel=0.05)
@@ -165,12 +164,6 @@ class TestPartialSwap:
         assert np.array_equal(out[[1, 3, 4]], sig[[1, 3, 4]])
         assert np.array_equal(partial_swap(instr[0], sig[0], 0.0)[0], sig[0])
 
-    def test_wrappers_are_the_kernel(self, rng):
-        rho, sigma = random_density(rng), random_density(rng)
-        out, marg = partial_swap(rho, sigma, 0.4)
-        assert np.abs(dme_step_closed_form(rho, sigma, 0.4).matrix - out).max() < 1e-15
-        assert np.abs(dme_step_instruction_marginal(rho, sigma, 0.4).matrix - marg).max() < 1e-15
-
     def test_trace_error_is_not_amplified(self, rng):
         # the exact step's joint state has trace tr(instr) tr(sig), so a chain
         # of exact steps multiplies trace errors; the closed form averages them
@@ -191,32 +184,27 @@ class TestDmeTrotter:
         want = sigma
         for _ in range(m):
             want = dme_step_exact(rho, want, t / m).matrix
-        assert np.abs(dme_trotter(rho, sigma, DmeParams(t, m)).matrix - want).max() < 1e-12
-
+        assert np.abs(_trotter(rho, sigma, t, m) - want).max() < 1e-12
 
     def test_m_one_is_single_step(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
         t = 0.77
-        a = dme_trotter(rho, sigma, DmeParams(t, 1)).matrix
+        a = _trotter(rho, sigma, t, 1)
         b = dme_step_exact(rho, sigma, t).matrix
         assert np.abs(a - b).max() < 1e-14
 
     def test_large_m_approaches_conjugation(self):
         t = np.pi / 2
         ideal = exact_conjugation(GROUND, PLUS, t)
-        err_small = np.abs(dme_trotter(GROUND, PLUS, DmeParams(t, 64)).matrix - ideal).max()
+        err_small = np.abs(_trotter(GROUND, PLUS, t, 64) - ideal).max()
         assert err_small < 0.02
-
-    def test_params_validation(self):
-        with pytest.raises(ContractViolationError):
-            DmeParams(1.0, 0)
 
 
 class TestDmeError:
     def test_zero_for_equal_states(self, rng):
         rho = random_density(rng)
         for m in (1, 3):
-            assert dme_error(rho, rho, DmeParams(0.9, m)) < 1e-13
+            assert _error(rho, rho, 0.9, m) < 1e-13
 
     def test_commuting_inputs_follow_mixing_closed_form(self):
         # for distinct diagonal states the error is (1 - cos^{2M}(t/M)) times
@@ -226,27 +214,27 @@ class TestDmeError:
         td = qmath.trace_distance(rho, sigma)
         for t, m in ((np.pi / 4, 1), (np.pi / 4, 4), (0.9, 8)):
             expected = (1 - np.cos(t / m) ** (2 * m)) * td
-            assert dme_error(rho, sigma, DmeParams(t, m)) == pytest.approx(expected, abs=1e-12)
-        errs = [dme_error(rho, sigma, DmeParams(np.pi / 4, m)) for m in (1, 4, 16, 64)]
+            assert _error(rho, sigma, t, m) == pytest.approx(expected, abs=1e-12)
+        errs = dme_errors(rho, sigma, np.pi / 4, [1, 4, 16, 64])
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_positive_and_decreasing_in_m(self):
-        e1 = dme_error(GROUND, PLUS, DmeParams(np.pi / 4, 1))
-        e2 = dme_error(GROUND, PLUS, DmeParams(np.pi / 4, 2))
+        e1 = _error(GROUND, PLUS, np.pi / 4, 1)
+        e2 = _error(GROUND, PLUS, np.pi / 4, 2)
         assert e1 > 0 and e2 < e1
 
     def test_halving_ratio_near_half(self, rng):
         for _ in range(20):
             rho, sigma = random_density(rng), random_density(rng)
-            e1 = dme_error(rho, sigma, DmeParams(np.pi / 4, 1))
+            e1 = _error(rho, sigma, np.pi / 4, 1)
             if e1 < 1e-12:
                 continue
-            ratio = dme_error(rho, sigma, DmeParams(np.pi / 4, 2)) / e1
+            ratio = _error(rho, sigma, np.pi / 4, 2) / e1
             assert 0.35 <= ratio <= 0.65
 
     def test_loglog_slope(self):
         ms = np.array([1, 2, 4, 8, 16, 32, 64])
-        errs = np.array([dme_error(GROUND, PLUS, DmeParams(np.pi / 4, int(m))) for m in ms])
+        errs = dme_errors(GROUND, PLUS, np.pi / 4, ms)
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert -1.2 <= slope <= -0.8
 
@@ -281,7 +269,7 @@ class TestDmeErrors:
         ms = [5, 1, 12, 5, 3]
         errs = dme_errors(rho, sigma, 0.8, ms)
         for m, err in zip(ms, errs):
-            assert abs(err - dme_error(rho, sigma, DmeParams(0.8, m))) < 1e-15
+            assert abs(err - _error(rho, sigma, 0.8, m)) < 1e-15
 
     @pytest.mark.parametrize(
         "t, ms", [(np.nan, [1]), (1.0, []), (1.0, [2, 0]), (1.0, [1.5]), (1.0, [[1, 2]])]
@@ -331,13 +319,10 @@ class TestQubitOnlyEntryPoints:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda r, s: dme_step_closed_form(r, s, 0.3),
-            lambda r, s: dme_step_instruction_marginal(r, s, 0.3),
-            lambda r, s: dme_trotter(r, s, DmeParams(0.3, 2)),
-            lambda r, s: dme_error(r, s, DmeParams(0.3, 2)),
+            lambda r, s: dme_errors(r, s, 0.3, [2]),
             lambda r, s: dme_errors(r, s, 0.3, [1, 2]),
         ],
-        ids=["closed_form", "instruction_marginal", "trotter", "error", "errors"],
+        ids=["error", "errors"],
     )
     def test_rejects_larger_registers(self, rng, call):
         sigma = random_density(rng, 4)

@@ -1,21 +1,107 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbac_lab import qmath
-from dbac_lab.circuits import Circuit, Gate, compile_udme_native
-from dbac_lab.errors import ContractViolationError
+from dbac_lab import qmath, tomography
+from dbac_lab.circuits import GATE_KINDS, Circuit, Gate, compile_swap3, compile_udme_native, gate_matrix
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.tomography import (
     NoiseModel,
     PTM,
     pauli_labels,
+    pauli_matrix,
     process_fidelity,
     ptm_of_channel,
     ptm_of_circuit,
+    ptm_of_kraus,
     ptm_to_csv,
-    unitary_channel,
 )
 
 from conftest import random_unitary
+
+
+def unitary_channel(u):
+    return lambda rho: u @ rho @ u.conj().T
+
+
+def _apply_kraus(rho, kraus):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def _dense_noise(rho, noise, qubits, n):
+    """Depolarize the gate's qubits as a Pauli twirl, then damp each of them."""
+    p = noise.p2 if len(qubits) == 2 else noise.p1
+    paulis = [qmath.embed_gate(pauli_matrix(lb), qubits, n) for lb in pauli_labels(len(qubits))]
+    out = (1 - p) * rho + p * _apply_kraus(rho, paulis) / len(paulis)
+    if noise.t1_us is not None:
+        dt = noise.gate_time_2q_us if len(qubits) == 2 else noise.gate_time_1q_us
+        kraus = tomography._damping_kraus(noise, dt)
+        for q in qubits:
+            out = _apply_kraus(out, [qmath.embed_gate(k, (q,), n) for k in kraus])
+    return out
+
+
+def dense_channel(c, noise=None):
+    """Oracle: apply every gate, then its noise, to the probe as dense matrices."""
+    n = c.num_qubits
+
+    def ch(rho):
+        out = rho
+        for g in c.gates:
+            if g.kind == "BARRIER":
+                continue
+            out = _apply_kraus(out, [qmath.embed_gate(gate_matrix(g), g.qubits, n)])
+            if noise is not None and noise.enabled:
+                out = _dense_noise(out, noise, g.qubits, n)
+        return out
+
+    return ch
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 2))
+    kinds = [k for k in GATE_KINDS if n == 2 or k != "RZZ"]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "RZZ":
+            qubits = draw(st.sampled_from([(0, 1), (1, 0)]))
+        elif kind == "BARRIER":
+            qubits = ()
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        params = (draw(ANGLES),) if kind in ("RX", "RY", "RZ", "RZZ") else ()
+        gates.append(Gate(kind, params, qubits))
+    return Circuit(n, tuple(gates))
+
+
+PROBS = st.floats(0.0, 0.2)
+T1S = st.floats(2.0, 50.0)
+GATE_TIMES = {"gate_time_1q_us": 0.5, "gate_time_2q_us": 2.0}
+
+
+@st.composite
+def noise_models(draw):
+    kind = draw(st.sampled_from(["p1", "p2", "t1", "t1_t2", "all"]))
+    if kind == "p1":
+        return NoiseModel(p1=draw(PROBS))
+    if kind == "p2":
+        return NoiseModel(p2=draw(PROBS))
+    t1 = draw(T1S)
+    if kind == "t1":
+        return NoiseModel(t1_us=t1, **GATE_TIMES)
+    # t2 < 2 t1 switches the dephasing on
+    t2 = t1 * draw(st.floats(0.2, 1.9))
+    if kind == "t1_t2":
+        return NoiseModel(t1_us=t1, t2_us=t2, **GATE_TIMES)
+    return NoiseModel(p1=draw(PROBS), p2=draw(PROBS), t1_us=t1, t2_us=t2, **GATE_TIMES)
+
 
 IDENTITY_1Q_CSV = (
     "basis,I,X,Y,Z\n"
@@ -95,6 +181,77 @@ class TestPtmOfCircuit:
         assert damped.trace_preserving
 
 
+class TestComposedPtm:
+    """The composed PTMs against the dense channel, tomographed, as the oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=circuits(), noise=st.none() | noise_models())
+    def test_matches_dense_oracle(self, c, noise):
+        want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
+        assert np.abs(ptm_of_circuit(c, noise).r - want).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            None,
+            NoiseModel(p1=0.01),
+            NoiseModel(p2=0.05),
+            NoiseModel(t1_us=5.0, **GATE_TIMES),
+            NoiseModel(t1_us=5.0, t2_us=4.0, **GATE_TIMES),
+            NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES),
+        ],
+        ids=["noiseless", "p1", "p2", "t1", "t1_t2", "all"],
+    )
+    def test_fixed_circuits_match_dense_oracle(self, noise):
+        every_kind = Circuit(2, (
+            Gate("RX", (0.3,), (0,)), Gate("RY", (-1.1,), (1,)), Gate("RZ", (2.2,), (0,)),
+            Gate("H", (), (1,)), Gate("S", (), (0,)), Gate("BARRIER"), Gate("SDG", (), (1,)),
+            Gate("RZZ", (0.7,), (0, 1)), Gate("RZZ", (-0.4,), (1, 0)),
+        ))
+        assert {g.kind for g in every_kind.gates} == set(GATE_KINDS)
+        one_qubit = Circuit(1, tuple(replace(g, qubits=(0,)) for g in every_kind.gates if len(g.qubits) == 1))
+        for c in (every_kind, compile_swap3(), one_qubit):
+            want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
+            assert np.abs(ptm_of_circuit(c, noise).r - want).max() < 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
+    def test_depolarizing_is_diagonal(self, p):
+        idle = Circuit(2, (Gate("RZ", (0.0,), (1,)),))
+        r = ptm_of_circuit(idle, NoiseModel(p1=p)).r
+        # 1 - p on every Pauli string that acts on qubit 1, 1 elsewhere
+        want = [1.0 if lb[1] == "I" else 1.0 - p for lb in pauli_labels(2)]
+        assert np.abs(r - np.diag(want)).max() < 1e-15
+
+    @pytest.mark.parametrize("t1, dt", [(50.0, 1.0), (2.0, 3.0)])
+    def test_amplitude_damping_closed_form(self, t1, dt):
+        idle = Circuit(1, (Gate("RZ", (0.0,), (0,)),))
+        r = ptm_of_circuit(idle, NoiseModel(t1_us=t1, gate_time_1q_us=dt)).r
+        gamma = 1.0 - np.exp(-dt / t1)
+        a = np.sqrt(1.0 - gamma)
+        want = [[1, 0, 0, 0], [0, a, 0, 0], [0, 0, a, 0], [gamma, 0, 0, 1 - gamma]]
+        assert np.abs(r - np.array(want)).max() < 1e-15
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 1), (2, 4)])
+    def test_kraus_matches_probe(self, rng, n, count):
+        # the Kraus operators of a random channel: blocks of a random isometry
+        d = 2**n
+        kraus = random_unitary(rng, d * count)[:, :d].reshape(count, d, d)
+        want = ptm_of_channel(lambda rho: _apply_kraus(rho, kraus), n)
+        got = ptm_of_kraus(kraus, n)
+        assert got.trace_preserving and np.abs(got.r - want.r).max() < 1e-12
+
+    @pytest.mark.parametrize("kraus, n", [([np.eye(2)], 2), ([np.eye(4)], 1), (np.eye(2), 1)])
+    def test_kraus_shape_checked(self, kraus, n):
+        with pytest.raises(DimensionMismatchError):
+            ptm_of_kraus(kraus, n)
+
+    def test_more_than_two_qubits_rejected(self):
+        with pytest.raises(ContractViolationError):
+            ptm_of_circuit(Circuit(3, ()))
+        with pytest.raises(ContractViolationError):
+            ptm_of_kraus([np.eye(8)], 3)
+
+
 class TestProcessFidelity:
     def test_self_fidelity_one(self, rng):
         r = ptm_of_channel(unitary_channel(random_unitary(rng, 4)), 2)
@@ -157,6 +314,30 @@ class TestNoiseModel:
         with pytest.raises(ContractViolationError):
             NoiseModel(t1_us=t1, t2_us=t2)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"gate_time_1q_us": float("nan")},
+            {"gate_time_2q_us": float("nan")},
+            {"gate_time_1q_us": -1.0},
+            {"gate_time_2q_us": float("inf")},
+            {"gate_time_1q_us": float("-inf"), "t1_us": 10.0},
+        ],
+    )
+    def test_rejects_unusable_gate_times(self, times):
+        with pytest.raises(ContractViolationError):
+            NoiseModel(**times)
+
     def test_ptm_entries_bounded(self):
         with pytest.raises(ContractViolationError):
             PTM(1, 2 * np.eye(4))
+
+
+class TestPtm:
+    @pytest.mark.parametrize("bad", ["all", "one", "beside_two"])
+    def test_rejects_nan_entries(self, bad):
+        mat = {"all": np.full((4, 4), np.nan), "one": np.eye(4), "beside_two": 2 * np.eye(4)}[bad]
+        if bad != "all":
+            mat[3, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            PTM(1, mat)
