@@ -32,7 +32,16 @@ from .dbac import (  # noqa: F401
     step_size_grid,
     synthesize_uk,
 )
-from .dme import dme_errors, dme_step_exact, exact_conjugation, partial_swap, reflector  # noqa: F401
+from .dme import (  # noqa: F401
+    bloch_planes,
+    density_matrices,
+    dme_errors,
+    dme_step_exact,
+    exact_conjugation,
+    partial_swap,
+    reflector,
+    swap_coefficients,
+)
 from .states import (  # noqa: F401
     BlochVector,
     DensityMatrix,

@@ -182,10 +182,10 @@ def criterion_5() -> list[CriterionResult]:
     rc = _result("5c", "F0=0.1 fails at k=2, M=2", f_c < 0.9, f"best final fidelity {f_c:.4f}", t0)
 
     t0 = time.perf_counter()
-    grid = step_size_grid()
+    degrees = np.arange(1, 180)
+    best = final_fidelities_over_s(np.deg2rad(degrees), 6, None, step_size_grid()).max(axis=1)
     worst_f, worst_deg, first_fail = 1.0, None, None
-    for deg in range(1, 180):
-        f = float(final_fidelities_over_s(np.deg2rad(deg), 6, None, grid).max())
+    for deg, f in zip(degrees.tolist(), best.tolist()):
         if f < 0.9 and first_fail is None:
             first_fail = deg
         if f < worst_f:

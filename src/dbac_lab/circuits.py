@@ -261,6 +261,8 @@ def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
 def format_number(value) -> str:
     """A number as every emitted file writes it: integers and strings as they
     are, anything else as a float to 12 significant digits."""
+    if isinstance(value, float):  # the common case, np.float64 included
+        return f"{value:.12g}"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):

@@ -349,13 +349,9 @@ def _run_sweep_theta(cfg: ExperimentConfig, out: Path) -> None:
 def _run_sweep_s(cfg: ExperimentConfig, out: Path) -> None:
     thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
     svals = np.linspace(cfg.s_start, cfg.s_stop, cfg.s_count)
-    m = cfg.m[0]
-    rows = []
-    for theta in thetas:
-        fids = final_fidelities_over_s(float(theta), cfg.k, m, svals, cfg.recursion)
-        for s, f in zip(svals, fids):
-            rows.append([float(theta), float(s), float(f)])
-    _write_csv(out / "sweep_s.csv", ["theta", "s", "F_final"], rows)
+    fids = final_fidelities_over_s(thetas, cfg.k, cfg.m[0], svals, cfg.recursion)
+    rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
+    _write_csv(out / "sweep_s.csv", ["theta", "s", "F_final"], rows.tolist())
 
 
 def _run_grid_km(cfg: ExperimentConfig, out: Path) -> None:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .dme import partial_swap, reflector
+from .dme import bloch_planes, density_matrices, partial_swap, reflector, swap_coefficients
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import (
     BlochVector,
@@ -195,9 +195,12 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     return _records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :])[0]
 
 
-def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """(1 - p) rho + p I/2 for unit-trace single-qubit states."""
-    return (1.0 - p) * rho + 0.5 * p * qmath.I2 if p else rho
+def _angles(theta) -> np.ndarray:
+    """``theta`` as a float array: one angle, or a nonempty 1-D array of them."""
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1 or thetas.size == 0:
+        raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
+    return thetas
 
 
 def dbac_via_dme(
@@ -219,9 +222,10 @@ def dbac_via_dme(
     path is closed form too.  Damping (``t1_us``) is not modeled and is
     rejected.  The closing echo rotation makes states, not only energies, right.
 
-    The steps run in H's eigenbasis (:func:`_dme_steps`) and validate nothing:
-    every reported state (initial states, step outputs, instruction marginals)
-    is validated once, as one batch, by the record builder.
+    The steps run on Bloch vectors in H's eigenbasis (:func:`_dme_steps`) and
+    validate nothing: every reported state (initial states, step outputs,
+    instruction marginals) is rebuilt as a matrix and validated once, as one
+    batch, by the record builder.
     :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
     """
     if schedule.m is None:
@@ -231,18 +235,21 @@ def dbac_via_dme(
         raise DimensionMismatchError("dbac_via_dme simulates the single-qubit protocol")
     if noise is not None and noise.t1_us is not None:
         raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
-    thetas = np.asarray(theta, dtype=float)
-    if thetas.ndim > 1 or thetas.size == 0:
-        raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
+    thetas = _angles(theta)
     w, v = h.eig
     amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)]) @ v.conj()
-    rho0 = amps[:, :, None] * amps.conj()[:, None, :]  # (B, 2, 2), eigenbasis
-    states, marginals = [rho0], []
+    r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B), eigenbasis
+    states, marginals = [r0], []
     steps = np.array(schedule.s)[:, None]
-    for out, margs in _dme_steps(rho0, steps, schedule.m, w, schedule.recursion, noise, keep_marginals=True):
+    for out, margs in _dme_steps(r0, steps, schedule.m, w, schedule.recursion, noise, keep_marginals=True):
         states.append(out)
         marginals.extend(margs)
-    records = _records(schedule, np.array(states), marginals)
+    # (3, n, B) planes -> (n, B, 2, 2) matrices
+    records = _records(
+        schedule,
+        density_matrices(np.stack(states, axis=1)),
+        density_matrices(np.stack(marginals, axis=1)),
+    )
     return records if thetas.ndim else records[0]
 
 
@@ -302,10 +309,15 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # batched cooling engines, in the eigenbasis of H
 # ---------------------------------------------------------------------------
-# exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases.
-# Each engine steps B states over a (k, B) or (k, 1) array of step sizes, one
-# row per step, and yields every step's output in that basis.  The simulators
-# and the step-size search share them; the dense dbac_step_exact is the oracle.
+# exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
+# state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
+# t (w0 - w1).  Each engine steps B states over a (k, B) or (k, 1) array of
+# step sizes, one row per step, and yields every step's output in that basis.
+# The DME engine holds qubit states as (3, B) Bloch planes and computes the
+# echo's rotation and the kernel's swap_coefficients once per distinct step,
+# not once per call.  The simulators and the step-size search share the
+# engines; the search runs every (angle, step size) pair of a call as one batch
+# entry.  The dense dbac_step_exact and dme_step_exact are the oracles.
 
 
 def _exact_steps(psi0, steps, w, recursion):
@@ -324,57 +336,69 @@ def _exact_steps(psi0, steps, w, recursion):
         yield cur
 
 
-def _dme_steps(rho0, steps, depths, w, recursion, noise=None, keep_marginals=False):
-    """DME steps of a (B, 2, 2) batch: yields each step's output and, with
-    ``keep_marginals``, its M_j = ``depths[j]`` instruction marginals.
-    ``partial_swap`` is looked up in this module, so a test can trace it."""
+def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """(3, B) Bloch planes with (x, y) rotated by the angle of (cos, sin), as a new array."""
+    x, y, z = r
+    return np.array([cos * x - sin * y, sin * x + cos * y, z])
+
+
+def _dme_steps(r0, steps, depths, w, recursion, noise=None, keep_marginals=False):
+    """DME steps of a (3, B) batch of Bloch planes: yields each step's output
+    and, with ``keep_marginals``, its M_j = ``depths[j]`` instruction
+    marginals.  Depolarizing with probability p scales a Bloch vector by
+    1 - p.  ``partial_swap`` is looked up in this module, so a test can trace it."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
-    instr = data = rho0
-    t_prev = None
+    instr = data = r0
+    t_prev = m_prev = None
     for t, m in zip(steps, depths):
-        if not np.array_equal(t, t_prev):  # the phases repeat with the step size
-            z = np.exp(-1j * t * (w[0] - w[1]))  # exp(-itH) rho exp(+itH) multiplies rho_01 by z
-            zc, t_prev = z.conj(), t
-        sig = data.copy()
-        sig[:, 0, 1] *= z
-        sig[:, 1, 0] *= zc
-        sig = _depolarize(sig, p1)
-        delta = -t / m  # each partial swap approximates exp(+i(t/M) instr)
+        if m != m_prev or not np.array_equal(t, t_prev):  # repeats with the step
+            phi = t * (w[0] - w[1])  # exp(-itH) rho exp(+itH) rotates (x, y) by phi
+            cos, sin = np.cos(phi), np.sin(phi)
+            coeffs = swap_coefficients(-t / m)  # each swap approximates exp(+i(t/M) instr)
+            t_prev, m_prev = t, m
+        sig = _rotate_xy(data, cos, sin)
+        if p1:
+            sig *= 1.0 - p1
         margs = []
         for _ in range(m):
-            sig, marg = partial_swap(instr, sig, delta)
-            sig = _depolarize(sig, p2)
+            sig, marg = partial_swap(instr, sig, coeffs)
+            if p2:
+                sig *= 1.0 - p2
             if keep_marginals:
-                margs.append(_depolarize(marg, p2))
-        sig[:, 0, 1] *= zc  # sig is this step's own array
-        sig[:, 1, 0] *= z
-        instr = _depolarize(sig, p1)
+                margs.append(marg * (1.0 - p2) if p2 else marg)
+        instr = _rotate_xy(sig, cos, -sin)
+        if p1:
+            instr *= 1.0 - p1
         yield instr, margs
-        data = instr if recursion == "chain" else rho0
+        data = instr if recursion == "chain" else r0
 
 
-def _final_energies(theta: float, k: int, m: Optional[int], s: np.ndarray, mode: str) -> np.ndarray:
+def _final_energies(theta, k: int, m: Optional[int], s: np.ndarray, mode: str) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
-    the default H, for each common step size in ``s``; ``m=None`` selects
-    exact reflectors, whose chain recursion follows the closed-form law."""
+    the default H, for each angle in ``theta`` (one angle or a 1-D array of T)
+    and each common step size in ``s``: shape ``np.shape(theta) + s.shape``.
+    Every (angle, step size) pair is one entry of one engine batch.  ``m=None``
+    selects exact reflectors, whose chain recursion follows the closed-form law."""
+    thetas = np.atleast_1d(theta)
+    shape = np.shape(theta) + s.shape
     if m is None and mode == "chain":
-        e = np.full(s.shape, -float(np.cos(theta)))
+        e = np.broadcast_to(-np.cos(thetas)[:, None], (thetas.size, s.size))
         for _ in range(k):
             e = _energy_law(e, s)
-        return e
+        return e.reshape(shape)
     w, v = HamiltonianSpec.default_single_qubit().eig
-    psi0 = rx_init(theta).amplitudes @ v.conj()
-    steps = np.broadcast_to(s, (k, s.size))
+    amps = np.array([rx_init(t).amplitudes for t in thetas.tolist()]) @ v.conj()  # (T, 2)
+    steps = np.broadcast_to(np.tile(s, thetas.size), (k, thetas.size * s.size))
     if m is None:
-        for out in _exact_steps(psi0[None], steps, w, mode):
+        for out in _exact_steps(np.repeat(amps, s.size, axis=0), steps, w, mode):
             pass
-        populations = np.abs(out) ** 2
+        e = np.abs(out) ** 2 @ w
     else:
-        rho0 = np.broadcast_to(np.outer(psi0, psi0.conj()), (s.size, 2, 2)).copy()
-        for out, _ in _dme_steps(rho0, steps, (m,) * k, w, mode):
+        r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), s.size, axis=1)
+        for out, _ in _dme_steps(r0, steps, (m,) * k, w, mode):
             pass
-        populations = np.diagonal(out, axis1=1, axis2=2).real
-    return populations @ w
+        e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]  # populations (1 +- z) / 2
+    return e.reshape(shape)
 
 
 def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
@@ -391,12 +415,15 @@ def step_size_grid() -> np.ndarray:
 
 
 def final_fidelities_over_s(
-    theta: float, k: int, m: Optional[int], s_values, mode: str = "chain"
+    theta: float | np.ndarray, k: int, m: Optional[int], s_values, mode: str = "chain"
 ) -> np.ndarray:
     """Ground-state fidelity after the k-step protocol, for each common step
-    size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact reflectors)."""
+    size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact
+    reflectors).  ``theta`` is one angle, which gives one fidelity per step
+    size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
+    in one engine pass."""
     _check_search_args(k, m, mode)
-    energies = _final_energies(theta, k, m, np.asarray(s_values, dtype=float), mode)
+    energies = _final_energies(_angles(theta), k, m, np.asarray(s_values, dtype=float), mode)
     return (1.0 - energies) / 2.0
 
 
@@ -409,7 +436,7 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     if abs(e0) >= 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
     _check_search_args(k, m, mode)
-    energies = _final_energies(float(np.arccos(-e0)), k, m, _S_GRID, mode)
+    energies = _final_energies(np.arccos(-e0), k, m, _S_GRID, mode)
     best = energies.min()
     idx = int(np.argmax(energies <= best + _TIE_TOL))
     return float(_S_GRID[idx])
@@ -422,7 +449,7 @@ def best_final_fidelity(
     if not 0.0 < f0 <= 1.0:
         raise ContractViolationError("f0 must lie in (0, 1]")
     _check_search_args(k, m, mode)
-    energies = _final_energies(float(np.arccos(2.0 * f0 - 1.0)), k, m, _S_GRID, mode)
+    energies = _final_energies(np.arccos(2.0 * f0 - 1.0), k, m, _S_GRID, mode)
     return float((1.0 - energies.min()) / 2.0)
 
 

@@ -184,16 +184,20 @@ def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray
 
 def ptm_of_circuit(c: Circuit, noise: Optional[NoiseModel] = None) -> PTM:
     """Product of the gates' PTMs in gate order, each followed by the PTM of
-    the noise on the gate's qubits when `noise` is enabled."""
+    the noise on the gate's qubits when `noise` is enabled.  The noise PTM
+    depends only on those qubits, so it is built once per distinct qubit set."""
     n = c.num_qubits
     noisy = noise is not None and noise.enabled
     r = np.eye(len(_pauli_basis(n)))  # which rejects n > 2, even for an empty circuit
+    noise_ptms = {}
     for g in c.gates:
         if g.kind == "BARRIER":
             continue
         r = ptm_of_kraus([qmath.embed_gate(gate_matrix(g), g.qubits, n)], n).r @ r
         if noisy:
-            r = _noise_ptm(noise, g.qubits, n) @ r
+            if g.qubits not in noise_ptms:
+                noise_ptms[g.qubits] = _noise_ptm(noise, g.qubits, n)
+            r = noise_ptms[g.qubits] @ r
     return _ptm(r, n)
 
 

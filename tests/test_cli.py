@@ -105,6 +105,37 @@ class TestRunners:
             theta, _, _, e_analytic = (float(v) for v in line.split(","))
             assert abs(e_analytic - dbac_energy_analytic(-np.cos(theta), np.pi / 4)) < 1e-9
 
+    def test_sweep_s_is_one_engine_pass(self, tmp_path, monkeypatch):
+        # k * M kernel calls over all theta_count * s_count points, not
+        # theta_count * k * M; rows run over s within each theta
+        from dbac_lab import dbac
+
+        calls = []
+        swap = dbac.partial_swap
+
+        def counting_swap(instr, sig, coeffs):
+            calls.append(np.shape(sig))
+            return swap(instr, sig, coeffs)
+
+        monkeypatch.setattr(dbac, "partial_swap", counting_swap)
+        cfg = cli.validate_config(
+            _write_cfg(tmp_path, "experiment = sweep-s\nk = 3\nm = 2\ntheta_count = 5\ns_count = 7\n"),
+            out_override=tmp_path / "out",
+        )
+        cli.run_config(cfg)
+        assert calls == [(3, 5 * 7)] * (3 * 2)
+        rows = [
+            [float(v) for v in line.split(",")]
+            for line in (tmp_path / "out" / "sweep_s.csv").read_text().splitlines()[1:]
+        ]
+        thetas = np.linspace(cfg.theta_start, cfg.theta_stop, 5)
+        svals = np.linspace(cfg.s_start, cfg.s_stop, 7)
+        assert len(rows) == 35
+        for i, theta in enumerate(thetas):
+            fids = dbac.final_fidelities_over_s(float(theta), 3, 2, svals, cfg.recursion)
+            for j, (s, f) in enumerate(zip(svals, fids)):
+                assert rows[7 * i + j] == pytest.approx([theta, s, f], abs=1e-11)
+
     def test_trotter_csv_slope(self, tmp_path):
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out", seed_override=5)
         cli.run_config(cfg)

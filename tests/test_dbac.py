@@ -22,15 +22,16 @@ from dbac_lab.dbac import (
     step_size_grid,
     synthesize_uk,
 )
-from dbac_lab.dme import dme_step_exact, reflector
+from dbac_lab.dme import bloch_planes, density_matrices, dme_step_exact, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError
 from dbac_lab.states import HamiltonianSpec, PureState, bloch_vector, energy, fidelity, rx_init, variance
 from dbac_lab.tomography import NoiseModel
 
-from conftest import random_state, random_unitary
+from conftest import random_density, random_state, random_unitary
 
 H = HamiltonianSpec.default_single_qubit()
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _depths(max_steps, max_k):
@@ -284,9 +285,11 @@ class TestViaDmeBatch:
         states = []
         swap, check = dbac.partial_swap, dbac.check_density
 
-        def recording_swap(instr, sig, delta):
-            out = swap(instr, sig, delta)
-            states.extend((instr, sig, *out))
+        def recording_swap(instr, sig, coeffs):
+            # the kernel's inputs and outputs are Bloch planes: check the
+            # matrices they stand for
+            out = swap(instr, sig, coeffs)
+            states.extend(density_matrices(planes) for planes in (instr, sig, *out))
             return out
 
         def recording_check(rho):
@@ -577,6 +580,103 @@ class TestSearchEngineOracle:
             else:
                 rec = dbac_via_dme(theta, schedule)
             assert abs(rec.fidelities[-1] - f) < 1e-12
+
+
+class TestSearchBatch:
+    """final_fidelities_over_s on an angle array is one engine pass over every
+    (angle, step size) pair; it must equal the one-angle calls."""
+
+    THETAS = np.linspace(0.05, 3.1, 9)
+    S_VALUES = np.linspace(0.02, np.pi, 13)
+
+    @pytest.mark.parametrize("m, mode", [(1, "chain"), (3, "fresh"), (2, "chain"), (None, "fresh"), (None, "chain")])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_grid_matches_one_angle_calls(self, k, m, mode):
+        grid = final_fidelities_over_s(self.THETAS, k, m, self.S_VALUES, mode)
+        assert grid.shape == (self.THETAS.size, self.S_VALUES.size)
+        for theta, row in zip(self.THETAS, grid):
+            single = final_fidelities_over_s(float(theta), k, m, self.S_VALUES, mode)
+            assert single.shape == self.S_VALUES.shape
+            assert np.abs(row - single).max() < 1e-14
+
+    def test_one_kernel_call_per_dme_step_for_all_angles(self, monkeypatch):
+        calls = []
+        swap = dbac.partial_swap
+
+        def counting_swap(instr, sig, coeffs):
+            calls.append(np.shape(sig))
+            return swap(instr, sig, coeffs)
+
+        monkeypatch.setattr(dbac, "partial_swap", counting_swap)
+        final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
+        assert calls == [(3, self.THETAS.size * self.S_VALUES.size)] * 6
+
+    @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([])])
+    def test_bad_theta_rejected(self, theta):
+        with pytest.raises(ContractViolationError):
+            final_fidelities_over_s(theta, 1, 1, [0.5])
+
+
+def _oracle_dme_chain(rho0, steps, m, w, mode, noise):
+    """One batch entry of _dme_steps, step by step on 2x2 matrices in the basis
+    where H = diag(w): echo rotations by dense exponentials, every partial swap
+    by dme_step_exact, its instruction marginal by dme_step_exact with the two
+    registers exchanged (exp(-i delta SWAP) commutes with SWAP), and
+    depolarizing as (1 - p) rho + p I/2.  The joint state's trace is
+    tr(instr) tr(sig), so each instruction copy is rescaled to unit trace:
+    otherwise its rounding error would grow by M + 1 per chained step.
+    Returns the outputs and the marginals."""
+    h = np.diag(w).astype(complex)
+    p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
+
+    def depolarize(rho, p):
+        return (1.0 - p) * rho + 0.5 * p * np.eye(2)
+
+    instr = data = rho0
+    outs, margs = [], []
+    for t in steps:
+        instr = instr / np.trace(instr).real
+        em = qmath.herm_expm(h, -1j * t)
+        sig = depolarize(em @ data @ em.conj().T, p1)
+        for _ in range(m):
+            margs.append(depolarize(dme_step_exact(sig, instr, -t / m).matrix, p2))
+            sig = depolarize(dme_step_exact(instr, sig, -t / m).matrix, p2)
+        instr = depolarize(em.conj().T @ sig @ em, p1)
+        outs.append(instr)
+        data = instr if mode == "chain" else rho0
+    return outs, margs
+
+
+class TestDmeStepsOracle:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=SEEDS,
+        km=_depths(200, 40),
+        per_entry=st.booleans(),
+        mode=st.sampled_from(RECURSION_MODES),
+        noise=st.sampled_from([None, (1e-3, 0.0), (0.0, 0.02), (2e-3, 0.01)]),
+    )
+    @example(seed=1, km=(200, 1), per_entry=False, mode="chain", noise=(2e-3, 0.01))
+    @example(seed=2, km=(4, 50), per_entry=True, mode="chain", noise=None)
+    def test_matches_exact_step_chains(self, seed, km, per_entry, mode, noise):
+        k, m = km
+        rng = np.random.default_rng(seed)
+        batch = 2
+        w = np.sort(rng.normal(size=2))
+        rho0 = np.array([random_density(rng) for _ in range(batch)])
+        steps = rng.uniform(0.05, 1.5, size=(k, batch if per_entry else 1))
+        noise = NoiseModel(*noise) if noise else None
+        outs, margs = [], []
+        for out, step_margs in dbac._dme_steps(
+            bloch_planes(rho0), steps, (m,) * k, w, mode, noise, keep_marginals=True
+        ):
+            outs.append(density_matrices(out))
+            margs.extend(density_matrices(marg) for marg in step_margs)
+        assert len(outs) == k and len(margs) == k * m
+        for b in range(batch):
+            want_outs, want_margs = _oracle_dme_chain(rho0[b], steps[:, b if per_entry else 0], m, w, mode, noise)
+            assert np.abs(np.array(outs)[:, b] - want_outs).max() < 1e-12
+            assert np.abs(np.array(margs)[:, b] - want_margs).max() < 1e-12
 
 
 class TestSearchArgumentChecks:

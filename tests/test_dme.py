@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import cli, dme, qmath
-from dbac_lab.dme import dme_errors, dme_step_exact, exact_conjugation, partial_swap, reflector
+from dbac_lab.dme import (
+    bloch_planes,
+    density_matrices,
+    dme_errors,
+    dme_step_exact,
+    exact_conjugation,
+    partial_swap,
+    reflector,
+    swap_coefficients,
+)
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, rx_init
 
@@ -27,6 +36,13 @@ def _trotter(rho, sigma, t, m):
 def _error(rho, sigma, t, m):
     """The trace-distance error of one M-step Trotter circuit."""
     return float(dme_errors(rho, sigma, t, [m])[0])
+
+
+def _swap(instr, sig, delta):
+    """partial_swap on density matrices, or on stacks of them: the inputs go in
+    as Bloch planes, and both outputs come back as matrices."""
+    out, marg = partial_swap(bloch_planes(instr), bloch_planes(sig), swap_coefficients(delta))
+    return density_matrices(out), density_matrices(marg)
 
 
 def _joint_marginals(rho, sigma, delta):
@@ -86,13 +102,13 @@ class TestDmeStep:
                 worst,
                 np.abs(
                     dme_step_exact(rho, sigma, delta).matrix
-                    - partial_swap(rho, sigma, delta)[0]
+                    - _swap(rho, sigma, delta)[0]
                 ).max(),
             )
         assert worst < 1e-12
 
     def test_quarter_pi_closed_value(self):
-        out = partial_swap(GROUND, PLUS, np.pi / 4)[0]
+        out = _swap(GROUND, PLUS, np.pi / 4)[0]
         comm = PLUS @ GROUND - GROUND @ PLUS
         expected = 0.5 * (PLUS + GROUND) + 0.5j * comm
         assert np.abs(out - expected).max() < 1e-14
@@ -102,7 +118,7 @@ class TestDmeStep:
         comm = GROUND @ PLUS - PLUS @ GROUND
         devs = []
         for delta in (1e-2, 5e-3, 2.5e-3):
-            out = partial_swap(GROUND, PLUS, delta)[0]
+            out = _swap(GROUND, PLUS, delta)[0]
             devs.append(np.abs(out - (PLUS - 1j * delta * comm)).max())
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.05)
         assert devs[1] / devs[2] == pytest.approx(4.0, rel=0.05)
@@ -129,7 +145,7 @@ class TestPartialSwap:
         instr = np.array([random_density(rng) for _ in range(batch)])
         sig = np.array([random_density(rng) for _ in range(batch)])
         deltas = rng.uniform(-np.pi, np.pi, batch)
-        out, marg = partial_swap(instr, sig, deltas if per_entry else deltas[0])
+        out, marg = _swap(instr, sig, deltas if per_entry else deltas[0])
         assert out.shape == marg.shape == (batch, 2, 2)
         for b in range(batch):
             want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b if per_entry else 0])
@@ -140,7 +156,7 @@ class TestPartialSwap:
         instr = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
         sig = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
         deltas = rng.uniform(-np.pi, np.pi, SEARCH_BATCH)
-        out, marg = partial_swap(instr, sig, deltas)
+        out, marg = _swap(instr, sig, deltas)
         for b in range(SEARCH_BATCH):
             want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b])
             assert np.abs(out[b] - want_out).max() < 1e-12
@@ -149,30 +165,52 @@ class TestPartialSwap:
     def test_matches_partial_traces_on_one_matrix(self, rng):
         for delta in (0.4, -2.1, np.pi / 2):
             rho, sigma = random_density(rng), random_density(rng)
-            out, marg = partial_swap(rho, sigma, delta)
+            out, marg = _swap(rho, sigma, delta)
             want_out, want_marg = _joint_marginals(rho, sigma, delta)
             assert out.shape == marg.shape == (2, 2)
             assert np.abs(out - want_out).max() < 1e-12
             assert np.abs(marg - want_marg).max() < 1e-12
 
-    def test_zero_angle_returns_sigma_exactly(self, rng):
-        # the batched Trotter loop parks finished depths at angle 0
-        instr = np.array([random_density(rng) for _ in range(5)])
-        sig = np.array([random_density(rng) for _ in range(5)])
-        assert np.array_equal(partial_swap(instr, sig, np.zeros(5))[0], sig)
-        out = partial_swap(instr, sig, [0.3, 0.0, -1.0, 0.0, 0.0])[0]
-        assert np.array_equal(out[[1, 3, 4]], sig[[1, 3, 4]])
-        assert np.array_equal(partial_swap(instr[0], sig[0], 0.0)[0], sig[0])
+    def test_one_instruction_against_a_batch(self, rng):
+        # a (3, 1) instruction plane broadcasts against a (3, B) data batch
+        rho = random_density(rng)
+        sig = np.array([random_density(rng) for _ in range(4)])
+        out, marg = partial_swap(bloch_planes(rho)[:, None], bloch_planes(sig), swap_coefficients(0.7))
+        for b in range(4):
+            want_out, want_marg = _joint_marginals(rho, sig[b], 0.7)
+            assert np.abs(density_matrices(out[:, b]) - want_out).max() < 1e-12
+            assert np.abs(density_matrices(marg[:, b]) - want_marg).max() < 1e-12
 
-    def test_trace_error_is_not_amplified(self, rng):
-        # the exact step's joint state has trace tr(instr) tr(sig), so a chain
-        # of exact steps multiplies trace errors; the closed form averages them
-        instr = random_density(rng) * (1 + 1e-9)
-        sig = random_density(rng)
+    def test_zero_angle_returns_sigma_exactly(self, rng):
+        # angle 0, whose coefficients are (1, 0, 0), is the identity, bit for bit
+        assert swap_coefficients(0.0) == (1.0, 0.0, 0.0)
+        instr = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
+        sig = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
+        assert np.array_equal(partial_swap(instr, sig, swap_coefficients(np.zeros(5)))[0], sig)
+        out = partial_swap(instr, sig, swap_coefficients(np.array([0.3, 0.0, -1.0, 0.0, 0.0])))[0]
+        assert np.array_equal(out[:, [1, 3, 4]], sig[:, [1, 3, 4]])
+        assert np.array_equal(partial_swap(instr[:, 0], sig[:, 0], (1.0, 0.0, 0.0))[0], sig[:, 0])
+
+    def test_planes_round_trip(self, rng):
+        rho = np.array([random_density(rng) for _ in range(6)])
+        planes = bloch_planes(rho)
+        assert planes.shape == (3, 6) and planes.dtype == float
+        assert np.abs(density_matrices(planes) - rho).max() < 1e-15
+        assert np.abs(density_matrices(bloch_planes(PLUS)) - PLUS).max() < 1e-15
+
+    def test_long_chain_states_have_exact_trace_and_hermiticity(self, rng):
+        # a Bloch vector carries no trace error to compound: over a 200-step
+        # chain every state, rebuilt as a matrix, has trace exactly 1 and is
+        # exactly Hermitian
+        instr = bloch_planes(np.array([random_density(rng) for _ in range(50)]))
+        sig = bloch_planes(np.array([random_density(rng) for _ in range(50)]))
+        coeffs = swap_coefficients(rng.uniform(-np.pi, np.pi, 50))
         for _ in range(200):
-            sig, marg = partial_swap(instr, sig, -0.3)
-            for state in (sig, marg):
-                assert abs(np.trace(state).real - 1) <= 1e-9 + 1e-14
+            sig, marg = partial_swap(instr, sig, coeffs)
+            states = density_matrices(np.concatenate([sig, marg], axis=1))
+            assert np.all(np.trace(states, axis1=1, axis2=2) == 1.0)
+            assert np.array_equal(states, np.conj(states).swapaxes(1, 2))
+            assert np.linalg.eigvalsh(states).min() >= -1e-12
 
 
 class TestDmeTrotter:
@@ -287,30 +325,34 @@ class TestDmeErrors:
             return check(states)
 
         monkeypatch.setattr(dme, "check_density", counting_check)
+        # first the two inputs, where they enter, then every intermediate
+        # state of every depth, once
+        steps = sum(CRITERION_3_DEPTHS)
         dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
-        assert sizes == [64 * 7]
+        assert sizes == [2, steps]
         sizes.clear()
         monkeypatch.setattr(dme, "_CHECK_BATCH_STATES", 30)
         dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
-        assert sum(sizes) == 64 * 7 and max(sizes) <= 30
+        assert sizes[0] == 2 and sum(sizes[1:]) == steps and max(sizes) <= 30
 
     def test_invalid_intermediate_state_raises(self):
         with pytest.raises(ContractViolationError, match="trace"):
             dme_errors(GROUND, 2 * PLUS, 0.9, [1, 3])
 
     def test_trotter_run_makes_one_kernel_call_per_step(self, tmp_path, monkeypatch):
-        # one batch over all depths: m_max calls, not m_max (m_max + 1) / 2
+        # one batch over all depths: m_max calls, not m_max (m_max + 1) / 2,
+        # step j on the m_max - j depths that still have steps to take
         calls = []
         swap = dme.partial_swap
 
-        def counting_swap(instr, sig, delta):
+        def counting_swap(instr, sig, coeffs):
             calls.append(np.shape(sig))
-            return swap(instr, sig, delta)
+            return swap(instr, sig, coeffs)
 
         monkeypatch.setattr(dme, "partial_swap", counting_swap)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         cli.run_config(cfg)
-        assert calls == [(cfg.m_max, 2, 2)] * cfg.m_max
+        assert calls == [(3, cfg.m_max - j) for j in range(cfg.m_max)]
 
 
 class TestQubitOnlyEntryPoints:

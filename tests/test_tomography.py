@@ -214,6 +214,24 @@ class TestComposedPtm:
             want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
             assert np.abs(ptm_of_circuit(c, noise).r - want).max() < 1e-12
 
+    def test_noise_ptm_built_once_per_qubit_set(self, monkeypatch):
+        built = []
+        noise_ptm = tomography._noise_ptm
+
+        def counting(noise, qubits, n):
+            built.append(qubits)
+            return noise_ptm(noise, qubits, n)
+
+        monkeypatch.setattr(tomography, "_noise_ptm", counting)
+        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES)
+        c = compile_udme_native(0.6)
+        got = ptm_of_circuit(c, noise).r
+        gates = [g for g in c.gates if g.kind != "BARRIER"]
+        assert len(gates) == 11
+        assert sorted(built) == sorted({g.qubits for g in gates}) and len(built) == 3
+        want = ptm_of_channel(dense_channel(c, noise), 2).r
+        assert np.abs(got - want).max() < 1e-12
+
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
     def test_depolarizing_is_diagonal(self, p):
         idle = Circuit(2, (Gate("RZ", (0.0,), (1,)),))
