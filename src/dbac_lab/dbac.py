@@ -23,17 +23,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .dme import bloch_planes, density_matrices, partial_swap, reflector, swap_coefficients
+from .dme import bloch_planes, check_bloch, density_matrices, partial_swap, reflector, swap_coefficients
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from .states import (
-    BlochVector,
-    HamiltonianSpec,
-    PureState,
-    check_density,
-    energy,
-    rx_init,
-    variance,
-)
+from .states import BlochVector, HamiltonianSpec, PureState, check_density, energy, variance
 from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
@@ -151,12 +143,10 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[CoolingRecord, ...]:
     """One record per batch entry of a run's (k + 1, B, d, d) stack of states
     and its (n, B, d, d) instruction marginals, both in H's eigenbasis and
-    validated by one :func:`check_density` call on a flat (N, d, d) batch.
-    The observables are rotated into that basis, not the states out of it."""
-    k1, b, d, _ = states.shape
-    stack = np.concatenate([states, np.reshape(marginals, (-1, b, d, d))])
-    checked = check_density(stack.reshape(-1, d, d)).reshape(-1, b, d, d)
-    states, marginals = checked[:k1], checked[k1:]
+    already validated by the caller; this only computes observables.  They
+    are rotated into that basis, not the states out of it."""
+    _, b, d, _ = states.shape
+    marginals = np.reshape(marginals, (-1, b, d, d))
     w, v = schedule.hamiltonian.eig
     energies = _expect(np.diag(w), states)
     variances = _expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
@@ -182,8 +172,8 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     """Iterate exact-reflector steps per the schedule, recording per-step observables.
 
     H and psi were validated on construction; :func:`_exact_steps` steps raw
-    vectors in H's eigenbasis, and the record builder validates the k + 1
-    states once, as a batch.
+    vectors in H's eigenbasis, and the k + 1 states are validated once, by one
+    :func:`check_density` call on their stack, before the record is built.
     """
     h = schedule.hamiltonian
     if h.matrix.shape[0] != psi.amplitudes.size:
@@ -192,15 +182,23 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
     steps = _exact_steps(psi0, np.array(schedule.s)[:, None], w, schedule.recursion)
     vecs = np.array([psi0, *steps])  # (k + 1, 1, d)
-    return _records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :])[0]
+    return _records(schedule, check_density(vecs[..., :, None] * vecs.conj()[..., None, :]))[0]
 
 
 def _angles(theta) -> np.ndarray:
-    """``theta`` as a float array: one angle, or a nonempty 1-D array of them."""
+    """``theta`` as a float array: one finite angle, or a nonempty 1-D array of them."""
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1 or thetas.size == 0:
         raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
+    if not np.all(np.isfinite(thetas)):
+        raise ContractViolationError("theta must be finite")
     return thetas
+
+
+def _rx_init(thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R_X(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1> for each angle of a
+    1-D array, as (T, 2) amplitudes in the basis of the columns of ``v``."""
+    return np.stack([np.cos(thetas / 2), -1j * np.sin(thetas / 2)], axis=-1) @ v.conj()
 
 
 def dbac_via_dme(
@@ -224,8 +222,9 @@ def dbac_via_dme(
 
     The steps run on Bloch vectors in H's eigenbasis (:func:`_dme_steps`) and
     validate nothing: every reported state (initial states, step outputs,
-    instruction marginals) is rebuilt as a matrix and validated once, as one
-    batch, by the record builder.
+    instruction marginals) is validated once, by one :func:`dme.check_bloch`
+    call on their stacked planes, before they are rebuilt as matrices for the
+    observables.
     :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
     """
     if schedule.m is None:
@@ -237,19 +236,17 @@ def dbac_via_dme(
         raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
     thetas = _angles(theta)
     w, v = h.eig
-    amps = np.array([rx_init(t).amplitudes for t in np.atleast_1d(thetas)]) @ v.conj()
+    amps = _rx_init(np.atleast_1d(thetas), v)
     r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B), eigenbasis
     states, marginals = [r0], []
     steps = np.array(schedule.s)[:, None]
     for out, margs in _dme_steps(r0, steps, schedule.m, w, schedule.recursion, noise, keep_marginals=True):
         states.append(out)
         marginals.extend(margs)
-    # (3, n, B) planes -> (n, B, 2, 2) matrices
-    records = _records(
-        schedule,
-        density_matrices(np.stack(states, axis=1)),
-        density_matrices(np.stack(marginals, axis=1)),
-    )
+    planes = np.stack(states + marginals, axis=1)  # (3, k + 1 + n, B)
+    check_bloch(planes)
+    mats = density_matrices(planes)
+    records = _records(schedule, mats[: schedule.k + 1], mats[schedule.k + 1 :])
     return records if thetas.ndim else records[0]
 
 
@@ -387,7 +384,7 @@ def _final_energies(theta, k: int, m: Optional[int], s: np.ndarray, mode: str) -
             e = _energy_law(e, s)
         return e.reshape(shape)
     w, v = HamiltonianSpec.default_single_qubit().eig
-    amps = np.array([rx_init(t).amplitudes for t in thetas.tolist()]) @ v.conj()  # (T, 2)
+    amps = _rx_init(thetas, v)  # (T, 2)
     steps = np.broadcast_to(np.tile(s, thetas.size), (k, thetas.size * s.size))
     if m is None:
         for out in _exact_steps(np.repeat(amps, s.size, axis=0), steps, w, mode):
@@ -421,9 +418,14 @@ def final_fidelities_over_s(
     size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact
     reflectors).  ``theta`` is one angle, which gives one fidelity per step
     size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
-    in one engine pass."""
+    in one engine pass.  Angles and step sizes must be finite; as in
+    :class:`DbacSchedule`, negative step sizes and step sizes above pi are
+    allowed."""
     _check_search_args(k, m, mode)
-    energies = _final_energies(_angles(theta), k, m, np.asarray(s_values, dtype=float), mode)
+    s = np.asarray(s_values, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ContractViolationError("step sizes must be finite")
+    energies = _final_energies(_angles(theta), k, m, s, mode)
     return (1.0 - energies) / 2.0
 
 
@@ -433,6 +435,8 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     Grid resolution 1e-3; among step sizes within 1e-9 of the minimum the
     smallest is returned.  ``m=None`` selects exact reflectors.
     """
+    if not np.isfinite(e0):
+        raise ContractViolationError("e0 must be finite")
     if abs(e0) >= 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
     _check_search_args(k, m, mode)

@@ -25,21 +25,22 @@ gives
 
 and leaves the instruction in ``a + b - out``.  The caller passes the three
 coefficients (:func:`swap_coefficients`), computed once per distinct angle
-rather than once per call.  Trace and Hermiticity hold by construction, and
-:func:`density_matrices` rebuilds ``(N, 2, 2)`` matrices with trace exactly 1
-wherever a batch is validated.  The kernel validates nothing; its callers
-validate once, outside any loop:
+rather than once per call.  Trace and Hermiticity hold by construction, so
+the one check a batch of planes needs is :func:`check_bloch` (finite, and
+|a| <= 1 within tolerance), which gives the verdict and the message that
+:func:`states.check_density` gives for the matrices :func:`density_matrices`
+rebuilds.  The kernel validates nothing; its callers validate once, outside
+any loop:
 
 * :func:`dme_errors` checks its two inputs as density matrices where they
   enter, runs the Trotter circuits of several depths M as one batch, one
-  kernel call per step, and checks all their intermediate states after the
-  loop in one batch (in bounded batches for very deep circuits).  It takes
+  kernel call per step, and checks each step's outputs as planes.  It takes
   only qubit registers and raises :class:`DimensionMismatchError` for
   anything else;
 * ``dbac._dme_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
-  runs ``dbac.dbac_via_dme``, whose record builder checks every state it
-  reports in one batch after the last step, and the step-size search, which
-  runs every angle and step size of a search as one batch, keeps only final
+  runs ``dbac.dbac_via_dme``, which checks every state it reports as planes,
+  in one batch after the last step, and the step-size search, which runs
+  every angle and step size of a search as one batch, keeps only final
   energies and checks none.
 
 :func:`dme_step_exact` keeps the definition itself, a kron of the two
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import DensityMatrix, PureState, check_density
+from .states import EIG_TOL, DensityMatrix, PureState, check_density
 
 
 def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
@@ -147,38 +148,35 @@ def partial_swap(instr: np.ndarray, sig: np.ndarray, coeffs):
     return out, marg
 
 
-# The most intermediate states one check_density call takes (4 MiB of 2x2
-# states).  A trotter run has sum(ms) = m_max (m_max + 1) / 2 of them, and one
-# call on m_max^2 of them peaked at 1.1 GB at m_max = 2000.
-_CHECK_BATCH_STATES = 1 << 16
+def check_bloch(planes: np.ndarray) -> None:
+    """Check ``(3, ...)`` Bloch planes as qubit states: entries finite and every
+    |a| <= 1 + 2 ``EIG_TOL``.  A matrix rebuilt by :func:`density_matrices` has
+    exact Hermiticity and trace and eigenvalues (1 +- |a|) / 2, so this raises
+    exactly when :func:`states.check_density` on it would, with its message."""
+    if not ((planes * planes).sum(axis=0) <= (1.0 + 2.0 * EIG_TOL) ** 2).all():  # NaN fails too
+        if not np.isfinite(planes).all():
+            raise ContractViolationError("matrix contains NaN or Inf entries")
+        raise ContractViolationError("density matrix has a negative eigenvalue")
 
 
 def _trotter(r: np.ndarray, s: np.ndarray, t: float, ms: np.ndarray) -> np.ndarray:
     """Outputs of ``ms[i]`` partial swaps of angle ``t / ms[i]`` on the 2x2
-    state ``s``, one ``(2, 2)`` matrix per depth.  The depths run on Bloch
-    planes, longest first, so that step j is one kernel call on the prefix of
-    the batch that still has steps to take.  Every intermediate state is
-    rebuilt as a matrix and validated once, in one batch after the last step
-    when all ``sum(ms)`` of them fit in ``_CHECK_BATCH_STATES``, else in
-    batches of at most that many."""
+    state ``s``, as ``(3, len(ms))`` Bloch planes in the order of ``ms``.  The
+    depths run longest first, so that step j is one kernel call on the prefix
+    of the batch that still has steps to take, and :func:`check_bloch` checks
+    each step's outputs as they are made."""
     order = np.argsort(-ms, kind="stable")
     depths = ms[order]
     instr = bloch_planes(r)[:, None]
     sig = np.repeat(bloch_planes(s)[:, None], ms.size, axis=1)
     c2, s2, cs = swap_coefficients(t / depths)
-    steps, pending = [], 0
     for j in range(depths[0]):
         n = int(np.count_nonzero(depths > j))
-        out = partial_swap(instr, sig[:, :n], (c2[:n], s2[:n], cs[:n]))[0]
-        sig[:, :n] = out
-        steps.append(out)
-        pending += n
-        if j == depths[0] - 1 or pending + n > _CHECK_BATCH_STATES:
-            check_density(density_matrices(np.concatenate(steps, axis=1)))
-            steps, pending = [], 0
+        sig[:, :n] = partial_swap(instr, sig[:, :n], (c2[:n], s2[:n], cs[:n]))[0]
+        check_bloch(sig[:, :n])
     final = np.empty_like(sig)
     final[:, order] = sig
-    return density_matrices(final)
+    return final
 
 
 def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
@@ -191,7 +189,9 @@ def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
 def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     """Trace distance between the M-step Trotterized channel and the exact
     conjugation, for each depth M in ``ms``, all depths run as one batch.
-    Both registers must be valid qubit density matrices."""
+    Both registers must be valid qubit density matrices; they are checked
+    here, and the Trotter states by :func:`_trotter`.  For qubits the trace
+    distance is half the Euclidean distance between Bloch vectors."""
     if not np.isfinite(t):
         raise ContractViolationError("t must be finite")
     ms = np.asarray(ms)
@@ -201,5 +201,5 @@ def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     if r.shape != (2, 2):
         raise DimensionMismatchError(f"the closed form is for one qubit, got shape {r.shape}")
     r, s = check_density(np.array([r, s]))  # a Bloch vector has no trace to check later
-    return qmath.trace_distance(_trotter(r, s, t, ms), exact_conjugation(r, s, t))
-
+    exact = bloch_planes(exact_conjugation(r, s, t))[:, None]
+    return 0.5 * np.linalg.norm(_trotter(r, s, t, ms) - exact, axis=0)

@@ -159,23 +159,13 @@ def dist_up_to_global_phase(u, v) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def trace_distance(a, b):
-    """Half the nuclear norm of (a - b) for Hermitian a, b.
-
-    Either operand may be a ``(B, d, d)`` batch, which gives an array of one
-    distance per batch entry instead of a float; the Hermiticity check covers
-    the whole batch.
-    """
-    d = np.subtract(a, b, dtype=complex)
-    if d.ndim < 2:
-        raise ContractViolationError(f"expected a matrix, got ndim={d.ndim}")
-    if not np.all(np.isfinite(d.view(float))):
-        raise ContractViolationError("matrix contains NaN or Inf entries")
-    dh = d.conj().swapaxes(-1, -2)
-    if np.abs(d - dh).max() > 1e-10:
+def trace_distance(a, b) -> float:
+    """Half the nuclear norm of (a - b) for two Hermitian matrices: both must
+    be finite matrices, and their difference Hermitian within 1e-10."""
+    d = as_complex_matrix(a) - as_complex_matrix(b)
+    if np.abs(d - d.conj().T).max() > 1e-10:
         raise ContractViolationError("trace_distance expects Hermitian operands")
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (d + dh))).sum(axis=-1)
-    return float(dist) if dist.ndim == 0 else dist
+    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).sum())
 
 
 def swap_operator(d: int = 2) -> np.ndarray:

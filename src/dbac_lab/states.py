@@ -69,6 +69,8 @@ def check_density(m: np.ndarray) -> np.ndarray:
     Whichever matrix of a batch fails, the error is the one a single
     :class:`DensityMatrix` would raise.
     """
+    if not np.all(np.isfinite(m)):
+        raise ContractViolationError("matrix contains NaN or Inf entries")
     mh = np.conj(m).swapaxes(-1, -2)
     if np.abs(m - mh).max() > DM_TOL:
         raise ContractViolationError("density matrix is not Hermitian")

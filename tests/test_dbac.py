@@ -282,8 +282,8 @@ class TestViaDmeBatch:
     @example(km=(200, 1), s=0.7, mode="fresh", noise=(0.0, 0.02))
     def test_long_chains_keep_states_physical(self, km, s, mode, noise):
         k, m = km
-        states = []
-        swap, check = dbac.partial_swap, dbac.check_density
+        states, checked = [], []
+        swap, check = dbac.partial_swap, dbac.check_bloch
 
         def recording_swap(instr, sig, coeffs):
             # the kernel's inputs and outputs are Bloch planes: check the
@@ -292,19 +292,22 @@ class TestViaDmeBatch:
             states.extend(density_matrices(planes) for planes in (instr, sig, *out))
             return out
 
-        def recording_check(rho):
-            states.append(rho)
-            return check(rho)
+        def recording_check(planes):
+            checked.append(planes.shape)
+            states.append(density_matrices(planes).reshape(-1, 2, 2))
+            return check(planes)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dbac, "partial_swap", recording_swap)
-            mp.setattr(dbac, "check_density", recording_check)
+            mp.setattr(dbac, "check_bloch", recording_check)
             records = dbac_via_dme(
                 np.linspace(0.2, 3.0, 3),
                 DbacSchedule.uniform(k, s, m=m, recursion=mode),
                 NoiseModel(*noise) if noise else None,
             )
         assert len(records) == 3 and all(len(r.instruction_energies) == k * m for r in records)
+        # one check over every reported state: k + 1 states and k M marginals
+        assert checked == [(3, k + 1 + k * m, 3)]
         batch = np.concatenate(states)
         assert np.abs(np.trace(batch, axis1=1, axis2=2).real - 1.0).max() <= 1e-12
         assert np.abs(batch - np.conj(batch).swapaxes(1, 2)).max() <= 1e-12
@@ -693,6 +696,31 @@ class TestSearchArgumentChecks:
         for call in calls:
             with pytest.raises(ContractViolationError):
                 call()
+
+    @pytest.mark.parametrize(
+        "m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (2, "fresh")],
+        ids=["exact-chain", "exact-fresh", "dme-chain", "dme-fresh"],
+    )
+    @pytest.mark.parametrize(
+        "theta, s_values",
+        [(np.nan, [0.5]), ([0.3, np.inf], [0.5]), (0.3, [np.nan, -1.0, 10.0]), (0.3, [0.5, -np.inf])],
+        ids=["nan-theta", "inf-theta", "nan-step", "inf-step"],
+    )
+    def test_non_finite_angles_and_steps_rejected(self, theta, s_values, m, mode):
+        with pytest.raises(ContractViolationError, match="finite"):
+            final_fidelities_over_s(theta, 2, m, s_values, mode)
+
+    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain")])
+    def test_negative_and_large_steps_allowed(self, m, mode):
+        fids = final_fidelities_over_s(0.3, 2, m, [-1.0, 10.0], mode)
+        for s, f in zip([-1.0, 10.0], fids):
+            schedule = DbacSchedule.uniform(2, s, m=m, recursion=mode)
+            rec = dbac_recursive_exact(rx_init(0.3), schedule) if m is None else dbac_via_dme(0.3, schedule)
+            assert abs(rec.fidelities[-1] - f) < 1e-12
+
+    def test_optimal_step_rejects_non_finite_energy(self):
+        with pytest.raises(ContractViolationError, match="finite"):
+            optimal_step(np.nan, 1)
 
 
 def test_via_dme_rejects_damping():

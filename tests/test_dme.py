@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import cli, dme, qmath
 from dbac_lab.dme import (
     bloch_planes,
+    check_bloch,
     density_matrices,
     dme_errors,
     dme_step_exact,
@@ -15,7 +16,7 @@ from dbac_lab.dme import (
     swap_coefficients,
 )
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
-from dbac_lab.states import PureState, rx_init
+from dbac_lab.states import PureState, check_density, rx_init
 
 from conftest import random_density
 
@@ -29,8 +30,8 @@ CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
 
 
 def _trotter(rho, sigma, t, m):
-    """The final state of one M-step Trotter circuit."""
-    return dme._trotter(rho, sigma, t, np.array([m]))[0]
+    """The final state of one M-step Trotter circuit, as a matrix."""
+    return density_matrices(dme._trotter(rho, sigma, t, np.array([m]))[:, 0])
 
 
 def _error(rho, sigma, t, m):
@@ -213,6 +214,44 @@ class TestPartialSwap:
             assert np.linalg.eigvalsh(states).min() >= -1e-12
 
 
+def _verdict(check, arg):
+    """The message ``check(arg)`` raises, or None when it passes."""
+    try:
+        check(arg)
+    except ContractViolationError as err:
+        return str(err)
+    return None
+
+
+class TestCheckBloch:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        directions=st.lists(
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+            min_size=1,
+            max_size=4,
+        ),
+        excess=st.lists(st.floats(-1e-9, 1e-9), min_size=4, max_size=4),
+        bad=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf])),
+            max_size=2,
+        ),
+    )
+    @example(directions=[(0.0, 0.0, 1.0)], excess=[0.0] * 4, bad=[])
+    @example(directions=[(0.6, 0.0, 0.8)], excess=[1e-9] * 4, bad=[])
+    @example(directions=[(1.0, 1.0, 1.0)] * 2, excess=[-1e-9, 1e-9, 0.0, 0.0], bad=[(1, 0, np.nan)])
+    def test_raises_exactly_when_the_matrix_check_does(self, directions, excess, bad):
+        # |a| within 1e-9 of 1 straddles the 1 + 2 EIG_TOL bound
+        v = np.array(directions).T
+        planes = v / np.linalg.norm(v, axis=0) * (1.0 + np.array(excess[: v.shape[1]]))
+        for i, j, value in bad:
+            if j < planes.shape[1]:
+                planes[i, j] = value
+        with np.errstate(invalid="ignore"):  # inf * 1j has a NaN real part
+            matrices = density_matrices(planes)
+        assert _verdict(check_bloch, planes) == _verdict(check_density, matrices)
+
+
 class TestDmeTrotter:
     @PROPERTY
     @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m=st.integers(1, 64))
@@ -316,24 +355,36 @@ class TestDmeErrors:
         with pytest.raises(ContractViolationError):
             dme_errors(GROUND, PLUS, t, ms)
 
-    def test_every_intermediate_state_checked_in_bounded_batches(self, monkeypatch):
-        sizes = []
-        check = dme.check_density
+    def test_every_intermediate_state_checked_once(self, monkeypatch):
+        # step j checks the outputs of the depths that took it, longest depth
+        # first, as they are made: each of the sum(ms) states exactly once
+        checked = []
+        check = dme.check_bloch
 
-        def counting_check(states):
-            sizes.append(len(states))
-            return check(states)
+        def recording_check(planes):
+            checked.append(planes.copy())
+            return check(planes)
 
-        monkeypatch.setattr(dme, "check_density", counting_check)
-        # first the two inputs, where they enter, then every intermediate
-        # state of every depth, once
-        steps = sum(CRITERION_3_DEPTHS)
-        dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
-        assert sizes == [2, steps]
-        sizes.clear()
-        monkeypatch.setattr(dme, "_CHECK_BATCH_STATES", 30)
-        dme_errors(GROUND, PLUS, 0.9, CRITERION_3_DEPTHS)
-        assert sizes[0] == 2 and sum(sizes[1:]) == steps and max(sizes) <= 30
+        monkeypatch.setattr(dme, "check_bloch", recording_check)
+        ms = [5, 1, 12, 5, 3]
+        t = 0.9
+        dme_errors(GROUND, PLUS, t, ms)
+        states = {m: [PLUS] for m in ms}
+        for m in states:
+            for _ in range(m):
+                states[m].append(dme_step_exact(GROUND, states[m][-1], t / m).matrix)
+        depths = sorted(ms, reverse=True)
+        assert len(checked) == max(ms)
+        assert sum(planes.shape[1] for planes in checked) == sum(ms)
+        for j, planes in enumerate(checked):
+            want = [states[m][j + 1] for m in depths if m > j]
+            assert np.abs(planes - bloch_planes(np.array(want))).max() < 1e-12
+
+    def test_deep_circuits_match_exact_step_loop(self):
+        ms = np.arange(1, 1001)
+        errs = dme_errors(GROUND, PLUS, np.pi / 4, ms)
+        for m in (1, 361, 362, 1000):
+            assert abs(errs[m - 1] - self._oracle(GROUND, PLUS, np.pi / 4, m)) < 1e-12
 
     def test_invalid_intermediate_state_raises(self):
         with pytest.raises(ContractViolationError, match="trace"):

@@ -158,25 +158,13 @@ class TestTraceDistance:
     def test_orthogonal_pure_states(self):
         assert abs(qmath.trace_distance(np.diag([1, 0.0]), np.diag([0, 1.0])) - 1.0) < 1e-15
 
-    def test_batch_gives_one_distance_per_entry(self, rng):
-        a = np.array([random_density(rng, 4) for _ in range(5)])
-        b = random_density(rng, 4)
-        dist = qmath.trace_distance(a, b)
-        assert dist.shape == (5,)
-        for i in range(5):
-            assert dist[i] == pytest.approx(qmath.trace_distance(a[i], b), abs=1e-15)
-
-    def test_batch_hermiticity_checked_on_every_entry(self, rng):
-        a = np.array([random_density(rng) for _ in range(4)])
-        a[2, 0, 1] += 1e-6
-        with pytest.raises(ContractViolationError, match="Hermitian"):
-            qmath.trace_distance(a, random_density(rng))
-
     def test_rejects_non_matrices_and_non_finite(self):
         with pytest.raises(ContractViolationError):
             qmath.trace_distance(np.ones(2), np.ones(2))
         with pytest.raises(ContractViolationError):
             qmath.trace_distance(np.diag([np.nan, 1.0]), np.eye(2))
+        with pytest.raises(ContractViolationError, match="Hermitian"):
+            qmath.trace_distance(np.array([[0.5, 1e-6], [0.0, 0.5]]), np.eye(2) / 2)
 
 
 class TestEmbedGate:

@@ -209,6 +209,22 @@ class TestCheckDensity:
         with pytest.raises(ContractViolationError, match=message):
             check_density(np.stack([self.GOOD, bad, self.GOOD]))
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(None, np.nan), ((1, 0, 1), np.nan), ((2, 1, 0), complex(0.0, np.inf)), ((0, 0, 0), -np.inf)],
+        ids=["all-nan", "one-nan", "imaginary-inf", "negative-inf"],
+    )
+    def test_rejects_non_finite_entries(self, entry, value):
+        batch = np.stack([self.GOOD] * 3)
+        if entry is None:
+            batch[...] = value
+        else:
+            batch[entry] = value
+        with pytest.raises(ContractViolationError, match="NaN or Inf"):
+            check_density(batch)
+        with pytest.raises(ContractViolationError, match="NaN or Inf"):
+            check_density(batch[1 if entry is None else entry[0]])
+
     def test_returns_hermitian_part_of_every_entry(self):
         skew = np.array([[0.0, 1e-13j], [1e-13j, 0.0]])
         batch = np.stack([self.GOOD + skew, self.GOOD])
