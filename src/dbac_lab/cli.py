@@ -6,12 +6,14 @@ Usage:
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, and noise keys the experiment does not apply,
-are rejected.  Angles are finite, in radians unless the value carries a `deg`
-suffix.  Every run writes `results_manifest.json` with a sha256 checksum per
-emitted file; identical config and seed give byte-identical output.  Exit
-codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime failure (the
-experiment raised after its config was accepted; a one-line `runtime error:
-...` goes to stderr and the manifest records the failed stage).
+are rejected.  Each config key is declared once, as an `ExperimentConfig`
+field carrying its default and its parser.  Angles are finite, in radians
+unless the value carries a `deg` suffix.  Every run writes
+`results_manifest.json` with a sha256 checksum per emitted file; identical
+config and seed give byte-identical output.  Exit codes: 0 success, 1 config
+error, 2 acceptance failure, 3 runtime failure (the experiment raised after
+its config was accepted; a one-line `runtime error: ...` goes to stderr and
+the manifest records the failed stage).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -25,7 +27,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,17 +50,6 @@ from .errors import ContractViolationError
 from .qmath import herm_expm, swap_operator
 from .states import rx_init
 from .tomography import NoiseModel, process_fidelity, ptm_of_circuit, ptm_of_kraus, ptm_to_csv
-
-EXPERIMENTS = (
-    "sweep-theta",
-    "sweep-s",
-    "grid-km",
-    "trotter",
-    "ptm",
-    "baselines",
-    "trajectory",
-    "acceptance",
-)
 
 _PI = float(np.pi)
 
@@ -83,10 +74,6 @@ def _parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_angle(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip())
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -99,55 +86,8 @@ def _parse_m_list(text: str):
 
 
 def _parse_km_entry(text: str) -> tuple:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(None if tok.lower() == "exact" else int(tok))
-    return tuple(out)
-
-
-def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-# key -> (parser, attribute). Unknown keys are rejected with the key name.
-_SCHEMA = {
-    "experiment": (_parse_str, "experiment"),
-    "out": (_parse_str, "out"),
-    "seed": (_parse_int, "seed"),
-    "workers": (_parse_int, "workers"),
-    "k": (_parse_int, "k"),
-    "m": (_parse_m_list, "m"),
-    "s": (_parse_angle_list, "s"),
-    "recursion": (_parse_str, "recursion"),
-    "theta": (_parse_angle, "theta"),
-    "theta_start": (_parse_angle, "theta_start"),
-    "theta_stop": (_parse_angle, "theta_stop"),
-    "theta_count": (_parse_int, "theta_count"),
-    "s_start": (_parse_angle, "s_start"),
-    "s_stop": (_parse_angle, "s_stop"),
-    "s_count": (_parse_int, "s_count"),
-    "k_list": (_parse_int_list, "k_list"),
-    "m_list": (_parse_km_entry, "m_list"),
-    "f_target": (_parse_float, "f_target"),
-    "t": (_parse_angle, "t"),
-    "m_max": (_parse_int, "m_max"),
-    "rounds": (_parse_int, "rounds"),
-    "eps0": (_parse_float, "eps0"),
-    "eps_bath": (_parse_float, "eps_bath"),
-    "x0": (_parse_float, "x0"),
-    "phi_list": (_parse_angle_list, "phi_list"),
-    "noise_p1": (_parse_float, "noise_p1"),
-    "noise_p2": (_parse_float, "noise_p2"),
-    "noise_t1_us": (_parse_float, "noise_t1_us"),
-    "noise_t2_us": (_parse_float, "noise_t2_us"),
-}
+    """Comma list of depths; each `exact` entry stands for ideal reflectors."""
+    return tuple(None if tok.strip().lower() == "exact" else int(tok) for tok in text.split(",") if tok.strip())
 
 
 # The noise keys each experiment applies (trajectory only with finite m).  A
@@ -159,37 +99,42 @@ _NOISE_KEYS = {
 }
 
 
+def _key(default, parse):
+    """A config key: its default and the parser for its `key = value` text."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str = ""
-    out: str = ""
-    seed: int = 0
-    workers: int = 1
-    k: int = 1
-    m: Optional[tuple[int, ...]] = (1,)
-    s: tuple[float, ...] = (_PI / 4,)
-    recursion: str = "chain"
-    theta: float = _PI / 2
-    theta_start: float = 0.0
-    theta_stop: float = _PI
-    theta_count: int = 181
-    s_start: float = 0.05
-    s_stop: float = _PI
-    s_count: int = 64
-    k_list: tuple[int, ...] = (1, 2, 3)
-    m_list: tuple = (1, 2, None)
-    f_target: float = 0.9
-    t: float = _PI / 4
-    m_max: int = 64
-    rounds: int = 10
-    eps0: float = 0.1
-    eps_bath: float = 0.1
-    x0: float = 0.5
-    phi_list: tuple[float, ...] = (0.0, _PI / 8, _PI / 4, _PI / 2)
-    noise_p1: float = 0.0
-    noise_p2: float = 0.0
-    noise_t1_us: Optional[float] = None
-    noise_t2_us: Optional[float] = None
+    experiment: str = _key("", str)
+    out: str = _key("", str)
+    seed: int = _key(0, int)
+    workers: int = _key(1, int)
+    k: int = _key(1, int)
+    m: Optional[tuple[int, ...]] = _key((1,), _parse_m_list)
+    s: tuple[float, ...] = _key((_PI / 4,), _parse_angle_list)
+    recursion: str = _key("chain", str)
+    theta: float = _key(_PI / 2, _parse_angle)
+    theta_start: float = _key(0.0, _parse_angle)
+    theta_stop: float = _key(_PI, _parse_angle)
+    theta_count: int = _key(181, int)
+    s_start: float = _key(0.05, _parse_angle)
+    s_stop: float = _key(_PI, _parse_angle)
+    s_count: int = _key(64, int)
+    k_list: tuple[int, ...] = _key((1, 2, 3), _parse_int_list)
+    m_list: tuple = _key((1, 2, None), _parse_km_entry)
+    f_target: float = _key(0.9, float)
+    t: float = _key(_PI / 4, _parse_angle)
+    m_max: int = _key(64, int)
+    rounds: int = _key(10, int)
+    eps0: float = _key(0.1, float)
+    eps_bath: float = _key(0.1, float)
+    x0: float = _key(0.5, float)
+    phi_list: tuple[float, ...] = _key((0.0, _PI / 8, _PI / 4, _PI / 2), _parse_angle_list)
+    noise_p1: float = _key(0.0, float)
+    noise_p2: float = _key(0.0, float)
+    noise_t1_us: Optional[float] = _key(None, float)
+    noise_t2_us: Optional[float] = _key(None, float)
     raw: dict = field(default_factory=dict)
 
     def schedule(self) -> DbacSchedule:
@@ -212,6 +157,10 @@ class ExperimentConfig:
         )
 
 
+# key -> parser. Unknown keys are rejected with the key name.
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig) if "parse" in f.metadata}
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -221,6 +170,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("k: must be >= 1")
     if cfg.m is not None and any(mj < 1 for mj in cfg.m):
         raise ConfigError("m: every Trotter depth must be >= 1")
+    if any(v is not None and v < 1 for v in cfg.k_list + cfg.m_list):
+        raise ConfigError("k_list/m_list: every step count and Trotter depth must be >= 1")
     for name in ("theta_count", "s_count"):
         if getattr(cfg, name) < 2:
             raise ConfigError(f"{name}: grid counts must be >= 2")
@@ -270,7 +221,6 @@ def validate_config(
 ) -> ExperimentConfig:
     """Parse and validate a key=value config file; unknown keys are errors."""
     cfg = ExperimentConfig()
-    raw = {}
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file {path} does not exist")
@@ -281,14 +231,13 @@ def validate_config(
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in _PARSERS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            parser, attr = _SCHEMA[key]
             try:
-                setattr(cfg, attr, parser(value))
+                setattr(cfg, key, _PARSERS[key](value))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-            raw[key] = value
+            cfg.raw[key] = value
     if experiment is not None:
         if cfg.experiment and cfg.experiment != experiment:
             raise ConfigError(
@@ -301,7 +250,6 @@ def validate_config(
         cfg.seed = seed_override
     if workers_override is not None:
         cfg.workers = workers_override
-    cfg.raw = raw
     return _validate(cfg)
 
 
@@ -436,6 +384,20 @@ def _run_acceptance(cfg: ExperimentConfig, out: Path) -> dict:
     return acceptance.summarize(results)
 
 
+# experiment -> runner; acceptance's runner returns its summary, the others None
+_RUNNERS = {
+    "sweep-theta": _run_sweep_theta,
+    "sweep-s": _run_sweep_s,
+    "grid-km": _run_grid_km,
+    "trotter": _run_trotter,
+    "ptm": _run_ptm,
+    "baselines": _run_baselines,
+    "trajectory": _run_trajectory,
+    "acceptance": _run_acceptance,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+
 def run_config(cfg: ExperimentConfig) -> dict:
     """Execute one experiment and write the results manifest; returns the manifest.
 
@@ -448,20 +410,8 @@ def run_config(cfg: ExperimentConfig) -> dict:
     summary = None
     failure = None
     error = None
-    runner = {
-        "sweep-theta": _run_sweep_theta,
-        "sweep-s": _run_sweep_s,
-        "grid-km": _run_grid_km,
-        "trotter": _run_trotter,
-        "ptm": _run_ptm,
-        "baselines": _run_baselines,
-        "trajectory": _run_trajectory,
-        "acceptance": _run_acceptance,
-    }[cfg.experiment]
     try:
-        result = runner(cfg, out)
-        if cfg.experiment == "acceptance":
-            summary = result
+        summary = _RUNNERS[cfg.experiment](cfg, out)
     except ConfigError:
         raise
     except Exception as exc:  # record the failed stage before propagating
@@ -495,13 +445,11 @@ def run_config(cfg: ExperimentConfig) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="dbac-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", type=Path, default=None)
+    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = validate_config(
@@ -518,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RunError as exc:
         print("runtime error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
-    if cfg.experiment == "acceptance" and manifest["acceptance"]["failed"]:
+    if manifest.get("acceptance", {}).get("failed"):
         return 2
     return 0
 

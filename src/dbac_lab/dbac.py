@@ -240,7 +240,7 @@ def dbac_via_dme(
     r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B), eigenbasis
     states, marginals = [r0], []
     steps = np.array(schedule.s)[:, None]
-    for out, margs in _dme_steps(r0, steps, schedule.m, w, schedule.recursion, noise, keep_marginals=True):
+    for out, margs in _dme_steps(r0, steps, schedule.m, w, schedule.recursion, noise):
         states.append(out)
         marginals.extend(margs)
     planes = np.stack(states + marginals, axis=1)  # (3, k + 1 + n, B)
@@ -339,11 +339,11 @@ def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return np.array([cos * x - sin * y, sin * x + cos * y, z])
 
 
-def _dme_steps(r0, steps, depths, w, recursion, noise=None, keep_marginals=False):
+def _dme_steps(r0, steps, depths, w, recursion, noise=None):
     """DME steps of a (3, B) batch of Bloch planes: yields each step's output
-    and, with ``keep_marginals``, its M_j = ``depths[j]`` instruction
-    marginals.  Depolarizing with probability p scales a Bloch vector by
-    1 - p.  ``partial_swap`` is looked up in this module, so a test can trace it."""
+    and its M_j = ``depths[j]`` instruction marginals.  Depolarizing with
+    probability p scales a Bloch vector by 1 - p.  ``partial_swap`` is looked
+    up in this module, so a test can trace it."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
     t_prev = m_prev = None
@@ -361,8 +361,7 @@ def _dme_steps(r0, steps, depths, w, recursion, noise=None, keep_marginals=False
             sig, marg = partial_swap(instr, sig, coeffs)
             if p2:
                 sig *= 1.0 - p2
-            if keep_marginals:
-                margs.append(marg * (1.0 - p2) if p2 else marg)
+            margs.append(marg * (1.0 - p2) if p2 else marg)
         instr = _rotate_xy(sig, cos, -sin)
         if p1:
             instr *= 1.0 - p1

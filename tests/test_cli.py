@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,55 @@ class TestConfigValidation:
     def test_missing_out_dir(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="out"):
             cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\n"))
+
+
+# key -> (value text, parsed attribute): one row per config key
+_KEY_ROWS = {
+    "experiment": ("ptm", "ptm"),
+    "out": ("results/ptm", "results/ptm"),
+    "seed": ("7", 7),
+    "workers": ("2", 2),
+    "k": ("3", 3),
+    "m": ("exact", None),
+    "s": ("0.25, 0.5", (0.25, 0.5)),
+    "recursion": ("fresh", "fresh"),
+    "theta": ("45deg", np.pi / 4),
+    "theta_start": ("0.5", 0.5),
+    "theta_stop": ("2.5", 2.5),
+    "theta_count": ("5", 5),
+    "s_start": ("0.125", 0.125),
+    "s_stop": ("1.5", 1.5),
+    "s_count": ("8", 8),
+    "k_list": ("2, 4", (2, 4)),
+    "m_list": ("1,exact", (1, None)),
+    "f_target": ("0.75", 0.75),
+    "t": ("0.5", 0.5),
+    "m_max": ("16", 16),
+    "rounds": ("4", 4),
+    "eps0": ("0.25", 0.25),
+    "eps_bath": ("-0.5", -0.5),
+    "x0": ("0.125", 0.125),
+    "phi_list": ("0.5,1", (0.5, 1.0)),
+    "noise_p1": ("0.01", 0.01),
+    "noise_p2": ("0.02", 0.02),
+    "noise_t1_us": ("50", 50.0),
+    "noise_t2_us": ("150", 150.0),
+}
+
+
+class TestEveryKeyParsed:
+    def test_rows_cover_exactly_the_config_fields(self):
+        assert set(_KEY_ROWS) == {f.name for f in fields(cli.ExperimentConfig)} - {"raw"}
+
+    @pytest.mark.parametrize("key", sorted(_KEY_ROWS))
+    def test_value_text_parsed(self, tmp_path, key):
+        text, want = _KEY_ROWS[key]
+        # ptm applies every noise key; t2 needs a t1 of at least half its value
+        lines = {"experiment": "ptm", "out": "out", "noise_t1_us": "100", key: f" {text} "}
+        cfg = cli.validate_config(_write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items())))
+        got = getattr(cfg, key)
+        assert got == (pytest.approx(want, rel=1e-15) if isinstance(want, float) else want)
+        assert type(got) is type(want) and cfg.raw[key] == text
 
 
 class TestRunners:
@@ -189,7 +239,7 @@ class TestRunners:
         def boom(cfg, out):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(cli.run_config.__globals__, "_run_trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(RuntimeError, match="manifest records"):
             cli.run_config(cfg)
@@ -218,7 +268,7 @@ class TestInProcessMain:
         def boom(cfg, out):
             raise ValueError("synthetic\nfailure")
 
-        monkeypatch.setattr(cli, "_run_trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
         assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
@@ -230,7 +280,7 @@ class TestInProcessMain:
         def boom(cfg, out):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_run_trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(cli.RunError) as info:
             cli.run_config(cfg)
@@ -314,6 +364,9 @@ class TestUnusableValuesRejected:
             ("experiment = ptm\nnoise_t1_us = nan\n", False),
             ("experiment = baselines\neps0 = nan\n", False),
             ("experiment = baselines\neps_bath = nan\n", False),
+            ("experiment = grid-km\nk_list = 0\n", False),
+            ("experiment = grid-km\nm_list = 0\n", False),
+            ("experiment = grid-km\nm_list = -2\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):

@@ -671,7 +671,7 @@ class TestDmeStepsOracle:
         noise = NoiseModel(*noise) if noise else None
         outs, margs = [], []
         for out, step_margs in dbac._dme_steps(
-            bloch_planes(rho0), steps, (m,) * k, w, mode, noise, keep_marginals=True
+            bloch_planes(rho0), steps, (m,) * k, w, mode, noise
         ):
             outs.append(density_matrices(out))
             margs.extend(density_matrices(marg) for marg in step_margs)

@@ -165,6 +165,10 @@ class TestTraceDistance:
             qmath.trace_distance(np.diag([np.nan, 1.0]), np.eye(2))
         with pytest.raises(ContractViolationError, match="Hermitian"):
             qmath.trace_distance(np.array([[0.5, 1e-6], [0.0, 0.5]]), np.eye(2) / 2)
+        with pytest.raises(DimensionMismatchError):
+            qmath.trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+        with pytest.raises(DimensionMismatchError):
+            qmath.trace_distance(np.ones((2, 3)), np.zeros((2, 3)))
 
 
 class TestEmbedGate:
