@@ -123,13 +123,23 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ContractViolationError(f"gate {g.kind} has no unitary")
 
 
+def embedded_gates(c: Circuit) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]]]:
+    """The gate unitaries embedded in the register as one (G, 2^n, 2^n) stack in
+    gate order (barriers dropped), and the stack indices of each distinct qubit
+    tuple.  Each tuple's gates are embedded by one stacked `embed_gate` call."""
+    gates = [g for g in c.gates if g.kind != "BARRIER"]
+    groups = {g.qubits: [i for i, h in enumerate(gates) if h.qubits == g.qubits] for g in gates}
+    stack = np.empty((len(gates),) + (2**c.num_qubits,) * 2, dtype=complex)
+    for qubits, idx in groups.items():
+        stack[idx] = qmath.embed_gate([gate_matrix(gates[i]) for i in idx], qubits, c.num_qubits)
+    return stack, groups
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries (barriers contribute nothing)."""
     u = np.eye(2**c.num_qubits, dtype=complex)
-    for g in c.gates:
-        if g.kind == "BARRIER":
-            continue
-        u = qmath.embed_gate(gate_matrix(g), g.qubits, c.num_qubits) @ u
+    for g in embedded_gates(c)[0]:
+        u = g @ u
     return u
 
 

@@ -170,6 +170,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("k: must be >= 1")
     if cfg.m is not None and any(mj < 1 for mj in cfg.m):
         raise ConfigError("m: every Trotter depth must be >= 1")
+    for name in ("k_list", "m_list", "phi_list"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"{name}: give at least one value")
     if any(v is not None and v < 1 for v in cfg.k_list + cfg.m_list):
         raise ConfigError("k_list/m_list: every step count and Trotter depth must be >= 1")
     for name in ("theta_count", "s_count"):

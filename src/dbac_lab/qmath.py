@@ -25,10 +25,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex128 2-D array."""
+def as_complex_matrix(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """Coerce to a finite complex128 array with ndim in `ndims` (a matrix by default)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim not in ndims:
         raise ContractViolationError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.view(float))):
         raise ContractViolationError("matrix contains NaN or Inf entries")
@@ -184,25 +184,20 @@ def swap_operator(d: int = 2) -> np.ndarray:
 def embed_gate(gate, qubits: Sequence[int], n: int) -> np.ndarray:
     """Embed `gate` acting on ordered `qubits` into the n-qubit register.
 
-    Qubit 0 is the most significant bit of the computational index.
+    `gate` is one 2^k x 2^k matrix, or a (B, 2^k, 2^k) stack of them embedded
+    slice by slice into a (B, 2^n, 2^n) stack by one broadcast product and one
+    transpose.  Qubit 0 is the most significant bit of the computational index.
     """
-    g = as_complex_matrix(gate)
+    g = as_complex_matrix(gate, ndims=(2, 3))
     k = len(qubits)
-    if g.shape != (2**k, 2**k):
+    if g.shape[-2:] != (2**k, 2**k):
         raise DimensionMismatchError("gate dimension does not match qubit count")
     if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
         raise ContractViolationError("qubit indices must be distinct and in range")
-    tensor = g.reshape((2,) * (2 * k))
-    full = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
-    # contract gate output legs onto the register axes for the addressed qubits
-    in_axes = tuple(k + i for i in range(k))
-    full = np.tensordot(tensor, full, axes=(in_axes, tuple(qubits)))
-    # tensordot moved gate output legs to the front; restore register order
-    order = []
-    pos = {q: i for i, q in enumerate(qubits)}
-    free = iter(range(k, k + 2 * n - k))
-    for axis in range(n):
-        order.append(pos[axis] if axis in pos else next(free))
-    order += list(range(len(order), 2 * n))
-    full = full.transpose(order)
-    return np.ascontiguousarray(full.reshape(2**n, 2**n))
+    # (B, gate out, rest out, gate in, rest in): each slice is gate (x) identity
+    # with the addressed qubits first, the others after them in register order
+    full = g.reshape(-1, 2**k, 1, 2**k, 1) * np.eye(2 ** (n - k))[:, None, :]
+    wires = list(qubits) + [q for q in range(n) if q not in qubits]
+    perm = [1 + wires.index(q) for q in range(n)]
+    full = full.reshape((-1,) + (2,) * (2 * n)).transpose([0] + perm + [n + p for p in perm])
+    return np.ascontiguousarray(full.reshape(g.shape[:-2] + (2**n, 2**n)))

@@ -7,13 +7,14 @@ Unitary channels give orthogonal PTMs; trace preservation shows up as a first
 row (1, 0, ..., 0).
 
 PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
-:func:`ptm_of_circuit` builds a circuit's PTM gate by gate, each gate's PTM
-from :func:`ptm_of_kraus` (a unitary is one Kraus operator) followed by the
-PTM of the noise on the gate's qubits: diagonal for depolarizing, from the
-Kraus operators for damping and dephasing.  :func:`ptm_of_channel` is the
-black-box route, which probes a channel given as a callable with every Pauli
-string; the tests use it on a dense gate-by-gate channel as the oracle the
-composed PTMs are checked against.
+:func:`ptm_of_circuit` turns a circuit's stack of embedded gates into a stack
+of PTMs in one batched pass (the primitive :func:`ptm_of_kraus` sums), applies
+each qubit set's noise PTM to its gates' slices (diagonal for depolarizing, a
+Kronecker product of one-qubit PTMs for damping and dephasing) and multiplies
+the slices in gate order.  :func:`ptm_of_channel` is the black-box route,
+which probes a channel given as a callable with every Pauli string; the tests
+use it on a dense gate-by-gate channel as the oracle the composed PTMs are
+checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .circuits import Circuit, format_number, gate_matrix
+from .circuits import Circuit, embedded_gates, format_number
 from .errors import ContractViolationError, DimensionMismatchError
 
 PAULI_LABELS_1Q = "IXYZ"
@@ -96,23 +97,26 @@ def ptm_of_channel(ch: Callable[[np.ndarray], np.ndarray], n: int) -> PTM:
     return _ptm((rows.conj() @ images.T).real / 2**n, n)
 
 
-def ptm_of_kraus(kraus: Sequence[np.ndarray], n: int) -> PTM:
-    """PTM of rho -> sum_K K rho K^dag on n <= 2 qubits; a unitary is a single
-    Kraus operator.
-
-    R_ij = sum_K Tr[P_i K P_j K^dag] / 2^n, taken through the superoperator
-    S = sum_K K (x) conj(K), which maps the row-major flattening of rho to that
-    of the channel's output: R = conj(B) S B^T / 2^n, with B the Pauli basis
-    flattened to rows.
-    """
+def _transfer(ops: np.ndarray, n: int) -> np.ndarray:
+    """The (G, 4^n, 4^n) PTMs R_ij = Tr[P_i K P_j K^dag] / 2^n of rho -> K rho K^dag
+    for each K of a (G, 2^n, 2^n) stack: one einsum builds every superoperator
+    S = K (x) conj(K), which maps the row-major flattening of rho to that of the
+    output, and R = conj(B) S B^T / 2^n, with B the Pauli basis flattened to rows."""
     basis = _pauli_basis(n)
     d = basis.shape[1]
+    sup = np.einsum("gab,gcd->gacbd", ops, ops.conj()).reshape(len(ops), d * d, d * d)
+    rows = basis.reshape(len(basis), -1)
+    return (rows.conj() @ sup @ rows.T).real / d
+
+
+def ptm_of_kraus(kraus: Sequence[np.ndarray], n: int) -> PTM:
+    """PTM of rho -> sum_K K rho K^dag on n <= 2 qubits, the sum of the Kraus
+    operators' stacked PTMs; a unitary is a single Kraus operator."""
+    d = _pauli_basis(n).shape[1]
     k = np.asarray(kraus, dtype=complex)
     if k.ndim != 3 or k.shape[1:] != (d, d):
         raise DimensionMismatchError(f"Kraus operators on {n} qubit(s) must be {d}x{d}")
-    sup = np.einsum("kab,kcd->acbd", k, k.conj()).reshape(d * d, d * d)
-    rows = basis.reshape(len(basis), -1)
-    return _ptm((rows.conj() @ sup @ rows.T).real / d, n)
+    return _ptm(_transfer(k, n).sum(axis=0), n)
 
 
 @dataclass(frozen=True)
@@ -176,28 +180,25 @@ def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray
     r = np.diag([1.0 if all(lb[q] == "I" for q in qubits) else 1.0 - p for lb in pauli_labels(n)])
     if noise.t1_us is not None:
         dt = noise.gate_time_2q_us if two_qubit else noise.gate_time_1q_us
-        kraus = _damping_kraus(noise, dt)
-        for q in qubits:
-            r = ptm_of_kraus([qmath.embed_gate(k, (q,), n) for k in kraus], n).r @ r
+        damp = _transfer(np.array(_damping_kraus(noise, dt)), 1).sum(axis=0)
+        # the PTM of a product channel is the Kronecker product, qubit 0 first
+        r = functools.reduce(np.kron, [damp if q in qubits else np.eye(4) for q in range(n)]) @ r
     return r
 
 
 def ptm_of_circuit(c: Circuit, noise: Optional[NoiseModel] = None) -> PTM:
-    """Product of the gates' PTMs in gate order, each followed by the PTM of
-    the noise on the gate's qubits when `noise` is enabled.  The noise PTM
-    depends only on those qubits, so it is built once per distinct qubit set."""
+    """Product of the gates' PTMs, built as one stack, in gate order, each
+    followed by the PTM of the noise on the gate's qubits when `noise` is
+    enabled: built once per distinct qubit set, applied by one stacked matmul."""
     n = c.num_qubits
-    noisy = noise is not None and noise.enabled
     r = np.eye(len(_pauli_basis(n)))  # which rejects n > 2, even for an empty circuit
-    noise_ptms = {}
-    for g in c.gates:
-        if g.kind == "BARRIER":
-            continue
-        r = ptm_of_kraus([qmath.embed_gate(gate_matrix(g), g.qubits, n)], n).r @ r
-        if noisy:
-            if g.qubits not in noise_ptms:
-                noise_ptms[g.qubits] = _noise_ptm(noise, g.qubits, n)
-            r = noise_ptms[g.qubits] @ r
+    ops, groups = embedded_gates(c)
+    stack = _transfer(ops, n)
+    if noise is not None and noise.enabled:
+        for qubits, idx in groups.items():
+            stack[idx] = _noise_ptm(noise, qubits, n) @ stack[idx]
+    for g in stack:
+        r = g @ r
     return _ptm(r, n)
 
 
@@ -215,6 +216,6 @@ def ptm_to_csv(ptm: PTM) -> str:
     """Row-major CSV with a basis-label header column; 12 significant digits."""
     labels = pauli_labels(ptm.n_qubits)
     lines = ["basis," + ",".join(labels)]
-    for i, lb in enumerate(labels):
-        lines.append(lb + "," + ",".join(format_number(v) for v in ptm.r[i]))
+    for lb, row in zip(labels, ptm.r.tolist()):
+        lines.append(lb + "," + ",".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"

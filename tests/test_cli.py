@@ -367,6 +367,10 @@ class TestUnusableValuesRejected:
             ("experiment = grid-km\nk_list = 0\n", False),
             ("experiment = grid-km\nm_list = 0\n", False),
             ("experiment = grid-km\nm_list = -2\n", False),
+            # an empty list ran and emitted nothing: a header-only grid_km.csv or `[]`
+            ("experiment = grid-km\nk_list =\n", False),
+            ("experiment = grid-km\nm_list = ,\n", False),
+            ("experiment = ptm\nphi_list = ,\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,31 @@ class TestEmbedGate:
         dim = 2 ** len(qubits)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert np.abs(qmath.embed_gate(g, qubits, n) - self._oracle(g, qubits, n)).max() < 1e-14
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+    def test_stack_against_index_oracle(self, rng, n, k):
+        # every ordered qubit tuple, reversed ones included, slice by slice
+        dim = 2**k
+        for qubits in itertools.permutations(range(n), k):
+            gates = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+            got = qmath.embed_gate(gates, qubits, n)
+            assert got.shape == (2, 2**n, 2**n)
+            for g, u in zip(gates, got):
+                assert np.abs(u - self._oracle(g, qubits, n)).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "single, stack, qubits, error, message",
+        [
+            ([[1, np.nan], [0, 1]], [np.eye(2), [[1, np.nan], [0, 1]]], (0,), ContractViolationError, "NaN or Inf"),
+            ([[1, 0], [np.inf, 1]], [[[1, 0], [np.inf, 1]], np.eye(2)], (1,), ContractViolationError, "NaN or Inf"),
+            (np.eye(4), [np.eye(4)] * 3, (0,), DimensionMismatchError, "gate dimension"),
+            (np.eye(2), [np.eye(2)] * 3, (0, 1), DimensionMismatchError, "gate dimension"),
+            # a stack of ndim 4 is rejected as a vector is
+            (np.ones(2), np.ones((2, 1, 2, 2)), (0,), ContractViolationError, "expected a matrix"),
+        ],
+        ids=["nan", "inf", "gate_too_big", "gate_too_small", "ndim"],
+    )
+    def test_stack_rejected_like_single(self, single, stack, qubits, error, message):
+        for gate in (single, stack):
+            with pytest.raises(error, match=message):
+                qmath.embed_gate(gate, qubits, 2)

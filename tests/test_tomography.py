@@ -232,6 +232,24 @@ class TestComposedPtm:
         want = ptm_of_channel(dense_channel(c, noise), 2).r
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_one_embed_per_qubit_set(self, monkeypatch, noisy):
+        embedded = []
+        embed_gate = qmath.embed_gate
+
+        def counting(gate, qubits, n):
+            embedded.append(tuple(qubits))
+            return embed_gate(gate, qubits, n)
+
+        monkeypatch.setattr(qmath, "embed_gate", counting)
+        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES) if noisy else None
+        c = compile_udme_native(0.6)
+        got = ptm_of_circuit(c, noise).r
+        assert sorted(embedded) == [(0,), (0, 1), (1,)]
+        monkeypatch.undo()
+        want = ptm_of_channel(dense_channel(c, noise), 2).r
+        assert np.abs(got - want).max() < 1e-12
+
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
     def test_depolarizing_is_diagonal(self, p):
         idle = Circuit(2, (Gate("RZ", (0.0,), (1,)),))
