@@ -11,7 +11,6 @@ weakened.
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from dataclasses import asdict, dataclass
@@ -335,6 +334,3 @@ def summarize(results: list[CriterionResult]) -> dict:
         "results": [asdict(r) for r in results],
     }
 
-
-def to_json(results: list[CriterionResult]) -> str:
-    return json.dumps(summarize(results), indent=2) + "\n"

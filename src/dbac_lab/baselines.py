@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -31,24 +31,6 @@ class PolarizedQubit:
 
     def density(self) -> DensityMatrix:
         return thermal_qubit(self.eps)
-
-
-@dataclass(frozen=True)
-class MixednessState:
-    """rho = (1 - x) |psi><psi| + x I/2 with mixedness parameter x in [0, 1)."""
-
-    x: float
-    psi: PureState
-
-    def __post_init__(self):
-        if not 0.0 <= self.x < 1.0:
-            raise ContractViolationError("mixedness must lie in [0, 1)")
-        if self.psi.num_qubits != 1:
-            raise DimensionMismatchError("mixedness states are single-qubit here")
-
-    def density(self) -> DensityMatrix:
-        proj = np.outer(self.psi.amplitudes, self.psi.amplitudes.conj())
-        return DensityMatrix((1.0 - self.x) * proj + 0.5 * self.x * qmath.I2)
 
 
 def thermal_qubit(eps: float) -> DensityMatrix:

@@ -265,51 +265,6 @@ def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
     return Circuit(c.num_qubits, gates, label=c.label)
 
 
-# --- serialization: one gate per line, `KIND [angle] [qubit [qubit]]` ---------
-
-
-def format_number(value) -> str:
-    """A number as every emitted file writes it: integers and strings as they
-    are, anything else as a float to 12 significant digits."""
-    if isinstance(value, float):  # the common case, np.float64 included
-        return f"{value:.12g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.12g}"
-
-
-def serialize_circuit(c: Circuit) -> str:
-    lines = [f"CIRCUIT {c.num_qubits} {c.label}".rstrip()]
-    for g in c.gates:
-        parts = [g.kind] + [format_number(p) for p in g.params] + [str(q) for q in g.qubits]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> Circuit:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("CIRCUIT"):
-        raise ContractViolationError("circuit text must start with a CIRCUIT header line")
-    head = lines[0].split(maxsplit=2)
-    num_qubits = int(head[1])
-    label = head[2] if len(head) > 2 else ""
-    gates = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        kind = tokens[0]
-        if kind not in _ARITY:
-            raise ContractViolationError(f"unknown gate kind {kind!r} in line {ln!r}")
-        nparam, nqubit = _ARITY[kind]
-        if len(tokens) != 1 + nparam + nqubit:
-            raise ContractViolationError(f"malformed gate line {ln!r}")
-        params = tuple(float(tok) for tok in tokens[1 : 1 + nparam])
-        qubits = tuple(int(tok) for tok in tokens[1 + nparam :])
-        gates.append(Gate(kind, params, qubits))
-    return Circuit(num_qubits, tuple(gates), label=label)
-
-
 # --- Stark-drive interaction-rate model ---------------------------------------
 
 

@@ -8,12 +8,14 @@ trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, and noise keys the experiment does not apply,
 are rejected.  Each config key is declared once, as an `ExperimentConfig`
 field carrying its default and its parser.  Angles are finite, in radians
-unless the value carries a `deg` suffix.  Every run writes
-`results_manifest.json` with a sha256 checksum per emitted file; identical
-config and seed give byte-identical output.  Exit codes: 0 success, 1 config
-error, 2 acceptance failure, 3 runtime failure (the experiment raised after
-its config was accepted; a one-line `runtime error: ...` goes to stderr and
-the manifest records the failed stage).
+unless the value carries a `deg` suffix.  Runners return their tables and
+`run_config` alone writes them: one writer formats every table at 12
+significant digits, and `results_manifest.json` lists exactly the files this
+run wrote, each with its sha256 checksum; identical config and seed give
+byte-identical output.  Exit codes: 0 success, 1 config error, 2 acceptance
+failure, 3 runtime failure (the experiment raised after its config was
+accepted; a one-line `runtime error: ...` goes to stderr, the manifest records
+the failed stage, and a run whose runner raised emits only that manifest).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -23,6 +25,7 @@ where it pays (sweep-theta simulates all its angles as one batch).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import __version__, acceptance
 from .baselines import PolarizedQubit, cem_round_closed, hbac_step
-from .circuits import compile_udme_native, format_number
+from .circuits import compile_udme_native
 from .dbac import (
     DbacSchedule,
     basin_min_fidelity,
@@ -49,7 +52,7 @@ from .dme import dme_errors
 from .errors import ContractViolationError
 from .qmath import herm_expm, swap_operator
 from .states import rx_init
-from .tomography import NoiseModel, process_fidelity, ptm_of_circuit, ptm_of_kraus, ptm_to_csv
+from .tomography import NoiseModel, pauli_labels, process_fidelity, ptm_of_circuit, ptm_of_kraus
 
 _PI = float(np.pi)
 
@@ -257,23 +260,10 @@ def validate_config(
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# experiment runners: each writes files into `out` and may return a summary
+# experiment runners: each returns {file name: payload} and touches no file; a
+# `.csv` payload is (header, rows), a `.json` payload the object to dump.  The
+# one writer, run_config, formats every table at 12 significant digits, and its
+# manifest lists exactly the files this run wrote: none if the runner raised.
 # ---------------------------------------------------------------------------
 
 
@@ -284,28 +274,28 @@ def _analytic_energy_chain(theta: float, s: Sequence[float]) -> float:
     return e
 
 
-def _run_sweep_theta(cfg: ExperimentConfig, out: Path) -> None:
+def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     schedule = cfg.schedule()
     thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
     records = dbac_via_dme(thetas, schedule, cfg.noise())
     n_instr = sum(schedule.m)
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
-    rows = [
+    rows = np.array([
         [theta, rec.energies[-1], *rec.instruction_energies, _analytic_energy_chain(theta, schedule.s)]
         for theta, rec in zip(thetas.tolist(), records)
-    ]
-    _write_csv(out / "sweep_theta.csv", header, rows)
+    ])
+    return {"sweep_theta.csv": (header, rows)}
 
 
-def _run_sweep_s(cfg: ExperimentConfig, out: Path) -> None:
+def _run_sweep_s(cfg: ExperimentConfig) -> dict:
     thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
     svals = np.linspace(cfg.s_start, cfg.s_stop, cfg.s_count)
     fids = final_fidelities_over_s(thetas, cfg.k, cfg.m[0], svals, cfg.recursion)
     rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
-    _write_csv(out / "sweep_s.csv", ["theta", "s", "F_final"], rows.tolist())
+    return {"sweep_s.csv": (["theta", "s", "F_final"], rows)}
 
 
-def _run_grid_km(cfg: ExperimentConfig, out: Path) -> None:
+def _run_grid_km(cfg: ExperimentConfig) -> dict:
     e0_ref = -float(np.cos(cfg.theta))
     rows = []
     for k in cfg.k_list:
@@ -313,10 +303,10 @@ def _run_grid_km(cfg: ExperimentConfig, out: Path) -> None:
             s_opt = optimal_step(e0_ref, k, m, cfg.recursion)
             basin = basin_min_fidelity(k, m, cfg.f_target, cfg.recursion)
             rows.append([k, "exact" if m is None else m, s_opt, basin.f0_min])
-    _write_csv(out / "grid_km.csv", ["k", "M", "s_opt", "F_min_basin"], rows)
+    return {"grid_km.csv": (["k", "M", "s_opt", "F_min_basin"], rows)}
 
 
-def _run_trotter(cfg: ExperimentConfig, out: Path) -> None:
+def _run_trotter(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
@@ -326,32 +316,39 @@ def _run_trotter(cfg: ExperimentConfig, out: Path) -> None:
     sigma /= np.trace(sigma).real
     ms = np.arange(1, cfg.m_max + 1)
     rows = [[cfg.t, m, err] for m, err in zip(ms, dme_errors(rho, sigma, cfg.t, ms))]
-    _write_csv(out / "trotter.csv", ["t", "M", "error"], rows)
+    return {"trotter.csv": (["t", "M", "error"], rows)}
 
 
-def _run_ptm(cfg: ExperimentConfig, out: Path) -> None:
+def _ptm_table(ptm) -> tuple:
+    """A PTM as a CSV payload: row-major, with a basis-label column."""
+    labels = pauli_labels(ptm.n_qubits)
+    return ["basis", *labels], [[lb, *row] for lb, row in zip(labels, ptm.r.tolist())]
+
+
+def _run_ptm(cfg: ExperimentConfig) -> dict:
     noise = cfg.noise()
-    summary = []
+    files, summary = {}, []
     for i, phi in enumerate(cfg.phi_list):
         r_ideal = ptm_of_kraus([herm_expm(swap_operator(2), -1j * phi)], 2)
         circuit = compile_udme_native(phi)
         r_compiled = ptm_of_circuit(circuit)
-        (out / f"ptm_analytic_{i}.csv").write_text(ptm_to_csv(r_ideal))
-        (out / f"ptm_compiled_{i}.csv").write_text(ptm_to_csv(r_compiled))
+        files[f"ptm_analytic_{i}.csv"] = _ptm_table(r_ideal)
+        files[f"ptm_compiled_{i}.csv"] = _ptm_table(r_compiled)
         entry = {"phi": float(phi), **{
             f"{key}_noiseless": val for key, val in process_fidelity(r_ideal, r_compiled).items()
         }}
         if noise is not None:
             r_noisy = ptm_of_circuit(circuit, noise)
-            (out / f"ptm_noisy_{i}.csv").write_text(ptm_to_csv(r_noisy))
+            files[f"ptm_noisy_{i}.csv"] = _ptm_table(r_noisy)
             entry.update(
                 {f"{key}_noisy": val for key, val in process_fidelity(r_ideal, r_noisy).items()}
             )
         summary.append(entry)
-    (out / "ptm_fidelities.json").write_text(json.dumps(summary, indent=2) + "\n")
+    files["ptm_fidelities.json"] = summary
+    return files
 
 
-def _run_baselines(cfg: ExperimentConfig, out: Path) -> None:
+def _run_baselines(cfg: ExperimentConfig) -> dict:
     rows = []
     reg = [PolarizedQubit(cfg.eps0)] * 3
     rows.append([0, "hbac", "target_polarization", reg[0].eps])
@@ -365,29 +362,27 @@ def _run_baselines(cfg: ExperimentConfig, out: Path) -> None:
         x = step["x_next"]
         rows.append([r, "cem", "mixedness", x])
         rows.append([r, "cem", "p_success", step["p_success"]])
-    _write_csv(out / "baselines.csv", ["round", "protocol", "metric", "value"], rows)
+    return {"baselines.csv": (["round", "protocol", "metric", "value"], rows)}
 
 
-def _run_trajectory(cfg: ExperimentConfig, out: Path) -> None:
+def _run_trajectory(cfg: ExperimentConfig) -> dict:
     schedule = cfg.schedule()
     if schedule.m is None:
         rec = dbac_recursive_exact(rx_init(cfg.theta), schedule)
     else:
         rec = dbac_via_dme(cfg.theta, schedule, cfg.noise())
     rows = [[i, b.x, b.y, b.z] for i, b in enumerate(rec.trajectory)]
-    _write_csv(out / "trajectory.csv", ["step", "x", "y", "z"], rows)
+    return {"trajectory.csv": (["step", "x", "y", "z"], rows)}
 
 
-def _run_acceptance(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_acceptance(cfg: ExperimentConfig) -> dict:
     results = acceptance.run_all()
-    (out / "acceptance.json").write_text(acceptance.to_json(results))
     for r in results:
         status = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")
         print(f"{status:>15}  criterion {r.cid}: {r.name}  [{r.detail}]")
-    return acceptance.summarize(results)
+    return {"acceptance.json": acceptance.summarize(results)}
 
 
-# experiment -> runner; acceptance's runner returns its summary, the others None
 _RUNNERS = {
     "sweep-theta": _run_sweep_theta,
     "sweep-s": _run_sweep_s,
@@ -401,30 +396,54 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def run_config(cfg: ExperimentConfig) -> dict:
-    """Execute one experiment and write the results manifest; returns the manifest.
+@functools.cache
+def _row_format(kinds: tuple) -> str:
+    """The `%` format of a row of these types: ints and strings as they are,
+    floats (np.float64 included) to 12 significant digits."""
+    return ",".join("%s" if issubclass(k, (int, np.integer, str)) else "%.12g" for k in kinds) + "\n"
 
-    A failure mid-experiment still writes a manifest recording the failed stage
-    and whatever files were emitted, then re-raises.
+
+def _render(name: str, payload) -> bytes:
+    """A payload as its file's bytes: a `.json` object dumped with indent 2, or
+    a `.csv` table.  A float array of rows is formatted in one operation over
+    the whole table, any other rows with one `%` format per row type."""
+    if name.endswith(".json"):
+        return (json.dumps(payload, indent=2) + "\n").encode()
+    header, rows = payload
+    if isinstance(rows, np.ndarray):
+        body = (",".join(["%.12g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(_row_format(tuple(map(type, row))) % tuple(row) for row in rows)
+    return (",".join(header) + "\n" + body).encode()
+
+
+def run_config(cfg: ExperimentConfig) -> dict:
+    """Execute one experiment, write its files and the results manifest;
+    returns the manifest.
+
+    The one writer: each payload the runner returns is rendered once (every
+    table at 12 significant digits), written once and hashed from the bytes
+    written, so the manifest lists exactly the files this run wrote; older
+    files in `out` are left alone, unlisted.  If the runner raises, only the
+    manifest is written, recording the failed stage; if writing fails, it
+    lists the files already written.  Either way the error is then re-raised
+    as RunError.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    summary = None
-    failure = None
-    error = None
+    payloads, files, error = {}, {}, None
     try:
-        summary = _RUNNERS[cfg.experiment](cfg, out)
+        payloads = _RUNNERS[cfg.experiment](cfg)
+        for name in sorted(payloads):
+            data = _render(name, payloads[name])
+            (out / name).write_bytes(data)
+            files[name] = hashlib.sha256(data).hexdigest()
     except ConfigError:
         raise
     except Exception as exc:  # record the failed stage before propagating
         error = exc
-        failure = f"{type(exc).__name__}: {exc}"
-    files = {
-        p.name: _sha256(p)
-        for p in sorted(out.iterdir())
-        if p.is_file() and p.name != "results_manifest.json"
-    }
+    failure = None if error is None else f"{type(error).__name__}: {error}"
     manifest = {
         "tool": "dbac-lab",
         "version": __version__,
@@ -436,11 +455,12 @@ def run_config(cfg: ExperimentConfig) -> dict:
     }
     if failure is not None:
         manifest["failed_stage"] = {"experiment": cfg.experiment, "error": failure}
-    if summary is not None:
+    if "acceptance.json" in payloads:
+        summary = payloads["acceptance.json"]
         manifest["acceptance"] = {
             key: summary[key] for key in ("total", "passed", "failed", "expected_failures", "unexpected_failures")
         }
-    (out / "results_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / "results_manifest.json").write_bytes(_render("results_manifest.json", manifest))
     if failure is not None:
         raise RunError(f"experiment failed; manifest records the stage: {failure}") from error
     return manifest

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .circuits import Circuit, embedded_gates, format_number
+from .circuits import Circuit, embedded_gates
 from .errors import ContractViolationError, DimensionMismatchError
 
 PAULI_LABELS_1Q = "IXYZ"
@@ -211,11 +211,3 @@ def process_fidelity(r_ideal: PTM, r: PTM) -> dict[str, float]:
     f_avg = (d * f_pro + 1.0) / (d + 1.0)
     return {"f_pro": f_pro, "f_avg": f_avg}
 
-
-def ptm_to_csv(ptm: PTM) -> str:
-    """Row-major CSV with a basis-label header column; 12 significant digits."""
-    labels = pauli_labels(ptm.n_qubits)
-    lines = ["basis," + ",".join(labels)]
-    for lb, row in zip(labels, ptm.r.tolist()):
-        lines.append(lb + "," + ",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"

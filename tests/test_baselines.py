@@ -3,7 +3,6 @@ import pytest
 
 from dbac_lab import qmath
 from dbac_lab.baselines import (
-    MixednessState,
     PolarizedQubit,
     cem_round_closed,
     cem_round_simulated,
@@ -149,7 +148,8 @@ class TestCemClosed:
 class TestCemSimulated:
     def _state(self, x, psi=None):
         psi = psi or PureState.from_vector(np.array([0.6, 0.8j]))
-        return MixednessState(x, psi).density()
+        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return DensityMatrix((1.0 - x) * proj + 0.5 * x * qmath.I2)
 
     def test_pure_state_passes_through(self):
         psi = rx_init(1.1)

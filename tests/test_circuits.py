@@ -16,10 +16,8 @@ from dbac_lab.circuits import (
     compile_udme_hs,
     compile_udme_native,
     gate_matrix,
-    parse_circuit,
     perturb_rzz,
     rzz_matrix,
-    serialize_circuit,
     sizzle_zz_rate,
 )
 from dbac_lab.dbac import DbacSchedule, dbac_energy_analytic, dbac_via_dme
@@ -208,30 +206,6 @@ class TestPerturbRzz:
                 assert g1.params[0] == pytest.approx(g0.params[0] + 0.2)
             else:
                 assert g0 == g1
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        c = build_circuit("C", 1.234567, np.pi / 4)
-        text = serialize_circuit(c)
-        parsed = parse_circuit(text)
-        assert serialize_circuit(parsed) == text
-        assert parsed.num_qubits == c.num_qubits
-        # angles carry 12 significant digits, so unitaries agree to ~1e-10
-        assert qmath.dist_up_to_global_phase(circuit_unitary(parsed), circuit_unitary(c)) < 1e-9
-
-    def test_format_shape(self):
-        text = serialize_circuit(Circuit(2, (Gate("RZZ", (np.pi / 4,), (0, 1)), Gate("H", (), (0,)))))
-        lines = text.splitlines()
-        assert lines[0].startswith("CIRCUIT 2")
-        assert lines[1] == "RZZ 0.785398163397 0 1"
-        assert lines[2] == "H 0"
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ContractViolationError):
-            parse_circuit("CIRCUIT 2\nWIBBLE 0\n")
-        with pytest.raises(ContractViolationError):
-            parse_circuit("H 0\n")
 
 
 class TestGateValidation:

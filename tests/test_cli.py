@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,7 +237,7 @@ class TestRunners:
         assert "cem,p_success" in text
 
     def test_failed_stage_recorded_in_manifest(self, tmp_path, monkeypatch):
-        def boom(cfg, out):
+        def boom(cfg):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
@@ -245,6 +246,31 @@ class TestRunners:
             cli.run_config(cfg)
         manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
         assert manifest["failed_stage"]["error"] == "RuntimeError: synthetic failure"
+
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        # a 1-angle run into a directory holding a 4-angle run's files
+        out = tmp_path / "out"
+        cli.run_config(cli.validate_config(None, experiment="ptm", out_override=out))
+        cfg = cli.validate_config(
+            _write_cfg(tmp_path, "experiment = ptm\nphi_list = 0.3\n"), out_override=out
+        )
+        manifest = cli.run_config(cfg)
+        assert list(manifest["files"]) == ["ptm_analytic_0.csv", "ptm_compiled_0.csv", "ptm_fidelities.json"]
+        assert (out / "ptm_analytic_3.csv").exists()  # the earlier run's files are left alone
+
+    def test_failed_run_lists_no_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
+
+        def boom(cfg):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
+        with pytest.raises(cli.RunError):
+            cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
+        manifest = json.loads((out / "results_manifest.json").read_text())
+        assert manifest["files"] == {} and "failed_stage" in manifest
+        assert (out / "trotter.csv").exists()
 
     def test_grid_km_with_exact(self, tmp_path):
         cfg = cli.validate_config(
@@ -257,6 +283,21 @@ class TestRunners:
         assert rows[1].startswith("1,1,") and rows[2].startswith("1,exact,")
 
 
+# values whose text the writer must give exactly as f"{v:.12g}" (floats) or str(v)
+_CELLS = [0.0, -0.0, 1e-17, 5e-324, 1e22, float("nan"), float("inf"), float("-inf"),
+          0.9999999999999998, np.float64(np.pi), np.int32(-7), np.int64(2**40), 3, "exact"]
+
+
+class TestWriter:
+    @pytest.mark.parametrize("v", _CELLS, ids=lambda v: f"{type(v).__name__}({v})")
+    def test_cell_text(self, v):
+        want = str(v) if isinstance(v, (int, np.integer, str)) else f"{v:.12g}"
+        expected = f"a,b\n{want},{want}\n".encode()
+        assert cli._render("t.csv", (["a", "b"], [[v, v]])) == expected
+        if isinstance(v, float):  # a float array takes the whole-table format
+            assert cli._render("t.csv", (["a", "b"], np.array([[v, v]]))) == expected
+
+
 class TestInProcessMain:
     def test_long_dme_chain_trajectory_exits_zero(self, tmp_path):
         cfg = _write_cfg(tmp_path, "experiment = trajectory\ntheta = 2.0\nk = 6\nm = 8\ns = 0.8\n")
@@ -265,7 +306,7 @@ class TestInProcessMain:
         assert len(rows) == 8  # header + k+1 states
 
     def test_exit_three_on_runtime_failure(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, out):
+        def boom(cfg):
             raise ValueError("synthetic\nfailure")
 
         monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
@@ -276,8 +317,19 @@ class TestInProcessMain:
         manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
         assert manifest["failed_stage"]["error"] == "ValueError: synthetic\nfailure"
 
+    def test_write_failure_lists_files_written(self, tmp_path, monkeypatch):
+        # b.csv's payload cannot be rendered; a.csv was already written
+        def half(cfg):
+            return {"a.csv": (["x"], [[1.5]]), "b.csv": None}
+
+        monkeypatch.setitem(cli._RUNNERS, "trotter", half)
+        assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
+        manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
+        assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1.5\n").hexdigest()}
+        assert manifest["failed_stage"]["error"].startswith("TypeError: ")
+
     def test_runtime_failure_chains_its_cause(self, tmp_path, monkeypatch):
-        def boom(cfg, out):
+        def boom(cfg):
             raise ValueError("synthetic failure")
 
         monkeypatch.setitem(cli._RUNNERS, "trotter", boom)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbac_lab import qmath, tomography
+from dbac_lab import cli, qmath, tomography
 from dbac_lab.circuits import GATE_KINDS, Circuit, Gate, compile_swap3, compile_udme_native, gate_matrix
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.tomography import (
@@ -17,7 +17,6 @@ from dbac_lab.tomography import (
     ptm_of_channel,
     ptm_of_circuit,
     ptm_of_kraus,
-    ptm_to_csv,
 )
 
 from conftest import random_unitary
@@ -315,17 +314,22 @@ class TestProcessFidelity:
 
 
 class TestCsvExport:
+    # a PTM file as the ptm runner emits it: its table, rendered by the one writer
+    @staticmethod
+    def _csv(ptm):
+        return cli._render("ptm.csv", cli._ptm_table(ptm)).decode()
+
     def test_identity_golden(self):
         ptm = ptm_of_channel(lambda rho: rho, 1)
-        assert ptm_to_csv(ptm) == IDENTITY_1Q_CSV
+        assert self._csv(ptm) == IDENTITY_1Q_CSV
 
     def test_byte_stable(self):
         c = Circuit(1, (Gate("RX", (np.pi / 2,), (0,)),))
-        assert ptm_to_csv(ptm_of_circuit(c)) == ptm_to_csv(ptm_of_circuit(c))
+        assert self._csv(ptm_of_circuit(c)) == self._csv(ptm_of_circuit(c))
 
     def test_header_width(self):
         ptm = ptm_of_circuit(compile_udme_native(np.pi / 8))
-        lines = ptm_to_csv(ptm).splitlines()
+        lines = self._csv(ptm).splitlines()
         assert len(lines) == 17
         assert all(len(line.split(",")) == 17 for line in lines)
 
