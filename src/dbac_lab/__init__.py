@@ -41,6 +41,7 @@ from .dme import (  # noqa: F401
     partial_swap,
     reflector,
     swap_coefficients,
+    swap_operands,
 )
 from .states import (  # noqa: F401
     BlochVector,

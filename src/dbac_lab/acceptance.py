@@ -1,6 +1,9 @@
 """Acceptance suite: ten numbered criteria with pinned tolerances.
 
 Each criterion runs standalone and reports pass/fail with a detail string.
+Criteria 1 and 3 also bound their own wall time.  Runtimes vary between runs,
+so they stay out of the summary that `acceptance.json` holds (identical runs
+write identical bytes); the CLI puts them in the run's manifest.
 Criterion 5 carries one sub-check (5d) that the implemented protocol family
 cannot satisfy: six exact-reflector steps with an optimized common step size
 top out near ground fidelity 0.63 when starting one degree away from the
@@ -92,7 +95,7 @@ def criterion_1() -> CriterionResult:
     ok = worst <= 1e-9 and elapsed < 2.0
     return _result(
         "1", "energy-law oracle equivalence", ok,
-        f"max |formula - brute force| = {worst:.3e} (tol 1e-9), runtime {elapsed:.2f}s (< 2s)", t0,
+        f"max |formula - brute force| = {worst:.3e} (tol 1e-9), runtime < 2s: {elapsed < 2.0}", t0,
     )
 
 
@@ -127,7 +130,7 @@ def criterion_3() -> CriterionResult:
     ok = -1.2 <= slope <= -0.8 and elapsed < 1.0
     return _result(
         "3", "trotter error scaling", ok,
-        f"slope {slope:.4f} (window [-1.2, -0.8]), runtime {elapsed:.2f}s (< 1s)", t0,
+        f"slope {slope:.4f} (window [-1.2, -0.8]), runtime < 1s: {elapsed < 1.0}", t0,
     )
 
 
@@ -325,12 +328,13 @@ def run_all() -> list[CriterionResult]:
 
 
 def summarize(results: list[CriterionResult]) -> dict:
+    """The verdicts, without runtimes: equal verdicts give an equal summary."""
     return {
         "total": len(results),
         "passed": sum(r.passed for r in results),
         "failed": [r.cid for r in results if not r.passed],
         "expected_failures": [r.cid for r in results if not r.passed and r.expected_failure],
         "unexpected_failures": [r.cid for r in results if not r.passed and not r.expected_failure],
-        "results": [asdict(r) for r in results],
+        "results": [{k: v for k, v in asdict(r).items() if k != "runtime_s"} for r in results],
     }
 

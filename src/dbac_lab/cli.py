@@ -41,8 +41,9 @@ from .baselines import PolarizedQubit, cem_round_closed, hbac_step
 from .circuits import compile_udme_native
 from .dbac import (
     DbacSchedule,
+    _energy_law,
+    _law_terms,
     basin_min_fidelity,
-    dbac_energy_analytic,
     dbac_recursive_exact,
     dbac_via_dme,
     final_fidelities_over_s,
@@ -261,16 +262,22 @@ def validate_config(
 
 # ---------------------------------------------------------------------------
 # experiment runners: each returns {file name: payload} and touches no file; a
-# `.csv` payload is (header, rows), a `.json` payload the object to dump.  The
-# one writer, run_config, formats every table at 12 significant digits, and its
-# manifest lists exactly the files this run wrote: none if the runner raised.
+# `.csv` payload is (header, rows), a `.json` payload the object to dump.  A
+# runner may also return fields of its own for the manifest, under the
+# manifest's file name, _MANIFEST.  The one writer, run_config, formats every
+# table at 12 significant digits, and its manifest lists exactly the files
+# this run wrote: none if the runner raised.
 # ---------------------------------------------------------------------------
 
+_MANIFEST = "results_manifest.json"
 
-def _analytic_energy_chain(theta: float, s: Sequence[float]) -> float:
-    e = -float(np.cos(theta))
+
+def _analytic_energy_chain(thetas: np.ndarray, s: Sequence[float]) -> np.ndarray:
+    """The closed-form energy law's E_k from each angle of ``thetas``, one
+    vectorized law step per step size."""
+    e = -np.cos(thetas)
     for sj in s:
-        e = dbac_energy_analytic(e, sj)
+        e = _energy_law(e, *_law_terms(sj))
     return e
 
 
@@ -280,9 +287,9 @@ def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     records = dbac_via_dme(thetas, schedule, cfg.noise())
     n_instr = sum(schedule.m)
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
-    rows = np.array([
-        [theta, rec.energies[-1], *rec.instruction_energies, _analytic_energy_chain(theta, schedule.s)]
-        for theta, rec in zip(thetas.tolist(), records)
+    rows = np.column_stack([
+        [[theta, rec.energies[-1], *rec.instruction_energies] for theta, rec in zip(thetas.tolist(), records)],
+        _analytic_energy_chain(thetas, schedule.s),
     ])
     return {"sweep_theta.csv": (header, rows)}
 
@@ -380,7 +387,11 @@ def _run_acceptance(cfg: ExperimentConfig) -> dict:
     for r in results:
         status = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")
         print(f"{status:>15}  criterion {r.cid}: {r.name}  [{r.detail}]")
-    return {"acceptance.json": acceptance.summarize(results)}
+    summary = acceptance.summarize(results)
+    counts = ("total", "passed", "failed", "expected_failures", "unexpected_failures")
+    record = {key: summary[key] for key in counts}
+    record["runtime_s"] = {r.cid: r.runtime_s for r in results}  # varies run to run, so not in the file
+    return {"acceptance.json": summary, _MANIFEST: {"acceptance": record}}
 
 
 _RUNNERS = {
@@ -427,14 +438,16 @@ def run_config(cfg: ExperimentConfig) -> dict:
     files in `out` are left alone, unlisted.  If the runner raises, only the
     manifest is written, recording the failed stage; if writing fails, it
     lists the files already written.  Either way the error is then re-raised
-    as RunError.
+    as RunError.  Fields the runner returns for the manifest (for acceptance,
+    the verdicts and each criterion's runtime) are added to it.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    payloads, files, error = {}, {}, None
+    payloads, files, extra, error = {}, {}, {}, None
     try:
         payloads = _RUNNERS[cfg.experiment](cfg)
+        extra = payloads.pop(_MANIFEST, {})
         for name in sorted(payloads):
             data = _render(name, payloads[name])
             (out / name).write_bytes(data)
@@ -455,12 +468,8 @@ def run_config(cfg: ExperimentConfig) -> dict:
     }
     if failure is not None:
         manifest["failed_stage"] = {"experiment": cfg.experiment, "error": failure}
-    if "acceptance.json" in payloads:
-        summary = payloads["acceptance.json"]
-        manifest["acceptance"] = {
-            key: summary[key] for key in ("total", "passed", "failed", "expected_failures", "unexpected_failures")
-        }
-    (out / "results_manifest.json").write_bytes(_render("results_manifest.json", manifest))
+    manifest.update(extra)
+    (out / _MANIFEST).write_bytes(_render(_MANIFEST, manifest))
     if failure is not None:
         raise RunError(f"experiment failed; manifest records the stage: {failure}") from error
     return manifest

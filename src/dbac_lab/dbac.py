@@ -17,13 +17,16 @@ synthesis recursion all follow it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import qmath
-from .dme import bloch_planes, check_bloch, density_matrices, partial_swap, reflector, swap_coefficients
+from .dme import (
+    bloch_planes, check_bloch, density_matrices, partial_swap, reflector, swap_coefficients, swap_operands
+)
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import BlochVector, HamiltonianSpec, PureState, check_density, energy, variance
 from .tomography import NoiseModel
@@ -116,12 +119,18 @@ def dbac_energy_analytic(e0: float, t: float) -> float:
     """Post-step energy E1 = E0 - 2 sin^2(t) (1 - E0^2) ((1 - cos t) E0 + cos t)."""
     if abs(e0) > 1.0:
         raise ContractViolationError("e0 must lie in [-1, 1]")
-    return float(_energy_law(np.asarray(e0, dtype=float), np.asarray(t, dtype=float)))
+    return float(_energy_law(np.asarray(e0, dtype=float), *_law_terms(np.asarray(t, dtype=float))))
 
 
-def _energy_law(e0, t):
-    st2 = np.sin(t) ** 2
-    return e0 - 2.0 * st2 * (1.0 - e0**2) * ((1.0 - np.cos(t)) * e0 + np.cos(t))
+def _law_terms(t):
+    """The terms of the energy law that depend on t alone: (2 sin^2 t, 1 - cos t, cos t)."""
+    c = np.cos(t)
+    return 2.0 * np.sin(t) ** 2, 1.0 - c, c
+
+
+def _energy_law(e0, two_sin2, one_minus_cos, cos):
+    """E1 from E0 and :func:`_law_terms` of t, elementwise over arrays."""
+    return e0 - two_sin2 * (1.0 - e0**2) * (one_minus_cos * e0 + cos)
 
 
 def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) -> PureState:
@@ -220,7 +229,7 @@ def dbac_via_dme(
     path is closed form too.  Damping (``t1_us``) is not modeled and is
     rejected.  The closing echo rotation makes states, not only energies, right.
 
-    The steps run on Bloch vectors in H's eigenbasis (:func:`_dme_steps`) and
+    The steps run on Bloch vectors in H's eigenbasis (:func:`_bloch_steps`) and
     validate nothing: every reported state (initial states, step outputs,
     instruction marginals) is validated once, by one :func:`dme.check_bloch`
     call on their stacked planes, before they are rebuilt as matrices for the
@@ -239,8 +248,9 @@ def dbac_via_dme(
     amps = _rx_init(np.atleast_1d(thetas), v)
     r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B), eigenbasis
     states, marginals = [r0], []
-    steps = np.array(schedule.s)[:, None]
-    for out, margs in _dme_steps(r0, steps, schedule.m, w, schedule.recursion, noise):
+    table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, w))  # once per distinct step
+    tables = [table(sj, mj) for sj, mj in zip(schedule.s, schedule.m)]
+    for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise, marginals=True):
         states.append(out)
         marginals.extend(margs)
     planes = np.stack(states + marginals, axis=1)  # (3, k + 1 + n, B)
@@ -308,13 +318,15 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
-# t (w0 - w1).  Each engine steps B states over a (k, B) or (k, 1) array of
-# step sizes, one row per step, and yields every step's output in that basis.
-# The DME engine holds qubit states as (3, B) Bloch planes and computes the
-# echo's rotation and the kernel's swap_coefficients once per distinct step,
-# not once per call.  The simulators and the step-size search share the
-# engines; the search runs every (angle, step size) pair of a call as one batch
-# entry.  The dense dbac_step_exact and dme_step_exact are the oracles.
+# t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d.
+# _bloch_steps steps qubit states as (3, B) Bloch planes through
+# dme.partial_swap: M_j swaps per step, or one call that is the exact
+# reflector.  Its step-size terms come in a _StepTable, built once per distinct
+# step, once per final_fidelities_over_s call, and once per depth for the
+# search grid (_grid_table), never once per probe.  The search runs every
+# (angle, step size) pair of a call as one batch entry and skips the
+# instruction marginals.  The dense dbac_step_exact and dme_step_exact are the
+# oracles, and _exact_steps is the oracle of the Bloch-plane reflectors.
 
 
 def _exact_steps(psi0, steps, w, recursion):
@@ -333,68 +345,108 @@ def _exact_steps(psi0, steps, w, recursion):
         yield cur
 
 
+class _StepTable(NamedTuple):
+    """The terms of one cooling step that depend on its step sizes s alone, for
+    each entry of a batch, at instruction depth ``m`` (``None``: exact
+    reflectors).  ``cos_phi``/``sin_phi`` rotate the echo's (x, y) plane by
+    phi = s (w0 - w1); ``coeffs`` are the kernel's ``swap_coefficients(-s / m)``
+    (each swap approximates exp(+i (s/M) instr)) or, for exact reflectors,
+    (cos s, 1 - cos s, -sin s); ``law`` is the energy law's
+    :func:`_law_terms`, for exact reflectors only."""
+
+    m: Optional[int]
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+    coeffs: tuple
+    law: Optional[tuple]
+
+
+def _step_table(s: np.ndarray, m: Optional[int], w: np.ndarray) -> _StepTable:
+    """The :class:`_StepTable` of an array of step sizes under eigenvalues ``w``."""
+    phi = s * (w[0] - w[1])
+    if m is None:
+        law = _law_terms(s)
+        coeffs = (law[2], law[1], -np.sin(s))
+    else:
+        law, coeffs = None, swap_coefficients(-s / m)
+    return _StepTable(m, np.cos(phi), np.sin(phi), coeffs, law)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_table(m: Optional[int]) -> _StepTable:
+    """The :class:`_StepTable` of the search grid under the default H, built
+    once per depth and shared by every search call, so its arrays are read-only."""
+    table = _step_table(_S_GRID, m, HamiltonianSpec.default_single_qubit().eig[0])
+    for a in (table.cos_phi, table.sin_phi, *table.coeffs, *(table.law or ())):
+        a.setflags(write=False)
+    return table
+
+
 def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """(3, B) Bloch planes with (x, y) rotated by the angle of (cos, sin), as a new array."""
     x, y, z = r
     return np.array([cos * x - sin * y, sin * x + cos * y, z])
 
 
-def _dme_steps(r0, steps, depths, w, recursion, noise=None):
-    """DME steps of a (3, B) batch of Bloch planes: yields each step's output
-    and its M_j = ``depths[j]`` instruction marginals.  Depolarizing with
-    probability p scales a Bloch vector by 1 - p.  ``partial_swap`` is looked
-    up in this module, so a test can trace it."""
+def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
+    """Cooling steps of a (3, B) batch of Bloch planes, step j by the
+    :class:`_StepTable` ``tables[j]``: yields each step's output and, with
+    ``marginals``, its M_j instruction marginals.  A step of depth M makes M
+    partial swaps; an exact-reflector step rotates the echoed data b by -s
+    about the previous output c, a pure state: exp(is|c><c|) is the kernel
+    with operands (cos s, (1 - cos s)(c.b) c, -sin s c), and its output is
+    rescaled to |a| = 1, as _exact_steps renormalizes.  Depolarizing
+    with probability p scales a Bloch vector by 1 - p.  ``partial_swap`` is
+    looked up in this module, so a test can trace it."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
-    t_prev = m_prev = None
-    for t, m in zip(steps, depths):
-        if m != m_prev or not np.array_equal(t, t_prev):  # repeats with the step
-            phi = t * (w[0] - w[1])  # exp(-itH) rho exp(+itH) rotates (x, y) by phi
-            cos, sin = np.cos(phi), np.sin(phi)
-            coeffs = swap_coefficients(-t / m)  # each swap approximates exp(+i(t/M) instr)
-            t_prev, m_prev = t, m
-        sig = _rotate_xy(data, cos, sin)
+    for table in tables:
+        sig = _rotate_xy(data, table.cos_phi, table.sin_phi)  # exp(-isH) rho exp(+isH)
         if p1:
             sig *= 1.0 - p1
         margs = []
-        for _ in range(m):
-            sig, marg = partial_swap(instr, sig, coeffs)
-            if p2:
-                sig *= 1.0 - p2
-            margs.append(marg * (1.0 - p2) if p2 else marg)
-        instr = _rotate_xy(sig, cos, -sin)
+        if table.m is None:
+            c, one_minus_c, minus_sin = table.coeffs
+            sig = partial_swap(sig, (c, (one_minus_c * (instr * sig).sum(axis=0)) * instr, minus_sin * instr))
+            sig /= np.sqrt((sig * sig).sum(axis=0))  # else |c| - 1 grows up to fivefold per step
+        else:
+            step = swap_operands(instr, table.coeffs)
+            for _ in range(table.m):
+                out = partial_swap(sig, step)
+                if marginals:
+                    marg = instr + sig
+                    marg -= out
+                    margs.append(marg * (1.0 - p2) if p2 else marg)
+                if p2:
+                    out *= 1.0 - p2
+                sig = out
+        instr = _rotate_xy(sig, table.cos_phi, -table.sin_phi)
         if p1:
             instr *= 1.0 - p1
         yield instr, margs
         data = instr if recursion == "chain" else r0
 
 
-def _final_energies(theta, k: int, m: Optional[int], s: np.ndarray, mode: str) -> np.ndarray:
+def _final_energies(thetas: np.ndarray, k: int, table: _StepTable, mode: str) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
-    the default H, for each angle in ``theta`` (one angle or a 1-D array of T)
-    and each common step size in ``s``: shape ``np.shape(theta) + s.shape``.
-    Every (angle, step size) pair is one entry of one engine batch.  ``m=None``
-    selects exact reflectors, whose chain recursion follows the closed-form law."""
-    thetas = np.atleast_1d(theta)
-    shape = np.shape(theta) + s.shape
-    if m is None and mode == "chain":
-        e = np.broadcast_to(-np.cos(thetas)[:, None], (thetas.size, s.size))
+    the default H, for each angle of the 1-D array ``thetas`` and each of the S
+    common step sizes that ``table`` holds for every angle in turn (T S
+    entries, angle-major): shape (T, S).  Every (angle, step size) pair is one
+    entry of one engine batch.  Exact reflectors (``table.m`` None) in chain
+    recursion follow the closed-form law."""
+    reps = table.cos_phi.size // thetas.size
+    if table.m is None and mode == "chain":
+        e = np.repeat(-np.cos(thetas), reps)
         for _ in range(k):
-            e = _energy_law(e, s)
-        return e.reshape(shape)
-    w, v = HamiltonianSpec.default_single_qubit().eig
-    amps = _rx_init(thetas, v)  # (T, 2)
-    steps = np.broadcast_to(np.tile(s, thetas.size), (k, thetas.size * s.size))
-    if m is None:
-        for out in _exact_steps(np.repeat(amps, s.size, axis=0), steps, w, mode):
-            pass
-        e = np.abs(out) ** 2 @ w
+            e = _energy_law(e, *table.law)
     else:
-        r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), s.size, axis=1)
-        for out, _ in _dme_steps(r0, steps, (m,) * k, w, mode):
+        w, v = HamiltonianSpec.default_single_qubit().eig
+        amps = _rx_init(thetas, v)  # (T, 2)
+        r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), reps, axis=1)
+        for out, _ in _bloch_steps(r0, [table] * k, mode):
             pass
         e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]  # populations (1 +- z) / 2
-    return e.reshape(shape)
+    return e.reshape(thetas.size, -1)
 
 
 def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
@@ -424,8 +476,11 @@ def final_fidelities_over_s(
     s = np.asarray(s_values, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ContractViolationError("step sizes must be finite")
-    energies = _final_energies(_angles(theta), k, m, s, mode)
-    return (1.0 - energies) / 2.0
+    thetas = _angles(theta)
+    w = HamiltonianSpec.default_single_qubit().eig[0]
+    table = _step_table(np.tile(s.ravel(), thetas.size), m, w)  # once per call
+    energies = _final_energies(np.atleast_1d(thetas), k, table, mode)
+    return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
 
 
 def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain") -> float:
@@ -439,7 +494,7 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     if abs(e0) >= 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
     _check_search_args(k, m, mode)
-    energies = _final_energies(np.arccos(-e0), k, m, _S_GRID, mode)
+    energies = _final_energies(np.array([np.arccos(-e0)]), k, _grid_table(m), mode)[0]
     best = energies.min()
     idx = int(np.argmax(energies <= best + _TIE_TOL))
     return float(_S_GRID[idx])
@@ -452,7 +507,7 @@ def best_final_fidelity(
     if not 0.0 < f0 <= 1.0:
         raise ContractViolationError("f0 must lie in (0, 1]")
     _check_search_args(k, m, mode)
-    energies = _final_energies(np.arccos(2.0 * f0 - 1.0), k, m, _S_GRID, mode)
+    energies = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), k, _grid_table(m), mode)
     return float((1.0 - energies.min()) / 2.0)
 
 

@@ -21,15 +21,21 @@ contiguous ``(3, B)`` component planes (:func:`bloch_planes`), where the
 commutator is a cross product: with instruction ``a`` and data ``b`` one step
 gives
 
-    out = cos^2(delta) b + sin^2(delta) a + cos(delta) sin(delta) (a x b)
+    out = cos^2(delta) b + sin^2(delta) a + (cos(delta) sin(delta) a) x b.
 
-and leaves the instruction in ``a + b - out``.  The caller passes the three
-coefficients (:func:`swap_coefficients`), computed once per distinct angle
-rather than once per call.  Trace and Hermiticity hold by construction, so
-the one check a batch of planes needs is :func:`check_bloch` (finite, and
-|a| <= 1 within tolerance), which gives the verdict and the message that
-:func:`states.check_density` gives for the matrices :func:`density_matrices`
-rebuilds.  The kernel validates nothing; its callers validate once, outside
+Every swap of a cooling step has the same instruction, so a step builds the
+operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`, from the
+:func:`swap_coefficients` of its angle) and each swap is
+``c2 b + s2a + csa x b``.  The kernel returns the data output alone; the
+instruction marginal is ``a + b - out`` (the joint state's two marginals sum
+to ``a + b``), computed only by ``dbac.dbac_via_dme``, which records it.  With
+the operands ``(cos t, (1 - cos t)(c.b) c, -sin t c)`` the kernel is the exact
+reflector exp(i t |c><c|) for a unit Bloch vector ``c``: a rotation of ``b``
+by -t about ``c``, the M -> infinity limit of M swaps of angle -t / M.  Trace
+and Hermiticity hold by construction, so the one check a batch of planes needs
+is :func:`check_bloch` (finite, and |a| <= 1 within tolerance), which gives
+the verdict and the message that :func:`states.check_density` gives for the
+matrices :func:`density_matrices` rebuilds.  The kernel validates nothing; its callers validate once, outside
 any loop:
 
 * :func:`dme_errors` checks its two inputs as density matrices where they
@@ -37,11 +43,13 @@ any loop:
   kernel call per step, and checks each step's outputs as planes.  It takes
   only qubit registers and raises :class:`DimensionMismatchError` for
   anything else;
-* ``dbac._dme_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
+* ``dbac._bloch_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
   runs ``dbac.dbac_via_dme``, which checks every state it reports as planes,
   in one batch after the last step, and the step-size search, which runs
   every angle and step size of a search as one batch, keeps only final
-  energies and checks none.
+  energies and checks none.  Its exact reflectors rescale each output to
+  |a| = 1, as the reflector oracle renormalizes its state vectors: a rotation
+  about a non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
 
 :func:`dme_step_exact` keeps the definition itself, a kron of the two
 registers conjugated by exp(-i delta SWAP) and partially traced; it serves
@@ -112,40 +120,45 @@ def density_matrices(planes: np.ndarray) -> np.ndarray:
 
 def swap_coefficients(delta):
     """(cos^2, sin^2, cos sin) of a partial-swap angle, or of an array of them:
-    the ``coeffs`` argument of :func:`partial_swap`."""
+    the ``coeffs`` argument of :func:`swap_operands`."""
     c, s = np.cos(delta), np.sin(delta)
     return c * c, s * s, c * s
 
 
-def partial_swap(instr: np.ndarray, sig: np.ndarray, coeffs):
-    """One partial-swap step on Bloch planes: ``(data output, instruction marginal)``.
-
-    ``sig`` is a ``(3, ...)`` array of Bloch planes, whose shape both outputs
-    take, ``instr`` is planes that broadcast against it, and ``coeffs`` is
-    :func:`swap_coefficients` of the angle: three scalars, or three arrays
-    that broadcast against one plane, for one angle per batch entry.  The
-    data output is ``c2 sig + s2 instr + cs (instr x sig)``; at coefficients
-    (1, 0, 0), which is angle 0, it is ``sig``, bit for bit.  The two marginals of the joint
-    state sum to ``instr + sig``, so the instruction marginal costs one
-    addition and one subtraction on top of the data output.  Nothing is
-    validated.
-    """
+def swap_operands(instr: np.ndarray, coeffs):
+    """The ``step`` argument of :func:`partial_swap` for instruction planes
+    ``instr``: ``(c2, s2 instr, cs instr)`` from ``coeffs = (c2, s2, cs)``.
+    Every swap of a cooling step uses the same operands, so a step builds them
+    once."""
     c2, s2, cs = coeffs
-    ax, ay, az = instr
+    return c2, s2 * instr, cs * instr
+
+
+def partial_swap(sig: np.ndarray, step) -> np.ndarray:
+    """One partial-swap step on Bloch planes: the data output
+    ``c2 sig + s2a + csa x sig``.
+
+    ``sig`` is a ``(3, ...)`` array of Bloch planes, whose shape the output
+    takes, and ``step = (c2, s2a, csa)`` is :func:`swap_operands` of the
+    instruction: ``c2`` a scalar, or an array that broadcasts against one
+    plane for one angle per batch entry, and ``s2a`` and ``csa`` planes that
+    broadcast against ``sig``.  At angle 0, whose operands are ``(1, 0, 0)``,
+    the output is ``sig``, bit for bit.  The instruction marginal, ``instr +
+    sig - out``, is left to the caller that records it.  Nothing is validated.
+    """
+    c2, s2a, csa = step
+    ax, ay, az = csa
     bx, by, bz = sig
     out = np.empty(sig.shape)
-    np.multiply(ay, bz, out=out[0, ...])  # instr x sig, plane by plane
+    np.multiply(ay, bz, out=out[0, ...])  # csa x sig, plane by plane
     out[0] -= az * by
     np.multiply(az, bx, out=out[1, ...])
     out[1] -= ax * bz
     np.multiply(ax, by, out=out[2, ...])
     out[2] -= ay * bx
-    out *= cs
     out += c2 * sig
-    out += s2 * instr
-    marg = instr + sig
-    marg -= out
-    return out, marg
+    out += s2a
+    return out
 
 
 def check_bloch(planes: np.ndarray) -> None:
@@ -167,12 +180,11 @@ def _trotter(r: np.ndarray, s: np.ndarray, t: float, ms: np.ndarray) -> np.ndarr
     each step's outputs as they are made."""
     order = np.argsort(-ms, kind="stable")
     depths = ms[order]
-    instr = bloch_planes(r)[:, None]
     sig = np.repeat(bloch_planes(s)[:, None], ms.size, axis=1)
-    c2, s2, cs = swap_coefficients(t / depths)
+    c2, s2a, csa = swap_operands(bloch_planes(r)[:, None], swap_coefficients(t / depths))
     for j in range(depths[0]):
         n = int(np.count_nonzero(depths > j))
-        sig[:, :n] = partial_swap(instr, sig[:, :n], (c2[:n], s2[:n], cs[:n]))[0]
+        sig[:, :n] = partial_swap(sig[:, :n], (c2[:n], s2a[:, :n], csa[:, :n]))
         check_bloch(sig[:, :n])
     final = np.empty_like(sig)
     final[:, order] = sig

@@ -164,9 +164,9 @@ class TestRunners:
         calls = []
         swap = dbac.partial_swap
 
-        def counting_swap(instr, sig, coeffs):
+        def counting_swap(sig, step):
             calls.append(np.shape(sig))
-            return swap(instr, sig, coeffs)
+            return swap(sig, step)
 
         monkeypatch.setattr(dbac, "partial_swap", counting_swap)
         cfg = cli.validate_config(
@@ -216,6 +216,22 @@ class TestRunners:
             cfg = cli.validate_config(_write_cfg(tmp_path, text, f"{name}.txt"), out_override=tmp_path / name)
             sums.append(cli.run_config(cfg)["files"])
         assert sums[0] == sums[1]
+
+    def test_acceptance_reruns_write_identical_bytes(self, tmp_path):
+        # runtimes vary between runs, so they go to the manifest, not acceptance.json
+        texts, manifests = [], []
+        for name in ("a", "b"):
+            cfg = cli.validate_config(None, "acceptance", out_override=tmp_path / name)
+            manifests.append(cli.run_config(cfg))
+            texts.append((tmp_path / name / "acceptance.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert manifests[0]["files"] == manifests[1]["files"]
+        assert b"runtime_s" not in texts[0]
+        for manifest in manifests:
+            runtimes = manifest["acceptance"]["runtime_s"]
+            assert list(runtimes) == [r["cid"] for r in json.loads(texts[0])["results"]]
+            assert all(isinstance(t, float) and t >= 0.0 for t in runtimes.values())
+            assert manifest["acceptance"]["failed"] == ["5d"]
 
     def test_trajectory_exact(self, tmp_path):
         cfg = cli.validate_config(

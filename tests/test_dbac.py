@@ -285,11 +285,11 @@ class TestViaDmeBatch:
         states, checked = [], []
         swap, check = dbac.partial_swap, dbac.check_bloch
 
-        def recording_swap(instr, sig, coeffs):
-            # the kernel's inputs and outputs are Bloch planes: check the
+        def recording_swap(sig, step):
+            # the kernel's input and output are Bloch planes: check the
             # matrices they stand for
-            out = swap(instr, sig, coeffs)
-            states.extend(density_matrices(planes) for planes in (instr, sig, *out))
+            out = swap(sig, step)
+            states.extend(density_matrices(planes) for planes in (sig, out))
             return out
 
         def recording_check(planes):
@@ -606,9 +606,9 @@ class TestSearchBatch:
         calls = []
         swap = dbac.partial_swap
 
-        def counting_swap(instr, sig, coeffs):
+        def counting_swap(sig, step):
             calls.append(np.shape(sig))
-            return swap(instr, sig, coeffs)
+            return swap(sig, step)
 
         monkeypatch.setattr(dbac, "partial_swap", counting_swap)
         final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
@@ -621,7 +621,7 @@ class TestSearchBatch:
 
 
 def _oracle_dme_chain(rho0, steps, m, w, mode, noise):
-    """One batch entry of _dme_steps, step by step on 2x2 matrices in the basis
+    """One batch entry of _bloch_steps, step by step on 2x2 matrices in the basis
     where H = diag(w): echo rotations by dense exponentials, every partial swap
     by dme_step_exact, its instruction marginal by dme_step_exact with the two
     registers exchanged (exp(-i delta SWAP) commutes with SWAP), and
@@ -670,9 +670,8 @@ class TestDmeStepsOracle:
         steps = rng.uniform(0.05, 1.5, size=(k, batch if per_entry else 1))
         noise = NoiseModel(*noise) if noise else None
         outs, margs = [], []
-        for out, step_margs in dbac._dme_steps(
-            bloch_planes(rho0), steps, (m,) * k, w, mode, noise
-        ):
+        tables = [dbac._step_table(t, m, w) for t in steps]
+        for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise, marginals=True):
             outs.append(density_matrices(out))
             margs.extend(density_matrices(marg) for marg in step_margs)
         assert len(outs) == k and len(margs) == k * m
@@ -680,6 +679,156 @@ class TestDmeStepsOracle:
             want_outs, want_margs = _oracle_dme_chain(rho0[b], steps[:, b if per_entry else 0], m, w, mode, noise)
             assert np.abs(np.array(outs)[:, b] - want_outs).max() < 1e-12
             assert np.abs(np.array(margs)[:, b] - want_margs).max() < 1e-12
+
+
+def _pure_planes(v):
+    """Bloch planes of a (B, 2) batch of unit vectors."""
+    return bloch_planes(v[:, :, None] * v.conj()[:, None, :])
+
+
+class TestBlochReflectorOracle:
+    """Exact reflectors as rotations of Bloch planes (_bloch_steps with m=None)
+    against the complex-amplitude _exact_steps, at one tolerance TOL.
+
+    Fresh recursion with exact reflectors is chaotic for some (theta, s): two
+    runs of the oracle from initial states 1e-15 apart part by O(1) within 50
+    steps for about a third of the pairs, so no two evaluations of such a
+    chain agree.  Chains are compared on the entries where the oracle is well
+    conditioned: rerun from initial phases perturbed by 1e-15, it stays within
+    1e-13 of itself over the whole chain.  Every entry must stay pure."""
+
+    TOL = 1e-11
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=st.integers(1, 200), mode=st.sampled_from(RECURSION_MODES))
+    @example(seed=3, k=200, mode="chain")
+    @example(seed=4, k=200, mode="fresh")
+    def test_matches_exact_steps(self, seed, k, mode):
+        rng = np.random.default_rng(seed)
+        w, v = H.eig
+        thetas = rng.uniform(0.0, np.pi, 12)
+        # four step sizes each: negative, in (0, pi] and above pi
+        s = np.concatenate(
+            [rng.uniform(-2 * np.pi, 0.0, 4), rng.uniform(1e-3, np.pi, 4), rng.uniform(np.pi, 3 * np.pi, 4)]
+        )
+        psi0 = dbac._rx_init(thetas, v)
+        steps = np.broadcast_to(s, (k, s.size))
+        table = dbac._step_table(s, None, w)
+        got = np.array([out for out, _ in dbac._bloch_steps(_pure_planes(psi0), [table] * k, mode)])
+        want = np.array([_pure_planes(out) for out in dbac._exact_steps(psi0, steps, w, mode)])
+        nearby = psi0 * np.exp(1e-15j * rng.normal(size=psi0.shape))
+        again = np.array([_pure_planes(out) for out in dbac._exact_steps(nearby, steps, w, mode)])
+        well = np.abs(again - want).max(axis=(0, 1)) <= 1e-13
+        assert well.sum() >= 3
+        assert np.abs(got - want).max(axis=(0, 1))[well].max() <= self.TOL
+        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", RECURSION_MODES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_search_energies_match_exact_steps(self, mode, k):
+        # the search's exact path (Bloch-plane reflectors when fresh, the
+        # closed-form law when chained) over the whole grid
+        theta, grid = 1.1, step_size_grid()
+        w, v = H.eig
+        psi0 = dbac._rx_init(np.full(grid.size, theta), v)
+        *_, last = dbac._exact_steps(psi0, np.broadcast_to(grid, (k, grid.size)), w, mode)
+        got = 1.0 - 2.0 * final_fidelities_over_s(theta, k, None, grid, mode)
+        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= self.TOL
+
+
+# (k, M, recursion, theta, f_target, optimal_step(-cos theta), basin F_min)
+# recorded from the complex-amplitude exact path and the unscaled kernel; the
+# step-size search must reproduce them exactly
+_SEARCH_GOLDEN = [
+    (1, 1, 'chain', 1.486427, 0.831495, 2.356, 0.5895383951416016),
+    (1, 1, 'chain', 1.966026, 0.72852, 2.356, 0.4790039482421875),
+    (1, 1, 'fresh', 0.327151, 0.774951, 2.356, 0.5256347143554687),
+    (1, 1, 'fresh', 0.98512, 0.86207, 2.356, 0.6286618520507812),
+    (1, 2, 'chain', 2.026482, 0.820291, 0.9450000000000001, 0.5129394272460939),
+    (1, 2, 'chain', 1.695475, 0.832264, 0.894, 0.5282592208251953),
+    (1, 2, 'fresh', 0.663257, 0.788011, 0.776, 0.4745483907470703),
+    (1, 2, 'fresh', 0.705668, 0.881195, 0.779, 0.5994871057128907),
+    (1, 4, 'chain', 0.447061, 0.863764, 0.74, 0.5299071667480468),
+    (1, 4, 'chain', 0.486524, 0.837389, 0.743, 0.48937990405273446),
+    (1, 4, 'fresh', 1.142499, 0.780923, 0.8230000000000001, 0.4172975286865235),
+    (1, 4, 'fresh', 2.406008, 0.703721, 1.1569999999999998, 0.3399661403808595),
+    (1, None, 'chain', 0.451962, 0.883007, 0.713, 0.4957275476074219),
+    (1, None, 'chain', 1.572315, 0.718196, 0.9560000000000001, 0.2692875708007813),
+    (1, None, 'fresh', 2.767835, 0.889343, 1.534, 0.510375955810547),
+    (1, None, 'fresh', 0.581319, 0.784641, 0.725, 0.33581575805664066),
+    (2, 1, 'chain', 0.637674, 0.762508, 2.495, 0.336731283569336),
+    (2, 1, 'chain', 1.85363, 0.732705, 2.42, 0.3102420787353516),
+    (2, 1, 'fresh', 2.042086, 0.710271, 0.68, 0.4177247739257813),
+    (2, 1, 'fresh', 0.728035, 0.86314, 2.5, 0.6412350690917967),
+    (2, 2, 'chain', 1.301297, 0.783768, 0.676, 0.2608037010498047),
+    (2, 2, 'chain', 1.789927, 0.795354, 0.756, 0.27233932250976567),
+    (2, 2, 'fresh', 1.261453, 0.706099, 0.659, 0.4025880854492188),
+    (2, 2, 'fresh', 2.115819, 0.893492, 0.74, 0.7652582585449218),
+    (2, 4, 'chain', 2.740759, 0.832719, 1.176, 0.2331548305664063),
+    (2, 4, 'chain', 1.190863, 0.772626, 0.687, 0.17749087939453123),
+    (2, None, 'chain', 2.025286, 0.834755, 0.881, 0.11987380712890625),
+    (2, None, 'chain', 0.584581, 0.746994, 0.711, 0.07556237231445312),
+    (2, None, 'fresh', 1.208306, 0.80227, 1.256, 0.09027181555175783),
+    (2, None, 'fresh', 2.325268, 0.800002, 2.479, 0.08966146520996095),
+    (3, 1, 'chain', 0.370358, 0.864514, 2.542, 0.32446324169921875),
+    (3, 1, 'chain', 1.375386, 0.803799, 0.579, 0.2465215030517578),
+    (3, 1, 'fresh', 0.85542, 0.785449, 2.134, 0.5701292542724608),
+    (3, 1, 'fresh', 1.270615, 0.854384, 0.641, 0.694701759033203),
+    (3, None, 'chain', 0.556533, 0.809994, 0.705, 0.02496432897949219),
+    (3, None, 'chain', 0.745124, 0.839179, 0.711, 0.031067832397460936),
+    (3, None, 'fresh', 0.392115, 0.75531, 0.852, 0.01983738610839844),
+    (3, None, 'fresh', 1.160446, 0.827386, 2.205, 0.023621558227539065),
+    (4, 1, 'chain', 0.430147, 0.791852, 2.5989999999999998, 0.14105296398925776),
+    (4, 1, 'chain', 0.821984, 0.756379, 0.516, 0.11950759692382812),
+    (4, 1, 'fresh', 1.490656, 0.89175, 2.461, 0.68554650390625),
+    (4, 1, 'fresh', 1.502561, 0.891178, 0.676, 0.6848140834960939),
+    (4, 2, 'fresh', 0.718908, 0.88485, 0.762, 0.6438595755615233),
+    (4, 2, 'fresh', 1.210482, 0.737846, 0.8320000000000001, 0.44097912194824224),
+    (4, None, 'chain', 2.171319, 0.882408, 0.761, 0.011902831665039065),
+    (4, None, 'chain', 0.316686, 0.753651, 0.6980000000000001, 0.0038462071533203125),
+    (4, None, 'fresh', 2.226682, 0.768358, 2.1839999999999997, 0.005677258178710938),
+    (4, None, 'fresh', 0.903967, 0.701726, 2.334, 0.004883802734375),
+    (6, None, 'fresh', 0.400057, 0.823815, 3.005, 0.0005503153076171875),
+    (10, None, 'fresh', 2.759538, 0.899699, 3.001, 6.203503417968751e-05),
+    (8, None, 'chain', 1.558999, 0.704782, 0.705, 6.203503417968751e-05),
+    (3, 3, 'chain', 1.106141, 0.85748, 0.595, 0.14044261364746094),
+    (2, 3, 'fresh', 2.379886, 0.827882, 0.802, 0.6278073615722656),
+]
+
+
+class TestSearchGolden:
+    def test_optimal_step_and_basin_unchanged(self):
+        for k, m, mode, theta, f_target, s_opt, f_min in _SEARCH_GOLDEN:
+            assert optimal_step(-float(np.cos(theta)), k, m, mode) == s_opt, (k, m, mode, theta)
+            assert basin_min_fidelity(k, m, f_target, mode).f0_min == f_min, (k, m, mode, f_target)
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    def test_cached_tables_are_read_only(self, m):
+        table = dbac._grid_table(m)
+        assert table is dbac._grid_table(m)
+        arrays = [table.cos_phi, table.sin_phi, *table.coeffs, *(table.law or ())]
+        assert len(arrays) == (8 if m is None else 5)
+        for a in arrays:
+            assert a.shape == step_size_grid().shape and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_basin_search_builds_its_table_once(self, monkeypatch, m):
+        builds = []
+        step_table = dbac._step_table
+
+        def counting(s, m, w):
+            builds.append(s.size)
+            return step_table(s, m, w)
+
+        monkeypatch.setattr(dbac, "_step_table", counting)
+        dbac._grid_table.cache_clear()
+        optimal_step(0.1, 2, m, "fresh")
+        basin_min_fidelity(2, m, 0.8, "fresh")
+        assert builds == [step_size_grid().size]
 
 
 class TestSearchArgumentChecks:

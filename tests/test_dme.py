@@ -14,6 +14,7 @@ from dbac_lab.dme import (
     partial_swap,
     reflector,
     swap_coefficients,
+    swap_operands,
 )
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, check_density, rx_init
@@ -39,10 +40,17 @@ def _error(rho, sigma, t, m):
     return float(dme_errors(rho, sigma, t, [m])[0])
 
 
+def _marginals(instr, sig, coeffs):
+    """(data output, instruction marginal) of one partial swap on Bloch planes:
+    the marginal is instr + sig - out, as its one recording caller computes it."""
+    out = partial_swap(sig, swap_operands(instr, coeffs))
+    return out, instr + sig - out
+
+
 def _swap(instr, sig, delta):
     """partial_swap on density matrices, or on stacks of them: the inputs go in
     as Bloch planes, and both outputs come back as matrices."""
-    out, marg = partial_swap(bloch_planes(instr), bloch_planes(sig), swap_coefficients(delta))
+    out, marg = _marginals(bloch_planes(instr), bloch_planes(sig), swap_coefficients(delta))
     return density_matrices(out), density_matrices(marg)
 
 
@@ -176,7 +184,7 @@ class TestPartialSwap:
         # a (3, 1) instruction plane broadcasts against a (3, B) data batch
         rho = random_density(rng)
         sig = np.array([random_density(rng) for _ in range(4)])
-        out, marg = partial_swap(bloch_planes(rho)[:, None], bloch_planes(sig), swap_coefficients(0.7))
+        out, marg = _marginals(bloch_planes(rho)[:, None], bloch_planes(sig), swap_coefficients(0.7))
         for b in range(4):
             want_out, want_marg = _joint_marginals(rho, sig[b], 0.7)
             assert np.abs(density_matrices(out[:, b]) - want_out).max() < 1e-12
@@ -187,10 +195,10 @@ class TestPartialSwap:
         assert swap_coefficients(0.0) == (1.0, 0.0, 0.0)
         instr = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
         sig = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
-        assert np.array_equal(partial_swap(instr, sig, swap_coefficients(np.zeros(5)))[0], sig)
-        out = partial_swap(instr, sig, swap_coefficients(np.array([0.3, 0.0, -1.0, 0.0, 0.0])))[0]
+        assert np.array_equal(partial_swap(sig, swap_operands(instr, swap_coefficients(np.zeros(5)))), sig)
+        out = partial_swap(sig, swap_operands(instr, swap_coefficients(np.array([0.3, 0.0, -1.0, 0.0, 0.0]))))
         assert np.array_equal(out[:, [1, 3, 4]], sig[:, [1, 3, 4]])
-        assert np.array_equal(partial_swap(instr[:, 0], sig[:, 0], (1.0, 0.0, 0.0))[0], sig[:, 0])
+        assert np.array_equal(partial_swap(sig[:, 0], swap_operands(instr[:, 0], (1.0, 0.0, 0.0))), sig[:, 0])
 
     def test_planes_round_trip(self, rng):
         rho = np.array([random_density(rng) for _ in range(6)])
@@ -207,7 +215,7 @@ class TestPartialSwap:
         sig = bloch_planes(np.array([random_density(rng) for _ in range(50)]))
         coeffs = swap_coefficients(rng.uniform(-np.pi, np.pi, 50))
         for _ in range(200):
-            sig, marg = partial_swap(instr, sig, coeffs)
+            sig, marg = _marginals(instr, sig, coeffs)
             states = density_matrices(np.concatenate([sig, marg], axis=1))
             assert np.all(np.trace(states, axis1=1, axis2=2) == 1.0)
             assert np.array_equal(states, np.conj(states).swapaxes(1, 2))
@@ -396,9 +404,9 @@ class TestDmeErrors:
         calls = []
         swap = dme.partial_swap
 
-        def counting_swap(instr, sig, coeffs):
+        def counting_swap(sig, step):
             calls.append(np.shape(sig))
-            return swap(instr, sig, coeffs)
+            return swap(sig, step)
 
         monkeypatch.setattr(dme, "partial_swap", counting_swap)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
