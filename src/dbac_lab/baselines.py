@@ -26,7 +26,7 @@ class PolarizedQubit:
     eps: float
 
     def __post_init__(self):
-        if abs(self.eps) > 1.0:
+        if not abs(self.eps) <= 1.0:  # NaN fails too
             raise ContractViolationError("polarization must lie in [-1, 1]")
 
     def density(self) -> DensityMatrix:
@@ -35,28 +35,19 @@ class PolarizedQubit:
 
 def thermal_qubit(eps: float) -> DensityMatrix:
     """(1/2) diag(1 + eps, 1 - eps)."""
-    if abs(eps) > 1.0:
+    if not abs(eps) <= 1.0:
         raise ContractViolationError("polarization must lie in [-1, 1]")
     return DensityMatrix(0.5 * np.diag([1.0 + eps, 1.0 - eps]).astype(complex))
 
 
-def _controlled_flip_pair() -> np.ndarray:
-    """X on qubits 1 and 2 controlled on qubit 0."""
+def _controlled_flip(controls: int, targets: int) -> np.ndarray:
+    """X on the qubits of bit mask ``targets``, controlled on every qubit of
+    bit mask ``controls`` (qubit 0 is the high bit of the 3-qubit index)."""
     u = np.eye(8, dtype=complex)
     for idx in range(8):
-        if idx & 0b100:
+        if idx & controls == controls:
             u[idx, idx] = 0.0
-            u[idx ^ 0b011, idx] = 1.0
-    return u
-
-
-def _double_controlled_flip() -> np.ndarray:
-    """X on qubit 0 controlled on qubits 1 and 2."""
-    u = np.eye(8, dtype=complex)
-    for idx in range(8):
-        if idx & 0b011 == 0b011:
-            u[idx, idx] = 0.0
-            u[idx ^ 0b100, idx] = 1.0
+            u[idx ^ targets, idx] = 1.0
     return u
 
 
@@ -66,8 +57,8 @@ def ppa_compression_unitary() -> np.ndarray:
     swap = qmath.swap_operator(2)
     sw02 = qmath.embed_gate(swap, (0, 2), 3)
     sw12 = qmath.embed_gate(swap, (1, 2), 3)
-    cff = _controlled_flip_pair()
-    return cff @ _double_controlled_flip() @ cff @ sw12 @ sw02
+    cff = _controlled_flip(0b100, 0b011)  # the flip pair, on qubits 1 and 2
+    return cff @ _controlled_flip(0b011, 0b100) @ cff @ sw12 @ sw02
 
 
 _U_PPA = ppa_compression_unitary()
@@ -92,7 +83,7 @@ def hbac_step(eps_reg: list[PolarizedQubit], eps_bath: float) -> list[PolarizedQ
     the computational qubits to the bath polarization."""
     if len(eps_reg) != 3:
         raise ContractViolationError("the register holds exactly 3 qubits")
-    if abs(eps_bath) > 1.0:
+    if not abs(eps_bath) <= 1.0:
         raise ContractViolationError("bath polarization must lie in [-1, 1]")
     rho = DensityMatrix(
         qmath.kron_all([q.density().matrix for q in eps_reg])

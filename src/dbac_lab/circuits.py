@@ -21,7 +21,7 @@ in DBAC_TARGET_QUBIT).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -284,6 +284,8 @@ class SizzleParams:
     delta_ij: float
 
     def __post_init__(self):
+        if not all(np.isfinite(list(astuple(self)))):
+            raise ContractViolationError("Stark-drive parameters must be finite")
         denoms = {
             "delta0d": self.delta0d,
             "delta1d": self.delta1d,

@@ -40,10 +40,10 @@ from . import __version__, acceptance
 from .baselines import PolarizedQubit, cem_round_closed, hbac_step
 from .circuits import compile_udme_native
 from .dbac import (
+    RECURSION_MODES,
     DbacSchedule,
-    _energy_law,
-    _law_terms,
     basin_min_fidelity,
+    dbac_energy_analytic,
     dbac_recursive_exact,
     dbac_via_dme,
     final_fidelities_over_s,
@@ -52,7 +52,7 @@ from .dbac import (
 from .dme import dme_errors
 from .errors import ContractViolationError
 from .qmath import herm_expm, swap_operator
-from .states import rx_init
+from .states import random_density, rx_init
 from .tomography import NoiseModel, pauli_labels, process_fidelity, ptm_of_circuit, ptm_of_kraus
 
 _PI = float(np.pi)
@@ -194,7 +194,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("eps0/eps_bath: polarizations must lie in [-1, 1]")
     if cfg.workers < 1:
         raise ConfigError("workers: must be >= 1")
-    if cfg.recursion not in ("chain", "fresh"):
+    if cfg.recursion not in RECURSION_MODES:
         raise ConfigError("recursion: must be 'chain' or 'fresh'")
     for name in ("noise_p1", "noise_p2"):
         if not 0.0 <= getattr(cfg, name) <= 1.0:
@@ -272,15 +272,6 @@ def validate_config(
 _MANIFEST = "results_manifest.json"
 
 
-def _analytic_energy_chain(thetas: np.ndarray, s: Sequence[float]) -> np.ndarray:
-    """The closed-form energy law's E_k from each angle of ``thetas``, one
-    vectorized law step per step size."""
-    e = -np.cos(thetas)
-    for sj in s:
-        e = _energy_law(e, *_law_terms(sj))
-    return e
-
-
 def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     schedule = cfg.schedule()
     thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
@@ -289,7 +280,7 @@ def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
     rows = np.column_stack([
         [[theta, rec.energies[-1], *rec.instruction_energies] for theta, rec in zip(thetas.tolist(), records)],
-        _analytic_energy_chain(thetas, schedule.s),
+        functools.reduce(dbac_energy_analytic, schedule.s, -np.cos(thetas)),  # the law, once per step
     ])
     return {"sweep_theta.csv": (header, rows)}
 
@@ -315,12 +306,7 @@ def _run_grid_km(cfg: ExperimentConfig) -> dict:
 
 def _run_trotter(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    sigma = b @ b.conj().T
-    sigma /= np.trace(sigma).real
+    rho, sigma = random_density(rng), random_density(rng)
     ms = np.arange(1, cfg.m_max + 1)
     rows = [[cfg.t, m, err] for m, err in zip(ms, dme_errors(rho, sigma, cfg.t, ms))]
     return {"trotter.csv": (["t", "M", "error"], rows)}

@@ -115,11 +115,17 @@ class BasinResult(NamedTuple):
     reachable: bool
 
 
-def dbac_energy_analytic(e0: float, t: float) -> float:
-    """Post-step energy E1 = E0 - 2 sin^2(t) (1 - E0^2) ((1 - cos t) E0 + cos t)."""
-    if abs(e0) > 1.0:
+def dbac_energy_analytic(e0: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """Post-step energy E1 = E0 - 2 sin^2(t) (1 - E0^2) ((1 - cos t) E0 + cos t),
+    elementwise over arrays of ``e0`` and ``t`` that broadcast together; two
+    scalars give a float.  Every E0 must lie in [-1, 1] and every t be finite."""
+    e0, t = np.asarray(e0, dtype=float), np.asarray(t, dtype=float)
+    if not (np.abs(e0) <= 1.0).all():  # NaN fails too
         raise ContractViolationError("e0 must lie in [-1, 1]")
-    return float(_energy_law(np.asarray(e0, dtype=float), *_law_terms(np.asarray(t, dtype=float))))
+    if not np.isfinite(t).all():
+        raise ContractViolationError("t must be finite")
+    e1 = _energy_law(e0, *_law_terms(t))
+    return float(e1) if e1.ndim == 0 else e1
 
 
 def _law_terms(t):
@@ -272,15 +278,13 @@ def synthesize_uk(
     """
     if h.num_qubits > 3:
         raise ContractViolationError("synthesize_uk supports at most 3 qubits")
-    dim = h.matrix.shape[0]
-    p0 = np.zeros((dim, dim), dtype=complex)
-    p0[0, 0] = 1.0
-    u = np.eye(dim, dtype=complex) if u0 is None else qmath.check_unitary(u0).copy()
+    zero = np.eye(h.matrix.shape[0], dtype=complex)[0]  # |0...0>
+    u = np.eye(zero.size, dtype=complex) if u0 is None else qmath.check_unitary(u0).copy()
     for s in s_list:
-        if s <= 0:
+        if not s > 0:  # NaN fails too, and reflector rejects an infinite step
             raise ContractViolationError("step sizes must be positive")
         a = float(np.sqrt(s))
-        refl0 = np.eye(dim, dtype=complex) + (np.exp(1j * a) - 1.0) * p0
+        refl0 = reflector(zero, a)  # exp(i a P_0)
         em = h.expm(-1j * a)  # e^{+i a H} is its adjoint
         u = em.conj().T @ u @ refl0 @ u.conj().T @ em @ u
     return u

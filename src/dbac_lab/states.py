@@ -222,6 +222,14 @@ def bloch_vector(state: State) -> BlochVector:
     )
 
 
+def random_density(rng: np.random.Generator) -> np.ndarray:
+    """A random full-rank qubit density matrix A A^dag / Tr[A A^dag], where A
+    takes two standard-normal 2x2 draws from ``rng``: real part, then imaginary."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
 def pseudo_pure(p: float, psi: PureState) -> DensityMatrix:
     """(p/2) I + (1 - p) |psi><psi| for a single qubit; purity 1 - p + p^2/2."""
     if not 0.0 <= p <= 1.0:
@@ -256,8 +264,8 @@ def ite_evolve(psi: PureState, tau: float, h: HamiltonianSpec | None = None) -> 
 def excess_energy(f0: float, tau: float) -> float:
     """(1/F0 - 1) exp(-4 tau): residual above the ground energy satisfies
     E(tau) = -1 + 2 eps / (1 + eps) for the single-qubit H = -Z."""
-    if f0 <= 0.0 or f0 > 1.0:
+    if not 0.0 < f0 <= 1.0:  # NaN fails too
         raise DegenerateInputError("f0 must lie in (0, 1]")
-    if tau < 0:
+    if not tau >= 0:
         raise ContractViolationError("tau must be nonnegative")
     return (1.0 / f0 - 1.0) * float(np.exp(-4.0 * tau))

@@ -100,3 +100,28 @@ def test_summary_shape():
     assert summary["total"] == 2
     assert summary["passed"] == 2
     assert summary["unexpected_failures"] == []
+
+
+def test_bound_is_applied_by_the_timing_wrapper():
+    check = acceptance._criterion("x", "bounded check", bound=0.0)(lambda: (True, "check ran"))
+    r = check()
+    assert not r.passed
+    assert r.detail == "check ran, runtime < 0s: False"
+    unbounded = acceptance._criterion("y", "unbounded check")(lambda: (True, "check ran"))()
+    assert unbounded.passed and unbounded.detail == "check ran" and unbounded.runtime_s >= 0.0
+
+
+@pytest.fixture(scope="module")
+def all_results():
+    return acceptance.run_all()
+
+
+def test_run_all_order_and_expected_failure(all_results):
+    assert [r.cid for r in all_results] == ["1", "2", "3", "4", "5a", "5b", "5c", "5d", "6", "7", "8", "9", "10"]
+    assert [r.cid for r in all_results if r.expected_failure] == ["5d"]
+    assert [r.cid for r in all_results if not r.passed] == ["5d"]
+
+
+def test_run_all_results_carry_runtimes(all_results):
+    for r in all_results:
+        assert isinstance(r.runtime_s, float) and r.runtime_s >= 0.0, r.cid

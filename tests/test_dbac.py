@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import dbac, qmath
+from dbac_lab.baselines import PolarizedQubit, hbac_step, thermal_qubit
+from dbac_lab.circuits import SizzleParams
 from dbac_lab.dbac import (
     BasinResult,
     CoolingRecord,
@@ -24,7 +26,9 @@ from dbac_lab.dbac import (
 )
 from dbac_lab.dme import bloch_planes, density_matrices, dme_step_exact, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError
-from dbac_lab.states import HamiltonianSpec, PureState, bloch_vector, energy, fidelity, rx_init, variance
+from dbac_lab.states import (
+    HamiltonianSpec, PureState, bloch_vector, energy, excess_energy, fidelity, rx_init, variance
+)
 from dbac_lab.tomography import NoiseModel
 
 from conftest import random_density, random_state, random_unitary
@@ -124,6 +128,27 @@ class TestEnergyAnalytic:
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractViolationError):
             dbac_energy_analytic(1.5, 0.3)
+
+    def test_array_grid_equals_scalar_calls_bitwise(self):
+        e0 = np.linspace(-1.0, 1.0, 101)
+        t = np.linspace(0.0, np.pi, 101)
+        grid = dbac_energy_analytic(e0[:, None], t[None, :])
+        assert grid.shape == (101, 101)
+        scalar = np.array([[dbac_energy_analytic(a, b) for b in t.tolist()] for a in e0.tolist()])
+        assert np.array_equal(grid, scalar)
+
+    def test_scalars_give_python_float(self):
+        assert type(dbac_energy_analytic(0.3, 0.4)) is float
+        assert type(dbac_energy_analytic(np.float64(0.3), np.array(0.4))) is float
+
+    @pytest.mark.parametrize(
+        "e0, t",
+        [([0.2, 1.5], 0.3), ([0.2, -1.0 - 1e-12], 0.3), ([0.2, np.nan], 0.3), (0.2, [0.1, np.inf]), (0.2, -np.inf)],
+        ids=["above-one", "below-minus-one", "nan-e0", "inf-t", "minus-inf-t"],
+    )
+    def test_arrays_reject_bad_entries(self, e0, t):
+        with pytest.raises(ContractViolationError):
+            dbac_energy_analytic(np.array(e0), np.array(t))
 
     def test_matches_brute_force_on_grid(self):
         worst = 0.0
@@ -896,3 +921,35 @@ def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
     for t in np.linspace(0.0, np.pi, 20):
         dbac_step_exact(rx_init(1.0), t, h)
     assert calls == {"check_hermitian": 0, "eigh": 1}
+
+
+_SIZZLE = dict(
+    j=1.0, alpha0=-0.2, alpha1=-0.21, omega0=0.5, omega1=0.5,
+    delta0d=1.0, delta1d=1.1, phi0=0.3, phi1=0.3, delta_ij=0.05,
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: dbac_energy_analytic(np.nan, 0.3), ContractViolationError, r"e0 must lie in \[-1, 1\]"),
+        (lambda: dbac_energy_analytic(0.3, np.nan), ContractViolationError, "t must be finite"),
+        (lambda: synthesize_uk(H, [np.nan]), ContractViolationError, "step sizes must be positive"),
+        (lambda: synthesize_uk(H, [0.1, np.inf]), ContractViolationError, "must be finite"),
+        (lambda: excess_energy(0.5, np.nan), ContractViolationError, "tau must be nonnegative"),
+        (lambda: excess_energy(np.nan, 0.1), DegenerateInputError, r"f0 must lie in \(0, 1\]"),
+        (lambda: PolarizedQubit(np.nan), ContractViolationError, "polarization must lie in"),
+        (lambda: thermal_qubit(np.nan), ContractViolationError, "polarization must lie in"),
+        (lambda: hbac_step([PolarizedQubit(0.1)] * 3, np.nan), ContractViolationError, "bath polarization"),
+        (lambda: SizzleParams(**{**_SIZZLE, "j": np.nan}), ContractViolationError, "must be finite"),
+        (lambda: SizzleParams(**{**_SIZZLE, "delta0d": np.inf}), ContractViolationError, "must be finite"),
+    ],
+    ids=[
+        "energy-law-e0", "energy-law-t", "synthesize-nan-step", "synthesize-inf-step", "excess-energy-tau",
+        "excess-energy-f0", "polarized-qubit", "thermal-qubit", "hbac-bath", "sizzle-j", "sizzle-inf-denominator",
+    ],
+)
+def test_library_rejects_nan_inputs(call, error, match):
+    # each public function turns NaN away with its own message instead of returning NaN
+    with pytest.raises(error, match=match):
+        call()

@@ -15,10 +15,11 @@ from dbac_lab.states import (
     fidelity,
     ite_evolve,
     pseudo_pure,
+    random_density,
     rx_init,
 )
 
-from conftest import random_unitary
+from conftest import random_density as reference_density, random_unitary
 
 H = HamiltonianSpec.default_single_qubit()
 
@@ -67,6 +68,15 @@ class TestFidelity:
     def test_pure_mixed(self):
         rho = pseudo_pure(0.4, PureState.basis(0))
         assert abs(fidelity(PureState.basis(0), rho) - (0.2 + 0.6)) < 1e-12
+
+
+def test_random_density_draws_as_the_test_helper():
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        rho = random_density(ours)
+        assert np.array_equal(rho, reference_density(theirs))
+        check_density(rho)
+    assert ours.normal() == theirs.normal()
 
 
 class TestPseudoPure:
