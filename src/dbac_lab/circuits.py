@@ -97,6 +97,9 @@ def _rz(theta):
 
 
 def rzz_matrix(phi: float) -> np.ndarray:
+    """exp(-i phi ZZ / 2), diagonal in the computational basis; phi must be finite."""
+    if not np.isfinite(phi):
+        raise ContractViolationError("gate angles must be finite")
     return np.diag(np.exp(-0.5j * phi * np.array([1.0, -1.0, -1.0, 1.0])))
 
 

@@ -364,6 +364,10 @@ class _StepTable(NamedTuple):
     coeffs: tuple
     law: Optional[tuple]
 
+    def arrays(self) -> list:
+        """Every array of the table, in field order."""
+        return [self.cos_phi, self.sin_phi, *self.coeffs, *(self.law or ())]
+
 
 def _step_table(s: np.ndarray, m: Optional[int], w: np.ndarray) -> _StepTable:
     """The :class:`_StepTable` of an array of step sizes under eigenvalues ``w``."""
@@ -381,7 +385,7 @@ def _grid_table(m: Optional[int]) -> _StepTable:
     """The :class:`_StepTable` of the search grid under the default H, built
     once per depth and shared by every search call, so its arrays are read-only."""
     table = _step_table(_S_GRID, m, HamiltonianSpec.default_single_qubit().eig[0])
-    for a in (table.cos_phi, table.sin_phi, *table.coeffs, *(table.law or ())):
+    for a in table.arrays():
         a.setflags(write=False)
     return table
 
@@ -431,14 +435,22 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
         data = instr if recursion == "chain" else r0
 
 
-def _final_energies(thetas: np.ndarray, k: int, table: _StepTable, mode: str) -> np.ndarray:
+def _final_energies(
+    thetas: np.ndarray, k: int, table: _StepTable, mode: str, counts: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
     the default H, for each angle of the 1-D array ``thetas`` and each of the S
     common step sizes that ``table`` holds for every angle in turn (T S
     entries, angle-major): shape (T, S).  Every (angle, step size) pair is one
     entry of one engine batch.  Exact reflectors (``table.m`` None) in chain
-    recursion follow the closed-form law."""
-    reps = table.cos_phi.size // thetas.size
+    recursion follow the closed-form law.
+
+    With ``counts``, an integer array of T entry counts summing to the table's
+    size, angle i takes the next ``counts[i]`` table entries instead of S, and
+    the energies come back flat, one per table entry.  The engine is
+    elementwise over entries, so an entry's energy does not depend on what
+    else shares the batch."""
+    reps = table.cos_phi.size // thetas.size if counts is None else counts
     if table.m is None and mode == "chain":
         e = np.repeat(-np.cos(thetas), reps)
         for _ in range(k):
@@ -450,7 +462,7 @@ def _final_energies(thetas: np.ndarray, k: int, table: _StepTable, mode: str) ->
         for out, _ in _bloch_steps(r0, [table] * k, mode):
             pass
         e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]  # populations (1 +- z) / 2
-    return e.reshape(thetas.size, -1)
+    return e.reshape(thetas.size, -1) if counts is None else e
 
 
 def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
@@ -515,6 +527,62 @@ def best_final_fidelity(
     return float((1.0 - energies.min()) / 2.0)
 
 
+# The basin bisection halves (lo, hi) to width _BASIN_TOL.  Each full-grid
+# pass also carries, as witness entries, the midpoints that may be probed in
+# the _WITNESS_LEVELS levels after it, on either side of its own decision.
+_BASIN_TOL = 1e-4
+_WITNESS_LEVELS = 4
+_WITNESSES = 2 * (2**_WITNESS_LEVELS - 1)
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The bisection midpoints of (lo, hi) within ``levels`` halvings, computed
+    as :func:`basin_min_fidelity` computes them, so that equal floats are the
+    same probe."""
+    if levels == 0 or not hi - lo > _BASIN_TOL:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+
+
+class _BasinPasses:
+    """The full-grid passes of one basin search for ``f_target``.
+
+    One table holds the S grid entries, copied from :func:`_grid_table`, then
+    _WITNESSES witness slots.  Before each pass the slots are rewritten to the
+    grid step that was best in the previous pass (the first grid step before
+    any pass), and every witness initial fidelity that reaches ``f_target``
+    at that step joins ``proven``."""
+
+    def __init__(self, k: int, m: Optional[int], mode: str, f_target: float):
+        grid = _grid_table(m)
+
+        def pad(a):
+            return np.concatenate([a, np.empty(_WITNESSES)])
+
+        law = grid.law and tuple(map(pad, grid.law))
+        self._table = _StepTable(m, pad(grid.cos_phi), pad(grid.sin_phi), tuple(map(pad, grid.coeffs)), law)
+        self._slots = list(zip(self._table.arrays(), grid.arrays()))
+        self._size = grid.cos_phi.size
+        self._counts = np.concatenate([[self._size], np.ones(_WITNESSES, dtype=int)])
+        self._k, self._mode, self._f_target = k, mode, f_target
+        self._best = 0
+        self.proven: set[float] = set()
+
+    def __call__(self, f0: float, witnesses: Sequence[float] = ()) -> bool:
+        """Whether the grid's best step takes ``f0`` to the target, with the
+        ``witnesses`` (at most _WITNESSES) evaluated in the same batch."""
+        for slots, grid in self._slots:
+            slots[self._size :] = grid[self._best]
+        f0s = np.full(1 + _WITNESSES, f0)  # unused slots repeat f0
+        f0s[1 : 1 + len(witnesses)] = witnesses
+        e = _final_energies(np.arccos(2.0 * f0s - 1.0), self._k, self._table, self._mode, self._counts)
+        grid, tried = e[: self._size], e[self._size : self._size + len(witnesses)]
+        self._best = int(np.argmin(grid))
+        self.proven.update(f for f, ew in zip(witnesses, tried) if (1.0 - ew) / 2.0 >= self._f_target)
+        return (1.0 - grid.min()) / 2.0 >= self._f_target
+
+
 def basin_min_fidelity(
     k: int, m: Optional[int], f_target: float, mode: str = "chain"
 ) -> BasinResult:
@@ -523,19 +591,38 @@ def basin_min_fidelity(
 
     Returns the 1.0 sentinel with ``reachable=False`` when no initial fidelity
     below 1 attains the target.
+
+    Witness rule: each full-grid pass (the grid of :func:`best_final_fidelity`)
+    also runs, in the same engine batch, one witness entry for each bisection
+    midpoint that may be probed in the next 4 levels on either side of its
+    decision (30 entries; 15 for the pass at the lower end, none for the
+    first pass), each at the grid step that was best in the previous pass.  A
+    midpoint whose witness reaches the target is proven: the loop moves ``hi``
+    there without a pass.  Every other decision comes from a full-grid pass.
+
+    The result is exactly that of the plain bisection, in which every probe is
+    a full-grid pass.  The engine is elementwise over batch entries and the
+    default H has identity eigenvectors, so a witness entry is computed with
+    the arithmetic the grid would use at that entry; and the grid's best
+    fidelity is at least that of any one of its entries, so a proven decision
+    is the one the full grid would make.  The depth of 4 levels is fixed; it
+    sets how many passes run, never the result.
     """
     if not 0.0 < f_target < 1.0:
         raise ContractViolationError("f_target must lie in (0, 1)")
     _check_search_args(k, m, mode)
+    reaches = _BasinPasses(k, m, mode, f_target)
     hi = 1.0 - 1e-6
     lo = 1e-6
-    if best_final_fidelity(hi, k, m, mode) < f_target:
+    if not reaches(hi):
         return BasinResult(1.0, False)
-    if best_final_fidelity(lo, k, m, mode) >= f_target:
+    if reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS)):
         return BasinResult(lo, True)
-    while hi - lo > 1e-4:
+    while hi - lo > _BASIN_TOL:
         mid = 0.5 * (lo + hi)
-        if best_final_fidelity(mid, k, m, mode) >= f_target:
+        if mid in reaches.proven or reaches(
+            mid, _midpoints(lo, mid, _WITNESS_LEVELS) + _midpoints(mid, hi, _WITNESS_LEVELS)
+        ):
             hi = mid
         else:
             lo = mid

@@ -57,6 +57,11 @@ class TestCircuitUnitary:
             target = qmath.herm_expm(np.kron(qmath.PAULI_Z, qmath.PAULI_Z), -1j * phi / 2)
             assert np.abs(rzz_matrix(phi) - target).max() < 1e-14
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_rzz_rejects_non_finite_angle(self, phi):
+        with pytest.raises(ContractViolationError, match="gate angles must be finite"):
+            rzz_matrix(phi)
+
     def test_barrier_has_no_effect(self):
         with_barrier = Circuit(2, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("H", (), (1,))))
         without = Circuit(2, (Gate("H", (), (0,)), Gate("H", (), (1,))))

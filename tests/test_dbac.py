@@ -856,6 +856,78 @@ class TestGridTables:
         assert builds == [step_size_grid().size]
 
 
+def _plain_basin(k, m, f_target, mode):
+    """The basin bisection with one full-grid probe per decision, as it ran
+    before witness entries: the oracle of basin_min_fidelity."""
+    hi = 1.0 - 1e-6
+    lo = 1e-6
+    if best_final_fidelity(hi, k, m, mode) < f_target:
+        return BasinResult(1.0, False)
+    if best_final_fidelity(lo, k, m, mode) >= f_target:
+        return BasinResult(lo, True)
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if best_final_fidelity(mid, k, m, mode) >= f_target:
+            hi = mid
+        else:
+            lo = mid
+    return BasinResult(hi, True)
+
+
+def _recorded_passes(monkeypatch, *args):
+    """basin_min_fidelity(*args) and the (thetas, energies) of each of its passes."""
+    passes = []
+    final_energies = dbac._final_energies
+
+    def recording(thetas, k, table, mode, counts=None):
+        e = final_energies(thetas, k, table, mode, counts)
+        passes.append((thetas.copy(), e))
+        return e
+
+    monkeypatch.setattr(dbac, "_final_energies", recording)
+    result = basin_min_fidelity(*args)
+    monkeypatch.undo()
+    return result, passes
+
+
+class TestBasinWitnesses:
+    """Witness entries skip full-grid passes but never change a decision."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        m=st.sampled_from([1, 2, 3, 4, None]),
+        mode=st.sampled_from(RECURSION_MODES),
+        f_target=st.one_of(st.floats(0.01, 0.99), st.floats(1e-12, 1e-6), st.floats(1 - 1e-9, 1 - 1e-15)),
+    )
+    @example(k=1, m=1, mode="chain", f_target=1 - 1e-14)  # the (1.0, False) sentinel
+    @example(k=6, m=None, mode="fresh", f_target=1 - 1e-9)
+    @example(k=3, m=None, mode="fresh", f_target=1e-7)  # lo is returned
+    @example(k=6, m=4, mode="chain", f_target=1e-9)
+    @example(k=2, m=2, mode="fresh", f_target=0.8)
+    def test_matches_plain_bisection(self, k, m, mode, f_target):
+        assert basin_min_fidelity(k, m, f_target, mode) == _plain_basin(k, m, f_target, mode)
+
+    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (3, "fresh")])
+    def test_merged_pass_entries_equal_grid_only_passes(self, monkeypatch, m, mode):
+        k, size = 2, step_size_grid().size
+        _, passes = _recorded_passes(monkeypatch, k, m, 0.8, mode)
+        assert len(passes) > 2
+        grid, best = dbac._grid_table(m), 0  # the witness slots start at the first grid step
+        for thetas, e in passes:
+            alone = [dbac._final_energies(theta[None], k, grid, mode)[0] for theta in thetas]
+            assert e.shape == (size + thetas.size - 1,)
+            assert np.array_equal(e[:size], alone[0])
+            assert np.array_equal(e[size:], [row[best] for row in alone[1:]])
+            best = int(np.argmin(alone[0]))
+
+    def test_fewer_full_grid_passes(self, monkeypatch):
+        # the plain bisection makes 16: both ends of the interval, then 14 halvings
+        result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
+        assert result == _plain_basin(2, 2, 0.8, "fresh")
+        assert len(passes) == 10 < 16
+
+
 class TestSearchArgumentChecks:
     @pytest.mark.parametrize(
         "k, m, mode", [(0, 1, "chain"), (1, 0, "chain"), (0, None, "fresh"), (1, 1, "chian")]
