@@ -55,14 +55,14 @@ class DbacSchedule:
         s = tuple(float(x) for x in self.s)
         if len(s) < 1:
             raise ContractViolationError("schedule needs at least one step")
-        if not all(np.isfinite(x) for x in s):
+        if not np.isfinite(s).all():
             raise ContractViolationError("step durations must be finite")
         object.__setattr__(self, "s", s)
         if self.m is not None:
             m = tuple(int(x) for x in self.m)
             if len(m) != len(s):
                 raise ContractViolationError("m list length must match s list length")
-            if any(x < 1 for x in m):
+            if min(m) < 1:
                 raise ContractViolationError("every Trotter depth must be >= 1")
             object.__setattr__(self, "m", m)
         if self.recursion not in RECURSION_MODES:
@@ -233,13 +233,16 @@ def dbac_via_dme(
     two-register interaction; depolarizing the joint register and then tracing
     out one side leaves (1 - p2) sigma' + p2 I/2 on either marginal, so the p2
     path is closed form too.  Damping (``t1_us``) is not modeled and is
-    rejected.  The closing echo rotation makes states, not only energies, right.
+    rejected.
 
-    The steps run on Bloch vectors in H's eigenbasis (:func:`_bloch_steps`) and
-    validate nothing: every reported state (initial states, step outputs,
-    instruction marginals) is validated once, by one :func:`dme.check_bloch`
-    call on their stacked planes, before they are rebuilt as matrices for the
-    observables.
+    The steps run on Bloch vectors in H's eigenbasis (:func:`_bloch_steps`,
+    one rotation of the instruction per step) and validate nothing.  The step
+    outputs come in the data's frame; each step's instruction marginals come
+    rotated back into the frame the copies were prepared in, by one rotation
+    of their stacked planes.  Every reported state (initial states, step
+    outputs, instruction marginals) is validated once, by one
+    :func:`dme.check_bloch` call on their stacked planes, before they are
+    rebuilt as matrices for the observables.
     :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
     """
     if schedule.m is None:
@@ -258,8 +261,8 @@ def dbac_via_dme(
     tables = [table(sj, mj) for sj, mj in zip(schedule.s, schedule.m)]
     for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise, marginals=True):
         states.append(out)
-        marginals.extend(margs)
-    planes = np.stack(states + marginals, axis=1)  # (3, k + 1 + n, B)
+        marginals.append(margs)
+    planes = np.concatenate([np.stack(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
     check_bloch(planes)
     mats = density_matrices(planes)
     records = _records(schedule, mats[: schedule.k + 1], mats[schedule.k + 1 :])
@@ -322,25 +325,32 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
-# t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d.
-# _bloch_steps steps qubit states as (3, B) Bloch planes through
-# dme.partial_swap: M_j swaps per step, or one call that is the exact
-# reflector.  Its step-size terms come in a _StepTable, built once per distinct
-# step, once per final_fidelities_over_s call, and once per depth for the
-# search grid (_grid_table), never once per probe.  The search runs every
-# (angle, step size) pair of a call as one batch entry and skips the
-# instruction marginals.  The dense dbac_step_exact and dme_step_exact are the
-# oracles, and _exact_steps is the oracle of the Bloch-plane reflectors.
+# t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d, with the
+# phases of all steps built before its loop.  _bloch_steps steps qubit states
+# as (3, B) Bloch planes through dme.partial_swap: M_j swaps per step, or one
+# call that is the exact reflector.  Both commute with rotations about z, so a
+# step rotates its instruction once into the data's frame instead of rotating
+# the data there and back: every output it yields is in the data's frame (H's
+# eigenbasis), and the instruction marginals, which only dbac_via_dme asks
+# for, are rotated back into the copies' frame, one call per step.  Its
+# step-size terms come in a _StepTable, built once per distinct step, once per
+# final_fidelities_over_s call, and once per depth for the search grid
+# (_grid_table), never once per probe.  The search runs every (angle, step
+# size) pair of a call as one batch entry and skips the instruction
+# marginals.  The dense dbac_step_exact and dme_step_exact are the oracles,
+# and _exact_steps is the oracle of the Bloch-plane reflectors.
 
 
 def _exact_steps(psi0, steps, w, recursion):
-    """Exact-reflector steps of a (B, d) or (1, d) batch of unit vectors: the
-    reflector exp(it|cur><cur|) = I + (e^{it} - 1)|cur><cur| is a rank-1 update."""
-    cur, t_prev = psi0, None
-    for t in steps:
-        if not np.array_equal(t, t_prev):  # the phases repeat with the step size
-            e = np.exp(-1j * t[:, None] * w)  # exp(-itH)
-            ec, r, t_prev = e.conj(), np.exp(1j * t[:, None]) - 1.0, t
+    """Exact-reflector steps of a (B, d) or (1, d) batch of unit vectors, step
+    j by the (B,) or (1,) step sizes ``steps[j]``: the reflector
+    exp(it|cur><cur|) = I + (e^{it} - 1)|cur><cur| is a rank-1 update.  The
+    phases of every step are built before the loop, elementwise as one step
+    would build them."""
+    t = np.asarray(steps)[..., None]
+    phases = np.exp(-1j * t * w)  # exp(-itH), (k, B, d)
+    cur = psi0
+    for e, ec, r in zip(phases, phases.conj(), np.exp(1j * t) - 1.0):
         out = (cur if recursion == "chain" else psi0) * e
         out += r * np.sum(cur.conj() * out, axis=-1, keepdims=True) * cur
         out *= ec
@@ -367,6 +377,11 @@ class _StepTable(NamedTuple):
     def arrays(self) -> list:
         """Every array of the table, in field order."""
         return [self.cos_phi, self.sin_phi, *self.coeffs, *(self.law or ())]
+
+    def map(self, f) -> "_StepTable":
+        """The table with ``f`` applied to each of its arrays."""
+        law = self.law and tuple(map(f, self.law))
+        return _StepTable(self.m, f(self.cos_phi), f(self.sin_phi), tuple(map(f, self.coeffs)), law)
 
 
 def _step_table(s: np.ndarray, m: Optional[int], w: np.ndarray) -> _StepTable:
@@ -398,41 +413,56 @@ def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     """Cooling steps of a (3, B) batch of Bloch planes, step j by the
-    :class:`_StepTable` ``tables[j]``: yields each step's output and, with
-    ``marginals``, its M_j instruction marginals.  A step of depth M makes M
-    partial swaps; an exact-reflector step rotates the echoed data b by -s
-    about the previous output c, a pure state: exp(is|c><c|) is the kernel
-    with operands (cos s, (1 - cos s)(c.b) c, -sin s c), and its output is
-    rescaled to |a| = 1, as _exact_steps renormalizes.  Depolarizing
-    with probability p scales a Bloch vector by 1 - p.  ``partial_swap`` is
-    looked up in this module, so a test can trace it."""
+    :class:`_StepTable` ``tables[j]``: yields each step's output, in the
+    data's frame (H's eigenbasis, as ``r0``), and, with ``marginals``, its M_j
+    instruction marginals as an (M_j, 3, B) array in the copies' frame (the
+    frame the copies were prepared in, as the dense oracle traces them out).
+
+    One echo rotation per step: the partial swap, the exact reflector's
+    operands and the p1/p2 scalings all commute with rotations about z, so
+    exp(+isH) K_c exp(-isH) applied to the data equals K_a applied to the
+    unrotated data, with the instruction c rotated once into the data's
+    frame, a = exp(+isH) c exp(-isH) (its (x, y) by -phi).  The step's output
+    is the next instruction.  The marginals come out in the data's frame and
+    are rotated back by +phi, one call per step.
+
+    A step of depth M makes M partial swaps against a; an exact-reflector
+    step rotates the data b by -s about a, a pure state: exp(is|a><a|) is the
+    kernel with operands (cos s, (1 - cos s)(a.b) a, -sin s a), and its output
+    is rescaled to unit length, as _exact_steps renormalizes.  Depolarizing
+    with probability p scales a Bloch vector by 1 - p.  ``partial_swap`` and
+    ``_rotate_xy`` are looked up in this module, so a test can trace them."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
     for table in tables:
-        sig = _rotate_xy(data, table.cos_phi, table.sin_phi)  # exp(-isH) rho exp(+isH)
-        if p1:
-            sig *= 1.0 - p1
-        margs = []
+        a = _rotate_xy(instr, table.cos_phi, -table.sin_phi)  # the instruction in the data's frame
+        sig = data * (1.0 - p1) if p1 else data
+        margs = ()
         if table.m is None:
             c, one_minus_c, minus_sin = table.coeffs
-            sig = partial_swap(sig, (c, (one_minus_c * (instr * sig).sum(axis=0)) * instr, minus_sin * instr))
-            sig /= np.sqrt((sig * sig).sum(axis=0))  # else |c| - 1 grows up to fivefold per step
+            out = partial_swap(sig, (c, (one_minus_c * (a * sig).sum(axis=0)) * a, minus_sin * a))
+            out /= np.sqrt((out * out).sum(axis=0))  # else |a| - 1 grows up to fivefold per step
         else:
-            step = swap_operands(instr, table.coeffs)
-            for _ in range(table.m):
+            step = swap_operands(a, table.coeffs)
+            if marginals:
+                margs = np.empty((table.m, *sig.shape))
+            for i in range(table.m):
                 out = partial_swap(sig, step)
                 if marginals:
-                    marg = instr + sig
+                    marg = np.add(a, sig, out=margs[i])
                     marg -= out
-                    margs.append(marg * (1.0 - p2) if p2 else marg)
                 if p2:
                     out *= 1.0 - p2
                 sig = out
-        instr = _rotate_xy(sig, table.cos_phi, -table.sin_phi)
+            if marginals:
+                if p2:
+                    margs *= 1.0 - p2
+                margs = _rotate_xy(margs.swapaxes(0, 1), table.cos_phi, table.sin_phi).swapaxes(0, 1)
         if p1:
-            instr *= 1.0 - p1
-        yield instr, margs
-        data = instr if recursion == "chain" else r0
+            out *= 1.0 - p1
+        yield out, margs
+        instr = out
+        data = out if recursion == "chain" else r0
 
 
 def _final_energies(
@@ -545,29 +575,47 @@ def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
     return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_step(k: int) -> int:
+    """The grid step that minimizes the final energy of k exact-reflector chain
+    steps from f0 = 1/2 (E0 = 0) under the closed-form law: a cheap estimate of
+    the best step for the middle of the basin interval."""
+    law = _law_terms(_S_GRID)
+    e = np.zeros(_S_GRID.size)
+    for _ in range(k):
+        e = _energy_law(e, *law)
+    return int(np.argmin(e))
+
+
 class _BasinPasses:
     """The full-grid passes of one basin search for ``f_target``.
 
     One table holds the S grid entries, copied from :func:`_grid_table`, then
     _WITNESSES witness slots.  Before each pass the slots are rewritten to the
-    grid step that was best in the previous pass (the first grid step before
-    any pass), and every witness initial fidelity that reaches ``f_target``
-    at that step joins ``proven``."""
+    witness step: the grid step that was best in the previous pass, or
+    :func:`_seed_step` before the first pass.  Every witness initial fidelity
+    that reaches ``f_target`` at that step joins ``proven``."""
 
     def __init__(self, k: int, m: Optional[int], mode: str, f_target: float):
-        grid = _grid_table(m)
-
-        def pad(a):
-            return np.concatenate([a, np.empty(_WITNESSES)])
-
-        law = grid.law and tuple(map(pad, grid.law))
-        self._table = _StepTable(m, pad(grid.cos_phi), pad(grid.sin_phi), tuple(map(pad, grid.coeffs)), law)
+        self._grid = grid = _grid_table(m)
+        self._table = grid.map(lambda a: np.concatenate([a, np.empty(_WITNESSES)]))
         self._slots = list(zip(self._table.arrays(), grid.arrays()))
         self._size = grid.cos_phi.size
         self._counts = np.concatenate([[self._size], np.ones(_WITNESSES, dtype=int)])
         self._k, self._mode, self._f_target = k, mode, f_target
-        self._best = 0
+        self._best = _seed_step(k)
         self.proven: set[float] = set()
+
+    def _reached(self, e) -> bool:
+        return (1.0 - e) / 2.0 >= self._f_target
+
+    def at_first_step(self, f0: float) -> bool:
+        """Whether the first grid step alone takes ``f0`` to the target: a
+        witness-only batch of one entry.  True proves that the full pass would
+        say True; False decides nothing."""
+        one = self._grid.map(lambda a: a[:1])
+        e = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), self._k, one, self._mode)
+        return self._reached(e[0, 0])
 
     def __call__(self, f0: float, witnesses: Sequence[float] = ()) -> bool:
         """Whether the grid's best step takes ``f0`` to the target, with the
@@ -579,8 +627,8 @@ class _BasinPasses:
         e = _final_energies(np.arccos(2.0 * f0s - 1.0), self._k, self._table, self._mode, self._counts)
         grid, tried = e[: self._size], e[self._size : self._size + len(witnesses)]
         self._best = int(np.argmin(grid))
-        self.proven.update(f for f, ew in zip(witnesses, tried) if (1.0 - ew) / 2.0 >= self._f_target)
-        return (1.0 - grid.min()) / 2.0 >= self._f_target
+        self.proven.update(f for f, ew in zip(witnesses, tried) if self._reached(ew))
+        return self._reached(grid.min())
 
 
 def basin_min_fidelity(
@@ -592,21 +640,27 @@ def basin_min_fidelity(
     Returns the 1.0 sentinel with ``reachable=False`` when no initial fidelity
     below 1 attains the target.
 
-    Witness rule: each full-grid pass (the grid of :func:`best_final_fidelity`)
-    also runs, in the same engine batch, one witness entry for each bisection
-    midpoint that may be probed in the next 4 levels on either side of its
-    decision (30 entries; 15 for the pass at the lower end, none for the
-    first pass), each at the grid step that was best in the previous pass.  A
-    midpoint whose witness reaches the target is proven: the loop moves ``hi``
-    there without a pass.  Every other decision comes from a full-grid pass.
+    The upper end, 1 - 1e-6, is decided by one witness entry at the first
+    grid step (s = 1e-3); only when that entry misses the target does a
+    full-grid pass (the grid of :func:`best_final_fidelity`) decide it.
+
+    Witness rule: each later full-grid pass also runs, in the same engine
+    batch, one witness entry for each bisection midpoint that may be probed
+    in the next 4 levels on either side of its decision (30 entries; 15 for
+    the pass at the lower end), each at the grid step that was best in the
+    previous full-grid pass, or at the closed-form estimate :func:`_seed_step`
+    when no full-grid pass has run yet (the lower end's pass, whenever the
+    upper end's witness decided it).  A midpoint whose witness reaches the
+    target is proven: the loop moves ``hi`` there without a pass.  Every other
+    decision comes from a full-grid pass.
 
     The result is exactly that of the plain bisection, in which every probe is
     a full-grid pass.  The engine is elementwise over batch entries and the
     default H has identity eigenvectors, so a witness entry is computed with
     the arithmetic the grid would use at that entry; and the grid's best
     fidelity is at least that of any one of its entries, so a proven decision
-    is the one the full grid would make.  The depth of 4 levels is fixed; it
-    sets how many passes run, never the result.
+    is the one the full grid would make.  The witness steps and the depth of
+    4 levels set how many passes run, never the result.
     """
     if not 0.0 < f_target < 1.0:
         raise ContractViolationError("f_target must lie in (0, 1)")
@@ -614,7 +668,7 @@ def basin_min_fidelity(
     reaches = _BasinPasses(k, m, mode, f_target)
     hi = 1.0 - 1e-6
     lo = 1e-6
-    if not reaches(hi):
+    if not (reaches.at_first_step(hi) or reaches(hi)):
         return BasinResult(1.0, False)
     if reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS)):
         return BasinResult(lo, True)

@@ -338,6 +338,16 @@ class TestViaDmeBatch:
         assert np.abs(batch - np.conj(batch).swapaxes(1, 2)).max() <= 1e-12
         assert np.linalg.eigvalsh(batch).min() >= -1e-10
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel(1e-3, 0.02)])
+    def test_one_rotation_per_cooling_step(self, monkeypatch, noise):
+        # one rotation of the instruction per step, plus one of the step's
+        # stacked marginals back into the copies' frame
+        thetas = np.linspace(0.2, 3.0, 5)
+        schedule = DbacSchedule(s=(0.3, 0.5, 0.7), m=(2, 1, 3))
+        shapes = _counted_rotations(monkeypatch, dbac_via_dme, thetas, schedule, noise)
+        assert shapes == [(3, 5), (3, 2, 5), (3, 5), (3, 1, 5), (3, 5), (3, 3, 5)]
+        assert _counted_rotations(monkeypatch, dbac_via_dme, 0.4, schedule, noise)[::2] == [(3, 1)] * 3
+
     def test_batch_matches_single_angle_calls(self):
         thetas = np.linspace(0.1, 3.0, 7)
         schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion="fresh")
@@ -524,6 +534,16 @@ class TestScheduleValidation:
         with pytest.raises(ContractViolationError):
             DbacSchedule(s=(0.5,), m=(0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [None, (2,) * 200])
+    def test_rejects_non_finite_last_step(self, bad, m):
+        with pytest.raises(ContractViolationError, match="step durations must be finite"):
+            DbacSchedule(s=(0.5,) * 199 + (bad,), m=m)
+
+    def test_rejects_zero_depth_in_last_step(self):
+        with pytest.raises(ContractViolationError, match="every Trotter depth must be >= 1"):
+            DbacSchedule(s=(0.5,) * 3, m=(2, 2, 0))
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):
             DbacSchedule(s=(0.5,), recursion="sideways")
@@ -610,6 +630,21 @@ class TestSearchEngineOracle:
             assert abs(rec.fidelities[-1] - f) < 1e-12
 
 
+def _counted_rotations(monkeypatch, call, *args):
+    """The plane shapes of every dbac._rotate_xy call that call(*args) makes."""
+    shapes = []
+    rotate = dbac._rotate_xy
+
+    def counting(r, cos, sin):
+        shapes.append(np.shape(r))
+        return rotate(r, cos, sin)
+
+    monkeypatch.setattr(dbac, "_rotate_xy", counting)
+    call(*args)
+    monkeypatch.undo()
+    return shapes
+
+
 class TestSearchBatch:
     """final_fidelities_over_s on an angle array is one engine pass over every
     (angle, step size) pair; it must equal the one-angle calls."""
@@ -638,6 +673,12 @@ class TestSearchBatch:
         monkeypatch.setattr(dbac, "partial_swap", counting_swap)
         final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
         assert calls == [(3, self.THETAS.size * self.S_VALUES.size)] * 6
+
+    @pytest.mark.parametrize("m, mode", [(2, "chain"), (1, "fresh"), (None, "fresh")])
+    def test_one_rotation_per_cooling_step(self, monkeypatch, m, mode):
+        # the instruction is rotated into the data's frame; the data never is
+        shapes = _counted_rotations(monkeypatch, final_fidelities_over_s, self.THETAS, 3, m, self.S_VALUES, mode)
+        assert shapes == [(3, self.THETAS.size * self.S_VALUES.size)] * 3
 
     @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([])])
     def test_bad_theta_rejected(self, theta):
@@ -905,27 +946,61 @@ class TestBasinWitnesses:
     @example(k=3, m=None, mode="fresh", f_target=1e-7)  # lo is returned
     @example(k=6, m=4, mode="chain", f_target=1e-9)
     @example(k=2, m=2, mode="fresh", f_target=0.8)
+    @example(k=2, m=2, mode="chain", f_target=1 - 1e-7)  # the upper end's witness misses
     def test_matches_plain_bisection(self, k, m, mode, f_target):
         assert basin_min_fidelity(k, m, f_target, mode) == _plain_basin(k, m, f_target, mode)
 
-    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (3, "fresh")])
-    def test_merged_pass_entries_equal_grid_only_passes(self, monkeypatch, m, mode):
+    @staticmethod
+    def _check_passes(monkeypatch, m, mode, f_target):
+        """Every recorded engine call of basin_min_fidelity(2, m, f_target, mode)
+        against grid-only passes; returns whether the upper end's witness missed."""
         k, size = 2, step_size_grid().size
-        _, passes = _recorded_passes(monkeypatch, k, m, 0.8, mode)
-        assert len(passes) > 2
-        grid, best = dbac._grid_table(m), 0  # the witness slots start at the first grid step
-        for thetas, e in passes:
+        _, passes = _recorded_passes(monkeypatch, k, m, f_target, mode)
+        assert len(passes) >= 2
+        grid = dbac._grid_table(m)
+        # the upper end's witness-only batch: one entry at the first grid step
+        (upper,), e = passes[0]
+        alone = dbac._final_energies(upper[None], k, grid, mode)[0]
+        assert upper == np.arccos(2.0 * (1.0 - 1e-6) - 1.0)
+        assert np.array_equal(e, [[alone[0]]])
+        missed = (1.0 - e[0, 0]) / 2.0 < f_target
+        best = dbac._seed_step(k)  # the witness slots start at the closed-form estimate
+        for thetas, e in passes[1:]:
             alone = [dbac._final_energies(theta[None], k, grid, mode)[0] for theta in thetas]
             assert e.shape == (size + thetas.size - 1,)
             assert np.array_equal(e[:size], alone[0])
             assert np.array_equal(e[size:], [row[best] for row in alone[1:]])
             best = int(np.argmin(alone[0]))
+        # a missed witness is followed by a full pass at the upper end, else
+        # the next pass is the lower end's
+        assert passes[1][0][0] == (upper if missed else np.arccos(2.0 * 1e-6 - 1.0))
+        return missed
+
+    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (3, "fresh")])
+    def test_merged_pass_entries_equal_grid_only_passes(self, monkeypatch, m, mode):
+        assert not self._check_passes(monkeypatch, m, mode, 0.8)
+
+    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (3, "fresh")])
+    def test_missed_upper_witness_runs_the_full_pass(self, monkeypatch, m, mode):
+        # the first grid step barely moves 1 - 1e-6; the fresh targets are out of reach
+        assert self._check_passes(monkeypatch, m, mode, 1 - 1e-7)
+
+    def test_seed_step_minimizes_the_chain_law_at_half_fidelity(self):
+        grid = step_size_grid()
+        for k in (1, 2, 5):
+            e = np.zeros(grid.size)
+            for _ in range(k):
+                e = dbac_energy_analytic(e, grid)
+            assert dbac._seed_step(k) == int(np.argmin(e))
 
     def test_fewer_full_grid_passes(self, monkeypatch):
-        # the plain bisection makes 16: both ends of the interval, then 14 halvings
+        # the plain bisection makes 16: both ends of the interval, then 14
+        # halvings; the upper end is decided by a one-entry witness batch
         result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
         assert result == _plain_basin(2, 2, 0.8, "fresh")
-        assert len(passes) == 10 < 16
+        sizes = [thetas.size for thetas, _ in passes]
+        assert sizes[0] == 1 and sizes.count(1) == 1  # one witness-only batch, at the upper end
+        assert len(sizes) - 1 == 9 < 16
 
 
 class TestSearchArgumentChecks:
