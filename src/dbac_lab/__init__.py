@@ -21,6 +21,7 @@ from .dbac import (  # noqa: F401
     DbacSchedule,
     basin_min_fidelity,
     best_final_fidelity,
+    check_step_sizes,
     copies_accounting,
     dbac_energy_analytic,
     dbac_recursive_exact,

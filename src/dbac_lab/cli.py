@@ -6,9 +6,12 @@ Usage:
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, and noise keys the experiment does not apply,
-are rejected.  Each config key is declared once, as an `ExperimentConfig`
-field carrying its default and its parser.  Angles are finite, in radians
-unless the value carries a `deg` suffix.  Runners return their tables and
+are rejected.  Each config key is declared once, as a field of the frozen
+`ExperimentConfig` carrying its default and its parser; constructing one runs
+every check and builds, once, the schedule, noise model and grids its runner
+reads.  Angles are finite, in radians unless the value carries a `deg`
+suffix; `seed` is >= 0; a grid's span and every step size's echo angle
+s (w_max - w_min) must be finite.  Runners return their tables and
 `run_config` alone writes them: one writer formats every table at 12
 significant digits, and `results_manifest.json` lists exactly the files this
 run wrote, each with its sha256 checksum; identical config and seed give
@@ -43,6 +46,7 @@ from .dbac import (
     RECURSION_MODES,
     DbacSchedule,
     basin_min_fidelity,
+    check_step_sizes,
     dbac_energy_analytic,
     dbac_recursive_exact,
     dbac_via_dme,
@@ -108,8 +112,21 @@ def _key(default, parse):
     return field(default=default, metadata={"parse": parse})
 
 
-@dataclass
+def _grid(name: str, start: float, stop: float, count: int) -> np.ndarray:
+    """np.linspace(start, stop, count), read-only; a span that overflows is a config error."""
+    if not np.isfinite(stop - start):
+        raise ConfigError(f"{name}_start/{name}_stop: the grid's span must be finite")
+    grid = np.linspace(start, stop, count)
+    grid.setflags(write=False)
+    return grid
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's config: valid by construction, immutable, and holding
+    what its runner reads (schedule, noise model, grids), built once here; a
+    library contract violation among them is a config error."""
+
     experiment: str = _key("", str)
     out: str = _key("", str)
     seed: int = _key(0, int)
@@ -141,18 +158,75 @@ class ExperimentConfig:
     noise_t2_us: Optional[float] = _key(None, float)
     raw: dict = field(default_factory=dict)
 
-    def schedule(self) -> DbacSchedule:
-        if len(self.s) not in (1, self.k):
-            raise ConfigError(f"s: give one value or {self.k} per-step values, got {len(self.s)}")
-        s = self.s if len(self.s) == self.k else (self.s[0],) * self.k
-        m = self.m
-        if m is not None:
-            if len(m) not in (1, self.k):
-                raise ConfigError(f"m: give one value or {self.k} per-step values, got {len(m)}")
-            if len(m) != self.k:
-                m = (m[0],) * self.k
-        return DbacSchedule(s=s, m=m, recursion=self.recursion)
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if not self.out:
+            raise ConfigError("out: an output directory is required")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
+        if self.k < 1:
+            raise ConfigError("k: must be >= 1")
+        if self.m is not None and any(mj < 1 for mj in self.m):
+            raise ConfigError("m: every Trotter depth must be >= 1")
+        for name in ("k_list", "m_list", "phi_list"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: give at least one value")
+        if any(v is not None and v < 1 for v in self.k_list + self.m_list):
+            raise ConfigError("k_list/m_list: every step count and Trotter depth must be >= 1")
+        for name in ("theta_count", "s_count"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name}: grid counts must be >= 2")
+        if self.m_max < 1:
+            raise ConfigError("m_max: must be >= 1")
+        if not 0.0 < self.f_target < 1.0:
+            raise ConfigError("f_target: must lie in (0, 1)")
+        if self.rounds < 1:
+            raise ConfigError("rounds: must be >= 1")
+        if not 0.0 <= self.x0 < 1.0:
+            raise ConfigError("x0: must lie in [0, 1)")
+        if not (abs(self.eps0) <= 1 and abs(self.eps_bath) <= 1):  # NaN fails too
+            raise ConfigError("eps0/eps_bath: polarizations must lie in [-1, 1]")
+        if self.workers < 1:
+            raise ConfigError("workers: must be >= 1")
+        if self.recursion not in RECURSION_MODES:
+            raise ConfigError("recursion: must be 'chain' or 'fresh'")
+        for name in ("noise_p1", "noise_p2"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name}: must lie in [0, 1]")
+        if self.experiment in ("sweep-theta", "sweep-s") and self.m is None:
+            raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
+        if self.experiment == "sweep-s" and self.m is not None and len(set(self.m)) != 1:
+            raise ConfigError("m: sweep-s uses one common depth per step")
+        if self.experiment == "grid-km" and abs(float(np.cos(self.theta))) >= 1.0:
+            raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
+        used = () if self.experiment == "trajectory" and self.m is None else _NOISE_KEYS.get(self.experiment, ())
+        for name in ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"):
+            if getattr(self, name) not in (0, None) and name not in used:
+                applied = ", ".join(used) or "none"
+                raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applied})")
+        try:  # build once, here, what the runner reads
+            self.noise
+            if self.experiment in ("sweep-theta", "sweep-s", "trajectory"):
+                self.schedule
+            if self.experiment in ("sweep-theta", "sweep-s"):
+                self.theta_grid
+            if self.experiment == "sweep-s":
+                self.s_grid
+        except ContractViolationError as exc:
+            raise ConfigError(str(exc)) from exc
 
+    @functools.cached_property
+    def schedule(self) -> DbacSchedule:
+        def per_step(name: str, values: tuple) -> tuple:
+            if len(values) not in (1, self.k):
+                raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
+            return values * (self.k // len(values))
+
+        s = per_step("s", self.s)
+        return DbacSchedule(s=s, m=None if self.m is None else per_step("m", self.m), recursion=self.recursion)
+
+    @functools.cached_property
     def noise(self) -> Optional[NoiseModel]:
         if (self.noise_p1, self.noise_p2, self.noise_t1_us, self.noise_t2_us) == (0, 0, None, None):
             return None
@@ -160,63 +234,17 @@ class ExperimentConfig:
             p1=self.noise_p1, p2=self.noise_p2, t1_us=self.noise_t1_us, t2_us=self.noise_t2_us
         )
 
+    @functools.cached_property
+    def theta_grid(self) -> np.ndarray:
+        return _grid("theta", self.theta_start, self.theta_stop, self.theta_count)
+
+    @functools.cached_property
+    def s_grid(self) -> np.ndarray:
+        return check_step_sizes(_grid("s", self.s_start, self.s_stop, self.s_count))
+
 
 # key -> parser. Unknown keys are rejected with the key name.
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig) if "parse" in f.metadata}
-
-
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
-    if not cfg.out:
-        raise ConfigError("out: an output directory is required")
-    if cfg.k < 1:
-        raise ConfigError("k: must be >= 1")
-    if cfg.m is not None and any(mj < 1 for mj in cfg.m):
-        raise ConfigError("m: every Trotter depth must be >= 1")
-    for name in ("k_list", "m_list", "phi_list"):
-        if not getattr(cfg, name):
-            raise ConfigError(f"{name}: give at least one value")
-    if any(v is not None and v < 1 for v in cfg.k_list + cfg.m_list):
-        raise ConfigError("k_list/m_list: every step count and Trotter depth must be >= 1")
-    for name in ("theta_count", "s_count"):
-        if getattr(cfg, name) < 2:
-            raise ConfigError(f"{name}: grid counts must be >= 2")
-    if cfg.m_max < 1:
-        raise ConfigError("m_max: must be >= 1")
-    if not 0.0 < cfg.f_target < 1.0:
-        raise ConfigError("f_target: must lie in (0, 1)")
-    if cfg.rounds < 1:
-        raise ConfigError("rounds: must be >= 1")
-    if not 0.0 <= cfg.x0 < 1.0:
-        raise ConfigError("x0: must lie in [0, 1)")
-    if not (abs(cfg.eps0) <= 1 and abs(cfg.eps_bath) <= 1):  # NaN fails too
-        raise ConfigError("eps0/eps_bath: polarizations must lie in [-1, 1]")
-    if cfg.workers < 1:
-        raise ConfigError("workers: must be >= 1")
-    if cfg.recursion not in RECURSION_MODES:
-        raise ConfigError("recursion: must be 'chain' or 'fresh'")
-    for name in ("noise_p1", "noise_p2"):
-        if not 0.0 <= getattr(cfg, name) <= 1.0:
-            raise ConfigError(f"{name}: must lie in [0, 1]")
-    if cfg.experiment in ("sweep-theta", "sweep-s") and cfg.m is None:
-        raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
-    if cfg.experiment == "sweep-s" and cfg.m is not None and len(set(cfg.m)) != 1:
-        raise ConfigError("m: sweep-s uses one common depth per step")
-    if cfg.experiment == "grid-km" and abs(float(np.cos(cfg.theta))) >= 1.0:
-        raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
-    used = () if cfg.experiment == "trajectory" and cfg.m is None else _NOISE_KEYS.get(cfg.experiment, ())
-    for name in ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"):
-        if getattr(cfg, name) not in (0, None) and name not in used:
-            applied = ", ".join(used) or "none"
-            raise ConfigError(f"{name}: {cfg.experiment} would run without it (applies: {applied})")
-    try:
-        cfg.noise()
-        if cfg.experiment in ("sweep-theta", "sweep-s", "trajectory"):
-            cfg.schedule()
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def validate_config(
@@ -226,8 +254,9 @@ def validate_config(
     seed_override: Optional[int] = None,
     workers_override: Optional[int] = None,
 ) -> ExperimentConfig:
-    """Parse and validate a key=value config file; unknown keys are errors."""
-    cfg = ExperimentConfig()
+    """Parse a key=value config file (unknown keys are errors) and the
+    overrides into one validated :class:`ExperimentConfig`."""
+    values, raw = {}, {}
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file {path} does not exist")
@@ -241,23 +270,23 @@ def validate_config(
             if key not in _PARSERS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             try:
-                setattr(cfg, key, _PARSERS[key](value))
+                values[key] = _PARSERS[key](value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-            cfg.raw[key] = value
+            raw[key] = value
     if experiment is not None:
-        if cfg.experiment and cfg.experiment != experiment:
+        if values.get("experiment") and values["experiment"] != experiment:
             raise ConfigError(
-                f"experiment: config says {cfg.experiment!r} but the subcommand is {experiment!r}"
+                f"experiment: config says {values['experiment']!r} but the subcommand is {experiment!r}"
             )
-        cfg.experiment = experiment
+        values["experiment"] = experiment
     if out_override is not None:
-        cfg.out = str(out_override)
+        values["out"] = str(out_override)
     if seed_override is not None:
-        cfg.seed = seed_override
+        values["seed"] = seed_override
     if workers_override is not None:
-        cfg.workers = workers_override
-    return _validate(cfg)
+        values["workers"] = workers_override
+    return ExperimentConfig(**values, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +302,8 @@ _MANIFEST = "results_manifest.json"
 
 
 def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
-    schedule = cfg.schedule()
-    thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
-    records = dbac_via_dme(thetas, schedule, cfg.noise())
+    schedule, thetas = cfg.schedule, cfg.theta_grid
+    records = dbac_via_dme(thetas, schedule, cfg.noise)
     n_instr = sum(schedule.m)
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
     rows = np.column_stack([
@@ -286,8 +314,7 @@ def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
 
 
 def _run_sweep_s(cfg: ExperimentConfig) -> dict:
-    thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_count)
-    svals = np.linspace(cfg.s_start, cfg.s_stop, cfg.s_count)
+    thetas, svals = cfg.theta_grid, cfg.s_grid
     fids = final_fidelities_over_s(thetas, cfg.k, cfg.m[0], svals, cfg.recursion)
     rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
     return {"sweep_s.csv": (["theta", "s", "F_final"], rows)}
@@ -319,7 +346,7 @@ def _ptm_table(ptm) -> tuple:
 
 
 def _run_ptm(cfg: ExperimentConfig) -> dict:
-    noise = cfg.noise()
+    noise = cfg.noise
     files, summary = {}, []
     for i, phi in enumerate(cfg.phi_list):
         r_ideal = ptm_of_kraus([herm_expm(swap_operator(2), -1j * phi)], 2)
@@ -359,11 +386,11 @@ def _run_baselines(cfg: ExperimentConfig) -> dict:
 
 
 def _run_trajectory(cfg: ExperimentConfig) -> dict:
-    schedule = cfg.schedule()
+    schedule = cfg.schedule
     if schedule.m is None:
         rec = dbac_recursive_exact(rx_init(cfg.theta), schedule)
     else:
-        rec = dbac_via_dme(cfg.theta, schedule, cfg.noise())
+        rec = dbac_via_dme(cfg.theta, schedule, cfg.noise)
     rows = [[i, b.x, b.y, b.z] for i, b in enumerate(rec.trajectory)]
     return {"trajectory.csv": (["step", "x", "y", "z"], rows)}
 
@@ -438,8 +465,6 @@ def run_config(cfg: ExperimentConfig) -> dict:
             data = _render(name, payloads[name])
             (out / name).write_bytes(data)
             files[name] = hashlib.sha256(data).hexdigest()
-    except ConfigError:
-        raise
     except Exception as exc:  # record the failed stage before propagating
         error = exc
     failure = None if error is None else f"{type(error).__name__}: {error}"

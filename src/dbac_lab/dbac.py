@@ -39,6 +39,25 @@ _S_GRID = np.concatenate([np.arange(1e-3, np.pi, 1e-3), [np.pi]])
 _TIE_TOL = 1e-9
 
 
+def _is_count(x) -> bool:
+    """Whether ``x`` can be a step count or a Trotter depth: an int (numpy ints too) >= 1."""
+    return isinstance(x, (int, np.integer)) and x >= 1
+
+
+def check_step_sizes(s, h: Optional[HamiltonianSpec] = None) -> np.ndarray:
+    """Step sizes as a float array, checked by the one rule for them: each s
+    and its echo angle s (w_max - w_min) under H (default -Z) must be finite,
+    since an echo angle that overflows makes the echo rotation NaN.  Negative
+    step sizes and step sizes above pi are allowed."""
+    s = np.asarray(s, dtype=float)
+    w = (h or HamiltonianSpec.default_single_qubit()).eig[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = s * (w[-1] - w[0])  # NaN for an infinite s, even when w[-1] = w[0]
+    if not np.isfinite(angles).all():
+        raise ContractViolationError("step durations must be finite, with finite echo angles s (w_max - w_min)")
+    return s
+
+
 @dataclass(frozen=True)
 class DbacSchedule:
     """Per-step durations s_j, per-step instruction depths M_j, Hamiltonian.
@@ -55,23 +74,21 @@ class DbacSchedule:
         s = tuple(float(x) for x in self.s)
         if len(s) < 1:
             raise ContractViolationError("schedule needs at least one step")
-        if not np.isfinite(s).all():
-            raise ContractViolationError("step durations must be finite")
+        check_step_sizes(s, self.hamiltonian)
         object.__setattr__(self, "s", s)
         if self.m is not None:
-            m = tuple(int(x) for x in self.m)
-            if len(m) != len(s):
+            if len(self.m) != len(s):
                 raise ContractViolationError("m list length must match s list length")
-            if min(m) < 1:
-                raise ContractViolationError("every Trotter depth must be >= 1")
-            object.__setattr__(self, "m", m)
+            if not all(map(_is_count, self.m)):
+                raise ContractViolationError("every Trotter depth must be >= 1 and an integer")
+            object.__setattr__(self, "m", tuple(int(x) for x in self.m))
         if self.recursion not in RECURSION_MODES:
             raise ContractViolationError(f"recursion must be one of {RECURSION_MODES}")
 
     @classmethod
     def uniform(cls, k: int, s: float, m: Optional[int] = None, **kw) -> "DbacSchedule":
-        if k < 1:
-            raise ContractViolationError("k must be >= 1")
+        if not _is_count(k):
+            raise ContractViolationError("k must be an integer >= 1")
         return cls(s=(s,) * k, m=None if m is None else (m,) * k, **kw)
 
     @property
@@ -237,9 +254,9 @@ def dbac_via_dme(
 
     The steps run on Bloch vectors in H's eigenbasis (:func:`_bloch_steps`,
     one rotation of the instruction per step) and validate nothing.  The step
-    outputs come in the data's frame; each step's instruction marginals come
-    rotated back into the frame the copies were prepared in, by one rotation
-    of their stacked planes.  Every reported state (initial states, step
+    outputs and the instruction marginals come in the data's frame; rotating
+    the marginals into the copies' frame would change neither their energies
+    nor their lengths.  Every reported state (initial states, step
     outputs, instruction marginals) is validated once, by one
     :func:`dme.check_bloch` call on their stacked planes, before they are
     rebuilt as matrices for the observables.
@@ -331,8 +348,8 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # call that is the exact reflector.  Both commute with rotations about z, so a
 # step rotates its instruction once into the data's frame instead of rotating
 # the data there and back: every output it yields is in the data's frame (H's
-# eigenbasis), and the instruction marginals, which only dbac_via_dme asks
-# for, are rotated back into the copies' frame, one call per step.  Its
+# eigenbasis), and so are the instruction marginals, which only dbac_via_dme
+# asks for and reads only their energies and lengths from.  Its
 # step-size terms come in a _StepTable, built once per distinct step, once per
 # final_fidelities_over_s call, and once per depth for the search grid
 # (_grid_table), never once per probe.  The search runs every (angle, step
@@ -413,18 +430,18 @@ def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     """Cooling steps of a (3, B) batch of Bloch planes, step j by the
-    :class:`_StepTable` ``tables[j]``: yields each step's output, in the
-    data's frame (H's eigenbasis, as ``r0``), and, with ``marginals``, its M_j
-    instruction marginals as an (M_j, 3, B) array in the copies' frame (the
-    frame the copies were prepared in, as the dense oracle traces them out).
+    :class:`_StepTable` ``tables[j]``: yields each step's output and, with
+    ``marginals``, its M_j instruction marginals as an (M_j, 3, B) array, all
+    in the data's frame (H's eigenbasis, as ``r0``).
 
     One echo rotation per step: the partial swap, the exact reflector's
     operands and the p1/p2 scalings all commute with rotations about z, so
     exp(+isH) K_c exp(-isH) applied to the data equals K_a applied to the
     unrotated data, with the instruction c rotated once into the data's
     frame, a = exp(+isH) c exp(-isH) (its (x, y) by -phi).  The step's output
-    is the next instruction.  The marginals come out in the data's frame and
-    are rotated back by +phi, one call per step.
+    is the next instruction.  The marginals stay in the data's frame: the
+    rotation about z into the copies' frame would change neither their z (the
+    instruction energies) nor their lengths, the only things read of them.
 
     A step of depth M makes M partial swaps against a; an exact-reflector
     step rotates the data b by -s about a, a pure state: exp(is|a><a|) is the
@@ -454,10 +471,8 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
                 if p2:
                     out *= 1.0 - p2
                 sig = out
-            if marginals:
-                if p2:
-                    margs *= 1.0 - p2
-                margs = _rotate_xy(margs.swapaxes(0, 1), table.cos_phi, table.sin_phi).swapaxes(0, 1)
+            if marginals and p2:
+                margs *= 1.0 - p2
         if p1:
             out *= 1.0 - p1
         yield out, margs
@@ -497,8 +512,8 @@ def _final_energies(
 
 def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
     """The argument checks shared by the step-size search entry points."""
-    if k < 1 or (m is not None and m < 1):
-        raise ContractViolationError("k and m must be positive")
+    if not (_is_count(k) and (m is None or _is_count(m))):
+        raise ContractViolationError("k and m must be positive integers")
     if mode not in RECURSION_MODES:
         raise ContractViolationError(f"recursion must be one of {RECURSION_MODES}")
 
@@ -515,13 +530,10 @@ def final_fidelities_over_s(
     size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact
     reflectors).  ``theta`` is one angle, which gives one fidelity per step
     size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
-    in one engine pass.  Angles and step sizes must be finite; as in
-    :class:`DbacSchedule`, negative step sizes and step sizes above pi are
-    allowed."""
+    in one engine pass.  Angles must be finite, and step sizes must pass
+    :func:`check_step_sizes`, as in :class:`DbacSchedule`."""
     _check_search_args(k, m, mode)
-    s = np.asarray(s_values, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ContractViolationError("step sizes must be finite")
+    s = check_step_sizes(s_values)
     thetas = _angles(theta)
     w = HamiltonianSpec.default_single_qubit().eig[0]
     table = _step_table(np.tile(s.ravel(), thetas.size), m, w)  # once per call

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,50 @@ class TestConfigValidation:
     def test_missing_out_dir(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="out"):
             cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\n"))
+
+    @pytest.mark.parametrize("text, key", [("k = 3\ns = 0.1, 0.2\n", "s"), ("k = 3\nm = 1, 2\n", "m")])
+    def test_per_step_lists_need_one_or_k_values(self, tmp_path, text, key):
+        with pytest.raises(cli.ConfigError, match=f"^{key}: give one value or 3 per-step values, got 2$"):
+            cli.validate_config(_write_cfg(tmp_path, "experiment = sweep-theta\n" + text), out_override=tmp_path)
+
+    def test_per_step_lists_expand_to_k(self, tmp_path):
+        text = "experiment = trajectory\nk = 3\ns = 0.1, 0.2, 0.3\nm = 2\n"
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path)
+        assert cfg.schedule.s == (0.1, 0.2, 0.3) and cfg.schedule.m == (2, 2, 2)
+
+    def test_config_cannot_exist_unvalidated(self):
+        with pytest.raises(cli.ConfigError, match="experiment"):
+            cli.ExperimentConfig()
+
+    def test_config_is_frozen(self, tmp_path):
+        cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 3
+        assert cfg.seed == 0
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = sweep-theta\ntheta_count = 3\nk = 2\nnoise_p1 = 0.01\n",
+            "experiment = trajectory\nk = 2\nm = 2\nnoise_p2 = 0.01\n",
+        ],
+    )
+    def test_one_schedule_and_noise_model_per_run(self, tmp_path, monkeypatch, text):
+        # validation builds them and the runner reads what it built
+        built = []
+        for name in ("DbacSchedule", "NoiseModel"):
+            cls = getattr(cli, name)
+
+            def counting(*args, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
+        cli.run_config(cfg)
+        assert sorted(built) == ["DbacSchedule", "NoiseModel"]
 
 
 # key -> (value text, parsed attribute): one row per config key
@@ -416,7 +460,7 @@ class TestIgnoredNoiseRejected:
     )
     def test_applied_noise_accepted(self, tmp_path, text):
         cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
-        assert cfg.noise() is not None
+        assert cfg.noise is not None
 
 
 class TestUnusableValuesRejected:
@@ -439,6 +483,15 @@ class TestUnusableValuesRejected:
             ("experiment = grid-km\nk_list =\n", False),
             ("experiment = grid-km\nm_list = ,\n", False),
             ("experiment = ptm\nphi_list = ,\n", False),
+            ("experiment = trotter\nseed = -1\n", False),
+            # a span or an echo angle s (w_max - w_min) that overflows
+            ("experiment = sweep-theta\ntheta_start = 1e308\ntheta_stop = -1e308\n", False),
+            ("experiment = sweep-s\ntheta_start = -1e308\ntheta_stop = 1e308\n", False),
+            ("experiment = sweep-s\ns_start = 1e308\ns_stop = -1e308\n", False),
+            ("experiment = sweep-s\ns_stop = 1e308\n", False),
+            ("experiment = sweep-theta\ns = 1e308\n", False),
+            ("experiment = trajectory\nm = 2\ns = 1e308\n", False),
+            ("experiment = trajectory\nm = exact\ns = -1e308\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):

@@ -13,6 +13,7 @@ from dbac_lab.dbac import (
     DbacSchedule,
     basin_min_fidelity,
     best_final_fidelity,
+    check_step_sizes,
     copies_accounting,
     dbac_energy_analytic,
     dbac_recursive_exact,
@@ -340,13 +341,12 @@ class TestViaDmeBatch:
 
     @pytest.mark.parametrize("noise", [None, NoiseModel(1e-3, 0.02)])
     def test_one_rotation_per_cooling_step(self, monkeypatch, noise):
-        # one rotation of the instruction per step, plus one of the step's
-        # stacked marginals back into the copies' frame
+        # one rotation of the instruction per step; the step's marginals stay
+        # in the data's frame
         thetas = np.linspace(0.2, 3.0, 5)
         schedule = DbacSchedule(s=(0.3, 0.5, 0.7), m=(2, 1, 3))
-        shapes = _counted_rotations(monkeypatch, dbac_via_dme, thetas, schedule, noise)
-        assert shapes == [(3, 5), (3, 2, 5), (3, 5), (3, 1, 5), (3, 5), (3, 3, 5)]
-        assert _counted_rotations(monkeypatch, dbac_via_dme, 0.4, schedule, noise)[::2] == [(3, 1)] * 3
+        assert _counted_rotations(monkeypatch, dbac_via_dme, thetas, schedule, noise) == [(3, 5)] * 3
+        assert _counted_rotations(monkeypatch, dbac_via_dme, 0.4, schedule, noise) == [(3, 1)] * 3
 
     def test_batch_matches_single_angle_calls(self):
         thetas = np.linspace(0.1, 3.0, 7)
@@ -548,6 +548,36 @@ class TestScheduleValidation:
         with pytest.raises(ContractViolationError):
             DbacSchedule(s=(0.5,), recursion="sideways")
 
+    @pytest.mark.parametrize("m", [(1.7,), (2.0,), ("2",), (np.float64(3),)])
+    def test_rejects_non_integer_depth(self, m):
+        # int() would have run m = 1.7 as M = 1
+        with pytest.raises(ContractViolationError, match="integer"):
+            DbacSchedule(s=(0.5,), m=m)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2)])
+    def test_uniform_rejects_non_integer_step_count(self, k):
+        with pytest.raises(ContractViolationError, match="integer"):
+            DbacSchedule.uniform(k, 0.5, m=1)
+
+    def test_accepts_numpy_int_depths(self):
+        schedule = DbacSchedule.uniform(np.int64(2), 0.5, m=np.int32(3))
+        assert schedule.m == (3, 3) and all(type(mj) is int for mj in schedule.m)
+
+    @pytest.mark.parametrize("s", [1e308, -1e308])
+    @pytest.mark.parametrize("m", [None, (2, 2)])
+    def test_rejects_overflowing_echo_angle(self, s, m):
+        # s is finite, but s (w_max - w_min) = 2 s under -Z is not
+        with pytest.raises(ContractViolationError, match="echo angles"):
+            DbacSchedule(s=(0.5, s), m=m)
+
+    def test_echo_angle_rule_reads_the_hamiltonian(self):
+        # under H = diag(-1/4, 1/4) the same step's echo angle is s / 2
+        h = HamiltonianSpec(np.diag([-0.25, 0.25]).astype(complex))
+        assert DbacSchedule(s=(1e308,), hamiltonian=h).s == (1e308,)
+        assert check_step_sizes([1e308], h).tolist() == [1e308]
+        with pytest.raises(ContractViolationError, match="echo angles"):
+            check_step_sizes([1e308])
+
 
 def _random_hamiltonian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -690,7 +720,8 @@ def _oracle_dme_chain(rho0, steps, m, w, mode, noise):
     """One batch entry of _bloch_steps, step by step on 2x2 matrices in the basis
     where H = diag(w): echo rotations by dense exponentials, every partial swap
     by dme_step_exact, its instruction marginal by dme_step_exact with the two
-    registers exchanged (exp(-i delta SWAP) commutes with SWAP), and
+    registers exchanged (exp(-i delta SWAP) commutes with SWAP) and rotated
+    by the echo into the data's frame, as _bloch_steps yields it, and
     depolarizing as (1 - p) rho + p I/2.  The joint state's trace is
     tr(instr) tr(sig), so each instruction copy is rescaled to unit trace:
     otherwise its rounding error would grow by M + 1 per chained step.
@@ -708,7 +739,7 @@ def _oracle_dme_chain(rho0, steps, m, w, mode, noise):
         em = qmath.herm_expm(h, -1j * t)
         sig = depolarize(em @ data @ em.conj().T, p1)
         for _ in range(m):
-            margs.append(depolarize(dme_step_exact(sig, instr, -t / m).matrix, p2))
+            margs.append(em.conj().T @ depolarize(dme_step_exact(sig, instr, -t / m).matrix, p2) @ em)
             sig = depolarize(dme_step_exact(instr, sig, -t / m).matrix, p2)
         instr = depolarize(em.conj().T @ sig @ em, p1)
         outs.append(instr)
@@ -1038,6 +1069,28 @@ class TestSearchArgumentChecks:
             schedule = DbacSchedule.uniform(2, s, m=m, recursion=mode)
             rec = dbac_recursive_exact(rx_init(0.3), schedule) if m is None else dbac_via_dme(0.3, schedule)
             assert abs(rec.fidelities[-1] - f) < 1e-12
+
+    @pytest.mark.parametrize("m, mode", [(None, "fresh"), (2, "chain")])
+    def test_overflowing_echo_angle_rejected(self, m, mode):
+        # 1e308 is finite, but its echo angle 2e308 under -Z is not
+        with pytest.raises(ContractViolationError, match="echo angles"):
+            final_fidelities_over_s(0.5, 1, m, [0.5, 1e308], mode)
+
+    @pytest.mark.parametrize("k, m", [(1, 1.5), (2.5, 1), (2.0, None), (np.float64(2), 1), (1, "2")])
+    def test_non_integer_depths_rejected(self, k, m):
+        calls = (
+            lambda: optimal_step(0.3, k, m),
+            lambda: best_final_fidelity(0.5, k, m),
+            lambda: basin_min_fidelity(k, m, 0.9),
+            lambda: final_fidelities_over_s(1.0, k, m, [0.5]),
+        )
+        for call in calls:
+            with pytest.raises(ContractViolationError, match="integers"):
+                call()
+
+    def test_numpy_int_depths_accepted(self):
+        assert optimal_step(0.3, np.int64(2), np.int32(3)) == optimal_step(0.3, 2, 3)
+        assert best_final_fidelity(0.5, np.int64(2), np.int32(1)) == best_final_fidelity(0.5, 2, 1)
 
     def test_optimal_step_rejects_non_finite_energy(self):
         with pytest.raises(ContractViolationError, match="finite"):
