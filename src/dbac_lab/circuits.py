@@ -21,7 +21,10 @@ in DBAC_TARGET_QUBIT).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import astuple, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ class Gate:
             raise ContractViolationError(f"{self.kind} expects {nparam} param(s), {nqubit} qubit(s)")
         if len(set(qubits)) != len(qubits):
             raise ContractViolationError("gate qubits must be distinct")
-        if not all(np.isfinite(p) for p in params):
+        if not all(map(math.isfinite, params)):
             raise ContractViolationError("gate angles must be finite")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "qubits", qubits)
@@ -81,84 +84,91 @@ class Circuit:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ContractViolationError(f"gate {g.kind} addresses qubit out of range")
 
-
-def _rx(theta):
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(theta):
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    @property
+    def unitary_gates(self) -> tuple[Gate, ...]:
+        """The gates in order, barriers dropped."""
+        return tuple(g for g in self.gates if g.kind != "BARRIER")
 
 
-def _rz(theta):
-    return np.diag(np.exp([-1j * theta / 2, 1j * theta / 2]))
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_FIXED = {"H": _H, "S": np.diag([1.0, 1j]).astype(complex), "SDG": np.diag([1.0, -1j]).astype(complex)}
+_ZZ = np.array([1.0, -1.0, -1.0, 1.0])  # the diagonal of Z (x) Z
+
+
+def _gate_matrices(gates: Sequence[Gate]) -> np.ndarray:
+    """The unitaries of gates of one kind as one (N, 2^k, 2^k) stack, each
+    entry computed for all N gates by one vectorized expression."""
+    kind = gates[0].kind
+    if kind in _FIXED:
+        return _FIXED[kind][None].repeat(len(gates), axis=0)
+    if kind == "BARRIER":
+        raise ContractViolationError(f"gate {kind} has no unitary")
+    angles = np.array([g.params[0] for g in gates])
+    if kind == "RZ":
+        diag = np.exp([-1j * angles / 2, 1j * angles / 2]).T
+    elif kind == "RZZ":
+        diag = np.exp(-0.5j * angles[:, None] * _ZZ)
+    else:
+        c, s = np.cos(angles / 2), np.sin(angles / 2)
+        entries = [c, -1j * s, -1j * s, c] if kind == "RX" else [c, -s, s, c]
+        return np.array(entries, dtype=complex).T.copy().reshape(-1, 2, 2)
+    d = diag.shape[1]
+    out = np.zeros((len(gates), d * d), dtype=complex)
+    out[:, :: d + 1] = diag  # the diagonal of each row-major flattened matrix
+    return out.reshape(-1, d, d)
+
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """The unitary of one gate; a barrier has none."""
+    return _gate_matrices([g])[0]
 
 
 def rzz_matrix(phi: float) -> np.ndarray:
     """exp(-i phi ZZ / 2), diagonal in the computational basis; phi must be finite."""
-    if not np.isfinite(phi):
-        raise ContractViolationError("gate angles must be finite")
-    return np.diag(np.exp(-0.5j * phi * np.array([1.0, -1.0, -1.0, 1.0])))
+    return gate_matrix(Gate("RZZ", (phi,), (0, 1)))
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.diag([1.0, 1j]).astype(complex)
-_SDG = np.diag([1.0, -1j]).astype(complex)
-
-
-def gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "RX":
-        return _rx(g.params[0])
-    if g.kind == "RY":
-        return _ry(g.params[0])
-    if g.kind == "RZ":
-        return _rz(g.params[0])
-    if g.kind == "H":
-        return _H
-    if g.kind == "S":
-        return _S
-    if g.kind == "SDG":
-        return _SDG
-    if g.kind == "RZZ":
-        return rzz_matrix(g.params[0])
-    raise ContractViolationError(f"gate {g.kind} has no unitary")
-
-
-def embedded_gates(c: Circuit) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]]]:
-    """The gate unitaries embedded in the register as one (G, 2^n, 2^n) stack in
-    gate order (barriers dropped), and the stack indices of each distinct qubit
-    tuple.  Each tuple's gates are embedded by one stacked `embed_gate` call."""
-    gates = [g for g in c.gates if g.kind != "BARRIER"]
-    groups = {g.qubits: [i for i, h in enumerate(gates) if h.qubits == g.qubits] for g in gates}
-    stack = np.empty((len(gates),) + (2**c.num_qubits,) * 2, dtype=complex)
+def embedded_gates(gates: Sequence[Gate], n: int) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]]]:
+    """The unitaries of `gates` (no barriers) embedded in an n-qubit register
+    as one (G, 2^n, 2^n) stack in gate order, and the stack indices of each
+    distinct qubit tuple.  One pass groups the gates by kind and by qubit
+    tuple; each kind's matrices come from one vectorized expression, and each
+    tuple's gates are embedded by one stacked `embed_gate` call."""
+    kinds, groups = {}, {}
+    for i, g in enumerate(gates):
+        kinds.setdefault(g.kind, []).append(i)
+        groups.setdefault(g.qubits, []).append(i)
+    mats = [None] * len(gates)  # each gate's unembedded matrix
+    for idx in kinds.values():
+        for i, m in zip(idx, _gate_matrices([gates[i] for i in idx])):
+            mats[i] = m
+    stack = np.empty((len(gates),) + (2**n,) * 2, dtype=complex)
     for qubits, idx in groups.items():
-        stack[idx] = qmath.embed_gate([gate_matrix(gates[i]) for i in idx], qubits, c.num_qubits)
+        stack[idx] = qmath.embed_gate([mats[i] for i in idx], qubits, n)
     return stack, groups
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries (barriers contribute nothing)."""
     u = np.eye(2**c.num_qubits, dtype=complex)
-    for g in embedded_gates(c)[0]:
+    for g in embedded_gates(c.unitary_gates, c.num_qubits)[0]:
         u = g @ u
     return u
 
 
+@functools.cache
+def _udme_basis_changes(q0: int, q1: int) -> tuple[tuple[Gate, ...], ...]:
+    """The four fixed basis-change layers of the partial-swap compilation on
+    wires (q0, q1): RX(pi/2), RX(-pi/2), RY(pi/2), RY(-pi/2).  Built once per
+    wire pair; gates are immutable, so every compiled circuit shares them."""
+    layers = (("RX", np.pi / 2), ("RX", -np.pi / 2), ("RY", np.pi / 2), ("RY", -np.pi / 2))
+    return tuple(tuple(Gate(kind, (angle,), (q,)) for q in (q0, q1)) for kind, angle in layers)
+
+
 def _udme_native_gates(phi: float, q0: int, q1: int) -> list[Gate]:
-    gates = [Gate("RZZ", (phi,), (q0, q1))]
-    for q in (q0, q1):
-        gates.append(Gate("RX", (np.pi / 2,), (q,)))
-    gates.append(Gate("RZZ", (phi,), (q0, q1)))
-    for q in (q0, q1):
-        gates.append(Gate("RX", (-np.pi / 2,), (q,)))
-    for q in (q0, q1):
-        gates.append(Gate("RY", (np.pi / 2,), (q,)))
-    gates.append(Gate("RZZ", (phi,), (q0, q1)))
-    for q in (q0, q1):
-        gates.append(Gate("RY", (-np.pi / 2,), (q,)))
-    return gates
+    rzz = Gate("RZZ", (phi,), (q0, q1))  # one object in all three RZZ blocks
+    rx, rx_dg, ry, ry_dg = _udme_basis_changes(q0, q1)
+    return [rzz, *rx, rzz, *rx_dg, *ry, rzz, *ry_dg]
 
 
 def compile_udme_native(phi: float) -> Circuit:

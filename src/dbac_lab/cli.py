@@ -14,11 +14,12 @@ suffix; `seed` is >= 0; a grid's span and every step size's echo angle
 s (w_max - w_min) must be finite.  Runners return their tables and
 `run_config` alone writes them: one writer formats every table at 12
 significant digits, and `results_manifest.json` lists exactly the files this
-run wrote, each with its sha256 checksum; identical config and seed give
-byte-identical output.  Exit codes: 0 success, 1 config error, 2 acceptance
-failure, 3 runtime failure (the experiment raised after its config was
-accepted; a one-line `runtime error: ...` goes to stderr, the manifest records
-the failed stage, and a run whose runner raised emits only that manifest).
+run wrote, each with its sha256 checksum, and the environment (python, numpy,
+BLAS, core count); identical config and seed give byte-identical output.
+Exit codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime
+failure (the experiment raised after its config was accepted; a one-line
+`runtime error: ...` goes to stderr, the manifest records the failed stage,
+and a run whose runner raised emits only that manifest).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -31,6 +32,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -55,9 +58,8 @@ from .dbac import (
 )
 from .dme import dme_errors
 from .errors import ContractViolationError
-from .qmath import herm_expm, swap_operator
 from .states import random_density, rx_init
-from .tomography import NoiseModel, pauli_labels, process_fidelity, ptm_of_circuit, ptm_of_kraus
+from .tomography import NoiseModel, partial_swap_ptms, pauli_labels, process_fidelity, ptm_of_circuits
 
 _PI = float(np.pi)
 
@@ -125,7 +127,8 @@ def _grid(name: str, start: float, stop: float, count: int) -> np.ndarray:
 class ExperimentConfig:
     """One experiment's config: valid by construction, immutable, and holding
     what its runner reads (schedule, noise model, grids), built once here; a
-    library contract violation among them is a config error."""
+    library contract violation among them is a config error naming the keys
+    the failed value derives from."""
 
     experiment: str = _key("", str)
     out: str = _key("", str)
@@ -205,16 +208,20 @@ class ExperimentConfig:
             if getattr(self, name) not in (0, None) and name not in used:
                 applied = ", ".join(used) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applied})")
-        try:  # build once, here, what the runner reads
-            self.noise
-            if self.experiment in ("sweep-theta", "sweep-s", "trajectory"):
-                self.schedule
-            if self.experiment in ("sweep-theta", "sweep-s"):
-                self.theta_grid
-            if self.experiment == "sweep-s":
-                self.s_grid
-        except ContractViolationError as exc:
-            raise ConfigError(str(exc)) from exc
+        # build once, here, what the runner reads; a library contract violation
+        # names the keys the failed value derives from
+        derived = [("noise", "noise_*")]
+        if self.experiment in ("sweep-theta", "sweep-s", "trajectory"):
+            derived.append(("schedule", "s/m"))
+        if self.experiment in ("sweep-theta", "sweep-s"):
+            derived.append(("theta_grid", "theta_start/theta_stop"))
+        if self.experiment == "sweep-s":
+            derived.append(("s_grid", "s_start/s_stop"))
+        for name, keys in derived:
+            try:
+                getattr(self, name)
+            except ContractViolationError as exc:
+                raise ConfigError(f"{keys}: {exc}") from exc
 
     @functools.cached_property
     def schedule(self) -> DbacSchedule:
@@ -346,23 +353,19 @@ def _ptm_table(ptm) -> tuple:
 
 
 def _run_ptm(cfg: ExperimentConfig) -> dict:
-    noise = cfg.noise
+    """Every angle's ideal, compiled and (with a noise model) noisy PTM: the
+    ideal ones from one stacked transfer, the compiled and noisy ones from one
+    batched `ptm_of_circuits` pass over all the compiled circuits."""
+    noises = (None,) if cfg.noise is None else (None, cfg.noise)
+    ideal = partial_swap_ptms(cfg.phi_list)
+    built = ptm_of_circuits([compile_udme_native(phi) for phi in cfg.phi_list], noises)
     files, summary = {}, []
     for i, phi in enumerate(cfg.phi_list):
-        r_ideal = ptm_of_kraus([herm_expm(swap_operator(2), -1j * phi)], 2)
-        circuit = compile_udme_native(phi)
-        r_compiled = ptm_of_circuit(circuit)
-        files[f"ptm_analytic_{i}.csv"] = _ptm_table(r_ideal)
-        files[f"ptm_compiled_{i}.csv"] = _ptm_table(r_compiled)
-        entry = {"phi": float(phi), **{
-            f"{key}_noiseless": val for key, val in process_fidelity(r_ideal, r_compiled).items()
-        }}
-        if noise is not None:
-            r_noisy = ptm_of_circuit(circuit, noise)
-            files[f"ptm_noisy_{i}.csv"] = _ptm_table(r_noisy)
-            entry.update(
-                {f"{key}_noisy": val for key, val in process_fidelity(r_ideal, r_noisy).items()}
-            )
+        files[f"ptm_analytic_{i}.csv"] = _ptm_table(ideal[i])
+        entry = {"phi": float(phi)}
+        for (tag, suffix), ptms in zip((("compiled", "noiseless"), ("noisy", "noisy")), built):
+            files[f"ptm_{tag}_{i}.csv"] = _ptm_table(ptms[i])
+            entry.update({f"{key}_{suffix}": val for key, val in process_fidelity(ideal[i], ptms[i]).items()})
         summary.append(entry)
     files["ptm_fidelities.json"] = summary
     return files
@@ -441,6 +444,23 @@ def _render(name: str, payload) -> bytes:
     return (",".join(header) + "\n" + body).encode()
 
 
+@functools.cache
+def _environment() -> dict:
+    """What a run's numbers depend on besides its config, read once per
+    process: the python and numpy versions, numpy's BLAS and the core count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_config(cfg: ExperimentConfig) -> dict:
     """Execute one experiment, write its files and the results manifest;
     returns the manifest.
@@ -451,8 +471,9 @@ def run_config(cfg: ExperimentConfig) -> dict:
     files in `out` are left alone, unlisted.  If the runner raises, only the
     manifest is written, recording the failed stage; if writing fails, it
     lists the files already written.  Either way the error is then re-raised
-    as RunError.  Fields the runner returns for the manifest (for acceptance,
-    the verdicts and each criterion's runtime) are added to it.
+    as RunError.  The manifest also records the environment (python, numpy,
+    BLAS, core count); fields the runner returns for it (for acceptance, the
+    verdicts and each criterion's runtime) are added to it.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,6 +497,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
         "config": cfg.raw,
         "files": files,
         "wall_clock_s": round(time.perf_counter() - started, 3),
+        "environment": dict(_environment()),
     }
     if failure is not None:
         manifest["failed_stage"] = {"experiment": cfg.experiment, "error": failure}

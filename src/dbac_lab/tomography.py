@@ -7,14 +7,19 @@ Unitary channels give orthogonal PTMs; trace preservation shows up as a first
 row (1, 0, ..., 0).
 
 PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
-:func:`ptm_of_circuit` turns a circuit's stack of embedded gates into a stack
-of PTMs in one batched pass (the primitive :func:`ptm_of_kraus` sums), applies
-each qubit set's noise PTM to its gates' slices (diagonal for depolarizing, a
-Kronecker product of one-qubit PTMs for damping and dephasing) and multiplies
-the slices in gate order.  :func:`ptm_of_channel` is the black-box route,
-which probes a channel given as a callable with every Pauli string; the tests
-use it on a dense gate-by-gate channel as the oracle the composed PTMs are
-checked against.
+:func:`ptm_of_circuits` builds the PTMs of a batch of circuits on one register
+in one pass: the gates of every circuit are embedded with one
+`qmath.embed_gate` call per qubit set (a gate object that recurs, once) and
+turned into one stack of PTMs by one transfer (the primitive
+:func:`ptm_of_kraus` sums); each enabled noise model applies each qubit set's
+noise PTM (diagonal for depolarizing, a Kronecker product of one-qubit PTMs
+for damping and dephasing), built once, to a copy of that stack; and one
+batched matmul per gate position multiplies every circuit's slices in gate
+order.  :func:`ptm_of_circuit` is a batch of one.  :func:`partial_swap_ptms`
+gives the ideal PTMs the compiled partial swaps are checked against.
+:func:`ptm_of_channel` is the black-box route, which probes a channel given as
+a callable with every Pauli string; the tests use it on a dense gate-by-gate
+channel as the oracle the composed PTMs are checked against.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ def _pauli_basis(n: int) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _identity_ptm(n: int) -> np.ndarray:
+    """The identity PTM on n <= 2 qubits, read-only, built on first use."""
+    eye = np.eye(len(_pauli_basis(n)))
+    eye.setflags(write=False)
+    return eye
+
+
 @dataclass(frozen=True)
 class PTM:
     """Real transfer matrix in the Pauli basis; flags non-trace-preserving maps."""
@@ -80,7 +93,7 @@ class PTM:
 def _ptm(r: np.ndarray, n: int) -> PTM:
     """Wrap a transfer matrix, flagged trace preserving when its first row is
     (1, 0, ..., 0) to 1e-10."""
-    tp = bool(np.abs(r[0] - np.eye(len(r))[0]).max() <= 1e-10)
+    tp = bool(abs(r[0, 0] - 1.0) <= 1e-10 and np.abs(r[0, 1:]).max() <= 1e-10)
     return PTM(n_qubits=n, r=r, trace_preserving=tp)
 
 
@@ -186,20 +199,63 @@ def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray
     return r
 
 
+def ptm_of_circuits(
+    circuits: Sequence[Circuit], noises: Sequence[Optional[NoiseModel]] = (None,)
+) -> list[list[PTM]]:
+    """The PTMs of every circuit under each noise model (None is noiseless):
+    ``out[j][i]`` is circuit i's under ``noises[j]``.  The circuits must share
+    one register size.
+
+    One pass serves the whole batch.  The gates of every circuit are embedded
+    with one `embed_gate` call per qubit set and turned into PTMs by one
+    transfer; a gate object that recurs (the compiled partial swaps share
+    their fixed gates) is embedded and transferred once.  Each enabled noise
+    model builds each qubit set's noise PTM once and applies it to a copy of
+    that stack.  Composition is one batched matmul per gate position, in gate
+    order; a shorter circuit is padded with identities before its first gate.
+    """
+    if not circuits:
+        raise ContractViolationError("give at least one circuit")
+    n = circuits[0].num_qubits
+    if any(c.num_qubits != n for c in circuits):
+        raise DimensionMismatchError("the circuits must share one register size")
+    eye = _identity_ptm(n)  # which rejects n > 2, even for empty circuits
+    gates = [c.unitary_gates for c in circuits]
+    depth = max(map(len, gates))
+    unique = list({id(g): g for gs in gates for g in gs}.values())
+    where = {id(g): i for i, g in enumerate(unique)}
+    take = []  # the stack entry at each (circuit, position); len(unique) is the identity
+    for gs in gates:
+        take += [len(unique)] * (depth - len(gs)) + [where[id(g)] for g in gs]
+    ops, groups = embedded_gates(unique, n)
+    stack = np.concatenate([_transfer(ops, n), eye[None]])
+    out = []
+    for noise in noises:
+        ptms = stack
+        if noise is not None and noise.enabled:
+            ptms = stack.copy()
+            for qubits, idx in groups.items():
+                ptms[idx] = _noise_ptm(noise, qubits, n) @ ptms[idx]
+        r = eye[None].repeat(len(gates), axis=0)
+        for layer in ptms[take].reshape((len(gates), depth) + eye.shape).swapaxes(0, 1):
+            r = layer @ r
+        out.append([_ptm(ri, n) for ri in r])
+    return out
+
+
 def ptm_of_circuit(c: Circuit, noise: Optional[NoiseModel] = None) -> PTM:
-    """Product of the gates' PTMs, built as one stack, in gate order, each
-    followed by the PTM of the noise on the gate's qubits when `noise` is
-    enabled: built once per distinct qubit set, applied by one stacked matmul."""
-    n = c.num_qubits
-    r = np.eye(len(_pauli_basis(n)))  # which rejects n > 2, even for an empty circuit
-    ops, groups = embedded_gates(c)
-    stack = _transfer(ops, n)
-    if noise is not None and noise.enabled:
-        for qubits, idx in groups.items():
-            stack[idx] = _noise_ptm(noise, qubits, n) @ stack[idx]
-    for g in stack:
-        r = g @ r
-    return _ptm(r, n)
+    """Product of the gates' PTMs in gate order, each followed by the PTM of the
+    noise on the gate's qubits when `noise` is enabled: a batch of one for
+    :func:`ptm_of_circuits`."""
+    return ptm_of_circuits([c], (noise,))[0][0]
+
+
+def partial_swap_ptms(phis: Sequence[float]) -> list[PTM]:
+    """The PTMs of the partial swaps exp(-i phi SWAP) on two qubits, one per
+    angle: from SWAP's eigensystem, computed once, and one stacked transfer."""
+    w, v = np.linalg.eigh(qmath.swap_operator(2))
+    us = (v * np.exp((-1j * np.asarray(phis, dtype=float))[:, None, None] * w)) @ v.conj().T
+    return [_ptm(r, 2) for r in _transfer(us, 2)]
 
 
 def process_fidelity(r_ideal: PTM, r: PTM) -> dict[str, float]:

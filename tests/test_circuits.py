@@ -5,6 +5,7 @@ from dbac_lab import qmath
 from dbac_lab.circuits import (
     DBAC_NUM_QUBITS,
     DBAC_TARGET_QUBIT,
+    GATE_KINDS,
     Circuit,
     Gate,
     SizzleParams,
@@ -15,6 +16,7 @@ from dbac_lab.circuits import (
     compile_swap3,
     compile_udme_hs,
     compile_udme_native,
+    embedded_gates,
     gate_matrix,
     perturb_rzz,
     rzz_matrix,
@@ -259,3 +261,40 @@ class TestSizzle:
             self._params(delta0d=0.0)
         with pytest.raises(SingularParameterError):
             self._params(delta_ij=-0.21)  # alpha1 - delta_ij vanishes
+
+
+class TestEmbeddedGates:
+    # every kind with a unitary, on several qubit sets of a 3-qubit register,
+    # several gates per kind and per qubit set, in interleaved order
+    GATES = [
+        Gate("RX", (0.3,), (0,)), Gate("RZZ", (0.7,), (2, 0)), Gate("H", (), (1,)),
+        Gate("RY", (-1.1,), (2,)), Gate("RZ", (2.2,), (0,)), Gate("S", (), (1,)),
+        Gate("SDG", (), (2,)), Gate("RZZ", (-0.4,), (0, 1)), Gate("RX", (-2.5,), (2,)),
+        Gate("RZ", (0.0,), (1,)), Gate("RZZ", (1e-9,), (2, 0)), Gate("RY", (3.0,), (0,)),
+        Gate("H", (), (0,)), Gate("S", (), (1,)),
+    ]
+
+    def test_matches_embedding_each_gate(self):
+        assert {g.kind for g in self.GATES} == set(GATE_KINDS) - {"BARRIER"}
+        stack, groups = embedded_gates(self.GATES, 3)
+        assert stack.shape == (len(self.GATES), 8, 8)
+        for g, got in zip(self.GATES, stack):
+            assert np.array_equal(got, qmath.embed_gate(gate_matrix(g), g.qubits, 3))
+        assert groups == {
+            q: [i for i, g in enumerate(self.GATES) if g.qubits == q] for q in {g.qubits for g in self.GATES}
+        }
+
+    @pytest.mark.parametrize("kind", sorted(set(GATE_KINDS) - {"BARRIER"}))
+    def test_one_gate_of_each_kind(self, kind):
+        g = next(g for g in self.GATES if g.kind == kind)
+        stack, groups = embedded_gates([g], 3)
+        assert np.array_equal(stack[0], qmath.embed_gate(gate_matrix(g), g.qubits, 3))
+        assert groups == {g.qubits: [0]}
+
+    def test_no_gates(self):
+        stack, groups = embedded_gates([], 2)
+        assert stack.shape == (0, 4, 4) and groups == {}
+
+    def test_barrier_has_no_unitary(self):
+        with pytest.raises(ContractViolationError, match="no unitary"):
+            embedded_gates([Gate("H", (), (0,)), Gate("BARRIER")], 1)

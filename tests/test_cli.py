@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -501,3 +502,53 @@ class TestUnusableValuesRejected:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and ("line " in err) == names_line
         assert not (tmp_path / "out").exists()
+
+
+class TestDerivedValueErrorsNameKeys:
+    # a library contract violation while building what the runner reads is a
+    # config error that names the keys the failed value derives from
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            ("experiment = ptm\nnoise_t1_us = 10\nnoise_t2_us = 30\n", "noise_*"),
+            ("experiment = ptm\nnoise_t1_us = nan\n", "noise_*"),
+            ("experiment = sweep-theta\ns = 1e308\n", "s/m"),
+            ("experiment = trajectory\nm = 2\ns = 1e308\n", "s/m"),
+            ("experiment = sweep-s\ntheta_start = -1e308\ntheta_stop = 1e308\n", "theta_start/theta_stop"),
+            ("experiment = sweep-s\ns_stop = 1e308\n", "s_start/s_stop"),
+        ],
+    )
+    def test_message_names_keys(self, tmp_path, capsys, text, keys):
+        cfg = _write_cfg(tmp_path, text)
+        experiment = text.split("\n", 1)[0].split("=")[1].strip()
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {keys}: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestManifestEnvironment:
+    def test_recorded_and_built_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        show_config = np.show_config
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return show_config(*args, **kwargs)
+
+        monkeypatch.setattr(np, "show_config", counting)
+        cli._environment.cache_clear()
+        try:
+            manifests = [
+                cli.run_config(cli.validate_config(None, experiment="baselines", out_override=tmp_path / name))
+                for name in ("a", "b")
+            ]
+        finally:
+            cli._environment.cache_clear()
+        assert len(calls) == 1
+        env = manifests[0]["environment"]
+        assert env == manifests[1]["environment"]
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "cpu_count"}
+        written = json.loads((tmp_path / "a" / "results_manifest.json").read_text())
+        assert written["environment"] == env

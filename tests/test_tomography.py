@@ -11,11 +11,13 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.tomography import (
     NoiseModel,
     PTM,
+    partial_swap_ptms,
     pauli_labels,
     pauli_matrix,
     process_fidelity,
     ptm_of_channel,
     ptm_of_circuit,
+    ptm_of_circuits,
     ptm_of_kraus,
 )
 
@@ -381,3 +383,127 @@ class TestPtm:
             mat[3, 1] = np.nan
         with pytest.raises(ContractViolationError):
             PTM(1, mat)
+
+
+NOISES = [
+    None,
+    NoiseModel(p1=0.01),
+    NoiseModel(p2=0.05),
+    NoiseModel(),  # not enabled: noiseless
+    NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES),
+]
+
+
+@st.composite
+def circuit_batches(draw):
+    """One to four circuits on one register size, one of them barrier-only."""
+    drawn = draw(st.lists(circuits(), min_size=1, max_size=4))
+    n = drawn[0].num_qubits
+    batch = [c for c in drawn if c.num_qubits == n]
+    batch.insert(draw(st.integers(0, len(batch))), Circuit(n, (Gate("BARRIER"),)))
+    return batch
+
+
+class TestPtmOfCircuits:
+    """The batched pass against each circuit's PTM computed alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch=circuit_batches(), noises=st.lists(st.none() | noise_models(), min_size=1, max_size=3))
+    def test_batch_equals_each_alone(self, batch, noises):
+        got = ptm_of_circuits(batch, noises)
+        assert len(got) == len(noises) and all(len(ptms) == len(batch) for ptms in got)
+        for ptms, noise in zip(got, noises):
+            for c, ptm in zip(batch, ptms):
+                alone = ptm_of_circuit(c, noise)
+                assert np.array_equal(ptm.r, alone.r) and ptm.trace_preserving == alone.trace_preserving
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mixed_gate_counts_match_dense_oracle(self, n):
+        q = (0, 1) if n == 2 else (0,)
+        batch = [
+            Circuit(n, (Gate("BARRIER"),)),
+            Circuit(n, (Gate("RX", (0.4,), (q[-1],)),)),
+            Circuit(n, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("RZ", (1.3,), (q[-1],)), Gate("S", (), (0,)))),
+            Circuit(n, ()),
+        ]
+        if n == 2:
+            batch.append(compile_udme_native(0.9))
+        got = ptm_of_circuits(batch, NOISES)
+        for ptms, noise in zip(got, NOISES):
+            for c, ptm in zip(batch, ptms):
+                want = ptm_of_channel(dense_channel(c, noise), n).r
+                assert np.abs(ptm.r - want).max() < 1e-12
+
+    def test_barrier_only_batch_is_identity(self):
+        batch = [Circuit(2, (Gate("BARRIER"),))] * 3
+        for ptms in ptm_of_circuits(batch, (None, NoiseModel(p1=0.2))):
+            assert len(ptms) == 3 and all(np.array_equal(p.r, np.eye(16)) for p in ptms)
+
+    def test_register_sizes_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            ptm_of_circuits([compile_udme_native(0.3), Circuit(1, (Gate("H", (), (0,)),))])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractViolationError):
+            ptm_of_circuits([])
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_work_per_qubit_set_not_per_circuit(self, monkeypatch, count):
+        embedded, built = [], []
+        embed_gate, noise_ptm = qmath.embed_gate, tomography._noise_ptm
+
+        def counting_embed(gate, qubits, n):
+            embedded.append(tuple(qubits))
+            return embed_gate(gate, qubits, n)
+
+        def counting_noise(noise, qubits, n):
+            built.append(qubits)
+            return noise_ptm(noise, qubits, n)
+
+        monkeypatch.setattr(qmath, "embed_gate", counting_embed)
+        monkeypatch.setattr(tomography, "_noise_ptm", counting_noise)
+        batch = [compile_udme_native(phi) for phi in np.linspace(0.1, 1.4, count)]
+        # two enabled noise models; None and a model with nothing on are noiseless
+        noises = (None, NoiseModel(p2=0.02), NoiseModel(), NoiseModel(p1=0.01, t1_us=5.0, **GATE_TIMES))
+        got = ptm_of_circuits(batch, noises)
+        qubit_sets = [(0,), (0, 1), (1,)]
+        assert sorted(embedded) == qubit_sets
+        assert sorted(built) == sorted(qubit_sets * 2)
+        monkeypatch.undo()
+        for ptms, noise in zip(got, noises):
+            for c, ptm in zip(batch, ptms):
+                assert np.array_equal(ptm.r, ptm_of_circuit(c, noise).r)
+
+    @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9]])
+    def test_partial_swaps_match_kraus_route(self, phis):
+        swap = qmath.swap_operator(2)
+        for phi, ptm in zip(phis, partial_swap_ptms(phis), strict=True):
+            want = ptm_of_kraus([qmath.herm_expm(swap, -1j * phi)], 2)
+            assert np.array_equal(ptm.r, want.r) and ptm.trace_preserving
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_recurring_gate_objects_transferred_once(self, monkeypatch, count):
+        sizes = []
+        transfer = tomography._transfer
+
+        def counting(ops, n):
+            sizes.append(len(ops))
+            return transfer(ops, n)
+
+        # compiled partial swaps share their 8 fixed gates and repeat one RZZ
+        # object; an equal gate that is another object is transferred on its own
+        rx = Gate("RX", (0.4,), (0,))
+        batches = [
+            [compile_udme_native(phi) for phi in np.linspace(0.2, 1.2, count)],
+            [Circuit(1, (rx, Gate("H", (), (0,)), rx)), Circuit(1, (Gate("RX", (0.4,), (0,)), rx))],
+        ]
+        noises = (None, NoiseModel(p1=0.01, p2=0.05))  # depolarizing builds no transfer
+        monkeypatch.setattr(tomography, "_transfer", counting)
+        got = [ptm_of_circuits(batch, noises) for batch in batches]
+        assert sizes == [count + 8, 3]
+        monkeypatch.undo()
+        for batch, by_noise in zip(batches, got):
+            for noise, ptms in zip(noises, by_noise):
+                for c, ptm in zip(batch, ptms):
+                    want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
+                    assert np.abs(ptm.r - want).max() < 1e-12
