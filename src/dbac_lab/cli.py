@@ -16,10 +16,10 @@ s (w_max - w_min) must be finite.  Runners return their tables and
 significant digits, and `results_manifest.json` lists exactly the files this
 run wrote, each with its sha256 checksum, and the environment (python, numpy,
 BLAS, core count); identical config and seed give byte-identical output.
-Exit codes: 0 success, 1 config error, 2 acceptance failure, 3 runtime
-failure (the experiment raised after its config was accepted; a one-line
-`runtime error: ...` goes to stderr, the manifest records the failed stage,
-and a run whose runner raised emits only that manifest).
+Exit codes: 0 success, 1 config or usage error, 2 acceptance failure, 3
+runtime failure (the experiment raised after its config was accepted; a
+one-line `runtime error: ...` goes to stderr, the manifest records the
+failed stage, and a run whose runner raised emits only that manifest).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -515,8 +515,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
-    args = parser.parse_args(argv)
+    def usage_error(message: str):  # exit 1 like any config error; exit 2 means a failed acceptance gate
+        raise ConfigError(message)
+    parser.error = usage_error
     try:
+        args = parser.parse_args(argv)
         cfg = validate_config(
             args.config,
             experiment=args.experiment,

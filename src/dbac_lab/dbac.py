@@ -222,7 +222,7 @@ def _angles(theta) -> np.ndarray:
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1 or thetas.size == 0:
         raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ContractViolationError("theta must be finite")
     return thetas
 

@@ -30,7 +30,7 @@ def as_complex_matrix(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim not in ndims:
         raise ContractViolationError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
     return a
 

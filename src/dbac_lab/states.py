@@ -31,7 +31,7 @@ class PureState:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size & (v.size - 1) or v.size == 0:
             raise DimensionMismatchError(f"state length {v.size} is not a power of two")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.isfinite(v.view(float)).all():
             raise ContractViolationError("amplitudes contain NaN or Inf")
         if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise ContractViolationError("state vector is not normalized")
@@ -69,7 +69,7 @@ def check_density(m: np.ndarray) -> np.ndarray:
     Whichever matrix of a batch fails, the error is the one a single
     :class:`DensityMatrix` would raise.
     """
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
     mh = np.conj(m).swapaxes(-1, -2)
     if np.abs(m - mh).max() > DM_TOL:

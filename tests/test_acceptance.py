@@ -8,9 +8,10 @@ search-verified optimum is ground fidelity ~0.63 from 179 degrees, with the
 basin edge near 178.1 degrees).
 """
 
+import numpy as np
 import pytest
 
-from dbac_lab import acceptance
+from dbac_lab import acceptance, dbac, dme
 
 
 def _report(result):
@@ -125,3 +126,44 @@ def test_run_all_order_and_expected_failure(all_results):
 def test_run_all_results_carry_runtimes(all_results):
     for r in all_results:
         assert isinstance(r.runtime_s, float) and r.runtime_s >= 0.0, r.cid
+
+
+def _counted(monkeypatch, name):
+    """Record the shape of the first argument of every call acceptance makes
+    to its engine ``name``."""
+    calls, engine = [], getattr(acceptance, name)
+
+    def counting(first, *args):
+        calls.append(np.shape(first))
+        return engine(first, *args)
+
+    monkeypatch.setattr(acceptance, name, counting)
+    return calls
+
+
+def _forbid_dense_oracles(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense per-point oracle was called")
+
+    for module in (acceptance, dbac, dme):
+        for name in ("dbac_step_exact", "dme_step_exact"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+
+
+class TestOneEngineBatch:
+    """Criteria 1 and 2 each make one call of a batched engine the program
+    runs, over all their points; the dense oracles check those engines in
+    test_dbac and test_dme."""
+
+    def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
+        calls = _counted(monkeypatch, "_exact_steps")
+        _forbid_dense_oracles(monkeypatch)
+        assert acceptance.criterion_1().passed
+        assert calls == [(101 * 101, 2)]
+
+    def test_criterion_2_is_one_partial_swap_batch(self, monkeypatch):
+        calls = _counted(monkeypatch, "partial_swap")
+        _forbid_dense_oracles(monkeypatch)
+        assert acceptance.criterion_2().passed
+        assert calls == [(3, 100)]

@@ -378,6 +378,29 @@ class TestInProcessMain:
         manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
         assert manifest["failed_stage"]["error"] == "ValueError: synthetic\nfailure"
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["sweep-theta", "--seed", "abc"], "--seed"),
+            (["sweep-theta", "--bogus", "1"], "--bogus"),
+            (["no-such-experiment"], "no-such-experiment"),
+            (["acceptance", "--seed", "x"], "--seed"),
+        ],
+        ids=["bad-int", "unknown-option", "unknown-experiment", "acceptance-bad-int"],
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv, names):
+        # exit 2 is kept for a failed acceptance gate
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and names in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dbac-lab")
+
     def test_write_failure_lists_files_written(self, tmp_path, monkeypatch):
         # b.csv's payload cannot be rendered; a.csv was already written
         def half(cfg):

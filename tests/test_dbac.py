@@ -113,6 +113,20 @@ class TestStepExact:
         out = dbac_step_exact(rx_init(np.pi / 2), np.pi / 4)
         assert abs(energy(out, H) + np.sqrt(2) / 2) < 1e-12
 
+    def test_checks_exact_reflector_engine_on_criterion_1_grid(self):
+        # acceptance criterion 1 runs one _exact_steps step over this grid,
+        # theta-major; the dense step checks a fixed subsample of it, with
+        # theta, t in {0, pi/2, pi}
+        grid = np.linspace(0.0, np.pi, 101)
+        idx = [0, 1, 17, 50, 73, 99, 100]
+        thetas, ts = np.repeat(grid[idx], len(idx)), np.tile(grid[idx], len(idx))
+        w, v = H.eig
+        (psi1,) = dbac._exact_steps(dbac._rx_init(thetas, v), ts[None], w, "chain")
+        for theta, t, got in zip(thetas, ts, psi1):
+            dense = dbac_step_exact(rx_init(theta), t, H)
+            assert np.abs(got - dense.amplitudes @ v.conj()).max() < 1e-12
+            assert abs(np.abs(got) ** 2 @ w - energy(dense, H)) < 1e-12
+
 
 class TestEnergyAnalytic:
     def test_ground_fixed(self):
