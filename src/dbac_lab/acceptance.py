@@ -175,12 +175,9 @@ def criterion_5c():
 def criterion_5d():
     degrees = np.arange(1, 180)
     best = final_fidelities_over_s(np.deg2rad(degrees), 6, None, step_size_grid()).max(axis=1)
-    worst_f, worst_deg, first_fail = 1.0, None, None
-    for deg, f in zip(degrees.tolist(), best.tolist()):
-        if f < 0.9 and first_fail is None:
-            first_fail = deg
-        if f < worst_f:
-            worst_f, worst_deg = f, deg
+    worst, fails = int(np.argmin(best)), np.flatnonzero(best < 0.9)
+    worst_f, worst_deg = float(best[worst]), int(degrees[worst])
+    first_fail = int(degrees[fails[0]]) if fails.size else None
     return worst_f >= 0.9, (
         f"fails from theta={first_fail} deg; worst best-s fidelity {worst_f:.4f} at "
         f"theta={worst_deg} deg (per-step schedules extend only to 178 deg; see README)"
@@ -205,8 +202,8 @@ def criterion_6():
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi = PureState.from_vector(v)
         res = [descent_bound_residual(h, psi, s) for s in (0.1, 0.05, 0.025)]
-        for r1, r2 in ((res[1] / res[0], res[2] / res[1]),):
-            lo, hi = min(lo, r1, r2), max(hi, r1, r2)
+        r1, r2 = res[1] / res[0], res[2] / res[1]
+        lo, hi = min(lo, r1, r2), max(hi, r1, r2)
     return lo >= 0.2 and hi <= 5.0, f"consecutive-residual ratios within [{lo:.3f}, {hi:.3f}] (window [0.2, 5])"
 
 

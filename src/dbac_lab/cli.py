@@ -5,21 +5,22 @@ Usage:
 
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
-with `#` comments; unknown keys, and noise keys the experiment does not apply,
-are rejected.  Each config key is declared once, as a field of the frozen
-`ExperimentConfig` carrying its default and its parser; constructing one runs
-every check and builds, once, the schedule, noise model and grids its runner
-reads.  Angles are finite, in radians unless the value carries a `deg`
-suffix; `seed` is >= 0; a grid's span and every step size's echo angle
-s (w_max - w_min) must be finite.  Runners return their tables and
+with `#` comments; unknown keys, keys set twice, and noise keys the experiment
+does not apply, are rejected.  Each config key is declared once, as a field of
+the frozen `ExperimentConfig` carrying its default and its parser;
+constructing one runs every check and builds, once, the schedule, noise model
+and grids its runner reads.  Angles are finite, in radians unless the value
+carries a `deg` suffix; `seed` is >= 0; a grid's span and every step size's
+echo angle s (w_max - w_min) must be finite.  Runners return their tables and
 `run_config` alone writes them: one writer formats every table at 12
-significant digits, and `results_manifest.json` lists exactly the files this
-run wrote, each with its sha256 checksum, and the environment (python, numpy,
-BLAS, core count); identical config and seed give byte-identical output.
-Exit codes: 0 success, 1 config or usage error, 2 acceptance failure, 3
-runtime failure (the experiment raised after its config was accepted; a
-one-line `runtime error: ...` goes to stderr, the manifest records the
-failed stage, and a run whose runner raised emits only that manifest).
+significant digits, one format per table, and `results_manifest.json` lists
+exactly the files this run wrote, each with its sha256 checksum, and the
+environment (python, numpy, BLAS, core count); identical config and seed give
+byte-identical output.  Exit codes: 0 success, 1 config or usage error (an
+unusable `--out` too), 2 acceptance failure, 3 runtime failure (the experiment
+raised after its config was accepted; a one-line `runtime error: ...` goes to
+stderr, the manifest records the failed stage, and a run whose runner raised
+emits only that manifest).
 
 `--workers` (config key `workers`) is accepted for compatibility and must be
 >= 1, but it is a no-op: every experiment runs in this process, vectorized
@@ -263,7 +264,7 @@ def validate_config(
 ) -> ExperimentConfig:
     """Parse a key=value config file (unknown keys are errors) and the
     overrides into one validated :class:`ExperimentConfig`."""
-    values, raw = {}, {}
+    values, raw, first_set = {}, {}, {}
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file {path} does not exist")
@@ -276,6 +277,9 @@ def validate_config(
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _PARSERS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in first_set:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r} (first set on line {first_set[key]})")
+            first_set[key] = lineno
             try:
                 values[key] = _PARSERS[key](value)
             except (ValueError, TypeError) as exc:
@@ -300,7 +304,8 @@ def validate_config(
 # experiment runners: each returns {file name: payload} and touches no file; a
 # `.csv` payload is (header, rows), a `.json` payload the object to dump.  A
 # runner may also return fields of its own for the manifest, under the
-# manifest's file name, _MANIFEST.  The one writer, run_config, formats every
+# manifest's file name, _MANIFEST.  Rows are a float array, or a list of rows
+# whose columns each keep one kind.  The one writer, run_config, formats every
 # table at 12 significant digits, and its manifest lists exactly the files
 # this run wrote: none if the runner raised.
 # ---------------------------------------------------------------------------
@@ -310,13 +315,10 @@ _MANIFEST = "results_manifest.json"
 
 def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     schedule, thetas = cfg.schedule, cfg.theta_grid
-    records = dbac_via_dme(thetas, schedule, cfg.noise)
-    n_instr = sum(schedule.m)
-    header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(n_instr)] + ["E_analytic"]
-    rows = np.column_stack([
-        [[theta, rec.energies[-1], *rec.instruction_energies] for theta, rec in zip(thetas.tolist(), records)],
-        functools.reduce(dbac_energy_analytic, schedule.s, -np.cos(thetas)),  # the law, once per step
-    ])
+    rec = dbac_via_dme(thetas, schedule, cfg.noise)
+    header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(sum(schedule.m))] + ["E_analytic"]
+    law = functools.reduce(dbac_energy_analytic, schedule.s, -np.cos(thetas))  # the law, once per step
+    rows = np.column_stack([thetas, rec.energies[:, -1], rec.instruction_energies, law])
     return {"sweep_theta.csv": (header, rows)}
 
 
@@ -342,7 +344,7 @@ def _run_trotter(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     rho, sigma = random_density(rng), random_density(rng)
     ms = np.arange(1, cfg.m_max + 1)
-    rows = [[cfg.t, m, err] for m, err in zip(ms, dme_errors(rho, sigma, cfg.t, ms))]
+    rows = np.column_stack([np.full(ms.size, cfg.t), ms, dme_errors(rho, sigma, cfg.t, ms)])
     return {"trotter.csv": (["t", "M", "error"], rows)}
 
 
@@ -394,7 +396,7 @@ def _run_trajectory(cfg: ExperimentConfig) -> dict:
         rec = dbac_recursive_exact(rx_init(cfg.theta), schedule)
     else:
         rec = dbac_via_dme(cfg.theta, schedule, cfg.noise)
-    rows = [[i, b.x, b.y, b.z] for i, b in enumerate(rec.trajectory)]
+    rows = np.column_stack([np.arange(len(rec.trajectory)), rec.trajectory])
     return {"trajectory.csv": (["step", "x", "y", "z"], rows)}
 
 
@@ -432,16 +434,15 @@ def _row_format(kinds: tuple) -> str:
 
 def _render(name: str, payload) -> bytes:
     """A payload as its file's bytes: a `.json` object dumped with indent 2, or
-    a `.csv` table.  A float array of rows is formatted in one operation over
-    the whole table, any other rows with one `%` format per row type."""
+    a `.csv` table (a float array, or a list of rows whose columns each keep
+    one kind), formatted by one `%` operation: its first row's format, once
+    per row."""
     if name.endswith(".json"):
         return (json.dumps(payload, indent=2) + "\n").encode()
     header, rows = payload
-    if isinstance(rows, np.ndarray):
-        body = (",".join(["%.12g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
-    else:
-        body = "".join(_row_format(tuple(map(type, row))) % tuple(row) for row in rows)
-    return (",".join(header) + "\n" + body).encode()
+    fmt = _row_format(tuple(map(type, rows[0]))) if len(rows) else ""
+    values = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for row in rows for v in row]
+    return (",".join(header) + "\n" + fmt * len(rows) % tuple(values)).encode()
 
 
 @functools.cache
@@ -463,7 +464,8 @@ def _environment() -> dict:
 
 def run_config(cfg: ExperimentConfig) -> dict:
     """Execute one experiment, write its files and the results manifest;
-    returns the manifest.
+    returns the manifest.  An `out` that cannot be made a directory is a
+    ConfigError, raised before anything is written.
 
     The one writer: each payload the runner returns is rendered once (every
     table at 12 significant digits), written once and hashed from the bytes
@@ -476,7 +478,10 @@ def run_config(cfg: ExperimentConfig) -> dict:
     verdicts and each criterion's runtime) are added to it.
     """
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a path through one
+        raise ConfigError(f"out: {exc}") from exc
     started = time.perf_counter()
     payloads, files, extra, error = {}, {}, {}, None
     try:

@@ -28,7 +28,7 @@ from .dme import (
     bloch_planes, check_bloch, density_matrices, partial_swap, reflector, swap_coefficients, swap_operands
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from .states import BlochVector, HamiltonianSpec, PureState, check_density, energy, variance
+from .states import HamiltonianSpec, PureState, check_density, energy, variance
 from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
@@ -98,33 +98,36 @@ class DbacSchedule:
 
 @dataclass(frozen=True)
 class CoolingRecord:
-    """Per-step observables of one protocol run.
-
-    ``energies``/``fidelities`` hold k+1 entries (initial state included);
-    ``variances`` hold the k pre-step energy variances.  ``instruction_energies``
-    are the post-interaction energies of every instruction register consumed,
-    in protocol order (empty for exact-reflector runs).
+    """Per-step observables of one protocol run or a batch of runs: read-only
+    float64 arrays, batch shape first and step axis last.  ``energies`` and
+    ``fidelities`` are (..., k+1) (initial state included), ``variances``
+    (..., k) (pre-step), ``instruction_energies`` (..., n) (post-interaction,
+    every instruction register consumed, in protocol order; n = 0 for exact
+    reflectors) and ``trajectory`` (..., k+1, 3), (..., 0, 3) beyond a qubit.
     """
 
-    energies: tuple[float, ...]
-    variances: tuple[float, ...]
-    fidelities: tuple[float, ...]
+    energies: np.ndarray
+    variances: np.ndarray
+    fidelities: np.ndarray
     copies_consumed: int
-    trajectory: tuple[BlochVector, ...]
-    instruction_energies: tuple[float, ...] = ()
+    trajectory: np.ndarray
+    instruction_energies: np.ndarray = ()
 
     def __post_init__(self):
-        k = len(self.energies) - 1
-        if k < 1 or len(self.variances) != k or len(self.fidelities) != k + 1:
+        for name in ("energies", "variances", "fidelities", "trajectory", "instruction_energies"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.k < 1 or self.variances.shape[-1] != self.k or self.fidelities.shape != self.energies.shape:
             raise ContractViolationError("record lengths are inconsistent")
-        if any(not 0.0 <= f <= 1.0 + 1e-9 for f in self.fidelities):
+        if not ((self.fidelities >= 0.0) & (self.fidelities <= 1.0 + 1e-9)).all():  # NaN fails too
             raise ContractViolationError("fidelities must lie in [0, 1]")
-        if self.copies_consumed < k:
+        if self.copies_consumed < self.k:
             raise ContractViolationError("copies_consumed must be at least k")
 
     @property
     def k(self) -> int:
-        return len(self.energies) - 1
+        return self.energies.shape[-1] - 1
 
 
 class BasinResult(NamedTuple):
@@ -172,9 +175,9 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...ji->...", op, rho).real
 
 
-def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[CoolingRecord, ...]:
-    """One record per batch entry of a run's (k + 1, B, d, d) stack of states
-    and its (n, B, d, d) instruction marginals, both in H's eigenbasis and
+def _records(schedule: DbacSchedule, states: np.ndarray, marginals=(), shape: tuple = ()) -> CoolingRecord:
+    """One record, its B entries first as ``shape``, of a run's (k + 1, B, d, d)
+    states and (n, B, d, d) instruction marginals, both in H's eigenbasis and
     already validated by the caller; this only computes observables.  They
     are rotated into that basis, not the states out of it."""
     _, b, d, _ = states.shape
@@ -187,22 +190,17 @@ def _records(schedule: DbacSchedule, states: np.ndarray, marginals=()) -> tuple[
     paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
     bloch = np.stack([_expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
     copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
-    return tuple(
-        CoolingRecord(
-            energies=tuple(energies[:, i].tolist()),
-            variances=tuple(variances[:, i].tolist()),
-            fidelities=tuple(fids[:, i].tolist()),
-            copies_consumed=copies,
-            trajectory=tuple(BlochVector(*xyz) for xyz in bloch[:, i].tolist()),
-            instruction_energies=tuple(instr_energies[:, i].tolist()),
-        )
-        for i in range(b)
+    e, var, f, traj, instr = (  # (steps, B, ...) -> shape + (steps, ...)
+        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:])
+        for x in (energies, variances, fids, bloch, instr_energies)
     )
+    return CoolingRecord(e, var, f, copies, traj, instr)
 
 
 def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecord:
     """Iterate exact-reflector steps per the schedule, recording per-step observables.
 
+    Returns one :class:`CoolingRecord` with no batch axis ((k + 1,) energies).
     H and psi were validated on construction; :func:`_exact_steps` steps raw
     vectors in H's eigenbasis, and the k + 1 states are validated once, by one
     :func:`check_density` call on their stack, before the record is built.
@@ -214,7 +212,7 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
     steps = _exact_steps(psi0, np.array(schedule.s)[:, None], w, schedule.recursion)
     vecs = np.array([psi0, *steps])  # (k + 1, 1, d)
-    return _records(schedule, check_density(vecs[..., :, None] * vecs.conj()[..., None, :]))[0]
+    return _records(schedule, check_density(vecs[..., :, None] * vecs.conj()[..., None, :]))
 
 
 def _angles(theta) -> np.ndarray:
@@ -237,12 +235,12 @@ def dbac_via_dme(
     theta: float | np.ndarray,
     schedule: DbacSchedule,
     noise: Optional[NoiseModel] = None,
-) -> CoolingRecord | tuple[CoolingRecord, ...]:
+) -> CoolingRecord:
     """Full density-matrix simulation with reflectors realized by partial swaps.
 
-    The initial state is R_X(theta)|0>.  ``theta`` is one angle, which gives a
-    :class:`CoolingRecord`, or a 1-D array of angles, which gives a tuple of
-    records, one per angle, all simulated as one batch.
+    The initial state is R_X(theta)|0>.  ``theta`` is one angle or a 1-D array
+    of T angles, simulated as one batch into one :class:`CoolingRecord` whose
+    arrays have theta's shape first: (k + 1,) energies for one angle, (T, k + 1) for T.
 
     Step j consumes M_j fresh instruction copies of the previous step's
     output, each through one :func:`dme.partial_swap` call over the batch.
@@ -282,8 +280,7 @@ def dbac_via_dme(
     planes = np.concatenate([np.stack(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
     check_bloch(planes)
     mats = density_matrices(planes)
-    records = _records(schedule, mats[: schedule.k + 1], mats[schedule.k + 1 :])
-    return records if thetas.ndim else records[0]
+    return _records(schedule, mats[: schedule.k + 1], mats[schedule.k + 1 :], thetas.shape)
 
 
 def synthesize_uk(

@@ -39,6 +39,13 @@ class TestConfigValidation:
                 _write_cfg(tmp_path, "experiment = trotter\nwobble = 3\n"), out_override=tmp_path
             )
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # the last value used to win silently, and the manifest showed only it
+        cfg = _write_cfg(tmp_path, "experiment = trotter\nm_max = 3\n\nm_max = 5\n")
+        with pytest.raises(cli.ConfigError) as info:
+            cli.validate_config(cfg, out_override=tmp_path / "out")
+        assert str(info.value) == "line 4: duplicate key 'm_max' (first set on line 2)"
+
     def test_phi_key_exits_one(self, tmp_path, capsys):
         # no experiment reads a single phi (ptm takes phi_list), so the key is unknown
         cfg = _write_cfg(tmp_path, "experiment = ptm\nphi = 0.3\n")
@@ -359,7 +366,53 @@ class TestWriter:
             assert cli._render("t.csv", (["a", "b"], np.array([[v, v]]))) == expected
 
 
+def _per_row(rows) -> str:
+    """The writer's text of a list table, one format lookup and `%` per row."""
+    return "".join(cli._row_format(tuple(map(type, r))) % tuple(r) for r in rows)
+
+
+class TestWholeTableFormat:
+    @pytest.mark.parametrize(
+        "experiment, text, name",
+        [
+            ("grid-km", "m_list = 1,exact,2\nk_list = 1,2\n", "grid_km.csv"),
+            ("baselines", "rounds = 3\n", "baselines.csv"),
+            ("ptm", "phi_list = 0.3,1.1\nnoise_p2 = 0.01\n", "ptm_noisy_1.csv"),
+        ],
+    )
+    def test_list_table_matches_per_row_format(self, tmp_path, experiment, text, name):
+        cfg = cli.validate_config(
+            _write_cfg(tmp_path, f"experiment = {experiment}\n{text}"), out_override=tmp_path / "out"
+        )
+        header, rows = cli._RUNNERS[experiment](cfg)[name]
+        assert isinstance(rows, list)
+        if experiment == "grid-km":  # the M column mixes ints and `exact`
+            assert {type(r[1]) for r in rows} == {int, str}
+        assert cli._render(name, (header, rows)) == (",".join(header) + "\n" + _per_row(rows)).encode()
+
+    @pytest.mark.parametrize("experiment", ["sweep-theta", "trotter", "trajectory"])
+    def test_float_array_is_the_12_digit_join(self, tmp_path, experiment):
+        cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path / "out")
+        (name, (header, rows)), = cli._RUNNERS[experiment](cfg).items()
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows.tolist())
+        assert cli._render(name, (header, rows)) == (",".join(header) + "\n" + body).encode()
+
+    def test_empty_table_is_its_header(self):
+        assert cli._render("t.csv", (["a", "b"], [])) == b"a,b\n"
+
+
 class TestInProcessMain:
+    @pytest.mark.parametrize("sub", ["", "x"], ids=["file", "path-through-file"])
+    def test_unusable_out_is_a_config_error(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        out = blocker / sub if sub else blocker
+        assert cli.main(["trotter", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and err.count("\n") == 1
+        assert blocker.read_text() == "keep\n" and sorted(tmp_path.iterdir()) == [blocker]
+
     def test_long_dme_chain_trajectory_exits_zero(self, tmp_path):
         cfg = _write_cfg(tmp_path, "experiment = trajectory\ntheta = 2.0\nk = 6\nm = 8\ns = 0.8\n")
         assert cli.main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

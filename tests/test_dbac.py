@@ -90,13 +90,13 @@ def _oracle_via_dme(theta, schedule, noise=None):
 
 def _assert_matches_oracle(thetas, schedule, noise):
     records = dbac_via_dme(np.array(thetas), schedule, noise)
-    assert len(records) == len(thetas)
-    for theta, rec in zip(thetas, records):
+    assert len(records.energies) == len(thetas)
+    for i, theta in enumerate(thetas):
         energies, instr_energies, out = _oracle_via_dme(theta, schedule, noise)
-        assert np.abs(np.subtract(rec.energies, energies)).max() < 1e-12
-        assert np.abs(np.subtract(rec.instruction_energies, instr_energies)).max() < 1e-12
+        assert np.abs(np.subtract(records.energies[i], energies)).max() < 1e-12
+        assert np.abs(np.subtract(records.instruction_energies[i], instr_energies)).max() < 1e-12
         bloch = [np.trace(p @ out).real for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)]
-        assert np.abs(np.subtract(rec.trajectory[-1], bloch)).max() < 1e-12
+        assert np.abs(np.subtract(records.trajectory[i, -1], bloch)).max() < 1e-12
 
 
 class TestStepExact:
@@ -345,7 +345,7 @@ class TestViaDmeBatch:
                 DbacSchedule.uniform(k, s, m=m, recursion=mode),
                 NoiseModel(*noise) if noise else None,
             )
-        assert len(records) == 3 and all(len(r.instruction_energies) == k * m for r in records)
+        assert records.instruction_energies.shape == (3, k * m)
         # one check over every reported state: k + 1 states and k M marginals
         assert checked == [(3, k + 1 + k * m, 3)]
         batch = np.concatenate(states)
@@ -367,18 +367,53 @@ class TestViaDmeBatch:
         schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion="fresh")
         noise = NoiseModel(p1=1e-3, p2=1e-2)
         batch = dbac_via_dme(thetas, schedule, noise)
-        assert isinstance(batch, tuple) and len(batch) == thetas.size
-        for theta, rec in zip(thetas, batch):
+        assert isinstance(batch, CoolingRecord) and batch.energies.shape == (thetas.size, 4)
+        for i, theta in enumerate(thetas):
             single = dbac_via_dme(theta, schedule, noise)
             assert isinstance(single, CoolingRecord)
             for field in ("energies", "variances", "fidelities", "instruction_energies", "trajectory"):
-                assert np.abs(np.subtract(getattr(rec, field), getattr(single, field))).max() < 1e-14
-            assert rec.copies_consumed == single.copies_consumed == 5 * 3 * 4
+                # row i of the batch is the single-angle record, bit for bit
+                assert np.array_equal(getattr(batch, field)[i], getattr(single, field))
+            assert batch.copies_consumed == single.copies_consumed == 5 * 3 * 4
 
     @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([]), [0.3, np.nan]])
     def test_bad_theta_rejected(self, theta):
         with pytest.raises(ContractViolationError):
             dbac_via_dme(theta, DbacSchedule.uniform(1, 0.5, m=1))
+
+
+class TestRecordArrays:
+    """A CoolingRecord holds read-only float64 arrays, with the batch shape
+    first and the step axis last."""
+
+    SCHEDULE = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3))
+
+    @staticmethod
+    def _assert_shapes(rec, batch, k, n, traj):
+        shapes = {
+            "energies": batch + (k + 1,),
+            "fidelities": batch + (k + 1,),
+            "variances": batch + (k,),
+            "instruction_energies": batch + (n,),
+            "trajectory": batch + (traj, 3),
+        }
+        for name, shape in shapes.items():
+            arr = getattr(rec, name)
+            assert arr.shape == shape and arr.dtype == np.float64, name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        assert rec.k == k
+
+    @pytest.mark.parametrize("theta, batch", [(0.8, ()), (np.linspace(0.1, 3.0, 5), (5,))])
+    def test_via_dme(self, theta, batch):
+        self._assert_shapes(dbac_via_dme(theta, self.SCHEDULE), batch, k=3, n=9, traj=4)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_recursive_exact(self, rng, dim):
+        schedule = DbacSchedule(s=(0.3, 0.5), hamiltonian=_random_hamiltonian(rng, dim))
+        rec = dbac_recursive_exact(PureState.from_vector(random_state(rng, dim)), schedule)
+        self._assert_shapes(rec, (), k=2, n=0, traj=3 if dim == 2 else 0)
 
 
 class TestSynthesizeUk:
@@ -648,7 +683,7 @@ class TestRecursiveExactOracle:
             if traj:
                 assert np.abs(np.subtract(rec.trajectory, traj)).max() < 1e-12
             assert rec.copies_consumed == (k + 1 if m is None else 3**k)
-            assert rec.instruction_energies == ()
+            assert rec.instruction_energies.size == 0
 
 
 class TestSearchEngineOracle:
