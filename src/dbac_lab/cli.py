@@ -1,30 +1,29 @@
 """Config-driven experiment runner emitting plot-ready CSV/JSON plus a manifest.
 
 Usage:
-    dbac-lab <experiment> [--config PATH] [--out DIR] [--seed INT] [--workers N]
+    dbac-lab <experiment> [--config PATH] [--out DIR] [--seed INT]
 
 Experiments: sweep-theta, sweep-s, grid-km, trotter, ptm, baselines,
 trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, keys set twice, and noise keys the experiment
 does not apply, are rejected.  Each config key is declared once, as a field of
-the frozen `ExperimentConfig` carrying its default and its parser;
-constructing one runs every check and builds, once, the schedule, noise model
-and grids its runner reads.  Angles are finite, in radians unless the value
-carries a `deg` suffix; `seed` is >= 0; a grid's span and every step size's
-echo angle s (w_max - w_min) must be finite.  Runners return their tables and
-`run_config` alone writes them: one writer formats every table at 12
-significant digits, one format per table, and `results_manifest.json` lists
-exactly the files this run wrote, each with its sha256 checksum, and the
-environment (python, numpy, BLAS, core count); identical config and seed give
-byte-identical output.  Exit codes: 0 success, 1 config or usage error (an
-unusable `--out` too), 2 acceptance failure, 3 runtime failure (the experiment
-raised after its config was accepted; a one-line `runtime error: ...` goes to
-stderr, the manifest records the failed stage, and a run whose runner raised
-emits only that manifest).
+the frozen `ExperimentConfig` carrying its default, its parser and its rule;
+each experiment is declared once in `_READS` with the noise keys it applies
+and the values built for its runner.  Constructing a config runs every check
+and builds, once, the schedule, noise model and grids its runner reads.
+Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
+is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
+must be finite.  Runners return their tables and `run_config` alone writes
+them: one writer formats every table at 12 significant digits, one format per
+table, and `results_manifest.json` lists exactly the files this run wrote,
+each with its sha256 checksum, and the environment (python, numpy, BLAS, core
+count); identical config and seed give byte-identical output.  Exit codes: 0
+success, 1 config or usage error (an unusable `--out` too), 2 acceptance
+failure, 3 runtime failure (the experiment raised after its config was
+accepted; a one-line `runtime error: ...` goes to stderr, the manifest records
+the failed stage, and a run whose runner raised emits only that manifest).
 
-`--workers` (config key `workers`) is accepted for compatibility and must be
->= 1, but it is a no-op: every experiment runs in this process, vectorized
-where it pays (sweep-theta simulates all its angles as one batch).
+The config key `workers` (>= 1, read by nothing) is accepted only for perfbench's configs.
 """
 
 from __future__ import annotations
@@ -101,24 +100,43 @@ def _parse_km_entry(text: str) -> tuple:
     return tuple(None if tok.strip().lower() == "exact" else int(tok) for tok in text.split(",") if tok.strip())
 
 
-# The noise keys each experiment applies (trajectory only with finite m).  A
-# config that sets any other noise key is rejected rather than run without it.
-_NOISE_KEYS = {
-    "sweep-theta": ("noise_p1", "noise_p2"),
-    "trajectory": ("noise_p1", "noise_p2"),
-    "ptm": ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"),
-}
+def _key(default, parse, rule=None):
+    """A config key: its default, the parser for its `key = value` text and
+    its rule, a (test, message) pair: a value the test rejects is the config
+    error `<key>: <message>`.  Every rule is written so that NaN fails it."""
+    return field(default=default, metadata={"parse": parse, "rule": rule})
 
 
-def _key(default, parse):
-    """A config key: its default and the parser for its `key = value` text."""
-    return field(default=default, metadata={"parse": parse})
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_GRID_COUNT = (lambda v: v >= 2, "grid counts must be >= 2")
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_POLARIZATION = (lambda v: abs(v) <= 1, "polarization must lie in [-1, 1]")
+_DEPTHS = (lambda v: v is None or all(mj >= 1 for mj in v), "every Trotter depth must be >= 1")
+_NONEMPTY = (bool, "give at least one value")
+_KM_ENTRIES = (lambda v: v and all(x is None or x >= 1 for x in v), "give at least one value, each >= 1")
 
 
-def _grid(name: str, start: float, stop: float, count: int) -> np.ndarray:
-    """np.linspace(start, stop, count), read-only; a span that overflows is a config error."""
+def _built(keys: str):
+    """A value validation builds once, cached, for the runners that read it; a
+    library contract violation while building it is a config error naming
+    `keys`, the keys it derives from."""
+
+    def wrap(build):
+        def checked(self):
+            try:
+                return build(self)
+            except ContractViolationError as exc:
+                raise ConfigError(f"{keys}: {exc}") from exc
+
+        return functools.cached_property(checked)
+
+    return wrap
+
+
+def _grid(start: float, stop: float, count: int) -> np.ndarray:
+    """np.linspace(start, stop, count), read-only; its span must be finite."""
     if not np.isfinite(stop - start):
-        raise ConfigError(f"{name}_start/{name}_stop: the grid's span must be finite")
+        raise ContractViolationError("the grid's span must be finite")
     grid = np.linspace(start, stop, count)
     grid.setflags(write=False)
     return grid
@@ -127,37 +145,35 @@ def _grid(name: str, start: float, stop: float, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's config: valid by construction, immutable, and holding
-    what its runner reads (schedule, noise model, grids), built once here; a
-    library contract violation among them is a config error naming the keys
-    the failed value derives from."""
+    what its runner reads (schedule, noise model, grids), built once here."""
 
     experiment: str = _key("", str)
     out: str = _key("", str)
-    seed: int = _key(0, int)
-    workers: int = _key(1, int)
-    k: int = _key(1, int)
-    m: Optional[tuple[int, ...]] = _key((1,), _parse_m_list)
+    seed: int = _key(0, int, (lambda v: v >= 0, "must be >= 0"))
+    workers: int = _key(1, int, _COUNT)
+    k: int = _key(1, int, _COUNT)
+    m: Optional[tuple[int, ...]] = _key((1,), _parse_m_list, _DEPTHS)
     s: tuple[float, ...] = _key((_PI / 4,), _parse_angle_list)
-    recursion: str = _key("chain", str)
+    recursion: str = _key("chain", str, (lambda v: v in RECURSION_MODES, "must be 'chain' or 'fresh'"))
     theta: float = _key(_PI / 2, _parse_angle)
     theta_start: float = _key(0.0, _parse_angle)
     theta_stop: float = _key(_PI, _parse_angle)
-    theta_count: int = _key(181, int)
+    theta_count: int = _key(181, int, _GRID_COUNT)
     s_start: float = _key(0.05, _parse_angle)
     s_stop: float = _key(_PI, _parse_angle)
-    s_count: int = _key(64, int)
-    k_list: tuple[int, ...] = _key((1, 2, 3), _parse_int_list)
-    m_list: tuple = _key((1, 2, None), _parse_km_entry)
-    f_target: float = _key(0.9, float)
+    s_count: int = _key(64, int, _GRID_COUNT)
+    k_list: tuple[int, ...] = _key((1, 2, 3), _parse_int_list, _KM_ENTRIES)
+    m_list: tuple = _key((1, 2, None), _parse_km_entry, _KM_ENTRIES)
+    f_target: float = _key(0.9, float, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"))
     t: float = _key(_PI / 4, _parse_angle)
-    m_max: int = _key(64, int)
-    rounds: int = _key(10, int)
-    eps0: float = _key(0.1, float)
-    eps_bath: float = _key(0.1, float)
-    x0: float = _key(0.5, float)
-    phi_list: tuple[float, ...] = _key((0.0, _PI / 8, _PI / 4, _PI / 2), _parse_angle_list)
-    noise_p1: float = _key(0.0, float)
-    noise_p2: float = _key(0.0, float)
+    m_max: int = _key(64, int, _COUNT)
+    rounds: int = _key(10, int, _COUNT)
+    eps0: float = _key(0.1, float, _POLARIZATION)
+    eps_bath: float = _key(0.1, float, _POLARIZATION)
+    x0: float = _key(0.5, float, (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"))
+    phi_list: tuple[float, ...] = _key((0.0, _PI / 8, _PI / 4, _PI / 2), _parse_angle_list, _NONEMPTY)
+    noise_p1: float = _key(0.0, float, _PROBABILITY)
+    noise_p2: float = _key(0.0, float, _PROBABILITY)
     noise_t1_us: Optional[float] = _key(None, float)
     noise_t2_us: Optional[float] = _key(None, float)
     raw: dict = field(default_factory=dict)
@@ -167,92 +183,71 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if not self.out:
             raise ConfigError("out: an output directory is required")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
-        if self.k < 1:
-            raise ConfigError("k: must be >= 1")
-        if self.m is not None and any(mj < 1 for mj in self.m):
-            raise ConfigError("m: every Trotter depth must be >= 1")
-        for name in ("k_list", "m_list", "phi_list"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name}: give at least one value")
-        if any(v is not None and v < 1 for v in self.k_list + self.m_list):
-            raise ConfigError("k_list/m_list: every step count and Trotter depth must be >= 1")
-        for name in ("theta_count", "s_count"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name}: grid counts must be >= 2")
-        if self.m_max < 1:
-            raise ConfigError("m_max: must be >= 1")
-        if not 0.0 < self.f_target < 1.0:
-            raise ConfigError("f_target: must lie in (0, 1)")
-        if self.rounds < 1:
-            raise ConfigError("rounds: must be >= 1")
-        if not 0.0 <= self.x0 < 1.0:
-            raise ConfigError("x0: must lie in [0, 1)")
-        if not (abs(self.eps0) <= 1 and abs(self.eps_bath) <= 1):  # NaN fails too
-            raise ConfigError("eps0/eps_bath: polarizations must lie in [-1, 1]")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
-        if self.recursion not in RECURSION_MODES:
-            raise ConfigError("recursion: must be 'chain' or 'fresh'")
-        for name in ("noise_p1", "noise_p2"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name}: must lie in [0, 1]")
+        for name, (test, message) in _RULES:
+            if not test(getattr(self, name)):
+                raise ConfigError(f"{name}: {message}")
         if self.experiment in ("sweep-theta", "sweep-s") and self.m is None:
             raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
-        if self.experiment == "sweep-s" and self.m is not None and len(set(self.m)) != 1:
+        if self.experiment == "sweep-s" and len(set(self._per_step("m"))) != 1:
             raise ConfigError("m: sweep-s uses one common depth per step")
         if self.experiment == "grid-km" and abs(float(np.cos(self.theta))) >= 1.0:
             raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
-        used = () if self.experiment == "trajectory" and self.m is None else _NOISE_KEYS.get(self.experiment, ())
-        for name in ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us"):
-            if getattr(self, name) not in (0, None) and name not in used:
-                applied = ", ".join(used) or "none"
-                raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applied})")
-        # build once, here, what the runner reads; a library contract violation
-        # names the keys the failed value derives from
-        derived = [("noise", "noise_*")]
-        if self.experiment in ("sweep-theta", "sweep-s", "trajectory"):
-            derived.append(("schedule", "s/m"))
-        if self.experiment in ("sweep-theta", "sweep-s"):
-            derived.append(("theta_grid", "theta_start/theta_stop"))
-        if self.experiment == "sweep-s":
-            derived.append(("s_grid", "s_start/s_stop"))
-        for name, keys in derived:
-            try:
-                getattr(self, name)
-            except ContractViolationError as exc:
-                raise ConfigError(f"{keys}: {exc}") from exc
+        applied, built = _READS[self.experiment]
+        applied = () if self.experiment == "trajectory" and self.m is None else applied
+        for name in _NOISE:
+            if getattr(self, name) not in (0, None) and name not in applied:
+                applies = ", ".join(applied) or "none"
+                raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
+        for name in ("noise", *built):  # build, once, what the runner reads
+            getattr(self, name)
 
-    @functools.cached_property
+    def _per_step(self, name: str) -> tuple:
+        """Key `name` (s or m) as k per-step values, given one value or k."""
+        values = getattr(self, name)
+        if len(values) not in (1, self.k):
+            raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
+        return values * (self.k // len(values))
+
+    @_built("s/m")
     def schedule(self) -> DbacSchedule:
-        def per_step(name: str, values: tuple) -> tuple:
-            if len(values) not in (1, self.k):
-                raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
-            return values * (self.k // len(values))
+        s = self._per_step("s")
+        return DbacSchedule(s=s, m=None if self.m is None else self._per_step("m"), recursion=self.recursion)
 
-        s = per_step("s", self.s)
-        return DbacSchedule(s=s, m=None if self.m is None else per_step("m", self.m), recursion=self.recursion)
-
-    @functools.cached_property
+    @_built("noise_*")
     def noise(self) -> Optional[NoiseModel]:
         if (self.noise_p1, self.noise_p2, self.noise_t1_us, self.noise_t2_us) == (0, 0, None, None):
             return None
-        return NoiseModel(
-            p1=self.noise_p1, p2=self.noise_p2, t1_us=self.noise_t1_us, t2_us=self.noise_t2_us
-        )
+        return NoiseModel(p1=self.noise_p1, p2=self.noise_p2, t1_us=self.noise_t1_us, t2_us=self.noise_t2_us)
 
-    @functools.cached_property
+    @_built("theta_start/theta_stop")
     def theta_grid(self) -> np.ndarray:
-        return _grid("theta", self.theta_start, self.theta_stop, self.theta_count)
+        return _grid(self.theta_start, self.theta_stop, self.theta_count)
 
-    @functools.cached_property
+    @_built("s_start/s_stop")
     def s_grid(self) -> np.ndarray:
-        return check_step_sizes(_grid("s", self.s_start, self.s_stop, self.s_count))
+        return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count))
 
 
-# key -> parser. Unknown keys are rejected with the key name.
+# key -> parser (unknown keys are rejected with the key name), and each key's
+# rule, in declaration order
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig) if "parse" in f.metadata}
+_RULES = [(f.name, f.metadata["rule"]) for f in fields(ExperimentConfig) if f.metadata.get("rule")]
+
+# Each experiment once: the noise keys it applies (trajectory only with finite
+# m; a config that sets any other is rejected rather than run without it) and
+# the values validation builds for its runner.  `noise` is built for every
+# experiment, so that a noise key left at zero is checked too.
+_NOISE = ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us")
+_READS = {
+    "sweep-theta": (_NOISE[:2], ("schedule", "theta_grid")),
+    "sweep-s": ((), ("theta_grid", "s_grid")),
+    "grid-km": ((), ()),
+    "trotter": ((), ()),
+    "ptm": (_NOISE, ()),
+    "baselines": ((), ()),
+    "trajectory": (_NOISE[:2], ("schedule",)),
+    "acceptance": ((), ()),
+}
 
 
 def validate_config(
@@ -260,7 +255,6 @@ def validate_config(
     experiment: Optional[str] = None,
     out_override: Optional[Path] = None,
     seed_override: Optional[int] = None,
-    workers_override: Optional[int] = None,
 ) -> ExperimentConfig:
     """Parse a key=value config file (unknown keys are errors) and the
     overrides into one validated :class:`ExperimentConfig`."""
@@ -295,8 +289,6 @@ def validate_config(
         values["out"] = str(out_override)
     if seed_override is not None:
         values["seed"] = seed_override
-    if workers_override is not None:
-        values["workers"] = workers_override
     return ExperimentConfig(**values, raw=raw)
 
 
@@ -519,19 +511,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
     def usage_error(message: str):  # exit 1 like any config error; exit 2 means a failed acceptance gate
         raise ConfigError(message)
     parser.error = usage_error
     try:
         args = parser.parse_args(argv)
-        cfg = validate_config(
-            args.config,
-            experiment=args.experiment,
-            out_override=args.out,
-            seed_override=args.seed,
-            workers_override=args.workers,
-        )
+        cfg = validate_config(args.config, experiment=args.experiment, out_override=args.out, seed_override=args.seed)
         manifest = run_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

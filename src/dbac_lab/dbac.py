@@ -366,9 +366,9 @@ def _exact_steps(psi0, steps, w, recursion):
     cur = psi0
     for e, ec, r in zip(phases, phases.conj(), np.exp(1j * t) - 1.0):
         out = (cur if recursion == "chain" else psi0) * e
-        out += r * np.sum(cur.conj() * out, axis=-1, keepdims=True) * cur
+        out += r * (cur.conj() * out).sum(axis=-1, keepdims=True) * cur
         out *= ec
-        out /= np.linalg.norm(out, axis=-1, keepdims=True)
+        out /= np.sqrt((out.conj() * out).real.sum(axis=-1, keepdims=True))  # the reduction np.linalg.norm runs
         cur = out
         yield cur
 

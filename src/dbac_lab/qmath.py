@@ -103,16 +103,16 @@ def partial_trace(m, part: QubitPartition) -> np.ndarray:
     return np.ascontiguousarray(tensor.reshape(d_keep, d_keep))
 
 
-def check_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity entrywise within tol, returning the symmetrized matrix.
+def check_hermitian(h) -> np.ndarray:
+    """Validate Hermiticity entrywise within HERMITICITY_TOL, returning the symmetrized matrix.
 
     Inputs beyond tolerance are rejected rather than silently symmetrized.
     """
     a = as_complex_matrix(h)
     check_square_power_of_two(a)
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
-        raise ContractViolationError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    if dev > HERMITICITY_TOL:
+        raise ContractViolationError(f"matrix is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
     return 0.5 * (a + a.conj().T)
 
 
@@ -125,16 +125,10 @@ def herm_expm(h, scale: complex) -> np.ndarray:
     return (v * np.exp(complex(scale) * w)) @ v.conj().T
 
 
-def is_unitary(u, tol: float = UNITARITY_TOL) -> bool:
+def check_unitary(u) -> np.ndarray:
+    """A finite square matrix with |u^dag u - I| <= UNITARITY_TOL entrywise (NaN fails)."""
     a = as_complex_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= tol)
-
-
-def check_unitary(u, tol: float = UNITARITY_TOL) -> np.ndarray:
-    a = as_complex_matrix(u)
-    if not is_unitary(a, tol):
+    if a.shape[0] != a.shape[1] or not np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= UNITARITY_TOL:
         raise ContractViolationError("matrix is not unitary within tolerance")
     return a
 

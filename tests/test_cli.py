@@ -88,9 +88,9 @@ class TestConfigValidation:
             cli.validate_config(tmp_path / "nope.txt", out_override=tmp_path)
 
     def test_workers_below_one_rejected(self, tmp_path):
-        # --workers is a no-op, but configs that set it are still checked
-        with pytest.raises(cli.ConfigError, match="workers"):
-            cli.validate_config(None, experiment="trotter", out_override=tmp_path, workers_override=0)
+        # nothing reads the key, but configs that set it are still checked
+        with pytest.raises(cli.ConfigError, match="^workers: "):
+            cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\nworkers = 0\n"), out_override=tmp_path)
 
     def test_missing_out_dir(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="out"):
@@ -140,6 +140,23 @@ class TestBuiltOnce:
         cli.run_config(cfg)
         assert sorted(built) == ["DbacSchedule", "NoiseModel"]
 
+    def test_sweep_s_builds_no_schedule(self, tmp_path, monkeypatch):
+        # sweep-s reads its grids and one common depth, never `s`: an `s` list
+        # of the wrong length is not its concern
+        built = []
+        schedule = cli.DbacSchedule
+
+        def counting(*args, **kwargs):
+            built.append("DbacSchedule")
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "DbacSchedule", counting)
+        text = "experiment = sweep-s\nk = 3\ns = 0.1, 0.2\ntheta_count = 3\ns_count = 4\n"
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
+        cli.run_config(cfg)
+        assert built == []
+        assert len((tmp_path / "out" / "sweep_s.csv").read_text().splitlines()) == 1 + 3 * 4
+
 
 # key -> (value text, parsed attribute): one row per config key
 _KEY_ROWS = {
@@ -188,6 +205,44 @@ class TestEveryKeyParsed:
         got = getattr(cfg, key)
         assert got == (pytest.approx(want, rel=1e-15) if isinstance(want, float) else want)
         assert type(got) is type(want) and cfg.raw[key] == text
+
+
+# key -> (a value its rule rejects, the edge value it accepts): one row per key with a rule
+_RULE_ROWS = {
+    "seed": ("-1", "0"),
+    "workers": ("0", "1"),
+    "k": ("0", "1"),
+    "m": ("1, 0", "1"),
+    "recursion": ("chained", "fresh"),
+    "theta_count": ("1", "2"),
+    "s_count": ("1", "2"),
+    "k_list": ("2, 0", "1"),
+    "m_list": ("exact, 0", "1"),
+    "f_target": ("nan", "5e-324"),
+    "m_max": ("0", "1"),
+    "rounds": ("0", "1"),
+    "eps0": ("nan", "-1"),
+    "eps_bath": ("nan", "1"),
+    "x0": ("nan", "0"),
+    "phi_list": (",", "0"),
+    "noise_p1": ("nan", "1"),
+    "noise_p2": ("nan", "1"),
+}
+
+
+class TestKeyRules:
+    def test_rows_cover_exactly_the_keys_with_a_rule(self):
+        assert set(_RULE_ROWS) == {f.name for f in fields(cli.ExperimentConfig) if f.metadata.get("rule")}
+
+    @pytest.mark.parametrize("key", sorted(_RULE_ROWS))
+    def test_rejected_value_names_its_key_alone(self, tmp_path, key):
+        # ptm applies every noise key, so each key's own rule is all that can reject it
+        rejected, edge = _RULE_ROWS[key]
+        with pytest.raises(cli.ConfigError) as info:
+            cli.validate_config(_write_cfg(tmp_path, f"{key} = {rejected}\n"), "ptm", out_override=tmp_path)
+        assert str(info.value).startswith(f"{key}: ")
+        cfg = cli.validate_config(_write_cfg(tmp_path, f"{key} = {edge}\n"), "ptm", out_override=tmp_path)
+        assert cfg.raw == {key: edge}
 
 
 class TestRunners:
@@ -448,6 +503,12 @@ class TestInProcessMain:
         assert err.startswith("config error: ") and names in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_workers_option_is_a_usage_error(self, tmp_path, capsys):
+        assert cli.main(["sweep-theta", "--workers", "2", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--workers" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["--help"])
@@ -496,14 +557,6 @@ class TestCommandLine:
         proc = self._run("trotter", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "m_max" in proc.stderr
-
-    def test_workers_option_matches_serial(self, tmp_path):
-        a = self._run("sweep-theta", "--out", str(tmp_path / "a"), "--workers", "1")
-        b = self._run("sweep-theta", "--out", str(tmp_path / "b"), "--workers", "2")
-        assert a.returncode == 0 and b.returncode == 0
-        fa = json.loads((tmp_path / "a" / "results_manifest.json").read_text())["files"]
-        fb = json.loads((tmp_path / "b" / "results_manifest.json").read_text())["files"]
-        assert fa == fb
 
 
 class TestIgnoredNoiseRejected:
