@@ -8,6 +8,8 @@ Runtimes vary between runs, so they stay out of the summary that
 them in the run's manifest.  Criteria 1 and 2 check the energy law and the
 swap point on the batched engines the program runs, one call each; the tests
 check those engines against the dense `dbac_step_exact` and `dme_step_exact`.
+Criteria 2 and 4 compose their compiled circuits by `circuit_unitaries`, and
+criterion 4 checks its 100 against the closed forms `partial_swap_unitaries`.
 Criterion 5 carries one sub-check (5d) that the implemented protocol family
 cannot satisfy: six exact-reflector steps with an optimized common step size
 top out near ground fidelity 0.63 when starting one degree away from the
@@ -36,12 +38,13 @@ from .baselines import (
     thermal_qubit,
 )
 from .circuits import (
-    circuit_unitary,
+    circuit_unitaries,
     compile_cnot,
     compile_cz,
     compile_swap3,
     compile_udme_hs,
     compile_udme_native,
+    partial_swap_unitaries,
 )
 from .dbac import (
     DbacSchedule,
@@ -108,7 +111,8 @@ def criterion_2():
     rho, sigma = np.array([(random_density(rng), random_density(rng)) for _ in range(100)]).swapaxes(0, 1)
     step = swap_operands(bloch_planes(rho), swap_coefficients(np.pi / 2))
     worst = float(np.abs(density_matrices(partial_swap(bloch_planes(sigma), step)) - rho).max())
-    dist = qmath.dist_up_to_global_phase(circuit_unitary(compile_udme_native(np.pi / 2)), qmath.swap_operator(2))
+    (u,) = circuit_unitaries([compile_udme_native(np.pi / 2)])
+    dist = qmath.dist_up_to_global_phase(u, qmath.swap_operator(2))
     ok = worst <= 1e-12 and dist <= 1e-10
     return ok, f"max channel deviation {worst:.3e} (tol 1e-12); compiled-vs-SWAP distance {dist:.3e} (tol 1e-10)"
 
@@ -126,27 +130,17 @@ def criterion_3():
 
 @_criterion("4", "compilation equivalence")
 def criterion_4():
-    """Both compilations match exp(-i phi SWAP); table gate constructions match targets."""
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(50):
-        phi = float(rng.uniform(-np.pi, np.pi))
-        target = qmath.herm_expm(qmath.swap_operator(2), -1j * phi)
-        un = circuit_unitary(compile_udme_native(phi))
-        uh = circuit_unitary(compile_udme_hs(phi))
-        worst = max(
-            worst,
-            qmath.dist_up_to_global_phase(un, target),
-            qmath.dist_up_to_global_phase(uh, target),
-            qmath.dist_up_to_global_phase(un, uh),
-        )
+    """Both compilations match exp(-i phi SWAP) at 50 random angles, all 100
+    compiled circuits in one batch; table gate constructions match targets."""
+    phis = np.random.default_rng(4).uniform(-np.pi, np.pi, 50)
+    circuits = [compile_udme(phi) for compile_udme in (compile_udme_native, compile_udme_hs) for phi in phis]
+    un, uh = np.split(circuit_unitaries(circuits), 2)
+    dist = qmath.dist_up_to_global_phase
+    worst = max(max(dist(a, t), dist(b, t), dist(a, b)) for a, b, t in zip(un, uh, partial_swap_unitaries(phis)))
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    table = max(
-        qmath.dist_up_to_global_phase(circuit_unitary(compile_cz()), cz),
-        qmath.dist_up_to_global_phase(circuit_unitary(compile_cnot()), cnot),
-        qmath.dist_up_to_global_phase(circuit_unitary(compile_swap3()), qmath.swap_operator(2)),
-    )
+    built = circuit_unitaries([compile_cz(), compile_cnot(), compile_swap3()])
+    table = max(map(dist, built, (cz, cnot, qmath.swap_operator(2))))
     ok = worst <= 1e-10 and table <= 1e-10
     return ok, f"worst compiled distance {worst:.3e}; worst table-construction distance {table:.3e} (tol 1e-10)"
 

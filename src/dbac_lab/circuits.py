@@ -17,6 +17,10 @@ no-half-angle convention R_Z(a) = exp(-i a Z) translate to RZ(2a) here, and the
 echo rotations carry the sign that makes the compiled circuits cool (verified
 against the density-matrix simulator; the data qubit of each layout is recorded
 in DBAC_TARGET_QUBIT).
+
+Circuits compose in one place: `embedded_gates` stacks a batch's gates, each
+shared gate object once, and `compose` multiplies them by gate position, for
+`circuit_unitaries` and for `tomography.ptm_of_circuits`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .errors import ContractViolationError, SingularParameterError
+from .errors import ContractViolationError, DimensionMismatchError, SingularParameterError
 
 GATE_KINDS = ("RX", "RY", "RZ", "H", "S", "SDG", "RZZ", "BARRIER")
 _ARITY = {  # (num params, num qubits)
@@ -128,12 +132,24 @@ def rzz_matrix(phi: float) -> np.ndarray:
     return gate_matrix(Gate("RZZ", (phi,), (0, 1)))
 
 
-def embedded_gates(gates: Sequence[Gate], n: int) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]]]:
-    """The unitaries of `gates` (no barriers) embedded in an n-qubit register
-    as one (G, 2^n, 2^n) stack in gate order, and the stack indices of each
-    distinct qubit tuple.  One pass groups the gates by kind and by qubit
-    tuple; each kind's matrices come from one vectorized expression, and each
-    tuple's gates are embedded by one stacked `embed_gate` call."""
+def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]], np.ndarray]:
+    """The gate stack of circuits on one register: each distinct gate object
+    (barriers dropped) embedded once, in order of first use, as one (G, 2^n,
+    2^n) stack; the stack indices of each qubit tuple; and the (C, depth) `take`
+    array of each circuit's stack indices in gate order, padded before its first
+    gate with G, the identity slot.  Recurring gate objects (the shared gates of
+    the compiled partial swaps) are deduped here.  Each kind's matrices come
+    from one vectorized expression, each qubit tuple's from one `embed_gate`."""
+    if not circuits:
+        raise ContractViolationError("give at least one circuit")
+    n = circuits[0].num_qubits
+    if any(c.num_qubits != n for c in circuits):
+        raise DimensionMismatchError("the circuits must share one register size")
+    per_circuit = [c.unitary_gates for c in circuits]
+    gates = list({id(g): g for gs in per_circuit for g in gs}.values())
+    where = {id(g): i for i, g in enumerate(gates)}
+    depth = max(map(len, per_circuit))
+    take = [[len(gates)] * (depth - len(gs)) + [where[id(g)] for g in gs] for gs in per_circuit]
     kinds, groups = {}, {}
     for i, g in enumerate(gates):
         kinds.setdefault(g.kind, []).append(i)
@@ -145,22 +161,35 @@ def embedded_gates(gates: Sequence[Gate], n: int) -> tuple[np.ndarray, dict[tupl
     stack = np.empty((len(gates),) + (2**n,) * 2, dtype=complex)
     for qubits, idx in groups.items():
         stack[idx] = qmath.embed_gate([mats[i] for i in idx], qubits, n)
-    return stack, groups
+    return stack, groups, np.array(take, dtype=np.intp)
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Ordered product of the gate unitaries (barriers contribute nothing)."""
-    u = np.eye(2**c.num_qubits, dtype=complex)
-    for g in embedded_gates(c.unitary_gates, c.num_qubits)[0]:
-        u = g @ u
-    return u
+def compose(stack: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The (C, d, d) ordered products of a (G, d, d) stack of operators (gate
+    unitaries or their PTMs): row c of the (C, depth) `take` indexes circuit
+    c's operators in gate order, index G being the identity.  One batched
+    matmul per gate position, in gate order."""
+    eye = np.eye(stack.shape[-1])
+    layers = np.concatenate([stack, eye[None]])[take.T]
+    r = eye[None].repeat(len(take), axis=0)
+    for layer in layers:
+        r = layer @ r
+    return r
+
+
+def circuit_unitaries(circuits: Sequence[Circuit]) -> np.ndarray:
+    """The (C, 2^n, 2^n) unitaries of circuits on one register: each the
+    ordered product of its gates' unitaries (barriers contribute nothing)."""
+    stack, _, take = embedded_gates(circuits)
+    return compose(stack, take)
 
 
 @functools.cache
 def _udme_basis_changes(q0: int, q1: int) -> tuple[tuple[Gate, ...], ...]:
     """The four fixed basis-change layers of the partial-swap compilation on
     wires (q0, q1): RX(pi/2), RX(-pi/2), RY(pi/2), RY(-pi/2).  Built once per
-    wire pair; gates are immutable, so every compiled circuit shares them."""
+    wire pair; gates are immutable, so every compiled circuit shares them, and
+    `embedded_gates` embeds each shared gate object once per batch."""
     layers = (("RX", np.pi / 2), ("RX", -np.pi / 2), ("RY", np.pi / 2), ("RY", -np.pi / 2))
     return tuple(tuple(Gate(kind, (angle,), (q,)) for q in (q0, q1)) for kind, angle in layers)
 
@@ -174,6 +203,14 @@ def _udme_native_gates(phi: float, q0: int, q1: int) -> list[Gate]:
 def compile_udme_native(phi: float) -> Circuit:
     """Partial-swap compilation with RX/RY basis changes around three RZZ blocks."""
     return Circuit(2, tuple(_udme_native_gates(phi, 0, 1)), label=f"udme_native({phi:.6g})")
+
+
+def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
+    """The (P, 4, 4) partial swaps exp(-i phi SWAP), one per angle, in closed
+    form: cos(phi) I - i sin(phi) SWAP, exact since SWAP^2 = I.  These are the
+    targets the compiled partial swaps are checked against."""
+    phis = np.asarray(phis, dtype=float)[:, None, None]
+    return np.cos(phis) * np.eye(4) - 1j * np.sin(phis) * qmath.swap_operator(2)
 
 
 def compile_udme_hs(phi: float) -> Circuit:

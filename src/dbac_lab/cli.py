@@ -194,11 +194,11 @@ class ExperimentConfig:
             raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
         applied, built = _READS[self.experiment]
         applied = () if self.experiment == "trajectory" and self.m is None else applied
-        for name in _NOISE:
-            if getattr(self, name) not in (0, None) and name not in applied:
+        for name in _NOISE:  # a noise key is set when it differs from its default
+            if getattr(self, name) != _DEFAULTS[name] and name not in applied:
                 applies = ", ".join(applied) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
-        for name in ("noise", *built):  # build, once, what the runner reads
+        for name in built:  # build, once, what the runner reads
             getattr(self, name)
 
     def _per_step(self, name: str) -> tuple:
@@ -228,24 +228,24 @@ class ExperimentConfig:
         return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count))
 
 
-# key -> parser (unknown keys are rejected with the key name), and each key's
-# rule, in declaration order
+# key -> parser (unknown keys are rejected with the key name), key -> default,
+# and each key's rule, in declaration order
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig) if "parse" in f.metadata}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _RULES = [(f.name, f.metadata["rule"]) for f in fields(ExperimentConfig) if f.metadata.get("rule")]
 
 # Each experiment once: the noise keys it applies (trajectory only with finite
 # m; a config that sets any other is rejected rather than run without it) and
-# the values validation builds for its runner.  `noise` is built for every
-# experiment, so that a noise key left at zero is checked too.
+# the values validation builds for its runner.
 _NOISE = ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us")
 _READS = {
-    "sweep-theta": (_NOISE[:2], ("schedule", "theta_grid")),
+    "sweep-theta": (_NOISE[:2], ("schedule", "theta_grid", "noise")),
     "sweep-s": ((), ("theta_grid", "s_grid")),
     "grid-km": ((), ()),
     "trotter": ((), ()),
-    "ptm": (_NOISE, ()),
+    "ptm": (_NOISE, ("noise",)),
     "baselines": ((), ()),
-    "trajectory": (_NOISE[:2], ("schedule",)),
+    "trajectory": (_NOISE[:2], ("schedule", "noise")),
     "acceptance": ((), ()),
 }
 

@@ -8,15 +8,14 @@ row (1, 0, ..., 0).
 
 PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
 :func:`ptm_of_circuits` builds the PTMs of a batch of circuits on one register
-in one pass: the gates of every circuit are embedded with one
-`qmath.embed_gate` call per qubit set (a gate object that recurs, once) and
-turned into one stack of PTMs by one transfer (the primitive
+from the gate stack `circuits.embedded_gates` gives (each distinct gate object
+embedded once), turned into one stack of PTMs by one transfer (the primitive
 :func:`ptm_of_kraus` sums); each enabled noise model applies each qubit set's
 noise PTM (diagonal for depolarizing, a Kronecker product of one-qubit PTMs
-for damping and dephasing), built once, to a copy of that stack; and one
-batched matmul per gate position multiplies every circuit's slices in gate
-order.  :func:`ptm_of_circuit` is a batch of one.  :func:`partial_swap_ptms`
-gives the ideal PTMs the compiled partial swaps are checked against.
+for damping and dephasing), built once, to a copy of that stack; and
+`circuits.compose` multiplies every circuit's PTMs in gate order, the same
+product that gives the circuits' unitaries.  :func:`partial_swap_ptms` gives
+the ideal PTMs the compiled partial swaps are checked against.
 :func:`ptm_of_channel` is the black-box route, which probes a channel given as
 a callable with every Pauli string; the tests use it on a dense gate-by-gate
 channel as the oracle the composed PTMs are checked against.
@@ -32,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .circuits import Circuit, embedded_gates
+from .circuits import Circuit, compose, embedded_gates, partial_swap_unitaries
 from .errors import ContractViolationError, DimensionMismatchError
 
 PAULI_LABELS_1Q = "IXYZ"
@@ -55,14 +54,6 @@ def _pauli_basis(n: int) -> np.ndarray:
     basis = np.array([pauli_matrix(lb) for lb in pauli_labels(n)])
     basis.setflags(write=False)
     return basis
-
-
-@functools.cache
-def _identity_ptm(n: int) -> np.ndarray:
-    """The identity PTM on n <= 2 qubits, read-only, built on first use."""
-    eye = np.eye(len(_pauli_basis(n)))
-    eye.setflags(write=False)
-    return eye
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ def ptm_of_channel(ch: Callable[[np.ndarray], np.ndarray], n: int) -> PTM:
     """Tomograph a channel callable by probing it with the Pauli basis.
 
     This is the black-box route; the tests use it as the oracle that the
-    composed PTMs of :func:`ptm_of_circuit` are checked against.
+    composed PTMs of :func:`ptm_of_circuits` are checked against.
     """
     basis = _pauli_basis(n)
     rows = basis.reshape(len(basis), -1)
@@ -132,21 +123,25 @@ def ptm_of_kraus(kraus: Sequence[np.ndarray], n: int) -> PTM:
     return _ptm(_transfer(k, n).sum(axis=0), n)
 
 
+# the duration of a single- and a two-qubit gate, for damping and dephasing
+GATE_TIME_1Q_US = 0.02
+GATE_TIME_2Q_US = 0.1
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing probabilities per gate plus optional relaxation.
 
     p1/p2 apply after every single-/two-qubit gate on the gate's qubits.  When
     t1_us is set, amplitude damping (and dephasing from t2_us, which must not
-    exceed 2*t1_us) acts on the gate's qubits for the gate duration.
+    exceed 2*t1_us) acts on the gate's qubits for the gate duration,
+    GATE_TIME_1Q_US or GATE_TIME_2Q_US.
     """
 
     p1: float = 0.0
     p2: float = 0.0
     t1_us: Optional[float] = None
     t2_us: Optional[float] = None
-    gate_time_1q_us: float = 0.02
-    gate_time_2q_us: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
@@ -159,8 +154,6 @@ class NoiseModel:
                 raise ContractViolationError("t2 requires t1")
             if not 0 < self.t2_us <= 2 * self.t1_us:
                 raise ContractViolationError("t2 must lie in (0, 2*t1]")
-        if not (0 <= self.gate_time_1q_us < np.inf and 0 <= self.gate_time_2q_us < np.inf):
-            raise ContractViolationError("gate times must be finite and non-negative")
 
     @property
     def enabled(self) -> bool:
@@ -192,7 +185,7 @@ def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray
     # and scales every other one by 1 - p
     r = np.diag([1.0 if all(lb[q] == "I" for q in qubits) else 1.0 - p for lb in pauli_labels(n)])
     if noise.t1_us is not None:
-        dt = noise.gate_time_2q_us if two_qubit else noise.gate_time_1q_us
+        dt = GATE_TIME_2Q_US if two_qubit else GATE_TIME_1Q_US
         damp = _transfer(np.array(_damping_kraus(noise, dt)), 1).sum(axis=0)
         # the PTM of a product channel is the Kronecker product, qubit 0 first
         r = functools.reduce(np.kron, [damp if q in qubits else np.eye(4) for q in range(n)]) @ r
@@ -204,31 +197,17 @@ def ptm_of_circuits(
 ) -> list[list[PTM]]:
     """The PTMs of every circuit under each noise model (None is noiseless):
     ``out[j][i]`` is circuit i's under ``noises[j]``.  The circuits must share
-    one register size.
+    one register size of at most 2 qubits.
 
-    One pass serves the whole batch.  The gates of every circuit are embedded
-    with one `embed_gate` call per qubit set and turned into PTMs by one
-    transfer; a gate object that recurs (the compiled partial swaps share
-    their fixed gates) is embedded and transferred once.  Each enabled noise
-    model builds each qubit set's noise PTM once and applies it to a copy of
-    that stack.  Composition is one batched matmul per gate position, in gate
-    order; a shorter circuit is padded with identities before its first gate.
+    One pass serves the whole batch.  The gate stack of `embedded_gates`
+    (each distinct gate object once) becomes PTMs by one transfer.  Each
+    enabled noise model builds each qubit set's noise PTM once and applies it
+    to a copy of that stack.  `compose` multiplies each circuit's PTMs in gate
+    order.
     """
-    if not circuits:
-        raise ContractViolationError("give at least one circuit")
+    ops, groups, take = embedded_gates(circuits)
     n = circuits[0].num_qubits
-    if any(c.num_qubits != n for c in circuits):
-        raise DimensionMismatchError("the circuits must share one register size")
-    eye = _identity_ptm(n)  # which rejects n > 2, even for empty circuits
-    gates = [c.unitary_gates for c in circuits]
-    depth = max(map(len, gates))
-    unique = list({id(g): g for gs in gates for g in gs}.values())
-    where = {id(g): i for i, g in enumerate(unique)}
-    take = []  # the stack entry at each (circuit, position); len(unique) is the identity
-    for gs in gates:
-        take += [len(unique)] * (depth - len(gs)) + [where[id(g)] for g in gs]
-    ops, groups = embedded_gates(unique, n)
-    stack = np.concatenate([_transfer(ops, n), eye[None]])
+    stack = _transfer(ops, n)  # which rejects n > 2, even for empty circuits
     out = []
     for noise in noises:
         ptms = stack
@@ -236,26 +215,14 @@ def ptm_of_circuits(
             ptms = stack.copy()
             for qubits, idx in groups.items():
                 ptms[idx] = _noise_ptm(noise, qubits, n) @ ptms[idx]
-        r = eye[None].repeat(len(gates), axis=0)
-        for layer in ptms[take].reshape((len(gates), depth) + eye.shape).swapaxes(0, 1):
-            r = layer @ r
-        out.append([_ptm(ri, n) for ri in r])
+        out.append([_ptm(r, n) for r in compose(ptms, take)])
     return out
-
-
-def ptm_of_circuit(c: Circuit, noise: Optional[NoiseModel] = None) -> PTM:
-    """Product of the gates' PTMs in gate order, each followed by the PTM of the
-    noise on the gate's qubits when `noise` is enabled: a batch of one for
-    :func:`ptm_of_circuits`."""
-    return ptm_of_circuits([c], (noise,))[0][0]
 
 
 def partial_swap_ptms(phis: Sequence[float]) -> list[PTM]:
     """The PTMs of the partial swaps exp(-i phi SWAP) on two qubits, one per
-    angle: from SWAP's eigensystem, computed once, and one stacked transfer."""
-    w, v = np.linalg.eigh(qmath.swap_operator(2))
-    us = (v * np.exp((-1j * np.asarray(phis, dtype=float))[:, None, None] * w)) @ v.conj().T
-    return [_ptm(r, 2) for r in _transfer(us, 2)]
+    angle: one stacked transfer of their closed-form unitaries."""
+    return [_ptm(r, 2) for r in _transfer(partial_swap_unitaries(phis), 2)]
 
 
 def process_fidelity(r_ideal: PTM, r: PTM) -> dict[str, float]:

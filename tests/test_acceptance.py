@@ -11,7 +11,7 @@ basin edge near 178.1 degrees).
 import numpy as np
 import pytest
 
-from dbac_lab import acceptance, dbac, dme
+from dbac_lab import acceptance, dbac, dme, qmath
 
 
 def _report(result):
@@ -153,8 +153,8 @@ def _forbid_dense_oracles(monkeypatch):
 
 class TestOneEngineBatch:
     """Criteria 1 and 2 each make one call of a batched engine the program
-    runs, over all their points; the dense oracles check those engines in
-    test_dbac and test_dme."""
+    runs, over all their points, and criterion 4 two; the dense oracles check
+    those engines in test_dbac, test_dme and test_circuits."""
 
     def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps")
@@ -167,3 +167,14 @@ class TestOneEngineBatch:
         _forbid_dense_oracles(monkeypatch)
         assert acceptance.criterion_2().passed
         assert calls == [(3, 100)]
+
+    def test_criterion_4_is_two_unitary_batches(self, monkeypatch):
+        calls = _counted(monkeypatch, "circuit_unitaries")
+
+        def expm(*args, **kwargs):
+            raise AssertionError("a target was built by herm_expm")
+
+        monkeypatch.setattr(qmath, "herm_expm", expm)
+        assert acceptance.criterion_4().passed
+        # 50 angles, each compiled two ways; then cz, cnot and swap3
+        assert calls == [(100,), (3,)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.circuits import (
@@ -10,7 +12,8 @@ from dbac_lab.circuits import (
     Gate,
     SizzleParams,
     build_circuit,
-    circuit_unitary,
+    circuit_unitaries,
+    compose,
     compile_cnot,
     compile_cz,
     compile_swap3,
@@ -18,24 +21,39 @@ from dbac_lab.circuits import (
     compile_udme_native,
     embedded_gates,
     gate_matrix,
+    partial_swap_unitaries,
     perturb_rzz,
     rzz_matrix,
     sizzle_zz_rate,
 )
 from dbac_lab.dbac import DbacSchedule, dbac_energy_analytic, dbac_via_dme
-from dbac_lab.errors import ContractViolationError, SingularParameterError
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError, SingularParameterError
 from dbac_lab.states import HamiltonianSpec
+
+from conftest import random_unitary
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 H1 = HamiltonianSpec.default_single_qubit()
 
 
+def unitary(c):
+    return circuit_unitaries([c])[0]
+
+
+def loop_unitary(c):
+    """Oracle: the ordered product of the gate unitaries, one gate at a time."""
+    u = np.eye(2**c.num_qubits, dtype=complex)
+    for g in c.unitary_gates:
+        u = qmath.embed_gate(gate_matrix(g), g.qubits, c.num_qubits) @ u
+    return u
+
+
 def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
     c = build_circuit(which, theta, phi)
     if delta_phi:
         c = perturb_rzz(c, delta_phi)
-    u = circuit_unitary(c)
+    u = unitary(c)
     state = np.zeros(2**c.num_qubits, dtype=complex)
     state[0] = 1.0
     out = u @ state
@@ -48,10 +66,10 @@ def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
 
 class TestCircuitUnitary:
     def test_empty_circuit(self):
-        assert np.array_equal(circuit_unitary(Circuit(2, ())), np.eye(4))
+        assert np.array_equal(unitary(Circuit(2, ())), np.eye(4))
 
     def test_rzz_pi_values(self):
-        u = circuit_unitary(Circuit(2, (Gate("RZZ", (np.pi,), (0, 1)),)))
+        u = unitary(Circuit(2, (Gate("RZZ", (np.pi,), (0, 1)),)))
         assert np.abs(u - np.diag([-1j, 1j, 1j, -1j])).max() < 1e-15
 
     def test_rzz_matches_expm(self):
@@ -67,39 +85,39 @@ class TestCircuitUnitary:
     def test_barrier_has_no_effect(self):
         with_barrier = Circuit(2, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("H", (), (1,))))
         without = Circuit(2, (Gate("H", (), (0,)), Gate("H", (), (1,))))
-        assert np.array_equal(circuit_unitary(with_barrier), circuit_unitary(without))
+        assert np.array_equal(unitary(with_barrier), unitary(without))
 
     def test_gate_order_is_application_order(self):
         c = Circuit(1, (Gate("H", (), (0,)), Gate("S", (), (0,))))
         expected = gate_matrix(Gate("S", (), (0,))) @ gate_matrix(Gate("H", (), (0,)))
-        assert np.abs(circuit_unitary(c) - expected).max() < 1e-15
+        assert np.abs(unitary(c) - expected).max() < 1e-15
 
     def test_compiled_circuits_are_unitary(self):
         for c in (compile_udme_native(0.7), compile_udme_hs(-0.4), compile_cz(), build_circuit("C", 1.0)):
-            u = circuit_unitary(c)
+            u = unitary(c)
             assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-11
 
 
 class TestUdmeCompilation:
     def test_phi_zero_is_identity(self):
         for compiled in (compile_udme_native(0.0), compile_udme_hs(0.0)):
-            assert qmath.dist_up_to_global_phase(circuit_unitary(compiled), np.eye(4)) < 1e-12
+            assert qmath.dist_up_to_global_phase(unitary(compiled), np.eye(4)) < 1e-12
 
     def test_half_pi_is_swap(self):
         for compiled in (compile_udme_native(np.pi / 2), compile_udme_hs(np.pi / 2)):
-            assert qmath.dist_up_to_global_phase(circuit_unitary(compiled), qmath.swap_operator(2)) < 1e-10
+            assert qmath.dist_up_to_global_phase(unitary(compiled), qmath.swap_operator(2)) < 1e-10
 
     @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi / 2, -0.9, 2.2])
     def test_matches_partial_swap_exactly(self, phi):
         target = qmath.herm_expm(qmath.swap_operator(2), -1j * phi)
-        assert qmath.dist_up_to_global_phase(circuit_unitary(compile_udme_native(phi)), target) < 1e-10
-        assert qmath.dist_up_to_global_phase(circuit_unitary(compile_udme_hs(phi)), target) < 1e-10
+        assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
+        assert qmath.dist_up_to_global_phase(unitary(compile_udme_hs(phi)), target) < 1e-10
 
     def test_both_routes_agree(self, rng):
         for _ in range(50):
             phi = rng.uniform(-np.pi, np.pi)
             d = qmath.dist_up_to_global_phase(
-                circuit_unitary(compile_udme_native(phi)), circuit_unitary(compile_udme_hs(phi))
+                unitary(compile_udme_native(phi)), unitary(compile_udme_hs(phi))
             )
             assert d < 1e-10
 
@@ -108,28 +126,28 @@ class TestUdmeCompilation:
         phi = 0.63
         gen = sum(np.kron(p, p) for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z))
         target = qmath.herm_expm(gen, -1j * phi / 2)
-        assert qmath.dist_up_to_global_phase(circuit_unitary(compile_udme_native(phi)), target) < 1e-10
+        assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
 
 
 class TestTableConstructions:
     def test_cz(self):
-        assert qmath.dist_up_to_global_phase(circuit_unitary(compile_cz()), CZ) < 1e-10
+        assert qmath.dist_up_to_global_phase(unitary(compile_cz()), CZ) < 1e-10
 
     def test_cnot(self):
-        assert qmath.dist_up_to_global_phase(circuit_unitary(compile_cnot()), CNOT) < 1e-10
+        assert qmath.dist_up_to_global_phase(unitary(compile_cnot()), CNOT) < 1e-10
 
     def test_cnot_squared_identity(self):
-        u = circuit_unitary(compile_cnot())
+        u = unitary(compile_cnot())
         assert qmath.dist_up_to_global_phase(u @ u, np.eye(4)) < 1e-10
 
     def test_swap3_on_basis_state(self):
-        u = circuit_unitary(compile_swap3())
+        u = unitary(compile_swap3())
         out = u @ np.array([0, 1, 0, 0], dtype=complex)
         assert abs(abs(out[2]) - 1) < 1e-12
 
     def test_swap3_equals_udme_half_pi(self):
         d = qmath.dist_up_to_global_phase(
-            circuit_unitary(compile_swap3()), circuit_unitary(compile_udme_native(np.pi / 2))
+            unitary(compile_swap3()), unitary(compile_udme_native(np.pi / 2))
         )
         assert d < 1e-10
 
@@ -192,7 +210,7 @@ class TestPerturbRzz:
     def test_pi_shift_breaks_equivalence(self):
         c = Circuit(2, (Gate("RZZ", (np.pi / 4,), (0, 1)),))
         d = qmath.dist_up_to_global_phase(
-            circuit_unitary(perturb_rzz(c, np.pi)), circuit_unitary(c)
+            unitary(perturb_rzz(c, np.pi)), unitary(c)
         )
         assert d > 0.1
 
@@ -201,7 +219,7 @@ class TestPerturbRzz:
         # so the compiled partial swap survives a pi shift up to phase
         c = compile_udme_native(np.pi / 4)
         d = qmath.dist_up_to_global_phase(
-            circuit_unitary(perturb_rzz(c, np.pi)), circuit_unitary(c)
+            unitary(perturb_rzz(c, np.pi)), unitary(c)
         )
         assert d < 1e-10
 
@@ -276,25 +294,98 @@ class TestEmbeddedGates:
 
     def test_matches_embedding_each_gate(self):
         assert {g.kind for g in self.GATES} == set(GATE_KINDS) - {"BARRIER"}
-        stack, groups = embedded_gates(self.GATES, 3)
+        stack, groups, take = embedded_gates([Circuit(3, self.GATES)])
         assert stack.shape == (len(self.GATES), 8, 8)
         for g, got in zip(self.GATES, stack):
             assert np.array_equal(got, qmath.embed_gate(gate_matrix(g), g.qubits, 3))
         assert groups == {
             q: [i for i, g in enumerate(self.GATES) if g.qubits == q] for q in {g.qubits for g in self.GATES}
         }
+        assert take.tolist() == [list(range(len(self.GATES)))]
 
     @pytest.mark.parametrize("kind", sorted(set(GATE_KINDS) - {"BARRIER"}))
     def test_one_gate_of_each_kind(self, kind):
         g = next(g for g in self.GATES if g.kind == kind)
-        stack, groups = embedded_gates([g], 3)
+        stack, groups, take = embedded_gates([Circuit(3, (g,))])
         assert np.array_equal(stack[0], qmath.embed_gate(gate_matrix(g), g.qubits, 3))
-        assert groups == {g.qubits: [0]}
+        assert groups == {g.qubits: [0]} and take.tolist() == [[0]]
 
     def test_no_gates(self):
-        stack, groups = embedded_gates([], 2)
-        assert stack.shape == (0, 4, 4) and groups == {}
+        stack, groups, take = embedded_gates([Circuit(2, ()), Circuit(2, (Gate("BARRIER"),))])
+        assert stack.shape == (0, 4, 4) and groups == {} and take.shape == (2, 0)
 
     def test_barrier_has_no_unitary(self):
         with pytest.raises(ContractViolationError, match="no unitary"):
-            embedded_gates([Gate("H", (), (0,)), Gate("BARRIER")], 1)
+            gate_matrix(Gate("BARRIER"))
+        stack, _, take = embedded_gates([Circuit(1, (Gate("H", (), (0,)), Gate("BARRIER")))])
+        assert len(stack) == 1 and take.tolist() == [[0]]
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractViolationError):
+            embedded_gates([])
+
+    def test_register_sizes_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            embedded_gates([compile_cz(), Circuit(3, ())])
+
+    def test_gate_objects_embedded_once_and_padded_before_first_gate(self):
+        # compiled partial swaps share their 8 basis-change gates and repeat one
+        # RZZ object; an equal gate that is another object is embedded on its own
+        batch = [compile_udme_native(0.3), compile_udme_native(0.9), compile_cz(), Circuit(2, ())]
+        stack, _, take = embedded_gates(batch)
+        assert len(stack) == 1 + 8 + 1 + 5 and take.shape == (4, 11)
+        assert take[0].tolist() == [0, 1, 2, 0, 3, 4, 5, 6, 0, 7, 8]
+        assert take[1].tolist() == [9, 1, 2, 9, 3, 4, 5, 6, 9, 7, 8]
+        assert take[2].tolist() == [15] * 6 + list(range(10, 15))
+        assert take[3].tolist() == [15] * 11
+
+
+class TestCompose:
+    def test_ordered_product_with_identity_slot(self, rng):
+        stack = np.array([random_unitary(rng, 2) for _ in range(3)])
+        got = compose(stack, np.array([[1, 0, 2], [3, 3, 1], [3, 3, 3]]))
+        assert np.array_equal(got[0], stack[2] @ (stack[0] @ (stack[1] @ np.eye(2))))
+        assert np.array_equal(got[1], stack[1] @ np.eye(2)) and np.array_equal(got[2], np.eye(2))
+
+    def test_no_positions_gives_identities(self):
+        assert np.array_equal(compose(np.zeros((0, 4, 4)), np.zeros((2, 0), dtype=int)), np.eye(4)[None].repeat(2, 0))
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+LAYOUTS = {2: "A", 3: "B", 4: "C"}
+
+
+@st.composite
+def unitary_batches(draw):
+    """One to eight circuits on one register of 2 to 4 qubits, at mixed
+    depths: compiled native and H/S partial swaps at drawn angles, cz, cnot,
+    swap3 (on wires 0 and 1), the cooling layout of that register size and the
+    empty circuit."""
+    n = draw(st.integers(2, 4))
+    makers = (
+        lambda: compile_udme_native(draw(ANGLES)),
+        lambda: compile_udme_hs(draw(ANGLES)),
+        compile_cz,
+        compile_cnot,
+        compile_swap3,
+        lambda: build_circuit(LAYOUTS[n], draw(ANGLES), draw(ANGLES)),
+        lambda: Circuit(n, ()),
+    )
+    picks = draw(st.lists(st.sampled_from(makers), min_size=1, max_size=8))
+    return [Circuit(n, make().gates) for make in picks]
+
+
+class TestCircuitUnitaries:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch=unitary_batches())
+    def test_batch_equals_gate_by_gate_loop(self, batch):
+        got = circuit_unitaries(batch)
+        assert got.shape == (len(batch),) + (2 ** batch[0].num_qubits,) * 2
+        for c, u in zip(batch, got):
+            assert np.array_equal(u, loop_unitary(c))
+
+    @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9, -3.1]])
+    def test_partial_swaps_match_expm(self, phis):
+        swap = qmath.swap_operator(2)
+        for phi, u in zip(phis, partial_swap_unitaries(phis), strict=True):
+            assert np.abs(u - qmath.herm_expm(swap, -1j * phi)).max() < 1e-15

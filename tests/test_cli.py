@@ -570,6 +570,8 @@ class TestIgnoredNoiseRejected:
             "experiment = ptm\nnoise_t2_us = 5\n",
             "experiment = ptm\nnoise_p1 = 0.01\nnoise_t2_us = 5\n",
             "experiment = grid-km\nnoise_p2 = 0.01\n",
+            "experiment = grid-km\nnoise_t1_us = 0\n",
+            "experiment = grid-km\nnoise_t1_us = -0.0\n",
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text):
@@ -579,6 +581,20 @@ class TestIgnoredNoiseRejected:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and ("noise_" in err or "t2 requires t1" in err)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.0"])
+    def test_key_set_to_zero_is_set(self, tmp_path, capsys, value):
+        # a key counts as set when it differs from its default (None for t1),
+        # so the error names the unapplied key, not a noise model grid-km never builds
+        cfg = _write_cfg(tmp_path, f"experiment = grid-km\nnoise_t1_us = {value}\n")
+        assert cli.main(["grid-km", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: noise_t1_us: grid-km would run without it (applies: none)\n"
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_noise_built_only_where_applied(self, tmp_path, experiment):
+        cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path / "out")
+        # a cached property that was built sits in the instance dict
+        assert ("noise" in vars(cfg)) == (experiment in ("sweep-theta", "ptm", "trajectory"))
 
     @pytest.mark.parametrize(
         "text",

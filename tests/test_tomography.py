@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import cli, qmath, tomography
-from dbac_lab.circuits import GATE_KINDS, Circuit, Gate, compile_swap3, compile_udme_native, gate_matrix
+from dbac_lab.circuits import (
+    GATE_KINDS,
+    Circuit,
+    Gate,
+    compile_swap3,
+    compile_udme_native,
+    gate_matrix,
+    partial_swap_unitaries,
+)
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.tomography import (
     NoiseModel,
@@ -16,12 +24,15 @@ from dbac_lab.tomography import (
     pauli_matrix,
     process_fidelity,
     ptm_of_channel,
-    ptm_of_circuit,
     ptm_of_circuits,
     ptm_of_kraus,
 )
 
 from conftest import random_unitary
+
+
+def ptm_of_circuit(c, noise=None):
+    return ptm_of_circuits([c], (noise,))[0][0]
 
 
 def unitary_channel(u):
@@ -38,7 +49,7 @@ def _dense_noise(rho, noise, qubits, n):
     paulis = [qmath.embed_gate(pauli_matrix(lb), qubits, n) for lb in pauli_labels(len(qubits))]
     out = (1 - p) * rho + p * _apply_kraus(rho, paulis) / len(paulis)
     if noise.t1_us is not None:
-        dt = noise.gate_time_2q_us if len(qubits) == 2 else noise.gate_time_1q_us
+        dt = tomography.GATE_TIME_2Q_US if len(qubits) == 2 else tomography.GATE_TIME_1Q_US
         kraus = tomography._damping_kraus(noise, dt)
         for q in qubits:
             out = _apply_kraus(out, [qmath.embed_gate(k, (q,), n) for k in kraus])
@@ -83,8 +94,9 @@ def circuits(draw):
 
 
 PROBS = st.floats(0.0, 0.2)
-T1S = st.floats(2.0, 50.0)
-GATE_TIMES = {"gate_time_1q_us": 0.5, "gate_time_2q_us": 2.0}
+# the channel depends on the gate times only through dt/T1 and dt/T2: these T1
+# put 2q-gate damping between dt/T1 = 0.04 and 1
+T1S = st.floats(0.1, 2.5)
 
 
 @st.composite
@@ -96,12 +108,12 @@ def noise_models(draw):
         return NoiseModel(p2=draw(PROBS))
     t1 = draw(T1S)
     if kind == "t1":
-        return NoiseModel(t1_us=t1, **GATE_TIMES)
+        return NoiseModel(t1_us=t1)
     # t2 < 2 t1 switches the dephasing on
     t2 = t1 * draw(st.floats(0.2, 1.9))
     if kind == "t1_t2":
-        return NoiseModel(t1_us=t1, t2_us=t2, **GATE_TIMES)
-    return NoiseModel(p1=draw(PROBS), p2=draw(PROBS), t1_us=t1, t2_us=t2, **GATE_TIMES)
+        return NoiseModel(t1_us=t1, t2_us=t2)
+    return NoiseModel(p1=draw(PROBS), p2=draw(PROBS), t1_us=t1, t2_us=t2)
 
 
 IDENTITY_1Q_CSV = (
@@ -177,7 +189,7 @@ class TestPtmOfCircuit:
     def test_damping_noise_applies(self):
         c = Circuit(1, (Gate("RX", (np.pi / 2,), (0,)),))
         clean = ptm_of_circuit(c)
-        damped = ptm_of_circuit(c, NoiseModel(t1_us=50.0, t2_us=60.0, gate_time_1q_us=1.0))
+        damped = ptm_of_circuit(c, NoiseModel(t1_us=1.0, t2_us=1.2))
         assert np.abs(clean.r - damped.r).max() > 1e-4
         assert damped.trace_preserving
 
@@ -197,9 +209,9 @@ class TestComposedPtm:
             None,
             NoiseModel(p1=0.01),
             NoiseModel(p2=0.05),
-            NoiseModel(t1_us=5.0, **GATE_TIMES),
-            NoiseModel(t1_us=5.0, t2_us=4.0, **GATE_TIMES),
-            NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES),
+            NoiseModel(t1_us=0.25),
+            NoiseModel(t1_us=0.25, t2_us=0.2),
+            NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2),
         ],
         ids=["noiseless", "p1", "p2", "t1", "t1_t2", "all"],
     )
@@ -224,7 +236,7 @@ class TestComposedPtm:
             return noise_ptm(noise, qubits, n)
 
         monkeypatch.setattr(tomography, "_noise_ptm", counting)
-        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES)
+        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2)
         c = compile_udme_native(0.6)
         got = ptm_of_circuit(c, noise).r
         gates = [g for g in c.gates if g.kind != "BARRIER"]
@@ -243,7 +255,7 @@ class TestComposedPtm:
             return embed_gate(gate, qubits, n)
 
         monkeypatch.setattr(qmath, "embed_gate", counting)
-        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES) if noisy else None
+        noise = NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2) if noisy else None
         c = compile_udme_native(0.6)
         got = ptm_of_circuit(c, noise).r
         assert sorted(embedded) == [(0,), (0, 1), (1,)]
@@ -261,8 +273,9 @@ class TestComposedPtm:
 
     @pytest.mark.parametrize("t1, dt", [(50.0, 1.0), (2.0, 3.0)])
     def test_amplitude_damping_closed_form(self, t1, dt):
+        # the channel of a gate of duration dt at this t1: dt/T1 is all it reads
         idle = Circuit(1, (Gate("RZ", (0.0,), (0,)),))
-        r = ptm_of_circuit(idle, NoiseModel(t1_us=t1, gate_time_1q_us=dt)).r
+        r = ptm_of_circuit(idle, NoiseModel(t1_us=t1 * tomography.GATE_TIME_1Q_US / dt)).r
         gamma = 1.0 - np.exp(-dt / t1)
         a = np.sqrt(1.0 - gamma)
         want = [[1, 0, 0, 0], [0, a, 0, 0], [0, 0, a, 0], [gamma, 0, 0, 1 - gamma]]
@@ -356,20 +369,6 @@ class TestNoiseModel:
         with pytest.raises(ContractViolationError):
             NoiseModel(t1_us=t1, t2_us=t2)
 
-    @pytest.mark.parametrize(
-        "times",
-        [
-            {"gate_time_1q_us": float("nan")},
-            {"gate_time_2q_us": float("nan")},
-            {"gate_time_1q_us": -1.0},
-            {"gate_time_2q_us": float("inf")},
-            {"gate_time_1q_us": float("-inf"), "t1_us": 10.0},
-        ],
-    )
-    def test_rejects_unusable_gate_times(self, times):
-        with pytest.raises(ContractViolationError):
-            NoiseModel(**times)
-
     def test_ptm_entries_bounded(self):
         with pytest.raises(ContractViolationError):
             PTM(1, 2 * np.eye(4))
@@ -390,7 +389,7 @@ NOISES = [
     NoiseModel(p1=0.01),
     NoiseModel(p2=0.05),
     NoiseModel(),  # not enabled: noiseless
-    NoiseModel(p1=0.01, p2=0.05, t1_us=5.0, t2_us=4.0, **GATE_TIMES),
+    NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2),
 ]
 
 
@@ -464,7 +463,7 @@ class TestPtmOfCircuits:
         monkeypatch.setattr(tomography, "_noise_ptm", counting_noise)
         batch = [compile_udme_native(phi) for phi in np.linspace(0.1, 1.4, count)]
         # two enabled noise models; None and a model with nothing on are noiseless
-        noises = (None, NoiseModel(p2=0.02), NoiseModel(), NoiseModel(p1=0.01, t1_us=5.0, **GATE_TIMES))
+        noises = (None, NoiseModel(p2=0.02), NoiseModel(), NoiseModel(p1=0.01, t1_us=0.25))
         got = ptm_of_circuits(batch, noises)
         qubit_sets = [(0,), (0, 1), (1,)]
         assert sorted(embedded) == qubit_sets
@@ -477,9 +476,10 @@ class TestPtmOfCircuits:
     @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9]])
     def test_partial_swaps_match_kraus_route(self, phis):
         swap = qmath.swap_operator(2)
-        for phi, ptm in zip(phis, partial_swap_ptms(phis), strict=True):
-            want = ptm_of_kraus([qmath.herm_expm(swap, -1j * phi)], 2)
-            assert np.array_equal(ptm.r, want.r) and ptm.trace_preserving
+        got = partial_swap_ptms(phis)
+        for phi, u, ptm in zip(phis, partial_swap_unitaries(phis), got, strict=True):
+            assert np.array_equal(ptm.r, ptm_of_kraus([u], 2).r) and ptm.trace_preserving
+            assert np.abs(ptm.r - ptm_of_kraus([qmath.herm_expm(swap, -1j * phi)], 2).r).max() < 1e-15
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_recurring_gate_objects_transferred_once(self, monkeypatch, count):
