@@ -8,8 +8,10 @@ Runtimes vary between runs, so they stay out of the summary that
 them in the run's manifest.  Criteria 1 and 2 check the energy law and the
 swap point on the batched engines the program runs, one call each; the tests
 check those engines against the dense `dbac_step_exact` and `dme_step_exact`.
-Criteria 2 and 4 compose their compiled circuits by `circuit_unitaries`, and
-criterion 4 checks its 100 against the closed forms `partial_swap_unitaries`.
+Criteria 2 and 4 compose their compiled circuits by `circuit_unitaries`;
+criterion 4 compares its 100 with each other and with the closed forms
+`partial_swap_unitaries`, and CZ/CNOT/SWAP with their tables, in four stacked
+`dist_up_to_global_phase` calls that validate each stack once.
 Criterion 5 carries one sub-check (5d) that the implemented protocol family
 cannot satisfy: six exact-reflector steps with an optimized common step size
 top out near ground fidelity 0.63 when starting one degree away from the
@@ -135,12 +137,13 @@ def criterion_4():
     phis = np.random.default_rng(4).uniform(-np.pi, np.pi, 50)
     circuits = [compile_udme(phi) for compile_udme in (compile_udme_native, compile_udme_hs) for phi in phis]
     un, uh = np.split(circuit_unitaries(circuits), 2)
+    targets = partial_swap_unitaries(phis)
     dist = qmath.dist_up_to_global_phase
-    worst = max(max(dist(a, t), dist(b, t), dist(a, b)) for a, b, t in zip(un, uh, partial_swap_unitaries(phis)))
+    worst = max(dist(un, targets).max(), dist(uh, targets).max(), dist(un, uh).max())
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     built = circuit_unitaries([compile_cz(), compile_cnot(), compile_swap3()])
-    table = max(map(dist, built, (cz, cnot, qmath.swap_operator(2))))
+    table = dist(built, np.array([cz, cnot, qmath.swap_operator(2)])).max()
     ok = worst <= 1e-10 and table <= 1e-10
     return ok, f"worst compiled distance {worst:.3e}; worst table-construction distance {table:.3e} (tol 1e-10)"
 

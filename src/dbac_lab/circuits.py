@@ -8,15 +8,17 @@ P/2); the two-qubit interaction is the diagonal
     RZZ(phi) = diag(e^{-i phi/2}, e^{i phi/2}, e^{i phi/2}, e^{-i phi/2}),
 
 exactly exp(-i phi Z(x)Z / 2).  The partial-swap compilation sandwiches three
-RZZ blocks in X/Y basis changes, yielding exp(-i phi (XX+YY+ZZ)/2), which is
+RZZ blocks in basis changes, yielding exp(-i phi (XX+YY+ZZ)/2), which is
 exp(-i phi SWAP) up to a global phase with no Trotter error (the three terms
-commute).
+commute).  One builder, `_udme_gates`, emits it for both schemes (RX/RY or
+H/S basis changes) and every layout; its three RZZ blocks are one gate object,
+and every compiled circuit shares its basis-change gates (`_udme_basis_changes`).
 
 Angle bookkeeping for the cooling layouts: plain-rotation tables written in the
 no-half-angle convention R_Z(a) = exp(-i a Z) translate to RZ(2a) here, and the
 echo rotations carry the sign that makes the compiled circuits cool (verified
 against the density-matrix simulator; the data qubit of each layout is recorded
-in DBAC_TARGET_QUBIT).
+in DBAC_TARGET_QUBIT); `_LAYOUTS` holds each layout's stages.
 
 Circuits compose in one place: `embedded_gates` stacks a batch's gates, each
 shared gate object once, and `compose` multiplies them by gate position, for
@@ -184,25 +186,39 @@ def circuit_unitaries(circuits: Sequence[Circuit]) -> np.ndarray:
     return compose(stack, take)
 
 
+# The basis-change layers after each of the three RZZ blocks of a compiled
+# partial swap, per scheme; each layer is one (kind, *params) gate on both wires.
+_UDME_LAYERS = {
+    "native": ((("RX", np.pi / 2),), (("RX", -np.pi / 2), ("RY", np.pi / 2)), (("RY", -np.pi / 2),)),
+    "hs": ((("SDG",), ("H",)), (("H",), ("S",), ("H",)), (("H",),)),
+}
+
+
 @functools.cache
-def _udme_basis_changes(q0: int, q1: int) -> tuple[tuple[Gate, ...], ...]:
-    """The four fixed basis-change layers of the partial-swap compilation on
-    wires (q0, q1): RX(pi/2), RX(-pi/2), RY(pi/2), RY(-pi/2).  Built once per
-    wire pair; gates are immutable, so every compiled circuit shares them, and
-    `embedded_gates` embeds each shared gate object once per batch."""
-    layers = (("RX", np.pi / 2), ("RX", -np.pi / 2), ("RY", np.pi / 2), ("RY", -np.pi / 2))
-    return tuple(tuple(Gate(kind, (angle,), (q,)) for q in (q0, q1)) for kind, angle in layers)
+def _udme_basis_changes(scheme: str, q0: int, q1: int) -> tuple[tuple[Gate, ...], ...]:
+    """The gates after each RZZ block of the `scheme` compilation on wires
+    (q0, q1), each layer on q0 then q1; built once, shared by every circuit."""
+    return tuple(
+        tuple(Gate(kind, params, (q,)) for kind, *params in layers for q in (q0, q1))
+        for layers in _UDME_LAYERS[scheme]
+    )
 
 
-def _udme_native_gates(phi: float, q0: int, q1: int) -> list[Gate]:
-    rzz = Gate("RZZ", (phi,), (q0, q1))  # one object in all three RZZ blocks
-    rx, rx_dg, ry, ry_dg = _udme_basis_changes(q0, q1)
-    return [rzz, *rx, rzz, *rx_dg, *ry, rzz, *ry_dg]
+def _udme_gates(phi: float, q0: int, q1: int, scheme: str) -> list[Gate]:
+    """exp(-i phi SWAP) on wires (q0, q1) up to a global phase: three RZZ(phi)
+    blocks, one shared gate object, each followed by its basis changes."""
+    rzz = Gate("RZZ", (phi,), (q0, q1))
+    return [g for block in _udme_basis_changes(scheme, q0, q1) for g in (rzz, *block)]
 
 
 def compile_udme_native(phi: float) -> Circuit:
     """Partial-swap compilation with RX/RY basis changes around three RZZ blocks."""
-    return Circuit(2, tuple(_udme_native_gates(phi, 0, 1)), label=f"udme_native({phi:.6g})")
+    return Circuit(2, _udme_gates(phi, 0, 1, "native"), label=f"udme_native({phi:.6g})")
+
+
+def compile_udme_hs(phi: float) -> Circuit:
+    """Same target unitary via Hadamard / phase-gate basis changes."""
+    return Circuit(2, _udme_gates(phi, 0, 1, "hs"), label=f"udme_hs({phi:.6g})")
 
 
 def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
@@ -211,26 +227,6 @@ def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
     targets the compiled partial swaps are checked against."""
     phis = np.asarray(phis, dtype=float)[:, None, None]
     return np.cos(phis) * np.eye(4) - 1j * np.sin(phis) * qmath.swap_operator(2)
-
-
-def compile_udme_hs(phi: float) -> Circuit:
-    """Same target unitary via Hadamard / phase-gate basis changes."""
-    gates = [Gate("RZZ", (phi,), (0, 1))]
-    for q in (0, 1):
-        gates.append(Gate("SDG", (), (q,)))
-    for q in (0, 1):
-        gates.append(Gate("H", (), (q,)))
-    gates.append(Gate("RZZ", (phi,), (0, 1)))
-    for q in (0, 1):
-        gates.append(Gate("H", (), (q,)))
-    for q in (0, 1):
-        gates.append(Gate("S", (), (q,)))
-    for q in (0, 1):
-        gates.append(Gate("H", (), (q,)))
-    gates.append(Gate("RZZ", (phi,), (0, 1)))
-    for q in (0, 1):
-        gates.append(Gate("H", (), (q,)))
-    return Circuit(2, tuple(gates), label=f"udme_hs({phi:.6g})")
 
 
 def _cz_gates(q0: int, q1: int) -> list[Gate]:
@@ -263,6 +259,15 @@ def compile_swap3() -> Circuit:
     return Circuit(2, tuple(gates), label="swap3")
 
 
+# Each cooling layout: its partial swaps per step, then its stages, each the
+# echo wires and the wire pairs of its partial swaps, after RX(theta) on all wires.
+_LAYOUTS = {
+    "A": (1, (((1,), ((0, 1),)),)),
+    "B": (2, (((0, 2), ((0, 1), (1, 2))),)),
+    "C": (1, (((0, 3), ((0, 1), (2, 3))), ((2,), ((1, 2),)))),
+}
+
+
 def build_circuit(which: str, theta: float, phi: float = np.pi / 4) -> Circuit:
     """Cooling circuit layouts.
 
@@ -276,34 +281,17 @@ def build_circuit(which: str, theta: float, phi: float = np.pi / 4) -> Circuit:
     Instruction wires carry the echo rotation RZ(-2t) = exp(+i t Z); the
     closing echo of each step commutes with the energy readout and is omitted.
     """
-    if which not in DBAC_TARGET_QUBIT:
+    if which not in _LAYOUTS:
         raise ContractViolationError(f"unknown circuit label {which!r}")
-    if which == "A":
-        t = phi
-        gates = [Gate("RX", (theta,), (0,)), Gate("RX", (theta,), (1,)), Gate("BARRIER")]
-        gates.append(Gate("RZ", (-2 * t,), (1,)))
-        gates += _udme_native_gates(phi, 0, 1)
-        return Circuit(2, tuple(gates), label="A")
-    if which == "B":
-        t = 2 * phi
-        gates = [Gate("RX", (theta,), (q,)) for q in range(3)]
+    n = DBAC_NUM_QUBITS[which]
+    swaps, stages = _LAYOUTS[which]
+    t = swaps * phi  # the step duration
+    gates = [Gate("RX", (theta,), (q,)) for q in range(n)]
+    for echo, pairs in stages:
         gates.append(Gate("BARRIER"))
-        gates.append(Gate("RZ", (-2 * t,), (0,)))
-        gates.append(Gate("RZ", (-2 * t,), (2,)))
-        gates += _udme_native_gates(phi, 0, 1)
-        gates += _udme_native_gates(phi, 1, 2)
-        return Circuit(3, tuple(gates), label="B")
-    t = phi
-    gates = [Gate("RX", (theta,), (q,)) for q in range(4)]
-    gates.append(Gate("BARRIER"))
-    gates.append(Gate("RZ", (-2 * t,), (0,)))
-    gates.append(Gate("RZ", (-2 * t,), (3,)))
-    gates += _udme_native_gates(phi, 0, 1)
-    gates += _udme_native_gates(phi, 2, 3)
-    gates.append(Gate("BARRIER"))
-    gates.append(Gate("RZ", (-2 * t,), (2,)))
-    gates += _udme_native_gates(phi, 1, 2)
-    return Circuit(4, tuple(gates), label="C")
+        gates += [Gate("RZ", (-2 * t,), (q,)) for q in echo]
+        gates += [g for q0, q1 in pairs for g in _udme_gates(phi, q0, q1, "native")]
+    return Circuit(n, gates, label=which)
 
 
 def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:

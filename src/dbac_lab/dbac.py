@@ -297,6 +297,8 @@ def synthesize_uk(
         raise ContractViolationError("synthesize_uk supports at most 3 qubits")
     zero = np.eye(h.matrix.shape[0], dtype=complex)[0]  # |0...0>
     u = np.eye(zero.size, dtype=complex) if u0 is None else qmath.check_unitary(u0).copy()
+    if u.shape != (zero.size, zero.size):
+        raise DimensionMismatchError(f"u0 must be one {zero.size}x{zero.size} unitary")
     for s in s_list:
         if not s > 0:  # NaN fails too, and reflector rejects an infinite step
             raise ContractViolationError("step sizes must be positive")
@@ -533,7 +535,7 @@ def final_fidelities_over_s(
     s = check_step_sizes(s_values)
     thetas = _angles(theta)
     w = HamiltonianSpec.default_single_qubit().eig[0]
-    table = _step_table(np.tile(s.ravel(), thetas.size), m, w)  # once per call
+    table = _step_table(s.ravel(), m, w).map(lambda a: np.tile(a, thetas.size))  # once per step size
     energies = _final_energies(np.atleast_1d(thetas), k, table, mode)
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
 

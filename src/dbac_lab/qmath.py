@@ -25,12 +25,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-def as_complex_matrix(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+def as_complex_matrix(m, ndims: Sequence[int] = (2,)) -> np.ndarray:
     """Coerce to a finite complex128 array with ndim in `ndims` (a matrix by default)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim not in ndims:
         raise ContractViolationError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.isfinite(a.view(float)).all():
+    if not np.isfinite(a).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
     return a
 
@@ -126,31 +126,34 @@ def herm_expm(h, scale: complex) -> np.ndarray:
 
 
 def check_unitary(u) -> np.ndarray:
-    """A finite square matrix with |u^dag u - I| <= UNITARITY_TOL entrywise (NaN fails)."""
-    a = as_complex_matrix(u)
-    if a.shape[0] != a.shape[1] or not np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= UNITARITY_TOL:
+    """A finite square matrix, or a (..., d, d) stack of them, with
+    |u^dag u - I| <= UNITARITY_TOL entrywise (NaN fails), checked in one pass."""
+    a = as_complex_matrix(u, ndims=range(2, 65))  # a matrix or a stack of any depth numpy allows
+    dev = np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(initial=0.0)
+    if a.shape[-1] != a.shape[-2] or not dev <= UNITARITY_TOL:
         raise ContractViolationError("matrix is not unitary within tolerance")
     return a
 
 
-def dist_up_to_global_phase(u, v) -> float:
+def dist_up_to_global_phase(u, v) -> float | np.ndarray:
     """Frobenius distance between unitaries minimized over a global phase.
 
+    Two matrices give a float; two (..., d, d) stacks of one shape, each
+    validated once, give the batch shape's array of slice-by-slice distances.
     The minimizing phase comes from the closed form e^{i*gamma} = conj(T)/|T|
-    with T = Tr[u^dag v]; the distance equals sqrt(2d - 2|T|) but is evaluated
-    as the norm of the phase-aligned difference, which stays accurate near zero.
-    Zero iff u and v agree up to a global phase.
+    with T = Tr[u^dag v] (1 when T vanishes); the distance equals
+    sqrt(2d - 2|T|) but is evaluated as the norm of the phase-aligned
+    difference, which stays accurate near zero.  Zero iff u and v agree up to
+    a global phase.
     """
-    a = check_unitary(u)
-    b = check_unitary(v)
+    a, b = check_unitary(u), check_unitary(v)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    t = np.trace(a.conj().T @ b)
-    if abs(t) < 1e-300:
-        # cross term vanishes for every phase; any alignment gives the same norm
-        return float(np.linalg.norm(a - b))
-    phase = np.conj(t) / abs(t)
-    return float(np.linalg.norm(a - phase * b))
+    t = (a.conj() * b).sum(axis=(-2, -1))
+    mag = np.abs(t)
+    phase = np.where(mag < 1e-300, 1.0, np.conj(t) / np.maximum(mag, 1e-300))
+    dist = np.linalg.norm(a - phase[..., None, None] * b, axis=(-2, -1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def trace_distance(a, b) -> float:

@@ -153,8 +153,9 @@ def _forbid_dense_oracles(monkeypatch):
 
 class TestOneEngineBatch:
     """Criteria 1 and 2 each make one call of a batched engine the program
-    runs, over all their points, and criterion 4 two; the dense oracles check
-    those engines in test_dbac, test_dme and test_circuits."""
+    runs, over all their points, and criterion 4 two, compared in four stacked
+    distances; the dense oracles check those engines in test_dbac, test_dme
+    and test_circuits."""
 
     def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps")
@@ -178,3 +179,16 @@ class TestOneEngineBatch:
         assert acceptance.criterion_4().passed
         # 50 angles, each compiled two ways; then cz, cnot and swap3
         assert calls == [(100,), (3,)]
+
+    def test_criterion_4_validates_each_stack_once(self, monkeypatch):
+        shapes, check = [], qmath.check_unitary
+
+        def counting(u):
+            shapes.append(np.shape(u))
+            return check(u)
+
+        monkeypatch.setattr(qmath, "check_unitary", counting)
+        assert acceptance.criterion_4().passed
+        # native vs targets, H/S vs targets, native vs H/S: two 50-stacks per
+        # comparison; then cz, cnot and swap3 against their tables
+        assert shapes == [(50, 4, 4)] * 6 + [(3, 4, 4)] * 2

@@ -152,6 +152,72 @@ class TestTableConstructions:
         assert d < 1e-10
 
 
+# The gate sequences each circuit must emit, word by word: KIND(angle)wires,
+# "|" for a barrier.
+# NATIVE is the RX/RY partial swap on the wires filled into {0} and {1}.
+NATIVE = (
+    "RZZ(ph){0}{1} RX(pi/2){0} RX(pi/2){1} RZZ(ph){0}{1} RX(-pi/2){0} RX(-pi/2){1} "
+    "RY(pi/2){0} RY(pi/2){1} RZZ(ph){0}{1} RY(-pi/2){0} RY(-pi/2){1}"
+)
+SEQUENCES = {
+    "native": NATIVE.format(0, 1),
+    "hs": "RZZ(ph)01 SDG0 SDG1 H0 H1 RZZ(ph)01 H0 H1 S0 S1 H0 H1 RZZ(ph)01 H0 H1",
+    "A": "RX(th)0 RX(th)1 | RZ(echo)1 " + NATIVE.format(0, 1),
+    "B": "RX(th)0 RX(th)1 RX(th)2 | RZ(echo)0 RZ(echo)2 " + NATIVE.format(0, 1) + " " + NATIVE.format(1, 2),
+    "C": (
+        "RX(th)0 RX(th)1 RX(th)2 RX(th)3 | RZ(echo)0 RZ(echo)3 " + NATIVE.format(0, 1) + " "
+        + NATIVE.format(2, 3) + " | RZ(echo)2 " + NATIVE.format(1, 2)
+    ),
+    "cz": "RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1",
+    "cnot": "H1 RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1 H1",
+    "swap3": (
+        "H1 RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1 H1 H0 RZZ(pi/2)10 RZ(2pi)1 SDG1 RZ(2pi)0 SDG0 H0 "
+        "H1 RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1 H1"
+    ),
+}
+
+
+def words(c, **named):
+    """The gates of c as the words of SEQUENCES, each angle written by its
+    name: those passed in, then pi/2, -pi/2 and 2pi (every angle must have one)."""
+    names = {np.pi / 2: "pi/2", -np.pi / 2: "-pi/2", 2 * np.pi: "2pi", **{v: k for k, v in named.items()}}
+    return " ".join(
+        "|" if g.kind == "BARRIER" else g.kind + "".join(f"({names[p]})" for p in g.params) + "".join(map(str, g.qubits))
+        for g in c.gates
+    )
+
+
+class TestGateSequences:
+    # angles that differ from each other, from every echo angle and from +-pi/2
+    PAIRS = [(0.3, 0.6), (2.1, -0.7), (-1.3, 1.9)]
+
+    @pytest.mark.parametrize("theta, phi", PAIRS)
+    @pytest.mark.parametrize("which", "ABC")
+    def test_layouts(self, which, theta, phi):
+        # the echo is RZ(-2t) for the step duration t, two partial swaps long in B
+        echo = -2 * ((2 if which == "B" else 1) * phi)
+        assert words(build_circuit(which, theta, phi), th=theta, ph=phi, echo=echo) == SEQUENCES[which]
+
+    @pytest.mark.parametrize("theta, phi", PAIRS)
+    def test_partial_swap_compilations(self, theta, phi):
+        assert words(compile_udme_native(phi), ph=phi) == SEQUENCES["native"]
+        assert words(compile_udme_hs(phi), ph=phi) == SEQUENCES["hs"]
+
+    def test_table_constructions(self):
+        for c in (compile_cz(), compile_cnot(), compile_swap3()):
+            assert words(c) == SEQUENCES[c.label]
+
+    @pytest.mark.parametrize("compile_udme, fixed", [(compile_udme_hs, 12), (compile_udme_native, 8)])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_compilations_share_their_basis_changes(self, compile_udme, fixed, k):
+        # one RZZ object per angle in all three blocks; the basis-change gates
+        # are built once and shared by every compilation
+        batch = [compile_udme(phi) for phi in np.linspace(-1.0, 1.0, k)]
+        assert all(len({id(g) for g in c.gates if g.kind == "RZZ"}) == 1 for c in batch)
+        stack, _, _ = embedded_gates(batch)
+        assert len(stack) == k + fixed
+
+
 class TestBuildCircuit:
     def test_wire_counts(self):
         assert build_circuit("A", 0.5).num_qubits == DBAC_NUM_QUBITS["A"] == 2

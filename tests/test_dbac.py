@@ -26,7 +26,7 @@ from dbac_lab.dbac import (
     synthesize_uk,
 )
 from dbac_lab.dme import bloch_planes, density_matrices, dme_step_exact, reflector
-from dbac_lab.errors import ContractViolationError, DegenerateInputError
+from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from dbac_lab.states import (
     HamiltonianSpec, PureState, bloch_vector, energy, excess_energy, fidelity, rx_init, variance
 )
@@ -455,6 +455,12 @@ class TestSynthesizeUk:
         for _ in range(2):
             e = dbac_energy_analytic(e, np.sqrt(s))
         assert abs(float(np.real(w.conj() @ H.matrix @ w)) - e) < 1e-12
+
+    @pytest.mark.parametrize("u0", [np.eye(4), np.stack([np.eye(2)] * 3)], ids=["other_size", "stack"])
+    def test_rejects_u0_of_another_shape(self, u0):
+        # check_unitary takes stacks; the seed must be one unitary of H's size
+        with pytest.raises(DimensionMismatchError):
+            synthesize_uk(H, [0.1], u0=u0)
 
     def test_rejects_large_register(self):
         h4 = HamiltonianSpec(np.diag(np.arange(16.0)).astype(complex))
@@ -975,6 +981,46 @@ class TestGridTables:
         optimal_step(0.1, 2, m, "fresh")
         basin_min_fidelity(2, m, 0.8, "fresh")
         assert builds == [step_size_grid().size]
+
+
+def _tiled_table_fidelities(theta, k, m, s_values, mode):
+    """final_fidelities_over_s with its step table built on the step sizes
+    tiled over the angles, one table entry per batch entry: the oracle of the
+    table built once per distinct step size."""
+    s = check_step_sizes(s_values)
+    thetas = np.asarray(theta, dtype=float)
+    table = dbac._step_table(np.tile(s.ravel(), thetas.size), m, H.eig[0])
+    energies = dbac._final_energies(np.atleast_1d(thetas), k, table, mode)
+    return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
+
+
+class TestStepTableOnDistinctSizes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        thetas=st.one_of(
+            st.floats(0.0, np.pi),
+            st.lists(st.floats(0.0, np.pi), min_size=1, max_size=6).map(np.array),
+        ),
+        s_values=st.lists(st.floats(1e-3, np.pi), min_size=1, max_size=12),
+        k=st.integers(1, 6),
+        m=st.sampled_from([None, 1, 2, 4]),
+        mode=st.sampled_from(RECURSION_MODES),
+    )
+    def test_equals_tiled_table(self, thetas, s_values, k, m, mode):
+        got = final_fidelities_over_s(thetas, k, m, s_values, mode)
+        assert np.array_equal(got, _tiled_table_fidelities(thetas, k, m, s_values, mode))
+
+    def test_table_built_on_the_step_sizes(self, monkeypatch):
+        builds = []
+        step_table = dbac._step_table
+
+        def counting(s, m, w):
+            builds.append(s.shape)
+            return step_table(s, m, w)
+
+        monkeypatch.setattr(dbac, "_step_table", counting)
+        final_fidelities_over_s(np.linspace(0.1, 3.0, 7), 2, None, np.linspace(0.01, 3.0, 5).reshape(5, 1))
+        assert builds == [(5,)]
 
 
 def _plain_basin(k, m, f_target, mode):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
@@ -150,6 +152,66 @@ class TestDistUpToGlobalPhase:
         t = np.trace(u.conj().T @ v)
         expected = np.sqrt(max(0.0, 2 * 4 - 2 * abs(t)))
         assert abs(qmath.dist_up_to_global_phase(u, v) - expected) < 1e-10
+
+
+@st.composite
+def unitary_stacks(draw):
+    """Two (B, d, d) stacks of unitaries, d in 2..8 and B in 1..20, slice by
+    slice a random pair, a copy rotated by a global phase, or the identity
+    against the cyclic shift, whose Tr[u^dag v] is exactly 0."""
+    d, b = draw(st.integers(2, 8)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = (np.array([random_unitary(rng, d) for _ in range(b)]) for _ in range(2))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["pair", "phase", "traceless"]), min_size=b, max_size=b))):
+        if kind == "phase":
+            v[i] = np.exp(1j * rng.uniform(-np.pi, np.pi)) * u[i]
+        elif kind == "traceless":
+            u[i], v[i] = np.eye(d), np.roll(np.eye(d), 1, axis=0)
+    return u, v
+
+
+class TestStackedDist:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(pair=unitary_stacks())
+    def test_equals_scalar_call_per_slice(self, pair):
+        u, v = pair
+        got = qmath.dist_up_to_global_phase(u, v)
+        assert isinstance(got, np.ndarray) and got.shape == (len(u),)
+        scalar = [qmath.dist_up_to_global_phase(a, b) for a, b in zip(u, v)]
+        assert all(type(x) is float for x in scalar)
+        assert np.abs(got - scalar).max() <= 1e-15
+
+    def test_traceless_slice_keeps_its_distance(self):
+        # no phase aligns I with the shift: the distance is the plain norm sqrt(2d)
+        d = 5
+        got = qmath.dist_up_to_global_phase(np.eye(d)[None], np.roll(np.eye(d), 1, axis=0)[None])
+        assert got.tolist() == [np.sqrt(2 * d)]
+
+    def test_non_unitary_slice_rejected(self, rng):
+        u = np.array([random_unitary(rng, 4) for _ in range(5)])
+        bad = u.copy()
+        bad[3] *= 1.01
+        for a, b in ((bad, u), (u, bad)):
+            with pytest.raises(ContractViolationError):
+                qmath.dist_up_to_global_phase(a, b)
+
+    @pytest.mark.parametrize("shapes", [((3, 2, 2), (4, 2, 2)), ((3, 2, 2), (3, 4, 4)), ((2, 2), (1, 2, 2))])
+    def test_mismatched_stacks_rejected(self, shapes):
+        a, b = (np.broadcast_to(np.eye(s[-1]), s) for s in shapes)
+        with pytest.raises(DimensionMismatchError):
+            qmath.dist_up_to_global_phase(a, b)
+
+    def test_strided_inputs_accepted(self, rng):
+        # a transpose or a broadcast view is validated as its copy is
+        u = random_unitary(rng, 4)
+        assert qmath.dist_up_to_global_phase(u.T, np.ascontiguousarray(u.T)) < 1e-15
+        assert qmath.dist_up_to_global_phase(np.broadcast_to(u, (3, 4, 4)), np.array([u] * 3)).max() < 1e-15
+
+    def test_stacks_of_any_batch_shape(self, rng):
+        u = np.array([random_unitary(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        got = qmath.dist_up_to_global_phase(u, 1j * u)
+        assert got.shape == (2, 3) and got.max() < 1e-15
+        assert qmath.check_unitary(u).shape == (2, 3, 2, 2)
 
 
 class TestTraceDistance:
