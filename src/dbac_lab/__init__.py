@@ -40,6 +40,7 @@ from .dme import (  # noqa: F401
     dme_step_exact,
     exact_conjugation,
     partial_swap,
+    partial_swap_power,
     reflector,
     swap_coefficients,
     swap_operands,

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import qmath
 from .dme import (
-    bloch_planes, check_bloch, density_matrices, partial_swap, reflector, swap_coefficients, swap_operands
+    bloch_planes, check_bloch, partial_swap, partial_swap_power, reflector, swap_coefficients, swap_operands
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from .states import HamiltonianSpec, PureState, check_density, energy, variance
+from .states import HamiltonianSpec, PureState, check_pure, energy, variance
 from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
@@ -170,29 +170,30 @@ def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) 
     return PureState(v / np.linalg.norm(v))
 
 
-def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[op rho] for every state of a (..., d, d) stack."""
-    return np.einsum("ij,...ji->...", op, rho).real
-
-
-def _records(schedule: DbacSchedule, states: np.ndarray, marginals=(), shape: tuple = ()) -> CoolingRecord:
-    """One record, its B entries first as ``shape``, of a run's (k + 1, B, d, d)
-    states and (n, B, d, d) instruction marginals, both in H's eigenbasis and
-    already validated by the caller; this only computes observables.  They
-    are rotated into that basis, not the states out of it."""
-    _, b, d, _ = states.shape
-    marginals = np.reshape(marginals, (-1, b, d, d))
-    w, v = schedule.hamiltonian.eig
-    energies = _expect(np.diag(w), states)
-    variances = _expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
-    fids = np.clip(_expect(v.conj().T @ schedule.hamiltonian.ground_projector @ v, states), 0.0, 1.0)
-    instr_energies = _expect(np.diag(w), marginals)
-    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
-    bloch = np.stack([_expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
+def _records(schedule: DbacSchedule, pops: np.ndarray, planes=None, shape: tuple = ()) -> CoolingRecord:
+    """One record, its B entries first as ``shape``, of a run's (k + 1 + n,
+    B, d) populations in H's eigenbasis: the k + 1 states, then the n
+    instruction marginals.  ``planes`` are the states' (3, k + 1, B) Bloch
+    planes in that basis, for a qubit; H's :attr:`~HamiltonianSpec.bloch_rotation`
+    takes them to the trajectory.  Everything was validated by the caller; this
+    only computes observables."""
+    k, b = schedule.k, pops.shape[1]
+    h = schedule.hamiltonian
+    w, v = h.eig
+    all_energies = (pops * w).sum(axis=-1)  # the states', then the marginals'
+    energies = all_energies[: k + 1]
+    variances = (pops[:k] * (w * w)).sum(axis=-1) - energies[:k] ** 2
+    ground = np.diagonal(v.conj().T @ h.ground_projector @ v).real  # 1 on the ground space, 0 off it
+    fids = np.clip((pops[: k + 1] * ground).sum(axis=-1), 0.0, 1.0)
+    if planes is None:
+        traj = np.empty((0, b, 3))
+    else:
+        rot = h.bloch_rotation[:, :, None, None]
+        traj = (rot[:, 0] * planes[0] + rot[:, 1] * planes[1] + rot[:, 2] * planes[2]).transpose(1, 2, 0)
     copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
     e, var, f, traj, instr = (  # (steps, B, ...) -> shape + (steps, ...)
-        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:])
-        for x in (energies, variances, fids, bloch, instr_energies)
+        x.swapaxes(0, 1).reshape(shape + x.shape[:1] + x.shape[2:])
+        for x in (energies, variances, fids, traj, all_energies[k + 1 :])
     )
     return CoolingRecord(e, var, f, copies, traj, instr)
 
@@ -203,7 +204,7 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     Returns one :class:`CoolingRecord` with no batch axis ((k + 1,) energies).
     H and psi were validated on construction; :func:`_exact_steps` steps raw
     vectors in H's eigenbasis, and the k + 1 states are validated once, by one
-    :func:`check_density` call on their stack, before the record is built.
+    :func:`check_pure` call on their stack, before the record is built.
     """
     h = schedule.hamiltonian
     if h.matrix.shape[0] != psi.amplitudes.size:
@@ -212,7 +213,13 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
     steps = _exact_steps(psi0, np.array(schedule.s)[:, None], w, schedule.recursion)
     vecs = np.array([psi0, *steps])  # (k + 1, 1, d)
-    return _records(schedule, check_density(vecs[..., :, None] * vecs.conj()[..., None, :]))
+    check_pure(vecs)
+    pops = (vecs * vecs.conj()).real
+    planes = None
+    if w.size == 2:
+        rho01 = vecs[..., 0] * vecs[..., 1].conj()
+        planes = np.array([2.0 * rho01.real, -2.0 * rho01.imag, pops[..., 0] - pops[..., 1]])
+    return _records(schedule, pops, planes)
 
 
 def _angles(theta) -> np.ndarray:
@@ -243,7 +250,9 @@ def dbac_via_dme(
     arrays have theta's shape first: (k + 1,) energies for one angle, (T, k + 1) for T.
 
     Step j consumes M_j fresh instruction copies of the previous step's
-    output, each through one :func:`dme.partial_swap` call over the batch.
+    output, all M_j through one :func:`dme.partial_swap_power` call over the
+    batch, which gives the data after each copy; each copy's marginal is
+    then (1 - p2)(a + the copy's input data) - its output.
     With depolarizing noise, p1 acts after each echo rotation and p2 on each
     two-register interaction; depolarizing the joint register and then tracing
     out one side leaves (1 - p2) sigma' + p2 I/2 on either marginal, so the p2
@@ -256,8 +265,9 @@ def dbac_via_dme(
     the marginals into the copies' frame would change neither their energies
     nor their lengths.  Every reported state (initial states, step
     outputs, instruction marginals) is validated once, by one
-    :func:`dme.check_bloch` call on their stacked planes, before they are
-    rebuilt as matrices for the observables.
+    :func:`dme.check_bloch` call on their stacked planes; the observables are
+    read from those planes, as populations (1 +- z) / 2 and, rotated by H's
+    :attr:`~HamiltonianSpec.bloch_rotation`, as the trajectory.
     :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
     """
     if schedule.m is None:
@@ -277,10 +287,12 @@ def dbac_via_dme(
     for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise, marginals=True):
         states.append(out)
         marginals.append(margs)
-    planes = np.concatenate([np.stack(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
+    planes = np.concatenate([np.array(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
     check_bloch(planes)
-    mats = density_matrices(planes)
-    return _records(schedule, mats[: schedule.k + 1], mats[schedule.k + 1 :], thetas.shape)
+    pops = np.empty(planes.shape[1:] + (2,))  # the populations (1 +- z) / 2, with trace exactly 1
+    pops[..., 0] = 0.5 * (1.0 + planes[2])
+    pops[..., 1] = 1.0 - pops[..., 0]
+    return _records(schedule, pops, planes[:, : schedule.k + 1], thetas.shape)
 
 
 def synthesize_uk(
@@ -343,8 +355,11 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
 # t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d, with the
 # phases of all steps built before its loop.  _bloch_steps steps qubit states
-# as (3, B) Bloch planes through dme.partial_swap: M_j swaps per step, or one
-# call that is the exact reflector.  Both commute with rotations about z, so a
+# as (3, B) Bloch planes: one dme.partial_swap_power call per step when every
+# copy is recorded (dbac_via_dme), M_j dme.partial_swap calls per step when
+# only the output is (the search, where the loop is faster at its depths
+# M <= 4 and batches of thousands), or one partial_swap call that is the
+# exact reflector.  All commute with rotations about z, so a
 # step rotates its instruction once into the data's frame instead of rotating
 # the data there and back: every output it yields is in the data's frame (H's
 # eigenbasis), and so are the instruction marginals, which only dbac_via_dme
@@ -431,7 +446,11 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     """Cooling steps of a (3, B) batch of Bloch planes, step j by the
     :class:`_StepTable` ``tables[j]``: yields each step's output and, with
     ``marginals``, its M_j instruction marginals as an (M_j, 3, B) array, all
-    in the data's frame (H's eigenbasis, as ``r0``).
+    in the data's frame (H's eigenbasis, as ``r0``).  Which is asked for picks
+    the path: with ``marginals``, the M_j data outputs come from one
+    :func:`dme.partial_swap_power` call and each marginal is q (a + input) -
+    output, q = 1 - p2; without, M_j :func:`dme.partial_swap` calls make only
+    the last one, as the search needs.
 
     One echo rotation per step: the partial swap, the exact reflector's
     operands and the p1/p2 scalings all commute with rotations about z, so
@@ -446,7 +465,7 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     step rotates the data b by -s about a, a pure state: exp(is|a><a|) is the
     kernel with operands (cos s, (1 - cos s)(a.b) a, -sin s a), and its output
     is rescaled to unit length, as _exact_steps renormalizes.  Depolarizing
-    with probability p scales a Bloch vector by 1 - p.  ``partial_swap`` and
+    with probability p scales a Bloch vector by 1 - p.  The kernels and
     ``_rotate_xy`` are looked up in this module, so a test can trace them."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
@@ -458,20 +477,22 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
             c, one_minus_c, minus_sin = table.coeffs
             out = partial_swap(sig, (c, (one_minus_c * (a * sig).sum(axis=0)) * a, minus_sin * a))
             out /= np.sqrt((out * out).sum(axis=0))  # else |a| - 1 grows up to fivefold per step
+        elif marginals:  # every copy is recorded: the M outputs in one closed form
+            copies = np.arange(1, table.m + 1).reshape(-1, 1, 1)
+            outs = partial_swap_power(sig, a, table.coeffs, copies, 1.0 - p2)
+            margs = np.concatenate([sig[None], outs[:-1]])  # each swap's input
+            margs += a
+            if p2:
+                margs *= 1.0 - p2
+            margs -= outs
+            out = outs[-1]
         else:
             step = swap_operands(a, table.coeffs)
-            if marginals:
-                margs = np.empty((table.m, *sig.shape))
-            for i in range(table.m):
+            for _ in range(table.m):
                 out = partial_swap(sig, step)
-                if marginals:
-                    marg = np.add(a, sig, out=margs[i])
-                    marg -= out
                 if p2:
                     out *= 1.0 - p2
                 sig = out
-            if marginals and p2:
-                margs *= 1.0 - p2
         if p1:
             out *= 1.0 - p1
         yield out, margs

@@ -15,11 +15,10 @@ Conventions fixed here and used package-wide:
   trace leaves (1 - p) sigma' + p I/d on either register, where sigma' is the
   noiseless marginal; ``dbac.dbac_via_dme`` applies two-qubit noise this way.
 
-:func:`partial_swap` is the one inner loop behind every DME path.  It holds
-qubit states as real Bloch vectors, rho = (I + a.sigma) / 2, stored as
-contiguous ``(3, B)`` component planes (:func:`bloch_planes`), where the
-commutator is a cross product: with instruction ``a`` and data ``b`` one step
-gives
+:func:`partial_swap` is the one partial-swap step.  It holds qubit states as
+real Bloch vectors, rho = (I + a.sigma) / 2, stored as contiguous ``(3, B)``
+component planes (:func:`bloch_planes`), where the commutator is a cross
+product: with instruction ``a`` and data ``b`` one step gives
 
     out = cos^2(delta) b + sin^2(delta) a + (cos(delta) sin(delta) a) x b.
 
@@ -28,28 +27,38 @@ operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`, from the
 :func:`swap_coefficients` of its angle) and each swap is
 ``c2 b + s2a + csa x b``.  The kernel returns the data output alone; the
 instruction marginal is ``a + b - out`` (the joint state's two marginals sum
-to ``a + b``), computed only by ``dbac.dbac_via_dme``, which records it.  With
-the operands ``(cos t, (1 - cos t)(c.b) c, -sin t c)`` the kernel is the exact
-reflector exp(i t |c><c|) for a unit Bloch vector ``c``: a rotation of ``b``
-by -t about ``c``, the M -> infinity limit of M swaps of angle -t / M.  Trace
-and Hermiticity hold by construction, so the one check a batch of planes needs
-is :func:`check_bloch` (finite, and |a| <= 1 within tolerance), which gives
-the verdict and the message that :func:`states.check_density` gives for the
-matrices :func:`density_matrices` rebuilds.  The kernel validates nothing; its callers validate once, outside
-any loop:
+to ``a + b``).  With the operands ``(cos t, (1 - cos t)(c.b) c, -sin t c)``
+the kernel is the exact reflector exp(i t |c><c|) for a unit Bloch vector
+``c``: a rotation of ``b`` by -t about ``c``, the M -> infinity limit of M
+swaps of angle -t / M.
+
+Because the instruction is fixed, M swaps compose in closed form:
+:func:`partial_swap_power` gives the output after any number of swaps, or
+after each of 1..M, in one batch of elementwise ufuncs, for any M (10^9
+included).  The callers that report every copy or every depth use it; the
+step-size search, which keeps only final energies at depths M <= 4 on
+batches of thousands, keeps the :func:`partial_swap` loop, which is faster
+there.  Trace and Hermiticity hold by construction, so the one check a batch
+of planes needs is :func:`check_bloch` (finite, and |a| <= 1 within
+tolerance), which gives the verdict and the message that
+:func:`states.check_density` gives for the matrices :func:`density_matrices`
+rebuilds.  The kernels validate nothing; their callers validate once,
+outside any loop:
 
 * :func:`dme_errors` checks its two inputs as density matrices where they
-  enter, runs the Trotter circuits of several depths M as one batch, one
-  kernel call per step, and checks each step's outputs as planes.  It takes
-  only qubit registers and raises :class:`DimensionMismatchError` for
-  anything else;
-* ``dbac._bloch_steps``, the cooling loop in H's eigenbasis, checks nothing.  It
-  runs ``dbac.dbac_via_dme``, which checks every state it reports as planes,
-  in one batch after the last step, and the step-size search, which runs
-  every angle and step size of a search as one batch, keeps only final
-  energies and checks none.  Its exact reflectors rescale each output to
-  |a| = 1, as the reflector oracle renormalizes its state vectors: a rotation
-  about a non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
+  enter, runs the Trotter circuits of all depths M in one
+  :func:`partial_swap_power` call, one exponent per entry, and checks the
+  final states as planes.  It takes only qubit registers and raises
+  :class:`DimensionMismatchError` for anything else;
+* ``dbac._bloch_steps``, the cooling loop in H's eigenbasis, checks nothing.
+  It runs ``dbac.dbac_via_dme``, whose every copy it makes by one
+  :func:`partial_swap_power` call per step, and which checks every state it
+  reports as planes, in one batch after the last step; and the step-size
+  search, which runs every angle and step size of a search as one batch
+  through the :func:`partial_swap` loop, keeps only final energies and
+  checks none.  Its exact reflectors rescale each output to |a| = 1, as the
+  reflector oracle renormalizes its state vectors: a rotation about a
+  non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
 
 :func:`dme_step_exact` keeps the definition itself, a kron of the two
 registers conjugated by exp(-i delta SWAP) and partially traced; it serves
@@ -60,11 +69,15 @@ d.  :func:`exact_conjugation` is the M -> infinity limit that
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import EIG_TOL, DensityMatrix, PureState, check_density
+
+_TINY = np.finfo(float).tiny  # below it, a / max(|a|, _TINY) is shorter than 1: its terms vanish
 
 
 def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
@@ -161,6 +174,58 @@ def partial_swap(sig: np.ndarray, step) -> np.ndarray:
     return out
 
 
+def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float = 1.0) -> np.ndarray:
+    """The data output of ``n`` partial swaps of ``sig`` against the fixed
+    instruction ``instr``, each output scaled by ``q`` (1 - p2 under two-qubit
+    depolarizing), in closed form: ``n`` composed :func:`partial_swap` steps.
+
+    ``sig`` and ``instr`` are Bloch planes as for :func:`partial_swap`,
+    ``coeffs = (c2, s2, cs)`` are :func:`swap_coefficients` (scalars, or
+    arrays that broadcast against one plane), and ``n`` is an integer array of
+    exponents >= 1; the output has the shape of ``n`` broadcast against
+    ``sig``.  So ``n = ms`` gives a ``(3, B)`` batch with one exponent per
+    entry, and ``n = np.arange(1, M + 1).reshape(-1, 1, 1)`` gives every copy
+    of an M-swap step as ``(M, 3, B)``.  Nothing is validated.
+
+    Along the unit axis u = a / |a| one swap maps b to c2 b + s2 a; across
+    it, it multiplies b by z = c2 + i cs |a|, with i acting as u x.  So with
+    d = u.b and Z = (q z)^n the n-th output is
+
+        Re(Z) b + Im(Z) u x b + (((q c2)^n - Re(Z)) d + g |a|) u,
+        g = q s2 ((q c2)^0 + ... + (q c2)^(n-1)),
+
+    each power taken as exp(n log(.)) with log c2 = -log1p(s2 / c2), so that
+    a depth of 10^9 keeps the O(1/M) Trotter error that c2 ** n would round
+    away.  At a = 0 the axis u is 0, and every term it carries vanishes; at
+    angle 0 (operands (1, 0, 0)) and q = 1 the output is ``sig``, bit for
+    bit.  Only elementwise ufuncs are used, so an entry's output does not
+    depend on what else shares the batch.
+    """
+    c2, s2, cs = coeffs
+    r = np.hypot(np.hypot(instr[0], instr[1]), instr[2])  # |a|, which |a|^2 could underflow
+    r2 = r * r
+    # u and sig stacked twice: rows 1:4 and 2:5 are their cyclic shifts (y, z, x) and (z, x, y)
+    u2 = np.concatenate([instr, instr]) / np.maximum(r, _TINY)
+    b2 = np.concatenate([sig, sig])
+    u, across = u2[:3], u2[1:4] * b2[2:5] - u2[2:5] * b2[1:4]  # u x sig
+    ub = u * sig
+    d = ub[0] + ub[1] + ub[2]
+    tan2 = s2 / c2  # c2 = cos^2 > 0 for every finite float angle
+    log_c2 = -np.log1p(tan2)
+    log_z = 0.5 * np.log1p(tan2 * r2) + log_c2  # |z|^2 = c2^2 (1 + tan^2 |a|^2)
+    z_n = np.exp(n * (log_z + 1j * np.arctan2(cs * r, c2)))
+    if q == 1.0:
+        c2_n = np.expm1(n * log_c2)  # c2^n - 1
+        dg = d - r  # g = -c2_n
+    else:
+        log_c2 = log_c2 + (math.log(q) if q > 0.0 else -math.inf)  # q = 0: every power is 0
+        z_n *= q**n
+        c2_n = np.expm1(n * log_c2)  # (q c2)^n - 1
+        dg = d + q * s2 / np.expm1(log_c2) * r  # g = c2_n q s2 / (q c2 - 1), where q c2 < 1
+    along = (1.0 - z_n.real) * d + c2_n * dg
+    return z_n.real * sig + z_n.imag * across + along * u
+
+
 def check_bloch(planes: np.ndarray) -> None:
     """Check ``(3, ...)`` Bloch planes as qubit states: entries finite and every
     |a| <= 1 + 2 ``EIG_TOL``.  A matrix rebuilt by :func:`density_matrices` has
@@ -172,25 +237,6 @@ def check_bloch(planes: np.ndarray) -> None:
         raise ContractViolationError("density matrix has a negative eigenvalue")
 
 
-def _trotter(r: np.ndarray, s: np.ndarray, t: float, ms: np.ndarray) -> np.ndarray:
-    """Outputs of ``ms[i]`` partial swaps of angle ``t / ms[i]`` on the 2x2
-    state ``s``, as ``(3, len(ms))`` Bloch planes in the order of ``ms``.  The
-    depths run longest first, so that step j is one kernel call on the prefix
-    of the batch that still has steps to take, and :func:`check_bloch` checks
-    each step's outputs as they are made."""
-    order = np.argsort(-ms, kind="stable")
-    depths = ms[order]
-    sig = np.repeat(bloch_planes(s)[:, None], ms.size, axis=1)
-    c2, s2a, csa = swap_operands(bloch_planes(r)[:, None], swap_coefficients(t / depths))
-    for j in range(depths[0]):
-        n = int(np.count_nonzero(depths > j))
-        sig[:, :n] = partial_swap(sig[:, :n], (c2[:n], s2a[:, :n], csa[:, :n]))
-        check_bloch(sig[:, :n])
-    final = np.empty_like(sig)
-    final[:, order] = sig
-    return final
-
-
 def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
     """exp(-i t rho) sigma exp(+i t rho), the channel's M -> infinity limit."""
     r, s = _pair(rho, sigma)
@@ -200,10 +246,12 @@ def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
 
 def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     """Trace distance between the M-step Trotterized channel and the exact
-    conjugation, for each depth M in ``ms``, all depths run as one batch.
-    Both registers must be valid qubit density matrices; they are checked
-    here, and the Trotter states by :func:`_trotter`.  For qubits the trace
-    distance is half the Euclidean distance between Bloch vectors."""
+    conjugation, for each depth M in ``ms``: every depth in one
+    :func:`partial_swap_power` call, with one exponent per entry, so a depth
+    of 10^9 costs what a depth of 1 does.  Both registers must be valid qubit
+    density matrices; they are checked here, and the final Trotter states by
+    one :func:`check_bloch` call.  For qubits the trace distance is half the
+    Euclidean distance between Bloch vectors."""
     if not np.isfinite(t):
         raise ContractViolationError("t must be finite")
     ms = np.asarray(ms)
@@ -213,5 +261,8 @@ def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     if r.shape != (2, 2):
         raise DimensionMismatchError(f"the closed form is for one qubit, got shape {r.shape}")
     r, s = check_density(np.array([r, s]))  # a Bloch vector has no trace to check later
+    instr, sig = bloch_planes(r)[:, None], bloch_planes(s)[:, None]
+    final = partial_swap_power(sig, instr, swap_coefficients(t / ms), ms)
+    check_bloch(final)
     exact = bloch_planes(exact_conjugation(r, s, t))[:, None]
-    return 0.5 * np.linalg.norm(_trotter(r, s, t, ms) - exact, axis=0)
+    return 0.5 * np.linalg.norm(final - exact, axis=0)

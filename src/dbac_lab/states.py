@@ -82,6 +82,20 @@ def check_density(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_pure(vecs: np.ndarray) -> None:
+    """The verdict and message :func:`check_density` gives on the outer
+    products |v><v| of a ``(..., d)`` stack of vectors, without building them.
+    Such a matrix is exactly Hermitian, its trace is |v|^2 (summed as complex
+    numbers, as :func:`check_density` sums a diagonal, so the bits agree), and
+    its eigenvalues are |v|^2 and 0, so only a non-finite entry or the trace
+    can fail."""
+    norms = (vecs * vecs.conj()).sum(axis=-1).real
+    if not np.isfinite(norms).all():
+        raise ContractViolationError("matrix contains NaN or Inf entries")
+    if np.abs(norms - 1.0).max() > DM_TOL:
+        raise ContractViolationError("density matrix trace differs from 1")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator."""
@@ -141,6 +155,19 @@ class HamiltonianSpec:
         """exp(scale * H) from the cached eigensystem; ``scale`` is not checked."""
         w, v = self.eig
         return (v * np.exp(complex(scale) * w)) @ v.conj().T
+
+    @functools.cached_property
+    def bloch_rotation(self) -> np.ndarray:
+        """For one qubit, the 3x3 rotation R[j, k] = Tr[(v^dag P_j v) P_k] / 2
+        (P = X, Y, Z; v the eigenvectors) that takes a Bloch vector in H's
+        eigenbasis to the computational basis, read-only."""
+        if self.num_qubits != 1:
+            raise DimensionMismatchError("a Bloch rotation needs a single-qubit H")
+        v = self.eig[1]
+        paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+        rot = np.array([[0.5 * np.trace(v.conj().T @ pj @ v @ pk).real for pk in paulis] for pj in paulis])
+        rot.setflags(write=False)
+        return rot
 
     @functools.cached_property
     def ground_projector(self) -> np.ndarray:

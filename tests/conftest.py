@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dbac_lab.errors import ContractViolationError
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,12 @@ def random_unitary(rng, dim=2):
 def random_state(rng, dim=2):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def verdict(check, arg):
+    """The message ``check(arg)`` raises, or None when it passes."""
+    try:
+        check(arg)
+    except ContractViolationError as err:
+        return str(err)
+    return None

@@ -322,14 +322,15 @@ class TestViaDmeBatch:
     @example(km=(200, 1), s=0.7, mode="fresh", noise=(0.0, 0.02))
     def test_long_chains_keep_states_physical(self, km, s, mode, noise):
         k, m = km
-        states, checked = [], []
-        swap, check = dbac.partial_swap, dbac.check_bloch
+        states, checked, copies = [], [], []
+        power, check = dbac.partial_swap_power, dbac.check_bloch
 
-        def recording_swap(sig, step):
-            # the kernel's input and output are Bloch planes: check the
-            # matrices they stand for
-            out = swap(sig, step)
-            states.extend(density_matrices(planes) for planes in (sig, out))
+        def recording_power(sig, instr, coeffs, n, q=1.0):
+            # the kernel's input and every copy it outputs are Bloch planes:
+            # check the matrices they stand for
+            out = power(sig, instr, coeffs, n, q)
+            copies.append(len(out))
+            states.extend([density_matrices(sig), density_matrices(np.moveaxis(out, 1, 0)).reshape(-1, 2, 2)])
             return out
 
         def recording_check(planes):
@@ -338,7 +339,7 @@ class TestViaDmeBatch:
             return check(planes)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dbac, "partial_swap", recording_swap)
+            mp.setattr(dbac, "partial_swap_power", recording_power)
             mp.setattr(dbac, "check_bloch", recording_check)
             records = dbac_via_dme(
                 np.linspace(0.2, 3.0, 3),
@@ -346,6 +347,7 @@ class TestViaDmeBatch:
                 NoiseModel(*noise) if noise else None,
             )
         assert records.instruction_energies.shape == (3, k * m)
+        assert copies == [m] * k
         # one check over every reported state: k + 1 states and k M marginals
         assert checked == [(3, k + 1 + k * m, 3)]
         batch = np.concatenate(states)
@@ -414,6 +416,79 @@ class TestRecordArrays:
         schedule = DbacSchedule(s=(0.3, 0.5), hamiltonian=_random_hamiltonian(rng, dim))
         rec = dbac_recursive_exact(PureState.from_vector(random_state(rng, dim)), schedule)
         self._assert_shapes(rec, (), k=2, n=0, traj=3 if dim == 2 else 0)
+
+
+def _oracle_records(schedule, states, marginals=(), shape=()):
+    """The record of a run's (k + 1, B, d, d) states and (n, B, d, d)
+    instruction marginals, in H's eigenbasis, by one density-matrix einsum
+    per observable, with the Paulis and the ground projector rotated into
+    that basis."""
+    _, b, d, _ = states.shape
+    marginals = np.reshape(marginals, (-1, b, d, d))
+    w, v = schedule.hamiltonian.eig
+
+    def expect(op, rho):
+        return np.einsum("ij,...ji->...", op, rho).real
+
+    energies = expect(np.diag(w), states)
+    variances = expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
+    fids = np.clip(expect(v.conj().T @ schedule.hamiltonian.ground_projector @ v, states), 0.0, 1.0)
+    instr_energies = expect(np.diag(w), marginals)
+    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+    bloch = np.stack([expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
+    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
+    e, var, f, traj, instr = (
+        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:])
+        for x in (energies, variances, fids, bloch, instr_energies)
+    )
+    return CoolingRecord(e, var, f, copies, traj, instr)
+
+
+class TestRecordsOracle:
+    """Records are read from populations and Bloch planes; the density-matrix
+    einsums they replaced are the oracle, on the states each engine checked."""
+
+    FIELDS = ("energies", "variances", "fidelities", "instruction_energies", "trajectory")
+
+    @staticmethod
+    def _recorded(monkeypatch, name):
+        seen = []
+        check = getattr(dbac, name)
+
+        def recording(arg):
+            seen.append(arg.copy())
+            return check(arg)
+
+        monkeypatch.setattr(dbac, name, recording)
+        return seen
+
+    def _assert_matches(self, rec, want):
+        assert rec.copies_consumed == want.copies_consumed
+        for name in self.FIELDS:
+            got, ref = getattr(rec, name), getattr(want, name)
+            assert got.shape == ref.shape, name
+            assert ref.size == 0 or np.abs(got - ref).max() <= 1e-14, name
+
+    @pytest.mark.parametrize("mode", RECURSION_MODES)
+    def test_via_dme(self, rng, monkeypatch, mode):
+        h = _random_hamiltonian(rng, 2)
+        assert np.abs(np.abs(h.eig[1]) - np.eye(2)).max() > 0.1  # not the computational basis
+        schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), hamiltonian=h, recursion=mode)
+        thetas = np.linspace(0.1, 3.0, 5)
+        seen = self._recorded(monkeypatch, "check_bloch")
+        rec = dbac_via_dme(thetas, schedule, NoiseModel(p1=1e-3, p2=1e-2))
+        mats = density_matrices(seen[0])  # (k + 1 + n, B, 2, 2)
+        self._assert_matches(rec, _oracle_records(schedule, mats[:4], mats[4:], thetas.shape))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("mode", RECURSION_MODES)
+    def test_recursive_exact(self, rng, monkeypatch, dim, mode):
+        h = _random_hamiltonian(rng, dim)
+        schedule = DbacSchedule(s=(0.3, 1.1, 0.5, 2.0), hamiltonian=h, recursion=mode)
+        seen = self._recorded(monkeypatch, "check_pure")
+        rec = dbac_recursive_exact(PureState.from_vector(random_state(rng, dim)), schedule)
+        (vecs,) = seen  # (k + 1, 1, d)
+        self._assert_matches(rec, _oracle_records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :]))
 
 
 class TestSynthesizeUk:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from dbac_lab.dme import (
     dme_step_exact,
     exact_conjugation,
     partial_swap,
+    partial_swap_power,
     reflector,
     swap_coefficients,
     swap_operands,
@@ -19,7 +22,7 @@ from dbac_lab.dme import (
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, check_density, rx_init
 
-from conftest import random_density
+from conftest import random_density, verdict
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -29,10 +32,29 @@ SEEDS = st.integers(0, 2**32 - 1)
 SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
 CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
 
+# Tolerances of the closed-form partial_swap_power: against the partial_swap
+# loop it composes, up to M = 64 and at the swap point (absolute, on Bloch
+# vectors) and, as a Trotter error, at M = 4096 (absolute); and M times the
+# error at M = 10^6 and at 4096 against M = 10^9 (relative: the 1/M law, and
+# its O(1/M) correction at 4096)
+POWER_TOL = {"loop": 1e-13, "swap_point": 1e-15, "deep_loop": 1e-12, "law": 1e-5, "law_4096": 1e-3}
+
 
 def _trotter(rho, sigma, t, m):
     """The final state of one M-step Trotter circuit, as a matrix."""
-    return density_matrices(dme._trotter(rho, sigma, t, np.array([m]))[:, 0])
+    return density_matrices(partial_swap_power(bloch_planes(sigma), bloch_planes(rho), swap_coefficients(t / m), m))
+
+
+def _loop_errors(rho, sigma, t, m):
+    """The trace-distance errors after 1..m partial swaps of angle t / m, by
+    the partial_swap loop on Bloch planes."""
+    sig, step = bloch_planes(sigma), swap_operands(bloch_planes(rho), swap_coefficients(t / m))
+    exact = bloch_planes(exact_conjugation(rho, sigma, t))
+    errs = []
+    for _ in range(m):
+        sig = partial_swap(sig, step)
+        errs.append(0.5 * np.linalg.norm(sig - exact))
+    return np.array(errs)
 
 
 def _error(rho, sigma, t, m):
@@ -222,13 +244,63 @@ class TestPartialSwap:
             assert np.linalg.eigvalsh(states).min() >= -1e-12
 
 
-def _verdict(check, arg):
-    """The message ``check(arg)`` raises, or None when it passes."""
-    try:
-        check(arg)
-    except ContractViolationError as err:
-        return str(err)
-    return None
+class TestPartialSwapPower:
+    @PROPERTY
+    @given(
+        seed=SEEDS,
+        m=st.integers(1, 64),
+        p2=st.floats(0.0, 0.1),
+        length=st.floats(0.0, 1.0),
+        antiparallel=st.booleans(),
+        per_entry=st.booleans(),
+    )
+    @example(seed=0, m=64, p2=0.0, length=0.0, antiparallel=False, per_entry=True)
+    @example(seed=1, m=64, p2=0.1, length=1.0, antiparallel=True, per_entry=False)
+    @example(seed=2, m=1, p2=0.05, length=0.0, antiparallel=True, per_entry=True)
+    @example(seed=4, m=3, p2=0.0, length=1e-300, antiparallel=False, per_entry=False)  # |a|^2 underflows
+    @example(seed=5, m=2, p2=0.01, length=5e-324, antiparallel=True, per_entry=True)
+    def test_matches_partial_swap_loop(self, seed, m, p2, length, antiparallel, per_entry):
+        # every copy of an m-swap step, and each entry's own exponent, against
+        # m partial_swap calls; |a| = 0 and a antiparallel to b included
+        rng = np.random.default_rng(seed)
+        batch = 4
+        sig = bloch_planes(np.array([random_density(rng) for _ in range(batch)]))
+        instr = -sig if antiparallel else bloch_planes(np.array([random_density(rng) for _ in range(batch)]))
+        instr *= length / np.linalg.norm(instr, axis=0)
+        coeffs = swap_coefficients(rng.uniform(-np.pi, np.pi, batch if per_entry else 1))
+        q = 1.0 - p2
+        copies = partial_swap_power(sig, instr, coeffs, np.arange(1, m + 1).reshape(-1, 1, 1), q)
+        assert copies.shape == (m, 3, batch)
+        want, step = [sig], swap_operands(instr, coeffs)
+        for _ in range(m):
+            want.append(q * partial_swap(want[-1], step))
+        assert np.abs(copies - np.array(want[1:])).max() <= POWER_TOL["loop"]
+        exponents = rng.integers(1, m + 1, batch)
+        own = partial_swap_power(sig, instr, coeffs, exponents, q)
+        assert np.abs(own - np.array(want)[exponents, :, np.arange(batch)].T).max() <= POWER_TOL["loop"]
+
+    def test_swap_point_and_full_depolarizing(self, rng):
+        # at delta = pi/2 (sin^2 = 1 exactly, cos^2 = 3.7e-33) every swap
+        # outputs the instruction; at p2 = 1 every output is I/2
+        instr = bloch_planes(np.array([random_density(rng) for _ in range(3)]))
+        sig = bloch_planes(np.array([random_density(rng) for _ in range(3)]))
+        instr[:, 0] = 0.0
+        coeffs = swap_coefficients(np.pi / 2)
+        assert coeffs[1] == 1.0
+        copies = partial_swap_power(sig, instr, coeffs, np.arange(1, 4).reshape(-1, 1, 1))
+        assert np.abs(copies - instr).max() < POWER_TOL["swap_point"]
+        assert np.abs(partial_swap(sig, swap_operands(instr, coeffs)) - instr).max() < POWER_TOL["swap_point"]
+        assert np.array_equal(partial_swap_power(sig, instr, swap_coefficients(0.4), np.array([1, 2, 7]), 0.0), 0 * sig)
+
+    def test_zero_angle_returns_sigma_exactly(self, rng):
+        instr = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
+        sig = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
+        instr[:, 2] = 0.0
+        copies = partial_swap_power(sig, instr, swap_coefficients(np.zeros(5)), np.arange(1, 9).reshape(-1, 1, 1))
+        assert all(np.array_equal(out, sig) for out in copies)
+        angles = np.array([0.3, 0.0, -1.0, 0.0, 0.0])
+        out = partial_swap_power(sig, instr, swap_coefficients(angles), np.array([3, 5, 1, 10**9, 1]))
+        assert np.array_equal(out[:, [1, 3, 4]], sig[:, [1, 3, 4]])
 
 
 class TestCheckBloch:
@@ -257,7 +329,7 @@ class TestCheckBloch:
                 planes[i, j] = value
         with np.errstate(invalid="ignore"):  # inf * 1j has a NaN real part
             matrices = density_matrices(planes)
-        assert _verdict(check_bloch, planes) == _verdict(check_density, matrices)
+        assert verdict(check_bloch, planes) == verdict(check_density, matrices)
 
 
 class TestDmeTrotter:
@@ -363,9 +435,8 @@ class TestDmeErrors:
         with pytest.raises(ContractViolationError):
             dme_errors(GROUND, PLUS, t, ms)
 
-    def test_every_intermediate_state_checked_once(self, monkeypatch):
-        # step j checks the outputs of the depths that took it, longest depth
-        # first, as they are made: each of the sum(ms) states exactly once
+    def test_each_final_state_checked_once(self, monkeypatch):
+        # one check, on the final state of every depth, in the order of ms
         checked = []
         check = dme.check_bloch
 
@@ -377,16 +448,28 @@ class TestDmeErrors:
         ms = [5, 1, 12, 5, 3]
         t = 0.9
         dme_errors(GROUND, PLUS, t, ms)
-        states = {m: [PLUS] for m in ms}
-        for m in states:
+        finals = []
+        for m in ms:
+            state = PLUS
             for _ in range(m):
-                states[m].append(dme_step_exact(GROUND, states[m][-1], t / m).matrix)
-        depths = sorted(ms, reverse=True)
-        assert len(checked) == max(ms)
-        assert sum(planes.shape[1] for planes in checked) == sum(ms)
-        for j, planes in enumerate(checked):
-            want = [states[m][j + 1] for m in depths if m > j]
-            assert np.abs(planes - bloch_planes(np.array(want))).max() < 1e-12
+                state = dme_step_exact(GROUND, state, t / m).matrix
+            finals.append(state)
+        assert len(checked) == 1 and checked[0].shape == (3, len(ms))
+        assert np.abs(checked[0] - bloch_planes(np.array(finals))).max() < 1e-12
+
+    def test_huge_depths_follow_the_one_over_m_law(self, rng):
+        # a depth costs what depth 1 does: M = 10^6 and 10^9 in milliseconds,
+        # where the loop would take seconds and hours; M times the error
+        # converges, and matches the partial_swap loop where it can run
+        rho, sigma, t = random_density(rng), random_density(rng), 0.9
+        ms = np.array([4096, 10**6, 10**9])
+        start = time.perf_counter()
+        errs = dme_errors(rho, sigma, t, ms)
+        assert time.perf_counter() - start < 0.25
+        assert abs(errs[0] - _loop_errors(rho, sigma, t, 4096)[-1]) < POWER_TOL["deep_loop"]
+        scaled = ms * errs
+        assert scaled[2] > 0 and abs(scaled[1] / scaled[2] - 1.0) < POWER_TOL["law"]
+        assert abs(scaled[0] / scaled[2] - 1.0) < POWER_TOL["law_4096"]
 
     def test_deep_circuits_match_exact_step_loop(self):
         ms = np.arange(1, 1001)
@@ -398,20 +481,21 @@ class TestDmeErrors:
         with pytest.raises(ContractViolationError, match="trace"):
             dme_errors(GROUND, 2 * PLUS, 0.9, [1, 3])
 
-    def test_trotter_run_makes_one_kernel_call_per_step(self, tmp_path, monkeypatch):
-        # one batch over all depths: m_max calls, not m_max (m_max + 1) / 2,
-        # step j on the m_max - j depths that still have steps to take
-        calls = []
-        swap = dme.partial_swap
+    def test_trotter_run_makes_one_kernel_call_over_all_depths(self, tmp_path, monkeypatch):
+        # every depth 1..m_max in one closed-form call, one exponent per
+        # entry, and no partial_swap loop
+        powers, swaps = [], []
+        power = dme.partial_swap_power
 
-        def counting_swap(sig, step):
-            calls.append(np.shape(sig))
-            return swap(sig, step)
+        def counting_power(sig, instr, coeffs, n, q=1.0):
+            powers.append(np.shape(n))
+            return power(sig, instr, coeffs, n, q)
 
-        monkeypatch.setattr(dme, "partial_swap", counting_swap)
+        monkeypatch.setattr(dme, "partial_swap_power", counting_power)
+        monkeypatch.setattr(dme, "partial_swap", lambda sig, step: swaps.append(np.shape(sig)))
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         cli.run_config(cfg)
-        assert calls == [(3, cfg.m_max - j) for j in range(cfg.m_max)]
+        assert powers == [(cfg.m_max,)] and swaps == []
 
 
 class TestQubitOnlyEntryPoints:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
@@ -10,6 +12,7 @@ from dbac_lab.states import (
     PureState,
     bloch_vector,
     check_density,
+    check_pure,
     energy,
     excess_energy,
     fidelity,
@@ -19,7 +22,7 @@ from dbac_lab.states import (
     rx_init,
 )
 
-from conftest import random_density as reference_density, random_unitary
+from conftest import random_density as reference_density, random_unitary, verdict
 
 H = HamiltonianSpec.default_single_qubit()
 
@@ -245,6 +248,34 @@ class TestCheckDensity:
         assert np.abs(DensityMatrix(batch[0]).matrix - out[0]).max() == 0.0
 
 
+class TestCheckPure:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 4]),
+        excess=st.lists(st.floats(-1e-11, 1e-11), min_size=3, max_size=3),
+        bad=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf, 1e200, 0.0])
+            ),
+            max_size=2,
+        ),
+        imaginary=st.booleans(),
+    )
+    @example(seed=0, dim=2, excess=[1e-11, 0.0, 0.0], bad=[], imaginary=False)
+    @example(seed=1, dim=4, excess=[0.0] * 3, bad=[(2, 3, np.nan)], imaginary=True)
+    def test_raises_exactly_when_the_matrix_check_does(self, seed, dim, excess, bad, imaginary):
+        # |v|^2 within 1e-11 of 1 straddles the DM_TOL trace bound
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        v *= np.sqrt(1.0 + np.array(excess))[:, None] / np.linalg.norm(v, axis=1, keepdims=True)
+        for i, j, value in bad:
+            v[i, j % dim] = complex(0.0, value) if imaginary else value
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, and 1e200 squared
+            matrices = v[:, :, None] * v.conj()[:, None, :]
+            assert verdict(check_pure, v) == verdict(check_density, matrices)
+
+
 class TestHamiltonianEigensystem:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_expm_matches_herm_expm(self, rng, dim):
@@ -265,3 +296,17 @@ class TestHamiltonianEigensystem:
         for arr in (h.matrix, *h.eig, h.ground_projector):
             assert not arr.flags.writeable
         assert np.array_equal(h.ground_projector, np.diag([1.0, 0.0]))
+
+    def test_bloch_rotation_takes_eigenbasis_vectors_to_the_computational_basis(self, rng):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = HamiltonianSpec(0.5 * (a + a.conj().T))
+        rot, v = h.bloch_rotation, h.eig[1]
+        assert np.abs(rot @ rot.T - np.eye(3)).max() < 1e-14 and not rot.flags.writeable
+        paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+        for _ in range(5):
+            rho = reference_density(rng)  # in the eigenbasis
+            r = [np.trace(p @ rho).real for p in paulis]
+            want = [np.trace(p @ v @ rho @ v.conj().T).real for p in paulis]
+            assert np.abs(rot @ r - want).max() < 1e-14
+        with pytest.raises(DimensionMismatchError):
+            HamiltonianSpec(np.eye(4)).bloch_rotation
