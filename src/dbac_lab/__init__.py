@@ -37,7 +37,6 @@ from .dme import (  # noqa: F401
     bloch_planes,
     density_matrices,
     dme_errors,
-    dme_step_exact,
     exact_conjugation,
     partial_swap,
     partial_swap_power,
@@ -46,11 +45,9 @@ from .dme import (  # noqa: F401
     swap_operands,
 )
 from .states import (  # noqa: F401
-    BlochVector,
     DensityMatrix,
     HamiltonianSpec,
     PureState,
-    bloch_vector,
     energy,
     excess_energy,
     fidelity,

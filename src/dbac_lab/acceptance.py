@@ -7,7 +7,8 @@ Runtimes vary between runs, so they stay out of the summary that
 `acceptance.json` holds (identical runs write identical bytes); the CLI puts
 them in the run's manifest.  Criteria 1 and 2 check the energy law and the
 swap point on the batched engines the program runs, one call each; the tests
-check those engines against the dense `dbac_step_exact` and `dme_step_exact`.
+check those engines against the dense `dbac_step_exact` and the
+kron-and-partial-trace step in `tests/oracles.py`.
 Criteria 2 and 4 compose their compiled circuits by `circuit_unitaries`;
 criterion 4 compares its 100 with each other and with the closed forms
 `partial_swap_unitaries`, and CZ/CNOT/SWAP with their tables, in four stacked

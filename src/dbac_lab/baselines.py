@@ -5,32 +5,20 @@ The compression circuit swaps the register into the reset line, then applies a
 controlled bit-flip pair, a doubly-controlled flip back onto the target, and
 the controlled pair again.  For product thermal inputs with polarizations
 (e1, e2, e3) the target polarization becomes (e1 + e2 + e3 - e1 e2 e3)/2,
-a 3/2 boost at small equal polarization.
+a 3/2 boost at small equal polarization.  `baselines` iterates that closed
+form, :func:`hbac_round_closed`, with bath reset, toward its fixed point
+2 eb / (1 + eb^2): the asymptotic 3-qubit limit of Rodriguez-Briones and
+Laflamme, PRL 116, 170501 (2016).  Its oracle, the dense round
+(:func:`ppa_round`), is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import DensityMatrix
-
-
-@dataclass(frozen=True)
-class PolarizedQubit:
-    """Diagonal single-qubit state (1/2) diag(1 + eps, 1 - eps)."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not abs(self.eps) <= 1.0:  # NaN fails too
-            raise ContractViolationError("polarization must lie in [-1, 1]")
-
-    def density(self) -> DensityMatrix:
-        return thermal_qubit(self.eps)
 
 
 def thermal_qubit(eps: float) -> DensityMatrix:
@@ -78,19 +66,12 @@ def target_polarization(rho3: DensityMatrix) -> float:
     return float(np.trace(zii @ rho3.matrix).real)
 
 
-def hbac_step(eps_reg: list[PolarizedQubit], eps_bath: float) -> list[PolarizedQubit]:
-    """One bath-coupled round: compress, keep the target marginal, re-thermalize
-    the computational qubits to the bath polarization."""
-    if len(eps_reg) != 3:
-        raise ContractViolationError("the register holds exactly 3 qubits")
-    if not abs(eps_bath) <= 1.0:
-        raise ContractViolationError("bath polarization must lie in [-1, 1]")
-    rho = DensityMatrix(
-        qmath.kron_all([q.density().matrix for q in eps_reg])
-    )
-    out = ppa_round(rho)
-    new_target = target_polarization(out)
-    return [PolarizedQubit(new_target), PolarizedQubit(eps_bath), PolarizedQubit(eps_bath)]
+def hbac_round_closed(eps_target: float, eps_1: float, eps_2: float) -> float:
+    """Target polarization after one compression round of product thermal
+    qubits: (e_t + e_1 + e_2 - e_t e_1 e_2) / 2."""
+    if not all(abs(e) <= 1.0 for e in (eps_target, eps_1, eps_2)):  # NaN fails too
+        raise ContractViolationError("polarization must lie in [-1, 1]")
+    return (eps_target + eps_1 + eps_2 - eps_target * eps_1 * eps_2) / 2
 
 
 def cem_round_closed(x: float) -> dict[str, float]:

@@ -80,7 +80,6 @@ class Gate:
 class Circuit:
     num_qubits: int
     gates: tuple[Gate, ...]
-    label: str = ""
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= 5:
@@ -127,11 +126,6 @@ def _gate_matrices(gates: Sequence[Gate]) -> np.ndarray:
 def gate_matrix(g: Gate) -> np.ndarray:
     """The unitary of one gate; a barrier has none."""
     return _gate_matrices([g])[0]
-
-
-def rzz_matrix(phi: float) -> np.ndarray:
-    """exp(-i phi ZZ / 2), diagonal in the computational basis; phi must be finite."""
-    return gate_matrix(Gate("RZZ", (phi,), (0, 1)))
 
 
 def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]], np.ndarray]:
@@ -213,12 +207,12 @@ def _udme_gates(phi: float, q0: int, q1: int, scheme: str) -> list[Gate]:
 
 def compile_udme_native(phi: float) -> Circuit:
     """Partial-swap compilation with RX/RY basis changes around three RZZ blocks."""
-    return Circuit(2, _udme_gates(phi, 0, 1, "native"), label=f"udme_native({phi:.6g})")
+    return Circuit(2, _udme_gates(phi, 0, 1, "native"))
 
 
 def compile_udme_hs(phi: float) -> Circuit:
     """Same target unitary via Hadamard / phase-gate basis changes."""
-    return Circuit(2, _udme_gates(phi, 0, 1, "hs"), label=f"udme_hs({phi:.6g})")
+    return Circuit(2, _udme_gates(phi, 0, 1, "hs"))
 
 
 def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
@@ -241,7 +235,7 @@ def _cz_gates(q0: int, q1: int) -> list[Gate]:
 
 def compile_cz() -> Circuit:
     """CZ from one RZZ(pi/2) plus local corrections."""
-    return Circuit(2, tuple(_cz_gates(0, 1)), label="cz")
+    return Circuit(2, tuple(_cz_gates(0, 1)))
 
 
 def _cnot_gates(control: int, target: int) -> list[Gate]:
@@ -250,13 +244,13 @@ def _cnot_gates(control: int, target: int) -> list[Gate]:
 
 def compile_cnot() -> Circuit:
     """CNOT as H-conjugated CZ (control 0, target 1)."""
-    return Circuit(2, tuple(_cnot_gates(0, 1)), label="cnot")
+    return Circuit(2, tuple(_cnot_gates(0, 1)))
 
 
 def compile_swap3() -> Circuit:
     """SWAP from three alternating CNOTs."""
     gates = _cnot_gates(0, 1) + _cnot_gates(1, 0) + _cnot_gates(0, 1)
-    return Circuit(2, tuple(gates), label="swap3")
+    return Circuit(2, tuple(gates))
 
 
 # Each cooling layout: its partial swaps per step, then its stages, each the
@@ -291,7 +285,7 @@ def build_circuit(which: str, theta: float, phi: float = np.pi / 4) -> Circuit:
         gates.append(Gate("BARRIER"))
         gates += [Gate("RZ", (-2 * t,), (q,)) for q in echo]
         gates += [g for q0, q1 in pairs for g in _udme_gates(phi, q0, q1, "native")]
-    return Circuit(n, gates, label=which)
+    return Circuit(n, gates)
 
 
 def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
@@ -300,7 +294,7 @@ def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
         replace(g, params=(g.params[0] + delta_phi,)) if g.kind == "RZZ" else g
         for g in c.gates
     )
-    return Circuit(c.num_qubits, gates, label=c.label)
+    return Circuit(c.num_qubits, gates)
 
 
 # --- Stark-drive interaction-rate model ---------------------------------------

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, acceptance
-from .baselines import PolarizedQubit, cem_round_closed, hbac_step
+from .baselines import cem_round_closed, hbac_round_closed
 from .circuits import compile_udme_native
 from .dbac import (
     RECURSION_MODES,
@@ -133,11 +133,15 @@ def _built(keys: str):
     return wrap
 
 
-def _grid(start: float, stop: float, count: int) -> np.ndarray:
-    """np.linspace(start, stop, count), read-only; its span must be finite."""
+def _grid(start: float, stop: float, count: int, count_key: str) -> np.ndarray:
+    """np.linspace(start, stop, count), read-only; its span must be finite,
+    and a count numpy cannot build is a config error naming `count_key`."""
     if not np.isfinite(stop - start):
         raise ContractViolationError("the grid's span must be finite")
-    grid = np.linspace(start, stop, count)
+    try:
+        grid = np.linspace(start, stop, count)
+    except (ValueError, MemoryError) as exc:  # too large to index, or to allocate
+        raise ConfigError(f"{count_key}: cannot build a grid of {count} points ({exc})") from exc
     grid.setflags(write=False)
     return grid
 
@@ -221,11 +225,11 @@ class ExperimentConfig:
 
     @_built("theta_start/theta_stop")
     def theta_grid(self) -> np.ndarray:
-        return _grid(self.theta_start, self.theta_stop, self.theta_count)
+        return _grid(self.theta_start, self.theta_stop, self.theta_count, "theta_count")
 
     @_built("s_start/s_stop")
     def s_grid(self) -> np.ndarray:
-        return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count))
+        return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count, "s_count"))
 
 
 # key -> parser (unknown keys are rejected with the key name), key -> default,
@@ -366,12 +370,12 @@ def _run_ptm(cfg: ExperimentConfig) -> dict:
 
 
 def _run_baselines(cfg: ExperimentConfig) -> dict:
-    rows = []
-    reg = [PolarizedQubit(cfg.eps0)] * 3
-    rows.append([0, "hbac", "target_polarization", reg[0].eps])
+    eps = cfg.eps0
+    rows = [[0, "hbac", "target_polarization", eps]]
     for r in range(1, cfg.rounds + 1):
-        reg = hbac_step(reg, cfg.eps_bath)
-        rows.append([r, "hbac", "target_polarization", reg[0].eps])
+        bath = cfg.eps0 if r == 1 else cfg.eps_bath  # round 1 compresses three eps0 qubits
+        eps = hbac_round_closed(eps, bath, bath)
+        rows.append([r, "hbac", "target_polarization", eps])
     x = cfg.x0
     rows.append([0, "cem", "mixedness", x])
     for r in range(1, cfg.rounds + 1):

@@ -268,7 +268,8 @@ def dbac_via_dme(
     :func:`dme.check_bloch` call on their stacked planes; the observables are
     read from those planes, as populations (1 +- z) / 2 and, rotated by H's
     :attr:`~HamiltonianSpec.bloch_rotation`, as the trajectory.
-    :func:`dme.dme_step_exact` is the oracle this is tested against, not called here.
+    The dense kron-and-partial-trace step in ``tests/oracles.py`` is the
+    oracle this is tested against.
     """
     if schedule.m is None:
         raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
@@ -368,8 +369,9 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # final_fidelities_over_s call, and once per depth for the search grid
 # (_grid_table), never once per probe.  The search runs every (angle, step
 # size) pair of a call as one batch entry and skips the instruction
-# marginals.  The dense dbac_step_exact and dme_step_exact are the oracles,
-# and _exact_steps is the oracle of the Bloch-plane reflectors.
+# marginals.  The dense dbac_step_exact and the kron-and-partial-trace step in
+# tests/oracles.py are the oracles, and _exact_steps is the oracle of the
+# Bloch-plane reflectors.
 
 
 def _exact_steps(psi0, steps, w, recursion):

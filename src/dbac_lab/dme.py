@@ -60,11 +60,10 @@ outside any loop:
   reflector oracle renormalizes its state vectors: a rotation about a
   non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
 
-:func:`dme_step_exact` keeps the definition itself, a kron of the two
-registers conjugated by exp(-i delta SWAP) and partially traced; it serves
-only as the oracle the kernel is tested against, for any register dimension
-d.  :func:`exact_conjugation` is the M -> infinity limit that
-:func:`dme_errors` measures against.
+The definition itself, a kron of the two registers conjugated by
+exp(-i delta SWAP) and partially traced, is the oracle the kernel is tested
+against, in ``tests/oracles.py``.  :func:`exact_conjugation` is the
+M -> infinity limit that :func:`dme_errors` measures against.
 """
 
 from __future__ import annotations
@@ -97,16 +96,6 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     if r.shape != s.shape:
         raise DimensionMismatchError("instruction and data registers differ in dimension")
     return r, s
-
-
-def dme_step_exact(rho, sigma, delta: float) -> DensityMatrix:
-    """Tr_instr[ U (rho (x) sigma) U^dag ] with U = exp(-i delta SWAP)."""
-    r, s = _pair(rho, sigma)
-    d = r.shape[0]
-    u = qmath.herm_expm(qmath.swap_operator(d), -1j * delta)
-    joint = u @ np.kron(r, s) @ u.conj().T
-    part = qmath.QubitPartition(dims=(d, d), keep=(1,))
-    return DensityMatrix(qmath.partial_trace(joint, part))
 
 
 def bloch_planes(rho) -> np.ndarray:

@@ -43,11 +43,6 @@ def check_square_power_of_two(a: np.ndarray) -> int:
     return rows.bit_length() - 1
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def kron_all(mats: Iterable) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left factor most significant."""
     out = np.array([[1.0 + 0j]])
@@ -76,10 +71,6 @@ class QubitPartition:
             raise ContractViolationError("keep index out of range")
         if len(self.keep) == len(self.dims):
             raise ContractViolationError("keep must be a strict subset when tracing")
-
-    @classmethod
-    def qubits(cls, n: int, keep: Sequence[int]) -> "QubitPartition":
-        return cls(dims=(2,) * n, keep=tuple(keep))
 
 
 def partial_trace(m, part: QubitPartition) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -109,13 +109,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def num_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 State = Union[PureState, DensityMatrix]
 
@@ -179,15 +172,6 @@ class HamiltonianSpec:
         return p
 
 
-class BlochVector(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-
 def _as_density_array(state: State) -> np.ndarray:
     if isinstance(state, PureState):
         return np.outer(state.amplitudes, state.amplitudes.conj())
@@ -235,18 +219,6 @@ def fidelity(a: State, b: State) -> float:
         raise DimensionMismatchError("state dimensions differ")
     val = np.vdot(pure.amplitudes, mixed.matrix @ pure.amplitudes).real
     return float(min(max(val, 0.0), 1.0))
-
-
-def bloch_vector(state: State) -> BlochVector:
-    """Pauli expectation values of a single-qubit state."""
-    rho = _as_density_array(state)
-    if rho.shape != (2, 2):
-        raise DimensionMismatchError("Bloch vector requires a single qubit")
-    return BlochVector(
-        x=float(np.trace(qmath.PAULI_X @ rho).real),
-        y=float(np.trace(qmath.PAULI_Y @ rho).real),
-        z=float(np.trace(qmath.PAULI_Z @ rho).real),
-    )
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:

@@ -9,16 +9,14 @@ row (1, 0, ..., 0).
 PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
 :func:`ptm_of_circuits` builds the PTMs of a batch of circuits on one register
 from the gate stack `circuits.embedded_gates` gives (each distinct gate object
-embedded once), turned into one stack of PTMs by one transfer (the primitive
-:func:`ptm_of_kraus` sums); each enabled noise model applies each qubit set's
-noise PTM (diagonal for depolarizing, a Kronecker product of one-qubit PTMs
-for damping and dephasing), built once, to a copy of that stack; and
-`circuits.compose` multiplies every circuit's PTMs in gate order, the same
-product that gives the circuits' unitaries.  :func:`partial_swap_ptms` gives
-the ideal PTMs the compiled partial swaps are checked against.
-:func:`ptm_of_channel` is the black-box route, which probes a channel given as
-a callable with every Pauli string; the tests use it on a dense gate-by-gate
-channel as the oracle the composed PTMs are checked against.
+embedded once), turned into one stack of PTMs by one transfer; each enabled
+noise model applies each qubit set's noise PTM (diagonal for depolarizing, a
+Kronecker product of one-qubit PTMs for damping and dephasing), built once, to
+a copy of that stack; and `circuits.compose` multiplies every circuit's PTMs
+in gate order, the same product that gives the circuits' unitaries.
+:func:`partial_swap_ptms` gives the ideal PTMs the compiled partial swaps are
+checked against.  The tests check the composed PTMs against their oracle in
+``tests/oracles.py``: a dense gate-by-gate channel probed with every Pauli string.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,19 +86,6 @@ def _ptm(r: np.ndarray, n: int) -> PTM:
     return PTM(n_qubits=n, r=r, trace_preserving=tp)
 
 
-def ptm_of_channel(ch: Callable[[np.ndarray], np.ndarray], n: int) -> PTM:
-    """Tomograph a channel callable by probing it with the Pauli basis.
-
-    This is the black-box route; the tests use it as the oracle that the
-    composed PTMs of :func:`ptm_of_circuits` are checked against.
-    """
-    basis = _pauli_basis(n)
-    rows = basis.reshape(len(basis), -1)
-    images = np.array([ch(p) for p in basis]).reshape(len(basis), -1)
-    # Tr[P_i X] = <P_i, X>, the Hilbert-Schmidt product, as P_i is Hermitian
-    return _ptm((rows.conj() @ images.T).real / 2**n, n)
-
-
 def _transfer(ops: np.ndarray, n: int) -> np.ndarray:
     """The (G, 4^n, 4^n) PTMs R_ij = Tr[P_i K P_j K^dag] / 2^n of rho -> K rho K^dag
     for each K of a (G, 2^n, 2^n) stack: one einsum builds every superoperator
@@ -111,16 +96,6 @@ def _transfer(ops: np.ndarray, n: int) -> np.ndarray:
     sup = np.einsum("gab,gcd->gacbd", ops, ops.conj()).reshape(len(ops), d * d, d * d)
     rows = basis.reshape(len(basis), -1)
     return (rows.conj() @ sup @ rows.T).real / d
-
-
-def ptm_of_kraus(kraus: Sequence[np.ndarray], n: int) -> PTM:
-    """PTM of rho -> sum_K K rho K^dag on n <= 2 qubits, the sum of the Kraus
-    operators' stacked PTMs; a unitary is a single Kraus operator."""
-    d = _pauli_basis(n).shape[1]
-    k = np.asarray(kraus, dtype=complex)
-    if k.ndim != 3 or k.shape[1:] != (d, d):
-        raise DimensionMismatchError(f"Kraus operators on {n} qubit(s) must be {d}x{d}")
-    return _ptm(_transfer(k, n).sum(axis=0), n)
 
 
 # the duration of a single- and a two-qubit gate, for damping and dephasing

@@ -11,7 +11,7 @@ basin edge near 178.1 degrees).
 import numpy as np
 import pytest
 
-from dbac_lab import acceptance, dbac, dme, qmath
+from dbac_lab import acceptance, dbac, qmath
 
 
 def _report(result):
@@ -145,10 +145,7 @@ def _forbid_dense_oracles(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a dense per-point oracle was called")
 
-    for module in (acceptance, dbac, dme):
-        for name in ("dbac_step_exact", "dme_step_exact"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, dense)
+    monkeypatch.setattr(dbac, "dbac_step_exact", dense)
 
 
 class TestOneEngineBatch:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbac_lab import qmath
+from dbac_lab import cli, qmath
 from dbac_lab.baselines import (
-    PolarizedQubit,
     cem_round_closed,
     cem_round_simulated,
-    hbac_step,
+    hbac_round_closed,
     mixedness_of,
     ppa_round,
     target_polarization,
@@ -17,6 +18,7 @@ from dbac_lab.errors import ContractViolationError
 from dbac_lab.states import DensityMatrix, PureState, pseudo_pure, rx_init
 
 from conftest import random_unitary
+from oracles import hbac_round_dense
 
 
 def _product_register(*eps):
@@ -79,47 +81,79 @@ class TestPpaRound:
             ppa_round(DensityMatrix(np.eye(4) / 4))
 
 
+POLARIZATIONS = st.floats(-1.0, 1.0)
+
+
+def _rounds(eps0, eps_bath, rounds, step=hbac_round_closed):
+    """Target polarizations of a bath-coupled run, as `baselines` iterates
+    them: round 1 compresses three eps0 qubits, each later round the target
+    and two qubits reset to the bath."""
+    eps = [eps0]
+    for r in range(rounds):
+        bath = eps0 if r == 0 else eps_bath
+        eps.append(step(eps[-1], bath, bath))
+    return eps
+
+
 class TestHbacStep:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(eps=st.tuples(POLARIZATIONS, POLARIZATIONS, POLARIZATIONS))
+    def test_closed_form_matches_dense_round(self, eps):
+        assert abs(hbac_round_closed(*eps) - hbac_round_dense(*eps)) < 1e-15
+
     def test_all_zero_forever(self):
-        reg = [PolarizedQubit(0.0)] * 3
-        for _ in range(4):
-            reg = hbac_step(reg, 0.0)
-        assert all(q.eps == 0 for q in reg)
+        assert _rounds(0.0, 0.0, 4) == [0.0] * 5
 
-    def test_rounds_monotone_and_bounded(self):
-        reg = [PolarizedQubit(0.0)] * 3
-        prev = 0.0
-        for _ in range(12):
-            reg = hbac_step(reg, 0.1)
-            assert reg[0].eps >= prev - 1e-12
-            assert reg[0].eps <= 1.0
-            prev = reg[0].eps
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(eb=POLARIZATIONS)
+    def test_rounds_monotone_and_bounded(self, eb):
+        # from 0 toward the limit and never past it, to the last bit's wobble there
+        eps = np.array(_rounds(0.0, eb, 60))
+        assert (np.sign(eb) * np.diff(eps) >= -1e-15).all()
+        assert (np.abs(eps) <= abs(2 * eb / (1 + eb * eb)) + 1e-15).all()
+        assert np.abs(eps[:13] - _rounds(0.0, eb, 12, hbac_round_dense)).max() < 1e-15
 
-    def test_steady_state_fixed_point(self):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(eb=POLARIZATIONS)
+    def test_steady_state_fixed_point(self, eb):
         # target polarization 2 eb / (1 + eb^2) is invariant under another round
-        eb = 0.2
         steady = 2 * eb / (1 + eb * eb)
-        reg = [PolarizedQubit(steady), PolarizedQubit(eb), PolarizedQubit(eb)]
-        out = hbac_step(reg, eb)
-        assert out[0].eps == pytest.approx(steady, abs=1e-12)
-        assert [q.eps for q in out[1:]] == [eb, eb]
+        assert hbac_round_closed(steady, eb, eb) == pytest.approx(steady, abs=1e-15)
+        assert hbac_round_dense(steady, eb, eb) == pytest.approx(steady, abs=1e-12)
 
-    def test_converges_to_steady_state(self):
-        eb = 0.1
-        reg = [PolarizedQubit(0.0)] * 3
-        for _ in range(60):
-            reg = hbac_step(reg, eb)
-        assert reg[0].eps == pytest.approx(2 * eb / (1 + eb * eb), abs=1e-9)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(eb=POLARIZATIONS)
+    def test_converges_to_steady_state(self, eb):
+        # the asymptotic 3-qubit limit of Rodriguez-Briones and Laflamme, PRL 116, 170501 (2016)
+        assert _rounds(0.0, eb, 60)[-1] == pytest.approx(2 * eb / (1 + eb * eb), abs=1e-15)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(eps=POLARIZATIONS)
+    def test_exact_halving_with_a_cold_bath(self, eps):
+        assert hbac_round_closed(eps, 0.0, 0.0) == eps / 2
 
     @pytest.mark.parametrize("eps_t,eps_b", [(0.0, 0.1), (0.1, 0.1), (0.15, 0.3), (0.4, 0.5)])
     def test_never_decreases_when_bath_at_least_target(self, eps_t, eps_b):
-        reg = [PolarizedQubit(eps_t), PolarizedQubit(eps_b), PolarizedQubit(eps_b)]
-        out = hbac_step(reg, eps_b)
-        assert out[0].eps >= eps_t - 1e-12
+        out = hbac_round_closed(eps_t, eps_b, eps_b)
+        assert out >= eps_t - 1e-12
+        assert abs(out - hbac_round_dense(eps_t, eps_b, eps_b)) < 1e-15
 
-    def test_register_size_checked(self):
-        with pytest.raises(ContractViolationError):
-            hbac_step([PolarizedQubit(0.1)] * 2, 0.1)
+    @pytest.mark.parametrize("eps", [(1.2, 0.1, 0.1), (0.1, -1.5, 0.1), (0.1, 0.1, np.nan)])
+    def test_polarizations_checked(self, eps):
+        with pytest.raises(ContractViolationError, match="polarization must lie in"):
+            hbac_round_closed(*eps)
+
+    def test_baselines_run_builds_no_density_matrix(self, tmp_path, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense register was built")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", dense)
+        cfg = cli.validate_config(None, experiment="baselines", out_override=tmp_path / "out")
+        rows = cli._run_baselines(cfg)["baselines.csv"][1]
+        monkeypatch.undo()
+        got = [value for _, protocol, _, value in rows if protocol == "hbac"]
+        want = _rounds(cfg.eps0, cfg.eps_bath, cfg.rounds, hbac_round_dense)
+        assert len(got) == cfg.rounds + 1 and np.abs(np.subtract(got, want)).max() < 1e-15
 
 
 class TestCemClosed:

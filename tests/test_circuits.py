@@ -23,7 +23,6 @@ from dbac_lab.circuits import (
     gate_matrix,
     partial_swap_unitaries,
     perturb_rzz,
-    rzz_matrix,
     sizzle_zz_rate,
 )
 from dbac_lab.dbac import DbacSchedule, dbac_energy_analytic, dbac_via_dme
@@ -58,9 +57,7 @@ def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
     state[0] = 1.0
     out = u @ state
     rho = np.outer(out, out.conj())
-    red = qmath.partial_trace(
-        rho, qmath.QubitPartition.qubits(c.num_qubits, keep=[DBAC_TARGET_QUBIT[which]])
-    )
+    red = qmath.partial_trace(rho, qmath.QubitPartition((2,) * c.num_qubits, keep=(DBAC_TARGET_QUBIT[which],)))
     return float(np.trace(H1.matrix @ red).real)
 
 
@@ -75,12 +72,12 @@ class TestCircuitUnitary:
     def test_rzz_matches_expm(self):
         for phi in (0.3, -1.1, 2.9):
             target = qmath.herm_expm(np.kron(qmath.PAULI_Z, qmath.PAULI_Z), -1j * phi / 2)
-            assert np.abs(rzz_matrix(phi) - target).max() < 1e-14
+            assert np.abs(gate_matrix(Gate("RZZ", (phi,), (0, 1))) - target).max() < 1e-14
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rzz_rejects_non_finite_angle(self, phi):
         with pytest.raises(ContractViolationError, match="gate angles must be finite"):
-            rzz_matrix(phi)
+            gate_matrix(Gate("RZZ", (phi,), (0, 1)))
 
     def test_barrier_has_no_effect(self):
         with_barrier = Circuit(2, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("H", (), (1,))))
@@ -204,8 +201,8 @@ class TestGateSequences:
         assert words(compile_udme_hs(phi), ph=phi) == SEQUENCES["hs"]
 
     def test_table_constructions(self):
-        for c in (compile_cz(), compile_cnot(), compile_swap3()):
-            assert words(c) == SEQUENCES[c.label]
+        for compile_table, key in ((compile_cz, "cz"), (compile_cnot, "cnot"), (compile_swap3, "swap3")):
+            assert words(compile_table()) == SEQUENCES[key]
 
     @pytest.mark.parametrize("compile_udme, fixed", [(compile_udme_hs, 12), (compile_udme_native, 8)])
     @pytest.mark.parametrize("k", [1, 2, 7])

@@ -638,6 +638,11 @@ class TestUnusableValuesRejected:
             ("experiment = sweep-theta\ns = 1e308\n", False),
             ("experiment = trajectory\nm = 2\ns = 1e308\n", False),
             ("experiment = trajectory\nm = exact\ns = -1e308\n", False),
+            # a grid count numpy cannot index or size: rejected before anything is allocated
+            ("experiment = sweep-theta\ntheta_count = 10000000000000000000\n", False),
+            ("experiment = sweep-theta\ntheta_count = 4611686018427387904\n", False),
+            ("experiment = sweep-s\ns_count = 10000000000000000000\n", False),
+            ("experiment = sweep-s\ns_count = 4611686018427387904\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):
@@ -651,7 +656,8 @@ class TestUnusableValuesRejected:
 
 class TestDerivedValueErrorsNameKeys:
     # a library contract violation while building what the runner reads is a
-    # config error that names the keys the failed value derives from
+    # config error that names the keys the failed value derives from; a grid
+    # count numpy cannot build names its count key
     @pytest.mark.parametrize(
         "text, keys",
         [
@@ -661,6 +667,8 @@ class TestDerivedValueErrorsNameKeys:
             ("experiment = trajectory\nm = 2\ns = 1e308\n", "s/m"),
             ("experiment = sweep-s\ntheta_start = -1e308\ntheta_stop = 1e308\n", "theta_start/theta_stop"),
             ("experiment = sweep-s\ns_stop = 1e308\n", "s_start/s_stop"),
+            ("experiment = sweep-theta\ntheta_count = 10000000000000000000\n", "theta_count"),
+            ("experiment = sweep-s\ns_count = 4611686018427387904\n", "s_count"),
         ],
     )
     def test_message_names_keys(self, tmp_path, capsys, text, keys):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import dbac, qmath
-from dbac_lab.baselines import PolarizedQubit, hbac_step, thermal_qubit
+from dbac_lab.baselines import hbac_round_closed, thermal_qubit
 from dbac_lab.circuits import SizzleParams
 from dbac_lab.dbac import (
     BasinResult,
@@ -25,14 +25,15 @@ from dbac_lab.dbac import (
     step_size_grid,
     synthesize_uk,
 )
-from dbac_lab.dme import bloch_planes, density_matrices, dme_step_exact, reflector
+from dbac_lab.dme import bloch_planes, density_matrices, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from dbac_lab.states import (
-    HamiltonianSpec, PureState, bloch_vector, energy, excess_energy, fidelity, rx_init, variance
+    HamiltonianSpec, PureState, energy, excess_energy, fidelity, rx_init, variance
 )
 from dbac_lab.tomography import NoiseModel
 
 from conftest import random_density, random_state, random_unitary
+from oracles import dme_step_exact, pauli_expectations
 
 H = HamiltonianSpec.default_single_qubit()
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -735,7 +736,7 @@ def _oracle_recursive_exact(psi, schedule, ground):
             u = qmath.herm_expm(h.matrix, 1j * t) @ reflector(current, t) @ qmath.herm_expm(h.matrix, -1j * t)
             states.append(PureState.from_vector(u @ psi.amplitudes))
     fids = [float(np.sum(np.abs(ground.conj().T @ s.amplitudes) ** 2)) for s in states]
-    traj = [bloch_vector(s) for s in states] if psi.num_qubits == 1 else []
+    traj = [pauli_expectations(s.density().matrix) for s in states] if psi.num_qubits == 1 else []
     return [energy(s, h) for s in states], variances, fids, traj
 
 
@@ -1308,15 +1309,15 @@ _SIZZLE = dict(
         (lambda: synthesize_uk(H, [0.1, np.inf]), ContractViolationError, "must be finite"),
         (lambda: excess_energy(0.5, np.nan), ContractViolationError, "tau must be nonnegative"),
         (lambda: excess_energy(np.nan, 0.1), DegenerateInputError, r"f0 must lie in \(0, 1\]"),
-        (lambda: PolarizedQubit(np.nan), ContractViolationError, "polarization must lie in"),
+        (lambda: hbac_round_closed(np.nan, 0.1, 0.1), ContractViolationError, "polarization must lie in"),
         (lambda: thermal_qubit(np.nan), ContractViolationError, "polarization must lie in"),
-        (lambda: hbac_step([PolarizedQubit(0.1)] * 3, np.nan), ContractViolationError, "bath polarization"),
+        (lambda: hbac_round_closed(0.1, np.nan, np.nan), ContractViolationError, "polarization must lie in"),
         (lambda: SizzleParams(**{**_SIZZLE, "j": np.nan}), ContractViolationError, "must be finite"),
         (lambda: SizzleParams(**{**_SIZZLE, "delta0d": np.inf}), ContractViolationError, "must be finite"),
     ],
     ids=[
         "energy-law-e0", "energy-law-t", "synthesize-nan-step", "synthesize-inf-step", "excess-energy-tau",
-        "excess-energy-f0", "polarized-qubit", "thermal-qubit", "hbac-bath", "sizzle-j", "sizzle-inf-denominator",
+        "excess-energy-f0", "hbac-target", "thermal-qubit", "hbac-bath", "sizzle-j", "sizzle-inf-denominator",
     ],
 )
 def test_library_rejects_nan_inputs(call, error, match):

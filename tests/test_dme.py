@@ -11,7 +11,6 @@ from dbac_lab.dme import (
     check_bloch,
     density_matrices,
     dme_errors,
-    dme_step_exact,
     exact_conjugation,
     partial_swap,
     partial_swap_power,
@@ -23,6 +22,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, check_density, rx_init
 
 from conftest import random_density, verdict
+from oracles import dme_step_exact
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)

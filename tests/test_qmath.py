@@ -15,38 +15,38 @@ I2, X, Y, Z = qmath.I2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(qmath.kron(I2, I2), np.eye(4))
+        assert np.array_equal(qmath.kron_all([I2, I2]), np.eye(4))
 
     def test_diagonal_paulis(self):
-        assert np.array_equal(qmath.kron(Z, Z), np.diag([1, -1, -1, 1.0]))
+        assert np.array_equal(qmath.kron_all([Z, Z]), np.diag([1, -1, -1, 1.0]))
 
     def test_xx_squared_is_identity(self):
-        xx = qmath.kron(X, X)
+        xx = qmath.kron_all([X, X])
         assert np.abs(xx @ xx - np.eye(4)).max() == 0
 
     def test_associative_exact_on_structured_entries(self):
         # products of 0, +/-1, +/-i entries are exact in floating point
-        left = qmath.kron(qmath.kron(X, Y), Z)
-        right = qmath.kron(X, qmath.kron(Y, Z))
+        left = qmath.kron_all([X, Y, Z])
+        right = np.kron(X, np.kron(Y, Z))
         assert np.array_equal(left, right)
 
     def test_associative_random(self, rng):
         a = random_density(rng)
         b = random_density(rng, 4)
         c = random_density(rng)
-        left = qmath.kron(qmath.kron(a, b), c)
-        right = qmath.kron(a, qmath.kron(b, c))
+        left = qmath.kron_all([a, b, c])
+        right = np.kron(a, np.kron(b, c))
         assert np.allclose(left, right, rtol=1e-14, atol=1e-17)
 
     def test_rejects_nan(self):
         with pytest.raises(ContractViolationError):
-            qmath.kron(np.array([[np.nan, 0], [0, 1]]), I2)
+            qmath.kron_all([np.array([[np.nan, 0], [0, 1]]), I2])
 
 
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
-        part = qmath.QubitPartition.qubits(2, keep=[1])
+        part = qmath.QubitPartition((2, 2), keep=(1,))
         out = qmath.partial_trace(np.kron(rho, sigma), part)
         assert np.abs(out - sigma).max() < 1e-14
 
@@ -54,35 +54,35 @@ class TestPartialTrace:
         rho, sigma = random_density(rng), random_density(rng)
         s = qmath.swap_operator(2)
         m = s @ np.kron(sigma, rho) @ s
-        out = qmath.partial_trace(m, qmath.QubitPartition.qubits(2, keep=[1]))
+        out = qmath.partial_trace(m, qmath.QubitPartition((2, 2), keep=(1,)))
         assert np.abs(out - sigma).max() < 1e-14
 
     def test_bell_state_reduction(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = np.outer(bell, bell.conj())
-        out = qmath.partial_trace(rho, qmath.QubitPartition.qubits(2, keep=[0]))
+        out = qmath.partial_trace(rho, qmath.QubitPartition((2, 2), keep=(0,)))
         assert np.abs(out - I2 / 2).max() < 1e-15
 
     def test_trace_preserving(self, rng):
         m = random_density(rng, 8)
         for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            out = qmath.partial_trace(m, qmath.QubitPartition.qubits(3, keep=keep))
+            out = qmath.partial_trace(m, qmath.QubitPartition((2, 2, 2), keep=keep))
             assert abs(np.trace(out) - np.trace(m)) < 1e-13
 
     def test_three_qubit_ordering(self, rng):
         mats = [random_density(rng) for _ in range(3)]
         full = qmath.kron_all(mats)
-        out = qmath.partial_trace(full, qmath.QubitPartition.qubits(3, keep=[0, 2]))
+        out = qmath.partial_trace(full, qmath.QubitPartition((2, 2, 2), keep=(0, 2)))
         assert np.abs(out - np.kron(mats[0], mats[2])).max() < 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            qmath.partial_trace(np.eye(8), qmath.QubitPartition.qubits(2, keep=[0]))
+            qmath.partial_trace(np.eye(8), qmath.QubitPartition((2, 2), keep=(0,)))
 
     def test_keep_all_rejected(self):
         with pytest.raises(ContractViolationError):
-            qmath.QubitPartition.qubits(2, keep=[0, 1])
+            qmath.QubitPartition((2, 2), keep=(0, 1))
 
 
 class TestHermExpm:

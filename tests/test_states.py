@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
+from dbac_lab.dme import bloch_planes
 from dbac_lab.states import (
-    BlochVector,
     DensityMatrix,
     HamiltonianSpec,
     PureState,
-    bloch_vector,
     check_density,
     check_pure,
     energy,
@@ -23,6 +22,7 @@ from dbac_lab.states import (
 )
 
 from conftest import random_density as reference_density, random_unitary, verdict
+from oracles import pauli_expectations
 
 H = HamiltonianSpec.default_single_qubit()
 
@@ -36,7 +36,7 @@ class TestRxInit:
         assert abs(amp[0]) < 1e-15 and abs(abs(amp[1]) - 1) < 1e-15
 
     def test_half_pi_bloch(self):
-        b = bloch_vector(rx_init(np.pi / 2))
+        b = bloch_planes(rx_init(np.pi / 2).density().matrix)
         assert np.allclose(b, (0.0, -1.0, 0.0), atol=1e-12)
         assert abs(energy(rx_init(np.pi / 2), H)) < 1e-12
 
@@ -97,7 +97,7 @@ class TestPseudoPure:
     def test_purity_formula(self):
         for p in (0.0, 0.3, 0.8, 1.0):
             rho = pseudo_pure(p, rx_init(0.9))
-            assert abs(rho.purity() - (1 - p + p * p / 2)) < 1e-12
+            assert abs(np.trace(rho.matrix @ rho.matrix).real - (1 - p + p * p / 2)) < 1e-12
 
     def test_commutes_with_unitary_conjugation(self, rng):
         p = 0.35
@@ -173,17 +173,23 @@ class TestExcessEnergy:
 class TestBlochVector:
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.2, np.pi])
     def test_pure_states_on_sphere(self, theta):
-        assert abs(bloch_vector(rx_init(theta)).norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(bloch_planes(rx_init(theta).density().matrix)) - 1.0) < 1e-9
 
     def test_pseudo_pure_inside_sphere(self):
-        b = bloch_vector(pseudo_pure(0.3, rx_init(1.0)))
-        assert b.norm() < 1.0 - 1e-3
+        b = bloch_planes(pseudo_pure(0.3, rx_init(1.0)).matrix)
+        assert np.linalg.norm(b) < 1.0 - 1e-3
 
     def test_norm_bounded(self, rng):
         for _ in range(20):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b = bloch_vector(PureState.from_vector(v))
-            assert b.norm() <= 1 + 1e-10
+            b = bloch_planes(PureState.from_vector(v).density().matrix)
+            assert np.linalg.norm(b) <= 1 + 1e-10
+
+    def test_planes_are_pauli_expectations(self, rng):
+        stack = np.array([reference_density(rng) for _ in range(20)])
+        want = np.array([pauli_expectations(m) for m in stack]).T
+        assert np.abs(bloch_planes(stack) - want).max() < 1e-15
+        assert np.abs(bloch_planes(stack[0]) - want[:, 0]).max() < 1e-15
 
 
 class TestValidation:
@@ -198,10 +204,6 @@ class TestValidation:
     def test_hamiltonian_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             HamiltonianSpec(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_bloch_is_namedtuple(self):
-        b = BlochVector(0.0, 0.0, 1.0)
-        assert b.z == 1.0 and b.norm() == 1.0
 
 
 class TestCheckDensity:
