@@ -25,7 +25,6 @@ from .dbac import (  # noqa: F401
     copies_accounting,
     dbac_energy_analytic,
     dbac_recursive_exact,
-    dbac_step_exact,
     dbac_via_dme,
     descent_bound_residual,
     final_fidelities_over_s,

@@ -123,11 +123,6 @@ def _gate_matrices(gates: Sequence[Gate]) -> np.ndarray:
     return out.reshape(-1, d, d)
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """The unitary of one gate; a barrier has none."""
-    return _gate_matrices([g])[0]
-
-
 def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]], np.ndarray]:
     """The gate stack of circuits on one register: each distinct gate object
     (barriers dropped) embedded once, in order of first use, as one (G, 2^n,

@@ -133,15 +133,21 @@ def _built(keys: str):
     return wrap
 
 
+def _sized(build, count: int, count_key: str):
+    """build(count); a count too large to index, or to allocate, is a config
+    error naming `count_key`, raised before anything is allocated."""
+    try:
+        return build(count)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"{count_key}: cannot build {count} entries ({exc or type(exc).__name__})") from exc
+
+
 def _grid(start: float, stop: float, count: int, count_key: str) -> np.ndarray:
     """np.linspace(start, stop, count), read-only; its span must be finite,
     and a count numpy cannot build is a config error naming `count_key`."""
     if not np.isfinite(stop - start):
         raise ContractViolationError("the grid's span must be finite")
-    try:
-        grid = np.linspace(start, stop, count)
-    except (ValueError, MemoryError) as exc:  # too large to index, or to allocate
-        raise ConfigError(f"{count_key}: cannot build a grid of {count} points ({exc})") from exc
+    grid = _sized(lambda n: np.linspace(start, stop, n), count, count_key)
     grid.setflags(write=False)
     return grid
 
@@ -210,7 +216,7 @@ class ExperimentConfig:
         values = getattr(self, name)
         if len(values) not in (1, self.k):
             raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
-        return values * (self.k // len(values))
+        return _sized(lambda n: values * n, self.k // len(values), "k")
 
     @_built("s/m")
     def schedule(self) -> DbacSchedule:
@@ -231,6 +237,13 @@ class ExperimentConfig:
     def s_grid(self) -> np.ndarray:
         return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count, "s_count"))
 
+    @_built("m_max")
+    def m_grid(self) -> np.ndarray:
+        """The Trotter depths 1..m_max, read-only."""
+        depths = _sized(lambda n: np.arange(1, n + 1), self.m_max, "m_max")
+        depths.setflags(write=False)
+        return depths
+
 
 # key -> parser (unknown keys are rejected with the key name), key -> default,
 # and each key's rule, in declaration order
@@ -246,7 +259,7 @@ _READS = {
     "sweep-theta": (_NOISE[:2], ("schedule", "theta_grid", "noise")),
     "sweep-s": ((), ("theta_grid", "s_grid")),
     "grid-km": ((), ()),
-    "trotter": ((), ()),
+    "trotter": ((), ("m_grid",)),
     "ptm": (_NOISE, ("noise",)),
     "baselines": ((), ()),
     "trajectory": (_NOISE[:2], ("schedule", "noise")),
@@ -339,7 +352,7 @@ def _run_grid_km(cfg: ExperimentConfig) -> dict:
 def _run_trotter(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     rho, sigma = random_density(rng), random_density(rng)
-    ms = np.arange(1, cfg.m_max + 1)
+    ms = cfg.m_grid
     rows = np.column_stack([np.full(ms.size, cfg.t), ms, dme_errors(rho, sigma, cfg.t, ms)])
     return {"trotter.csv": (["t", "M", "error"], rows)}
 

@@ -28,7 +28,7 @@ from .dme import (
     bloch_planes, check_bloch, partial_swap, partial_swap_power, reflector, swap_coefficients, swap_operands
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from .states import HamiltonianSpec, PureState, check_pure, energy, variance
+from .states import HamiltonianSpec, PureState, check_pure
 from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
@@ -157,17 +157,6 @@ def _law_terms(t):
 def _energy_law(e0, two_sin2, one_minus_cos, cos):
     """E1 from E0 and :func:`_law_terms` of t, elementwise over arrays."""
     return e0 - two_sin2 * (1.0 - e0**2) * (one_minus_cos * e0 + cos)
-
-
-def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None) -> PureState:
-    """exp(i t H) exp(i t |psi><psi|) exp(-i t H) |psi>, renormalized, by a
-    dense application of every factor."""
-    spec = h or HamiltonianSpec.default_single_qubit()
-    if spec.matrix.shape[0] != psi.amplitudes.size:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    em = spec.expm(-1j * t)  # exp(+i t H) is its adjoint
-    v = em.conj().T @ reflector(psi, t) @ em @ psi.amplitudes
-    return PureState(v / np.linalg.norm(v))
 
 
 def _records(schedule: DbacSchedule, pops: np.ndarray, planes=None, shape: tuple = ()) -> CoolingRecord:
@@ -322,19 +311,29 @@ def synthesize_uk(
     return u
 
 
-def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s: float) -> float:
-    """(E1 - E0 + 2 s V0) / s^2 for one step of duration sqrt(s).
+def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.ndarray:
+    """(E1 - E0 + 2 s V0) / s^2 for one exact-reflector step of duration
+    sqrt(s), for one step size s (a float) or for each of an array of them.
 
     Bounded above per instance as s -> 0, witnessing the descent inequality
-    E1 <= E0 - 2 s V0 + O(s^2).
-    """
-    if not 0.0 < s <= 0.1:
+    E1 <= E0 - 2 s V0 + O(s^2).  Every s must lie in (0, 0.1].  One
+    :func:`_exact_steps` step runs over every s in H's eigenbasis, one
+    :func:`check_pure` call validates it, and E0, V0 and E1 are read from
+    populations, as :func:`_records` reads them."""
+    s = np.asarray(s, dtype=float)
+    if not ((s > 0.0) & (s <= 0.1)).all():  # NaN fails too
         raise ContractViolationError("s must lie in (0, 0.1]")
-    e0 = energy(psi, h)
-    v0 = variance(psi, h)
-    stepped = dbac_step_exact(psi, float(np.sqrt(s)), h)
-    e1 = energy(stepped, h)
-    return float((e1 - e0 + 2.0 * s * v0) / s**2)
+    if h.matrix.shape[0] != psi.amplitudes.size:
+        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
+    w, v = h.eig
+    psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
+    (psi1,) = _exact_steps(psi0, np.sqrt(s).reshape(1, -1), w, "chain")
+    check_pure(psi1)
+    pops = (psi0 * psi0.conj()).real, (psi1 * psi1.conj()).real
+    e0, e1 = ((p * w).sum(axis=-1) for p in pops)
+    v0 = (pops[0] * (w * w)).sum(axis=-1) - e0**2
+    residual = ((e1 - e0 + 2.0 * s.ravel() * v0) / s.ravel() ** 2).reshape(s.shape)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
@@ -355,7 +354,9 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
 # t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d, with the
-# phases of all steps built before its loop.  _bloch_steps steps qubit states
+# phases of all steps built before its loop; it is the one exact-reflector
+# step of the package (dbac_recursive_exact, descent_bound_residual and
+# acceptance criterion 1 run it).  _bloch_steps steps qubit states
 # as (3, B) Bloch planes: one dme.partial_swap_power call per step when every
 # copy is recorded (dbac_via_dme), M_j dme.partial_swap calls per step when
 # only the output is (the search, where the loop is faster at its depths
@@ -369,8 +370,8 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # final_fidelities_over_s call, and once per depth for the search grid
 # (_grid_table), never once per probe.  The search runs every (angle, step
 # size) pair of a call as one batch entry and skips the instruction
-# marginals.  The dense dbac_step_exact and the kron-and-partial-trace step in
-# tests/oracles.py are the oracles, and _exact_steps is the oracle of the
+# marginals.  The dense exact step and the kron-and-partial-trace step, both
+# in tests/oracles.py, are the oracles, and _exact_steps is the oracle of the
 # Bloch-plane reflectors.
 
 

@@ -147,19 +147,6 @@ def dist_up_to_global_phase(u, v) -> float | np.ndarray:
     return float(dist) if dist.ndim == 0 else dist
 
 
-def trace_distance(a, b) -> float:
-    """Half the nuclear norm of (a - b) for two Hermitian matrices: both must
-    be finite square matrices of one shape, and their difference Hermitian
-    within 1e-10."""
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"trace_distance expects square matrices of one shape, got {a.shape}, {b.shape}")
-    d = a - b
-    if np.abs(d - d.conj().T).max() > 1e-10:
-        raise ContractViolationError("trace_distance expects Hermitian operands")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).sum())
-
-
 def swap_operator(d: int = 2) -> np.ndarray:
     """SWAP on two d-dimensional registers: SWAP |v,w> = |w,v>."""
     s = np.zeros((d * d, d * d), dtype=complex)

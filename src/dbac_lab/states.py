@@ -196,16 +196,6 @@ def energy(state: State, h: HamiltonianSpec | None = None) -> float:
     return float(np.trace(hm @ rho).real)
 
 
-def variance(state: State, h: HamiltonianSpec | None = None) -> float:
-    """<H^2> - <H>^2."""
-    hm = (h or HamiltonianSpec.default_single_qubit()).matrix
-    rho = _as_density_array(state)
-    if rho.shape != hm.shape:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    e = np.trace(hm @ rho).real
-    return float(np.trace(hm @ hm @ rho).real - e * e)
-
-
 def fidelity(a: State, b: State) -> float:
     """|<a|b>|^2 for two pure states, <a|rho|a> when one side is mixed."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):

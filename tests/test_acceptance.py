@@ -8,10 +8,13 @@ search-verified optimum is ground fidelity ~0.63 from 179 degrees, with the
 basin edge near 178.1 degrees).
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from dbac_lab import acceptance, dbac, qmath
+from dbac_lab import acceptance, dbac, dme, qmath
+from dbac_lab.states import HamiltonianSpec
 
 
 def _report(result):
@@ -128,31 +131,36 @@ def test_run_all_results_carry_runtimes(all_results):
         assert isinstance(r.runtime_s, float) and r.runtime_s >= 0.0, r.cid
 
 
-def _counted(monkeypatch, name):
-    """Record the shape of the first argument of every call acceptance makes
-    to its engine ``name``."""
-    calls, engine = [], getattr(acceptance, name)
+def _counted(monkeypatch, name, module=acceptance, arg=0):
+    """Record the shape of argument ``arg`` of every call made to the engine
+    ``name`` as ``module`` binds it."""
+    calls, engine = [], getattr(module, name)
 
-    def counting(first, *args):
-        calls.append(np.shape(first))
-        return engine(first, *args)
+    def counting(*args):
+        calls.append(np.shape(args[arg]))
+        return engine(*args)
 
-    monkeypatch.setattr(acceptance, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def _forbid_dense_oracles(monkeypatch):
+    """Make the pieces of the dense step raise: HamiltonianSpec.expm, and
+    dme.reflector wherever a package module binds it."""
     def dense(*args, **kwargs):
-        raise AssertionError("a dense per-point oracle was called")
+        raise AssertionError("a piece of the dense step was called")
 
-    monkeypatch.setattr(dbac, "dbac_step_exact", dense)
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "dbac_lab"]
+    monkeypatch.setattr(HamiltonianSpec, "expm", dense)
+    for module in [m for m in package if getattr(m, "reflector", None) is dme.reflector]:
+        monkeypatch.setattr(module, "reflector", dense)
 
 
 class TestOneEngineBatch:
     """Criteria 1 and 2 each make one call of a batched engine the program
-    runs, over all their points, and criterion 4 two, compared in four stacked
-    distances; the dense oracles check those engines in test_dbac, test_dme
-    and test_circuits."""
+    runs, over all their points, criterion 6 one per instance, and criterion 4
+    two, compared in four stacked distances; the dense oracles check those
+    engines in test_dbac, test_dme and test_circuits."""
 
     def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps")
@@ -165,6 +173,13 @@ class TestOneEngineBatch:
         _forbid_dense_oracles(monkeypatch)
         assert acceptance.criterion_2().passed
         assert calls == [(3, 100)]
+
+    def test_criterion_6_is_one_exact_reflector_step_per_instance(self, monkeypatch):
+        calls = _counted(monkeypatch, "_exact_steps", dbac, arg=1)
+        _forbid_dense_oracles(monkeypatch)
+        assert acceptance.criterion_6().passed
+        # the step sizes' square roots, (1, 3) for each of the 50 instances
+        assert calls == [(1, 3)] * 50
 
     def test_criterion_4_is_two_unitary_batches(self, monkeypatch):
         calls = _counted(monkeypatch, "circuit_unitaries")

@@ -20,7 +20,6 @@ from dbac_lab.circuits import (
     compile_udme_hs,
     compile_udme_native,
     embedded_gates,
-    gate_matrix,
     partial_swap_unitaries,
     perturb_rzz,
     sizzle_zz_rate,
@@ -30,6 +29,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError, Sing
 from dbac_lab.states import HamiltonianSpec
 
 from conftest import random_unitary
+from oracles import gate_matrix, loop_unitary, tol
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -38,14 +38,6 @@ H1 = HamiltonianSpec.default_single_qubit()
 
 def unitary(c):
     return circuit_unitaries([c])[0]
-
-
-def loop_unitary(c):
-    """Oracle: the ordered product of the gate unitaries, one gate at a time."""
-    u = np.eye(2**c.num_qubits, dtype=complex)
-    for g in c.unitary_gates:
-        u = qmath.embed_gate(gate_matrix(g), g.qubits, c.num_qubits) @ u
-    return u
 
 
 def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
@@ -87,7 +79,7 @@ class TestCircuitUnitary:
     def test_gate_order_is_application_order(self):
         c = Circuit(1, (Gate("H", (), (0,)), Gate("S", (), (0,))))
         expected = gate_matrix(Gate("S", (), (0,))) @ gate_matrix(Gate("H", (), (0,)))
-        assert np.abs(unitary(c) - expected).max() < 1e-15
+        assert np.abs(unitary(c) - expected).max() <= tol("circuit_unitaries", "loop_unitary")
 
     def test_compiled_circuits_are_unitary(self):
         for c in (compile_udme_native(0.7), compile_udme_hs(-0.4), compile_cz(), build_circuit("C", 1.0)):
@@ -445,7 +437,7 @@ class TestCircuitUnitaries:
         got = circuit_unitaries(batch)
         assert got.shape == (len(batch),) + (2 ** batch[0].num_qubits,) * 2
         for c, u in zip(batch, got):
-            assert np.array_equal(u, loop_unitary(c))
+            assert np.abs(u - loop_unitary(c)).max() <= tol("circuit_unitaries", "loop_unitary")
 
     @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9, -3.1]])
     def test_partial_swaps_match_expm(self, phis):

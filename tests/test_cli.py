@@ -643,6 +643,12 @@ class TestUnusableValuesRejected:
             ("experiment = sweep-theta\ntheta_count = 4611686018427387904\n", False),
             ("experiment = sweep-s\ns_count = 10000000000000000000\n", False),
             ("experiment = sweep-s\ns_count = 4611686018427387904\n", False),
+            # a step count the per-step values cannot be repeated over, or a
+            # Trotter depth range numpy cannot build: refused before any allocation
+            ("experiment = trajectory\nk = 100000000000000000000\n", False),
+            ("experiment = trajectory\nk = 4611686018427387904\n", False),
+            ("experiment = trotter\nm_max = 100000000000000000000\n", False),
+            ("experiment = trotter\nm_max = 4611686018427387904\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):
@@ -669,6 +675,9 @@ class TestDerivedValueErrorsNameKeys:
             ("experiment = sweep-s\ns_stop = 1e308\n", "s_start/s_stop"),
             ("experiment = sweep-theta\ntheta_count = 10000000000000000000\n", "theta_count"),
             ("experiment = sweep-s\ns_count = 4611686018427387904\n", "s_count"),
+            ("experiment = sweep-theta\nk = 100000000000000000000\n", "k"),
+            ("experiment = trajectory\nk = 4611686018427387904\n", "k"),
+            ("experiment = trotter\nm_max = 100000000000000000000\n", "m_max"),
         ],
     )
     def test_message_names_keys(self, tmp_path, capsys, text, keys):

@@ -17,7 +17,6 @@ from dbac_lab.dbac import (
     copies_accounting,
     dbac_energy_analytic,
     dbac_recursive_exact,
-    dbac_step_exact,
     dbac_via_dme,
     descent_bound_residual,
     final_fidelities_over_s,
@@ -27,13 +26,14 @@ from dbac_lab.dbac import (
 )
 from dbac_lab.dme import bloch_planes, density_matrices, reflector
 from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from dbac_lab.states import (
-    HamiltonianSpec, PureState, energy, excess_energy, fidelity, rx_init, variance
-)
+from dbac_lab.states import HamiltonianSpec, PureState, energy, excess_energy, fidelity, rx_init
 from dbac_lab.tomography import NoiseModel
 
 from conftest import random_density, random_state, random_unitary
-from oracles import dme_step_exact, pauli_expectations
+from oracles import (
+    dbac_step_exact, dense_descent_bound_residual, dme_chain, pauli_expectations, plain_basin, records,
+    recursive_exact, tiled_table_fidelities, tol,
+)
 
 H = HamiltonianSpec.default_single_qubit()
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -47,57 +47,18 @@ def _depths(max_steps, max_k):
     )
 
 
-def _oracle_via_dme(theta, schedule, noise=None):
-    """One angle of dbac_via_dme, with one explicit joint state per partial swap.
-
-    Without p2 noise the data register steps with dme_step_exact; the
-    instruction marginal, and with p2 noise both marginals, are partial traces
-    of the joint state, which p2 depolarizes whole.  The joint state's trace
-    is tr(instr) tr(sig), so each instruction copy is rescaled to unit trace:
-    otherwise its rounding error would grow by M + 1 per chained step.
-    Returns (energies, instruction energies, final state).
-    """
-    h = schedule.hamiltonian.matrix
-    p1 = noise.p1 if noise else 0.0
-    p2 = noise.p2 if noise else 0.0
-
-    def depolarize(rho, p):
-        d = rho.shape[0]
-        return (1.0 - p) * rho + p * np.trace(rho).real * np.eye(d) / d
-
-    def marginal(joint, keep):
-        return qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(keep,)))
-
-    rho0 = rx_init(theta).density().matrix
-    instr = data = rho0
-    energies, instr_energies = [np.trace(h @ rho0).real], []
-    for t, m in zip(schedule.s, schedule.m):
-        instr = instr / np.trace(instr).real
-        em = qmath.herm_expm(h, -1j * t)
-        sig = depolarize(em @ data @ em.conj().T, p1)
-        u = qmath.herm_expm(qmath.swap_operator(2), 1j * t / m)
-        for _ in range(m):
-            joint = depolarize(u @ np.kron(instr, sig) @ u.conj().T, p2)
-            marg = marginal(joint, 0)
-            sig = marginal(joint, 1) if p2 > 0 else dme_step_exact(instr, sig, -t / m).matrix
-            instr_energies.append(np.trace(h @ marg).real)
-        ep = qmath.herm_expm(h, 1j * t)
-        out = depolarize(ep @ sig @ ep.conj().T, p1)
-        energies.append(np.trace(h @ out).real)
-        instr = out
-        data = out if schedule.recursion == "chain" else rho0
-    return energies, instr_energies, out
-
-
 def _assert_matches_oracle(thetas, schedule, noise):
-    records = dbac_via_dme(np.array(thetas), schedule, noise)
-    assert len(records.energies) == len(thetas)
+    got = dbac_via_dme(np.array(thetas), schedule, noise)
+    assert len(got.energies) == len(thetas)
+    h = schedule.hamiltonian.matrix
     for i, theta in enumerate(thetas):
-        energies, instr_energies, out = _oracle_via_dme(theta, schedule, noise)
-        assert np.abs(np.subtract(records.energies[i], energies)).max() < 1e-12
-        assert np.abs(np.subtract(records.instruction_energies[i], instr_energies)).max() < 1e-12
-        bloch = [np.trace(p @ out).real for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)]
-        assert np.abs(np.subtract(records.trajectory[i, -1], bloch)).max() < 1e-12
+        rho0 = rx_init(theta).density().matrix
+        outs, margs = dme_chain(rho0, h, schedule.s, schedule.m, schedule.recursion, noise)
+        energies = [np.trace(h @ rho).real for rho in [rho0, *outs]]
+        instr_energies = [np.trace(h @ rho).real for rho in margs]
+        assert np.abs(np.subtract(got.energies[i], energies)).max() < tol("dbac_via_dme", "dme_chain")
+        assert np.abs(np.subtract(got.instruction_energies[i], instr_energies)).max() < tol("dbac_via_dme", "dme_chain")
+        assert np.abs(got.trajectory[i, -1] - pauli_expectations(outs[-1])).max() < tol("dbac_via_dme", "dme_chain")
 
 
 class TestStepExact:
@@ -125,8 +86,8 @@ class TestStepExact:
         (psi1,) = dbac._exact_steps(dbac._rx_init(thetas, v), ts[None], w, "chain")
         for theta, t, got in zip(thetas, ts, psi1):
             dense = dbac_step_exact(rx_init(theta), t, H)
-            assert np.abs(got - dense.amplitudes @ v.conj()).max() < 1e-12
-            assert abs(np.abs(got) ** 2 @ w - energy(dense, H)) < 1e-12
+            assert np.abs(got - dense.amplitudes @ v.conj()).max() < tol("_exact_steps", "dbac_step_exact")
+            assert abs(np.abs(got) ** 2 @ w - energy(dense, H)) < tol("_exact_steps", "dbac_step_exact")
 
 
 class TestEnergyAnalytic:
@@ -174,7 +135,7 @@ class TestEnergyAnalytic:
             for t in np.linspace(0, np.pi, 21):
                 e1 = energy(dbac_step_exact(psi, t), H)
                 worst = max(worst, abs(e1 - dbac_energy_analytic(e0, t)))
-        assert worst < 1e-9
+        assert worst < tol("dbac_energy_analytic", "dbac_step_exact")
 
     def test_state_independent_given_energy(self, rng):
         # any state with the same energy steps to the same energy
@@ -186,7 +147,7 @@ class TestEnergyAnalytic:
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
             amp = np.array([np.cos(theta / 2), phase * np.sin(theta / 2)], dtype=complex)
             e1 = energy(dbac_step_exact(PureState(amp), t), H)
-            assert abs(e1 - base) < 1e-10
+            assert abs(e1 - base) < tol("dbac_energy_analytic", "dbac_step_exact")
 
 
 class TestRecursiveExact:
@@ -194,7 +155,7 @@ class TestRecursiveExact:
         psi = rx_init(0.8)
         rec = dbac_recursive_exact(psi, DbacSchedule.uniform(1, 0.6))
         direct = dbac_step_exact(psi, 0.6)
-        assert abs(rec.energies[-1] - energy(direct, H)) < 1e-13
+        assert abs(rec.energies[-1] - energy(direct, H)) < tol("dbac_recursive_exact", "dbac_step_exact")
         assert len(rec.energies) == 2 and len(rec.variances) == 1
 
     def test_small_angle_one_step_reaches_target(self):
@@ -419,32 +380,6 @@ class TestRecordArrays:
         self._assert_shapes(rec, (), k=2, n=0, traj=3 if dim == 2 else 0)
 
 
-def _oracle_records(schedule, states, marginals=(), shape=()):
-    """The record of a run's (k + 1, B, d, d) states and (n, B, d, d)
-    instruction marginals, in H's eigenbasis, by one density-matrix einsum
-    per observable, with the Paulis and the ground projector rotated into
-    that basis."""
-    _, b, d, _ = states.shape
-    marginals = np.reshape(marginals, (-1, b, d, d))
-    w, v = schedule.hamiltonian.eig
-
-    def expect(op, rho):
-        return np.einsum("ij,...ji->...", op, rho).real
-
-    energies = expect(np.diag(w), states)
-    variances = expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
-    fids = np.clip(expect(v.conj().T @ schedule.hamiltonian.ground_projector @ v, states), 0.0, 1.0)
-    instr_energies = expect(np.diag(w), marginals)
-    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
-    bloch = np.stack([expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
-    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
-    e, var, f, traj, instr = (
-        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:])
-        for x in (energies, variances, fids, bloch, instr_energies)
-    )
-    return CoolingRecord(e, var, f, copies, traj, instr)
-
-
 class TestRecordsOracle:
     """Records are read from populations and Bloch planes; the density-matrix
     einsums they replaced are the oracle, on the states each engine checked."""
@@ -468,7 +403,7 @@ class TestRecordsOracle:
         for name in self.FIELDS:
             got, ref = getattr(rec, name), getattr(want, name)
             assert got.shape == ref.shape, name
-            assert ref.size == 0 or np.abs(got - ref).max() <= 1e-14, name
+            assert ref.size == 0 or np.abs(got - ref).max() <= tol("_records", "records"), name
 
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     def test_via_dme(self, rng, monkeypatch, mode):
@@ -479,7 +414,7 @@ class TestRecordsOracle:
         seen = self._recorded(monkeypatch, "check_bloch")
         rec = dbac_via_dme(thetas, schedule, NoiseModel(p1=1e-3, p2=1e-2))
         mats = density_matrices(seen[0])  # (k + 1 + n, B, 2, 2)
-        self._assert_matches(rec, _oracle_records(schedule, mats[:4], mats[4:], thetas.shape))
+        self._assert_matches(rec, records(schedule, mats[:4], mats[4:], thetas.shape))
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("mode", RECURSION_MODES)
@@ -489,7 +424,7 @@ class TestRecordsOracle:
         seen = self._recorded(monkeypatch, "check_pure")
         rec = dbac_recursive_exact(PureState.from_vector(random_state(rng, dim)), schedule)
         (vecs,) = seen  # (k + 1, 1, d)
-        self._assert_matches(rec, _oracle_records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :]))
+        self._assert_matches(rec, records(schedule, vecs[..., :, None] * vecs.conj()[..., None, :]))
 
 
 class TestSynthesizeUk:
@@ -572,6 +507,27 @@ class TestDescentBound:
     def test_rejects_large_s(self):
         with pytest.raises(ContractViolationError):
             descent_bound_residual(H, rx_init(1.0), 0.5)
+        for s in ([0.05, 0.5], [0.05, 0.0], [np.nan]):  # the rule holds for every entry
+            with pytest.raises(ContractViolationError):
+                descent_bound_residual(H, rx_init(1.0), np.array(s))
+        with pytest.raises(DimensionMismatchError):
+            descent_bound_residual(H, PureState.basis(0, 2), 0.05)
+
+    @PROPERTY
+    @given(seed=SEEDS, dim=st.sampled_from([2, 4, 8]), s=st.lists(st.floats(1e-6, 0.1), min_size=1, max_size=4))
+    @example(seed=0, dim=8, s=[0.1, 0.01, 1e-3, 1e-6])
+    def test_engine_matches_dense_oracle(self, seed, dim, s):
+        # one engine step over every s against one dense step per s, within
+        # the table's tolerance per 1/s^2; one s gives a float
+        rng = np.random.default_rng(seed)
+        h = _random_hamiltonian(rng, dim)
+        psi = PureState.from_vector(random_state(rng, dim))
+        got = descent_bound_residual(h, psi, np.array(s))
+        assert got.shape == (len(s),)
+        for sj, r in zip(s, got):
+            want = dense_descent_bound_residual(h, psi, sj)
+            assert abs(r - want) < tol("descent_bound_residual", "dense_descent_bound_residual") / sj**2
+        assert type(descent_bound_residual(h, psi, s[0])) is float
 
 
 class TestOptimalStep:
@@ -722,24 +678,6 @@ def _degenerate_hamiltonian(rng):
     return HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T), u[:, :2]
 
 
-def _oracle_recursive_exact(psi, schedule, ground):
-    """dbac_recursive_exact one public step at a time; ``ground`` holds an
-    orthonormal basis of the ground space as columns."""
-    h = schedule.hamiltonian
-    states, variances = [psi], []
-    for t in schedule.s:
-        current = states[-1]
-        variances.append(variance(current, h))
-        if schedule.recursion == "chain":
-            states.append(dbac_step_exact(current, t, h))
-        else:
-            u = qmath.herm_expm(h.matrix, 1j * t) @ reflector(current, t) @ qmath.herm_expm(h.matrix, -1j * t)
-            states.append(PureState.from_vector(u @ psi.amplitudes))
-    fids = [float(np.sum(np.abs(ground.conj().T @ s.amplitudes) ** 2)) for s in states]
-    traj = [pauli_expectations(s.density().matrix) for s in states] if psi.num_qubits == 1 else []
-    return [energy(s, h) for s in states], variances, fids, traj
-
-
 class TestRecursiveExactOracle:
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     @pytest.mark.parametrize("kind", ["1q", "2q", "2q-degenerate"])
@@ -757,13 +695,14 @@ class TestRecursiveExactOracle:
             s = tuple(rng.uniform(0.1, 2.0, size=k))
             schedule = DbacSchedule(s=s, m=m, hamiltonian=h, recursion=mode)
             rec = dbac_recursive_exact(psi, schedule)
-            energies, variances, fids, traj = _oracle_recursive_exact(psi, schedule, ground)
-            assert np.abs(np.subtract(rec.energies, energies)).max() < 1e-12
-            assert np.abs(np.subtract(rec.variances, variances)).max() < 1e-12
-            assert np.abs(np.subtract(rec.fidelities, fids)).max() < 1e-12
+            energies, variances, fids, traj = recursive_exact(psi, schedule, ground)
+            within = tol("dbac_recursive_exact", "recursive_exact")
+            assert np.abs(np.subtract(rec.energies, energies)).max() < within
+            assert np.abs(np.subtract(rec.variances, variances)).max() < within
+            assert np.abs(np.subtract(rec.fidelities, fids)).max() < within
             assert len(rec.trajectory) == len(traj) == (k + 1 if dim == 2 else 0)
             if traj:
-                assert np.abs(np.subtract(rec.trajectory, traj)).max() < 1e-12
+                assert np.abs(np.subtract(rec.trajectory, traj)).max() < within
             assert rec.copies_consumed == (k + 1 if m is None else 3**k)
             assert rec.instruction_energies.size == 0
 
@@ -847,37 +786,6 @@ class TestSearchBatch:
             final_fidelities_over_s(theta, 1, 1, [0.5])
 
 
-def _oracle_dme_chain(rho0, steps, m, w, mode, noise):
-    """One batch entry of _bloch_steps, step by step on 2x2 matrices in the basis
-    where H = diag(w): echo rotations by dense exponentials, every partial swap
-    by dme_step_exact, its instruction marginal by dme_step_exact with the two
-    registers exchanged (exp(-i delta SWAP) commutes with SWAP) and rotated
-    by the echo into the data's frame, as _bloch_steps yields it, and
-    depolarizing as (1 - p) rho + p I/2.  The joint state's trace is
-    tr(instr) tr(sig), so each instruction copy is rescaled to unit trace:
-    otherwise its rounding error would grow by M + 1 per chained step.
-    Returns the outputs and the marginals."""
-    h = np.diag(w).astype(complex)
-    p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
-
-    def depolarize(rho, p):
-        return (1.0 - p) * rho + 0.5 * p * np.eye(2)
-
-    instr = data = rho0
-    outs, margs = [], []
-    for t in steps:
-        instr = instr / np.trace(instr).real
-        em = qmath.herm_expm(h, -1j * t)
-        sig = depolarize(em @ data @ em.conj().T, p1)
-        for _ in range(m):
-            margs.append(em.conj().T @ depolarize(dme_step_exact(sig, instr, -t / m).matrix, p2) @ em)
-            sig = depolarize(dme_step_exact(instr, sig, -t / m).matrix, p2)
-        instr = depolarize(em.conj().T @ sig @ em, p1)
-        outs.append(instr)
-        data = instr if mode == "chain" else rho0
-    return outs, margs
-
-
 class TestDmeStepsOracle:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -904,9 +812,10 @@ class TestDmeStepsOracle:
             margs.extend(density_matrices(marg) for marg in step_margs)
         assert len(outs) == k and len(margs) == k * m
         for b in range(batch):
-            want_outs, want_margs = _oracle_dme_chain(rho0[b], steps[:, b if per_entry else 0], m, w, mode, noise)
-            assert np.abs(np.array(outs)[:, b] - want_outs).max() < 1e-12
-            assert np.abs(np.array(margs)[:, b] - want_margs).max() < 1e-12
+            entry_steps = steps[:, b if per_entry else 0]
+            want_outs, want_margs = dme_chain(rho0[b], np.diag(w), entry_steps, [m] * k, mode, noise)
+            assert np.abs(np.array(outs)[:, b] - want_outs).max() < tol("_bloch_steps", "dme_chain")
+            assert np.abs(np.array(margs)[:, b] - want_margs).max() < tol("_bloch_steps", "dme_chain")
 
 
 def _pure_planes(v):
@@ -916,7 +825,7 @@ def _pure_planes(v):
 
 class TestBlochReflectorOracle:
     """Exact reflectors as rotations of Bloch planes (_bloch_steps with m=None)
-    against the complex-amplitude _exact_steps, at one tolerance TOL.
+    against the complex-amplitude _exact_steps.
 
     Fresh recursion with exact reflectors is chaotic for some (theta, s): two
     runs of the oracle from initial states 1e-15 apart part by O(1) within 50
@@ -924,8 +833,6 @@ class TestBlochReflectorOracle:
     chain agree.  Chains are compared on the entries where the oracle is well
     conditioned: rerun from initial phases perturbed by 1e-15, it stays within
     1e-13 of itself over the whole chain.  Every entry must stay pure."""
-
-    TOL = 1e-11
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=SEEDS, k=st.integers(1, 200), mode=st.sampled_from(RECURSION_MODES))
@@ -946,9 +853,9 @@ class TestBlochReflectorOracle:
         want = np.array([_pure_planes(out) for out in dbac._exact_steps(psi0, steps, w, mode)])
         nearby = psi0 * np.exp(1e-15j * rng.normal(size=psi0.shape))
         again = np.array([_pure_planes(out) for out in dbac._exact_steps(nearby, steps, w, mode)])
-        well = np.abs(again - want).max(axis=(0, 1)) <= 1e-13
+        well = np.abs(again - want).max(axis=(0, 1)) <= tol("_exact_steps perturbed", "_exact_steps")
         assert well.sum() >= 3
-        assert np.abs(got - want).max(axis=(0, 1))[well].max() <= self.TOL
+        assert np.abs(got - want).max(axis=(0, 1))[well].max() <= tol("_bloch_steps exact", "_exact_steps")
         assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("mode", RECURSION_MODES)
@@ -961,7 +868,7 @@ class TestBlochReflectorOracle:
         psi0 = dbac._rx_init(np.full(grid.size, theta), v)
         *_, last = dbac._exact_steps(psi0, np.broadcast_to(grid, (k, grid.size)), w, mode)
         got = 1.0 - 2.0 * final_fidelities_over_s(theta, k, None, grid, mode)
-        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= self.TOL
+        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= tol("_bloch_steps exact", "_exact_steps")
 
 
 # (k, M, recursion, theta, f_target, optimal_step(-cos theta), basin F_min)
@@ -1059,17 +966,6 @@ class TestGridTables:
         assert builds == [step_size_grid().size]
 
 
-def _tiled_table_fidelities(theta, k, m, s_values, mode):
-    """final_fidelities_over_s with its step table built on the step sizes
-    tiled over the angles, one table entry per batch entry: the oracle of the
-    table built once per distinct step size."""
-    s = check_step_sizes(s_values)
-    thetas = np.asarray(theta, dtype=float)
-    table = dbac._step_table(np.tile(s.ravel(), thetas.size), m, H.eig[0])
-    energies = dbac._final_energies(np.atleast_1d(thetas), k, table, mode)
-    return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
-
-
 class TestStepTableOnDistinctSizes:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -1084,7 +980,8 @@ class TestStepTableOnDistinctSizes:
     )
     def test_equals_tiled_table(self, thetas, s_values, k, m, mode):
         got = final_fidelities_over_s(thetas, k, m, s_values, mode)
-        assert np.array_equal(got, _tiled_table_fidelities(thetas, k, m, s_values, mode))
+        want = tiled_table_fidelities(thetas, k, m, s_values, mode)
+        assert np.abs(got - want).max() <= tol("final_fidelities_over_s", "tiled_table_fidelities")
 
     def test_table_built_on_the_step_sizes(self, monkeypatch):
         builds = []
@@ -1097,24 +994,6 @@ class TestStepTableOnDistinctSizes:
         monkeypatch.setattr(dbac, "_step_table", counting)
         final_fidelities_over_s(np.linspace(0.1, 3.0, 7), 2, None, np.linspace(0.01, 3.0, 5).reshape(5, 1))
         assert builds == [(5,)]
-
-
-def _plain_basin(k, m, f_target, mode):
-    """The basin bisection with one full-grid probe per decision, as it ran
-    before witness entries: the oracle of basin_min_fidelity."""
-    hi = 1.0 - 1e-6
-    lo = 1e-6
-    if best_final_fidelity(hi, k, m, mode) < f_target:
-        return BasinResult(1.0, False)
-    if best_final_fidelity(lo, k, m, mode) >= f_target:
-        return BasinResult(lo, True)
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if best_final_fidelity(mid, k, m, mode) >= f_target:
-            hi = mid
-        else:
-            lo = mid
-    return BasinResult(hi, True)
 
 
 def _recorded_passes(monkeypatch, *args):
@@ -1150,7 +1029,8 @@ class TestBasinWitnesses:
     @example(k=2, m=2, mode="fresh", f_target=0.8)
     @example(k=2, m=2, mode="chain", f_target=1 - 1e-7)  # the upper end's witness misses
     def test_matches_plain_bisection(self, k, m, mode, f_target):
-        assert basin_min_fidelity(k, m, f_target, mode) == _plain_basin(k, m, f_target, mode)
+        got, want = basin_min_fidelity(k, m, f_target, mode), plain_basin(k, m, f_target, mode)
+        assert np.abs(np.subtract(got, want)).max() <= tol("basin_min_fidelity", "plain_basin")  # both fields
 
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
@@ -1199,7 +1079,8 @@ class TestBasinWitnesses:
         # the plain bisection makes 16: both ends of the interval, then 14
         # halvings; the upper end is decided by a one-entry witness batch
         result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
-        assert result == _plain_basin(2, 2, 0.8, "fresh")
+        want = plain_basin(2, 2, 0.8, "fresh")
+        assert np.abs(np.subtract(result, want)).max() <= tol("basin_min_fidelity", "plain_basin")
         sizes = [thetas.size for thetas, _ in passes]
         assert sizes[0] == 1 and sizes.count(1) == 1  # one witness-only batch, at the upper end
         assert len(sizes) - 1 == 9 < 16
@@ -1289,8 +1170,7 @@ def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     dbac_recursive_exact(rx_init(1.0), DbacSchedule.uniform(10, 0.4, hamiltonian=h, recursion="fresh"))
     dbac_via_dme(np.linspace(0.2, 3.0, 4), DbacSchedule.uniform(5, 0.4, m=3, hamiltonian=h))
-    for t in np.linspace(0.0, np.pi, 20):
-        dbac_step_exact(rx_init(1.0), t, h)
+    descent_bound_residual(h, rx_init(1.0), np.linspace(0.005, 0.1, 20))
     assert calls == {"check_hermitian": 0, "eigh": 1}
 
 

@@ -22,7 +22,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import PureState, check_density, rx_init
 
 from conftest import random_density, verdict
-from oracles import dme_step_exact
+from oracles import dme_error, dme_step_exact, dme_step_marginals, trace_distance, tol, trotter_state
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -32,29 +32,10 @@ SEEDS = st.integers(0, 2**32 - 1)
 SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
 CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
 
-# Tolerances of the closed-form partial_swap_power: against the partial_swap
-# loop it composes, up to M = 64 and at the swap point (absolute, on Bloch
-# vectors) and, as a Trotter error, at M = 4096 (absolute); and M times the
-# error at M = 10^6 and at 4096 against M = 10^9 (relative: the 1/M law, and
-# its O(1/M) correction at 4096)
-POWER_TOL = {"loop": 1e-13, "swap_point": 1e-15, "deep_loop": 1e-12, "law": 1e-5, "law_4096": 1e-3}
-
 
 def _trotter(rho, sigma, t, m):
     """The final state of one M-step Trotter circuit, as a matrix."""
     return density_matrices(partial_swap_power(bloch_planes(sigma), bloch_planes(rho), swap_coefficients(t / m), m))
-
-
-def _loop_errors(rho, sigma, t, m):
-    """The trace-distance errors after 1..m partial swaps of angle t / m, by
-    the partial_swap loop on Bloch planes."""
-    sig, step = bloch_planes(sigma), swap_operands(bloch_planes(rho), swap_coefficients(t / m))
-    exact = bloch_planes(exact_conjugation(rho, sigma, t))
-    errs = []
-    for _ in range(m):
-        sig = partial_swap(sig, step)
-        errs.append(0.5 * np.linalg.norm(sig - exact))
-    return np.array(errs)
 
 
 def _error(rho, sigma, t, m):
@@ -74,15 +55,6 @@ def _swap(instr, sig, delta):
     as Bloch planes, and both outputs come back as matrices."""
     out, marg = _marginals(bloch_planes(instr), bloch_planes(sig), swap_coefficients(delta))
     return density_matrices(out), density_matrices(marg)
-
-
-def _joint_marginals(rho, sigma, delta):
-    """(data, instruction) marginals of exp(-i delta SWAP) (rho (x) sigma) exp(+i delta SWAP)."""
-    u = qmath.herm_expm(qmath.swap_operator(2), -1j * delta)
-    joint = u @ np.kron(rho, sigma) @ u.conj().T
-    return tuple(
-        qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(i,))) for i in (1, 0)
-    )
 
 
 class TestReflector:
@@ -136,7 +108,7 @@ class TestDmeStep:
                     - _swap(rho, sigma, delta)[0]
                 ).max(),
             )
-        assert worst < 1e-12
+        assert worst < tol("partial_swap", "dme_step_exact")
 
     def test_quarter_pi_closed_value(self):
         out = _swap(GROUND, PLUS, np.pi / 4)[0]
@@ -179,9 +151,9 @@ class TestPartialSwap:
         out, marg = _swap(instr, sig, deltas if per_entry else deltas[0])
         assert out.shape == marg.shape == (batch, 2, 2)
         for b in range(batch):
-            want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b if per_entry else 0])
-            assert np.abs(out[b] - want_out).max() < 1e-12
-            assert np.abs(marg[b] - want_marg).max() < 1e-12
+            want_out, want_marg = dme_step_marginals(instr[b], sig[b], deltas[b if per_entry else 0])
+            assert np.abs(out[b] - want_out).max() < tol("partial_swap", "dme_step_exact")
+            assert np.abs(marg[b] - want_marg).max() < tol("partial_swap", "dme_step_exact")
 
     def test_matches_partial_traces_at_search_batch(self, rng):
         instr = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
@@ -189,18 +161,18 @@ class TestPartialSwap:
         deltas = rng.uniform(-np.pi, np.pi, SEARCH_BATCH)
         out, marg = _swap(instr, sig, deltas)
         for b in range(SEARCH_BATCH):
-            want_out, want_marg = _joint_marginals(instr[b], sig[b], deltas[b])
-            assert np.abs(out[b] - want_out).max() < 1e-12
-            assert np.abs(marg[b] - want_marg).max() < 1e-12
+            want_out, want_marg = dme_step_marginals(instr[b], sig[b], deltas[b])
+            assert np.abs(out[b] - want_out).max() < tol("partial_swap", "dme_step_exact")
+            assert np.abs(marg[b] - want_marg).max() < tol("partial_swap", "dme_step_exact")
 
     def test_matches_partial_traces_on_one_matrix(self, rng):
         for delta in (0.4, -2.1, np.pi / 2):
             rho, sigma = random_density(rng), random_density(rng)
             out, marg = _swap(rho, sigma, delta)
-            want_out, want_marg = _joint_marginals(rho, sigma, delta)
+            want_out, want_marg = dme_step_marginals(rho, sigma, delta)
             assert out.shape == marg.shape == (2, 2)
-            assert np.abs(out - want_out).max() < 1e-12
-            assert np.abs(marg - want_marg).max() < 1e-12
+            assert np.abs(out - want_out).max() < tol("partial_swap", "dme_step_exact")
+            assert np.abs(marg - want_marg).max() < tol("partial_swap", "dme_step_exact")
 
     def test_one_instruction_against_a_batch(self, rng):
         # a (3, 1) instruction plane broadcasts against a (3, B) data batch
@@ -208,9 +180,9 @@ class TestPartialSwap:
         sig = np.array([random_density(rng) for _ in range(4)])
         out, marg = _marginals(bloch_planes(rho)[:, None], bloch_planes(sig), swap_coefficients(0.7))
         for b in range(4):
-            want_out, want_marg = _joint_marginals(rho, sig[b], 0.7)
-            assert np.abs(density_matrices(out[:, b]) - want_out).max() < 1e-12
-            assert np.abs(density_matrices(marg[:, b]) - want_marg).max() < 1e-12
+            want_out, want_marg = dme_step_marginals(rho, sig[b], 0.7)
+            assert np.abs(density_matrices(out[:, b]) - want_out).max() < tol("partial_swap", "dme_step_exact")
+            assert np.abs(density_matrices(marg[:, b]) - want_marg).max() < tol("partial_swap", "dme_step_exact")
 
     def test_zero_angle_returns_sigma_exactly(self, rng):
         # angle 0, whose coefficients are (1, 0, 0), is the identity, bit for bit
@@ -274,10 +246,11 @@ class TestPartialSwapPower:
         want, step = [sig], swap_operands(instr, coeffs)
         for _ in range(m):
             want.append(q * partial_swap(want[-1], step))
-        assert np.abs(copies - np.array(want[1:])).max() <= POWER_TOL["loop"]
+        within = tol("partial_swap_power", "partial_swap loop")
+        assert np.abs(copies - np.array(want[1:])).max() <= within
         exponents = rng.integers(1, m + 1, batch)
         own = partial_swap_power(sig, instr, coeffs, exponents, q)
-        assert np.abs(own - np.array(want)[exponents, :, np.arange(batch)].T).max() <= POWER_TOL["loop"]
+        assert np.abs(own - np.array(want)[exponents, :, np.arange(batch)].T).max() <= within
 
     def test_swap_point_and_full_depolarizing(self, rng):
         # at delta = pi/2 (sin^2 = 1 exactly, cos^2 = 3.7e-33) every swap
@@ -288,8 +261,9 @@ class TestPartialSwapPower:
         coeffs = swap_coefficients(np.pi / 2)
         assert coeffs[1] == 1.0
         copies = partial_swap_power(sig, instr, coeffs, np.arange(1, 4).reshape(-1, 1, 1))
-        assert np.abs(copies - instr).max() < POWER_TOL["swap_point"]
-        assert np.abs(partial_swap(sig, swap_operands(instr, coeffs)) - instr).max() < POWER_TOL["swap_point"]
+        within = tol("partial swaps at the swap point", "the instruction")
+        assert np.abs(copies - instr).max() < within
+        assert np.abs(partial_swap(sig, swap_operands(instr, coeffs)) - instr).max() < within
         assert np.array_equal(partial_swap_power(sig, instr, swap_coefficients(0.4), np.array([1, 2, 7]), 0.0), 0 * sig)
 
     def test_zero_angle_returns_sigma_exactly(self, rng):
@@ -338,17 +312,15 @@ class TestDmeTrotter:
     def test_matches_exact_step_loop(self, seed, t, m):
         rng = np.random.default_rng(seed)
         rho, sigma = random_density(rng), random_density(rng)
-        want = sigma
-        for _ in range(m):
-            want = dme_step_exact(rho, want, t / m).matrix
-        assert np.abs(_trotter(rho, sigma, t, m) - want).max() < 1e-12
+        want = trotter_state(rho, sigma, t, m)
+        assert np.abs(_trotter(rho, sigma, t, m) - want).max() < tol("partial_swap_power", "trotter_state")
 
     def test_m_one_is_single_step(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
         t = 0.77
         a = _trotter(rho, sigma, t, 1)
         b = dme_step_exact(rho, sigma, t).matrix
-        assert np.abs(a - b).max() < 1e-14
+        assert np.abs(a - b).max() < tol("partial_swap_power one copy", "dme_step_exact")
 
     def test_large_m_approaches_conjugation(self):
         t = np.pi / 2
@@ -368,7 +340,7 @@ class TestDmeError:
         # their trace distance: it vanishes only as M grows or when rho == sigma
         rho = np.diag([0.9, 0.1]).astype(complex)
         sigma = np.diag([0.3, 0.7]).astype(complex)
-        td = qmath.trace_distance(rho, sigma)
+        td = trace_distance(rho, sigma)
         for t, m in ((np.pi / 4, 1), (np.pi / 4, 4), (0.9, 8)):
             expected = (1 - np.cos(t / m) ** (2 * m)) * td
             assert _error(rho, sigma, t, m) == pytest.approx(expected, abs=1e-12)
@@ -397,13 +369,6 @@ class TestDmeError:
 
 
 class TestDmeErrors:
-    @staticmethod
-    def _oracle(rho, sigma, t, m):
-        state = sigma
-        for _ in range(m):
-            state = dme_step_exact(rho, state, t / m).matrix
-        return qmath.trace_distance(state, exact_conjugation(rho, sigma, t))
-
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m_max=st.integers(1, 64))
     def test_matches_exact_step_loop(self, seed, t, m_max):
@@ -413,13 +378,13 @@ class TestDmeErrors:
         errs = dme_errors(rho, sigma, t, ms)
         assert errs.shape == (m_max,)
         for m, err in zip(ms, errs):
-            assert abs(err - self._oracle(rho, sigma, t, m)) < 1e-13
+            assert abs(err - dme_error(rho, sigma, t, m)) < tol("dme_errors", "dme_error")
 
     def test_criterion_3_depths(self, rng):
         for rho, sigma in ((GROUND, PLUS), (random_density(rng), random_density(rng))):
             errs = dme_errors(rho, sigma, np.pi / 4, CRITERION_3_DEPTHS)
             for m, err in zip(CRITERION_3_DEPTHS, errs):
-                assert abs(err - self._oracle(rho, sigma, np.pi / 4, m)) < 1e-13
+                assert abs(err - dme_error(rho, sigma, np.pi / 4, m)) < tol("dme_errors", "dme_error")
 
     def test_depths_in_any_order_match_one_depth_runs(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
@@ -448,34 +413,29 @@ class TestDmeErrors:
         ms = [5, 1, 12, 5, 3]
         t = 0.9
         dme_errors(GROUND, PLUS, t, ms)
-        finals = []
-        for m in ms:
-            state = PLUS
-            for _ in range(m):
-                state = dme_step_exact(GROUND, state, t / m).matrix
-            finals.append(state)
+        finals = bloch_planes(np.array([trotter_state(GROUND, PLUS, t, m) for m in ms]))
         assert len(checked) == 1 and checked[0].shape == (3, len(ms))
-        assert np.abs(checked[0] - bloch_planes(np.array(finals))).max() < 1e-12
+        assert np.abs(checked[0] - finals).max() < tol("partial_swap_power", "trotter_state")
 
     def test_huge_depths_follow_the_one_over_m_law(self, rng):
         # a depth costs what depth 1 does: M = 10^6 and 10^9 in milliseconds,
         # where the loop would take seconds and hours; M times the error
-        # converges, and matches the partial_swap loop where it can run
+        # converges, and matches the exact-step loop where it can run
         rho, sigma, t = random_density(rng), random_density(rng), 0.9
         ms = np.array([4096, 10**6, 10**9])
         start = time.perf_counter()
         errs = dme_errors(rho, sigma, t, ms)
         assert time.perf_counter() - start < 0.25
-        assert abs(errs[0] - _loop_errors(rho, sigma, t, 4096)[-1]) < POWER_TOL["deep_loop"]
+        assert abs(errs[0] - dme_error(rho, sigma, t, 4096)) < tol("dme_errors deep", "dme_error")
         scaled = ms * errs
-        assert scaled[2] > 0 and abs(scaled[1] / scaled[2] - 1.0) < POWER_TOL["law"]
-        assert abs(scaled[0] / scaled[2] - 1.0) < POWER_TOL["law_4096"]
+        assert scaled[2] > 0 and abs(scaled[1] / scaled[2] - 1.0) < tol("dme_errors 10^6", "dme_errors 10^9")
+        assert abs(scaled[0] / scaled[2] - 1.0) < tol("dme_errors 4096", "dme_errors 10^9")
 
     def test_deep_circuits_match_exact_step_loop(self):
         ms = np.arange(1, 1001)
         errs = dme_errors(GROUND, PLUS, np.pi / 4, ms)
         for m in (1, 361, 362, 1000):
-            assert abs(errs[m - 1] - self._oracle(GROUND, PLUS, np.pi / 4, m)) < 1e-12
+            assert abs(errs[m - 1] - dme_error(GROUND, PLUS, np.pi / 4, m)) < tol("dme_errors deep", "dme_error")
 
     def test_invalid_intermediate_state_raises(self):
         with pytest.raises(ContractViolationError, match="trace"):

@@ -9,6 +9,7 @@ from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 
 from conftest import random_density, random_unitary
+from oracles import embed_gate_by_index, tol
 
 I2, X, Y, Z = qmath.I2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z
 
@@ -214,55 +215,13 @@ class TestStackedDist:
         assert qmath.check_unitary(u).shape == (2, 3, 2, 2)
 
 
-class TestTraceDistance:
-    def test_zero_on_equal(self, rng):
-        rho = random_density(rng)
-        assert qmath.trace_distance(rho, rho) == 0
-
-    def test_orthogonal_pure_states(self):
-        assert abs(qmath.trace_distance(np.diag([1, 0.0]), np.diag([0, 1.0])) - 1.0) < 1e-15
-
-    def test_rejects_non_matrices_and_non_finite(self):
-        with pytest.raises(ContractViolationError):
-            qmath.trace_distance(np.ones(2), np.ones(2))
-        with pytest.raises(ContractViolationError):
-            qmath.trace_distance(np.diag([np.nan, 1.0]), np.eye(2))
-        with pytest.raises(ContractViolationError, match="Hermitian"):
-            qmath.trace_distance(np.array([[0.5, 1e-6], [0.0, 0.5]]), np.eye(2) / 2)
-        with pytest.raises(DimensionMismatchError):
-            qmath.trace_distance(np.eye(2) / 2, np.eye(4) / 4)
-        with pytest.raises(DimensionMismatchError):
-            qmath.trace_distance(np.ones((2, 3)), np.zeros((2, 3)))
-
-
 class TestEmbedGate:
-    def _oracle(self, gate, qubits, n):
-        dim = 2**n
-        k = len(qubits)
-        u = np.zeros((dim, dim), dtype=complex)
-        for idx in range(dim):
-            bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-            sub_in = 0
-            for q in qubits:
-                sub_in = (sub_in << 1) | bits[q]
-            for sub_out in range(2**k):
-                amp = gate[sub_out, sub_in]
-                if amp == 0:
-                    continue
-                ob = bits[:]
-                for i, q in enumerate(qubits):
-                    ob[q] = (sub_out >> (k - 1 - i)) & 1
-                oidx = 0
-                for b in ob:
-                    oidx = (oidx << 1) | b
-                u[oidx, idx] += amp
-        return u
-
     @pytest.mark.parametrize("n,qubits", [(2, (0,)), (2, (1, 0)), (3, (2,)), (3, (0, 2)), (4, (3, 1))])
     def test_against_index_oracle(self, rng, n, qubits):
         dim = 2 ** len(qubits)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert np.abs(qmath.embed_gate(g, qubits, n) - self._oracle(g, qubits, n)).max() < 1e-14
+        want = embed_gate_by_index(g, qubits, n)
+        assert np.abs(qmath.embed_gate(g, qubits, n) - want).max() < tol("embed_gate", "embed_gate_by_index")
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
     def test_stack_against_index_oracle(self, rng, n, k):
@@ -273,7 +232,7 @@ class TestEmbedGate:
             got = qmath.embed_gate(gates, qubits, n)
             assert got.shape == (2, 2**n, 2**n)
             for g, u in zip(gates, got):
-                assert np.abs(u - self._oracle(g, qubits, n)).max() < 1e-14
+                assert np.abs(u - embed_gate_by_index(g, qubits, n)).max() < tol("embed_gate", "embed_gate_by_index")
 
     @pytest.mark.parametrize(
         "single, stack, qubits, error, message",

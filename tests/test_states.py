@@ -22,7 +22,7 @@ from dbac_lab.states import (
 )
 
 from conftest import random_density as reference_density, random_unitary, verdict
-from oracles import pauli_expectations
+from oracles import pauli_expectations, tol
 
 H = HamiltonianSpec.default_single_qubit()
 
@@ -188,8 +188,8 @@ class TestBlochVector:
     def test_planes_are_pauli_expectations(self, rng):
         stack = np.array([reference_density(rng) for _ in range(20)])
         want = np.array([pauli_expectations(m) for m in stack]).T
-        assert np.abs(bloch_planes(stack) - want).max() < 1e-15
-        assert np.abs(bloch_planes(stack[0]) - want[:, 0]).max() < 1e-15
+        assert np.abs(bloch_planes(stack) - want).max() < tol("bloch_planes", "pauli_expectations")
+        assert np.abs(bloch_planes(stack[0]) - want[:, 0]).max() < tol("bloch_planes", "pauli_expectations")
 
 
 class TestValidation:

@@ -12,7 +12,6 @@ from dbac_lab.circuits import (
     Gate,
     compile_swap3,
     compile_udme_native,
-    gate_matrix,
     partial_swap_unitaries,
 )
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
@@ -21,55 +20,16 @@ from dbac_lab.tomography import (
     PTM,
     partial_swap_ptms,
     pauli_labels,
-    pauli_matrix,
     process_fidelity,
     ptm_of_circuits,
 )
 
 from conftest import random_unitary
-from oracles import ptm_of_channel
+from oracles import apply_kraus, dense_channel, ptm_of_channel, tol, unitary_channel
 
 
 def ptm_of_circuit(c, noise=None):
     return ptm_of_circuits([c], (noise,))[0][0]
-
-
-def unitary_channel(u):
-    return lambda rho: u @ rho @ u.conj().T
-
-
-def _apply_kraus(rho, kraus):
-    return sum(k @ rho @ k.conj().T for k in kraus)
-
-
-def _dense_noise(rho, noise, qubits, n):
-    """Depolarize the gate's qubits as a Pauli twirl, then damp each of them."""
-    p = noise.p2 if len(qubits) == 2 else noise.p1
-    paulis = [qmath.embed_gate(pauli_matrix(lb), qubits, n) for lb in pauli_labels(len(qubits))]
-    out = (1 - p) * rho + p * _apply_kraus(rho, paulis) / len(paulis)
-    if noise.t1_us is not None:
-        dt = tomography.GATE_TIME_2Q_US if len(qubits) == 2 else tomography.GATE_TIME_1Q_US
-        kraus = tomography._damping_kraus(noise, dt)
-        for q in qubits:
-            out = _apply_kraus(out, [qmath.embed_gate(k, (q,), n) for k in kraus])
-    return out
-
-
-def dense_channel(c, noise=None):
-    """Oracle: apply every gate, then its noise, to the probe as dense matrices."""
-    n = c.num_qubits
-
-    def ch(rho):
-        out = rho
-        for g in c.gates:
-            if g.kind == "BARRIER":
-                continue
-            out = _apply_kraus(out, [qmath.embed_gate(gate_matrix(g), g.qubits, n)])
-            if noise is not None and noise.enabled:
-                out = _dense_noise(out, noise, g.qubits, n)
-        return out
-
-    return ch
 
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
@@ -134,7 +94,7 @@ class TestPtmOfChannel:
         swap = qmath.swap_operator(2)
         compiled = ptm_of_circuit(compile_udme_native(np.pi / 2))
         analytic = ptm_of_channel(unitary_channel(swap), 2)
-        assert np.abs(compiled.r - analytic.r).max() < 1e-12
+        assert np.abs(compiled.r - analytic.r).max() < tol("ptm_of_circuits", "ptm_of_channel")
 
     def test_fully_depolarizing(self):
         ch = lambda rho: np.trace(rho) * np.eye(2) / 2
@@ -173,7 +133,7 @@ class TestPtmOfCircuit:
         target = unitary_channel(qmath.herm_expm(qmath.swap_operator(2), -1j * phi))
         a = ptm_of_circuit(compile_udme_native(phi)).r
         b = ptm_of_channel(target, 2).r
-        assert np.abs(a - b).max() < 1e-10
+        assert np.abs(a - b).max() < tol("ptm_of_circuits", "ptm_of_channel")
 
     def test_noise_lowers_average_fidelity_monotonically(self):
         phi = np.pi / 4
@@ -200,7 +160,7 @@ class TestComposedPtm:
     @given(c=circuits(), noise=st.none() | noise_models())
     def test_matches_dense_oracle(self, c, noise):
         want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-        assert np.abs(ptm_of_circuit(c, noise).r - want).max() < 1e-12
+        assert np.abs(ptm_of_circuit(c, noise).r - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     @pytest.mark.parametrize(
         "noise",
@@ -224,7 +184,7 @@ class TestComposedPtm:
         one_qubit = Circuit(1, tuple(replace(g, qubits=(0,)) for g in every_kind.gates if len(g.qubits) == 1))
         for c in (every_kind, compile_swap3(), one_qubit):
             want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-            assert np.abs(ptm_of_circuit(c, noise).r - want).max() < 1e-12
+            assert np.abs(ptm_of_circuit(c, noise).r - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     def test_noise_ptm_built_once_per_qubit_set(self, monkeypatch):
         built = []
@@ -242,7 +202,7 @@ class TestComposedPtm:
         assert len(gates) == 11
         assert sorted(built) == sorted({g.qubits for g in gates}) and len(built) == 3
         want = ptm_of_channel(dense_channel(c, noise), 2).r
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     def test_one_embed_per_qubit_set(self, monkeypatch, noisy):
@@ -260,7 +220,7 @@ class TestComposedPtm:
         assert sorted(embedded) == [(0,), (0, 1), (1,)]
         monkeypatch.undo()
         want = ptm_of_channel(dense_channel(c, noise), 2).r
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
     def test_depolarizing_is_diagonal(self, p):
@@ -285,9 +245,9 @@ class TestComposedPtm:
         # the Kraus operators of a random channel: blocks of a random isometry
         d = 2**n
         kraus = random_unitary(rng, d * count)[:, :d].reshape(count, d, d)
-        want = ptm_of_channel(lambda rho: _apply_kraus(rho, kraus), n)
+        want = ptm_of_channel(lambda rho: apply_kraus(rho, kraus), n)
         got = tomography._transfer(kraus, n).sum(axis=0)
-        assert want.trace_preserving and np.abs(got - want.r).max() < 1e-12
+        assert want.trace_preserving and np.abs(got - want.r).max() < tol("_transfer", "ptm_of_channel")
 
     def test_more_than_two_qubits_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -425,7 +385,7 @@ class TestPtmOfCircuits:
         for ptms, noise in zip(got, NOISES):
             for c, ptm in zip(batch, ptms):
                 want = ptm_of_channel(dense_channel(c, noise), n).r
-                assert np.abs(ptm.r - want).max() < 1e-12
+                assert np.abs(ptm.r - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     def test_barrier_only_batch_is_identity(self):
         batch = [Circuit(2, (Gate("BARRIER"),))] * 3
@@ -500,4 +460,4 @@ class TestPtmOfCircuits:
             for noise, ptms in zip(noises, by_noise):
                 for c, ptm in zip(batch, ptms):
                     want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-                    assert np.abs(ptm.r - want).max() < 1e-12
+                    assert np.abs(ptm.r - want).max() < tol("ptm_of_circuits", "dense_channel")
