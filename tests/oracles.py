@@ -62,6 +62,14 @@ def tol(path: str, oracle: str) -> float:
     return TOLERANCES[path, oracle][0]
 
 
+def agrees(got, want, path: str, oracle: str) -> bool:
+    """Whether ``got`` has the shape of ``want`` and is within the tolerance of
+    comparing ``path`` with ``oracle`` of it in every entry; at tolerance 0.0
+    that is ``np.array_equal``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(np.abs(got - want).max(initial=0.0) <= tol(path, oracle))
+
+
 def variance(psi: PureState, h: HamiltonianSpec) -> float:
     """<H^2> - <H>^2 of a pure state, by dense traces."""
     rho = psi.density().matrix
@@ -188,26 +196,26 @@ def plain_basin(k, m, f_target, mode):
     return BasinResult(hi, True)
 
 
-def dme_step_marginals(rho, sigma, delta: float, registers=(1, 0)) -> list[np.ndarray]:
+def dme_step_marginals(rho, sigma, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The marginals of U (rho (x) sigma) U^dag with U = exp(-i delta SWAP),
-    for registers of any one dimension d: of the data ``sigma`` (register 1)
-    and of the instruction ``rho`` (register 0), in the order of ``registers``."""
+    for registers of any one dimension d: of the data ``sigma``, then of the
+    instruction ``rho``."""
     d = np.shape(rho)[0]
     u = qmath.herm_expm(qmath.swap_operator(d), -1j * delta)
     joint = (u @ np.kron(rho, sigma) @ u.conj().T).reshape(d, d, d, d)
-    return [np.einsum("ijik->jk" if r == 1 else "ijkj->ik", joint) for r in registers]  # trace the other one out
+    return np.einsum("ijik->jk", joint), np.einsum("ijkj->ik", joint)  # trace the other one out
 
 
 def dme_step_exact(rho, sigma, delta: float) -> DensityMatrix:
     """The data's marginal Tr_instr[U (rho (x) sigma) U^dag], U = exp(-i delta SWAP)."""
-    return DensityMatrix(dme_step_marginals(rho, sigma, delta, (1,))[0])
+    return DensityMatrix(dme_step_marginals(rho, sigma, delta)[0])
 
 
 def trotter_state(rho, sigma, t: float, m: int) -> np.ndarray:
     """The data register after m exact steps of angle t / m against the instruction ``rho``."""
     state = sigma
     for _ in range(m):
-        (state,) = dme_step_marginals(rho, state, t / m, (1,))
+        state = dme_step_marginals(rho, state, t / m)[0]
     return state
 
 

@@ -29,7 +29,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError, Sing
 from dbac_lab.states import HamiltonianSpec
 
 from conftest import random_unitary
-from oracles import gate_matrix, loop_unitary, tol
+from oracles import agrees, gate_matrix, loop_unitary
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -79,7 +79,7 @@ class TestCircuitUnitary:
     def test_gate_order_is_application_order(self):
         c = Circuit(1, (Gate("H", (), (0,)), Gate("S", (), (0,))))
         expected = gate_matrix(Gate("S", (), (0,))) @ gate_matrix(Gate("H", (), (0,)))
-        assert np.abs(unitary(c) - expected).max() <= tol("circuit_unitaries", "loop_unitary")
+        assert agrees(unitary(c), expected, "circuit_unitaries", "loop_unitary")
 
     def test_compiled_circuits_are_unitary(self):
         for c in (compile_udme_native(0.7), compile_udme_hs(-0.4), compile_cz(), build_circuit("C", 1.0)):
@@ -437,7 +437,7 @@ class TestCircuitUnitaries:
         got = circuit_unitaries(batch)
         assert got.shape == (len(batch),) + (2 ** batch[0].num_qubits,) * 2
         for c, u in zip(batch, got):
-            assert np.abs(u - loop_unitary(c)).max() <= tol("circuit_unitaries", "loop_unitary")
+            assert agrees(u, loop_unitary(c), "circuit_unitaries", "loop_unitary")
 
     @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9, -3.1]])
     def test_partial_swaps_match_expm(self, phis):

@@ -32,7 +32,7 @@ from dbac_lab.tomography import NoiseModel
 from conftest import random_density, random_state, random_unitary
 from oracles import (
     dbac_step_exact, dense_descent_bound_residual, dme_chain, pauli_expectations, plain_basin, records,
-    recursive_exact, tiled_table_fidelities, tol,
+    recursive_exact, tiled_table_fidelities, agrees, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -981,7 +981,7 @@ class TestStepTableOnDistinctSizes:
     def test_equals_tiled_table(self, thetas, s_values, k, m, mode):
         got = final_fidelities_over_s(thetas, k, m, s_values, mode)
         want = tiled_table_fidelities(thetas, k, m, s_values, mode)
-        assert np.abs(got - want).max() <= tol("final_fidelities_over_s", "tiled_table_fidelities")
+        assert agrees(got, want, "final_fidelities_over_s", "tiled_table_fidelities")
 
     def test_table_built_on_the_step_sizes(self, monkeypatch):
         builds = []
@@ -1030,7 +1030,7 @@ class TestBasinWitnesses:
     @example(k=2, m=2, mode="chain", f_target=1 - 1e-7)  # the upper end's witness misses
     def test_matches_plain_bisection(self, k, m, mode, f_target):
         got, want = basin_min_fidelity(k, m, f_target, mode), plain_basin(k, m, f_target, mode)
-        assert np.abs(np.subtract(got, want)).max() <= tol("basin_min_fidelity", "plain_basin")  # both fields
+        assert agrees(got, want, "basin_min_fidelity", "plain_basin")  # both fields
 
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
@@ -1080,7 +1080,7 @@ class TestBasinWitnesses:
         # halvings; the upper end is decided by a one-entry witness batch
         result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
         want = plain_basin(2, 2, 0.8, "fresh")
-        assert np.abs(np.subtract(result, want)).max() <= tol("basin_min_fidelity", "plain_basin")
+        assert agrees(result, want, "basin_min_fidelity", "plain_basin")
         sizes = [thetas.size for thetas, _ in passes]
         assert sizes[0] == 1 and sizes.count(1) == 1  # one witness-only batch, at the upper end
         assert len(sizes) - 1 == 9 < 16
