@@ -9,7 +9,8 @@ them in the run's manifest.  Criteria 1 and 2 check the energy law and the
 swap point on the batched engines the program runs, one call each, and
 criterion 6 the descent bound on the exact-reflector engine, one call per
 instance; the tests check those engines against the dense exact step and
-the kron-and-partial-trace step, both in `tests/oracles.py`.
+the kron-and-partial-trace step, both in `tests/oracles.py`.  Criterion 7
+runs its 19 two-copy rounds as one stack.
 Criteria 2 and 4 compose their compiled circuits by `circuit_unitaries`;
 criterion 4 compares its 100 with each other and with the closed forms
 `partial_swap_unitaries`, and CZ/CNOT/SWAP with their tables, in four stacked
@@ -209,16 +210,15 @@ def criterion_6():
 
 @_criterion("7", "two-copy purification cross-validation")
 def criterion_7():
-    """Closed-form vs simulated mixedness-reduction round."""
+    """Closed-form vs simulated mixedness-reduction round, all 19 states in one stack."""
     psi = PureState.from_vector(np.array([0.6, 0.8j]))
+    xs = [float(round(x, 10)) for x in np.arange(0.05, 0.951, 0.05)]
+    sim = cem_round_simulated(np.array([pseudo_pure(x, psi).matrix for x in xs]))
     worst_x, worst_p, strict = 0.0, 0.0, True
-    for x in np.arange(0.05, 0.951, 0.05):
-        x = float(round(x, 10))
+    for x, x_sim, p_sim in zip(xs, mixedness_of(sim["rho_next"]), sim["p_success"]):
         closed = cem_round_closed(x)
-        sim = cem_round_simulated(pseudo_pure(x, psi))
-        x_sim = mixedness_of(sim["rho_next"])
         worst_x = max(worst_x, abs(x_sim - closed["x_next"]))
-        worst_p = max(worst_p, abs(sim["p_success"] - closed["p_success"]))
+        worst_p = max(worst_p, abs(p_sim - closed["p_success"]))
         strict &= closed["x_next"] < x
         strict &= abs(closed["p_success"] - (1 - x / 2 + x * x / 4)) == 0.0
     ok = worst_x <= 1e-12 and worst_p <= 1e-12 and strict

@@ -8,8 +8,12 @@ the controlled pair again.  For product thermal inputs with polarizations
 a 3/2 boost at small equal polarization.  `baselines` iterates that closed
 form, :func:`hbac_round_closed`, with bath reset, toward its fixed point
 2 eb / (1 + eb^2): the asymptotic 3-qubit limit of Rodriguez-Briones and
-Laflamme, PRL 116, 170501 (2016).  Its oracle, the dense round
-(:func:`ppa_round`), is in ``tests/oracles.py``.
+Laflamme, PRL 116, 170501 (2016).  The dense round, :func:`ppa_round`,
+stays here; ``tests/oracles.py`` wraps it as the closed form's oracle.
+
+The two-copy round of Cirac, Ekert and Macchiavello, PRL 82, 4344 (1999),
+runs dense on a whole stack of qubit states at once
+(:func:`cem_round_simulated`) and in closed form (:func:`cem_round_closed`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import DensityMatrix
+from .states import DensityMatrix, check_density
 
 
 def thermal_qubit(eps: float) -> DensityMatrix:
@@ -84,32 +88,39 @@ def cem_round_closed(x: float) -> dict[str, float]:
     return {"x_next": x_next, "p_success": p_success}
 
 
-def cem_round_simulated(rho: DensityMatrix) -> dict[str, object]:
-    """Two-copy interference round, brute force.
+def cem_round_simulated(rho) -> dict[str, np.ndarray]:
+    """Two-copy interference round, brute force, on one qubit state (a matrix
+    or a :class:`DensityMatrix`) or a ``(B, 2, 2)`` stack, validated once.
 
     Builds ancilla (x) rho (x) rho, applies the Hadamard-conjugated controlled
-    swap, postselects the ancilla on |0>, and traces out one copy.  Returns the
-    surviving copy and the postselection probability.
+    swap, postselects the ancilla on |0>, and traces out the ancilla and the
+    first copy.  Returns the surviving copies, shaped as the input, and the
+    postselection probabilities: one per state, a float for one state.
     """
-    if rho.matrix.shape != (2, 2):
-        raise DimensionMismatchError("cem_round_simulated expects a single qubit")
+    m = rho.matrix if isinstance(rho, DensityMatrix) else qmath.as_complex_matrix(rho, ndims=(2, 3))
+    if m.shape[-2:] != (2, 2):
+        raise DimensionMismatchError("cem_round_simulated expects single-qubit states")
+    shape = m.shape
+    m = check_density(m.reshape(-1, 2, 2))
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     i4 = np.eye(4, dtype=complex)
     cswap = np.kron(p0, i4) + np.kron(p1, qmath.swap_operator(2))
     u = np.kron(h, i4) @ cswap @ np.kron(h, i4)
-    joint = np.kron(p0, np.kron(rho.matrix, rho.matrix))
-    evolved = u @ joint @ u.conj().T
     proj = np.kron(p0, i4)
+    joint = np.zeros((len(m), 8, 8), dtype=complex)  # |0><0| (x) rho (x) rho
+    joint[:, :4, :4] = (m[:, :, None, :, None] * m[:, None, :, None, :]).reshape(-1, 4, 4)
+    evolved = u @ joint @ u.conj().T
     kept = proj @ evolved @ proj
-    p_success = float(np.trace(kept).real)
-    kept = kept / p_success
-    reduced = qmath.partial_trace(kept, qmath.QubitPartition((2, 2, 2), keep=(2,)))
-    return {"rho_next": DensityMatrix(reduced), "p_success": p_success}
+    p_success = np.trace(kept, axis1=1, axis2=2).real
+    kept = kept / p_success[:, None, None]
+    reduced = np.einsum("zacqacr->zqr", kept.reshape(-1, 2, 2, 2, 2, 2, 2))  # keep the second copy
+    return {"rho_next": reduced.reshape(shape), "p_success": p_success.reshape(shape[:-2])[()]}
 
 
-def mixedness_of(rho: DensityMatrix) -> float:
-    """x = 2 * (smaller eigenvalue) for a single-qubit state."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    return float(2.0 * w.min())
+def mixedness_of(rho) -> float | np.ndarray:
+    """x = 2 * (smaller eigenvalue) of a single-qubit state (a matrix or a
+    :class:`DensityMatrix`), or of each state of a ``(B, 2, 2)`` stack."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    return 2.0 * np.linalg.eigvalsh(m)[..., 0]

@@ -221,6 +221,8 @@ class ExperimentConfig:
     @_built("s/m")
     def schedule(self) -> DbacSchedule:
         s = self._per_step("s")
+        for mj in set(self.m or ()):  # the copy indices 1..M that dbac_via_dme builds per step
+            _sized(lambda n: np.arange(1, n + 1), mj, "m")
         return DbacSchedule(s=s, m=None if self.m is None else self._per_step("m"), recursion=self.recursion)
 
     @_built("noise_*")

@@ -7,7 +7,6 @@ leftmost (most significant) tensor factor throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,49 +48,6 @@ def kron_all(mats: Iterable) -> np.ndarray:
     for m in mats:
         out = np.kron(out, as_complex_matrix(m))
     return out
-
-
-@dataclass(frozen=True)
-class QubitPartition:
-    """Subsystem layout for a partial trace: `dims` per factor, `keep` retained indices."""
-
-    dims: tuple[int, ...]
-    keep: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "keep", tuple(sorted(int(k) for k in self.keep)))
-        if any(d < 2 for d in self.dims):
-            raise ContractViolationError("subsystem dimensions must be >= 2")
-        if len(set(self.keep)) != len(self.keep):
-            raise ContractViolationError("keep indices must be distinct")
-        if not self.keep:
-            raise ContractViolationError("keep must be nonempty")
-        if any(k < 0 or k >= len(self.dims) for k in self.keep):
-            raise ContractViolationError("keep index out of range")
-        if len(self.keep) == len(self.dims):
-            raise ContractViolationError("keep must be a strict subset when tracing")
-
-
-def partial_trace(m, part: QubitPartition) -> np.ndarray:
-    """Trace out the subsystems of `m` not listed in `part.keep`.
-
-    Preserves the total trace and the relative order of kept subsystems.
-    """
-    a = as_complex_matrix(m)
-    dims = part.dims
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise DimensionMismatchError(f"matrix shape {a.shape} does not match dims {dims}")
-    nsub = len(dims)
-    keep = list(part.keep)
-    tensor = a.reshape(dims + dims)
-    # contract traced-out row/col index pairs, highest axis first
-    traced = sorted(set(range(nsub)) - set(keep), reverse=True)
-    for q in traced:
-        tensor = np.trace(tensor, axis1=q, axis2=q + (tensor.ndim // 2))
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return np.ascontiguousarray(tensor.reshape(d_keep, d_keep))
 
 
 def check_hermitian(h) -> np.ndarray:

@@ -145,8 +145,9 @@ def dme_chain(rho0, h, steps, depths, mode, noise=None):
         d = rho.shape[0]
         return (1.0 - p) * rho + p * np.trace(rho).real * np.eye(d) / d
 
-    def marginal(joint, keep):
-        return qmath.partial_trace(joint, qmath.QubitPartition((2, 2), keep=(keep,)))
+    def marginals(joint):  # of the instruction, then of the data
+        joint = joint.reshape(2, 2, 2, 2)
+        return np.einsum("ijkj->ik", joint), np.einsum("ijik->jk", joint)
 
     instr = data = rho0
     outs, margs = [], []
@@ -158,8 +159,8 @@ def dme_chain(rho0, h, steps, depths, mode, noise=None):
         for _ in range(m):
             joint = u @ np.kron(instr, sig) @ u.conj().T
             joint = depolarize(0.5 * (joint + joint.conj().T), p2)
-            margs.append(em.conj().T @ marginal(joint, 0) @ em)
-            sig = marginal(joint, 1)
+            marg, sig = marginals(joint)
+            margs.append(em.conj().T @ marg @ em)
         instr = depolarize(em.conj().T @ sig @ em, p1)
         outs.append(instr)
         data = instr if mode == "chain" else rho0

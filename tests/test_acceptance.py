@@ -155,9 +155,10 @@ def _forbid_dense_oracles(monkeypatch):
 
 class TestOneEngineBatch:
     """Criteria 1 and 2 each make one call of a batched engine the program
-    runs, over all their points, criterion 6 one per instance, and criterion 4
-    two, compared in four stacked distances; the dense oracles check those
-    engines in test_dbac, test_dme and test_circuits."""
+    runs, over all their points, criterion 6 one per instance, criterion 7 one
+    stacked two-copy round, and criterion 4 two, compared in four stacked
+    distances; the dense oracles check those engines in test_dbac, test_dme
+    and test_circuits."""
 
     def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps")
@@ -177,6 +178,11 @@ class TestOneEngineBatch:
         assert acceptance.criterion_6().passed
         # the step sizes' square roots, (1, 3) for each of the 50 instances
         assert calls == [(1, 3)] * 50
+
+    def test_criterion_7_is_one_stacked_round(self, monkeypatch):
+        calls = _counted(monkeypatch, "cem_round_simulated")
+        assert acceptance.criterion_7().passed
+        assert calls == [(19, 2, 2)]
 
     def test_criterion_4_is_two_unitary_batches(self, monkeypatch):
         calls = _counted(monkeypatch, "circuit_unitaries")

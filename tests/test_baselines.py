@@ -13,8 +13,8 @@ from dbac_lab.baselines import (
     target_polarization,
     thermal_qubit,
 )
-from dbac_lab.errors import ContractViolationError
-from dbac_lab.states import DensityMatrix, PureState, pseudo_pure, rx_init
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError
+from dbac_lab.states import DensityMatrix, PureState, check_density, pseudo_pure, rx_init
 
 from conftest import random_unitary
 from oracles import hbac_round_dense, tol
@@ -190,7 +190,7 @@ class TestCemSimulated:
         psi = rx_init(1.1)
         out = cem_round_simulated(psi.density())
         assert out["p_success"] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(out["rho_next"].matrix - psi.density().matrix).max() < 1e-12
+        assert np.abs(out["rho_next"] - psi.density().matrix).max() < 1e-12
 
     def test_maximally_mixed_boundary(self):
         out = cem_round_simulated(DensityMatrix(np.eye(2) / 2))
@@ -212,7 +212,7 @@ class TestCemSimulated:
     def test_output_commutes_with_input(self):
         rho = self._state(0.4)
         out = cem_round_simulated(rho)["rho_next"]
-        comm = rho.matrix @ out.matrix - out.matrix @ rho.matrix
+        comm = rho.matrix @ out - out @ rho.matrix
         assert np.abs(comm).max() < 1e-11
 
     def test_pure_part_preserved(self, rng):
@@ -220,9 +220,29 @@ class TestCemSimulated:
         rho = self._state(0.3, psi)
         out = cem_round_simulated(rho)["rho_next"]
         # dominant eigenvector of the output is still psi
-        w, v = np.linalg.eigh(out.matrix)
+        w, v = np.linalg.eigh(out)
         top = v[:, np.argmax(w)]
         assert abs(np.vdot(top, psi.amplitudes)) ** 2 > 1 - 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, np.pi)), min_size=1, max_size=8))
+    def test_stack_matches_one_state_calls(self, draws):
+        states = [pseudo_pure(p, rx_init(theta)) for p, theta in draws]
+        stacked = cem_round_simulated(np.array([rho.matrix for rho in states]))
+        assert stacked["rho_next"].shape == (len(states), 2, 2) and stacked["p_success"].shape == (len(states),)
+        check_density(stacked["rho_next"])
+        x_stacked = mixedness_of(stacked["rho_next"])
+        for i, rho in enumerate(states):
+            one = cem_round_simulated(rho)
+            assert np.array_equal(stacked["rho_next"][i], one["rho_next"])
+            assert stacked["p_success"][i] == one["p_success"]
+            assert x_stacked[i] == mixedness_of(one["rho_next"])
+
+    def test_input_validated(self):
+        with pytest.raises(DimensionMismatchError):
+            cem_round_simulated(np.eye(4) / 4)
+        with pytest.raises(ContractViolationError, match="negative eigenvalue"):
+            cem_round_simulated(np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]))
 
 
 class TestCoherentVsMixednessContrast:

@@ -48,8 +48,9 @@ def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
     state = np.zeros(2**c.num_qubits, dtype=complex)
     state[0] = 1.0
     out = u @ state
-    rho = np.outer(out, out.conj())
-    red = qmath.partial_trace(rho, qmath.QubitPartition((2,) * c.num_qubits, keep=(DBAC_TARGET_QUBIT[which],)))
+    # the target's reduced state: its amplitudes against the rest of the register
+    amps = np.moveaxis(out.reshape((2,) * c.num_qubits), DBAC_TARGET_QUBIT[which], 0).reshape(2, -1)
+    red = amps @ amps.conj().T
     return float(np.trace(H1.matrix @ red).real)
 
 

@@ -649,6 +649,11 @@ class TestUnusableValuesRejected:
             ("experiment = trajectory\nk = 4611686018427387904\n", False),
             ("experiment = trotter\nm_max = 100000000000000000000\n", False),
             ("experiment = trotter\nm_max = 4611686018427387904\n", False),
+            # a copy count whose indices 1..M numpy cannot build
+            ("experiment = sweep-theta\nm = 100000000000000000000\n", False),
+            ("experiment = sweep-theta\nm = 4611686018427387904\n", False),
+            ("experiment = trajectory\nm = 100000000000000000000\n", False),
+            ("experiment = trajectory\nm = 4611686018427387904\n", False),
         ],
     )
     def test_exit_one(self, tmp_path, capsys, text, names_line):
@@ -678,6 +683,8 @@ class TestDerivedValueErrorsNameKeys:
             ("experiment = sweep-theta\nk = 100000000000000000000\n", "k"),
             ("experiment = trajectory\nk = 4611686018427387904\n", "k"),
             ("experiment = trotter\nm_max = 100000000000000000000\n", "m_max"),
+            ("experiment = sweep-theta\nm = 4611686018427387904\n", "m"),
+            ("experiment = trajectory\nm = 100000000000000000000\n", "m"),
         ],
     )
     def test_message_names_keys(self, tmp_path, capsys, text, keys):

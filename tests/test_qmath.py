@@ -44,48 +44,6 @@ class TestKron:
             qmath.kron_all([np.array([[np.nan, 0], [0, 1]]), I2])
 
 
-class TestPartialTrace:
-    def test_product_state_factorizes(self, rng):
-        rho, sigma = random_density(rng), random_density(rng)
-        part = qmath.QubitPartition((2, 2), keep=(1,))
-        out = qmath.partial_trace(np.kron(rho, sigma), part)
-        assert np.abs(out - sigma).max() < 1e-14
-
-    def test_swap_conjugation(self, rng):
-        rho, sigma = random_density(rng), random_density(rng)
-        s = qmath.swap_operator(2)
-        m = s @ np.kron(sigma, rho) @ s
-        out = qmath.partial_trace(m, qmath.QubitPartition((2, 2), keep=(1,)))
-        assert np.abs(out - sigma).max() < 1e-14
-
-    def test_bell_state_reduction(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        out = qmath.partial_trace(rho, qmath.QubitPartition((2, 2), keep=(0,)))
-        assert np.abs(out - I2 / 2).max() < 1e-15
-
-    def test_trace_preserving(self, rng):
-        m = random_density(rng, 8)
-        for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            out = qmath.partial_trace(m, qmath.QubitPartition((2, 2, 2), keep=keep))
-            assert abs(np.trace(out) - np.trace(m)) < 1e-13
-
-    def test_three_qubit_ordering(self, rng):
-        mats = [random_density(rng) for _ in range(3)]
-        full = qmath.kron_all(mats)
-        out = qmath.partial_trace(full, qmath.QubitPartition((2, 2, 2), keep=(0, 2)))
-        assert np.abs(out - np.kron(mats[0], mats[2])).max() < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            qmath.partial_trace(np.eye(8), qmath.QubitPartition((2, 2), keep=(0,)))
-
-    def test_keep_all_rejected(self):
-        with pytest.raises(ContractViolationError):
-            qmath.QubitPartition((2, 2), keep=(0, 1))
-
-
 class TestHermExpm:
     def test_zero_scale(self):
         assert np.abs(qmath.herm_expm(Z, 0) - I2).max() < 1e-15
