@@ -36,10 +36,10 @@ from .dme import (  # noqa: F401
     bloch_planes,
     density_matrices,
     dme_errors,
-    exact_conjugation,
     partial_swap,
     partial_swap_power,
     reflector,
+    rotation_operands,
     swap_coefficients,
     swap_operands,
 )

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import qmath
 from .dme import (
-    bloch_planes, check_bloch, partial_swap, partial_swap_power, reflector, swap_coefficients, swap_operands
+    bloch_planes, check_bloch, partial_swap, partial_swap_power, reflector, rotation_operands, swap_coefficients,
+    swap_operands,
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
@@ -316,7 +317,8 @@ def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.
     sqrt(s), for one step size s (a float) or for each of an array of them.
 
     Bounded above per instance as s -> 0, witnessing the descent inequality
-    E1 <= E0 - 2 s V0 + O(s^2).  Every s must lie in (0, 0.1].  One
+    E1 <= E0 - 2 s V0 + O(s^2).  Every s must lie in (0, 0.1]; an empty
+    array of them gives an empty residual.  One
     :func:`_exact_steps` step runs over every s in H's eigenbasis, one
     :func:`check_pure` call validates it, and E0, V0 and E1 are read from
     populations, as :func:`_records` reads them."""
@@ -354,9 +356,9 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
 # t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d, with the
-# phases of all steps built before its loop; it is the one exact-reflector
-# step of the package (dbac_recursive_exact, descent_bound_residual and
-# acceptance criterion 1 run it).  _bloch_steps steps qubit states
+# phases of all steps built before its loop; it is the exact-reflector step
+# on state vectors (dbac_recursive_exact, descent_bound_residual and
+# acceptance criteria 1 and 6 run it).  _bloch_steps steps qubit states
 # as (3, B) Bloch planes: one dme.partial_swap_power call per step when every
 # copy is recorded (dbac_via_dme), M_j dme.partial_swap calls per step when
 # only the output is (the search, where the loop is faster at its depths
@@ -453,7 +455,9 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     the path: with ``marginals``, the M_j data outputs come from one
     :func:`dme.partial_swap_power` call and each marginal is q (a + input) -
     output, q = 1 - p2; without, M_j :func:`dme.partial_swap` calls make only
-    the last one, as the search needs.
+    the last one, as the search needs.  ``noise`` is read only with
+    ``marginals`` at finite depths, the one path that is given noise
+    (:func:`dbac_via_dme`); the search and the exact reflectors are noiseless.
 
     One echo rotation per step: the partial swap, the exact reflector's
     operands and the p1/p2 scalings all commute with rotations about z, so
@@ -466,21 +470,21 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
 
     A step of depth M makes M partial swaps against a; an exact-reflector
     step rotates the data b by -s about a, a pure state: exp(is|a><a|) is the
-    kernel with operands (cos s, (1 - cos s)(a.b) a, -sin s a), and its output
-    is rescaled to unit length, as _exact_steps renormalizes.  Depolarizing
-    with probability p scales a Bloch vector by 1 - p.  The kernels and
-    ``_rotate_xy`` are looked up in this module, so a test can trace them."""
+    kernel with the :func:`dme.rotation_operands` of a and the table's
+    (cos s, 1 - cos s, -sin s), and its output is rescaled to unit length, as
+    _exact_steps renormalizes.  Depolarizing with probability p scales a Bloch
+    vector by 1 - p.  The kernels and ``_rotate_xy`` are looked up in this
+    module, so a test can trace them."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
     for table in tables:
         a = _rotate_xy(instr, table.cos_phi, -table.sin_phi)  # the instruction in the data's frame
-        sig = data * (1.0 - p1) if p1 else data
         margs = ()
         if table.m is None:
-            c, one_minus_c, minus_sin = table.coeffs
-            out = partial_swap(sig, (c, (one_minus_c * (a * sig).sum(axis=0)) * a, minus_sin * a))
+            out = partial_swap(data, rotation_operands(a, data, table.coeffs))
             out /= np.sqrt((out * out).sum(axis=0))  # else |a| - 1 grows up to fivefold per step
         elif marginals:  # every copy is recorded: the M outputs in one closed form
+            sig = data * (1.0 - p1) if p1 else data
             copies = np.arange(1, table.m + 1).reshape(-1, 1, 1)
             outs = partial_swap_power(sig, a, table.coeffs, copies, 1.0 - p2)
             margs = np.concatenate([sig[None], outs[:-1]])  # each swap's input
@@ -489,15 +493,12 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
                 margs *= 1.0 - p2
             margs -= outs
             out = outs[-1]
+            if p1:
+                out *= 1.0 - p1
         else:
-            step = swap_operands(a, table.coeffs)
+            out, step = data, swap_operands(a, table.coeffs)
             for _ in range(table.m):
-                out = partial_swap(sig, step)
-                if p2:
-                    out *= 1.0 - p2
-                sig = out
-        if p1:
-            out *= 1.0 - p1
+                out = partial_swap(out, step)
         yield out, margs
         instr = out
         data = out if recursion == "chain" else r0

@@ -27,10 +27,10 @@ operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`, from the
 :func:`swap_coefficients` of its angle) and each swap is
 ``c2 b + s2a + csa x b``.  The kernel returns the data output alone; the
 instruction marginal is ``a + b - out`` (the joint state's two marginals sum
-to ``a + b``).  With the operands ``(cos t, (1 - cos t)(c.b) c, -sin t c)``
-the kernel is the exact reflector exp(i t |c><c|) for a unit Bloch vector
-``c``: a rotation of ``b`` by -t about ``c``, the M -> infinity limit of M
-swaps of angle -t / M.
+to ``a + b``).  With the operands ``(cos, (1 - cos)(u.b) u, sin u)`` of
+:func:`rotation_operands` the kernel rotates ``b`` about a unit axis ``u``,
+as both exact qubit maps do: the search's exact reflector exp(i s |c><c|)
+(by -s about a unit ``c``), and the M -> infinity limit of :func:`dme_errors`.
 
 Because the instruction is fixed, M swaps compose in closed form:
 :func:`partial_swap_power` gives the output after any number of swaps, or
@@ -62,8 +62,8 @@ outside any loop:
 
 The definition itself, a kron of the two registers conjugated by
 exp(-i delta SWAP) and partially traced, is the oracle the kernel is tested
-against, in ``tests/oracles.py``.  :func:`exact_conjugation` is the
-M -> infinity limit that :func:`dme_errors` measures against.
+against, in ``tests/oracles.py``; so is the dense conjugation
+exp(-i t rho) sigma exp(+i t rho), the oracle of :func:`dme_errors`' rotation.
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
         raise ContractViolationError("t must be finite")
     v = psi.amplitudes if isinstance(psi, PureState) else psi
     return np.eye(v.size, dtype=complex) + (np.exp(1j * t) - 1.0) * np.outer(v, v.conj())
-
-
-def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    r = rho.matrix if isinstance(rho, DensityMatrix) else qmath.as_complex_matrix(rho)
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else qmath.as_complex_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError("instruction and data registers differ in dimension")
-    return r, s
 
 
 def bloch_planes(rho) -> np.ndarray:
@@ -134,6 +126,14 @@ def swap_operands(instr: np.ndarray, coeffs):
     once."""
     c2, s2, cs = coeffs
     return c2, s2 * instr, cs * instr
+
+
+def rotation_operands(u: np.ndarray, sig: np.ndarray, coeffs):
+    """The ``step`` argument of :func:`partial_swap` that rotates ``sig`` by
+    theta about the unit axis planes ``u``: ``(cos, (1 - cos)(u.sig) u, sin u)``
+    from ``coeffs = (cos theta, 1 - cos theta, sin theta)``."""
+    cos, one_minus_cos, sin = coeffs
+    return cos, (one_minus_cos * (u * sig).sum(axis=0)) * u, sin * u
 
 
 def partial_swap(sig: np.ndarray, step) -> np.ndarray:
@@ -226,32 +226,29 @@ def check_bloch(planes: np.ndarray) -> None:
         raise ContractViolationError("density matrix has a negative eigenvalue")
 
 
-def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
-    """exp(-i t rho) sigma exp(+i t rho), the channel's M -> infinity limit."""
-    r, s = _pair(rho, sigma)
-    u = qmath.herm_expm(r, -1j * t)
-    return u @ s @ u.conj().T
-
-
 def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
-    """Trace distance between the M-step Trotterized channel and the exact
-    conjugation, for each depth M in ``ms``: every depth in one
-    :func:`partial_swap_power` call, with one exponent per entry, so a depth
-    of 10^9 costs what a depth of 1 does.  Both registers must be valid qubit
-    density matrices; they are checked here, and the final Trotter states by
-    one :func:`check_bloch` call.  For qubits the trace distance is half the
-    Euclidean distance between Bloch vectors."""
+    """Trace distance between the M-step Trotterized channel and its limit
+    exp(-i t rho) sigma exp(+i t rho), which rotates sigma's Bloch vector by
+    t|a| about u = a / |a| (rho's), for each depth M in ``ms``: every depth in
+    one :func:`partial_swap_power` call, so a depth of 10^9 costs what a depth
+    of 1 does.  Both registers must be valid qubit density matrices; they are
+    checked here, and the final Trotter states by one :func:`check_bloch`
+    call.  For qubits the trace distance is half the Euclidean distance
+    between Bloch vectors."""
     if not np.isfinite(t):
         raise ContractViolationError("t must be finite")
     ms = np.asarray(ms)
     if ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu" or ms.min() < 1:
         raise ContractViolationError("ms must be a non-empty 1-D array of positive integers")
-    r, s = _pair(rho, sigma)
-    if r.shape != (2, 2):
-        raise DimensionMismatchError(f"the closed form is for one qubit, got shape {r.shape}")
+    r, s = (x.matrix if isinstance(x, DensityMatrix) else qmath.as_complex_matrix(x) for x in (rho, sigma))
+    if r.shape != (2, 2) or s.shape != (2, 2):
+        raise DimensionMismatchError(f"the closed form is for one qubit, got shapes {r.shape} and {s.shape}")
     r, s = check_density(np.array([r, s]))  # a Bloch vector has no trace to check later
     instr, sig = bloch_planes(r)[:, None], bloch_planes(s)[:, None]
     final = partial_swap_power(sig, instr, swap_coefficients(t / ms), ms)
     check_bloch(final)
-    exact = bloch_planes(exact_conjugation(r, s, t))[:, None]
+    length = np.hypot(np.hypot(instr[0], instr[1]), instr[2])  # as partial_swap_power takes |a|
+    angle = t * length
+    cos, u = np.cos(angle), instr / np.maximum(length, _TINY)
+    exact = partial_swap(sig, rotation_operands(u, sig, (cos, 1.0 - cos, np.sin(angle))))
     return 0.5 * np.linalg.norm(final - exact, axis=0)

@@ -2,7 +2,8 @@
 
 Everything here is a pure function on numpy arrays with complex128 entries.
 Operators are dense matrices whose dimension is a power of two; qubit 0 is the
-leftmost (most significant) tensor factor throughout the package.
+leftmost (most significant) tensor factor throughout the package.  The
+matrix exponential of a Hermitian H is ``states.HamiltonianSpec(H).expm``.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ def check_hermitian(h) -> np.ndarray:
     if dev > HERMITICITY_TOL:
         raise ContractViolationError(f"matrix is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
     return 0.5 * (a + a.conj().T)
-
-
-def herm_expm(h, scale: complex) -> np.ndarray:
-    """exp(scale * h) of a Hermitian matrix via eigendecomposition."""
-    a = check_hermitian(h)
-    if not np.isfinite(complex(scale).real) or not np.isfinite(complex(scale).imag):
-        raise ContractViolationError("scale must be finite")
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(complex(scale) * w)) @ v.conj().T
 
 
 def check_unitary(u) -> np.ndarray:

@@ -67,17 +67,17 @@ def check_density(m: np.ndarray) -> np.ndarray:
     ``(B, d, d)`` batch at once; returns a new array holding the Hermitian part.
 
     Whichever matrix of a batch fails, the error is the one a single
-    :class:`DensityMatrix` would raise.
+    :class:`DensityMatrix` would raise; an empty batch passes.
     """
     if not np.isfinite(m).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
     mh = np.conj(m).swapaxes(-1, -2)
-    if np.abs(m - mh).max() > DM_TOL:
+    if np.abs(m - mh).max(initial=0.0) > DM_TOL:
         raise ContractViolationError("density matrix is not Hermitian")
     m = 0.5 * (m + mh)
-    if np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0).max() > DM_TOL:
+    if np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) > DM_TOL:
         raise ContractViolationError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(m).min() < -EIG_TOL:
+    if np.linalg.eigvalsh(m).min(initial=0.0) < -EIG_TOL:
         raise ContractViolationError("density matrix has a negative eigenvalue")
     return m
 
@@ -88,11 +88,11 @@ def check_pure(vecs: np.ndarray) -> None:
     Such a matrix is exactly Hermitian, its trace is |v|^2 (summed as complex
     numbers, as :func:`check_density` sums a diagonal, so the bits agree), and
     its eigenvalues are |v|^2 and 0, so only a non-finite entry or the trace
-    can fail."""
+    can fail.  An empty stack passes."""
     norms = (vecs * vecs.conj()).sum(axis=-1).real
     if not np.isfinite(norms).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
-    if np.abs(norms - 1.0).max() > DM_TOL:
+    if np.abs(norms - 1.0).max(initial=0.0) > DM_TOL:
         raise ContractViolationError("density matrix trace differs from 1")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from dbac_lab import circuits, dbac, qmath, tomography
 from dbac_lab.baselines import ppa_round, target_polarization, thermal_qubit
 from dbac_lab.dbac import BasinResult, CoolingRecord, best_final_fidelity, check_step_sizes, copies_accounting
-from dbac_lab.dme import exact_conjugation, reflector
+from dbac_lab.dme import reflector
 from dbac_lab.states import DensityMatrix, HamiltonianSpec, PureState, energy
 from dbac_lab.tomography import PTM, pauli_labels, pauli_matrix
 
@@ -21,6 +21,7 @@ COMPOUNDED = "rounding compounds over hundreds of chained steps or Trotter copie
 CANCELLED = "per 1/s^2: the residual divides an O(s^2) difference of O(1) energies by s^2"
 CHAOTIC = "the chaotic cutoff of exact fresh chains: one that moves by more under 1e-15 is not compared"
 LAW = "relative: M times the Trotter error converges to its 1/M limit, with an O(1/M) correction"
+SQUARED = "relative to the largest entry: the power series' rounding grows with each of its squarings"
 
 # (program path, oracle): (tolerance, why the two may differ), absolute unless
 # the reason says otherwise; a path named with a qualifier is that path in one regime
@@ -46,6 +47,8 @@ TOLERANCES = {
     ("dme_errors deep", "dme_error"): (1e-12, COMPOUNDED),
     ("dme_errors 10^6", "dme_errors 10^9"): (1e-5, LAW),
     ("dme_errors 4096", "dme_errors 10^9"): (1e-3, LAW),
+    ("dme_errors reference", "exact_conjugation"): (1e-14, ORDER),
+    ("HamiltonianSpec.expm", "expm_series"): (1e-12, SQUARED),
     ("circuit_unitaries", "loop_unitary"): (0.0, EXACT),
     ("embed_gate", "embed_gate_by_index"): (1e-14, ORDER),
     ("ptm_of_circuits", "dense_channel"): (1e-12, ORDER),
@@ -153,9 +156,9 @@ def dme_chain(rho0, h, steps, depths, mode, noise=None):
     outs, margs = [], []
     for t, m in zip(steps, depths):
         instr = instr / np.trace(instr).real
-        em = qmath.herm_expm(h, -1j * t)
+        em = HamiltonianSpec(h).expm(-1j * t)
         sig = depolarize(em @ data @ em.conj().T, p1)
-        u = qmath.herm_expm(qmath.swap_operator(2), 1j * t / m)
+        u = HamiltonianSpec(qmath.swap_operator(2)).expm(1j * t / m)
         for _ in range(m):
             joint = u @ np.kron(instr, sig) @ u.conj().T
             joint = depolarize(0.5 * (joint + joint.conj().T), p2)
@@ -202,7 +205,7 @@ def dme_step_marginals(rho, sigma, delta: float) -> tuple[np.ndarray, np.ndarray
     for registers of any one dimension d: of the data ``sigma``, then of the
     instruction ``rho``."""
     d = np.shape(rho)[0]
-    u = qmath.herm_expm(qmath.swap_operator(d), -1j * delta)
+    u = HamiltonianSpec(qmath.swap_operator(d)).expm(-1j * delta)
     joint = (u @ np.kron(rho, sigma) @ u.conj().T).reshape(d, d, d, d)
     return np.einsum("ijik->jk", joint), np.einsum("ijkj->ik", joint)  # trace the other one out
 
@@ -223,6 +226,28 @@ def trotter_state(rho, sigma, t: float, m: int) -> np.ndarray:
 def trace_distance(a, b) -> float:
     """Half the nuclear norm of the Hermitian difference a - b."""
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def exact_conjugation(rho, sigma, t: float) -> np.ndarray:
+    """exp(-i t rho) sigma exp(+i t rho), the Trotter circuits' M -> infinity
+    limit, by dense products of the eigendecomposed exponential."""
+    u = HamiltonianSpec(rho).expm(-1j * t)
+    return u @ sigma @ u.conj().T
+
+
+def expm_series(h, scale) -> np.ndarray:
+    """exp(scale h) with no eigendecomposition: scale h by 2^-j until its
+    1-norm is at most 1/2, sum 30 terms of the power series, square j times."""
+    a = complex(scale) * np.asarray(h, dtype=complex)
+    j = max(0, int(np.ceil(np.log2(2.0 * np.abs(a).sum(axis=0).max() + 1e-300))))
+    a = a / 2.0**j
+    out = term = np.eye(len(a), dtype=complex)
+    for n in range(1, 30):
+        term = term @ a / n
+        out = out + term
+    for _ in range(j):
+        out = out @ out
+    return out
 
 
 def dme_error(rho, sigma, t: float, m: int) -> float:

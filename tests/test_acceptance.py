@@ -188,9 +188,9 @@ class TestOneEngineBatch:
         calls = _counted(monkeypatch, "circuit_unitaries")
 
         def expm(*args, **kwargs):
-            raise AssertionError("a target was built by herm_expm")
+            raise AssertionError("a target was built by a dense exponential")
 
-        monkeypatch.setattr(qmath, "herm_expm", expm)
+        monkeypatch.setattr(HamiltonianSpec, "expm", expm)
         assert acceptance.criterion_4().passed
         # 50 angles, each compiled two ways; then cz, cnot and swap3
         assert calls == [(100,), (3,)]

@@ -64,7 +64,7 @@ class TestCircuitUnitary:
 
     def test_rzz_matches_expm(self):
         for phi in (0.3, -1.1, 2.9):
-            target = qmath.herm_expm(np.kron(qmath.PAULI_Z, qmath.PAULI_Z), -1j * phi / 2)
+            target = HamiltonianSpec(np.kron(qmath.PAULI_Z, qmath.PAULI_Z)).expm(-1j * phi / 2)
             assert np.abs(gate_matrix(Gate("RZZ", (phi,), (0, 1))) - target).max() < 1e-14
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
@@ -99,7 +99,7 @@ class TestUdmeCompilation:
 
     @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi / 2, -0.9, 2.2])
     def test_matches_partial_swap_exactly(self, phi):
-        target = qmath.herm_expm(qmath.swap_operator(2), -1j * phi)
+        target = HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi)
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_hs(phi)), target) < 1e-10
 
@@ -115,7 +115,7 @@ class TestUdmeCompilation:
         # equals exp(-i (phi/2)(XX + YY + ZZ)) up to phase
         phi = 0.63
         gen = sum(np.kron(p, p) for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z))
-        target = qmath.herm_expm(gen, -1j * phi / 2)
+        target = HamiltonianSpec(gen).expm(-1j * phi / 2)
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
 
 
@@ -444,4 +444,4 @@ class TestCircuitUnitaries:
     def test_partial_swaps_match_expm(self, phis):
         swap = qmath.swap_operator(2)
         for phi, u in zip(phis, partial_swap_unitaries(phis), strict=True):
-            assert np.abs(u - qmath.herm_expm(swap, -1j * phi)).max() < 1e-15
+            assert np.abs(u - HamiltonianSpec(swap).expm(-1j * phi)).max() < 1e-15

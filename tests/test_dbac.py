@@ -435,11 +435,7 @@ class TestSynthesizeUk:
     def test_single_qubit_matches_step_unitary(self):
         t = 0.8
         u = synthesize_uk(H, [t**2])
-        v = (
-            qmath.herm_expm(H.matrix, 1j * t)
-            @ reflector(PureState.basis(0), t)
-            @ qmath.herm_expm(H.matrix, -1j * t)
-        )
+        v = H.expm(1j * t) @ reflector(PureState.basis(0), t) @ H.expm(-1j * t)
         assert qmath.dist_up_to_global_phase(u, v) < 1e-12
 
     def test_two_qubit_descent_from_random_start(self, rng):
@@ -512,6 +508,11 @@ class TestDescentBound:
                 descent_bound_residual(H, rx_init(1.0), np.array(s))
         with pytest.raises(DimensionMismatchError):
             descent_bound_residual(H, PureState.basis(0, 2), 0.05)
+
+    def test_empty_step_sizes_give_an_empty_residual(self):
+        for s in ([], np.empty((2, 0))):
+            got = descent_bound_residual(H, rx_init(1.0), s)
+            assert got.shape == np.shape(s) and got.dtype == float
 
     @PROPERTY
     @given(seed=SEEDS, dim=st.sampled_from([2, 4, 8]), s=st.lists(st.floats(1e-6, 0.1), min_size=1, max_size=4))

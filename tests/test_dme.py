@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dbac_lab import cli, dme, qmath
+from dbac_lab import cli, dme
 from dbac_lab.dme import (
     bloch_planes,
     check_bloch,
     density_matrices,
     dme_errors,
-    exact_conjugation,
     partial_swap,
     partial_swap_power,
     reflector,
@@ -19,10 +18,13 @@ from dbac_lab.dme import (
     swap_operands,
 )
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
-from dbac_lab.states import PureState, check_density, rx_init
+from dbac_lab.states import HamiltonianSpec, PureState, check_density, rx_init
 
 from conftest import random_density, verdict
-from oracles import dme_error, dme_step_exact, dme_step_marginals, trace_distance, tol, trotter_state
+from oracles import (
+    dme_error, dme_step_exact, dme_step_marginals, exact_conjugation, pauli_expectations, trace_distance, tol,
+    trotter_state,
+)
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -73,7 +75,7 @@ class TestReflector:
         psi = PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2))
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         for t in (0.3, -1.2, 2.9):
-            assert np.abs(reflector(psi, t) - qmath.herm_expm(proj, 1j * t)).max() < 1e-13
+            assert np.abs(reflector(psi, t) - HamiltonianSpec(proj).expm(1j * t)).max() < 1e-13
 
     def test_unitary(self, rng):
         psi = PureState.from_vector(rng.normal(size=4) + 1j * rng.normal(size=4))
@@ -443,19 +445,53 @@ class TestDmeErrors:
 
     def test_trotter_run_makes_one_kernel_call_over_all_depths(self, tmp_path, monkeypatch):
         # every depth 1..m_max in one closed-form call, one exponent per
-        # entry, and no partial_swap loop
+        # entry, no partial_swap loop, and one partial_swap call, of one
+        # entry, for the M -> infinity reference
         powers, swaps = [], []
-        power = dme.partial_swap_power
+        power, swap = dme.partial_swap_power, dme.partial_swap
 
         def counting_power(sig, instr, coeffs, n, q=1.0):
             powers.append(np.shape(n))
             return power(sig, instr, coeffs, n, q)
 
+        def counting_swap(sig, step):
+            swaps.append(np.shape(sig))
+            return swap(sig, step)
+
         monkeypatch.setattr(dme, "partial_swap_power", counting_power)
-        monkeypatch.setattr(dme, "partial_swap", lambda sig, step: swaps.append(np.shape(sig)))
+        monkeypatch.setattr(dme, "partial_swap", counting_swap)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         cli.run_config(cfg)
-        assert powers == [(cfg.m_max,)] and swaps == []
+        assert powers == [(cfg.m_max,)] and swaps == [(3, 1)]
+
+    @PROPERTY
+    @given(
+        seed=SEEDS,
+        t=st.floats(-10.0, 10.0),
+        kind=st.sampled_from(["random", "pure", "maximally mixed", "sigma = rho"]),
+    )
+    @example(seed=0, t=10.0, kind="pure")
+    @example(seed=0, t=-7.5, kind="maximally mixed")
+    def test_reference_matches_dense_conjugation(self, seed, t, kind):
+        # the reference is dme_errors' one partial_swap call: sigma's Bloch
+        # vector rotated by t|a| about rho's; at rho = I/2 it is sigma, bit for bit
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_density(rng), random_density(rng)
+        if kind == "pure":
+            rho = PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)).density().matrix
+        elif kind == "maximally mixed":
+            rho = np.eye(2, dtype=complex) / 2
+        elif kind == "sigma = rho":
+            sigma = rho
+        refs, swap = [], dme.partial_swap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dme, "partial_swap", lambda sig, step: refs.append(swap(sig, step)) or refs[-1])
+            dme_errors(rho, sigma, t, [1, 7])
+        (ref,) = refs
+        want = pauli_expectations(exact_conjugation(rho, sigma, t))[:, None]
+        assert np.abs(ref - want).max() < tol("dme_errors reference", "exact_conjugation")
+        if kind == "maximally mixed":
+            assert np.array_equal(ref, bloch_planes(check_density(sigma))[:, None])  # sigma as dme_errors takes it
 
 
 class TestQubitOnlyEntryPoints:

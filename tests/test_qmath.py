@@ -44,40 +44,6 @@ class TestKron:
             qmath.kron_all([np.array([[np.nan, 0], [0, 1]]), I2])
 
 
-class TestHermExpm:
-    def test_zero_scale(self):
-        assert np.abs(qmath.herm_expm(Z, 0) - I2).max() < 1e-15
-
-    def test_diagonal_closed_form(self):
-        out = qmath.herm_expm(Z, -1j * np.pi / 2)
-        assert np.abs(out - np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])).max() < 1e-14
-
-    def test_swap_closed_form(self):
-        # exp(-i delta SWAP) = cos(delta) I - i sin(delta) SWAP
-        delta = 0.37
-        s = qmath.swap_operator(2)
-        out = qmath.herm_expm(s, -1j * delta)
-        assert np.abs(out - (np.cos(delta) * np.eye(4) - 1j * np.sin(delta) * s)).max() < 1e-14
-
-    def test_unitary_inverse_pairs(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = 0.5 * (a + a.conj().T)
-            t = rng.uniform(-np.pi, np.pi)
-            u = qmath.herm_expm(h, -1j * t) @ qmath.herm_expm(h, 1j * t)
-            assert np.abs(u - np.eye(4)).max() < 1e-11
-
-    def test_imaginary_scale_is_unitary(self, rng):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = 0.5 * (a + a.conj().T)
-        u = qmath.herm_expm(h, -0.7j)
-        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractViolationError):
-            qmath.herm_expm(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-
 class TestDistUpToGlobalPhase:
     def test_self_distance_zero(self, rng):
         u = random_unitary(rng, 4)

@@ -22,7 +22,7 @@ from dbac_lab.states import (
 )
 
 from conftest import random_density as reference_density, random_unitary, verdict
-from oracles import pauli_expectations, tol
+from oracles import expm_series, pauli_expectations, tol
 
 H = HamiltonianSpec.default_single_qubit()
 
@@ -277,14 +277,46 @@ class TestCheckPure:
             matrices = v[:, :, None] * v.conj()[:, None, :]
             assert verdict(check_pure, v) == verdict(check_density, matrices)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_empty_stack_passes_as_the_matrix_check_does(self, dim):
+        v = np.empty((0, dim), dtype=complex)
+        assert verdict(check_pure, v) == verdict(check_density, v[:, :, None] * v.conj()[:, None, :]) is None
+
 
 class TestHamiltonianEigensystem:
     @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_expm_matches_herm_expm(self, rng, dim):
+    def test_expm_matches_power_series(self, rng, dim):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = HamiltonianSpec(0.5 * (a + a.conj().T))
         for scale in (-0.7j, 1.3j, -0.4, 2.0 - 0.5j):
-            assert np.abs(h.expm(scale) - qmath.herm_expm(h.matrix, scale)).max() < 1e-12
+            want = expm_series(h.matrix, scale)
+            assert np.abs(h.expm(scale) - want).max() <= tol("HamiltonianSpec.expm", "expm_series") * np.abs(want).max()
+
+    def test_expm_zero_scale(self):
+        assert np.abs(HamiltonianSpec(qmath.PAULI_Z).expm(0) - qmath.I2).max() < 1e-15
+
+    def test_expm_diagonal_closed_form(self):
+        out = HamiltonianSpec(qmath.PAULI_Z).expm(-1j * np.pi / 2)
+        assert np.abs(out - np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])).max() < 1e-14
+
+    def test_expm_swap_closed_form(self):
+        # exp(-i delta SWAP) = cos(delta) I - i sin(delta) SWAP
+        delta = 0.37
+        s = qmath.swap_operator(2)
+        out = HamiltonianSpec(s).expm(-1j * delta)
+        assert np.abs(out - (np.cos(delta) * np.eye(4) - 1j * np.sin(delta) * s)).max() < 1e-14
+
+    def test_expm_unitary_inverse_pairs(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = HamiltonianSpec(0.5 * (a + a.conj().T))
+            t = rng.uniform(-np.pi, np.pi)
+            assert np.abs(h.expm(-1j * t) @ h.expm(1j * t) - np.eye(4)).max() < 1e-11
+
+    def test_expm_imaginary_scale_is_unitary(self, rng):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        u = HamiltonianSpec(0.5 * (a + a.conj().T)).expm(-0.7j)
+        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
 
     def test_ground_projector_spans_degenerate_ground_space(self):
         u = random_unitary(np.random.default_rng(7), 4)

@@ -15,6 +15,7 @@ from dbac_lab.circuits import (
     partial_swap_unitaries,
 )
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
+from dbac_lab.states import HamiltonianSpec
 from dbac_lab.tomography import (
     NoiseModel,
     PTM,
@@ -130,14 +131,14 @@ class TestPtmOfCircuit:
 
     def test_matches_channel_path(self):
         phi = np.pi / 4
-        target = unitary_channel(qmath.herm_expm(qmath.swap_operator(2), -1j * phi))
+        target = unitary_channel(HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi))
         a = ptm_of_circuit(compile_udme_native(phi)).r
         b = ptm_of_channel(target, 2).r
         assert np.abs(a - b).max() < tol("ptm_of_circuits", "ptm_of_channel")
 
     def test_noise_lowers_average_fidelity_monotonically(self):
         phi = np.pi / 4
-        ideal = ptm_of_channel(unitary_channel(qmath.herm_expm(qmath.swap_operator(2), -1j * phi)), 2)
+        ideal = ptm_of_channel(unitary_channel(HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi)), 2)
         prev = process_fidelity(ideal, ptm_of_circuit(compile_udme_native(phi)))["f_avg"]
         for p2 in (0.01, 0.02, 0.04):
             noisy = ptm_of_circuit(compile_udme_native(phi), NoiseModel(p2=p2))
@@ -433,7 +434,7 @@ class TestPtmOfCircuits:
         got = partial_swap_ptms(phis)
         for phi, u, ptm in zip(phis, partial_swap_unitaries(phis), got, strict=True):
             assert np.array_equal(ptm.r, tomography._transfer(u[None], 2)[0]) and ptm.trace_preserving
-            assert np.abs(ptm.r - tomography._transfer(qmath.herm_expm(swap, -1j * phi)[None], 2)[0]).max() < 1e-15
+            assert np.abs(ptm.r - tomography._transfer(HamiltonianSpec(swap).expm(-1j * phi)[None], 2)[0]).max() < 1e-15
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_recurring_gate_objects_transferred_once(self, monkeypatch, count):
