@@ -3,10 +3,10 @@
 Library layout:
 
 * :mod:`dbac_lab.qmath` - dense linear algebra for small qubit registers
-* :mod:`dbac_lab.states` - states, the cooling Hamiltonian, imaginary-time evolution
+* :mod:`dbac_lab.states` - states and the cooling Hamiltonian
 * :mod:`dbac_lab.dme` - density-matrix exponentiation channel and Trotterization
 * :mod:`dbac_lab.dbac` - the cooling protocol, recursion, step-size optimization
-* :mod:`dbac_lab.circuits` - native-ZZ compilation and the cooling circuit layouts
+* :mod:`dbac_lab.circuits` - gates, circuits and native-ZZ compilation
 * :mod:`dbac_lab.tomography` - Pauli transfer matrices, fidelities, noise model
 * :mod:`dbac_lab.baselines` - compression-round and two-copy purification references
 * :mod:`dbac_lab.acceptance` - the numbered acceptance criteria
@@ -30,7 +30,6 @@ from .dbac import (  # noqa: F401
     final_fidelities_over_s,
     optimal_step,
     step_size_grid,
-    synthesize_uk,
 )
 from .dme import (  # noqa: F401
     bloch_planes,
@@ -38,7 +37,6 @@ from .dme import (  # noqa: F401
     dme_errors,
     partial_swap,
     partial_swap_power,
-    reflector,
     rotation_operands,
     swap_coefficients,
     swap_operands,
@@ -47,10 +45,6 @@ from .states import (  # noqa: F401
     DensityMatrix,
     HamiltonianSpec,
     PureState,
-    energy,
-    excess_energy,
-    fidelity,
-    ite_evolve,
     pseudo_pure,
     rx_init,
 )

@@ -66,6 +66,8 @@ def ppa_round(rho3: DensityMatrix) -> DensityMatrix:
 
 def target_polarization(rho3: DensityMatrix) -> float:
     """Tr[(Z x I x I) rho] on the target line."""
+    if rho3.matrix.shape != (8, 8):
+        raise DimensionMismatchError("target_polarization expects a 3-qubit register")
     zii = qmath.kron_all([qmath.PAULI_Z, qmath.I2, qmath.I2])
     return float(np.trace(zii @ rho3.matrix).real)
 

@@ -1,7 +1,6 @@
-"""Gate-level circuit representation, native-ZZ compilation, and the cooling
-circuit layouts.
+"""Gate-level circuit representation and native-ZZ compilation.
 
-Native gate set: RZZ, RX, RY, RZ, H, S, SDG (plus a semantic-only BARRIER).
+Native gate set: RZZ, RX, RY, RZ, H, S, SDG.
 Single-qubit rotations use the half-angle convention R_P(theta) = exp(-i theta
 P/2); the two-qubit interaction is the diagonal
 
@@ -11,14 +10,10 @@ exactly exp(-i phi Z(x)Z / 2).  The partial-swap compilation sandwiches three
 RZZ blocks in basis changes, yielding exp(-i phi (XX+YY+ZZ)/2), which is
 exp(-i phi SWAP) up to a global phase with no Trotter error (the three terms
 commute).  One builder, `_udme_gates`, emits it for both schemes (RX/RY or
-H/S basis changes) and every layout; its three RZZ blocks are one gate object,
+H/S basis changes) on any wire pair; its three RZZ blocks are one gate object,
 and every compiled circuit shares its basis-change gates (`_udme_basis_changes`).
-
-Angle bookkeeping for the cooling layouts: plain-rotation tables written in the
-no-half-angle convention R_Z(a) = exp(-i a Z) translate to RZ(2a) here, and the
-echo rotations carry the sign that makes the compiled circuits cool (verified
-against the density-matrix simulator; the data qubit of each layout is recorded
-in DBAC_TARGET_QUBIT); `_LAYOUTS` holds each layout's stages.
+The cooling circuit layouts built from it are the gate-level oracle of
+``dbac.dbac_via_dme``, in ``tests/oracles.py``.
 
 Circuits compose in one place: `embedded_gates` stacks a batch's gates, each
 shared gate object once, and `compose` multiplies them by gate position, for
@@ -29,15 +24,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import qmath
-from .errors import ContractViolationError, DimensionMismatchError, SingularParameterError
+from .errors import ContractViolationError, DimensionMismatchError
 
-GATE_KINDS = ("RX", "RY", "RZ", "H", "S", "SDG", "RZZ", "BARRIER")
+GATE_KINDS = ("RX", "RY", "RZ", "H", "S", "SDG", "RZZ")
 _ARITY = {  # (num params, num qubits)
     "RX": (1, 1),
     "RY": (1, 1),
@@ -46,12 +41,7 @@ _ARITY = {  # (num params, num qubits)
     "S": (0, 1),
     "SDG": (0, 1),
     "RZZ": (1, 2),
-    "BARRIER": (0, 0),
 }
-
-# data (cooled) wire of each cooling layout
-DBAC_TARGET_QUBIT = {"A": 0, "B": 1, "C": 1}
-DBAC_NUM_QUBITS = {"A": 2, "B": 3, "C": 4}
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class Gate:
         nparam, nqubit = _ARITY[self.kind]
         params = tuple(float(p) for p in self.params)
         qubits = tuple(int(q) for q in self.qubits)
-        if len(params) != nparam or (self.kind != "BARRIER" and len(qubits) != nqubit):
+        if len(params) != nparam or len(qubits) != nqubit:
             raise ContractViolationError(f"{self.kind} expects {nparam} param(s), {nqubit} qubit(s)")
         if len(set(qubits)) != len(qubits):
             raise ContractViolationError("gate qubits must be distinct")
@@ -89,11 +79,6 @@ class Circuit:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ContractViolationError(f"gate {g.kind} addresses qubit out of range")
 
-    @property
-    def unitary_gates(self) -> tuple[Gate, ...]:
-        """The gates in order, barriers dropped."""
-        return tuple(g for g in self.gates if g.kind != "BARRIER")
-
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _FIXED = {"H": _H, "S": np.diag([1.0, 1j]).astype(complex), "SDG": np.diag([1.0, -1j]).astype(complex)}
@@ -106,8 +91,6 @@ def _gate_matrices(gates: Sequence[Gate]) -> np.ndarray:
     kind = gates[0].kind
     if kind in _FIXED:
         return _FIXED[kind][None].repeat(len(gates), axis=0)
-    if kind == "BARRIER":
-        raise ContractViolationError(f"gate {kind} has no unitary")
     angles = np.array([g.params[0] for g in gates])
     if kind == "RZ":
         diag = np.exp([-1j * angles / 2, 1j * angles / 2]).T
@@ -125,7 +108,7 @@ def _gate_matrices(gates: Sequence[Gate]) -> np.ndarray:
 
 def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[int, ...], list[int]], np.ndarray]:
     """The gate stack of circuits on one register: each distinct gate object
-    (barriers dropped) embedded once, in order of first use, as one (G, 2^n,
+    embedded once, in order of first use, as one (G, 2^n,
     2^n) stack; the stack indices of each qubit tuple; and the (C, depth) `take`
     array of each circuit's stack indices in gate order, padded before its first
     gate with G, the identity slot.  Recurring gate objects (the shared gates of
@@ -136,7 +119,7 @@ def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[
     n = circuits[0].num_qubits
     if any(c.num_qubits != n for c in circuits):
         raise DimensionMismatchError("the circuits must share one register size")
-    per_circuit = [c.unitary_gates for c in circuits]
+    per_circuit = [c.gates for c in circuits]
     gates = list({id(g): g for gs in per_circuit for g in gs}.values())
     where = {id(g): i for i, g in enumerate(gates)}
     depth = max(map(len, per_circuit))
@@ -170,7 +153,7 @@ def compose(stack: np.ndarray, take: np.ndarray) -> np.ndarray:
 
 def circuit_unitaries(circuits: Sequence[Circuit]) -> np.ndarray:
     """The (C, 2^n, 2^n) unitaries of circuits on one register: each the
-    ordered product of its gates' unitaries (barriers contribute nothing)."""
+    ordered product of its gates' unitaries."""
     stack, _, take = embedded_gates(circuits)
     return compose(stack, take)
 
@@ -215,6 +198,8 @@ def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
     form: cos(phi) I - i sin(phi) SWAP, exact since SWAP^2 = I.  These are the
     targets the compiled partial swaps are checked against."""
     phis = np.asarray(phis, dtype=float)[:, None, None]
+    if not np.isfinite(phis).all():
+        raise ContractViolationError("gate angles must be finite")
     return np.cos(phis) * np.eye(4) - 1j * np.sin(phis) * qmath.swap_operator(2)
 
 
@@ -247,100 +232,3 @@ def compile_swap3() -> Circuit:
     gates = _cnot_gates(0, 1) + _cnot_gates(1, 0) + _cnot_gates(0, 1)
     return Circuit(2, tuple(gates))
 
-
-# Each cooling layout: its partial swaps per step, then its stages, each the
-# echo wires and the wire pairs of its partial swaps, after RX(theta) on all wires.
-_LAYOUTS = {
-    "A": (1, (((1,), ((0, 1),)),)),
-    "B": (2, (((0, 2), ((0, 1), (1, 2))),)),
-    "C": (1, (((0, 3), ((0, 1), (2, 3))), ((2,), ((1, 2),)))),
-}
-
-
-def build_circuit(which: str, theta: float, phi: float = np.pi / 4) -> Circuit:
-    """Cooling circuit layouts.
-
-    A: one step, one partial swap on 2 qubits (data 0, instruction 1).
-    B: one step split into two partial swaps of angle phi each on 3 qubits
-       (data 1, instructions 0 and 2); the step duration is 2*phi.
-    C: two chained steps of one partial swap each on 4 qubits; the first step
-       runs twice in parallel (data wires 1 and 2), the second consumes wire 2
-       as instruction and cools wire 1.
-
-    Instruction wires carry the echo rotation RZ(-2t) = exp(+i t Z); the
-    closing echo of each step commutes with the energy readout and is omitted.
-    """
-    if which not in _LAYOUTS:
-        raise ContractViolationError(f"unknown circuit label {which!r}")
-    n = DBAC_NUM_QUBITS[which]
-    swaps, stages = _LAYOUTS[which]
-    t = swaps * phi  # the step duration
-    gates = [Gate("RX", (theta,), (q,)) for q in range(n)]
-    for echo, pairs in stages:
-        gates.append(Gate("BARRIER"))
-        gates += [Gate("RZ", (-2 * t,), (q,)) for q in echo]
-        gates += [g for q0, q1 in pairs for g in _udme_gates(phi, q0, q1, "native")]
-    return Circuit(n, gates)
-
-
-def perturb_rzz(c: Circuit, delta_phi: float) -> Circuit:
-    """Shift every RZZ angle by delta_phi, modeling interaction-duration spread."""
-    gates = tuple(
-        replace(g, params=(g.params[0] + delta_phi,)) if g.kind == "RZZ" else g
-        for g in c.gates
-    )
-    return Circuit(c.num_qubits, gates)
-
-
-# --- Stark-drive interaction-rate model ---------------------------------------
-
-
-@dataclass(frozen=True)
-class SizzleParams:
-    """Drive and coupling parameters of the Stark-boosted ZZ rate."""
-
-    j: float
-    alpha0: float
-    alpha1: float
-    omega0: float
-    omega1: float
-    delta0d: float
-    delta1d: float
-    phi0: float
-    phi1: float
-    delta_ij: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(list(astuple(self)))):
-            raise ContractViolationError("Stark-drive parameters must be finite")
-        denoms = {
-            "delta0d": self.delta0d,
-            "delta1d": self.delta1d,
-            "delta0d+alpha0": self.delta0d + self.alpha0,
-            "delta1d+alpha1": self.delta1d + self.alpha1,
-            "delta_ij+alpha0": self.delta_ij + self.alpha0,
-            "alpha1-delta_ij": self.alpha1 - self.delta_ij,
-        }
-        for name, value in denoms.items():
-            if value == 0:
-                raise SingularParameterError(f"denominator {name} vanishes")
-
-
-def sizzle_zz_rate(p: SizzleParams) -> float:
-    """Static ZZ rate plus the drive-induced contribution.
-
-    The drive term is proportional to cos(phi0 - phi1), so it can boost or
-    cancel the static rate depending on the relative drive phase.
-    """
-    static = -2.0 * p.j**2 * (p.alpha0 + p.alpha1) / ((p.delta_ij + p.alpha0) * (p.alpha1 - p.delta_ij))
-    drive = (
-        2.0
-        * p.j
-        * p.alpha0
-        * p.alpha1
-        * p.omega0
-        * p.omega1
-        * np.cos(p.phi0 - p.phi1)
-        / (p.delta0d * p.delta1d * (p.delta0d + p.alpha0) * (p.delta1d + p.alpha1))
-    )
-    return float(static + drive)

@@ -10,9 +10,8 @@ implemented in :func:`dbac_energy_analytic`.  Recursion semantics: by default
 each step acts on the previous step's output with the reflector built around
 that same output ("chain"); the alternative "fresh" mode rebuilds each step
 around the previous output but applies it to a new copy of the original state.
-Chain is the default because the multi-step circuit layouts, the copies
-accounting (M_j + 1 inputs multiply across steps), and the multi-qubit
-synthesis recursion all follow it.
+Chain is the default because the copies accounting (M_j + 1 inputs multiply
+across steps) follows it.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import qmath
 from .dme import (
-    bloch_planes, check_bloch, partial_swap, partial_swap_power, reflector, rotation_operands, swap_coefficients,
-    swap_operands,
+    bloch_planes, check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
@@ -286,32 +283,6 @@ def dbac_via_dme(
     return _records(schedule, pops, planes[:, : schedule.k + 1], thetas.shape)
 
 
-def synthesize_uk(
-    h: HamiltonianSpec, s_list: Sequence[float], u0: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Recursive unitary synthesis referenced to |0...0>.
-
-    U_{k+1} = e^{i sqrt(s_k) H} U_k e^{i sqrt(s_k) P_0} U_k^dag
-    e^{-i sqrt(s_k) H} U_k with P_0 = |0...0><0...0|.  The base case defaults
-    to U_0 = I (the reference state is prepared trivially); pass ``u0`` to seed
-    the recursion from a different preparation.
-    """
-    if h.num_qubits > 3:
-        raise ContractViolationError("synthesize_uk supports at most 3 qubits")
-    zero = np.eye(h.matrix.shape[0], dtype=complex)[0]  # |0...0>
-    u = np.eye(zero.size, dtype=complex) if u0 is None else qmath.check_unitary(u0).copy()
-    if u.shape != (zero.size, zero.size):
-        raise DimensionMismatchError(f"u0 must be one {zero.size}x{zero.size} unitary")
-    for s in s_list:
-        if not s > 0:  # NaN fails too, and reflector rejects an infinite step
-            raise ContractViolationError("step sizes must be positive")
-        a = float(np.sqrt(s))
-        refl0 = reflector(zero, a)  # exp(i a P_0)
-        em = h.expm(-1j * a)  # e^{+i a H} is its adjoint
-        u = em.conj().T @ u @ refl0 @ u.conj().T @ em @ u
-    return u
-
-
 def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.ndarray:
     """(E1 - E0 + 2 s V0) / s^2 for one exact-reflector step of duration
     sqrt(s), for one step size s (a float) or for each of an array of them.
@@ -569,11 +540,14 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     """Grid-search minimizer of the final energy over common s in (0, pi].
 
     Grid resolution 1e-3; among step sizes within 1e-9 of the minimum the
-    smallest is returned.  ``m=None`` selects exact reflectors.
+    smallest is returned.  ``m=None`` selects exact reflectors.  ``e0`` must
+    lie in (-1, 1): e0 = +/-1 is a fixed point of the protocol.
     """
     if not np.isfinite(e0):
         raise ContractViolationError("e0 must be finite")
-    if abs(e0) >= 1.0:
+    if abs(e0) > 1.0:
+        raise ContractViolationError("e0 must lie in [-1, 1]")
+    if abs(e0) == 1.0:
         raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
     _check_search_args(k, m, mode)
     energies = _final_energies(np.array([np.arccos(-e0)]), k, _grid_table(m), mode)[0]

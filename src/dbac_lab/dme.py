@@ -74,20 +74,9 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import EIG_TOL, DensityMatrix, PureState, check_density
+from .states import EIG_TOL, DensityMatrix, check_density
 
 _TINY = np.finfo(float).tiny  # below it, a / max(|a|, _TINY) is shorter than 1: its terms vanish
-
-
-def reflector(psi: PureState | np.ndarray, t: float) -> np.ndarray:
-    """exp(i t |psi><psi|) = I + (e^{it} - 1)|psi><psi|; Grover reflection at t = pi.
-
-    ``psi`` is a :class:`PureState` or a unit vector, taken as it is.
-    """
-    if not np.isfinite(t):
-        raise ContractViolationError("t must be finite")
-    v = psi.amplitudes if isinstance(psi, PureState) else psi
-    return np.eye(v.size, dtype=complex) + (np.exp(1j * t) - 1.0) * np.outer(v, v.conj())
 
 
 def bloch_planes(rho) -> np.ndarray:

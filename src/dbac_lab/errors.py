@@ -11,7 +11,3 @@ class DimensionMismatchError(ContractViolationError):
 
 class DegenerateInputError(ValueError):
     """The requested operation is undefined for this input (e.g. exact excited eigenstate)."""
-
-
-class SingularParameterError(ValueError):
-    """A parameter combination makes a formula denominator vanish."""

@@ -3,7 +3,7 @@
 Everything here is a pure function on numpy arrays with complex128 entries.
 Operators are dense matrices whose dimension is a power of two; qubit 0 is the
 leftmost (most significant) tensor factor throughout the package.  The
-matrix exponential of a Hermitian H is ``states.HamiltonianSpec(H).expm``.
+eigensystem of a Hermitian H is ``states.HamiltonianSpec(H).eig``.
 """
 
 from __future__ import annotations

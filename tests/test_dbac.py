@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dbac_lab import dbac, qmath
 from dbac_lab.baselines import hbac_round_closed, thermal_qubit
-from dbac_lab.circuits import SizzleParams
+from dbac_lab.circuits import partial_swap_unitaries
 from dbac_lab.dbac import (
     BasinResult,
     CoolingRecord,
@@ -22,17 +22,17 @@ from dbac_lab.dbac import (
     final_fidelities_over_s,
     optimal_step,
     step_size_grid,
-    synthesize_uk,
 )
-from dbac_lab.dme import bloch_planes, density_matrices, reflector
+from dbac_lab.dme import bloch_planes, density_matrices
 from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
-from dbac_lab.states import HamiltonianSpec, PureState, energy, excess_energy, fidelity, rx_init
+from dbac_lab.states import HamiltonianSpec, PureState, rx_init
 from dbac_lab.tomography import NoiseModel
 
 from conftest import random_density, random_state, random_unitary
 from oracles import (
-    dbac_step_exact, dense_descent_bound_residual, dme_chain, pauli_expectations, plain_basin, records,
-    recursive_exact, tiled_table_fidelities, agrees, tol,
+    LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
+    ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector, synthesize_uk,
+    tiled_table_fidelities, agrees, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -52,7 +52,7 @@ def _assert_matches_oracle(thetas, schedule, noise):
     assert len(got.energies) == len(thetas)
     h = schedule.hamiltonian.matrix
     for i, theta in enumerate(thetas):
-        rho0 = rx_init(theta).density().matrix
+        rho0 = density(rx_init(theta))
         outs, margs = dme_chain(rho0, h, schedule.s, schedule.m, schedule.recursion, noise)
         energies = [np.trace(h @ rho).real for rho in [rho0, *outs]]
         instr_energies = [np.trace(h @ rho).real for rho in margs]
@@ -68,8 +68,8 @@ class TestStepExact:
         assert fidelity(out, psi) > 1 - 1e-14
 
     def test_ground_fixed_point(self):
-        out = dbac_step_exact(PureState.basis(0), 0.9)
-        assert fidelity(out, PureState.basis(0)) > 1 - 1e-14
+        out = dbac_step_exact(basis(0), 0.9)
+        assert fidelity(out, basis(0)) > 1 - 1e-14
 
     def test_quarter_pi_from_equator(self):
         out = dbac_step_exact(rx_init(np.pi / 2), np.pi / 4)
@@ -177,7 +177,7 @@ class TestRecursiveExact:
             assert abs(rec.energies[j] - e) < 1e-11
 
     def test_excited_state_is_fixed(self):
-        rec = dbac_recursive_exact(PureState.basis(1), DbacSchedule.uniform(3, 0.9))
+        rec = dbac_recursive_exact(basis(1), DbacSchedule.uniform(3, 0.9))
         assert all(abs(e - 1.0) < 1e-10 for e in rec.energies)
 
     def test_trajectory_length(self):
@@ -428,6 +428,9 @@ class TestRecordsOracle:
 
 
 class TestSynthesizeUk:
+    """The recursive unitary synthesis oracle, on its own and against the
+    exact chain engine."""
+
     def test_empty_is_identity(self):
         u = synthesize_uk(H, [])
         assert np.abs(u - np.eye(2)).max() == 0
@@ -435,21 +438,15 @@ class TestSynthesizeUk:
     def test_single_qubit_matches_step_unitary(self):
         t = 0.8
         u = synthesize_uk(H, [t**2])
-        v = H.expm(1j * t) @ reflector(PureState.basis(0), t) @ H.expm(-1j * t)
+        v = expm(H, 1j * t) @ reflector(basis(0), t) @ expm(H, -1j * t)
         assert qmath.dist_up_to_global_phase(u, v) < 1e-12
 
     def test_two_qubit_descent_from_random_start(self, rng):
-        h2 = HamiltonianSpec(
-            -np.kron(qmath.PAULI_Z, qmath.I2) - np.kron(qmath.I2, qmath.PAULI_Z)
-        )
+        # |00> is a random start in the eigenbasis of a random H
         for _ in range(5):
-            u0 = random_unitary(rng, 4)
-            base = u0 @ np.array([1, 0, 0, 0], dtype=complex)
-            e0 = float(np.real(base.conj() @ h2.matrix @ base))
-            if abs(abs(e0) - 2.0) < 1e-3:
-                continue
-            u1 = synthesize_uk(h2, [0.02], u0=u0)
-            w = u1 @ np.array([1, 0, 0, 0], dtype=complex)
+            h2 = _random_hamiltonian(rng, 4)
+            e0 = h2.matrix[0, 0].real
+            w = synthesize_uk(h2, [0.02])[:, 0]
             e1 = float(np.real(w.conj() @ h2.matrix @ w))
             assert e1 < e0 + 1e-9
 
@@ -463,21 +460,49 @@ class TestSynthesizeUk:
             e = dbac_energy_analytic(e, np.sqrt(s))
         assert abs(float(np.real(w.conj() @ H.matrix @ w)) - e) < 1e-12
 
-    @pytest.mark.parametrize("u0", [np.eye(4), np.stack([np.eye(2)] * 3)], ids=["other_size", "stack"])
-    def test_rejects_u0_of_another_shape(self, u0):
-        # check_unitary takes stacks; the seed must be one unitary of H's size
-        with pytest.raises(DimensionMismatchError):
-            synthesize_uk(H, [0.1], u0=u0)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_chain_engine(self, rng, n):
+        # U_k |0...0> is the exact chain from |0...0> at step durations sqrt(s)
+        for _ in range(20):
+            h = _random_hamiltonian(rng, 2**n)
+            s = rng.uniform(0.01, 0.3, size=3)
+            w = synthesize_uk(h, s)[:, 0]
+            rec = dbac_recursive_exact(basis(0, n), DbacSchedule(np.sqrt(s), hamiltonian=h))
+            want = np.vdot(w, h.matrix @ w).real
+            assert abs(rec.energies[-1] - want) < tol("dbac_recursive_exact chain", "synthesize_uk")
 
-    def test_rejects_large_register(self):
-        h4 = HamiltonianSpec(np.diag(np.arange(16.0)).astype(complex))
-        with pytest.raises(ContractViolationError):
-            synthesize_uk(h4, [0.1])
+
+class TestImaginaryTimeOracle:
+    """One exact step of duration sqrt(s) and imaginary time s agree in energy
+    to O(s^2): both descend by 2 s V0 to first order."""
+
+    def _gap(self, psi, h, s):
+        """(E_step - E_ite) / s^2."""
+        e_step = dbac_recursive_exact(psi, DbacSchedule((np.sqrt(s),), hamiltonian=h)).energies[-1]
+        return (e_step - energy(ite_evolve(psi, s, h), h)) / s**2
+
+    @pytest.mark.parametrize("theta", [0.5, 1.2, 2.0, 2.8])
+    def test_single_qubit_gap_is_second_order(self, theta):
+        # under H = -Z the gap per s^2 tends to (1 - E0^2)(3 E0 + 5/3)
+        e0 = -np.cos(theta)
+        for s in (1e-2, 1e-3):
+            gap = self._gap(rx_init(theta), H, s)
+            assert abs(gap) <= tol("dbac_recursive_exact one step", "ite_evolve")
+        assert abs(gap - (1 - e0**2) * (3 * e0 + 5 / 3)) < 0.02
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_random_hamiltonians(self, rng, dim):
+        for _ in range(10):
+            h = _random_hamiltonian(rng, dim)
+            h = HamiltonianSpec(h.matrix / np.abs(h.eig[0]).max())  # eigenvalues in [-1, 1], as -Z's
+            psi = PureState.from_vector(random_state(rng, dim))
+            for s in (1e-2, 1e-3):
+                assert abs(self._gap(psi, h, s)) <= tol("dbac_recursive_exact one step", "ite_evolve")
 
 
 class TestDescentBound:
     def test_eigenstate_residual_zero(self):
-        assert abs(descent_bound_residual(H, PureState.basis(0), 0.05)) < 1e-9
+        assert abs(descent_bound_residual(H, basis(0), 0.05)) < 1e-9
 
     def test_ratio_bounded_for_random_instances(self, rng):
         for i in range(25):
@@ -507,7 +532,7 @@ class TestDescentBound:
             with pytest.raises(ContractViolationError):
                 descent_bound_residual(H, rx_init(1.0), np.array(s))
         with pytest.raises(DimensionMismatchError):
-            descent_bound_residual(H, PureState.basis(0, 2), 0.05)
+            descent_bound_residual(H, basis(0, 2), 0.05)
 
     def test_empty_step_sizes_give_an_empty_residual(self):
         for s in ([], np.empty((2, 0))):
@@ -550,6 +575,12 @@ class TestOptimalStep:
             optimal_step(1.0, 1, 1)
         with pytest.raises(DegenerateInputError):
             optimal_step(-1.0, 1, 1)
+
+    @pytest.mark.parametrize("e0", [1.5, -1.5])
+    def test_out_of_range_energy_rejected(self, e0):
+        # an energy outside [-1, 1] is no state's, not a fixed point
+        with pytest.raises(ContractViolationError, match=r"e0 must lie in \[-1, 1\]"):
+            optimal_step(e0, 2)
 
     def test_quarter_pi_cools_everywhere(self):
         # at s = pi/4 a single exact step strictly cools every theta in (0, pi)
@@ -602,11 +633,10 @@ class TestCopiesAccounting:
         assert acc["inputs_total"] == 4
 
     def test_matches_circuit_wire_counts(self):
-        from dbac_lab.circuits import DBAC_NUM_QUBITS
-
-        assert copies_accounting(DbacSchedule.uniform(1, 1.0, m=1))["inputs_total"] == DBAC_NUM_QUBITS["A"]
-        assert copies_accounting(DbacSchedule.uniform(1, 1.0, m=2))["inputs_total"] == DBAC_NUM_QUBITS["B"]
-        assert copies_accounting(DbacSchedule.uniform(2, 1.0, m=1))["inputs_total"] == DBAC_NUM_QUBITS["C"]
+        # the wire counts of the cooling layouts, the gate-level oracle
+        assert copies_accounting(DbacSchedule.uniform(1, 1.0, m=1))["inputs_total"] == LAYOUTS["A"][0]
+        assert copies_accounting(DbacSchedule.uniform(1, 1.0, m=2))["inputs_total"] == LAYOUTS["B"][0]
+        assert copies_accounting(DbacSchedule.uniform(2, 1.0, m=1))["inputs_total"] == LAYOUTS["C"][0]
 
     def test_exact_schedule_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -1175,30 +1205,20 @@ def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
     assert calls == {"check_hermitian": 0, "eigh": 1}
 
 
-_SIZZLE = dict(
-    j=1.0, alpha0=-0.2, alpha1=-0.21, omega0=0.5, omega1=0.5,
-    delta0d=1.0, delta1d=1.1, phi0=0.3, phi1=0.3, delta_ij=0.05,
-)
-
-
 @pytest.mark.parametrize(
     "call, error, match",
     [
         (lambda: dbac_energy_analytic(np.nan, 0.3), ContractViolationError, r"e0 must lie in \[-1, 1\]"),
         (lambda: dbac_energy_analytic(0.3, np.nan), ContractViolationError, "t must be finite"),
-        (lambda: synthesize_uk(H, [np.nan]), ContractViolationError, "step sizes must be positive"),
-        (lambda: synthesize_uk(H, [0.1, np.inf]), ContractViolationError, "must be finite"),
-        (lambda: excess_energy(0.5, np.nan), ContractViolationError, "tau must be nonnegative"),
-        (lambda: excess_energy(np.nan, 0.1), DegenerateInputError, r"f0 must lie in \(0, 1\]"),
         (lambda: hbac_round_closed(np.nan, 0.1, 0.1), ContractViolationError, "polarization must lie in"),
         (lambda: thermal_qubit(np.nan), ContractViolationError, "polarization must lie in"),
         (lambda: hbac_round_closed(0.1, np.nan, np.nan), ContractViolationError, "polarization must lie in"),
-        (lambda: SizzleParams(**{**_SIZZLE, "j": np.nan}), ContractViolationError, "must be finite"),
-        (lambda: SizzleParams(**{**_SIZZLE, "delta0d": np.inf}), ContractViolationError, "must be finite"),
+        (lambda: partial_swap_unitaries([0.3, np.nan]), ContractViolationError, "gate angles must be finite"),
+        (lambda: partial_swap_unitaries([np.inf]), ContractViolationError, "gate angles must be finite"),
     ],
     ids=[
-        "energy-law-e0", "energy-law-t", "synthesize-nan-step", "synthesize-inf-step", "excess-energy-tau",
-        "excess-energy-f0", "hbac-target", "thermal-qubit", "hbac-bath", "sizzle-j", "sizzle-inf-denominator",
+        "energy-law-e0", "energy-law-t", "hbac-target", "thermal-qubit", "hbac-bath", "partial-swap-nan",
+        "partial-swap-inf",
     ],
 )
 def test_library_rejects_nan_inputs(call, error, match):

@@ -13,7 +13,6 @@ from dbac_lab.dme import (
     dme_errors,
     partial_swap,
     partial_swap_power,
-    reflector,
     swap_coefficients,
     swap_operands,
 )
@@ -22,8 +21,8 @@ from dbac_lab.states import HamiltonianSpec, PureState, check_density, rx_init
 
 from conftest import random_density, verdict
 from oracles import (
-    dme_error, dme_step_exact, dme_step_marginals, exact_conjugation, pauli_expectations, trace_distance, tol,
-    trotter_state,
+    basis, density, dme_error, dme_step_exact, dme_step_marginals, exact_conjugation, expm, pauli_expectations,
+    reflector, trace_distance, tol, trotter_state,
 )
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -60,8 +59,11 @@ def _swap(instr, sig, delta):
 
 
 class TestReflector:
+    """The reflector oracle, which the dense cooling step and the synthesis
+    oracle build on, against its closed forms and the dense exponential."""
+
     def test_t_zero(self):
-        assert np.abs(reflector(PureState.basis(0), 0.0) - np.eye(2)).max() < 1e-15
+        assert np.abs(reflector(basis(0), 0.0) - np.eye(2)).max() < 1e-15
 
     def test_grover_reflection_at_pi(self):
         psi = rx_init(0.9)
@@ -69,13 +71,13 @@ class TestReflector:
         assert np.abs(reflector(psi, np.pi) - (np.eye(2) - 2 * proj)).max() < 1e-14
 
     def test_half_pi_on_ground(self):
-        assert np.abs(reflector(PureState.basis(0), np.pi / 2) - np.diag([1j, 1.0])).max() < 1e-15
+        assert np.abs(reflector(basis(0), np.pi / 2) - np.diag([1j, 1.0])).max() < 1e-15
 
     def test_matches_expm_oracle(self, rng):
         psi = PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2))
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         for t in (0.3, -1.2, 2.9):
-            assert np.abs(reflector(psi, t) - HamiltonianSpec(proj).expm(1j * t)).max() < 1e-13
+            assert np.abs(reflector(psi, t) - expm(HamiltonianSpec(proj), 1j * t)).max() < 1e-13
 
     def test_unitary(self, rng):
         psi = PureState.from_vector(rng.normal(size=4) + 1j * rng.normal(size=4))
@@ -478,7 +480,7 @@ class TestDmeErrors:
         rng = np.random.default_rng(seed)
         rho, sigma = random_density(rng), random_density(rng)
         if kind == "pure":
-            rho = PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)).density().matrix
+            rho = density(PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)))
         elif kind == "maximally mixed":
             rho = np.eye(2, dtype=complex) / 2
         elif kind == "sigma = rho":

@@ -26,7 +26,7 @@ from dbac_lab.tomography import (
 )
 
 from conftest import random_unitary
-from oracles import apply_kraus, dense_channel, ptm_of_channel, tol, unitary_channel
+from oracles import apply_kraus, dense_channel, expm, ptm_of_channel, tol, unitary_channel
 
 
 def ptm_of_circuit(c, noise=None):
@@ -44,8 +44,6 @@ def circuits(draw):
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
         if kind == "RZZ":
             qubits = draw(st.sampled_from([(0, 1), (1, 0)]))
-        elif kind == "BARRIER":
-            qubits = ()
         else:
             qubits = (draw(st.integers(0, n - 1)),)
         params = (draw(ANGLES),) if kind in ("RX", "RY", "RZ", "RZZ") else ()
@@ -131,14 +129,14 @@ class TestPtmOfCircuit:
 
     def test_matches_channel_path(self):
         phi = np.pi / 4
-        target = unitary_channel(HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi))
+        target = unitary_channel(expm(HamiltonianSpec(qmath.swap_operator(2)), -1j * phi))
         a = ptm_of_circuit(compile_udme_native(phi)).r
         b = ptm_of_channel(target, 2).r
         assert np.abs(a - b).max() < tol("ptm_of_circuits", "ptm_of_channel")
 
     def test_noise_lowers_average_fidelity_monotonically(self):
         phi = np.pi / 4
-        ideal = ptm_of_channel(unitary_channel(HamiltonianSpec(qmath.swap_operator(2)).expm(-1j * phi)), 2)
+        ideal = ptm_of_channel(unitary_channel(expm(HamiltonianSpec(qmath.swap_operator(2)), -1j * phi)), 2)
         prev = process_fidelity(ideal, ptm_of_circuit(compile_udme_native(phi)))["f_avg"]
         for p2 in (0.01, 0.02, 0.04):
             noisy = ptm_of_circuit(compile_udme_native(phi), NoiseModel(p2=p2))
@@ -178,7 +176,7 @@ class TestComposedPtm:
     def test_fixed_circuits_match_dense_oracle(self, noise):
         every_kind = Circuit(2, (
             Gate("RX", (0.3,), (0,)), Gate("RY", (-1.1,), (1,)), Gate("RZ", (2.2,), (0,)),
-            Gate("H", (), (1,)), Gate("S", (), (0,)), Gate("BARRIER"), Gate("SDG", (), (1,)),
+            Gate("H", (), (1,)), Gate("S", (), (0,)), Gate("SDG", (), (1,)),
             Gate("RZZ", (0.7,), (0, 1)), Gate("RZZ", (-0.4,), (1, 0)),
         ))
         assert {g.kind for g in every_kind.gates} == set(GATE_KINDS)
@@ -199,9 +197,8 @@ class TestComposedPtm:
         noise = NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2)
         c = compile_udme_native(0.6)
         got = ptm_of_circuit(c, noise).r
-        gates = [g for g in c.gates if g.kind != "BARRIER"]
-        assert len(gates) == 11
-        assert sorted(built) == sorted({g.qubits for g in gates}) and len(built) == 3
+        assert len(c.gates) == 11
+        assert sorted(built) == sorted({g.qubits for g in c.gates}) and len(built) == 3
         want = ptm_of_channel(dense_channel(c, noise), 2).r
         assert np.abs(got - want).max() < tol("ptm_of_circuits", "dense_channel")
 
@@ -350,11 +347,11 @@ NOISES = [
 
 @st.composite
 def circuit_batches(draw):
-    """One to four circuits on one register size, one of them barrier-only."""
+    """One to four circuits on one register size, one of them empty."""
     drawn = draw(st.lists(circuits(), min_size=1, max_size=4))
     n = drawn[0].num_qubits
     batch = [c for c in drawn if c.num_qubits == n]
-    batch.insert(draw(st.integers(0, len(batch))), Circuit(n, (Gate("BARRIER"),)))
+    batch.insert(draw(st.integers(0, len(batch))), Circuit(n, ()))
     return batch
 
 
@@ -375,9 +372,8 @@ class TestPtmOfCircuits:
     def test_mixed_gate_counts_match_dense_oracle(self, n):
         q = (0, 1) if n == 2 else (0,)
         batch = [
-            Circuit(n, (Gate("BARRIER"),)),
             Circuit(n, (Gate("RX", (0.4,), (q[-1],)),)),
-            Circuit(n, (Gate("H", (), (0,)), Gate("BARRIER"), Gate("RZ", (1.3,), (q[-1],)), Gate("S", (), (0,)))),
+            Circuit(n, (Gate("H", (), (0,)), Gate("RZ", (1.3,), (q[-1],)), Gate("S", (), (0,)))),
             Circuit(n, ()),
         ]
         if n == 2:
@@ -388,8 +384,8 @@ class TestPtmOfCircuits:
                 want = ptm_of_channel(dense_channel(c, noise), n).r
                 assert np.abs(ptm.r - want).max() < tol("ptm_of_circuits", "dense_channel")
 
-    def test_barrier_only_batch_is_identity(self):
-        batch = [Circuit(2, (Gate("BARRIER"),))] * 3
+    def test_gateless_batch_is_identity(self):
+        batch = [Circuit(2, ())] * 3
         for ptms in ptm_of_circuits(batch, (None, NoiseModel(p1=0.2))):
             assert len(ptms) == 3 and all(np.array_equal(p.r, np.eye(16)) for p in ptms)
 
@@ -434,7 +430,8 @@ class TestPtmOfCircuits:
         got = partial_swap_ptms(phis)
         for phi, u, ptm in zip(phis, partial_swap_unitaries(phis), got, strict=True):
             assert np.array_equal(ptm.r, tomography._transfer(u[None], 2)[0]) and ptm.trace_preserving
-            assert np.abs(ptm.r - tomography._transfer(HamiltonianSpec(swap).expm(-1j * phi)[None], 2)[0]).max() < 1e-15
+            target = expm(HamiltonianSpec(swap), -1j * phi)
+            assert np.abs(ptm.r - tomography._transfer(target[None], 2)[0]).max() < 1e-15
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_recurring_gate_objects_transferred_once(self, monkeypatch, count):
