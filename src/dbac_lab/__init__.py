@@ -16,7 +16,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .dbac import (  # noqa: F401
-    BasinResult,
     CoolingRecord,
     DbacSchedule,
     basin_min_fidelity,

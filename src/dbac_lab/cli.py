@@ -18,10 +18,12 @@ them: one writer formats every table at 12 significant digits, one format per
 table, and `results_manifest.json` lists exactly the files this run wrote,
 each with its sha256 checksum, and the environment (python, numpy, BLAS, core
 count); identical config and seed give byte-identical output.  Exit codes: 0
-success, 1 config or usage error (an unusable `--out` too), 2 acceptance
-failure, 3 runtime failure (the experiment raised after its config was
-accepted; a one-line `runtime error: ...` goes to stderr, the manifest records
-the failed stage, and a run whose runner raised emits only that manifest).
+success, 1 config or usage error (an unusable `--out` too, and a `--config`
+that is not a readable UTF-8 file: a one-line `config error: ...` goes to
+stderr), 2 acceptance failure, 3 runtime failure (the experiment raised after
+its config was accepted, or its manifest could not be written; a one-line
+`runtime error: ...` goes to stderr, the manifest, when written, records the
+failed stage, and a run whose runner raised emits only that manifest).
 
 The config key `workers` (>= 1, read by nothing) is accepted only for perfbench's configs.
 """
@@ -281,7 +283,11 @@ def validate_config(
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file {path} does not exist")
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, a non-UTF-8 byte
+            raise ConfigError(f"config file {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -346,8 +352,8 @@ def _run_grid_km(cfg: ExperimentConfig) -> dict:
     for k in cfg.k_list:
         for m in cfg.m_list:
             s_opt = optimal_step(e0_ref, k, m, cfg.recursion)
-            basin = basin_min_fidelity(k, m, cfg.f_target, cfg.recursion)
-            rows.append([k, "exact" if m is None else m, s_opt, basin.f0_min])
+            f0_min = basin_min_fidelity(k, m, cfg.f_target, cfg.recursion)
+            rows.append([k, "exact" if m is None else m, s_opt, f0_min])
     return {"grid_km.csv": (["k", "M", "s_opt", "F_min_basin"], rows)}
 
 
@@ -484,9 +490,10 @@ def run_config(cfg: ExperimentConfig) -> dict:
     files in `out` are left alone, unlisted.  If the runner raises, only the
     manifest is written, recording the failed stage; if writing fails, it
     lists the files already written.  Either way the error is then re-raised
-    as RunError.  The manifest also records the environment (python, numpy,
-    BLAS, core count); fields the runner returns for it (for acceptance, the
-    verdicts and each criterion's runtime) are added to it.
+    as RunError, as is a failure to write the manifest itself.  The manifest
+    also records the environment (python, numpy, BLAS, core count); fields the
+    runner returns for it (for acceptance, the verdicts and each criterion's
+    runtime) are added to it.
     """
     out = Path(cfg.out)
     try:
@@ -518,7 +525,11 @@ def run_config(cfg: ExperimentConfig) -> dict:
     if failure is not None:
         manifest["failed_stage"] = {"experiment": cfg.experiment, "error": failure}
     manifest.update(extra)
-    (out / _MANIFEST).write_bytes(_render(_MANIFEST, manifest))
+    try:
+        (out / _MANIFEST).write_bytes(_render(_MANIFEST, manifest))
+    except OSError as exc:  # a directory in its place, say: the run's record is lost
+        lost = "" if failure is None else f" ({failure})"
+        raise RunError(f"cannot write {_MANIFEST}{lost}: {exc}") from exc
     if failure is not None:
         raise RunError(f"experiment failed; manifest records the stage: {failure}") from error
     return manifest

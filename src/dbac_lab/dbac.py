@@ -97,40 +97,26 @@ class DbacSchedule:
 @dataclass(frozen=True)
 class CoolingRecord:
     """Per-step observables of one protocol run or a batch of runs: read-only
-    float64 arrays, batch shape first and step axis last.  ``energies`` and
-    ``fidelities`` are (..., k+1) (initial state included), ``variances``
-    (..., k) (pre-step), ``instruction_energies`` (..., n) (post-interaction,
-    every instruction register consumed, in protocol order; n = 0 for exact
-    reflectors) and ``trajectory`` (..., k+1, 3), (..., 0, 3) beyond a qubit.
+    float64 arrays, batch shape first and step axis last.  ``energies`` are
+    (..., k+1) (initial state included), ``instruction_energies`` (..., n)
+    (post-interaction, every instruction register consumed, in protocol order;
+    n = 0 for exact reflectors) and ``trajectory`` (..., k+1, 3), (..., 0, 3)
+    beyond a qubit.
     """
 
     energies: np.ndarray
-    variances: np.ndarray
-    fidelities: np.ndarray
-    copies_consumed: int
     trajectory: np.ndarray
     instruction_energies: np.ndarray = ()
 
     def __post_init__(self):
-        for name in ("energies", "variances", "fidelities", "trajectory", "instruction_energies"):
+        for name in ("energies", "trajectory", "instruction_energies"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.k < 1 or self.variances.shape[-1] != self.k or self.fidelities.shape != self.energies.shape:
-            raise ContractViolationError("record lengths are inconsistent")
-        if not ((self.fidelities >= 0.0) & (self.fidelities <= 1.0 + 1e-9)).all():  # NaN fails too
-            raise ContractViolationError("fidelities must lie in [0, 1]")
-        if self.copies_consumed < self.k:
-            raise ContractViolationError("copies_consumed must be at least k")
 
     @property
     def k(self) -> int:
         return self.energies.shape[-1] - 1
-
-
-class BasinResult(NamedTuple):
-    f0_min: float
-    reachable: bool
 
 
 def dbac_energy_analytic(e0: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
@@ -166,23 +152,17 @@ def _records(schedule: DbacSchedule, pops: np.ndarray, planes=None, shape: tuple
     only computes observables."""
     k, b = schedule.k, pops.shape[1]
     h = schedule.hamiltonian
-    w, v = h.eig
-    all_energies = (pops * w).sum(axis=-1)  # the states', then the marginals'
-    energies = all_energies[: k + 1]
-    variances = (pops[:k] * (w * w)).sum(axis=-1) - energies[:k] ** 2
-    ground = np.diagonal(v.conj().T @ h.ground_projector @ v).real  # 1 on the ground space, 0 off it
-    fids = np.clip((pops[: k + 1] * ground).sum(axis=-1), 0.0, 1.0)
+    energies = (pops * h.eig[0]).sum(axis=-1)  # the states', then the marginals'
     if planes is None:
         traj = np.empty((0, b, 3))
     else:
         rot = h.bloch_rotation[:, :, None, None]
         traj = (rot[:, 0] * planes[0] + rot[:, 1] * planes[1] + rot[:, 2] * planes[2]).transpose(1, 2, 0)
-    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
-    e, var, f, traj, instr = (  # (steps, B, ...) -> shape + (steps, ...)
+    e, traj, instr = (  # (steps, B, ...) -> shape + (steps, ...)
         x.swapaxes(0, 1).reshape(shape + x.shape[:1] + x.shape[2:])
-        for x in (energies, variances, fids, traj, all_energies[k + 1 :])
+        for x in (energies[: k + 1], traj, energies[k + 1 :])
     )
-    return CoolingRecord(e, var, f, copies, traj, instr)
+    return CoolingRecord(e, traj, instr)
 
 
 def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecord:
@@ -310,15 +290,13 @@ def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.
 
 
 def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
-    """Input-state accounting: total copies prod(M_j + 1), extras, and prod(M_j)."""
+    """Input-state accounting: total copies prod(M_j + 1) and the extras beyond the first."""
     if schedule.m is None:
         raise ContractViolationError("copies accounting requires finite Trotter depths")
     total = 1
-    prod = 1
     for mj in schedule.m:
         total *= mj + 1
-        prod *= mj
-    return {"inputs_total": total, "inputs_extra": total - 1, "product_form": prod}
+    return {"inputs_total": total, "inputs_extra": total - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +621,12 @@ class _BasinPasses:
 
 def basin_min_fidelity(
     k: int, m: Optional[int], f_target: float, mode: str = "chain"
-) -> BasinResult:
+) -> float:
     """Smallest initial ground fidelity from which the optimally stepped
     protocol reaches ``f_target``, bisected to 1e-4.
 
-    Returns the 1.0 sentinel with ``reachable=False`` when no initial fidelity
-    below 1 attains the target.
+    Returns the 1.0 sentinel when no initial fidelity below 1 attains the
+    target.
 
     The upper end, 1 - 1e-6, is decided by one witness entry at the first
     grid step (s = 1e-3); only when that entry misses the target does a
@@ -679,9 +657,9 @@ def basin_min_fidelity(
     hi = 1.0 - 1e-6
     lo = 1e-6
     if not (reaches.at_first_step(hi) or reaches(hi)):
-        return BasinResult(1.0, False)
+        return 1.0
     if reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS)):
-        return BasinResult(lo, True)
+        return lo
     while hi - lo > _BASIN_TOL:
         mid = 0.5 * (lo + hi)
         if mid in reaches.proven or reaches(
@@ -690,4 +668,4 @@ def basin_min_fidelity(
             hi = mid
         else:
             lo = mid
-    return BasinResult(hi, True)
+    return hi

@@ -104,7 +104,7 @@ class DensityMatrix:
 class HamiltonianSpec:
     """Hermitian generator for the cooling protocol, validated once, on
     construction; its eigensystem is computed once, on first use, and
-    :attr:`bloch_rotation` and :attr:`ground_projector` check nothing again."""
+    :attr:`bloch_rotation` checks nothing again."""
 
     matrix: np.ndarray
 
@@ -143,15 +143,6 @@ class HamiltonianSpec:
         rot = np.array([[0.5 * np.trace(v.conj().T @ pj @ v @ pk).real for pk in paulis] for pj in paulis])
         rot.setflags(write=False)
         return rot
-
-    @functools.cached_property
-    def ground_projector(self) -> np.ndarray:
-        """Projector onto the eigenspace within 1e-9 of the lowest eigenvalue, read-only."""
-        w, v = self.eig
-        vg = v[:, w <= w.min() + 1e-9]
-        p = vg @ vg.conj().T
-        p.setflags(write=False)
-        return p
 
 
 def rx_init(theta: float) -> PureState:

@@ -56,11 +56,10 @@ def _pauli_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PTM:
-    """Real transfer matrix in the Pauli basis; flags non-trace-preserving maps."""
+    """Real transfer matrix in the Pauli basis."""
 
     n_qubits: int
     r: np.ndarray
-    trace_preserving: bool = True
 
     def __post_init__(self):
         d2 = 4**self.n_qubits
@@ -77,13 +76,6 @@ class PTM:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-
-def _ptm(r: np.ndarray, n: int) -> PTM:
-    """Wrap a transfer matrix, flagged trace preserving when its first row is
-    (1, 0, ..., 0) to 1e-10."""
-    tp = bool(abs(r[0, 0] - 1.0) <= 1e-10 and np.abs(r[0, 1:]).max() <= 1e-10)
-    return PTM(n_qubits=n, r=r, trace_preserving=tp)
 
 
 def _transfer(ops: np.ndarray, n: int) -> np.ndarray:
@@ -190,14 +182,14 @@ def ptm_of_circuits(
             ptms = stack.copy()
             for qubits, idx in groups.items():
                 ptms[idx] = _noise_ptm(noise, qubits, n) @ ptms[idx]
-        out.append([_ptm(r, n) for r in compose(ptms, take)])
+        out.append([PTM(n_qubits=n, r=r) for r in compose(ptms, take)])
     return out
 
 
 def partial_swap_ptms(phis: Sequence[float]) -> list[PTM]:
     """The PTMs of the partial swaps exp(-i phi SWAP) on two qubits, one per
     angle: one stacked transfer of their closed-form unitaries."""
-    return [_ptm(r, 2) for r in _transfer(partial_swap_unitaries(phis), 2)]
+    return [PTM(n_qubits=2, r=r) for r in _transfer(partial_swap_unitaries(phis), 2)]
 
 
 def process_fidelity(r_ideal: PTM, r: PTM) -> dict[str, float]:

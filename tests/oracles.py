@@ -13,7 +13,7 @@ import numpy as np
 
 from dbac_lab import circuits, dbac, qmath, tomography
 from dbac_lab.baselines import ppa_round, target_polarization, thermal_qubit
-from dbac_lab.dbac import BasinResult, CoolingRecord, best_final_fidelity, check_step_sizes, copies_accounting
+from dbac_lab.dbac import CoolingRecord, best_final_fidelity, check_step_sizes
 from dbac_lab.states import DensityMatrix, HamiltonianSpec, PureState
 from dbac_lab.tomography import PTM, pauli_labels, pauli_matrix
 
@@ -115,6 +115,13 @@ def variance(psi: PureState, h: HamiltonianSpec) -> float:
     return float(np.trace(h.matrix @ h.matrix @ rho).real - e * e)
 
 
+def ground_projector(h: HamiltonianSpec) -> np.ndarray:
+    """Projector onto the eigenspace within 1e-9 of H's lowest eigenvalue."""
+    w, v = h.eig
+    vg = v[:, w <= w.min() + 1e-9]
+    return vg @ vg.conj().T
+
+
 def expm(h: HamiltonianSpec, scale: complex) -> np.ndarray:
     """exp(scale H), from the program's eigensystem of H (``h.eig``)."""
     w, v = h.eig
@@ -142,16 +149,14 @@ def dense_descent_bound_residual(h: HamiltonianSpec, psi: PureState, s: float) -
     return (e1 - energy(psi, h) + 2.0 * s * variance(psi, h)) / s**2
 
 
-def recursive_exact(psi: PureState, schedule, ground):
-    """dbac_recursive_exact one dense step at a time: energies, variances, ground
-    fidelities (``ground``: a basis of the ground space as columns), trajectory."""
+def recursive_exact(psi: PureState, schedule):
+    """dbac_recursive_exact one dense step at a time: energies and trajectory."""
     h = schedule.hamiltonian
     states = [psi]
     for t in schedule.s:
         states.append(dbac_step_exact(states[-1], t, h, psi if schedule.recursion == "fresh" else None))
-    fids = [float(np.sum(np.abs(ground.conj().T @ s.amplitudes) ** 2)) for s in states]
     traj = [pauli_expectations(density(s)) for s in states] if psi.num_qubits == 1 else []
-    return [energy(s, h) for s in states], [variance(s, h) for s in states[:-1]], fids, traj
+    return [energy(s, h) for s in states], traj
 
 
 def records(schedule, states, marginals=(), shape=()) -> CoolingRecord:
@@ -165,17 +170,13 @@ def records(schedule, states, marginals=(), shape=()) -> CoolingRecord:
         return np.einsum("ij,...ji->...", op, rho).real
 
     energies = expect(np.diag(w), states)
-    variances = expect(np.diag(w * w), states[:-1]) - energies[:-1] ** 2
-    fids = np.clip(expect(v.conj().T @ schedule.hamiltonian.ground_projector @ v, states), 0.0, 1.0)
     instr_energies = expect(np.diag(w), marginals)
     paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
     bloch = np.stack([expect(v.conj().T @ p @ v, states) for p in paulis], -1) if d == 2 else np.empty((0, b, 3))
-    copies = copies_accounting(schedule)["inputs_total"] if schedule.m else schedule.k + 1
-    e, var, f, traj, instr = (
-        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:])
-        for x in (energies, variances, fids, bloch, instr_energies)
+    e, traj, instr = (
+        np.moveaxis(x, 1, 0).reshape(shape + x.shape[:1] + x.shape[2:]) for x in (energies, bloch, instr_energies)
     )
-    return CoolingRecord(e, var, f, copies, traj, instr)
+    return CoolingRecord(e, traj, instr)
 
 
 def dme_chain(rho0, h, steps, depths, mode, noise=None):
@@ -234,16 +235,16 @@ def plain_basin(k, m, f_target, mode):
     hi = 1.0 - 1e-6
     lo = 1e-6
     if best_final_fidelity(hi, k, m, mode) < f_target:
-        return BasinResult(1.0, False)
+        return 1.0
     if best_final_fidelity(lo, k, m, mode) >= f_target:
-        return BasinResult(lo, True)
+        return lo
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if best_final_fidelity(mid, k, m, mode) >= f_target:
             hi = mid
         else:
             lo = mid
-    return BasinResult(hi, True)
+    return hi
 
 
 def dme_step_marginals(rho, sigma, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -378,13 +379,16 @@ def dense_channel(c: circuits.Circuit, noise=None):
 
 def ptm_of_channel(ch, n: int) -> PTM:
     """The PTM R_ij = Tr[P_i ch(P_j)] / 2^n of a channel callable on n qubits,
-    probed with every Pauli string; flagged trace preserving when its first
-    row is (1, 0, ..., 0) to 1e-10."""
+    probed with every Pauli string."""
     basis = np.array([pauli_matrix(lb) for lb in pauli_labels(n)])
     images = np.array([ch(p) for p in basis])
-    r = np.einsum("iab,jba->ij", basis, images).real / 2**n
-    tp = abs(r[0, 0] - 1.0) <= 1e-10 and np.abs(r[0, 1:]).max() <= 1e-10
-    return PTM(n_qubits=n, r=r, trace_preserving=bool(tp))
+    return PTM(n_qubits=n, r=np.einsum("iab,jba->ij", basis, images).real / 2**n)
+
+
+def trace_preserving(r) -> bool:
+    """Whether a PTM's first row is (1, 0, ..., 0) to 1e-10: Tr[E(P_j)] = 0 for
+    every non-identity Pauli string and Tr[E(I)] = Tr[I]."""
+    return bool(abs(r[0, 0] - 1.0) <= 1e-10 and np.abs(r[0, 1:]).max() <= 1e-10)
 
 
 def hbac_round_dense(eps_target: float, eps_1: float, eps_2: float) -> float:

@@ -526,6 +526,29 @@ class TestInProcessMain:
         assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1.5\n").hexdigest()}
         assert manifest["failed_stage"]["error"].startswith("TypeError: ")
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"k = 2\xff\n")
+        assert cli.main(["sweep-theta", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["run-ok", "run-failed"])
+    def test_unwritable_manifest_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, fails):
+        # a directory in the manifest's place: the run's record cannot be written
+        if fails:
+            monkeypatch.setitem(cli._RUNNERS, "baselines", lambda cfg: 1 / 0)
+        (tmp_path / "out" / "results_manifest.json").mkdir(parents=True)
+        assert cli.main(["baselines", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: cannot write results_manifest.json") and err.count("\n") == 1
+        assert ("ZeroDivisionError" in err) == fails
+
     def test_runtime_failure_chains_its_cause(self, tmp_path, monkeypatch):
         def boom(cfg):
             raise ValueError("synthetic failure")

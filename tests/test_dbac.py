@@ -7,7 +7,6 @@ from dbac_lab import dbac, qmath
 from dbac_lab.baselines import hbac_round_closed, thermal_qubit
 from dbac_lab.circuits import partial_swap_unitaries
 from dbac_lab.dbac import (
-    BasinResult,
     CoolingRecord,
     RECURSION_MODES,
     DbacSchedule,
@@ -31,8 +30,8 @@ from dbac_lab.tomography import NoiseModel
 from conftest import random_density, random_state, random_unitary
 from oracles import (
     LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
-    ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector, synthesize_uk,
-    tiled_table_fidelities, agrees, tol,
+    ground_projector, ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector,
+    synthesize_uk, tiled_table_fidelities, agrees, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -156,16 +155,16 @@ class TestRecursiveExact:
         rec = dbac_recursive_exact(psi, DbacSchedule.uniform(1, 0.6))
         direct = dbac_step_exact(psi, 0.6)
         assert abs(rec.energies[-1] - energy(direct, H)) < tol("dbac_recursive_exact", "dbac_step_exact")
-        assert len(rec.energies) == 2 and len(rec.variances) == 1
+        assert len(rec.energies) == 2
 
     def test_small_angle_one_step_reaches_target(self):
         rec = dbac_recursive_exact(rx_init(0.2 * np.pi), DbacSchedule.uniform(1, np.pi / 4, m=1))
-        assert rec.fidelities[-1] >= 0.9
+        assert (1.0 - rec.energies[-1]) / 2.0 >= 0.9  # the ground fidelity under H = -Z
 
     def test_far_state_two_steps_fail(self):
         theta = 2 * np.arccos(np.sqrt(0.1))
         rec = dbac_recursive_exact(rx_init(theta), DbacSchedule.uniform(2, np.pi / 4, m=2))
-        assert rec.fidelities[-1] < 0.9
+        assert (1.0 - rec.energies[-1]) / 2.0 < 0.9
         assert best_final_fidelity(0.1, 2, 2) < 0.9
 
     def test_chain_matches_iterated_law(self):
@@ -225,8 +224,7 @@ class TestViaDme:
         rec = dbac_via_dme(1.1, DbacSchedule.uniform(2, np.pi / 4, m=2))
         assert isinstance(rec, CoolingRecord)
         assert rec.k == 2
-        assert rec.copies_consumed == 9
-        assert all(0 <= f <= 1 for f in rec.fidelities)
+        assert np.all(np.abs(rec.energies) <= 1.0)  # ground fidelities (1 - E) / 2 in [0, 1]
 
     def test_noise_reduces_cooling(self):
         clean = dbac_via_dme(1.0, DbacSchedule.uniform(1, np.pi / 4, m=1))
@@ -335,10 +333,9 @@ class TestViaDmeBatch:
         for i, theta in enumerate(thetas):
             single = dbac_via_dme(theta, schedule, noise)
             assert isinstance(single, CoolingRecord)
-            for field in ("energies", "variances", "fidelities", "instruction_energies", "trajectory"):
+            for field in ("energies", "instruction_energies", "trajectory"):
                 # row i of the batch is the single-angle record, bit for bit
                 assert np.array_equal(getattr(batch, field)[i], getattr(single, field))
-            assert batch.copies_consumed == single.copies_consumed == 5 * 3 * 4
 
     @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([]), [0.3, np.nan]])
     def test_bad_theta_rejected(self, theta):
@@ -356,8 +353,6 @@ class TestRecordArrays:
     def _assert_shapes(rec, batch, k, n, traj):
         shapes = {
             "energies": batch + (k + 1,),
-            "fidelities": batch + (k + 1,),
-            "variances": batch + (k,),
             "instruction_energies": batch + (n,),
             "trajectory": batch + (traj, 3),
         }
@@ -384,7 +379,7 @@ class TestRecordsOracle:
     """Records are read from populations and Bloch planes; the density-matrix
     einsums they replaced are the oracle, on the states each engine checked."""
 
-    FIELDS = ("energies", "variances", "fidelities", "instruction_energies", "trajectory")
+    FIELDS = ("energies", "instruction_energies", "trajectory")
 
     @staticmethod
     def _recorded(monkeypatch, name):
@@ -399,7 +394,6 @@ class TestRecordsOracle:
         return seen
 
     def _assert_matches(self, rec, want):
-        assert rec.copies_consumed == want.copies_consumed
         for name in self.FIELDS:
             got, ref = getattr(rec, name), getattr(want, name)
             assert got.shape == ref.shape, name
@@ -591,21 +585,18 @@ class TestOptimalStep:
 
 class TestBasin:
     def test_k1m1_includes_080(self):
-        res = basin_min_fidelity(1, 1, 0.9)
-        assert res.reachable and res.f0_min <= 0.8
+        assert basin_min_fidelity(1, 1, 0.9) <= 0.8
         assert best_final_fidelity(0.8, 1, 1) >= 0.9
 
     def test_k2m2_includes_060(self):
-        res = basin_min_fidelity(2, 2, 0.9)
-        assert res.reachable and res.f0_min <= 0.6
+        assert basin_min_fidelity(2, 2, 0.9) <= 0.6
 
     def test_k2m2_excludes_010(self):
-        assert basin_min_fidelity(2, 2, 0.9).f0_min > 0.1
+        assert basin_min_fidelity(2, 2, 0.9) > 0.1
 
     def test_unreachable_target_sentinel(self):
         # one channel-realized step tops out around 1 - 1e-12 from near-ground
-        res = basin_min_fidelity(1, 1, 1 - 1e-14)
-        assert res == BasinResult(1.0, False)
+        assert basin_min_fidelity(1, 1, 1 - 1e-14) == 1.0
 
     def test_k6_exact_covers_most_angles(self):
         grid = step_size_grid()
@@ -622,11 +613,11 @@ class TestBasin:
 class TestCopiesAccounting:
     def test_single_step_single_copy(self):
         acc = copies_accounting(DbacSchedule.uniform(1, np.pi / 4, m=1))
-        assert acc == {"inputs_total": 2, "inputs_extra": 1, "product_form": 1}
+        assert acc == {"inputs_total": 2, "inputs_extra": 1}
 
     def test_two_by_two(self):
         acc = copies_accounting(DbacSchedule.uniform(2, np.pi / 4, m=2))
-        assert acc == {"inputs_total": 9, "inputs_extra": 8, "product_form": 4}
+        assert acc == {"inputs_total": 9, "inputs_extra": 8}
 
     def test_two_steps_depth_one_matches_four_wires(self):
         acc = copies_accounting(DbacSchedule.uniform(2, np.pi / 4, m=1))
@@ -703,10 +694,9 @@ def _random_hamiltonian(rng, dim):
 
 
 def _degenerate_hamiltonian(rng):
-    """Two-qubit H = U diag(-1, -1, 0, 2) U^dag: a two-dimensional ground space
-    spanned by U's first two columns, returned as the second value."""
+    """Two-qubit H = U diag(-1, -1, 0, 2) U^dag: a two-dimensional ground space."""
     u = random_unitary(rng, 4)
-    return HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T), u[:, :2]
+    return HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T)
 
 
 class TestRecursiveExactOracle:
@@ -715,10 +705,9 @@ class TestRecursiveExactOracle:
     def test_record_matches_public_step_loop(self, rng, mode, kind):
         for trial in range(4):
             if kind == "2q-degenerate":
-                h, ground = _degenerate_hamiltonian(rng)
+                h = _degenerate_hamiltonian(rng)
             else:
                 h = _random_hamiltonian(rng, 2 if kind == "1q" else 4)
-                ground = np.linalg.eigh(h.matrix)[1][:, :1]
             dim = h.matrix.shape[0]
             psi = PureState.from_vector(random_state(rng, dim))
             k = 1 + trial % 3 + (trial // 3) * 3
@@ -726,19 +715,23 @@ class TestRecursiveExactOracle:
             s = tuple(rng.uniform(0.1, 2.0, size=k))
             schedule = DbacSchedule(s=s, m=m, hamiltonian=h, recursion=mode)
             rec = dbac_recursive_exact(psi, schedule)
-            energies, variances, fids, traj = recursive_exact(psi, schedule, ground)
+            energies, traj = recursive_exact(psi, schedule)
             within = tol("dbac_recursive_exact", "recursive_exact")
             assert np.abs(np.subtract(rec.energies, energies)).max() < within
-            assert np.abs(np.subtract(rec.variances, variances)).max() < within
-            assert np.abs(np.subtract(rec.fidelities, fids)).max() < within
             assert len(rec.trajectory) == len(traj) == (k + 1 if dim == 2 else 0)
             if traj:
                 assert np.abs(np.subtract(rec.trajectory, traj)).max() < within
-            assert rec.copies_consumed == (k + 1 if m is None else 3**k)
             assert rec.instruction_energies.size == 0
 
 
 class TestSearchEngineOracle:
+    """The search's ground fidelities against the simulators' final energies,
+    through F = (1 - E) / 2 under H = -Z."""
+
+    def test_ground_fidelity_is_read_from_the_energy(self):
+        # the ground projector of H = -Z is (I - H) / 2, so <P> = (1 - E) / 2
+        assert np.array_equal(ground_projector(H), (np.eye(2) - H.matrix) / 2)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         theta=st.floats(0.0, np.pi),
@@ -758,7 +751,7 @@ class TestSearchEngineOracle:
                 rec = dbac_recursive_exact(rx_init(theta), schedule)
             else:
                 rec = dbac_via_dme(theta, schedule)
-            assert abs(rec.fidelities[-1] - f) < 1e-12
+            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < 1e-12
 
 
 def _counted_rotations(monkeypatch, call, *args):
@@ -966,7 +959,7 @@ class TestSearchGolden:
     def test_optimal_step_and_basin_unchanged(self):
         for k, m, mode, theta, f_target, s_opt, f_min in _SEARCH_GOLDEN:
             assert optimal_step(-float(np.cos(theta)), k, m, mode) == s_opt, (k, m, mode, theta)
-            assert basin_min_fidelity(k, m, f_target, mode).f0_min == f_min, (k, m, mode, f_target)
+            assert basin_min_fidelity(k, m, f_target, mode) == f_min, (k, m, mode, f_target)
 
 
 class TestGridTables:
@@ -1061,7 +1054,7 @@ class TestBasinWitnesses:
     @example(k=2, m=2, mode="chain", f_target=1 - 1e-7)  # the upper end's witness misses
     def test_matches_plain_bisection(self, k, m, mode, f_target):
         got, want = basin_min_fidelity(k, m, f_target, mode), plain_basin(k, m, f_target, mode)
-        assert agrees(got, want, "basin_min_fidelity", "plain_basin")  # both fields
+        assert agrees(got, want, "basin_min_fidelity", "plain_basin")
 
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
@@ -1151,7 +1144,7 @@ class TestSearchArgumentChecks:
         for s, f in zip([-1.0, 10.0], fids):
             schedule = DbacSchedule.uniform(2, s, m=m, recursion=mode)
             rec = dbac_recursive_exact(rx_init(0.3), schedule) if m is None else dbac_via_dme(0.3, schedule)
-            assert abs(rec.fidelities[-1] - f) < 1e-12
+            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < 1e-12
 
     @pytest.mark.parametrize("m, mode", [(None, "fresh"), (2, "chain")])
     def test_overflowing_echo_angle_rejected(self, m, mode):

@@ -1,13 +1,21 @@
-"""The package holds what a run executes: every definition in ``src/dbac_lab``
-is reached from the ``dbac-lab`` entry point, ``cli.main``, or from a
-module-level statement, which runs on import.
+"""The package holds what a run executes and computes only what a run reads:
+every definition in ``src/dbac_lab`` is reached from the ``dbac-lab`` entry
+point, ``cli.main``, or from a module-level statement, which runs on import,
+and every field of its dataclasses and ``NamedTuple`` classes is read by
+reached code.
 
 Definitions are the module-level functions, classes and assigned names of each
 module but ``__init__``, and the public methods and properties of its classes.
 A reached definition reaches, by name, what its body reads: a module-level
 name by a ``Name`` or an ``Attribute``, a method only by an ``Attribute``.
 Names are matched across modules and classes, so the walk over-approximates
-and never misses a caller."""
+and never misses a caller.
+
+Fields are the annotated names in the body of a class decorated with
+``dataclass`` or derived from ``NamedTuple``.  A field is read when reached
+code loads it as an ``Attribute``, matched by name as above, outside its own
+class's ``__post_init__``: a field that only its validation reads is computed
+for nothing."""
 
 import ast
 from pathlib import Path
@@ -16,23 +24,44 @@ import dbac_lab
 
 SRC = Path(dbac_lab.__file__).parent
 
+# fields no run reads, each kept for the reason given
+UNREAD_BY_DESIGN = {
+    "cli.ExperimentConfig.workers": "perfbench writes `workers = 1` into every config it runs",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated with ``dataclass`` or derives from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases
+    )
+
 
 def _graph():
     """The definitions, as {qualified name: (name, is a method, nodes its
-    reaching walks)}, and the root nodes."""
-    defs, roots = {}, []
+    reaching walks)}; the fields, as {qualified name: name}; each record
+    class's ``__post_init__`` node, mapped to the class's qualified name; and
+    the root nodes."""
+    defs, fields, post_inits, roots = {}, {}, {}, []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                qualified = f"{path.stem}.{stmt.name}"
                 body = [stmt]
                 if isinstance(stmt, ast.ClassDef):
                     public = [f for f in stmt.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
                     body = stmt.decorator_list + stmt.bases + [f for f in stmt.body if f not in public]
                     for f in public:
-                        defs[f"{path.stem}.{stmt.name}.{f.name}"] = (f.name, True, [f])
-                defs[f"{path.stem}.{stmt.name}"] = (stmt.name, False, body)
+                        defs[f"{qualified}.{f.name}"] = (f.name, True, [f])
+                    for f in stmt.body if _is_record(stmt) else ():
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
+                            fields[f"{qualified}.{f.target.id}"] = f.target.id
+                        elif isinstance(f, ast.FunctionDef) and f.name == "__post_init__":
+                            post_inits[f] = qualified
+                defs[qualified] = (stmt.name, False, body)
                 if path.stem == "cli" and stmt.name == "main":
                     roots.append(stmt)
                 continue
@@ -41,25 +70,35 @@ def _graph():
             for t in targets:
                 if isinstance(t, ast.Name):
                     defs[f"{path.stem}.{t.id}"] = (t.id, False, [])
-    return defs, roots
+    return defs, fields, post_inits, roots
 
 
-def unreached() -> list[str]:
-    """The qualified names of the definitions that no walk reaches."""
-    defs, todo = _graph()
-    names, attrs, left = set(), set(), dict(defs)
+def _walk() -> tuple[list[str], list[str]]:
+    """The qualified names of the definitions that no walk reaches, and of the
+    fields that no reached code outside their class's ``__post_init__`` loads."""
+    defs, fields, post_inits, todo = _graph()
+    names, attrs, loads, left = set(), set(), {}, dict(defs)
     while todo:
-        for node in ast.walk(todo.pop()):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+        node = todo.pop()
+        owner = post_inits.get(node)  # loads here do not read the owner's fields
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+                if isinstance(n.ctx, ast.Load):
+                    loads.setdefault(n.attr, set()).add(owner)
         for key, (name, method, body) in list(left.items()):
             if name in attrs or (not method and name in names):
                 del left[key]
                 todo += body
-    return sorted(left)
+    unread = [key for key, name in fields.items() if not loads.get(name, set()) - {key.rsplit(".", 1)[0]}]
+    return sorted(left), sorted(unread)
 
 
 def test_every_definition_is_reached_from_the_entry_point():
-    assert unreached() == []
+    assert _walk()[0] == []
+
+
+def test_every_field_is_read_by_a_run():
+    assert _walk()[1] == sorted(UNREAD_BY_DESIGN)

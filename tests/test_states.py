@@ -19,7 +19,7 @@ from dbac_lab.states import (
 
 from conftest import random_density as reference_density, random_unitary, verdict
 from oracles import (
-    basis, density, energy, expm, expm_series, fidelity, ite_evolve, pauli_expectations, tol,
+    basis, density, energy, expm, expm_series, fidelity, ground_projector, ite_evolve, pauli_expectations, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -302,14 +302,13 @@ class TestHamiltonianEigensystem:
         u = random_unitary(np.random.default_rng(7), 4)
         h = HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T)
         ground = u[:, :2]
-        assert np.abs(h.ground_projector - ground @ ground.conj().T).max() < 1e-12
+        assert np.abs(ground_projector(h) - ground @ ground.conj().T).max() < 1e-12
 
     def test_default_is_one_shared_read_only_instance(self):
         h = HamiltonianSpec.default_single_qubit()
         assert h is HamiltonianSpec.default_single_qubit()
-        for arr in (h.matrix, *h.eig, h.ground_projector):
+        for arr in (h.matrix, *h.eig):
             assert not arr.flags.writeable
-        assert np.array_equal(h.ground_projector, np.diag([1.0, 0.0]))
 
     def test_bloch_rotation_takes_eigenbasis_vectors_to_the_computational_basis(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
