@@ -91,15 +91,15 @@ def cem_round_closed(x: float) -> dict[str, float]:
 
 
 def cem_round_simulated(rho) -> dict[str, np.ndarray]:
-    """Two-copy interference round, brute force, on one qubit state (a matrix
-    or a :class:`DensityMatrix`) or a ``(B, 2, 2)`` stack, validated once.
+    """Two-copy interference round, brute force, on one qubit state's matrix
+    or a ``(B, 2, 2)`` stack of them, validated once.
 
     Builds ancilla (x) rho (x) rho, applies the Hadamard-conjugated controlled
     swap, postselects the ancilla on |0>, and traces out the ancilla and the
     first copy.  Returns the surviving copies, shaped as the input, and the
     postselection probabilities: one per state, a float for one state.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else qmath.as_complex_matrix(rho, ndims=(2, 3))
+    m = qmath.as_complex_matrix(rho, ndims=(2, 3))
     if m.shape[-2:] != (2, 2):
         raise DimensionMismatchError("cem_round_simulated expects single-qubit states")
     shape = m.shape
@@ -122,7 +122,6 @@ def cem_round_simulated(rho) -> dict[str, np.ndarray]:
 
 
 def mixedness_of(rho) -> float | np.ndarray:
-    """x = 2 * (smaller eigenvalue) of a single-qubit state (a matrix or a
-    :class:`DensityMatrix`), or of each state of a ``(B, 2, 2)`` stack."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    return 2.0 * np.linalg.eigvalsh(m)[..., 0]
+    """x = 2 * (smaller eigenvalue) of a single-qubit state's matrix, or of
+    each state of a ``(B, 2, 2)`` stack."""
+    return 2.0 * np.linalg.eigvalsh(rho)[..., 0]

@@ -6,7 +6,10 @@ One step of duration t maps |psi> to
     exp(+i t H) exp(+i t |psi><psi|) exp(-i t H) |psi>
 
 and for a single qubit with H = -Z changes the energy by the closed form
-implemented in :func:`dbac_energy_analytic`.  Recursion semantics: by default
+implemented in :func:`dbac_energy_analytic`.  Every cooling run is of one
+qubit under H = -Z, whose eigenbasis is the computational basis; only
+:func:`descent_bound_residual` takes another H, of any dimension, and steps
+in its eigenbasis.  Recursion semantics: by default
 each step acts on the previous step's output with the reflector built around
 that same output ("chain"); the alternative "fresh" mode rebuilds each step
 around the previous output but applies it to a new copy of the original state.
@@ -17,7 +20,7 @@ across steps) follows it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -31,6 +34,9 @@ from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
 
+# the eigenvalues (-1, 1) of H = -Z, in its eigenbasis, the computational basis
+_W = HamiltonianSpec.default_single_qubit().eig[0]
+
 # step-size search grid: resolution 1e-3 on (0, pi], ties resolved toward
 # smaller s within 1e-9
 _S_GRID = np.concatenate([np.arange(1e-3, np.pi, 1e-3), [np.pi]])
@@ -42,15 +48,14 @@ def _is_count(x) -> bool:
     return isinstance(x, (int, np.integer)) and x >= 1
 
 
-def check_step_sizes(s, h: Optional[HamiltonianSpec] = None) -> np.ndarray:
+def check_step_sizes(s) -> np.ndarray:
     """Step sizes as a float array, checked by the one rule for them: each s
-    and its echo angle s (w_max - w_min) under H (default -Z) must be finite,
+    and its echo angle s (w_max - w_min) = 2 s under H = -Z must be finite,
     since an echo angle that overflows makes the echo rotation NaN.  Negative
     step sizes and step sizes above pi are allowed."""
     s = np.asarray(s, dtype=float)
-    w = (h or HamiltonianSpec.default_single_qubit()).eig[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = s * (w[-1] - w[0])  # NaN for an infinite s, even when w[-1] = w[0]
+    with np.errstate(over="ignore"):
+        angles = 2.0 * s
     if not np.isfinite(angles).all():
         raise ContractViolationError("step durations must be finite, with finite echo angles s (w_max - w_min)")
     return s
@@ -58,21 +63,20 @@ def check_step_sizes(s, h: Optional[HamiltonianSpec] = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DbacSchedule:
-    """Per-step durations s_j, per-step instruction depths M_j, Hamiltonian.
+    """Per-step durations s_j and instruction depths M_j of a run under H = -Z.
 
     ``m=None`` selects exact reflectors (the infinite-depth idealization).
     """
 
     s: tuple[float, ...]
     m: Optional[tuple[int, ...]] = None
-    hamiltonian: HamiltonianSpec = field(default_factory=HamiltonianSpec.default_single_qubit)
     recursion: str = "chain"
 
     def __post_init__(self):
         s = tuple(float(x) for x in self.s)
         if len(s) < 1:
             raise ContractViolationError("schedule needs at least one step")
-        check_step_sizes(s, self.hamiltonian)
+        check_step_sizes(s)
         object.__setattr__(self, "s", s)
         if self.m is not None:
             if len(self.m) != len(s):
@@ -100,8 +104,7 @@ class CoolingRecord:
     float64 arrays, batch shape first and step axis last.  ``energies`` are
     (..., k+1) (initial state included), ``instruction_energies`` (..., n)
     (post-interaction, every instruction register consumed, in protocol order;
-    n = 0 for exact reflectors) and ``trajectory`` (..., k+1, 3), (..., 0, 3)
-    beyond a qubit.
+    n = 0 for exact reflectors) and ``trajectory`` (..., k+1, 3).
     """
 
     energies: np.ndarray
@@ -113,10 +116,6 @@ class CoolingRecord:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.energies.shape[-1] - 1
 
 
 def dbac_energy_analytic(e0: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
@@ -143,24 +142,17 @@ def _energy_law(e0, two_sin2, one_minus_cos, cos):
     return e0 - two_sin2 * (1.0 - e0**2) * (one_minus_cos * e0 + cos)
 
 
-def _records(schedule: DbacSchedule, pops: np.ndarray, planes=None, shape: tuple = ()) -> CoolingRecord:
+def _records(pops: np.ndarray, planes: np.ndarray, shape: tuple = ()) -> CoolingRecord:
     """One record, its B entries first as ``shape``, of a run's (k + 1 + n,
-    B, d) populations in H's eigenbasis: the k + 1 states, then the n
-    instruction marginals.  ``planes`` are the states' (3, k + 1, B) Bloch
-    planes in that basis, for a qubit; H's :attr:`~HamiltonianSpec.bloch_rotation`
-    takes them to the trajectory.  Everything was validated by the caller; this
-    only computes observables."""
-    k, b = schedule.k, pops.shape[1]
-    h = schedule.hamiltonian
-    energies = (pops * h.eig[0]).sum(axis=-1)  # the states', then the marginals'
-    if planes is None:
-        traj = np.empty((0, b, 3))
-    else:
-        rot = h.bloch_rotation[:, :, None, None]
-        traj = (rot[:, 0] * planes[0] + rot[:, 1] * planes[1] + rot[:, 2] * planes[2]).transpose(1, 2, 0)
+    B, 2) populations: the k + 1 states, then the n instruction marginals.
+    ``planes`` are the states' (3, k + 1, B) Bloch planes, the trajectory.
+    Everything was validated by the caller; this only computes observables."""
+    states = planes.shape[1]
+    energies = (pops * _W).sum(axis=-1)  # the states', then the marginals'
+    traj = planes.transpose(1, 2, 0) + 0.0  # -0.0 becomes 0.0: a trajectory file writes 0, never -0
     e, traj, instr = (  # (steps, B, ...) -> shape + (steps, ...)
         x.swapaxes(0, 1).reshape(shape + x.shape[:1] + x.shape[2:])
-        for x in (energies[: k + 1], traj, energies[k + 1 :])
+        for x in (energies[:states], traj, energies[states:])
     )
     return CoolingRecord(e, traj, instr)
 
@@ -169,24 +161,19 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     """Iterate exact-reflector steps per the schedule, recording per-step observables.
 
     Returns one :class:`CoolingRecord` with no batch axis ((k + 1,) energies).
-    H and psi were validated on construction; :func:`_exact_steps` steps raw
-    vectors in H's eigenbasis, and the k + 1 states are validated once, by one
+    ``psi`` is a qubit state, validated on construction; :func:`_exact_steps`
+    steps raw vectors, and the k + 1 states are validated once, by one
     :func:`check_pure` call on their stack, before the record is built.
     """
-    h = schedule.hamiltonian
-    if h.matrix.shape[0] != psi.amplitudes.size:
-        raise DimensionMismatchError("state and Hamiltonian dimensions differ")
-    w, v = h.eig
-    psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d), eigenbasis
-    steps = _exact_steps(psi0, np.array(schedule.s)[:, None], w, schedule.recursion)
-    vecs = np.array([psi0, *steps])  # (k + 1, 1, d)
+    if psi.num_qubits != 1:
+        raise DimensionMismatchError("dbac_recursive_exact simulates the single-qubit protocol")
+    psi0 = psi.amplitudes[None]  # (1, 2)
+    steps = _exact_steps(psi0, np.array(schedule.s)[:, None], _W, schedule.recursion)
+    vecs = np.array([psi0, *steps])  # (k + 1, 1, 2)
     check_pure(vecs)
     pops = (vecs * vecs.conj()).real
-    planes = None
-    if w.size == 2:
-        rho01 = vecs[..., 0] * vecs[..., 1].conj()
-        planes = np.array([2.0 * rho01.real, -2.0 * rho01.imag, pops[..., 0] - pops[..., 1]])
-    return _records(schedule, pops, planes)
+    rho01 = vecs[..., 0] * vecs[..., 1].conj()
+    return _records(pops, np.array([2.0 * rho01.real, -2.0 * rho01.imag, pops[..., 0] - pops[..., 1]]))
 
 
 def _angles(theta) -> np.ndarray:
@@ -199,10 +186,10 @@ def _angles(theta) -> np.ndarray:
     return thetas
 
 
-def _rx_init(thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _rx_init(thetas: np.ndarray) -> np.ndarray:
     """R_X(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1> for each angle of a
-    1-D array, as (T, 2) amplitudes in the basis of the columns of ``v``."""
-    return np.stack([np.cos(thetas / 2), -1j * np.sin(thetas / 2)], axis=-1) @ v.conj()
+    1-D array, as (T, 2) amplitudes."""
+    return np.stack([np.cos(thetas / 2), -1j * np.sin(thetas / 2)], axis=-1)
 
 
 def dbac_via_dme(
@@ -226,31 +213,26 @@ def dbac_via_dme(
     path is closed form too.  Damping (``t1_us``) is not modeled and is
     rejected.
 
-    The steps run on Bloch vectors in H's eigenbasis (:func:`_bloch_steps`,
-    one rotation of the instruction per step) and validate nothing.  The step
-    outputs and the instruction marginals come in the data's frame; rotating
-    the marginals into the copies' frame would change neither their energies
-    nor their lengths.  Every reported state (initial states, step
-    outputs, instruction marginals) is validated once, by one
-    :func:`dme.check_bloch` call on their stacked planes; the observables are
-    read from those planes, as populations (1 +- z) / 2 and, rotated by H's
-    :attr:`~HamiltonianSpec.bloch_rotation`, as the trajectory.
+    The steps run on Bloch vectors (:func:`_bloch_steps`, one rotation of the
+    instruction per step) and validate nothing.  The step outputs and the
+    instruction marginals come in the data's frame; rotating the marginals
+    into the copies' frame would change neither their energies nor their
+    lengths.  Every reported state (initial states, step outputs, instruction
+    marginals) is validated once, by one :func:`dme.check_bloch` call on their
+    stacked planes; the observables are read from those planes, as
+    populations (1 +- z) / 2 and as the trajectory.
     The dense kron-and-partial-trace step in ``tests/oracles.py`` is the
     oracle this is tested against.
     """
     if schedule.m is None:
         raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
-    h = schedule.hamiltonian
-    if h.num_qubits != 1:
-        raise DimensionMismatchError("dbac_via_dme simulates the single-qubit protocol")
     if noise is not None and noise.t1_us is not None:
         raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
     thetas = _angles(theta)
-    w, v = h.eig
-    amps = _rx_init(np.atleast_1d(thetas), v)
-    r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B), eigenbasis
+    amps = _rx_init(np.atleast_1d(thetas))
+    r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B)
     states, marginals = [r0], []
-    table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, w))  # once per distinct step
+    table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, _W))  # once per distinct step
     tables = [table(sj, mj) for sj, mj in zip(schedule.s, schedule.m)]
     for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise, marginals=True):
         states.append(out)
@@ -260,7 +242,7 @@ def dbac_via_dme(
     pops = np.empty(planes.shape[1:] + (2,))  # the populations (1 +- z) / 2, with trace exactly 1
     pops[..., 0] = 0.5 * (1.0 + planes[2])
     pops[..., 1] = 1.0 - pops[..., 0]
-    return _records(schedule, pops, planes[:, : schedule.k + 1], thetas.shape)
+    return _records(pops, planes[:, : schedule.k + 1], thetas.shape)
 
 
 def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.ndarray:
@@ -289,18 +271,19 @@ def descent_bound_residual(h: HamiltonianSpec, psi: PureState, s) -> float | np.
     return float(residual) if residual.ndim == 0 else residual
 
 
-def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
-    """Input-state accounting: total copies prod(M_j + 1) and the extras beyond the first."""
+def copies_accounting(schedule: DbacSchedule) -> int:
+    """Input copies beyond the first: prod(M_j + 1) - 1."""
     if schedule.m is None:
         raise ContractViolationError("copies accounting requires finite Trotter depths")
     total = 1
     for mj in schedule.m:
         total *= mj + 1
-    return {"inputs_total": total, "inputs_extra": total - 1}
+    return total - 1
 
 
 # ---------------------------------------------------------------------------
-# batched cooling engines, in the eigenbasis of H
+# batched cooling engines, in the eigenbasis of H (for H = -Z, the
+# computational basis)
 # ---------------------------------------------------------------------------
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
@@ -314,8 +297,8 @@ def copies_accounting(schedule: DbacSchedule) -> dict[str, int]:
 # M <= 4 and batches of thousands), or one partial_swap call that is the
 # exact reflector.  All commute with rotations about z, so a
 # step rotates its instruction once into the data's frame instead of rotating
-# the data there and back: every output it yields is in the data's frame (H's
-# eigenbasis), and so are the instruction marginals, which only dbac_via_dme
+# the data there and back: every output it yields is in the data's frame (the
+# computational basis), and so are the instruction marginals, which only dbac_via_dme
 # asks for and reads only their energies and lengths from.  Its
 # step-size terms come in a _StepTable, built once per distinct step, once per
 # final_fidelities_over_s call, and once per depth for the search grid
@@ -382,9 +365,9 @@ def _step_table(s: np.ndarray, m: Optional[int], w: np.ndarray) -> _StepTable:
 
 @functools.lru_cache(maxsize=16)
 def _grid_table(m: Optional[int]) -> _StepTable:
-    """The :class:`_StepTable` of the search grid under the default H, built
+    """The :class:`_StepTable` of the search grid under H = -Z, built
     once per depth and shared by every search call, so its arrays are read-only."""
-    table = _step_table(_S_GRID, m, HamiltonianSpec.default_single_qubit().eig[0])
+    table = _step_table(_S_GRID, m, _W)
     for a in table.arrays():
         a.setflags(write=False)
     return table
@@ -400,8 +383,8 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     """Cooling steps of a (3, B) batch of Bloch planes, step j by the
     :class:`_StepTable` ``tables[j]``: yields each step's output and, with
     ``marginals``, its M_j instruction marginals as an (M_j, 3, B) array, all
-    in the data's frame (H's eigenbasis, as ``r0``).  Which is asked for picks
-    the path: with ``marginals``, the M_j data outputs come from one
+    in the data's frame (the computational basis, as ``r0``).  Which is asked
+    for picks the path: with ``marginals``, the M_j data outputs come from one
     :func:`dme.partial_swap_power` call and each marginal is q (a + input) -
     output, q = 1 - p2; without, M_j :func:`dme.partial_swap` calls make only
     the last one, as the search needs.  ``noise`` is read only with
@@ -457,7 +440,7 @@ def _final_energies(
     thetas: np.ndarray, k: int, table: _StepTable, mode: str, counts: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
-    the default H, for each angle of the 1-D array ``thetas`` and each of the S
+    H = -Z, for each angle of the 1-D array ``thetas`` and each of the S
     common step sizes that ``table`` holds for every angle in turn (T S
     entries, angle-major): shape (T, S).  Every (angle, step size) pair is one
     entry of one engine batch.  Exact reflectors (``table.m`` None) in chain
@@ -474,12 +457,11 @@ def _final_energies(
         for _ in range(k):
             e = _energy_law(e, *table.law)
     else:
-        w, v = HamiltonianSpec.default_single_qubit().eig
-        amps = _rx_init(thetas, v)  # (T, 2)
+        amps = _rx_init(thetas)  # (T, 2)
         r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), reps, axis=1)
         for out, _ in _bloch_steps(r0, [table] * k, mode):
             pass
-        e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]  # populations (1 +- z) / 2
+        e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * out[2]  # populations (1 +- z) / 2
     return e.reshape(thetas.size, -1) if counts is None else e
 
 
@@ -500,7 +482,7 @@ def final_fidelities_over_s(
     theta: float | np.ndarray, k: int, m: Optional[int], s_values, mode: str = "chain"
 ) -> np.ndarray:
     """Ground-state fidelity after the k-step protocol, for each common step
-    size in ``s_values`` (noiseless, default H = -Z; ``m=None`` selects exact
+    size in ``s_values`` (noiseless, H = -Z; ``m=None`` selects exact
     reflectors).  ``theta`` is one angle, which gives one fidelity per step
     size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
     in one engine pass.  Angles must be finite, and step sizes must pass
@@ -508,8 +490,7 @@ def final_fidelities_over_s(
     _check_search_args(k, m, mode)
     s = check_step_sizes(s_values)
     thetas = _angles(theta)
-    w = HamiltonianSpec.default_single_qubit().eig[0]
-    table = _step_table(s.ravel(), m, w).map(lambda a: np.tile(a, thetas.size))  # once per step size
+    table = _step_table(s.ravel(), m, _W).map(lambda a: np.tile(a, thetas.size))  # once per step size
     energies = _final_energies(np.atleast_1d(thetas), k, table, mode)
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
 
@@ -534,14 +515,13 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     return float(_S_GRID[idx])
 
 
-def best_final_fidelity(
-    f0: float, k: int, m: Optional[int] = None, mode: str = "chain"
-) -> float:
-    """Best ground-state fidelity achievable with an optimized common step size."""
+def best_final_fidelity(f0: float, k: int, m: Optional[int] = None) -> float:
+    """Best ground-state fidelity achievable in chain recursion with an
+    optimized common step size."""
     if not 0.0 < f0 <= 1.0:
         raise ContractViolationError("f0 must lie in (0, 1]")
-    _check_search_args(k, m, mode)
-    energies = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), k, _grid_table(m), mode)
+    _check_search_args(k, m, "chain")
+    energies = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), k, _grid_table(m), "chain")
     return float((1.0 - energies.min()) / 2.0)
 
 
@@ -643,9 +623,9 @@ def basin_min_fidelity(
     decision comes from a full-grid pass.
 
     The result is exactly that of the plain bisection, in which every probe is
-    a full-grid pass.  The engine is elementwise over batch entries and the
-    default H has identity eigenvectors, so a witness entry is computed with
-    the arithmetic the grid would use at that entry; and the grid's best
+    a full-grid pass.  The engine is elementwise over batch entries, so a
+    witness entry is computed with the arithmetic the grid would use at that
+    entry; and the grid's best
     fidelity is at least that of any one of its entries, so a proven decision
     is the one the full grid would make.  The witness steps and the depth of
     4 levels set how many passes run, never the result.

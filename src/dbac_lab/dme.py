@@ -50,7 +50,7 @@ outside any loop:
   :func:`partial_swap_power` call, one exponent per entry, and checks the
   final states as planes.  It takes only qubit registers and raises
   :class:`DimensionMismatchError` for anything else;
-* ``dbac._bloch_steps``, the cooling loop in H's eigenbasis, checks nothing.
+* ``dbac._bloch_steps``, the cooling loop under H = -Z, checks nothing.
   It runs ``dbac.dbac_via_dme``, whose every copy it makes by one
   :func:`partial_swap_power` call per step, and which checks every state it
   reports as planes, in one batch after the last step; and the step-size
@@ -74,7 +74,7 @@ import numpy as np
 
 from . import qmath
 from .errors import ContractViolationError, DimensionMismatchError
-from .states import EIG_TOL, DensityMatrix, check_density
+from .states import EIG_TOL, check_density
 
 _TINY = np.finfo(float).tiny  # below it, a / max(|a|, _TINY) is shorter than 1: its terms vanish
 
@@ -229,7 +229,7 @@ def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     ms = np.asarray(ms)
     if ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu" or ms.min() < 1:
         raise ContractViolationError("ms must be a non-empty 1-D array of positive integers")
-    r, s = (x.matrix if isinstance(x, DensityMatrix) else qmath.as_complex_matrix(x) for x in (rho, sigma))
+    r, s = qmath.as_complex_matrix(rho), qmath.as_complex_matrix(sigma)
     if r.shape != (2, 2) or s.shape != (2, 2):
         raise DimensionMismatchError(f"the closed form is for one qubit, got shapes {r.shape} and {s.shape}")
     r, s = check_density(np.array([r, s]))  # a Bloch vector has no trace to check later

@@ -1,8 +1,9 @@
-"""Qubit-register states and the cooling Hamiltonian.
+"""Qubit-register states and Hamiltonians.
 
-The single-qubit cooling Hamiltonian is H = -Z: ground state |0> with energy -1,
-excited state |1> with energy +1.  Rotations use the uniform half-angle
-convention R_P(theta) = exp(-i theta P / 2).
+Every cooling run is of one qubit under H = -Z: ground state |0> with energy
+-1, excited state |1> with energy +1.  The descent bound takes any H, of any
+register.  Rotations use the uniform half-angle convention
+R_P(theta) = exp(-i theta P / 2).
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hermitian generator for the cooling protocol, validated once, on
-    construction; its eigensystem is computed once, on first use, and
-    :attr:`bloch_rotation` checks nothing again."""
+    """Hermitian generator, validated once, on construction; its eigensystem
+    is computed once, on first use.  The cooling runs use
+    :meth:`default_single_qubit`; the descent bound takes any H."""
 
     matrix: np.ndarray
 
@@ -119,10 +120,6 @@ class HamiltonianSpec:
         """H = -Z, ground state |0> at energy -1; one shared instance."""
         return cls(-qmath.PAULI_Z)
 
-    @property
-    def num_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
     @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching eigenvectors as columns, read-only."""
@@ -130,19 +127,6 @@ class HamiltonianSpec:
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
-
-    @functools.cached_property
-    def bloch_rotation(self) -> np.ndarray:
-        """For one qubit, the 3x3 rotation R[j, k] = Tr[(v^dag P_j v) P_k] / 2
-        (P = X, Y, Z; v the eigenvectors) that takes a Bloch vector in H's
-        eigenbasis to the computational basis, read-only."""
-        if self.num_qubits != 1:
-            raise DimensionMismatchError("a Bloch rotation needs a single-qubit H")
-        v = self.eig[1]
-        paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
-        rot = np.array([[0.5 * np.trace(v.conj().T @ pj @ v @ pk).real for pk in paulis] for pj in paulis])
-        rot.setflags(write=False)
-        return rot
 
 
 def rx_init(theta: float) -> PureState:

@@ -13,7 +13,7 @@ import numpy as np
 
 from dbac_lab import circuits, dbac, qmath, tomography
 from dbac_lab.baselines import ppa_round, target_polarization, thermal_qubit
-from dbac_lab.dbac import CoolingRecord, best_final_fidelity, check_step_sizes
+from dbac_lab.dbac import CoolingRecord, check_step_sizes
 from dbac_lab.states import DensityMatrix, HamiltonianSpec, PureState
 from dbac_lab.tomography import PTM, pauli_labels, pauli_matrix
 
@@ -149,9 +149,10 @@ def dense_descent_bound_residual(h: HamiltonianSpec, psi: PureState, s: float) -
     return (e1 - energy(psi, h) + 2.0 * s * variance(psi, h)) / s**2
 
 
-def recursive_exact(psi: PureState, schedule):
-    """dbac_recursive_exact one dense step at a time: energies and trajectory."""
-    h = schedule.hamiltonian
+def recursive_exact(psi: PureState, schedule, h: HamiltonianSpec | None = None):
+    """The exact chain of ``schedule`` under H (default -Z), one dense step at
+    a time: energies and, for a qubit, trajectory."""
+    h = h or HamiltonianSpec.default_single_qubit()
     states = [psi]
     for t in schedule.s:
         states.append(dbac_step_exact(states[-1], t, h, psi if schedule.recursion == "fresh" else None))
@@ -159,12 +160,13 @@ def recursive_exact(psi: PureState, schedule):
     return [energy(s, h) for s in states], traj
 
 
-def records(schedule, states, marginals=(), shape=()) -> CoolingRecord:
+def records(states, marginals=(), shape=(), h: HamiltonianSpec | None = None) -> CoolingRecord:
     """The record of a run's (k + 1, B, d, d) states and (n, B, d, d) instruction
-    marginals in H's eigenbasis, by one density-matrix einsum per observable."""
+    marginals in the eigenbasis of H (default -Z), by one density-matrix einsum
+    per observable."""
     _, b, d, _ = states.shape
     marginals = np.reshape(marginals, (-1, b, d, d))
-    w, v = schedule.hamiltonian.eig
+    w, v = (h or HamiltonianSpec.default_single_qubit()).eig
 
     def expect(op, rho):
         return np.einsum("ij,...ji->...", op, rho).real
@@ -232,15 +234,20 @@ def tiled_table_fidelities(theta, k, m, s_values, mode):
 def plain_basin(k, m, f_target, mode):
     """The basin bisection with one full-grid probe per decision, as it ran
     before witness entries: the oracle of basin_min_fidelity."""
+
+    def best(f0):  # the best final fidelity over the grid, by best_final_fidelity's arithmetic
+        energies = dbac._final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), k, dbac._grid_table(m), mode)
+        return float((1.0 - energies.min()) / 2.0)
+
     hi = 1.0 - 1e-6
     lo = 1e-6
-    if best_final_fidelity(hi, k, m, mode) < f_target:
+    if best(hi) < f_target:
         return 1.0
-    if best_final_fidelity(lo, k, m, mode) >= f_target:
+    if best(lo) >= f_target:
         return lo
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if best_final_fidelity(mid, k, m, mode) >= f_target:
+        if best(mid) >= f_target:
             hi = mid
         else:
             lo = mid
@@ -408,8 +415,9 @@ def synthesize_uk(h: HamiltonianSpec, s_list) -> np.ndarray:
     U_{k+1} = e^{i a H} U_k e^{i a P_0} U_k^dag e^{-i a H} U_k with
     a = sqrt(s_k), P_0 = |0...0><0...0| and U_0 = I.  U_k |0...0> is the
     exact chain of k steps of durations sqrt(s_k) from |0...0>."""
-    zero = basis(0, h.num_qubits)
-    u = np.eye(2**h.num_qubits, dtype=complex)
+    d = h.matrix.shape[0]
+    zero = PureState(np.eye(d)[0])
+    u = np.eye(d, dtype=complex)
     for s in s_list:
         a = np.sqrt(s)
         em = expm(h, -1j * a)  # exp(+i a H) is its adjoint

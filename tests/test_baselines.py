@@ -187,7 +187,7 @@ class TestCemSimulated:
     def _state(self, x, psi=None):
         psi = psi or PureState.from_vector(np.array([0.6, 0.8j]))
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return DensityMatrix((1.0 - x) * proj + 0.5 * x * qmath.I2)
+        return DensityMatrix((1.0 - x) * proj + 0.5 * x * qmath.I2).matrix
 
     def test_pure_state_passes_through(self):
         psi = rx_init(1.1)
@@ -196,7 +196,7 @@ class TestCemSimulated:
         assert np.abs(out["rho_next"] - density(psi)).max() < 1e-12
 
     def test_maximally_mixed_boundary(self):
-        out = cem_round_simulated(DensityMatrix(np.eye(2) / 2))
+        out = cem_round_simulated(DensityMatrix(np.eye(2) / 2).matrix)
         assert out["p_success"] == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("x", np.arange(0.1, 0.95, 0.1))
@@ -215,7 +215,7 @@ class TestCemSimulated:
     def test_output_commutes_with_input(self):
         rho = self._state(0.4)
         out = cem_round_simulated(rho)["rho_next"]
-        comm = rho.matrix @ out - out @ rho.matrix
+        comm = rho @ out - out @ rho
         assert np.abs(comm).max() < 1e-11
 
     def test_pure_part_preserved(self, rng):
@@ -236,7 +236,7 @@ class TestCemSimulated:
         check_density(stacked["rho_next"])
         x_stacked = mixedness_of(stacked["rho_next"])
         for i, rho in enumerate(states):
-            one = cem_round_simulated(rho)
+            one = cem_round_simulated(rho.matrix)
             assert np.array_equal(stacked["rho_next"][i], one["rho_next"])
             assert stacked["p_success"][i] == one["p_success"]
             assert x_stacked[i] == mixedness_of(one["rho_next"])
@@ -259,7 +259,7 @@ class TestCoherentVsMixednessContrast:
         after = DensityMatrix(u @ before.matrix @ u.conj().T)
         target = pseudo_pure(p, PureState.from_vector(u @ psi.amplitudes))
         assert np.abs(after.matrix - target.matrix).max() < 1e-13
-        assert mixedness_of(after) == pytest.approx(mixedness_of(before), abs=1e-12)
+        assert mixedness_of(after.matrix) == pytest.approx(mixedness_of(before.matrix), abs=1e-12)
         # while the interferential round strictly reduces mixedness
-        reduced = cem_round_simulated(before)["rho_next"]
-        assert mixedness_of(reduced) < mixedness_of(before) - 1e-3
+        reduced = cem_round_simulated(before.matrix)["rho_next"]
+        assert mixedness_of(reduced) < mixedness_of(before.matrix) - 1e-3

@@ -350,6 +350,20 @@ class TestRunners:
         assert rows[0] == "step,x,y,z"
         assert len(rows) == 5  # header + k+1 states
 
+    @pytest.mark.parametrize(
+        "text", ["k = 5\nm = 3\n", "k = 30\nm = exact\n", "k = 30\nm = exact\nrecursion = fresh\n"],
+        ids=["dme", "exact-chain", "exact-fresh"],
+    )
+    def test_trajectory_at_theta_zero_writes_no_negative_zero(self, tmp_path, text):
+        # from |0> the state stays at the pole: its x and y are zeros, written as 0
+        cfg = cli.validate_config(
+            _write_cfg(tmp_path, "experiment = trajectory\ntheta = 0\n" + text), out_override=tmp_path / "out"
+        )
+        cli.run_config(cfg)
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        cells = [cell for row in rows for cell in row.split(",")[1:3]]
+        assert "0" in cells and "-0" not in cells
+
     def test_baselines_rows(self, tmp_path):
         cfg = cli.validate_config(
             _write_cfg(tmp_path, "experiment = baselines\nrounds = 3\n"), out_override=tmp_path / "out"

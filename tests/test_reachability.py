@@ -1,8 +1,8 @@
 """The package holds what a run executes and computes only what a run reads:
 every definition in ``src/dbac_lab`` is reached from the ``dbac-lab`` entry
 point, ``cli.main``, or from a module-level statement, which runs on import,
-and every field of its dataclasses and ``NamedTuple`` classes is read by
-reached code.
+every field of its dataclasses and ``NamedTuple`` classes is read by reached
+code, and every option of reached code is set by a reached call.
 
 Definitions are the module-level functions, classes and assigned names of each
 module but ``__init__``, and the public methods and properties of its classes.
@@ -15,7 +15,15 @@ Fields are the annotated names in the body of a class decorated with
 ``dataclass`` or derived from ``NamedTuple``.  A field is read when reached
 code loads it as an ``Attribute``, matched by name as above, outside its own
 class's ``__post_init__``: a field that only its validation reads is computed
-for nothing."""
+for nothing.
+
+Options are the parameters with a default of the module-level functions and
+the methods of each class, dunder methods aside (their calls go through
+instances, not names), and the fields with a default of its dataclasses and
+``NamedTuple`` classes.  An option of reached code is set when a reached call,
+matched by name as above, passes it by keyword or by position, or passes
+``*`` or ``**`` arguments: an option that no run sets holds one value, a
+constant."""
 
 import ast
 from pathlib import Path
@@ -29,6 +37,11 @@ UNREAD_BY_DESIGN = {
     "cli.ExperimentConfig.workers": "perfbench writes `workers = 1` into every config it runs",
 }
 
+# options no run sets, each kept for the reason given
+UNSET_BY_DESIGN = {
+    "cli.main(argv)": "the console script passes none, and the tests pass one",
+}
+
 
 def _is_record(cls: ast.ClassDef) -> bool:
     """Whether ``cls`` is decorated with ``dataclass`` or derives from ``NamedTuple``."""
@@ -38,12 +51,29 @@ def _is_record(cls: ast.ClassDef) -> bool:
     )
 
 
+def _parameter_options(fn: ast.FunctionDef, method: bool):
+    """(name, position or None) of each parameter of ``fn`` with a default,
+    the position counted among a call's positional arguments: for a method
+    that is not static, after ``self`` or ``cls``."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], first - skip):
+        yield arg.arg, i
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
 def _graph():
     """The definitions, as {qualified name: (name, is a method, nodes its
-    reaching walks)}; the fields, as {qualified name: name}; each record
-    class's ``__post_init__`` node, mapped to the class's qualified name; and
-    the root nodes."""
-    defs, fields, post_inits, roots = {}, {}, {}, []
+    reaching walks)}; the fields, as {qualified name: name}; the options, as
+    {qualified name: (the definition whose reaching makes it count, the name
+    its callers call, its name, its position)}; each record class's
+    ``__post_init__`` node, mapped to the class's qualified name; and the root
+    nodes."""
+    defs, fields, options, post_inits, roots = {}, {}, {}, {}, []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -56,11 +86,22 @@ def _graph():
                     body = stmt.decorator_list + stmt.bases + [f for f in stmt.body if f not in public]
                     for f in public:
                         defs[f"{qualified}.{f.name}"] = (f.name, True, [f])
-                    for f in stmt.body if _is_record(stmt) else ():
-                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
-                            fields[f"{qualified}.{f.target.id}"] = f.target.id
-                        elif isinstance(f, ast.FunctionDef) and f.name == "__post_init__":
+                    record = _is_record(stmt)
+                    for f in stmt.body:
+                        if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__")):
+                            owner = f"{qualified}.{f.name}" if f in public else qualified
+                            for name, pos in _parameter_options(f, method=True):
+                                options[f"{qualified}.{f.name}({name})"] = (owner, f.name, name, pos)
+                        elif record and isinstance(f, ast.FunctionDef) and f.name == "__post_init__":
                             post_inits[f] = qualified
+                    annotated = [f for f in stmt.body if isinstance(f, ast.AnnAssign)] if record else []
+                    for pos, f in enumerate(f for f in annotated if isinstance(f.target, ast.Name)):
+                        fields[f"{qualified}.{f.target.id}"] = f.target.id
+                        if f.value is not None:
+                            options[f"{qualified}.{f.target.id}"] = (qualified, stmt.name, f.target.id, pos)
+                else:
+                    for name, pos in _parameter_options(stmt, method=False):
+                        options[f"{qualified}({name})"] = (qualified, stmt.name, name, pos)
                 defs[qualified] = (stmt.name, False, body)
                 if path.stem == "cli" and stmt.name == "main":
                     roots.append(stmt)
@@ -70,14 +111,22 @@ def _graph():
             for t in targets:
                 if isinstance(t, ast.Name):
                     defs[f"{path.stem}.{t.id}"] = (t.id, False, [])
-    return defs, fields, post_inits, roots
+    return defs, fields, options, post_inits, roots
 
 
-def _walk() -> tuple[list[str], list[str]]:
-    """The qualified names of the definitions that no walk reaches, and of the
-    fields that no reached code outside their class's ``__post_init__`` loads."""
-    defs, fields, post_inits, todo = _graph()
-    names, attrs, loads, left = set(), set(), {}, dict(defs)
+def _sets(call: ast.Call, name: str, pos) -> bool:
+    """Whether ``call`` passes the option ``name``, at position ``pos``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def _walk() -> tuple[list[str], list[str], list[str]]:
+    """The qualified names of the definitions that no walk reaches, of the
+    fields that no reached code outside their class's ``__post_init__`` loads,
+    and of the options of reached code that no reached call sets."""
+    defs, fields, options, post_inits, todo = _graph()
+    names, attrs, loads, calls, left = set(), set(), {}, {}, dict(defs)
     while todo:
         node = todo.pop()
         owner = post_inits.get(node)  # loads here do not read the owner's fields
@@ -88,12 +137,20 @@ def _walk() -> tuple[list[str], list[str]]:
                 attrs.add(n.attr)
                 if isinstance(n.ctx, ast.Load):
                     loads.setdefault(n.attr, set()).add(owner)
+            elif isinstance(n, ast.Call):
+                callee = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(callee, []).append(n)
         for key, (name, method, body) in list(left.items()):
             if name in attrs or (not method and name in names):
                 del left[key]
                 todo += body
     unread = [key for key, name in fields.items() if not loads.get(name, set()) - {key.rsplit(".", 1)[0]}]
-    return sorted(left), sorted(unread)
+    unset = [
+        key
+        for key, (owner, callee, name, pos) in options.items()
+        if owner not in left and not any(_sets(c, name, pos) for c in calls.get(callee, ()))
+    ]
+    return sorted(left), sorted(unread), sorted(unset)
 
 
 def test_every_definition_is_reached_from_the_entry_point():
@@ -102,3 +159,7 @@ def test_every_definition_is_reached_from_the_entry_point():
 
 def test_every_field_is_read_by_a_run():
     assert _walk()[1] == sorted(UNREAD_BY_DESIGN)
+
+
+def test_every_option_is_set_by_a_run():
+    assert _walk()[2] == sorted(UNSET_BY_DESIGN)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbac_lab import qmath
-from dbac_lab.errors import ContractViolationError, DimensionMismatchError
+from dbac_lab.errors import ContractViolationError
 from dbac_lab.dme import bloch_planes
 from dbac_lab.states import (
     DensityMatrix,
@@ -309,17 +309,3 @@ class TestHamiltonianEigensystem:
         assert h is HamiltonianSpec.default_single_qubit()
         for arr in (h.matrix, *h.eig):
             assert not arr.flags.writeable
-
-    def test_bloch_rotation_takes_eigenbasis_vectors_to_the_computational_basis(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = HamiltonianSpec(0.5 * (a + a.conj().T))
-        rot, v = h.bloch_rotation, h.eig[1]
-        assert np.abs(rot @ rot.T - np.eye(3)).max() < 1e-14 and not rot.flags.writeable
-        paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
-        for _ in range(5):
-            rho = reference_density(rng)  # in the eigenbasis
-            r = [np.trace(p @ rho).real for p in paulis]
-            want = [np.trace(p @ v @ rho @ v.conj().T).real for p in paulis]
-            assert np.abs(rot @ r - want).max() < 1e-14
-        with pytest.raises(DimensionMismatchError):
-            HamiltonianSpec(np.eye(4)).bloch_rotation
