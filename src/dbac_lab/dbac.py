@@ -20,13 +20,14 @@ across steps) follows it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dme import (
-    bloch_planes, check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
+    check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
 )
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
@@ -192,6 +193,17 @@ def _rx_init(thetas: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(thetas / 2), -1j * np.sin(thetas / 2)], axis=-1)
 
 
+def _rx_planes(thetas: np.ndarray) -> np.ndarray:
+    """The (3, T) Bloch planes (0, -2cs, c^2 - s^2), c = cos(theta/2) and s =
+    sin(theta/2), of :func:`_rx_init` for each angle of a 1-D array: bit for
+    bit what :func:`dme.bloch_planes` gives from the amplitudes' outer product,
+    the sign of a zero x included (0 c - 0 s is -0 where c < 0 < s)."""
+    half = thetas / 2
+    c, s = np.cos(half), np.sin(half)
+    cs = c * s
+    return np.array([0.0 * c - 0.0 * s, -cs - cs, c * c - s * s])
+
+
 def dbac_via_dme(
     theta: float | np.ndarray,
     schedule: DbacSchedule,
@@ -229,12 +241,11 @@ def dbac_via_dme(
     if noise is not None and noise.t1_us is not None:
         raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
     thetas = _angles(theta)
-    amps = _rx_init(np.atleast_1d(thetas))
-    r0 = bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])  # (3, B)
+    r0 = _rx_planes(np.atleast_1d(thetas))  # (3, B)
     states, marginals = [r0], []
     table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, _W))  # once per distinct step
     tables = [table(sj, mj) for sj, mj in zip(schedule.s, schedule.m)]
-    for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise, marginals=True):
+    for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise):
         states.append(out)
         marginals.append(margs)
     planes = np.concatenate([np.array(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
@@ -291,22 +302,24 @@ def copies_accounting(schedule: DbacSchedule) -> int:
 # phases of all steps built before its loop; it is the exact-reflector step
 # on state vectors (dbac_recursive_exact, descent_bound_residual and
 # acceptance criteria 1 and 6 run it).  _bloch_steps steps qubit states
-# as (3, B) Bloch planes: one dme.partial_swap_power call per step when every
-# copy is recorded (dbac_via_dme), M_j dme.partial_swap calls per step when
-# only the output is (the search, where the loop is faster at its depths
-# M <= 4 and batches of thousands), or one partial_swap call that is the
-# exact reflector.  All commute with rotations about z, so a
-# step rotates its instruction once into the data's frame instead of rotating
-# the data there and back: every output it yields is in the data's frame (the
-# computational basis), and so are the instruction marginals, which only dbac_via_dme
-# asks for and reads only their energies and lengths from.  Its
-# step-size terms come in a _StepTable, built once per distinct step, once per
-# final_fidelities_over_s call, and once per depth for the search grid
-# (_grid_table), never once per probe.  The search runs every (angle, step
-# size) pair of a call as one batch entry and skips the instruction
-# marginals.  The dense exact step and the kron-and-partial-trace step, both
-# in tests/oracles.py, are the oracles, and _exact_steps is the oracle of the
-# Bloch-plane reflectors.
+# as (3, B) Bloch planes: one dme.partial_swap_power call per step that
+# records every copy (dbac_via_dme), or one partial_swap call that is the
+# exact reflector.  _swap_pass_z is the search's partial-swap pass: M_j
+# dme.partial_swap calls per step (faster than the closed form at its depths
+# M <= 4 and batches of thousands), the last of the pass computing only the
+# z plane, the one the final energy is read from.  All commute with rotations
+# about z, so a step rotates its instruction once into the data's frame
+# (_to_data_frame) instead of rotating the data there and back: every output
+# is in the data's frame (the computational basis), and so are the
+# instruction marginals, which only dbac_via_dme asks for and reads only their
+# energies and lengths from.  The step-size terms come in a _StepTable, built
+# once per distinct step, once per final_fidelities_over_s call, and once per
+# depth for the search grid (_grid_table), never once per probe.  The search
+# runs every (angle, step size) pair of a call as one batch entry.  The dense
+# exact step and the kron-and-partial-trace step, both in tests/oracles.py,
+# are the oracles, _exact_steps is the oracle of the Bloch-plane reflectors,
+# and oracles.search_loop, which computes every plane of every swap, that of
+# _swap_pass_z.  Every cooling run's initial planes come from _rx_planes.
 
 
 def _exact_steps(psi0, steps, w, recursion):
@@ -373,23 +386,29 @@ def _grid_table(m: Optional[int]) -> _StepTable:
     return table
 
 
-def _rotate_xy(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """(3, B) Bloch planes with (x, y) rotated by the angle of (cos, sin), as a new array."""
+def _to_data_frame(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """(3, B) Bloch planes with (x, y) rotated by minus the angle phi of
+    (cos, sin), as a new array (cos x + sin y, cos y - sin x, z): an
+    instruction in the frame of the data that a step rotates by phi."""
     x, y, z = r
-    return np.array([cos * x - sin * y, sin * x + cos * y, z])
+    a = np.empty(r.shape)
+    np.multiply(cos, x, out=a[0])
+    a[0] += sin * y
+    np.multiply(cos, y, out=a[1])
+    a[1] -= sin * x
+    a[2] = z
+    return a
 
 
-def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
+def _bloch_steps(r0, tables, recursion, noise=None):
     """Cooling steps of a (3, B) batch of Bloch planes, step j by the
-    :class:`_StepTable` ``tables[j]``: yields each step's output and, with
-    ``marginals``, its M_j instruction marginals as an (M_j, 3, B) array, all
-    in the data's frame (the computational basis, as ``r0``).  Which is asked
-    for picks the path: with ``marginals``, the M_j data outputs come from one
-    :func:`dme.partial_swap_power` call and each marginal is q (a + input) -
-    output, q = 1 - p2; without, M_j :func:`dme.partial_swap` calls make only
-    the last one, as the search needs.  ``noise`` is read only with
-    ``marginals`` at finite depths, the one path that is given noise
-    (:func:`dbac_via_dme`); the search and the exact reflectors are noiseless.
+    :class:`_StepTable` ``tables[j]``: yields each step's output and its M_j
+    instruction marginals as an (M_j, 3, B) array (none for exact reflectors),
+    all in the data's frame (the computational basis, as ``r0``).  At finite
+    depth the M_j data outputs come from one :func:`dme.partial_swap_power`
+    call and each marginal is q (a + input) - output, q = 1 - p2; ``noise`` is
+    read only there, the one path that is given noise (:func:`dbac_via_dme`).
+    The exact reflectors are noiseless.
 
     One echo rotation per step: the partial swap, the exact reflector's
     operands and the p1/p2 scalings all commute with rotations about z, so
@@ -405,17 +424,17 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
     kernel with the :func:`dme.rotation_operands` of a and the table's
     (cos s, 1 - cos s, -sin s), and its output is rescaled to unit length, as
     _exact_steps renormalizes.  Depolarizing with probability p scales a Bloch
-    vector by 1 - p.  The kernels and ``_rotate_xy`` are looked up in this
+    vector by 1 - p.  The kernels and ``_to_data_frame`` are looked up in this
     module, so a test can trace them."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
     instr = data = r0
     for table in tables:
-        a = _rotate_xy(instr, table.cos_phi, -table.sin_phi)  # the instruction in the data's frame
+        a = _to_data_frame(instr, table.cos_phi, table.sin_phi)
         margs = ()
         if table.m is None:
             out = partial_swap(data, rotation_operands(a, data, table.coeffs))
             out /= np.sqrt((out * out).sum(axis=0))  # else |a| - 1 grows up to fivefold per step
-        elif marginals:  # every copy is recorded: the M outputs in one closed form
+        else:  # every copy is recorded: the M outputs in one closed form
             sig = data * (1.0 - p1) if p1 else data
             copies = np.arange(1, table.m + 1).reshape(-1, 1, 1)
             outs = partial_swap_power(sig, a, table.coeffs, copies, 1.0 - p2)
@@ -427,13 +446,31 @@ def _bloch_steps(r0, tables, recursion, noise=None, marginals=False):
             out = outs[-1]
             if p1:
                 out *= 1.0 - p1
-        else:
-            out, step = data, swap_operands(a, table.coeffs)
-            for _ in range(table.m):
-                out = partial_swap(out, step)
         yield out, margs
         instr = out
         data = out if recursion == "chain" else r0
+
+
+_XYZ, _Z = slice(None), slice(2, None)  # partial_swap's planes: all, or z alone
+
+
+def _swap_pass_z(r0, k, table, mode):
+    """The z plane of the last output of k noiseless partial-swap steps of
+    depth ``table.m`` from the (3, B) planes ``r0``, every step by ``table``:
+    the search's pass, which reads nothing else.  As in :func:`_bloch_steps`,
+    a step rotates its instruction, the previous output, once into the data's
+    frame and builds its :func:`dme.swap_operands` once; then it runs M
+    :func:`dme.partial_swap` calls, of which the pass's last computes the z
+    plane alone."""
+    out = r0
+    for j in range(k):
+        step = swap_operands(_to_data_frame(out, table.cos_phi, table.sin_phi), table.coeffs)
+        if mode == "fresh":
+            out = r0
+        for _ in range(table.m - 1):
+            out = partial_swap(out, step)
+        out = partial_swap(out, step, _Z if j == k - 1 else _XYZ)
+    return out[0]
 
 
 def _final_energies(
@@ -457,11 +494,14 @@ def _final_energies(
         for _ in range(k):
             e = _energy_law(e, *table.law)
     else:
-        amps = _rx_init(thetas)  # (T, 2)
-        r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), reps, axis=1)
-        for out, _ in _bloch_steps(r0, [table] * k, mode):
-            pass
-        e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * out[2]  # populations (1 +- z) / 2
+        r0 = np.repeat(_rx_planes(thetas), reps, axis=1)
+        if table.m is None:
+            for out, _ in _bloch_steps(r0, [table] * k, mode):
+                pass
+            z = out[2]
+        else:
+            z = _swap_pass_z(r0, k, table, mode)
+        e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * z  # populations (1 +- z) / 2
     return e.reshape(thetas.size, -1) if counts is None else e
 
 
@@ -595,8 +635,8 @@ class _BasinPasses:
         e = _final_energies(np.arccos(2.0 * f0s - 1.0), self._k, self._table, self._mode, self._counts)
         grid, tried = e[: self._size], e[self._size : self._size + len(witnesses)]
         self._best = int(np.argmin(grid))
-        self.proven.update(f for f, ew in zip(witnesses, tried) if self._reached(ew))
-        return self._reached(grid.min())
+        self.proven.update(itertools.compress(witnesses, self._reached(tried)))
+        return self._reached(grid[self._best])
 
 
 def basin_min_fidelity(

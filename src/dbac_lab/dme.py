@@ -25,9 +25,10 @@ product: with instruction ``a`` and data ``b`` one step gives
 Every swap of a cooling step has the same instruction, so a step builds the
 operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`, from the
 :func:`swap_coefficients` of its angle) and each swap is
-``c2 b + s2a + csa x b``.  The kernel returns the data output alone; the
-instruction marginal is ``a + b - out`` (the joint state's two marginals sum
-to ``a + b``).  With the operands ``(cos, (1 - cos)(u.b) u, sin u)`` of
+``c2 b + s2a + csa x b``.  The kernel returns the data output alone, or
+only the planes of it that a caller reads; the instruction marginal is
+``a + b - out`` (the joint state's two marginals sum to ``a + b``).  With
+the operands ``(cos, (1 - cos)(u.b) u, sin u)`` of
 :func:`rotation_operands` the kernel rotates ``b`` about a unit axis ``u``,
 as both exact qubit maps do: the search's exact reflector exp(i s |c><c|)
 (by -s about a unit ``c``), and the M -> infinity limit of :func:`dme_errors`.
@@ -37,9 +38,10 @@ Because the instruction is fixed, M swaps compose in closed form:
 after each of 1..M, in one batch of elementwise ufuncs, for any M (10^9
 included).  The callers that report every copy or every depth use it; the
 step-size search, which keeps only final energies at depths M <= 4 on
-batches of thousands, keeps the :func:`partial_swap` loop, which is faster
-there.  Trace and Hermiticity hold by construction, so the one check a batch
-of planes needs is :func:`check_bloch` (finite, and |a| <= 1 within
+batches of thousands, runs M :func:`partial_swap` calls per step, which is
+faster there, and computes only the z plane in the last call of its pass.
+Trace and Hermiticity hold by construction, so the one check a batch of
+planes needs is :func:`check_bloch` (finite, and |a| <= 1 within
 tolerance), which gives the verdict and the message that
 :func:`states.check_density` gives for the matrices :func:`density_matrices`
 rebuilds.  The kernels validate nothing; their callers validate once,
@@ -50,14 +52,15 @@ outside any loop:
   :func:`partial_swap_power` call, one exponent per entry, and checks the
   final states as planes.  It takes only qubit registers and raises
   :class:`DimensionMismatchError` for anything else;
-* ``dbac._bloch_steps``, the cooling loop under H = -Z, checks nothing.
-  It runs ``dbac.dbac_via_dme``, whose every copy it makes by one
-  :func:`partial_swap_power` call per step, and which checks every state it
-  reports as planes, in one batch after the last step; and the step-size
-  search, which runs every angle and step size of a search as one batch
-  through the :func:`partial_swap` loop, keeps only final energies and
-  checks none.  Its exact reflectors rescale each output to |a| = 1, as the
-  reflector oracle renormalizes its state vectors: a rotation about a
+* ``dbac._bloch_steps`` and ``dbac._swap_pass_z``, the cooling loops under
+  H = -Z, check nothing.  ``_bloch_steps`` runs ``dbac.dbac_via_dme``, whose
+  every copy it makes by one :func:`partial_swap_power` call per step, and
+  which checks every state it reports as planes, in one batch after the last
+  step, and the step-size search's exact reflectors; ``_swap_pass_z`` runs
+  the search's partial swaps, every angle and step size of a search as one
+  batch of :func:`partial_swap` calls.  The search keeps only final energies
+  and checks none.  Its exact reflectors rescale each output to |a| = 1, as
+  the reflector oracle renormalizes its state vectors: a rotation about a
   non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
 
 The definition itself, a kron of the two registers conjugated by
@@ -125,30 +128,31 @@ def rotation_operands(u: np.ndarray, sig: np.ndarray, coeffs):
     return cos, (one_minus_cos * (u * sig).sum(axis=0)) * u, sin * u
 
 
-def partial_swap(sig: np.ndarray, step) -> np.ndarray:
+_CROSS = ((1, 2), (2, 0), (0, 1))  # plane i of a x b is a[j] b[k] - a[k] b[j]
+
+
+def partial_swap(sig: np.ndarray, step, planes: slice = slice(None)) -> np.ndarray:
     """One partial-swap step on Bloch planes: the data output
     ``c2 sig + s2a + csa x sig``.
 
-    ``sig`` is a ``(3, ...)`` array of Bloch planes, whose shape the output
-    takes, and ``step = (c2, s2a, csa)`` is :func:`swap_operands` of the
-    instruction: ``c2`` a scalar, or an array that broadcasts against one
-    plane for one angle per batch entry, and ``s2a`` and ``csa`` planes that
-    broadcast against ``sig``.  At angle 0, whose operands are ``(1, 0, 0)``,
-    the output is ``sig``, bit for bit.  The instruction marginal, ``instr +
-    sig - out``, is left to the caller that records it.  Nothing is validated.
+    ``sig`` is a ``(3, ...)`` array of Bloch planes and ``step = (c2, s2a,
+    csa)`` is :func:`swap_operands` of the instruction: ``c2`` a scalar, or an
+    array that broadcasts against one plane for one angle per batch entry, and
+    ``s2a`` and ``csa`` planes that broadcast against ``sig``.  ``planes``, a
+    slice of (x, y, z), picks the output planes computed, and the output takes
+    the shape of ``sig[planes]``: ``slice(2, None)`` gives the z plane alone,
+    bit for bit the z plane of the whole output.  At angle 0, whose operands
+    are ``(1, 0, 0)``, the output is ``sig``, bit for bit.  The instruction
+    marginal, ``instr + sig - out``, is left to the caller that records it.
+    Nothing is validated.
     """
     c2, s2a, csa = step
-    ax, ay, az = csa
-    bx, by, bz = sig
-    out = np.empty(sig.shape)
-    np.multiply(ay, bz, out=out[0, ...])  # csa x sig, plane by plane
-    out[0] -= az * by
-    np.multiply(az, bx, out=out[1, ...])
-    out[1] -= ax * bz
-    np.multiply(ax, by, out=out[2, ...])
-    out[2] -= ay * bx
-    out += c2 * sig
-    out += s2a
+    out = np.empty(sig[planes].shape)
+    for i, (j, k) in enumerate(_CROSS[planes]):  # csa x sig, plane by plane
+        np.multiply(csa[j], sig[k], out=out[i, ...])
+        out[i] -= csa[k] * sig[j]
+    out += c2 * sig[planes]
+    out += s2a[planes]
     return out
 
 

@@ -14,10 +14,13 @@ import numpy as np
 from dbac_lab import circuits, dbac, qmath, tomography
 from dbac_lab.baselines import ppa_round, target_polarization, thermal_qubit
 from dbac_lab.dbac import CoolingRecord, check_step_sizes
+from dbac_lab.dme import bloch_planes, partial_swap, swap_operands
 from dbac_lab.states import DensityMatrix, HamiltonianSpec, PureState
 from dbac_lab.tomography import PTM, pauli_labels, pauli_matrix
 
 EXACT = "the same arithmetic in the same order: bit for bit"
+SAME_OPS = "same operations, same order: bit for bit, and so is the sign of every zero"
+SPLIT = "the complex products' parts are these real products and sums: bit for bit, signs of zeros too"
 ORDER = "the same quantity by other products and sums (closed forms against eigh, kron and partial traces)"
 RENORMALIZED = "each oracle step renormalizes its state, or rescales its instruction copy to unit trace"
 COMPOUNDED = "rounding compounds over hundreds of chained steps or Trotter copies"
@@ -49,6 +52,8 @@ TOLERANCES = {
     ("_bloch_steps exact", "_exact_steps"): (1e-11, COMPOUNDED),
     ("_exact_steps perturbed", "_exact_steps"): (1e-13, CHAOTIC),
     ("final_fidelities_over_s", "tiled_table_fidelities"): (0.0, EXACT),
+    ("_final_energies", "search_loop"): (0.0, SAME_OPS),
+    ("_rx_planes", "bloch_planes of _rx_init"): (0.0, SPLIT),
     ("basin_min_fidelity", "plain_basin"): (0.0, EXACT),
     ("partial_swap", "dme_step_exact"): (1e-12, ORDER),
     ("partial_swap_power", "partial_swap loop"): (1e-13, ORDER),
@@ -229,6 +234,29 @@ def tiled_table_fidelities(theta, k, m, s_values, mode):
     table = dbac._step_table(np.tile(s.ravel(), thetas.size), m, w)
     energies = dbac._final_energies(np.atleast_1d(thetas), k, table, mode)
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
+
+
+def search_loop(thetas, k, table, mode, counts=None):
+    """dbac._final_energies at finite depth by its earlier loop: the initial
+    planes from the complex outer product of dbac._rx_init's amplitudes, each
+    step's instruction rotated into the data's frame as a stacked array, and
+    M whole partial_swap outputs per step, of which only the last one's z is
+    read.  The oracle of the pass that computes only that z."""
+    reps = table.cos_phi.size // thetas.size if counts is None else counts
+    amps = dbac._rx_init(thetas)
+    r0 = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), reps, axis=1)
+    cos, sin = table.cos_phi, -table.sin_phi
+    instr = data = r0
+    for _ in range(k):
+        x, y, z = instr
+        out, step = data, swap_operands(np.array([cos * x - sin * y, sin * x + cos * y, z]), table.coeffs)
+        for _ in range(table.m):
+            out = partial_swap(out, step)
+        instr = out
+        data = out if mode == "chain" else r0
+    w = HamiltonianSpec.default_single_qubit().eig[0]
+    e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]
+    return e.reshape(thetas.size, -1) if counts is None else e
 
 
 def plain_basin(k, m, f_target, mode):

@@ -271,9 +271,9 @@ class TestRunners:
         calls = []
         swap = dbac.partial_swap
 
-        def counting_swap(sig, step):
-            calls.append(np.shape(sig))
-            return swap(sig, step)
+        def counting_swap(sig, step, planes=slice(None)):
+            calls.append((np.shape(sig), planes))
+            return swap(sig, step, planes)
 
         monkeypatch.setattr(dbac, "partial_swap", counting_swap)
         cfg = cli.validate_config(
@@ -281,7 +281,8 @@ class TestRunners:
             out_override=tmp_path / "out",
         )
         cli.run_config(cfg)
-        assert calls == [(3, 5 * 7)] * (3 * 2)
+        # the last of the k M calls computes the z plane alone, all that is read
+        assert calls == [((3, 5 * 7), slice(None))] * (3 * 2 - 1) + [((3, 5 * 7), slice(2, None))]
         rows = [
             [float(v) for v in line.split(",")]
             for line in (tmp_path / "out" / "sweep_s.csv").read_text().splitlines()[1:]

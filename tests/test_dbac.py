@@ -31,7 +31,7 @@ from conftest import random_density, random_state, random_unitary
 from oracles import (
     LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
     ground_projector, ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector,
-    synthesize_uk, tiled_table_fidelities, agrees, tol,
+    search_loop, synthesize_uk, tiled_table_fidelities, agrees, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -778,15 +778,15 @@ class TestSearchEngineOracle:
 
 
 def _counted_rotations(monkeypatch, call, *args):
-    """The plane shapes of every dbac._rotate_xy call that call(*args) makes."""
+    """The plane shapes of every dbac._to_data_frame call that call(*args) makes."""
     shapes = []
-    rotate = dbac._rotate_xy
+    rotate = dbac._to_data_frame
 
     def counting(r, cos, sin):
         shapes.append(np.shape(r))
         return rotate(r, cos, sin)
 
-    monkeypatch.setattr(dbac, "_rotate_xy", counting)
+    monkeypatch.setattr(dbac, "_to_data_frame", counting)
     call(*args)
     monkeypatch.undo()
     return shapes
@@ -810,16 +810,18 @@ class TestSearchBatch:
             assert np.abs(row - single).max() < 1e-14
 
     def test_one_kernel_call_per_dme_step_for_all_angles(self, monkeypatch):
+        # k M calls over the whole batch, the last of which computes z alone
         calls = []
         swap = dbac.partial_swap
 
-        def counting_swap(sig, step):
-            calls.append(np.shape(sig))
-            return swap(sig, step)
+        def counting_swap(sig, step, planes=slice(None)):
+            calls.append((np.shape(sig), planes))
+            return swap(sig, step, planes)
 
         monkeypatch.setattr(dbac, "partial_swap", counting_swap)
         final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
-        assert calls == [(3, self.THETAS.size * self.S_VALUES.size)] * 6
+        batch = (3, self.THETAS.size * self.S_VALUES.size)
+        assert calls == [(batch, slice(None))] * 5 + [(batch, slice(2, None))]
 
     @pytest.mark.parametrize("m, mode", [(2, "chain"), (1, "fresh"), (None, "fresh")])
     def test_one_rotation_per_cooling_step(self, monkeypatch, m, mode):
@@ -854,7 +856,7 @@ class TestDmeStepsOracle:
         noise = NoiseModel(*noise) if noise else None
         outs, margs = [], []
         tables = [dbac._step_table(t, m, w) for t in steps]
-        for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise, marginals=True):
+        for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise):
             outs.append(density_matrices(out))
             margs.extend(density_matrices(marg) for marg in step_margs)
         assert len(outs) == k and len(margs) == k * m
@@ -863,6 +865,40 @@ class TestDmeStepsOracle:
             want_outs, want_margs = dme_chain(rho0[b], np.diag(w), entry_steps, [m] * k, mode, noise)
             assert np.abs(np.array(outs)[:, b] - want_outs).max() < tol("_bloch_steps", "dme_chain")
             assert np.abs(np.array(margs)[:, b] - want_margs).max() < tol("_bloch_steps", "dme_chain")
+
+
+class TestSearchPassOracle:
+    """The search's finite-depth pass, which computes only the last swap's z,
+    against the loop that computed every plane of every swap."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=SEEDS,
+        k=st.integers(1, 6),
+        m=st.integers(1, 8),
+        mode=st.sampled_from(RECURSION_MODES),
+        with_counts=st.booleans(),
+        special=st.lists(st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]), max_size=3),
+    )
+    @example(seed=0, k=1, m=1, mode="chain", with_counts=False, special=[0.0, np.pi])
+    @example(seed=1, k=6, m=8, mode="fresh", with_counts=True, special=[-0.0, 3 * np.pi])
+    def test_final_energies_match_the_search_loop(self, seed, k, m, mode, with_counts, special):
+        rng = np.random.default_rng(seed)
+        thetas = np.concatenate([special, rng.uniform(-2 * np.pi, 2 * np.pi, 4)])
+        # step sizes of either sign and 0, where the swap's operands are (1, 0, 0)
+        s = np.concatenate([[0.0, -0.0], rng.uniform(-np.pi, np.pi, 5)])
+        table = dbac._step_table(np.tile(s, thetas.size), m, H.eig[0])
+        counts = rng.multinomial(table.cos_phi.size - thetas.size, np.ones(thetas.size) / thetas.size) + 1
+        counts = counts if with_counts else None
+        got = dbac._final_energies(thetas, k, table, mode, counts)
+        want = search_loop(thetas, k, table, mode, counts)
+        assert agrees(got, want, "_final_energies", "search_loop")
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the initial planes too, built from cos and sin of theta / 2
+        amps = dbac._rx_init(thetas)
+        got, want = dbac._rx_planes(thetas), bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])
+        assert agrees(got, want, "_rx_planes", "bloch_planes of _rx_init")
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _pure_planes(v):
