@@ -19,7 +19,6 @@ from .dbac import (  # noqa: F401
     CoolingRecord,
     DbacSchedule,
     basin_min_fidelity,
-    best_final_fidelity,
     check_step_sizes,
     copies_accounting,
     dbac_energy_analytic,

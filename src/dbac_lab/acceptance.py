@@ -56,7 +56,6 @@ from .dbac import (
     _W,
     _exact_steps,
     _rx_init,
-    best_final_fidelity,
     copies_accounting,
     dbac_energy_analytic,
     descent_bound_residual,
@@ -153,13 +152,13 @@ def criterion_4():
 
 @_criterion("5a", "F0=0.8 reaches 0.9 at k=1, M=1")
 def criterion_5a():
-    f_a = best_final_fidelity(0.8, k=1, m=1)
+    f_a = final_fidelities_over_s(np.arccos(2 * 0.8 - 1), 1, 1, step_size_grid()).max()
     return f_a >= 0.9, f"best final fidelity {f_a:.4f}"
 
 
 @_criterion("5b", "F0=0.6 reaches 0.9 at k=2, M=2 with 8 extra copies")
 def criterion_5b():
-    f_b = best_final_fidelity(0.6, k=2, m=2)
+    f_b = final_fidelities_over_s(np.arccos(2 * 0.6 - 1), 2, 2, step_size_grid()).max()
     extra = copies_accounting(DbacSchedule.uniform(2, np.pi / 4, m=2))
     ok = f_b >= 0.9 and extra == 8
     return ok, f"best final fidelity {f_b:.4f}; extra copies {extra}"
@@ -167,7 +166,7 @@ def criterion_5b():
 
 @_criterion("5c", "F0=0.1 fails at k=2, M=2")
 def criterion_5c():
-    f_c = best_final_fidelity(0.1, k=2, m=2)
+    f_c = final_fidelities_over_s(np.arccos(2 * 0.1 - 1), 2, 2, step_size_grid()).max()
     return f_c < 0.9, f"best final fidelity {f_c:.4f}"
 
 

@@ -114,8 +114,6 @@ def embedded_gates(circuits: Sequence[Circuit]) -> tuple[np.ndarray, dict[tuple[
     gate with G, the identity slot.  Recurring gate objects (the shared gates of
     the compiled partial swaps) are deduped here.  Each kind's matrices come
     from one vectorized expression, each qubit tuple's from one `embed_gate`."""
-    if not circuits:
-        raise ContractViolationError("give at least one circuit")
     n = circuits[0].num_qubits
     if any(c.num_qubits != n for c in circuits):
         raise DimensionMismatchError("the circuits must share one register size")
@@ -198,8 +196,6 @@ def partial_swap_unitaries(phis: Sequence[float]) -> np.ndarray:
     form: cos(phi) I - i sin(phi) SWAP, exact since SWAP^2 = I.  These are the
     targets the compiled partial swaps are checked against."""
     phis = np.asarray(phis, dtype=float)[:, None, None]
-    if not np.isfinite(phis).all():
-        raise ContractViolationError("gate angles must be finite")
     return np.cos(phis) * np.eye(4) - 1j * np.sin(phis) * qmath.swap_operator(2)
 
 

@@ -15,6 +15,14 @@ that same output ("chain"); the alternative "fresh" mode rebuilds each step
 around the previous output but applies it to a new copy of the original state.
 Chain is the default because the copies accounting (M_j + 1 inputs multiply
 across steps) follows it.
+
+A run's inputs (angles, step sizes, depths, recursion, fidelity target) are
+checked once, where its config enters (``cli.ExperimentConfig``), so
+:func:`dbac_via_dme` and the step-size search (:func:`final_fidelities_over_s`,
+:func:`optimal_step`, :func:`basin_min_fidelity`) check none of their
+arguments.  What is checked here: :class:`DbacSchedule` on construction,
+the energy law's E0 (in a sweep, its own iterates), and every state a
+record reports (:func:`check_pure`, :func:`dme.check_bloch`).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 from .dme import (
     check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
 )
-from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
+from .errors import ContractViolationError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
 from .tomography import NoiseModel
 
@@ -122,12 +130,11 @@ class CoolingRecord:
 def dbac_energy_analytic(e0: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Post-step energy E1 = E0 - 2 sin^2(t) (1 - E0^2) ((1 - cos t) E0 + cos t),
     elementwise over arrays of ``e0`` and ``t`` that broadcast together; two
-    scalars give a float.  Every E0 must lie in [-1, 1] and every t be finite."""
+    scalars give a float.  Every E0 must lie in [-1, 1]: a sweep applies the
+    law to its own iterates."""
     e0, t = np.asarray(e0, dtype=float), np.asarray(t, dtype=float)
     if not (np.abs(e0) <= 1.0).all():  # NaN fails too
         raise ContractViolationError("e0 must lie in [-1, 1]")
-    if not np.isfinite(t).all():
-        raise ContractViolationError("t must be finite")
     e1 = _energy_law(e0, *_law_terms(t))
     return float(e1) if e1.ndim == 0 else e1
 
@@ -177,16 +184,6 @@ def dbac_recursive_exact(psi: PureState, schedule: DbacSchedule) -> CoolingRecor
     return _records(pops, np.array([2.0 * rho01.real, -2.0 * rho01.imag, pops[..., 0] - pops[..., 1]]))
 
 
-def _angles(theta) -> np.ndarray:
-    """``theta`` as a float array: one finite angle, or a nonempty 1-D array of them."""
-    thetas = np.asarray(theta, dtype=float)
-    if thetas.ndim > 1 or thetas.size == 0:
-        raise ContractViolationError("theta must be one angle or a nonempty 1-D array of angles")
-    if not np.isfinite(thetas).all():
-        raise ContractViolationError("theta must be finite")
-    return thetas
-
-
 def _rx_init(thetas: np.ndarray) -> np.ndarray:
     """R_X(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1> for each angle of a
     1-D array, as (T, 2) amplitudes."""
@@ -222,8 +219,8 @@ def dbac_via_dme(
     With depolarizing noise, p1 acts after each echo rotation and p2 on each
     two-register interaction; depolarizing the joint register and then tracing
     out one side leaves (1 - p2) sigma' + p2 I/2 on either marginal, so the p2
-    path is closed form too.  Damping (``t1_us``) is not modeled and is
-    rejected.
+    path is closed form too.  Damping (``t1_us``) is not modeled: a run's
+    config applies only p1 and p2 here, and its schedule has finite depths.
 
     The steps run on Bloch vectors (:func:`_bloch_steps`, one rotation of the
     instruction per step) and validate nothing.  The step outputs and the
@@ -236,11 +233,7 @@ def dbac_via_dme(
     The dense kron-and-partial-trace step in ``tests/oracles.py`` is the
     oracle this is tested against.
     """
-    if schedule.m is None:
-        raise ContractViolationError("dbac_via_dme needs finite Trotter depths; use dbac_recursive_exact")
-    if noise is not None and noise.t1_us is not None:
-        raise ContractViolationError("dbac_via_dme models no t1/t2 damping")
-    thetas = _angles(theta)
+    thetas = np.asarray(theta, dtype=float)
     r0 = _rx_planes(np.atleast_1d(thetas))  # (3, B)
     states, marginals = [r0], []
     table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, _W))  # once per distinct step
@@ -505,14 +498,6 @@ def _final_energies(
     return e.reshape(thetas.size, -1) if counts is None else e
 
 
-def _check_search_args(k: int, m: Optional[int], mode: str) -> None:
-    """The argument checks shared by the step-size search entry points."""
-    if not (_is_count(k) and (m is None or _is_count(m))):
-        raise ContractViolationError("k and m must be positive integers")
-    if mode not in RECURSION_MODES:
-        raise ContractViolationError(f"recursion must be one of {RECURSION_MODES}")
-
-
 def step_size_grid() -> np.ndarray:
     """The search grid for common step sizes: (0, pi] at resolution 1e-3."""
     return _S_GRID.copy()
@@ -525,11 +510,8 @@ def final_fidelities_over_s(
     size in ``s_values`` (noiseless, H = -Z; ``m=None`` selects exact
     reflectors).  ``theta`` is one angle, which gives one fidelity per step
     size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
-    in one engine pass.  Angles must be finite, and step sizes must pass
-    :func:`check_step_sizes`, as in :class:`DbacSchedule`."""
-    _check_search_args(k, m, mode)
-    s = check_step_sizes(s_values)
-    thetas = _angles(theta)
+    in one engine pass."""
+    s, thetas = np.asarray(s_values, dtype=float), np.asarray(theta, dtype=float)
     table = _step_table(s.ravel(), m, _W).map(lambda a: np.tile(a, thetas.size))  # once per step size
     energies = _final_energies(np.atleast_1d(thetas), k, table, mode)
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
@@ -539,30 +521,12 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     """Grid-search minimizer of the final energy over common s in (0, pi].
 
     Grid resolution 1e-3; among step sizes within 1e-9 of the minimum the
-    smallest is returned.  ``m=None`` selects exact reflectors.  ``e0`` must
-    lie in (-1, 1): e0 = +/-1 is a fixed point of the protocol.
+    smallest is returned.  ``m=None`` selects exact reflectors.
     """
-    if not np.isfinite(e0):
-        raise ContractViolationError("e0 must be finite")
-    if abs(e0) > 1.0:
-        raise ContractViolationError("e0 must lie in [-1, 1]")
-    if abs(e0) == 1.0:
-        raise DegenerateInputError("e0 = +/-1 is a protocol fixed point; no step optimizes it")
-    _check_search_args(k, m, mode)
     energies = _final_energies(np.array([np.arccos(-e0)]), k, _grid_table(m), mode)[0]
     best = energies.min()
     idx = int(np.argmax(energies <= best + _TIE_TOL))
     return float(_S_GRID[idx])
-
-
-def best_final_fidelity(f0: float, k: int, m: Optional[int] = None) -> float:
-    """Best ground-state fidelity achievable in chain recursion with an
-    optimized common step size."""
-    if not 0.0 < f0 <= 1.0:
-        raise ContractViolationError("f0 must lie in (0, 1]")
-    _check_search_args(k, m, "chain")
-    energies = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), k, _grid_table(m), "chain")
-    return float((1.0 - energies.min()) / 2.0)
 
 
 # The basin bisection halves (lo, hi) to width _BASIN_TOL.  Each full-grid
@@ -650,7 +614,7 @@ def basin_min_fidelity(
 
     The upper end, 1 - 1e-6, is decided by one witness entry at the first
     grid step (s = 1e-3); only when that entry misses the target does a
-    full-grid pass (the grid of :func:`best_final_fidelity`) decide it.
+    full-grid pass (the grid of :func:`optimal_step`) decide it.
 
     Witness rule: each later full-grid pass also runs, in the same engine
     batch, one witness entry for each bisection midpoint that may be probed
@@ -670,9 +634,6 @@ def basin_min_fidelity(
     is the one the full grid would make.  The witness steps and the depth of
     4 levels set how many passes run, never the result.
     """
-    if not 0.0 < f_target < 1.0:
-        raise ContractViolationError("f_target must lie in (0, 1)")
-    _check_search_args(k, m, mode)
     reaches = _BasinPasses(k, m, mode, f_target)
     hi = 1.0 - 1e-6
     lo = 1e-6

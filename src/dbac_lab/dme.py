@@ -214,9 +214,11 @@ def check_bloch(planes: np.ndarray) -> None:
     exact Hermiticity and trace and eigenvalues (1 +- |a|) / 2, so this raises
     exactly when :func:`states.check_density` on it would, with its message."""
     if not ((planes * planes).sum(axis=0) <= (1.0 + 2.0 * EIG_TOL) ** 2).all():  # NaN fails too
-        if not np.isfinite(planes).all():
-            raise ContractViolationError("matrix contains NaN or Inf entries")
-        raise ContractViolationError("density matrix has a negative eigenvalue")
+        raise ContractViolationError(
+            "density matrix has a negative eigenvalue"
+            if np.isfinite(planes).all()
+            else "matrix contains NaN or Inf entries"
+        )
 
 
 def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:

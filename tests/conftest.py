@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dbac_lab import cli
 from dbac_lab.errors import ContractViolationError
 
 
@@ -33,3 +34,18 @@ def verdict(check, arg):
     except ContractViolationError as err:
         return str(err)
     return None
+
+
+def config(tmp_path, experiment, text):
+    """The validated config of a run of ``experiment`` whose config file holds ``text``."""
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    return cli.validate_config(path, experiment, out_override=tmp_path / "out")
+
+
+def config_error(tmp_path, experiment, text):
+    """The config error of a run of ``experiment`` whose config file holds
+    ``text``: the checks where a run's inputs enter, which the engines do not repeat."""
+    with pytest.raises(cli.ConfigError) as info:
+        config(tmp_path, experiment, text)
+    return str(info.value)

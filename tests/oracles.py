@@ -53,6 +53,7 @@ TOLERANCES = {
     ("_exact_steps perturbed", "_exact_steps"): (1e-13, CHAOTIC),
     ("final_fidelities_over_s", "tiled_table_fidelities"): (0.0, EXACT),
     ("_final_energies", "search_loop"): (0.0, SAME_OPS),
+    ("_final_energies exact fresh", "search_exact_loop"): (0.0, SAME_OPS),
     ("_rx_planes", "bloch_planes of _rx_init"): (0.0, SPLIT),
     ("basin_min_fidelity", "plain_basin"): (0.0, EXACT),
     ("partial_swap", "dme_step_exact"): (1e-12, ORDER),
@@ -254,6 +255,30 @@ def search_loop(thetas, k, table, mode, counts=None):
             out = partial_swap(out, step)
         instr = out
         data = out if mode == "chain" else r0
+    w = HamiltonianSpec.default_single_qubit().eig[0]
+    e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]
+    return e.reshape(thetas.size, -1) if counts is None else e
+
+
+def search_exact_loop(thetas, k, table, counts=None):
+    """dbac._final_energies with exact reflectors in fresh recursion, plane by
+    plane: each step rotates the previous output a into the data's frame,
+    rotates the initial planes b by -s about it (the reflector exp(is|a><a|)),
+    cos s b + (1 - cos s)(a.b) a - sin s a x b, and rescales the result to
+    unit length.  The oracle of the search's exact pass."""
+    reps = table.cos_phi.size // thetas.size if counts is None else counts
+    amps = dbac._rx_init(thetas)
+    b = np.repeat(bloch_planes(amps[:, :, None] * amps.conj()[:, None, :]), reps, axis=1)
+    cos, sin = table.cos_phi, table.sin_phi
+    cos_s, one_minus_cos, minus_sin = table.coeffs
+    out = b
+    for _ in range(k):
+        x, y, z = out
+        a = (cos * x + sin * y, cos * y - sin * x, z)
+        along = one_minus_cos * (a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+        across = [minus_sin * a[j] * b[l] - minus_sin * a[l] * b[j] for j, l in ((1, 2), (2, 0), (0, 1))]
+        out = np.array([across[i] + cos_s * b[i] + along * a[i] for i in range(3)])
+        out = out / np.sqrt(out[0] * out[0] + out[1] * out[1] + out[2] * out[2])
     w = HamiltonianSpec.default_single_qubit().eig[0]
     e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]
     return e.reshape(thetas.size, -1) if counts is None else e

@@ -267,10 +267,6 @@ class TestEmbeddedGates:
         stack, groups, take = embedded_gates([Circuit(2, ()), Circuit(2, ())])
         assert stack.shape == (0, 4, 4) and groups == {} and take.shape == (2, 0)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ContractViolationError):
-            embedded_gates([])
-
     def test_register_sizes_must_match(self):
         with pytest.raises(DimensionMismatchError):
             embedded_gates([compile_cz(), Circuit(3, ())])

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dbac_lab import dbac, qmath
+from dbac_lab import cli, dbac, qmath
 from dbac_lab.baselines import hbac_round_closed, thermal_qubit
-from dbac_lab.circuits import partial_swap_unitaries
 from dbac_lab.dbac import (
     CoolingRecord,
     RECURSION_MODES,
     DbacSchedule,
     basin_min_fidelity,
-    best_final_fidelity,
     check_step_sizes,
     copies_accounting,
     dbac_energy_analytic,
@@ -23,15 +21,15 @@ from dbac_lab.dbac import (
     step_size_grid,
 )
 from dbac_lab.dme import bloch_planes, density_matrices
-from dbac_lab.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
+from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import HamiltonianSpec, PureState, rx_init
 from dbac_lab.tomography import NoiseModel
 
-from conftest import random_density, random_state, random_unitary
+from conftest import config, config_error, random_density, random_state, random_unitary
 from oracles import (
     LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
     ground_projector, ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector,
-    search_loop, synthesize_uk, tiled_table_fidelities, agrees, tol,
+    search_exact_loop, search_loop, synthesize_uk, tiled_table_fidelities, agrees, tol,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -44,6 +42,11 @@ def _depths(max_steps, max_k):
     return st.integers(1, max_k).flatmap(
         lambda k: st.tuples(st.just(k), st.integers(1, max(1, max_steps // k)))
     )
+
+
+def _best_fidelity(f0, k, m):
+    """The search's best final fidelity from ground fidelity f0, as criteria 5a-5d read it."""
+    return final_fidelities_over_s(np.arccos(2 * f0 - 1), k, m, step_size_grid()).max()
 
 
 def _assert_matches_oracle(thetas, schedule, noise):
@@ -119,8 +122,8 @@ class TestEnergyAnalytic:
 
     @pytest.mark.parametrize(
         "e0, t",
-        [([0.2, 1.5], 0.3), ([0.2, -1.0 - 1e-12], 0.3), ([0.2, np.nan], 0.3), (0.2, [0.1, np.inf]), (0.2, -np.inf)],
-        ids=["above-one", "below-minus-one", "nan-e0", "inf-t", "minus-inf-t"],
+        [([0.2, 1.5], 0.3), ([0.2, -1.0 - 1e-12], 0.3), ([0.2, np.nan], 0.3)],
+        ids=["above-one", "below-minus-one", "nan-e0"],
     )
     def test_arrays_reject_bad_entries(self, e0, t):
         with pytest.raises(ContractViolationError):
@@ -165,7 +168,7 @@ class TestRecursiveExact:
         theta = 2 * np.arccos(np.sqrt(0.1))
         rec = dbac_recursive_exact(rx_init(theta), DbacSchedule.uniform(2, np.pi / 4, m=2))
         assert (1.0 - rec.energies[-1]) / 2.0 < 0.9
-        assert best_final_fidelity(0.1, 2, 2) < 0.9
+        assert _best_fidelity(0.1, 2, 2) < 0.9
 
     def test_chain_matches_iterated_law(self):
         theta, s, k = 1.7, 0.6, 4
@@ -231,9 +234,12 @@ class TestViaDme:
         noisy = dbac_via_dme(1.0, DbacSchedule.uniform(1, np.pi / 4, m=1), NoiseModel(p1=0.01, p2=0.05))
         assert noisy.energies[-1] > clean.energies[-1]
 
-    def test_exact_schedule_rejected(self):
-        with pytest.raises(ContractViolationError):
-            dbac_via_dme(1.0, DbacSchedule.uniform(1, np.pi / 4, m=None))
+    def test_exact_schedule_rejected(self, tmp_path, monkeypatch):
+        # an exact schedule never reaches the DME run: sweep-theta's config
+        # rejects it, and trajectory runs it by dbac_recursive_exact
+        assert config_error(tmp_path, "sweep-theta", "m = exact\n").startswith("m: ")
+        monkeypatch.setattr(cli, "dbac_via_dme", None)
+        cli.run_config(config(tmp_path, "trajectory", "m = exact\n"))
 
     def test_fresh_mode_differs_from_chain_at_k2(self):
         chain = dbac_via_dme(1.8, DbacSchedule.uniform(2, np.pi / 4, m=1, recursion="chain"))
@@ -334,10 +340,12 @@ class TestViaDmeBatch:
                 # row i of the batch is the single-angle record, bit for bit
                 assert np.array_equal(getattr(batch, field)[i], getattr(single, field))
 
-    @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([]), [0.3, np.nan]])
-    def test_bad_theta_rejected(self, theta):
-        with pytest.raises(ContractViolationError):
-            dbac_via_dme(theta, DbacSchedule.uniform(1, 0.5, m=1))
+    @pytest.mark.parametrize("theta", [{"theta_count": "1"}, {"theta_count": "0"}, {"theta_stop": "nan"}])
+    def test_bad_theta_rejected(self, tmp_path, theta):
+        # the run's angles are one finite theta or a grid of at least two finite
+        # ones: the config rejects any other where it enters
+        ((key, value),) = theta.items()
+        assert key in config_error(tmp_path, "sweep-theta", f"{key} = {value}\n")
 
 
 class TestRecordArrays:
@@ -570,17 +578,11 @@ class TestOptimalStep:
         # analytic optimum of the one-step law at e0 = 0: tan^2 t = 2
         assert abs(s_star - np.arctan(np.sqrt(2.0))) < 1e-3
 
-    def test_degenerate_endpoints_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            optimal_step(1.0, 1, 1)
-        with pytest.raises(DegenerateInputError):
-            optimal_step(-1.0, 1, 1)
-
-    @pytest.mark.parametrize("e0", [1.5, -1.5])
-    def test_out_of_range_energy_rejected(self, e0):
-        # an energy outside [-1, 1] is no state's, not a fixed point
-        with pytest.raises(ContractViolationError, match=r"e0 must lie in \[-1, 1\]"):
-            optimal_step(e0, 2)
+    def test_degenerate_endpoints_rejected(self, tmp_path):
+        # e0 = -cos(theta) = +/-1 is a fixed point: grid-km's config rejects
+        # such a theta, so the search never sees it
+        for theta in ("0", "180deg", "-180deg"):
+            assert config_error(tmp_path, "grid-km", f"theta = {theta}\n").startswith("theta: |cos(theta)| = 1")
 
     def test_quarter_pi_cools_everywhere(self):
         # at s = pi/4 a single exact step strictly cools every theta in (0, pi)
@@ -592,7 +594,7 @@ class TestOptimalStep:
 class TestBasin:
     def test_k1m1_includes_080(self):
         assert basin_min_fidelity(1, 1, 0.9) <= 0.8
-        assert best_final_fidelity(0.8, 1, 1) >= 0.9
+        assert _best_fidelity(0.8, 1, 1) >= 0.9
 
     def test_k2m2_includes_060(self):
         assert basin_min_fidelity(2, 2, 0.9) <= 0.6
@@ -829,10 +831,11 @@ class TestSearchBatch:
         shapes = _counted_rotations(monkeypatch, final_fidelities_over_s, self.THETAS, 3, m, self.S_VALUES, mode)
         assert shapes == [(3, self.THETAS.size * self.S_VALUES.size)] * 3
 
-    @pytest.mark.parametrize("theta", [np.zeros((2, 2)), np.array([])])
-    def test_bad_theta_rejected(self, theta):
-        with pytest.raises(ContractViolationError):
-            final_fidelities_over_s(theta, 1, 1, [0.5])
+    @pytest.mark.parametrize("theta", [{"theta_count": "1"}, {"theta_count": "0"}])
+    def test_bad_theta_rejected(self, tmp_path, theta):
+        # sweep-s searches from a grid of at least two angles: the config rejects a shorter one
+        ((key, value),) = theta.items()
+        assert config_error(tmp_path, "sweep-s", f"{key} = {value}\n").startswith(f"{key}: ")
 
 
 class TestDmeStepsOracle:
@@ -898,6 +901,28 @@ class TestSearchPassOracle:
         amps = dbac._rx_init(thetas)
         got, want = dbac._rx_planes(thetas), bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])
         assert agrees(got, want, "_rx_planes", "bloch_planes of _rx_init")
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=SEEDS,
+        k=st.integers(1, 6),
+        with_counts=st.booleans(),
+        special=st.lists(st.sampled_from([0.0, np.pi]), max_size=2),
+    )
+    @example(seed=0, k=1, with_counts=False, special=[0.0, np.pi])
+    @example(seed=1, k=6, with_counts=True, special=[np.pi, 0.0])
+    def test_exact_fresh_energies_match_the_exact_search_loop(self, seed, k, with_counts, special):
+        # the search's only pass through the exact reflectors, pinned bit for bit
+        rng = np.random.default_rng(seed)
+        thetas = np.concatenate([special, rng.uniform(0.0, np.pi, 4)])
+        s = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, 5)])
+        table = dbac._step_table(np.tile(s, thetas.size), None, H.eig[0])
+        counts = rng.multinomial(table.cos_phi.size - thetas.size, np.ones(thetas.size) / thetas.size) + 1
+        counts = counts if with_counts else None
+        got = dbac._final_energies(thetas, k, table, "fresh", counts)
+        want = search_exact_loop(thetas, k, table, counts)
+        assert agrees(got, want, "_final_energies exact fresh", "search_exact_loop")
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -1170,33 +1195,34 @@ class TestBasinWitnesses:
 
 
 class TestSearchArgumentChecks:
+    """The step-size search checks none of its arguments: a run's k, M,
+    recursion, angles and step sizes are checked where its config enters."""
+
     @pytest.mark.parametrize(
         "k, m, mode", [(0, 1, "chain"), (1, 0, "chain"), (0, None, "fresh"), (1, 1, "chian")]
     )
-    def test_each_entry_point_rejects(self, k, m, mode):
-        calls = [
-            lambda: optimal_step(0.2, k, m, mode),
-            lambda: basin_min_fidelity(k, m, 0.9, mode),
-            lambda: final_fidelities_over_s(1.0, k, m, [0.5], mode),
-        ]
-        if mode in RECURSION_MODES:  # best_final_fidelity takes no mode: it runs chain recursion
-            calls.append(lambda: best_final_fidelity(0.5, k, m))
-        for call in calls:
-            with pytest.raises(ContractViolationError):
-                call()
+    def test_each_entry_point_rejects(self, tmp_path, k, m, mode):
+        # both experiments that run the search reject these at their config
+        depth = "exact" if m is None else m
+        grid_km = config_error(tmp_path, "grid-km", f"k_list = {k}\nm_list = {depth}\nrecursion = {mode}\n")
+        sweep_s = config_error(tmp_path, "sweep-s", f"k = {k}\nm = {depth}\nrecursion = {mode}\n")
+        assert grid_km.split(":")[0] in ("k_list", "m_list", "recursion")
+        assert sweep_s.split(":")[0] in ("k", "m", "recursion")
 
     @pytest.mark.parametrize(
         "m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (2, "fresh")],
         ids=["exact-chain", "exact-fresh", "dme-chain", "dme-fresh"],
     )
     @pytest.mark.parametrize(
-        "theta, s_values",
-        [(np.nan, [0.5]), ([0.3, np.inf], [0.5]), (0.3, [np.nan, -1.0, 10.0]), (0.3, [0.5, -np.inf])],
+        "key, value", [("theta_start", "nan"), ("theta_stop", "inf"), ("s_start", "nan"), ("s_stop", "-inf")],
         ids=["nan-theta", "inf-theta", "nan-step", "inf-step"],
     )
-    def test_non_finite_angles_and_steps_rejected(self, theta, s_values, m, mode):
-        with pytest.raises(ContractViolationError, match="finite"):
-            final_fidelities_over_s(theta, 2, m, s_values, mode)
+    def test_non_finite_angles_and_steps_rejected(self, tmp_path, key, value, m, mode):
+        # sweep-s reads its angles and step sizes from its config, whose parser
+        # rejects a non-finite angle before any depth or recursion applies
+        text = f"m = {'exact' if m is None else m}\nrecursion = {mode}\n{key} = {value}\n"
+        error = config_error(tmp_path, "sweep-s", text)
+        assert error == f"line 3: bad value for {key}: angle must be finite, got '{value}'"
 
     @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain")])
     def test_negative_and_large_steps_allowed(self, m, mode):
@@ -1207,35 +1233,41 @@ class TestSearchArgumentChecks:
             assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < 1e-12
 
     @pytest.mark.parametrize("m, mode", [(None, "fresh"), (2, "chain")])
-    def test_overflowing_echo_angle_rejected(self, m, mode):
-        # 1e308 is finite, but its echo angle 2e308 under -Z is not
-        with pytest.raises(ContractViolationError, match="echo angles"):
-            final_fidelities_over_s(0.5, 1, m, [0.5, 1e308], mode)
+    def test_overflowing_echo_angle_rejected(self, tmp_path, m, mode):
+        # 1e308 is finite, but its echo angle 2e308 under -Z is not: a
+        # schedule's s and sweep-s's s grid are checked where they are built
+        if m is None:
+            error = config_error(tmp_path, "trajectory", f"m = exact\nrecursion = {mode}\ns = 1e308\n")
+        else:
+            text = f"m = {m}\nrecursion = {mode}\ns_start = 1e308\ns_stop = 1e308\n"
+            error = config_error(tmp_path, "sweep-s", text)
+        assert "echo angles" in error
 
     @pytest.mark.parametrize("k, m", [(1, 1.5), (2.5, 1), (2.0, None), (np.float64(2), 1), (1, "2")])
-    def test_non_integer_depths_rejected(self, k, m):
-        calls = (
-            lambda: optimal_step(0.3, k, m),
-            lambda: best_final_fidelity(0.5, k, m),
-            lambda: basin_min_fidelity(k, m, 0.9),
-            lambda: final_fidelities_over_s(1.0, k, m, [0.5]),
-        )
-        for call in calls:
-            with pytest.raises(ContractViolationError, match="integers"):
-                call()
+    def test_non_integer_depths_rejected(self, tmp_path, k, m):
+        # grid-km's config parses its counts with int: a non-integer is
+        # rejected, and the text "2" becomes the int 2
+        text = f"k_list = {k}\nm_list = {'exact' if m is None else m}\n"
+        if str(k).isdigit() and str(m).isdigit():
+            cfg = config(tmp_path, "grid-km", text)
+            assert (cfg.k_list, cfg.m_list) == ((int(k),), (int(m),)) and type(cfg.m_list[0]) is int
+        else:
+            assert "bad value" in config_error(tmp_path, "grid-km", text)
 
     def test_numpy_int_depths_accepted(self):
         assert optimal_step(0.3, np.int64(2), np.int32(3)) == optimal_step(0.3, 2, 3)
-        assert best_final_fidelity(0.5, np.int64(2), np.int32(1)) == best_final_fidelity(0.5, 2, 1)
+        assert _best_fidelity(0.5, np.int64(2), np.int32(1)) == _best_fidelity(0.5, 2, 1)
 
-    def test_optimal_step_rejects_non_finite_energy(self):
-        with pytest.raises(ContractViolationError, match="finite"):
-            optimal_step(np.nan, 1)
+    def test_optimal_step_rejects_non_finite_energy(self, tmp_path):
+        # the energy is -cos(theta) of grid-km's theta, which its config requires finite
+        assert "angle must be finite" in config_error(tmp_path, "grid-km", "theta = nan\n")
 
 
-def test_via_dme_rejects_damping():
-    with pytest.raises(ContractViolationError, match="t1"):
-        dbac_via_dme(1.0, DbacSchedule.uniform(1, 0.5, m=1), NoiseModel(t1_us=0.01))
+def test_via_dme_rejects_damping(tmp_path):
+    # the DME runs model no damping: their configs reject t1 where it enters
+    for experiment, text in (("sweep-theta", ""), ("trajectory", "m = 2\n")):
+        error = config_error(tmp_path, experiment, text + "noise_t1_us = 0.01\n")
+        assert error.startswith(f"noise_t1_us: {experiment} would run without it")
 
 
 def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
@@ -1264,12 +1296,14 @@ def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
     "call, error, match",
     [
         (lambda: dbac_energy_analytic(np.nan, 0.3), ContractViolationError, r"e0 must lie in \[-1, 1\]"),
-        (lambda: dbac_energy_analytic(0.3, np.nan), ContractViolationError, "t must be finite"),
+        # the law's t is a schedule's step size, which the schedule checks where it is built
+        (lambda: DbacSchedule(s=(0.3, np.nan)), ContractViolationError, "step durations must be finite"),
         (lambda: hbac_round_closed(np.nan, 0.1, 0.1), ContractViolationError, "polarization must lie in"),
         (lambda: thermal_qubit(np.nan), ContractViolationError, "polarization must lie in"),
         (lambda: hbac_round_closed(0.1, np.nan, np.nan), ContractViolationError, "polarization must lie in"),
-        (lambda: partial_swap_unitaries([0.3, np.nan]), ContractViolationError, "gate angles must be finite"),
-        (lambda: partial_swap_unitaries([np.inf]), ContractViolationError, "gate angles must be finite"),
+        # a partial swap's angle is checked where it enters: ptm's phi_list, by the config's parser
+        (lambda: cli._parse_angle_list("0.3, nan"), ValueError, "angle must be finite"),
+        (lambda: cli._parse_angle_list("inf"), ValueError, "angle must be finite"),
     ],
     ids=[
         "energy-law-e0", "energy-law-t", "hbac-target", "thermal-qubit", "hbac-bath", "partial-swap-nan",
@@ -1277,6 +1311,7 @@ def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):
     ],
 )
 def test_library_rejects_nan_inputs(call, error, match):
-    # each public function turns NaN away with its own message instead of returning NaN
+    # each public function turns NaN away with its own message instead of returning NaN, or
+    # the value reaches it only through a check that does, where it enters
     with pytest.raises(error, match=match):
         call()

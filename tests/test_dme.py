@@ -309,6 +309,12 @@ class TestCheckBloch:
             matrices = density_matrices(planes)
         assert verdict(check_bloch, planes) == verdict(check_density, matrices)
 
+    def test_length_bound_is_eig_tol(self):
+        # EIG_TOL = 1e-10 bounds the smallest eigenvalue (1 - |a|) / 2 from below:
+        # |a| = 1 + 1e-10 passes, and 1 + 3e-10 fails
+        for length, message in ((1.0 + 1e-10, None), (1.0 + 3e-10, "density matrix has a negative eigenvalue")):
+            assert verdict(check_bloch, np.array([[0.0], [0.0], [length]])) == message
+
 
 class TestDmeTrotter:
     @PROPERTY

@@ -23,14 +23,28 @@ instances, not names), and the fields with a default of its dataclasses and
 ``NamedTuple`` classes.  An option of reached code is set when a reached call,
 matched by name as above, passes it by keyword or by position, or passes
 ``*`` or ``**`` arguments: an option that no run sets holds one value, a
-constant."""
+constant.
+
+Statements are those of function bodies, docstrings aside.  A child process
+traces ``cli.main`` from before ``dbac_lab`` is imported, so that what runs on
+import counts, over every run that CI makes: every experiment at its default
+config, every config of the rerun step and every case of the reject step, all
+read from the workflow file.  A statement runs when a line of it, decorators
+included, runs; a ``raise`` is a guard and need not run."""
 
 import ast
+import codecs
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dbac_lab
 
-SRC = Path(dbac_lab.__file__).parent
+SRC = Path(dbac_lab.__file__).resolve().parent
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 # fields no run reads, each kept for the reason given
 UNREAD_BY_DESIGN = {
@@ -40,6 +54,11 @@ UNREAD_BY_DESIGN = {
 # options no run sets, each kept for the reason given
 UNSET_BY_DESIGN = {
     "cli.main(argv)": "the console script passes none, and the tests pass one",
+}
+
+# statements no run executes, each kept for the reason given
+UNRUN_BY_DESIGN = {
+    "cli._environment: blas = {}": "numpy < 1.26 only prints its config, and pyproject.toml allows numpy >= 1.24",
 }
 
 
@@ -163,3 +182,114 @@ def test_every_field_is_read_by_a_run():
 
 def test_every_option_is_set_by_a_run():
     assert _walk()[2] == sorted(UNSET_BY_DESIGN)
+
+
+def _ci_runs():
+    """The directories and files that CI's runs read, and the runs, as
+    (``cli.main`` arguments, exit code, pattern of stderr): every run of the
+    step that reruns configs, then every case of the step that rejects them."""
+    text = WORKFLOW.read_text()
+    files = {  # printf's escapes, a non-UTF-8 byte included
+        f"cfg/{name}.txt": codecs.escape_decode(body.encode())[0]
+        for body, name in re.findall(r"printf '([^']*)' > cfg/([\w-]+)\.txt", text)
+    }
+    runs = []
+    for word in re.search(r"RUNS: >-\n((?: {8}\S.*\n)+)", text).group(1).split():
+        experiment, name = re.split("[:@]", word)[0], word.split(":")[-1]
+        argv = [experiment, "--out", f"out/{name}"]
+        argv += ["--config", f"cfg/{name}.txt"] if ":" in word else []
+        argv += ["--seed", word.split("@")[1]] if "@" in word else []
+        runs.append((argv, 2 if experiment == "acceptance" else 0, r"\Z"))
+    cases = re.search(r"set -f.*?for run in (.*?); do", text, re.S).group(1)
+    for i, case in enumerate(re.findall(r'"([^"]+)"', cases)):
+        experiment, prefix, *lines = case.split()
+        files[f"cfg/unusable-{i}.txt"] = "".join(f"{line}\n" for line in lines).encode()
+        argv = [experiment, "--config", f"cfg/unusable-{i}.txt", "--out", f"unusable/{experiment}"]
+        runs.append((argv, 1, rf"config error: {re.escape(prefix)}[ :].*\n\Z"))
+    configs = re.search(r"for config in ([^;]+); do\n\s+.*dbac-lab (\S+) --config", text)
+    for config in configs.group(1).split():
+        argv = [configs.group(2), "--config", config, "--out", "unusable/config"]
+        runs.append((argv, 1, rf"config error: config file {re.escape(config)}[ :].*\n\Z"))
+    blocked = re.search(r"for blocked in ([^;]+); do\n(?:\s+.*\n)+?\s+.*dbac-lab (\S+) --out", text)
+    for path in blocked.group(1).split():
+        runs.append(([blocked.group(2), "--out", path.rsplit("/", 1)[0]], 3, r"runtime error: .*\n\Z"))
+    dirs = re.findall(r"mkdir -p ([\w/-]+)", text) + blocked.group(1).split()
+    return dirs, files, runs
+
+
+# the child: makes the runs' files, traces the package's lines from before its
+# import, runs each and prints its exit code and stderr, then the lines that ran
+_TRACED_RUNS = """
+import contextlib, io, json, os, sys
+import numpy  # not the package: untraced
+src, dirs, files, runs = json.load(sys.stdin)
+for d in dirs:
+    os.makedirs(d, exist_ok=True)
+for name, data in files.items():
+    with open(name, "wb") as f:
+        f.write(bytes.fromhex(data))
+hits = set()
+def line(frame, event, arg):
+    if event == "line":
+        hits.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(src) else None
+sys.settrace(call)
+from dbac_lab import cli
+ends = []
+for argv in runs:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        ends.append((cli.main(argv), err.getvalue()))
+sys.settrace(None)
+json.dump([ends, sorted(hits)], sys.stdout)
+"""
+
+
+def _function_statements(tree: ast.Module):
+    """(qualified name of its function, statement) for every statement of a
+    function body in ``tree``, docstrings aside."""
+    docstrings = {
+        id(n.body[0])
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and isinstance(n.body[0], ast.Expr)
+        and isinstance(n.body[0].value, ast.Constant)
+        and isinstance(n.body[0].value.value, str)
+    }
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if in_function and isinstance(child, ast.stmt) and id(child) not in docstrings:
+                yield scope, child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}", in_function or isinstance(child, ast.FunctionDef))
+            else:
+                yield from visit(child, scope, in_function)
+
+    yield from visit(tree, "", False)
+
+
+def test_every_statement_runs(tmp_path):
+    dirs, files, runs = _ci_runs()
+    spec = [str(SRC), dirs, {name: data.hex() for name, data in files.items()}, [argv for argv, _, _ in runs]]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUNS], input=json.dumps(spec), cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    ends, hits = json.loads(child.stdout)
+    for (argv, status, stderr), (got, err) in zip(runs, ends):  # each run ends as CI requires
+        assert got == status and re.match(stderr, err), (argv, err)
+    ran = {(Path(f).stem, n) for f, n in hits}
+    unrun = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for scope, stmt in _function_statements(ast.parse("\n".join(lines))):
+            first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])])
+            if not isinstance(stmt, ast.Raise) and not any(
+                (path.stem, n) in ran for n in range(first, stmt.end_lineno + 1)
+            ):
+                unrun.append(f"{path.stem}{scope}: {lines[stmt.lineno - 1].strip()}")
+    assert unrun == sorted(UNRUN_BY_DESIGN)

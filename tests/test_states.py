@@ -227,6 +227,11 @@ class TestCheckDensity:
         assert np.abs(out - self.GOOD).max() < 1e-16
         assert np.abs(DensityMatrix(batch[0]).matrix - out[0]).max() == 0.0
 
+    def test_eigenvalue_bound_is_eig_tol(self):
+        # EIG_TOL = 1e-10: a smallest eigenvalue of -0.5e-10 passes, and one of -1.5e-10 fails
+        for lowest, message in ((-0.5e-10, None), (-1.5e-10, "density matrix has a negative eigenvalue")):
+            assert verdict(check_density, np.diag([1.0 - lowest, lowest]).astype(complex)) == message
+
 
 class TestCheckPure:
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -254,6 +259,11 @@ class TestCheckPure:
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, and 1e200 squared
             matrices = v[:, :, None] * v.conj()[:, None, :]
             assert verdict(check_pure, v) == verdict(check_density, matrices)
+
+    def test_trace_bound_is_dm_tol(self):
+        # DM_TOL = 1e-11: |v|^2 = 1 + 0.5e-11 passes, and 1 + 1.5e-11 fails
+        for excess, message in ((0.5e-11, None), (1.5e-11, "density matrix trace differs from 1")):
+            assert verdict(check_pure, np.array([[np.sqrt(1.0 + excess), 0.0]], dtype=complex)) == message
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_empty_stack_passes_as_the_matrix_check_does(self, dim):
