@@ -76,7 +76,7 @@ class Circuit:
             raise ContractViolationError("circuits support 1..5 qubits")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits):
+            if not all(0 <= q < self.num_qubits for q in g.qubits):
                 raise ContractViolationError(f"gate {g.kind} addresses qubit out of range")
 
 

@@ -13,11 +13,13 @@ and the values built for its runner.  Constructing a config runs every check
 and builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
-must be finite.  Runners return their tables and `run_config` alone writes
-them: one writer formats every table at 12 significant digits, one format per
-table, and `results_manifest.json` lists exactly the files this run wrote,
-each with its sha256 checksum, and the environment (python, numpy, BLAS, core
-count); identical config and seed give byte-identical output.  Exit codes: 0
+must be finite.  A sweep-s or grid-km config whose partial-swap work exceeds
+`WORK_BUDGET` is a config error naming the key with the largest factor.
+Runners return their tables and `run_config` alone writes them: one writer
+formats every table at 12 significant digits, one format per table, and
+`results_manifest.json` lists exactly the files this run wrote, each with its
+sha256 checksum, and the environment (python, numpy, BLAS, core count);
+identical config and seed give byte-identical output.  Exit codes: 0
 success, 1 config or usage error (an unusable `--out` too, and a `--config`
 that is not a readable UTF-8 file: a one-line `config error: ...` goes to
 stderr), 2 acceptance failure, 3 runtime failure (the experiment raised after
@@ -34,6 +36,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -64,6 +67,13 @@ from .states import random_density, rx_init
 from .tomography import NoiseModel, partial_swap_ptms, pauli_labels, process_fidelity, ptm_of_circuits
 
 _PI = float(np.pi)
+# The most partial-swap entry-steps (one swap applied to one batch entry) that
+# an accepted config may make; the README derives it from the measured rate.
+WORK_BUDGET = 10**9
+# A grid-km (k, M) cell makes at most 17 full-grid passes (one for the optimal
+# step, one at each end of the basin interval and 14 halvings), each of the
+# 3142 grid steps and 30 witness entries.
+_GRID_KM_ENTRIES = 17 * 3172
 
 
 class ConfigError(ValueError):
@@ -210,6 +220,10 @@ class ExperimentConfig:
             if getattr(self, name) != _DEFAULTS[name] and name not in applied:
                 applies = ", ".join(applied) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
+        if self.work > WORK_BUDGET:  # named by the key with the largest factor
+            factors = self._work_factors()[1]
+            key = max(factors, key=factors.get)
+            raise ConfigError(f"{key}: the run's partial-swap entry-steps would exceed the budget, {WORK_BUDGET:.0e}")
         for name in built:  # build, once, what the runner reads
             getattr(self, name)
 
@@ -219,6 +233,23 @@ class ExperimentConfig:
         if len(values) not in (1, self.k):
             raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
         return _sized(lambda n: values * n, self.k // len(values), "k")
+
+    def _work_factors(self) -> tuple[int, dict]:
+        """`work` as a constant and one factor per key: T·S·k·M for sweep-s,
+        and for grid-km _GRID_KM_ENTRIES times the sum of k·M over its (k, M)
+        cells, M = 1 for exact reflectors, which is (sum of k)(sum of M)."""
+        if self.experiment == "sweep-s":
+            return 1, {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
+        if self.experiment == "grid-km":
+            return _GRID_KM_ENTRIES, {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
+        return 0, {}
+
+    @property
+    def work(self) -> int:
+        """The partial-swap entry-steps the run makes (sweep-s) or at most
+        makes (grid-km); 0 for the experiments that no budget bounds yet."""
+        scale, factors = self._work_factors()
+        return scale * math.prod(factors.values())
 
     @_built("s/m")
     def schedule(self) -> DbacSchedule:
@@ -281,10 +312,11 @@ def validate_config(
     overrides into one validated :class:`ExperimentConfig`."""
     values, raw, first_set = {}, {}, {}
     if path is not None:
-        if not Path(path).exists():
-            raise ConfigError(f"config file {path} does not exist")
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as file:
+                text = file.read()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file {path} does not exist") from exc
         except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, a non-UTF-8 byte
             raise ConfigError(f"config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -319,10 +351,14 @@ def validate_config(
 
 # ---------------------------------------------------------------------------
 # experiment runners: each returns {file name: payload} and touches no file; a
-# `.csv` payload is (header, rows), a `.json` payload the object to dump.  A
-# runner may also return fields of its own for the manifest, under the
-# manifest's file name, _MANIFEST.  Rows are a float array, or a list of rows
-# whose columns each keep one kind.  The one writer, run_config, formats every
+# `.csv` payload is (header, rows) or (header, axes, values), a `.json`
+# payload the object to dump.  A runner may also return fields of its own for
+# the manifest, under the manifest's file name, _MANIFEST.  Rows are a float
+# array, or a list of rows whose columns each keep one kind.  A table whose
+# rows are the Cartesian product of float axes (sweep-s: theta x s) is given
+# by its axes and a float array of values shaped by them, one value per row
+# or a row of them: the writer formats each axis value once.  The payload's
+# shape alone selects the form.  The one writer, run_config, formats every
 # table at 12 significant digits, and its manifest lists exactly the files
 # this run wrote: none if the runner raised.
 # ---------------------------------------------------------------------------
@@ -342,8 +378,7 @@ def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
 def _run_sweep_s(cfg: ExperimentConfig) -> dict:
     thetas, svals = cfg.theta_grid, cfg.s_grid
     fids = final_fidelities_over_s(thetas, cfg.k, cfg.m[0], svals, cfg.recursion)
-    rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
-    return {"sweep_s.csv": (["theta", "s", "F_final"], rows)}
+    return {"sweep_s.csv": (["theta", "s", "F_final"], (thetas, svals), fids)}
 
 
 def _run_grid_km(cfg: ExperimentConfig) -> dict:
@@ -449,13 +484,31 @@ def _row_format(kinds: tuple) -> str:
     return ",".join("%s" if issubclass(k, (int, np.integer, str)) else "%.12g" for k in kinds) + "\n"
 
 
+def _product_table(header: Sequence[str], axes: Sequence[np.ndarray], values: np.ndarray) -> bytes:
+    """A product table's CSV bytes: its header, then one row per point of the
+    axes' Cartesian product, first axis slowest, holding the text of its axis
+    values (each formatted once) and then its values: one value, or a row of
+    `values`' trailing axis.  Floats take 12 significant digits, by one `%`
+    operation on a bytes format that already holds the axis text."""
+    cell = b",".join([b"%.12g"] * math.prod(values.shape[len(axes) :])) + b"\n"
+    *outer, last = [[b"%.12g," % v for v in axis.tolist()] for axis in axes]
+    prefixes = [b""]
+    for texts in outer:
+        prefixes = [p + t for p in prefixes for t in texts]
+    fmt = b"".join(p + (cell + p).join(last) + cell for p in prefixes)
+    return (",".join(header) + "\n").encode() + fmt % tuple(values.ravel().tolist())
+
+
 def _render(name: str, payload) -> bytes:
-    """A payload as its file's bytes: a `.json` object dumped with indent 2, or
-    a `.csv` table (a float array, or a list of rows whose columns each keep
-    one kind), formatted by one `%` operation: its first row's format, once
-    per row."""
+    """A payload as its file's bytes: a `.json` object dumped with indent 2,
+    or a `.csv` table formatted by one `%` operation.  A `(header, axes,
+    values)` payload is a :func:`_product_table`; a `(header, rows)` table (a
+    float array, or a list of rows whose columns each keep one kind) takes
+    its first row's format, once per row."""
     if name.endswith(".json"):
         return (json.dumps(payload, indent=2) + "\n").encode()
+    if len(payload) == 3:
+        return _product_table(*payload)
     header, rows = payload
     fmt = _row_format(tuple(map(type, rows[0]))) if len(rows) else ""
     values = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for row in rows for v in row]

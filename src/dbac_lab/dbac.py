@@ -540,11 +540,17 @@ _WITNESSES = 2 * (2**_WITNESS_LEVELS - 1)
 def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
     """The bisection midpoints of (lo, hi) within ``levels`` halvings, computed
     as :func:`basin_min_fidelity` computes them, so that equal floats are the
-    same probe."""
-    if levels == 0 or not hi - lo > _BASIN_TOL:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+    same probe.  Pre-order: each midpoint, then those of its lower half, then
+    those of its upper half."""
+    out, todo = [], [(lo, hi, levels)] if levels else []
+    while todo:
+        lo, hi, levels = todo.pop()
+        if hi - lo > _BASIN_TOL:
+            mid = 0.5 * (lo + hi)
+            out.append(mid)
+            if levels > 1:  # both halves, the lower popped first
+                todo += (mid, hi, levels - 1), (lo, mid, levels - 1)
+    return out
 
 
 @functools.lru_cache(maxsize=16)

@@ -4,10 +4,13 @@ dense matrices, one point at a time.  The program calls none of them.  The
 paper's recursive unitary synthesis (:func:`synthesize_uk`) is the oracle of
 the exact chain, the imaginary-time flow it simulates (:func:`ite_evolve`) that
 of one exact step, and the cooling circuit layouts (:func:`build_circuit`) the
-gate-level oracle of the DME simulation.
+gate-level oracle of the DME simulation.  The recursive bisection midpoints
+(:func:`midpoints`) and the row-by-row CSV writer (:func:`render_rows`) are
+the plain forms of two faster program paths.
 
-Every comparison of a program path with one of them reads its tolerance from
-TOLERANCES, through :func:`tol`, next to the reason the two may differ."""
+Every numeric comparison of a program path with one of them reads its
+tolerance from TOLERANCES, through :func:`tol`, next to the reason the two may
+differ."""
 
 import numpy as np
 
@@ -56,6 +59,7 @@ TOLERANCES = {
     ("_final_energies exact fresh", "search_exact_loop"): (0.0, SAME_OPS),
     ("_rx_planes", "bloch_planes of _rx_init"): (0.0, SPLIT),
     ("basin_min_fidelity", "plain_basin"): (0.0, EXACT),
+    ("_midpoints", "midpoints"): (0.0, EXACT),
     ("partial_swap", "dme_step_exact"): (1e-12, ORDER),
     ("partial_swap_power", "partial_swap loop"): (1e-13, ORDER),
     ("partial swaps at the swap point", "the instruction"): (1e-15, ORDER),
@@ -307,6 +311,15 @@ def plain_basin(k, m, f_target, mode):
     return hi
 
 
+def midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The bisection midpoints of (lo, hi) within ``levels`` halvings, by
+    recursion: the oracle of dbac._midpoints."""
+    if levels == 0 or not hi - lo > dbac._BASIN_TOL:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *midpoints(lo, mid, levels - 1), *midpoints(mid, hi, levels - 1)]
+
+
 def dme_step_marginals(rho, sigma, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The marginals of U (rho (x) sigma) U^dag with U = exp(-i delta SWAP),
     for registers of any one dimension d: of the data ``sigma``, then of the
@@ -524,3 +537,14 @@ def layout_energy(which: str, theta: float, phi: float) -> float:
     out = loop_unitary(build_circuit(which, theta, phi))[:, 0]
     amps = np.moveaxis(out.reshape((2,) * n), data, 0).reshape(2, -1)  # against the rest of the register
     return float(np.trace(-qmath.PAULI_Z @ amps @ amps.conj().T).real)
+
+
+def render_rows(header, rows) -> bytes:
+    """A `(header, rows)` CSV table as the writer renders one row by row: each
+    row by the `%` format of its first row's kinds (ints and strings as they
+    are, floats to 12 significant digits).  The oracle of the product-table
+    writer, compared byte for byte."""
+    kinds = tuple(map(type, rows[0])) if len(rows) else ()
+    fmt = ",".join("%s" if issubclass(k, (int, np.integer, str)) else "%.12g" for k in kinds) + "\n"
+    values = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for row in rows for v in row]
+    return (",".join(header) + "\n" + (fmt * len(rows)) % tuple(values)).encode()

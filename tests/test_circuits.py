@@ -225,8 +225,12 @@ class TestGateValidation:
             Gate("RZZ", (0.5,), (1, 1))
 
     def test_qubit_range_checked(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="out of range"):
             Circuit(2, (Gate("H", (), (2,)),))
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ContractViolationError, match="out of range"):
+            Circuit(2, (Gate("H", (), (-1,)),))
 
     def test_unknown_kind(self):
         for kind in ("T", "BARRIER"):

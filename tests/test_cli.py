@@ -9,9 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dbac_lab import cli
+from dbac_lab import cli, dbac
 from dbac_lab.dbac import dbac_energy_analytic
+
+from oracles import render_rows
 
 
 def _write_cfg(tmp_path, text, name="cfg.txt"):
@@ -472,6 +476,110 @@ class TestWholeTableFormat:
         assert cli._render("t.csv", (["a", "b"], [])) == b"a,b\n"
 
 
+class TestWork:
+    """`ExperimentConfig.work` is the partial-swap entry-steps a sweep-s run
+    makes, and bounds those of a grid-km run: a swap entry-step is one entry
+    of one search batch through one of its k·M swaps (k steps of one exact
+    reflection each for m = exact)."""
+
+    @staticmethod
+    def _entry_steps(monkeypatch, cfg) -> int:
+        seen = []
+        final_energies = dbac._final_energies
+
+        def counting(thetas, k, table, mode, counts=None):
+            seen.append(table.cos_phi.size * k * (table.m or 1))
+            return final_energies(thetas, k, table, mode, counts)
+
+        monkeypatch.setattr(dbac, "_final_energies", counting)
+        cli._RUNNERS[cfg.experiment](cfg)
+        return sum(seen)
+
+    @pytest.mark.parametrize(
+        "text", ["theta_count = 5\ns_count = 7\nk = 3\nm = 2\n", "k = 2\nm = 4\nrecursion = fresh\ntheta_count = 2\n"]
+    )
+    def test_sweep_s_work_is_its_entry_steps(self, tmp_path, monkeypatch, text):
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        assert cfg.work == cfg.theta_count * cfg.s_count * cfg.k * cfg.m[0] == self._entry_steps(monkeypatch, cfg)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k_list = 1,2\nm_list = 1,exact,3\n",
+            "k_list = 2\nm_list = exact\nrecursion = fresh\nf_target = 0.99\n",
+            "k_list = 3\nm_list = 2\nf_target = 0.9999999\n",
+        ],
+    )
+    def test_grid_km_work_bounds_its_entry_steps(self, tmp_path, monkeypatch, text):
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="grid-km", out_override=tmp_path / "out")
+        cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
+        assert cfg.work == cli._GRID_KM_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
+
+    def test_grid_km_passes_are_bounded(self):
+        # 17 passes: the optimal step's, one at each end of the basin interval
+        # and one per halving of its width 1 - 2e-6 down to 1e-4
+        halvings = int(np.ceil(np.log2((1 - 2e-6) / 1e-4)))
+        assert cli._GRID_KM_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES)
+
+    def test_default_configs_within_budget(self, tmp_path):
+        for experiment in cli.EXPERIMENTS:
+            cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path)
+            assert cfg.work <= cli.WORK_BUDGET // 100
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("theta_count = 100000\ns_count = 20000\n", "theta_count"),
+            ("k = 400\nm = 2\ntheta_count = 10000\ns_count = 400\n", "theta_count"),
+            ("k = 50000\nm = 3\n", "k"),
+        ],
+    )
+    def test_largest_factor_is_named(self, tmp_path, capsys, text, key):
+        cfg = _write_cfg(tmp_path, text)
+        assert cli.main(["sweep-s", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "out").exists()
+
+
+# floats whose text is easy to get wrong: a signed zero, an exponent form, the
+# smallest subnormal, integral values
+_CELL_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 1e-05, 1e16, 5e-324, 3.0, -7.0]), st.floats(), st.integers(-(10**15), 10**15).map(float)
+)
+
+
+class TestProductTable:
+    """A `(header, axes, values)` table gives the row writer's bytes for the
+    rows of the axes' product, first axis slowest, each ending in its values."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        axes=st.lists(st.lists(_CELL_FLOATS, min_size=1, max_size=4), min_size=1, max_size=3),
+        pool=st.lists(_CELL_FLOATS, min_size=1, max_size=24),
+        columns=st.sampled_from([None, 1, 3]),
+    )
+    @example(axes=[[-0.5, -0.0], [1e-05, 5e15, 1e16]], pool=[5e-324, 1.0, -0.0], columns=None)
+    @example(axes=[[2.0], [-0.0]], pool=[1e16], columns=1)  # one-value axes
+    def test_gives_the_row_writers_bytes(self, axes, pool, columns):
+        axes = [np.array(a) for a in axes]
+        values = np.resize(np.array(pool), [a.size for a in axes] + ([] if columns is None else [columns]))
+        points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
+        rows = np.column_stack(points + [values.reshape(points[0].size, -1)])
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        assert cli._render("t.csv", (header, axes, values)) == render_rows(header, rows)
+
+    def test_sweep_s_is_a_product_table(self, tmp_path):
+        text = "theta_start = -0.5\ntheta_stop = -0\ns_start = 0.00001\ns_stop = 1e16\ntheta_count = 2\ns_count = 3\n"
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        header, (thetas, svals), fids = cli._run_sweep_s(cfg)["sweep_s.csv"]
+        assert fids.shape == (thetas.size, svals.size)
+        rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
+        got = cli._render("sweep_s.csv", (header, (thetas, svals), fids))
+        assert got == render_rows(header, rows)
+        cells = [line.split(",")[:2] for line in got.decode().splitlines()[1:]]
+        assert cells[3:] == [["-0", "1e-05"], ["-0", "5e+15"], ["-0", "1e+16"]]
+
+
 class TestInProcessMain:
     @pytest.mark.parametrize("sub", ["", "x"], ids=["file", "path-through-file"])
     def test_unusable_out_is_a_config_error(self, tmp_path, capsys, sub):
@@ -576,13 +684,34 @@ class TestInProcessMain:
 
 
 class TestCommandLine:
-    def _run(self, *args):
+    def _run(self, *args, **kwargs):
         # the child imports dbac_lab from where this process did, installed or not
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         return subprocess.run(
-            [sys.executable, "-m", "dbac_lab.cli", *args], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "dbac_lab.cli", *args], capture_output=True, text=True, env=env, **kwargs
         )
+
+    @pytest.mark.parametrize(
+        "experiment, text, key",
+        [
+            ("sweep-s", "m = 100000000000000000000\ns_count = 2\ntheta_count = 2\nk = 1\n", "m"),
+            ("grid-km", "m_list = 100000000000000000000\n", "m_list"),
+        ],
+    )
+    def test_work_over_budget_is_a_config_error(self, tmp_path, experiment, text, key):
+        # both ran without end; now refused at validation, before any
+        # allocation, in a child limited to 2 GB of address space
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        cfg = _write_cfg(tmp_path, text)
+        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {key}: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_exit_zero_on_success(self, tmp_path):
         proc = self._run("trotter", "--out", str(tmp_path / "out"), "--seed", "1")

@@ -28,7 +28,7 @@ from dbac_lab.tomography import NoiseModel
 from conftest import config, config_error, random_density, random_state, random_unitary
 from oracles import (
     LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
-    ground_projector, ite_evolve, pauli_expectations, plain_basin, records, recursive_exact, reflector,
+    ground_projector, ite_evolve, midpoints, pauli_expectations, plain_basin, records, recursive_exact, reflector,
     search_exact_loop, search_loop, synthesize_uk, tiled_table_fidelities, agrees, tol,
 )
 
@@ -1182,6 +1182,17 @@ class TestBasinWitnesses:
             for _ in range(k):
                 e = dbac_energy_analytic(e, grid)
             assert dbac._seed_step(k) == int(np.argmin(e))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(0.0, 1.0),
+        width=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3)),
+        levels=st.integers(0, 4),
+    )
+    @example(lo=1e-6, width=1.0 - 2e-6, levels=4)  # the lower end's witnesses
+    def test_midpoints_match_the_recursion(self, lo, width, levels):
+        hi = min(lo + width, 1.0)
+        assert agrees(dbac._midpoints(lo, hi, levels), midpoints(lo, hi, levels), "_midpoints", "midpoints")
 
     def test_fewer_full_grid_passes(self, monkeypatch):
         # the plain bisection makes 16: both ends of the interval, then 14
