@@ -38,6 +38,7 @@ from .dme import (  # noqa: F401
     rotation_operands,
     swap_coefficients,
     swap_operands,
+    swap_z,
 )
 from .states import (  # noqa: F401
     DensityMatrix,

@@ -14,7 +14,9 @@ and builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
 must be finite.  A sweep-s or grid-km config whose partial-swap work exceeds
-`WORK_BUDGET` is a config error naming the key with the largest factor.
+`WORK_BUDGET`, or a sweep-s or sweep-theta config whose batch and table hold
+more than `CELL_BUDGET` values, is a config error naming the key with the
+largest factor.
 Runners return their tables and `run_config` alone writes them: one writer
 formats every table at 12 significant digits, one format per table, and
 `results_manifest.json` lists exactly the files this run wrote, each with its
@@ -70,6 +72,10 @@ _PI = float(np.pi)
 # The most partial-swap entry-steps (one swap applied to one batch entry) that
 # an accepted config may make; the README derives it from the measured rate.
 WORK_BUDGET = 10**9
+# The most values the batch and table of an accepted sweep-s or sweep-theta
+# config may hold (`ExperimentConfig.cells`); the README derives it from the
+# measured peak RSS per value.
+CELL_BUDGET = 5 * 10**6
 # A grid-km (k, M) cell makes at most 17 full-grid passes (one for the optimal
 # step, one at each end of the basin interval and 14 halvings), each of the
 # 3142 grid steps and 30 witness entries.
@@ -220,10 +226,13 @@ class ExperimentConfig:
             if getattr(self, name) != _DEFAULTS[name] and name not in applied:
                 applies = ", ".join(applied) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
-        if self.work > WORK_BUDGET:  # named by the key with the largest factor
-            factors = self._work_factors()[1]
-            key = max(factors, key=factors.get)
-            raise ConfigError(f"{key}: the run's partial-swap entry-steps would exceed the budget, {WORK_BUDGET:.0e}")
+        for size, (_, factors), budget, what in (
+            (self.work, self._work_factors(), WORK_BUDGET, "partial-swap entry-steps"),
+            (self.cells, self._cell_factors(), CELL_BUDGET, "batch and table values"),
+        ):
+            if size > budget:  # named by the key with the largest factor
+                key = max(factors, key=factors.get)
+                raise ConfigError(f"{key}: the run's {what} would exceed the budget, {budget:.0e}")
         for name in built:  # build, once, what the runner reads
             getattr(self, name)
 
@@ -250,6 +259,24 @@ class ExperimentConfig:
         makes (grid-km); 0 for the experiments that no budget bounds yet."""
         scale, factors = self._work_factors()
         return scale * math.prod(factors.values())
+
+    def _cell_factors(self) -> tuple[int, dict]:
+        """`cells` and the factors that name its largest key: T·S for
+        sweep-s, a batch entry and a table row per (angle, step size); for
+        sweep-theta T(k + 1 + n), n the sum of the depths, the states and
+        marginals each angle's record holds and its table row reads."""
+        if self.experiment == "sweep-s":
+            return self.theta_count * self.s_count, {"theta_count": self.theta_count, "s_count": self.s_count}
+        if self.experiment == "sweep-theta":
+            n = self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
+            return self.theta_count * (self.k + 1 + n), {"theta_count": self.theta_count, "k": self.k, "m": max(self.m)}
+        return 0, {}
+
+    @property
+    def cells(self) -> int:
+        """The values the run's batch and table hold (sweep-s, sweep-theta);
+        0 for the experiments that no budget bounds yet."""
+        return self._cell_factors()[0]
 
     @_built("s/m")
     def schedule(self) -> DbacSchedule:
@@ -356,11 +383,11 @@ def validate_config(
 # the manifest, under the manifest's file name, _MANIFEST.  Rows are a float
 # array, or a list of rows whose columns each keep one kind.  A table whose
 # rows are the Cartesian product of float axes (sweep-s: theta x s) is given
-# by its axes and a float array of values shaped by them, one value per row
-# or a row of them: the writer formats each axis value once.  The payload's
-# shape alone selects the form.  The one writer, run_config, formats every
-# table at 12 significant digits, and its manifest lists exactly the files
-# this run wrote: none if the runner raised.
+# by its axes and a float array of values shaped by them, one value per row:
+# the writer formats each axis value once.  The payload's shape alone selects
+# the form.  The one writer, run_config, formats every table at 12
+# significant digits, and its manifest lists exactly the files this run
+# wrote: none if the runner raised.
 # ---------------------------------------------------------------------------
 
 _MANIFEST = "results_manifest.json"
@@ -487,10 +514,10 @@ def _row_format(kinds: tuple) -> str:
 def _product_table(header: Sequence[str], axes: Sequence[np.ndarray], values: np.ndarray) -> bytes:
     """A product table's CSV bytes: its header, then one row per point of the
     axes' Cartesian product, first axis slowest, holding the text of its axis
-    values (each formatted once) and then its values: one value, or a row of
-    `values`' trailing axis.  Floats take 12 significant digits, by one `%`
-    operation on a bytes format that already holds the axis text."""
-    cell = b",".join([b"%.12g"] * math.prod(values.shape[len(axes) :])) + b"\n"
+    values (each formatted once) and then its one value from `values`, shaped
+    by the axes.  Floats take 12 significant digits, by one `%` operation on a
+    bytes format that already holds the axis text."""
+    cell = b"%.12g\n"
     *outer, last = [[b"%.12g," % v for v in axis.tolist()] for axis in axes]
     prefixes = [b""]
     for texts in outer:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dme import (
-    check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
+    check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands, swap_z,
 )
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
@@ -222,11 +222,10 @@ def dbac_via_dme(
     path is closed form too.  Damping (``t1_us``) is not modeled: a run's
     config applies only p1 and p2 here, and its schedule has finite depths.
 
-    The steps run on Bloch vectors (:func:`_bloch_steps`, one rotation of the
-    instruction per step) and validate nothing.  The step outputs and the
-    instruction marginals come in the data's frame; rotating the marginals
-    into the copies' frame would change neither their energies nor their
-    lengths.  Every reported state (initial states, step outputs, instruction
+    The steps run on Bloch vectors (:func:`_bloch_steps`) and validate
+    nothing.  The step outputs and the instruction marginals come in the
+    data's frame; rotating the marginals into the copies' frame would change
+    neither their energies nor their lengths.  Every reported state (initial states, step outputs, instruction
     marginals) is validated once, by one :func:`dme.check_bloch` call on their
     stacked planes; the observables are read from those planes, as
     populations (1 +- z) / 2 and as the trajectory.
@@ -236,9 +235,9 @@ def dbac_via_dme(
     thetas = np.asarray(theta, dtype=float)
     r0 = _rx_planes(np.atleast_1d(thetas))  # (3, B)
     states, marginals = [r0], []
-    table = functools.cache(lambda sj, mj: _step_table(np.array([sj]), mj, _W))  # once per distinct step
-    tables = [table(sj, mj) for sj, mj in zip(schedule.s, schedule.m)]
-    for out, margs in _bloch_steps(r0, tables, schedule.recursion, noise):
+    steps = list(zip(schedule.s, schedule.m))
+    table = {(sj, mj): _step_table(np.array([sj]), mj, _W) for sj, mj in set(steps)}  # once per distinct step
+    for out, margs in _bloch_steps(r0, [table[step] for step in steps], schedule.recursion, noise):
         states.append(out)
         marginals.append(margs)
     planes = np.concatenate([np.array(states), *marginals]).swapaxes(0, 1)  # (3, k + 1 + n, B)
@@ -292,27 +291,28 @@ def copies_accounting(schedule: DbacSchedule) -> int:
 # exp(-itH) is the diagonal exp(-itw) there, so echo rotations are phases on
 # state vectors and, for a qubit, rotations of a Bloch vector's (x, y) plane by
 # t (w0 - w1).  _exact_steps steps (B, d) state vectors, for any d, with the
-# phases of all steps built before its loop; it is the exact-reflector step
-# on state vectors (dbac_recursive_exact, descent_bound_residual and
-# acceptance criteria 1 and 6 run it).  _bloch_steps steps qubit states
-# as (3, B) Bloch planes: one dme.partial_swap_power call per step that
-# records every copy (dbac_via_dme), or one partial_swap call that is the
-# exact reflector.  _swap_pass_z is the search's partial-swap pass: M_j
-# dme.partial_swap calls per step (faster than the closed form at its depths
-# M <= 4 and batches of thousands), the last of the pass computing only the
-# z plane, the one the final energy is read from.  All commute with rotations
-# about z, so a step rotates its instruction once into the data's frame
-# (_to_data_frame) instead of rotating the data there and back: every output
-# is in the data's frame (the computational basis), and so are the
-# instruction marginals, which only dbac_via_dme asks for and reads only their
-# energies and lengths from.  The step-size terms come in a _StepTable, built
-# once per distinct step, once per final_fidelities_over_s call, and once per
-# depth for the search grid (_grid_table), never once per probe.  The search
-# runs every (angle, step size) pair of a call as one batch entry.  The dense
-# exact step and the kron-and-partial-trace step, both in tests/oracles.py,
-# are the oracles, _exact_steps is the oracle of the Bloch-plane reflectors,
-# and oracles.search_loop, which computes every plane of every swap, that of
-# _swap_pass_z.  Every cooling run's initial planes come from _rx_planes.
+# phases of all steps built before its loop (dbac_recursive_exact,
+# descent_bound_residual and acceptance criteria 1 and 6 run it).  Qubit
+# Bloch planes take two loops: _bloch_steps, the DME record's, makes every
+# copy of a step by one dme.partial_swap_power call, under noise too;
+# _search_pass_z, the step-size search's one pass for both reflector kinds,
+# runs M_j dme.partial_swap calls per step (faster than the closed form at
+# its depths M <= 4 and batches of thousands), the last being dme.swap_z, or
+# one rescaled rotation per exact reflector.  The partial swap, the exact
+# reflector and depolarizing commute with rotations about z, so a step
+# rotates its instruction once into the data's frame (_to_data_frame)
+# instead of rotating the data there and back: every output is in the
+# data's frame (the computational basis), and so are the instruction
+# marginals, of which dbac_via_dme reads only energies and lengths.  The
+# step-size terms come in a _StepTable, built once per distinct step, once
+# per final_fidelities_over_s call, and once per depth for the search grid
+# (_grid_table), never once per probe.  The search runs every (angle, step
+# size) pair of a call as one batch entry.  The dense exact step and the
+# kron-and-partial-trace step, both in tests/oracles.py, are the oracles,
+# _exact_steps is the oracle of the Bloch-plane reflectors, and
+# oracles.search_loop and oracles.search_exact_loop, which compute every
+# plane of every step, those of _search_pass_z.  Every cooling run's initial
+# planes come from _rx_planes.
 
 
 def _exact_steps(psi0, steps, w, recursion):
@@ -379,91 +379,69 @@ def _grid_table(m: Optional[int]) -> _StepTable:
     return table
 
 
-def _to_data_frame(r: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """(3, B) Bloch planes with (x, y) rotated by minus the angle phi of
-    (cos, sin), as a new array (cos x + sin y, cos y - sin x, z): an
+def _to_data_frame(r, cos: np.ndarray, sin: np.ndarray) -> tuple:
+    """(x, y, z) Bloch planes with (x, y) rotated by minus the angle phi of
+    (cos, sin), as the triple (cos x + sin y, cos y - sin x, z): an
     instruction in the frame of the data that a step rotates by phi."""
     x, y, z = r
-    a = np.empty(r.shape)
-    np.multiply(cos, x, out=a[0])
-    a[0] += sin * y
-    np.multiply(cos, y, out=a[1])
-    a[1] -= sin * x
-    a[2] = z
-    return a
+    return cos * x + sin * y, cos * y - sin * x, z
 
 
-def _bloch_steps(r0, tables, recursion, noise=None):
-    """Cooling steps of a (3, B) batch of Bloch planes, step j by the
-    :class:`_StepTable` ``tables[j]``: yields each step's output and its M_j
-    instruction marginals as an (M_j, 3, B) array (none for exact reflectors),
-    all in the data's frame (the computational basis, as ``r0``).  At finite
-    depth the M_j data outputs come from one :func:`dme.partial_swap_power`
-    call and each marginal is q (a + input) - output, q = 1 - p2; ``noise`` is
-    read only there, the one path that is given noise (:func:`dbac_via_dme`).
-    The exact reflectors are noiseless.
-
-    One echo rotation per step: the partial swap, the exact reflector's
-    operands and the p1/p2 scalings all commute with rotations about z, so
-    exp(+isH) K_c exp(-isH) applied to the data equals K_a applied to the
-    unrotated data, with the instruction c rotated once into the data's
-    frame, a = exp(+isH) c exp(-isH) (its (x, y) by -phi).  The step's output
-    is the next instruction.  The marginals stay in the data's frame: the
-    rotation about z into the copies' frame would change neither their z (the
-    instruction energies) nor their lengths, the only things read of them.
-
-    A step of depth M makes M partial swaps against a; an exact-reflector
-    step rotates the data b by -s about a, a pure state: exp(is|a><a|) is the
-    kernel with the :func:`dme.rotation_operands` of a and the table's
-    (cos s, 1 - cos s, -sin s), and its output is rescaled to unit length, as
-    _exact_steps renormalizes.  Depolarizing with probability p scales a Bloch
-    vector by 1 - p.  The kernels and ``_to_data_frame`` are looked up in this
-    module, so a test can trace them."""
+def _bloch_steps(r0, tables, recursion, noise):
+    """The DME record's cooling steps of a (3, B) batch of Bloch planes, step
+    j by the finite-depth :class:`_StepTable` ``tables[j]``: yields each
+    step's output and its M_j instruction marginals as an (M_j, 3, B) array,
+    both in the data's frame.  The M_j outputs come from one
+    :func:`dme.partial_swap_power` call, against the instruction rotated once
+    into the data's frame and stacked as the array the closed form reads;
+    each marginal is q (a + input) - output, q = 1 - p2, and depolarizing
+    with probability p scales a Bloch vector by 1 - p."""
     p1, p2 = (noise.p1, noise.p2) if noise else (0.0, 0.0)
+    copies = {m: np.arange(1, m + 1).reshape(-1, 1, 1) for m in {t.m for t in tables}}  # once per distinct depth
     instr = data = r0
     for table in tables:
-        a = _to_data_frame(instr, table.cos_phi, table.sin_phi)
-        margs = ()
-        if table.m is None:
-            out = partial_swap(data, rotation_operands(a, data, table.coeffs))
-            out /= np.sqrt((out * out).sum(axis=0))  # else |a| - 1 grows up to fivefold per step
-        else:  # every copy is recorded: the M outputs in one closed form
-            sig = data * (1.0 - p1) if p1 else data
-            copies = np.arange(1, table.m + 1).reshape(-1, 1, 1)
-            outs = partial_swap_power(sig, a, table.coeffs, copies, 1.0 - p2)
-            margs = np.concatenate([sig[None], outs[:-1]])  # each swap's input
-            margs += a
-            if p2:
-                margs *= 1.0 - p2
-            margs -= outs
-            out = outs[-1]
-            if p1:
-                out *= 1.0 - p1
+        a = np.array(_to_data_frame(instr, table.cos_phi, table.sin_phi))
+        sig = data * (1.0 - p1) if p1 else data
+        outs = partial_swap_power(sig, a, table.coeffs, copies[table.m], 1.0 - p2)
+        margs = np.concatenate([sig[None], outs[:-1]])  # each swap's input
+        margs += a
+        if p2:
+            margs *= 1.0 - p2
+        margs -= outs
+        out = outs[-1]
+        if p1:
+            out *= 1.0 - p1
         yield out, margs
         instr = out
         data = out if recursion == "chain" else r0
 
 
-_XYZ, _Z = slice(None), slice(2, None)  # partial_swap's planes: all, or z alone
-
-
-def _swap_pass_z(r0, k, table, mode):
-    """The z plane of the last output of k noiseless partial-swap steps of
-    depth ``table.m`` from the (3, B) planes ``r0``, every step by ``table``:
-    the search's pass, which reads nothing else.  As in :func:`_bloch_steps`,
-    a step rotates its instruction, the previous output, once into the data's
-    frame and builds its :func:`dme.swap_operands` once; then it runs M
-    :func:`dme.partial_swap` calls, of which the pass's last computes the z
-    plane alone."""
+def _search_pass_z(r0, k, table, mode):
+    """The z plane of the last output of k noiseless steps from the (3, B)
+    planes ``r0``, every step by ``table``: the step-size search's one pass,
+    for both reflector kinds.  A step rotates its instruction a, the previous
+    output, once into the data's frame.  At depth M it makes M
+    :func:`dme.partial_swap` calls with the :func:`dme.swap_operands` of a,
+    the pass's last swap being :func:`dme.swap_z`.  An exact reflector
+    exp(is|a><a|) rotates the data by -s about a: one call with the
+    :func:`dme.rotation_operands` of a, rescaled to unit length as
+    :func:`_exact_steps` renormalizes (about a non-unit axis |a| - 1 grows up
+    to fivefold per chained step).  The kernels are looked up in this module,
+    so a test can trace them."""
     out = r0
     for j in range(k):
-        step = swap_operands(_to_data_frame(out, table.cos_phi, table.sin_phi), table.coeffs)
-        if mode == "fresh":
-            out = r0
-        for _ in range(table.m - 1):
-            out = partial_swap(out, step)
-        out = partial_swap(out, step, _Z if j == k - 1 else _XYZ)
-    return out[0]
+        a = _to_data_frame(out, table.cos_phi, table.sin_phi)
+        out = r0 if mode == "fresh" else out  # the step's data
+        if table.m is None:
+            x, y, z = partial_swap(out, rotation_operands(a, out, table.coeffs))
+            norm = np.sqrt(x * x + y * y + z * z)
+            out = x / norm, y / norm, z / norm
+        else:
+            step = swap_operands(a, table.coeffs)
+            for _ in range(table.m - 1):
+                out = partial_swap(out, step)
+            out = (swap_z if j == k - 1 else partial_swap)(out, step)
+    return out[2] if table.m is None else out
 
 
 def _final_energies(
@@ -487,13 +465,7 @@ def _final_energies(
         for _ in range(k):
             e = _energy_law(e, *table.law)
     else:
-        r0 = np.repeat(_rx_planes(thetas), reps, axis=1)
-        if table.m is None:
-            for out, _ in _bloch_steps(r0, [table] * k, mode):
-                pass
-            z = out[2]
-        else:
-            z = _swap_pass_z(r0, k, table, mode)
+        z = _search_pass_z(np.repeat(_rx_planes(thetas), reps, axis=1), k, table, mode)
         e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * z  # populations (1 +- z) / 2
     return e.reshape(thetas.size, -1) if counts is None else e
 

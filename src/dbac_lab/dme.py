@@ -16,22 +16,22 @@ Conventions fixed here and used package-wide:
   noiseless marginal; ``dbac.dbac_via_dme`` applies two-qubit noise this way.
 
 :func:`partial_swap` is the one partial-swap step.  It holds qubit states as
-real Bloch vectors, rho = (I + a.sigma) / 2, stored as contiguous ``(3, B)``
-component planes (:func:`bloch_planes`), where the commutator is a cross
-product: with instruction ``a`` and data ``b`` one step gives
+real Bloch vectors, rho = (I + a.sigma) / 2, as three (x, y, z) planes: a
+triple of ``(B,)`` arrays, or a ``(3, B)`` array (:func:`bloch_planes`),
+which unpacks as one.  The commutator is a cross product: with instruction
+``a`` and data ``b`` one step gives
 
     out = cos^2(delta) b + sin^2(delta) a + (cos(delta) sin(delta) a) x b.
 
-Every swap of a cooling step has the same instruction, so a step builds the
-operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`, from the
-:func:`swap_coefficients` of its angle) and each swap is
-``c2 b + s2a + csa x b``.  The kernel returns the data output alone, or
-only the planes of it that a caller reads; the instruction marginal is
-``a + b - out`` (the joint state's two marginals sum to ``a + b``).  With
-the operands ``(cos, (1 - cos)(u.b) u, sin u)`` of
-:func:`rotation_operands` the kernel rotates ``b`` about a unit axis ``u``,
-as both exact qubit maps do: the search's exact reflector exp(i s |c><c|)
-(by -s about a unit ``c``), and the M -> infinity limit of :func:`dme_errors`.
+A step builds the operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`,
+from :func:`swap_coefficients`) for all its swaps, since their instruction is
+the same, and each swap is ``c2 b + s2a + csa x b``, one expression per
+plane; the z plane's is :func:`swap_z`, all the step-size search computes of
+its last swap.  The instruction marginal is ``a + b - out`` (the joint
+state's two marginals sum to ``a + b``).  With the operands of
+:func:`rotation_operands` the kernel rotates ``b`` about a unit axis, as both
+exact qubit maps do: the search's exact reflector exp(i s |c><c|) (by -s
+about a unit ``c``), and the M -> infinity limit of :func:`dme_errors`.
 
 Because the instruction is fixed, M swaps compose in closed form:
 :func:`partial_swap_power` gives the output after any number of swaps, or
@@ -39,9 +39,8 @@ after each of 1..M, in one batch of elementwise ufuncs, for any M (10^9
 included).  The callers that report every copy or every depth use it; the
 step-size search, which keeps only final energies at depths M <= 4 on
 batches of thousands, runs M :func:`partial_swap` calls per step, which is
-faster there, and computes only the z plane in the last call of its pass.
-Trace and Hermiticity hold by construction, so the one check a batch of
-planes needs is :func:`check_bloch` (finite, and |a| <= 1 within
+faster there.  Trace and Hermiticity hold by construction, so the one check
+a batch of planes needs is :func:`check_bloch` (finite, and |a| <= 1 within
 tolerance), which gives the verdict and the message that
 :func:`states.check_density` gives for the matrices :func:`density_matrices`
 rebuilds.  The kernels validate nothing; their callers validate once,
@@ -49,19 +48,15 @@ outside any loop:
 
 * :func:`dme_errors` checks its two inputs as density matrices where they
   enter, runs the Trotter circuits of all depths M in one
-  :func:`partial_swap_power` call, one exponent per entry, and checks the
-  final states as planes.  It takes only qubit registers and raises
-  :class:`DimensionMismatchError` for anything else;
-* ``dbac._bloch_steps`` and ``dbac._swap_pass_z``, the cooling loops under
-  H = -Z, check nothing.  ``_bloch_steps`` runs ``dbac.dbac_via_dme``, whose
-  every copy it makes by one :func:`partial_swap_power` call per step, and
-  which checks every state it reports as planes, in one batch after the last
-  step, and the step-size search's exact reflectors; ``_swap_pass_z`` runs
-  the search's partial swaps, every angle and step size of a search as one
-  batch of :func:`partial_swap` calls.  The search keeps only final energies
-  and checks none.  Its exact reflectors rescale each output to |a| = 1, as
-  the reflector oracle renormalizes its state vectors: a rotation about a
-  non-unit ``c`` scales ``|c| - 1`` up to fivefold per chained step.
+  :func:`partial_swap_power` call, and checks the final states as planes.
+  It takes only qubit registers and raises :class:`DimensionMismatchError`
+  for anything else;
+* the cooling loops under H = -Z check nothing.  ``dbac._bloch_steps`` makes
+  every copy of ``dbac.dbac_via_dme`` by one :func:`partial_swap_power` call
+  per step, and ``dbac_via_dme`` checks every state it reports, as planes,
+  in one batch.  ``dbac._search_pass_z`` is the step-size search's one pass
+  for both reflector kinds; the search keeps only final energies and checks
+  none.
 
 The definition itself, a kron of the two registers conjugated by
 exp(-i delta SWAP) and partially traced, is the oracle the kernel is tested
@@ -111,49 +106,47 @@ def swap_coefficients(delta):
     return c * c, s * s, c * s
 
 
-def swap_operands(instr: np.ndarray, coeffs):
-    """The ``step`` argument of :func:`partial_swap` for instruction planes
-    ``instr``: ``(c2, s2 instr, cs instr)`` from ``coeffs = (c2, s2, cs)``.
-    Every swap of a cooling step uses the same operands, so a step builds them
-    once."""
+def swap_operands(instr, coeffs) -> tuple:
+    """The ``step`` of :func:`partial_swap` for instruction planes ``instr``:
+    ``(c2, s2 instr, cs instr)``, the last two as triples, from ``coeffs =
+    (c2, s2, cs)``; a cooling step builds them once for all its swaps."""
     c2, s2, cs = coeffs
-    return c2, s2 * instr, cs * instr
+    x, y, z = instr
+    return c2, (s2 * x, s2 * y, s2 * z), (cs * x, cs * y, cs * z)
 
 
-def rotation_operands(u: np.ndarray, sig: np.ndarray, coeffs):
-    """The ``step`` argument of :func:`partial_swap` that rotates ``sig`` by
-    theta about the unit axis planes ``u``: ``(cos, (1 - cos)(u.sig) u, sin u)``
-    from ``coeffs = (cos theta, 1 - cos theta, sin theta)``."""
+def rotation_operands(u, sig, coeffs) -> tuple:
+    """The ``step`` of :func:`partial_swap` that rotates ``sig`` by theta about
+    the unit axis planes ``u``: ``(cos, (1 - cos)(u.sig) u, sin u)``, the last
+    two as triples, from ``coeffs = (cos theta, 1 - cos theta, sin theta)``."""
     cos, one_minus_cos, sin = coeffs
-    return cos, (one_minus_cos * (u * sig).sum(axis=0)) * u, sin * u
+    (ux, uy, uz), (x, y, z) = u, sig
+    along = one_minus_cos * (ux * x + uy * y + uz * z)
+    return cos, (along * ux, along * uy, along * uz), (sin * ux, sin * uy, sin * uz)
 
 
-_CROSS = ((1, 2), (2, 0), (0, 1))  # plane i of a x b is a[j] b[k] - a[k] b[j]
+def swap_z(sig, step):
+    """The z plane of :func:`partial_swap`'s output, ``csa_x y - csa_y x + c2 z
+    + s2a_z``: all that the step-size search reads of its last swap."""
+    c2, s2a, (cx, cy, _) = step
+    x, y, z = sig
+    return cx * y - cy * x + c2 * z + s2a[2]
 
 
-def partial_swap(sig: np.ndarray, step, planes: slice = slice(None)) -> np.ndarray:
-    """One partial-swap step on Bloch planes: the data output
-    ``c2 sig + s2a + csa x sig``.
+def partial_swap(sig, step) -> tuple:
+    """One partial-swap step on Bloch planes: the data output ``c2 sig + s2a
+    + csa x sig`` as an (x, y, z) triple, one expression per plane, the cross
+    term first (the z plane's is :func:`swap_z`).
 
-    ``sig`` is a ``(3, ...)`` array of Bloch planes and ``step = (c2, s2a,
-    csa)`` is :func:`swap_operands` of the instruction: ``c2`` a scalar, or an
-    array that broadcasts against one plane for one angle per batch entry, and
-    ``s2a`` and ``csa`` planes that broadcast against ``sig``.  ``planes``, a
-    slice of (x, y, z), picks the output planes computed, and the output takes
-    the shape of ``sig[planes]``: ``slice(2, None)`` gives the z plane alone,
-    bit for bit the z plane of the whole output.  At angle 0, whose operands
-    are ``(1, 0, 0)``, the output is ``sig``, bit for bit.  The instruction
-    marginal, ``instr + sig - out``, is left to the caller that records it.
-    Nothing is validated.
-    """
-    c2, s2a, csa = step
-    out = np.empty(sig[planes].shape)
-    for i, (j, k) in enumerate(_CROSS[planes]):  # csa x sig, plane by plane
-        np.multiply(csa[j], sig[k], out=out[i, ...])
-        out[i] -= csa[k] * sig[j]
-    out += c2 * sig[planes]
-    out += s2a[planes]
-    return out
+    ``sig`` is a triple of planes or a ``(3, ...)`` array, and ``step = (c2,
+    s2a, csa)`` is :func:`swap_operands` of the instruction: ``c2`` a scalar
+    or one plane (an angle per entry), ``s2a`` and ``csa`` triples of planes.
+    At angle 0, whose operands are ``(1, 0, 0)``, the output is ``sig``, bit
+    for bit.  The instruction marginal, ``instr + sig - out``, is left to the
+    caller that records it.  Nothing is validated."""
+    c2, (s2x, s2y, _), (cx, cy, cz) = step
+    x, y, z = sig
+    return cy * z - cz * y + c2 * x + s2x, cz * x - cx * z + c2 * y + s2y, swap_z(sig, step)
 
 
 def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float = 1.0) -> np.ndarray:
@@ -161,13 +154,14 @@ def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float =
     instruction ``instr``, each output scaled by ``q`` (1 - p2 under two-qubit
     depolarizing), in closed form: ``n`` composed :func:`partial_swap` steps.
 
-    ``sig`` and ``instr`` are Bloch planes as for :func:`partial_swap`,
-    ``coeffs = (c2, s2, cs)`` are :func:`swap_coefficients` (scalars, or
-    arrays that broadcast against one plane), and ``n`` is an integer array of
-    exponents >= 1; the output has the shape of ``n`` broadcast against
-    ``sig``.  So ``n = ms`` gives a ``(3, B)`` batch with one exponent per
-    entry, and ``n = np.arange(1, M + 1).reshape(-1, 1, 1)`` gives every copy
-    of an M-swap step as ``(M, 3, B)``.  Nothing is validated.
+    ``sig`` and ``instr`` are ``(3, ...)`` arrays of Bloch planes that
+    broadcast together, ``coeffs = (c2, s2, cs)`` are
+    :func:`swap_coefficients` (scalars, or arrays that broadcast against one
+    plane), and ``n`` is an integer array of exponents >= 1; the output has
+    the shape of ``n`` broadcast against ``sig``.  So ``n = ms`` gives a
+    ``(3, B)`` batch with one exponent per entry, and
+    ``n = np.arange(1, M + 1).reshape(-1, 1, 1)`` gives every copy of an
+    M-swap step as ``(M, 3, B)``.  Nothing is validated.
 
     Along the unit axis u = a / |a| one swap maps b to c2 b + s2 a; across
     it, it multiplies b by z = c2 + i cs |a|, with i acting as u x.  So with
@@ -186,10 +180,9 @@ def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float =
     c2, s2, cs = coeffs
     r = np.hypot(np.hypot(instr[0], instr[1]), instr[2])  # |a|, which |a|^2 could underflow
     r2 = r * r
-    # u and sig stacked twice: rows 1:4 and 2:5 are their cyclic shifts (y, z, x) and (z, x, y)
-    u2 = np.concatenate([instr, instr]) / np.maximum(r, _TINY)
-    b2 = np.concatenate([sig, sig])
-    u, across = u2[:3], u2[1:4] * b2[2:5] - u2[2:5] * b2[1:4]  # u x sig
+    u = instr / np.maximum(r, _TINY)
+    (ux, uy, uz), (x, y, z) = u, sig
+    across = np.array([uy * z - uz * y, uz * x - ux * z, ux * y - uy * x])  # u x sig
     ub = u * sig
     d = ub[0] + ub[1] + ub[2]
     tan2 = s2 / c2  # c2 = cos^2 > 0 for every finite float angle
@@ -239,11 +232,11 @@ def dme_errors(rho, sigma, t: float, ms) -> np.ndarray:
     if r.shape != (2, 2) or s.shape != (2, 2):
         raise DimensionMismatchError(f"the closed form is for one qubit, got shapes {r.shape} and {s.shape}")
     r, s = check_density(np.array([r, s]))  # a Bloch vector has no trace to check later
-    instr, sig = bloch_planes(r)[:, None], bloch_planes(s)[:, None]
-    final = partial_swap_power(sig, instr, swap_coefficients(t / ms), ms)
+    instr, sig = bloch_planes(r), bloch_planes(s)  # one entry: its planes are scalars
+    final = partial_swap_power(sig[:, None], instr[:, None], swap_coefficients(t / ms), ms)
     check_bloch(final)
     length = np.hypot(np.hypot(instr[0], instr[1]), instr[2])  # as partial_swap_power takes |a|
     angle = t * length
     cos, u = np.cos(angle), instr / np.maximum(length, _TINY)
     exact = partial_swap(sig, rotation_operands(u, sig, (cos, 1.0 - cos, np.sin(angle))))
-    return 0.5 * np.linalg.norm(final - exact, axis=0)
+    return 0.5 * np.linalg.norm(final - np.array(exact)[:, None], axis=0)

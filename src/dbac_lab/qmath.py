@@ -115,8 +115,6 @@ def embed_gate(gate, qubits: Sequence[int], n: int) -> np.ndarray:
     k = len(qubits)
     if g.shape[-2:] != (2**k, 2**k):
         raise DimensionMismatchError("gate dimension does not match qubit count")
-    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
-        raise ContractViolationError("qubit indices must be distinct and in range")
     # (B, gate out, rest out, gate in, rest in): each slice is gate (x) identity
     # with the addressed qubits first, the others after them in register order
     full = g.reshape(-1, 2**k, 1, 2**k, 1) * np.eye(2 ** (n - k))[:, None, :]

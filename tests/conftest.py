@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbac_lab import cli
+from dbac_lab import cli, dbac
 from dbac_lab.errors import ContractViolationError
 
 
@@ -49,3 +49,17 @@ def config_error(tmp_path, experiment, text):
     with pytest.raises(cli.ConfigError) as info:
         config(tmp_path, experiment, text)
     return str(info.value)
+
+
+def counted_swaps(monkeypatch):
+    """The (kernel name, plane shape) of every dbac.partial_swap and
+    dbac.swap_z call made while ``monkeypatch`` is active, in order."""
+    calls = []
+    for name in ("partial_swap", "swap_z"):
+
+        def counting(sig, step, name=name, kernel=getattr(dbac, name)):
+            calls.append((name, np.shape(sig)))
+            return kernel(sig, step)
+
+        monkeypatch.setattr(dbac, name, counting)
+    return calls

@@ -52,7 +52,7 @@ TOLERANCES = {
     ("_records", "records"): (1e-14, ORDER),
     ("dbac_via_dme", "dme_chain"): (1e-12, RENORMALIZED),
     ("_bloch_steps", "dme_chain"): (1e-12, RENORMALIZED),
-    ("_bloch_steps exact", "_exact_steps"): (1e-11, COMPOUNDED),
+    ("_search_pass_z exact", "_exact_steps"): (1e-11, COMPOUNDED),
     ("_exact_steps perturbed", "_exact_steps"): (1e-13, CHAOTIC),
     ("final_fidelities_over_s", "tiled_table_fidelities"): (0.0, EXACT),
     ("_final_energies", "search_loop"): (0.0, SAME_OPS),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dbac_lab import cli, dbac
 from dbac_lab.dbac import dbac_energy_analytic
 
+from conftest import counted_swaps
 from oracles import render_rows
 
 
@@ -270,23 +271,14 @@ class TestRunners:
     def test_sweep_s_is_one_engine_pass(self, tmp_path, monkeypatch):
         # k * M kernel calls over all theta_count * s_count points, not
         # theta_count * k * M; rows run over s within each theta
-        from dbac_lab import dbac
-
-        calls = []
-        swap = dbac.partial_swap
-
-        def counting_swap(sig, step, planes=slice(None)):
-            calls.append((np.shape(sig), planes))
-            return swap(sig, step, planes)
-
-        monkeypatch.setattr(dbac, "partial_swap", counting_swap)
+        calls = counted_swaps(monkeypatch)
         cfg = cli.validate_config(
             _write_cfg(tmp_path, "experiment = sweep-s\nk = 3\nm = 2\ntheta_count = 5\ns_count = 7\n"),
             out_override=tmp_path / "out",
         )
         cli.run_config(cfg)
-        # the last of the k M calls computes the z plane alone, all that is read
-        assert calls == [((3, 5 * 7), slice(None))] * (3 * 2 - 1) + [((3, 5 * 7), slice(2, None))]
+        # k M - 1 whole swaps, then only the z plane of the last, all that is read
+        assert calls == [("partial_swap", (3, 5 * 7))] * (3 * 2 - 1) + [("swap_z", (3, 5 * 7))]
         rows = [
             [float(v) for v in line.split(",")]
             for line in (tmp_path / "out" / "sweep_s.csv").read_text().splitlines()[1:]
@@ -524,7 +516,7 @@ class TestWork:
     def test_default_configs_within_budget(self, tmp_path):
         for experiment in cli.EXPERIMENTS:
             cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path)
-            assert cfg.work <= cli.WORK_BUDGET // 100
+            assert cfg.work <= cli.WORK_BUDGET // 100 and cfg.cells <= cli.CELL_BUDGET // 100
 
     @pytest.mark.parametrize(
         "text, key",
@@ -548,23 +540,72 @@ _CELL_FLOATS = st.one_of(
 )
 
 
+class TestCells:
+    """`ExperimentConfig.cells` is the values a sweep-s or sweep-theta run's
+    batch and table hold: one per (angle, step size) for sweep-s, and for
+    sweep-theta one per state and instruction marginal of each angle's
+    record, whose energies fill the angle's row."""
+
+    @pytest.mark.parametrize("text", ["theta_count = 5\ns_count = 7\nk = 3\nm = 2\n", "theta_count = 2\ns_count = 3\n"])
+    def test_sweep_s_cells_are_its_rows(self, tmp_path, text):
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        header, axes, fids = cli._run_sweep_s(cfg)["sweep_s.csv"]
+        assert cfg.cells == fids.size == cfg.theta_count * cfg.s_count
+
+    @pytest.mark.parametrize(
+        "text", ["theta_count = 5\nk = 3\nm = 2\n", "theta_count = 4\nk = 3\nm = 1,4,2\ns = 0.3\n", ""]
+    )
+    def test_sweep_theta_cells_are_its_record(self, tmp_path, monkeypatch, text):
+        records = []
+        via_dme = cli.dbac_via_dme
+        monkeypatch.setattr(cli, "dbac_via_dme", lambda *args: records.append(via_dme(*args)) or records[-1])
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-theta", out_override=tmp_path / "out")
+        (header, rows), = cli._run_sweep_theta(cfg).values()
+        (rec,) = records
+        assert cfg.cells == rec.energies.size + rec.instruction_energies.size
+        n = len(header) - 3  # theta, E_target, E_analytic and one column per marginal
+        assert rows.shape == (cfg.theta_count, len(header)) and cfg.cells == cfg.theta_count * (cfg.k + 1 + n)
+
+    @pytest.mark.parametrize(
+        "experiment, text, key",
+        [
+            ("sweep-s", "theta_count = 3000\ns_count = 2000\n", "theta_count"),
+            ("sweep-s", "theta_count = 2000\ns_count = 2501\n", "s_count"),
+            ("sweep-theta", "theta_count = 2000000\n", "theta_count"),
+            ("sweep-theta", "k = 30000\nm = 1\n", "k"),
+            ("sweep-theta", "k = 10\nm = 5000\n", "m"),
+            ("sweep-theta", "k = 2\nm = 3,5000000\ntheta_count = 2\n", "m"),
+        ],
+    )
+    def test_largest_factor_is_named(self, tmp_path, capsys, experiment, text, key):
+        cfg = _write_cfg(tmp_path, text)
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        budget = f"{cli.CELL_BUDGET:.0e}"
+        assert err == f"config error: {key}: the run's batch and table values would exceed the budget, {budget}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_is_inclusive(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "theta_count = 2500\ns_count = 2000\n")
+        assert cli.validate_config(cfg, experiment="sweep-s", out_override=tmp_path / "out").cells == cli.CELL_BUDGET
+
+
 class TestProductTable:
     """A `(header, axes, values)` table gives the row writer's bytes for the
-    rows of the axes' product, first axis slowest, each ending in its values."""
+    rows of the axes' product, first axis slowest, each ending in its value."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         axes=st.lists(st.lists(_CELL_FLOATS, min_size=1, max_size=4), min_size=1, max_size=3),
         pool=st.lists(_CELL_FLOATS, min_size=1, max_size=24),
-        columns=st.sampled_from([None, 1, 3]),
     )
-    @example(axes=[[-0.5, -0.0], [1e-05, 5e15, 1e16]], pool=[5e-324, 1.0, -0.0], columns=None)
-    @example(axes=[[2.0], [-0.0]], pool=[1e16], columns=1)  # one-value axes
-    def test_gives_the_row_writers_bytes(self, axes, pool, columns):
+    @example(axes=[[-0.5, -0.0], [1e-05, 5e15, 1e16]], pool=[5e-324, 1.0, -0.0])
+    @example(axes=[[2.0], [-0.0]], pool=[1e16])  # one-value axes
+    def test_gives_the_row_writers_bytes(self, axes, pool):
         axes = [np.array(a) for a in axes]
-        values = np.resize(np.array(pool), [a.size for a in axes] + ([] if columns is None else [columns]))
+        values = np.resize(np.array(pool), [a.size for a in axes])
         points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
-        rows = np.column_stack(points + [values.reshape(points[0].size, -1)])
+        rows = np.column_stack(points + [values.ravel()])
         header = [f"c{i}" for i in range(rows.shape[1])]
         assert cli._render("t.csv", (header, axes, values)) == render_rows(header, rows)
 
@@ -711,6 +752,29 @@ class TestCommandLine:
         proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {key}: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("sweep-s", "theta_count = 40000\ns_count = 25000\nk = 1\nm = 1\n"),
+            ("sweep-theta", "theta_count = 50000000\n"),
+        ],
+    )
+    def test_cells_over_budget_is_a_config_error(self, tmp_path, experiment, text):
+        # both were accepted and then exited 3 with MemoryError in a child
+        # limited to 2 GB of address space; now refused at validation, the
+        # sweep-s one within the work budget
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        cfg = _write_cfg(tmp_path, text)
+        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: theta_count: the run's batch and table values")
+        assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_exit_zero_on_success(self, tmp_path):

@@ -25,7 +25,7 @@ from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import HamiltonianSpec, PureState, rx_init
 from dbac_lab.tomography import NoiseModel
 
-from conftest import config, config_error, random_density, random_state, random_unitary
+from conftest import config, config_error, counted_swaps, random_density, random_state, random_unitary
 from oracles import (
     LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
     ground_projector, ite_evolve, midpoints, pauli_expectations, plain_basin, records, recursive_exact, reflector,
@@ -813,17 +813,16 @@ class TestSearchBatch:
 
     def test_one_kernel_call_per_dme_step_for_all_angles(self, monkeypatch):
         # k M calls over the whole batch, the last of which computes z alone
-        calls = []
-        swap = dbac.partial_swap
-
-        def counting_swap(sig, step, planes=slice(None)):
-            calls.append((np.shape(sig), planes))
-            return swap(sig, step, planes)
-
-        monkeypatch.setattr(dbac, "partial_swap", counting_swap)
+        calls = counted_swaps(monkeypatch)
         final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
         batch = (3, self.THETAS.size * self.S_VALUES.size)
-        assert calls == [(batch, slice(None))] * 5 + [(batch, slice(2, None))]
+        assert calls == [("partial_swap", batch)] * 5 + [("swap_z", batch)]
+
+    def test_one_kernel_call_per_exact_step_for_all_angles(self, monkeypatch):
+        # an exact reflector is one whole call, whose planes its rescale reads
+        calls = counted_swaps(monkeypatch)
+        final_fidelities_over_s(self.THETAS, 3, None, self.S_VALUES, "fresh")
+        assert calls == [("partial_swap", (3, self.THETAS.size * self.S_VALUES.size))] * 3
 
     @pytest.mark.parametrize("m, mode", [(2, "chain"), (1, "fresh"), (None, "fresh")])
     def test_one_rotation_per_cooling_step(self, monkeypatch, m, mode):
@@ -932,15 +931,16 @@ def _pure_planes(v):
 
 
 class TestBlochReflectorOracle:
-    """Exact reflectors as rotations of Bloch planes (_bloch_steps with m=None)
-    against the complex-amplitude _exact_steps.
+    """Exact reflectors as rotations of Bloch planes (the search's pass,
+    _search_pass_z, on exact tables) against the complex-amplitude _exact_steps.
 
     Fresh recursion with exact reflectors is chaotic for some (theta, s): two
     runs of the oracle from initial states 1e-15 apart part by O(1) within 50
     steps for about a third of the pairs, so no two evaluations of such a
     chain agree.  Chains are compared on the entries where the oracle is well
     conditioned: rerun from initial phases perturbed by 1e-15, it stays within
-    1e-13 of itself over the whole chain.  Every entry must stay pure."""
+    1e-13 of itself over the whole chain.  The pass gives the final z plane
+    alone, the one the search reads."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=SEEDS, k=st.integers(1, 200), mode=st.sampled_from(RECURSION_MODES))
@@ -957,14 +957,14 @@ class TestBlochReflectorOracle:
         psi0 = dbac._rx_init(thetas)
         steps = np.broadcast_to(s, (k, s.size))
         table = dbac._step_table(s, None, w)
-        got = np.array([out for out, _ in dbac._bloch_steps(_pure_planes(psi0), [table] * k, mode)])
+        got = dbac._search_pass_z(_pure_planes(psi0), k, table, mode)
         want = np.array([_pure_planes(out) for out in dbac._exact_steps(psi0, steps, w, mode)])
         nearby = psi0 * np.exp(1e-15j * rng.normal(size=psi0.shape))
         again = np.array([_pure_planes(out) for out in dbac._exact_steps(nearby, steps, w, mode)])
         well = np.abs(again - want).max(axis=(0, 1)) <= tol("_exact_steps perturbed", "_exact_steps")
         assert well.sum() >= 3
-        assert np.abs(got - want).max(axis=(0, 1))[well].max() <= tol("_bloch_steps exact", "_exact_steps")
-        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-12
+        assert got.shape == (s.size,)
+        assert np.abs(got - want[-1, 2])[well].max() <= tol("_search_pass_z exact", "_exact_steps")
 
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     @pytest.mark.parametrize("k", [1, 3])
@@ -976,7 +976,7 @@ class TestBlochReflectorOracle:
         psi0 = dbac._rx_init(np.full(grid.size, theta))
         *_, last = dbac._exact_steps(psi0, np.broadcast_to(grid, (k, grid.size)), w, mode)
         got = 1.0 - 2.0 * final_fidelities_over_s(theta, k, None, grid, mode)
-        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= tol("_bloch_steps exact", "_exact_steps")
+        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= tol("_search_pass_z exact", "_exact_steps")
 
 
 # (k, M, recursion, theta, f_target, optimal_step(-cos theta), basin F_min)

@@ -45,9 +45,10 @@ def _error(rho, sigma, t, m):
 
 
 def _marginals(instr, sig, coeffs):
-    """(data output, instruction marginal) of one partial swap on Bloch planes:
-    the marginal is instr + sig - out, as its one recording caller computes it."""
-    out = partial_swap(sig, swap_operands(instr, coeffs))
+    """(data output, instruction marginal) of one partial swap on Bloch planes,
+    each stacked as a (3, ...) array: the marginal is instr + sig - out, as
+    the one recording caller computes it."""
+    out = np.array(partial_swap(sig, swap_operands(instr, coeffs)))
     return out, instr + sig - out
 
 
@@ -194,7 +195,7 @@ class TestPartialSwap:
         instr = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
         sig = bloch_planes(np.array([random_density(rng) for _ in range(5)]))
         assert np.array_equal(partial_swap(sig, swap_operands(instr, swap_coefficients(np.zeros(5)))), sig)
-        out = partial_swap(sig, swap_operands(instr, swap_coefficients(np.array([0.3, 0.0, -1.0, 0.0, 0.0]))))
+        out = np.array(partial_swap(sig, swap_operands(instr, swap_coefficients(np.array([0.3, 0.0, -1.0, 0.0, 0.0])))))
         assert np.array_equal(out[:, [1, 3, 4]], sig[:, [1, 3, 4]])
         assert np.array_equal(partial_swap(sig[:, 0], swap_operands(instr[:, 0], (1.0, 0.0, 0.0))), sig[:, 0])
 
@@ -249,7 +250,7 @@ class TestPartialSwapPower:
         assert copies.shape == (m, 3, batch)
         want, step = [sig], swap_operands(instr, coeffs)
         for _ in range(m):
-            want.append(q * partial_swap(want[-1], step))
+            want.append(q * np.array(partial_swap(want[-1], step)))
         within = tol("partial_swap_power", "partial_swap loop")
         assert np.abs(copies - np.array(want[1:])).max() <= within
         exponents = rng.integers(1, m + 1, batch)
@@ -453,8 +454,8 @@ class TestDmeErrors:
 
     def test_trotter_run_makes_one_kernel_call_over_all_depths(self, tmp_path, monkeypatch):
         # every depth 1..m_max in one closed-form call, one exponent per
-        # entry, no partial_swap loop, and one partial_swap call, of one
-        # entry, for the M -> infinity reference
+        # entry, no partial_swap loop, and one partial_swap call, on the
+        # scalar planes of one entry, for the M -> infinity reference
         powers, swaps = [], []
         power, swap = dme.partial_swap_power, dme.partial_swap
 
@@ -470,7 +471,7 @@ class TestDmeErrors:
         monkeypatch.setattr(dme, "partial_swap", counting_swap)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         cli.run_config(cfg)
-        assert powers == [(cfg.m_max,)] and swaps == [(3, 1)]
+        assert powers == [(cfg.m_max,)] and swaps == [(3,)]
 
     @PROPERTY
     @given(
@@ -496,10 +497,11 @@ class TestDmeErrors:
             mp.setattr(dme, "partial_swap", lambda sig, step: refs.append(swap(sig, step)) or refs[-1])
             dme_errors(rho, sigma, t, [1, 7])
         (ref,) = refs
-        want = pauli_expectations(exact_conjugation(rho, sigma, t))[:, None]
+        want = pauli_expectations(exact_conjugation(rho, sigma, t))
+        assert np.shape(ref) == want.shape == (3,)
         assert np.abs(ref - want).max() < tol("dme_errors reference", "exact_conjugation")
         if kind == "maximally mixed":
-            assert np.array_equal(ref, bloch_planes(check_density(sigma))[:, None])  # sigma as dme_errors takes it
+            assert np.array_equal(ref, bloch_planes(check_density(sigma)))  # sigma as dme_errors takes it
 
 
 class TestQubitOnlyEntryPoints:
