@@ -14,9 +14,9 @@ and builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
 must be finite.  A sweep-s or grid-km config whose partial-swap work exceeds
-`WORK_BUDGET`, or a sweep-s or sweep-theta config whose batch and table hold
-more than `CELL_BUDGET` values, is a config error naming the key with the
-largest factor.
+`WORK_BUDGET`, or a config whose batch and table hold more than
+`CELL_BUDGET` values (sweep-s, sweep-theta, trajectory, trotter and
+baselines), is a config error naming the key with the largest factor.
 Runners return their tables and `run_config` alone writes them: one writer
 formats every table at 12 significant digits, one format per table, and
 `results_manifest.json` lists exactly the files this run wrote, each with its
@@ -54,6 +54,7 @@ from .baselines import cem_round_closed, hbac_round_closed
 from .circuits import compile_udme_native
 from .dbac import (
     RECURSION_MODES,
+    SEARCH_ENTRIES,
     DbacSchedule,
     basin_min_fidelity,
     check_step_sizes,
@@ -72,14 +73,10 @@ _PI = float(np.pi)
 # The most partial-swap entry-steps (one swap applied to one batch entry) that
 # an accepted config may make; the README derives it from the measured rate.
 WORK_BUDGET = 10**9
-# The most values the batch and table of an accepted sweep-s or sweep-theta
-# config may hold (`ExperimentConfig.cells`); the README derives it from the
-# measured peak RSS per value.
+# The most values the batch and table of an accepted config may hold
+# (`ExperimentConfig.cells`); the README derives it from the measured peak RSS
+# per value.
 CELL_BUDGET = 5 * 10**6
-# A grid-km (k, M) cell makes at most 17 full-grid passes (one for the optimal
-# step, one at each end of the basin interval and 14 halvings), each of the
-# 3142 grid steps and 30 witness entries.
-_GRID_KM_ENTRIES = 17 * 3172
 
 
 class ConfigError(ValueError):
@@ -245,12 +242,12 @@ class ExperimentConfig:
 
     def _work_factors(self) -> tuple[int, dict]:
         """`work` as a constant and one factor per key: T·S·k·M for sweep-s,
-        and for grid-km _GRID_KM_ENTRIES times the sum of k·M over its (k, M)
-        cells, M = 1 for exact reflectors, which is (sum of k)(sum of M)."""
+        and for grid-km dbac's SEARCH_ENTRIES times the sum of k·M over its
+        (k, M) cells, M = 1 for exact reflectors, which is (sum of k)(sum of M)."""
         if self.experiment == "sweep-s":
             return 1, {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
         if self.experiment == "grid-km":
-            return _GRID_KM_ENTRIES, {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
+            return SEARCH_ENTRIES, {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
         return 0, {}
 
     @property
@@ -261,21 +258,34 @@ class ExperimentConfig:
         return scale * math.prod(factors.values())
 
     def _cell_factors(self) -> tuple[int, dict]:
-        """`cells` and the factors that name its largest key: T·S for
-        sweep-s, a batch entry and a table row per (angle, step size); for
-        sweep-theta T(k + 1 + n), n the sum of the depths, the states and
-        marginals each angle's record holds and its table row reads."""
+        """`cells` and the factors that name its largest key, from the raw
+        key values: T·S for sweep-s, a batch entry and a table row per
+        (angle, step size); for sweep-theta T(k + 1 + n), n the sum of the
+        depths (0 for exact reflectors), the states and marginals each
+        angle's record holds and its table row reads.  The other terms weigh
+        a unit by its measured peak RSS, a cell being up to 200 bytes:
+        2(k + 1 + n) for trajectory's one record (300-370 bytes per state or
+        marginal), 2 per trotter depth (260 bytes) and 4 per baselines round
+        (770 bytes: three rows of Python objects)."""
+        n = 0 if self.m is None else self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
+        depths = {} if self.m is None else {"m": max(self.m)}
         if self.experiment == "sweep-s":
             return self.theta_count * self.s_count, {"theta_count": self.theta_count, "s_count": self.s_count}
         if self.experiment == "sweep-theta":
-            n = self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
-            return self.theta_count * (self.k + 1 + n), {"theta_count": self.theta_count, "k": self.k, "m": max(self.m)}
+            return self.theta_count * (self.k + 1 + n), {"theta_count": self.theta_count, "k": self.k, **depths}
+        if self.experiment == "trajectory":
+            return 2 * (self.k + 1 + n), {"k": self.k, **depths}
+        if self.experiment == "trotter":
+            return 2 * self.m_max, {"m_max": self.m_max}
+        if self.experiment == "baselines":
+            return 4 * self.rounds, {"rounds": self.rounds}
         return 0, {}
 
     @property
     def cells(self) -> int:
-        """The values the run's batch and table hold (sweep-s, sweep-theta);
-        0 for the experiments that no budget bounds yet."""
+        """The values, in units of about 200 bytes of peak RSS, that the
+        run's batch and table hold; 0 for the experiments that no budget
+        bounds yet (grid-km, ptm, acceptance)."""
         return self._cell_factors()[0]
 
     @_built("s/m")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -501,12 +502,21 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
     return float(_S_GRID[idx])
 
 
-# The basin bisection halves (lo, hi) to width _BASIN_TOL.  Each full-grid
-# pass also carries, as witness entries, the midpoints that may be probed in
-# the _WITNESS_LEVELS levels after it, on either side of its own decision.
+# The basin bisection halves (lo, hi), from _BASIN_ENDS, to width _BASIN_TOL.
+# Each full-grid pass also carries, as witness entries, the midpoints that may
+# be probed in the _WITNESS_LEVELS levels after it, on either side of its own
+# decision.
+_BASIN_ENDS = (1e-6, 1.0 - 1e-6)
 _BASIN_TOL = 1e-4
 _WITNESS_LEVELS = 4
 _WITNESSES = 2 * (2**_WITNESS_LEVELS - 1)
+# The most engine entries that optimal_step and basin_min_fidelity run for one
+# (k, M): at most 3 + h full-grid passes (the optimal step's, one at each end
+# of the basin interval and one per halving, h in all, of its width down to
+# _BASIN_TOL), each of the grid and the witness slots.
+SEARCH_ENTRIES = (3 + math.ceil(math.log2((_BASIN_ENDS[1] - _BASIN_ENDS[0]) / _BASIN_TOL))) * (
+    _S_GRID.size + _WITNESSES
+)
 
 
 def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
@@ -613,8 +623,7 @@ def basin_min_fidelity(
     4 levels set how many passes run, never the result.
     """
     reaches = _BasinPasses(k, m, mode, f_target)
-    hi = 1.0 - 1e-6
-    lo = 1e-6
+    lo, hi = _BASIN_ENDS
     if not (reaches.at_first_step(hi) or reaches(hi)):
         return 1.0
     if reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS)):

@@ -505,13 +505,13 @@ class TestWork:
     def test_grid_km_work_bounds_its_entry_steps(self, tmp_path, monkeypatch, text):
         cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="grid-km", out_override=tmp_path / "out")
         cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
-        assert cfg.work == cli._GRID_KM_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
+        assert cfg.work == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
 
     def test_grid_km_passes_are_bounded(self):
         # 17 passes: the optimal step's, one at each end of the basin interval
         # and one per halving of its width 1 - 2e-6 down to 1e-4
         halvings = int(np.ceil(np.log2((1 - 2e-6) / 1e-4)))
-        assert cli._GRID_KM_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES)
+        assert dbac.SEARCH_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES)
 
     def test_default_configs_within_budget(self, tmp_path):
         for experiment in cli.EXPERIMENTS:
@@ -575,6 +575,10 @@ class TestCells:
             ("sweep-theta", "k = 30000\nm = 1\n", "k"),
             ("sweep-theta", "k = 10\nm = 5000\n", "m"),
             ("sweep-theta", "k = 2\nm = 3,5000000\ntheta_count = 2\n", "m"),
+            ("trajectory", "k = 2500000\nm = exact\n", "k"),
+            ("trajectory", "k = 2\nm = 3,2500000\n", "m"),
+            ("trotter", "m_max = 2500001\n", "m_max"),
+            ("baselines", "rounds = 1250001\n", "rounds"),
         ],
     )
     def test_largest_factor_is_named(self, tmp_path, capsys, experiment, text, key):
@@ -588,6 +592,39 @@ class TestCells:
     def test_budget_is_inclusive(self, tmp_path):
         cfg = _write_cfg(tmp_path, "theta_count = 2500\ns_count = 2000\n")
         assert cli.validate_config(cfg, experiment="sweep-s", out_override=tmp_path / "out").cells == cli.CELL_BUDGET
+
+    @pytest.mark.parametrize("text", ["k = 3\nm = 2\n", "k = 4\nm = exact\n", "k = 3\nm = 1,4,2\ns = 0.3\n", ""])
+    def test_trajectory_cells_are_twice_its_record(self, tmp_path, monkeypatch, text):
+        records = []
+        for name in ("dbac_via_dme", "dbac_recursive_exact"):
+            engine = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, engine=engine: records.append(engine(*args)) or records[-1])
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="trajectory", out_override=tmp_path / "out")
+        (header, rows), = cli._run_trajectory(cfg).values()
+        (rec,) = records
+        assert cfg.cells == 2 * (rec.energies.size + rec.instruction_energies.size) and len(rows) == cfg.k + 1
+
+    @pytest.mark.parametrize(
+        "experiment, text", [("trotter", "m_max = 7\n"), ("baselines", "rounds = 5\n"), ("trotter", "")]
+    )
+    def test_trotter_and_baselines_cells_weigh_their_rows(self, tmp_path, experiment, text):
+        # 2 per trotter depth, one row each; 4 per baselines round, three rows each and two more
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
+        (header, rows), = cli._RUNNERS[experiment](cfg).values()
+        assert cfg.cells == (2 * len(rows) if experiment == "trotter" else 4 * (len(rows) - 2) // 3)
+
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("trajectory", "k = 2499999\nm = exact\n"),
+            ("trotter", "m_max = 2500000\n"),
+            ("baselines", "rounds = 1250000\n"),
+        ],
+    )
+    def test_new_terms_budget_is_inclusive(self, tmp_path, experiment, text):
+        # validation only: each config at the budget's edge, whose run peaked at 0.6-1.0 GB
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
+        assert cfg.cells == cli.CELL_BUDGET
 
 
 class TestProductTable:
@@ -774,6 +811,32 @@ class TestCommandLine:
         proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error: theta_count: the run's batch and table values")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, text, key",
+        [
+            ("baselines", "rounds = 1000000000\n", "rounds"),
+            ("trotter", "m_max = 10000000\n", "m_max"),
+            ("trajectory", "k = 100000000\nm = exact\n", "k"),
+            ("trajectory", "k = 10000000\nm = 1\n", "k"),
+        ],
+    )
+    def test_accepted_failures_are_config_errors(self, tmp_path, experiment, text, key):
+        # accepted before the trajectory, trotter and baselines cells terms: in
+        # a child limited to 2 GB of address space the first two exited 3 with
+        # MemoryError, the third exited 1 with a traceback, and the fourth was
+        # still running after 30 s
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        cfg = _write_cfg(tmp_path, text)
+        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {key}: the run's batch and table values")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

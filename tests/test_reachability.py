@@ -27,13 +27,12 @@ constant.
 
 Statements are those of function bodies, docstrings aside.  A child process
 traces ``cli.main`` from before ``dbac_lab`` is imported, so that what runs on
-import counts, over every run that CI makes: every experiment at its default
-config, every config of the rerun step and every case of the reject step, all
-read from the workflow file.  A statement runs when a line of it, decorators
-included, runs; a ``raise`` is a guard and need not run."""
+import counts, over every run that CI makes, the list in ``tests/runs.py``:
+every experiment at its default config, every config it reruns and every case
+it rejects.  A statement runs when a line of it, decorators included, runs; a
+``raise`` is a guard and need not run."""
 
 import ast
-import codecs
 import json
 import os
 import re
@@ -43,8 +42,9 @@ from pathlib import Path
 
 import dbac_lab
 
+import runs
+
 SRC = Path(dbac_lab.__file__).resolve().parent
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 # fields no run reads, each kept for the reason given
 UNREAD_BY_DESIGN = {
@@ -184,50 +184,12 @@ def test_every_option_is_set_by_a_run():
     assert _walk()[2] == sorted(UNSET_BY_DESIGN)
 
 
-def _ci_runs():
-    """The directories and files that CI's runs read, and the runs, as
-    (``cli.main`` arguments, exit code, pattern of stderr): every run of the
-    step that reruns configs, then every case of the step that rejects them."""
-    text = WORKFLOW.read_text()
-    files = {  # printf's escapes, a non-UTF-8 byte included
-        f"cfg/{name}.txt": codecs.escape_decode(body.encode())[0]
-        for body, name in re.findall(r"printf '([^']*)' > cfg/([\w-]+)\.txt", text)
-    }
-    runs = []
-    for word in re.search(r"RUNS: >-\n((?: {8}\S.*\n)+)", text).group(1).split():
-        experiment, name = re.split("[:@]", word)[0], word.split(":")[-1]
-        argv = [experiment, "--out", f"out/{name}"]
-        argv += ["--config", f"cfg/{name}.txt"] if ":" in word else []
-        argv += ["--seed", word.split("@")[1]] if "@" in word else []
-        runs.append((argv, 2 if experiment == "acceptance" else 0, r"\Z"))
-    cases = re.search(r"set -f.*?for run in (.*?); do", text, re.S).group(1)
-    for i, case in enumerate(re.findall(r'"([^"]+)"', cases)):
-        experiment, prefix, *lines = case.split()
-        files[f"cfg/unusable-{i}.txt"] = "".join(f"{line}\n" for line in lines).encode()
-        argv = [experiment, "--config", f"cfg/unusable-{i}.txt", "--out", f"unusable/{experiment}"]
-        runs.append((argv, 1, rf"config error: {re.escape(prefix)}[ :].*\n\Z"))
-    configs = re.search(r"for config in ([^;]+); do\n\s+.*dbac-lab (\S+) --config", text)
-    for config in configs.group(1).split():
-        argv = [configs.group(2), "--config", config, "--out", "unusable/config"]
-        runs.append((argv, 1, rf"config error: config file {re.escape(config)}[ :].*\n\Z"))
-    blocked = re.search(r"for blocked in ([^;]+); do\n(?:\s+.*\n)+?\s+.*dbac-lab (\S+) --out", text)
-    for path in blocked.group(1).split():
-        runs.append(([blocked.group(2), "--out", path.rsplit("/", 1)[0]], 3, r"runtime error: .*\n\Z"))
-    dirs = re.findall(r"mkdir -p ([\w/-]+)", text) + blocked.group(1).split()
-    return dirs, files, runs
-
-
-# the child: makes the runs' files, traces the package's lines from before its
-# import, runs each and prints its exit code and stderr, then the lines that ran
+# the child: traces the package's lines from before its import, makes each run
+# and prints its exit code and stderr, then the lines that ran
 _TRACED_RUNS = """
-import contextlib, io, json, os, sys
-import numpy  # not the package: untraced
-src, dirs, files, runs = json.load(sys.stdin)
-for d in dirs:
-    os.makedirs(d, exist_ok=True)
-for name, data in files.items():
-    with open(name, "wb") as f:
-        f.write(bytes.fromhex(data))
+import json, sys
+import numpy, runs  # not the package: untraced
+src, argvs = json.load(sys.stdin)
 hits = set()
 def line(frame, event, arg):
     if event == "line":
@@ -236,12 +198,7 @@ def line(frame, event, arg):
 def call(frame, event, arg):
     return line if frame.f_code.co_filename.startswith(src) else None
 sys.settrace(call)
-from dbac_lab import cli
-ends = []
-for argv in runs:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        ends.append((cli.main(argv), err.getvalue()))
+ends = runs.in_process(argvs)
 sys.settrace(None)
 json.dump([ends, sorted(hits)], sys.stdout)
 """
@@ -272,16 +229,16 @@ def _function_statements(tree: ast.Module):
 
 
 def test_every_statement_runs(tmp_path):
-    dirs, files, runs = _ci_runs()
-    spec = [str(SRC), dirs, {name: data.hex() for name, data in files.items()}, [argv for argv, _, _ in runs]]
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    runs.prepare(tmp_path)
+    spec = [str(SRC), [run.argv for run in runs.RUNS]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(Path(runs.__file__).parent)]))
     child = subprocess.run(
         [sys.executable, "-c", _TRACED_RUNS], input=json.dumps(spec), cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True,
     )
     ends, hits = json.loads(child.stdout)
-    for (argv, status, stderr), (got, err) in zip(runs, ends):  # each run ends as CI requires
-        assert got == status and re.match(stderr, err), (argv, err)
+    for run, (got, err) in zip(runs.RUNS, ends, strict=True):  # each run ends as CI requires
+        assert got == run.status and re.match(run.stderr, err), (run.argv, err)
     ran = {(Path(f).stem, n) for f, n in hits}
     unrun = []
     for path in sorted(SRC.glob("*.py")):
