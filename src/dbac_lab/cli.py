@@ -13,10 +13,11 @@ and the values built for its runner.  Constructing a config runs every check
 and builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
-must be finite.  A sweep-s or grid-km config whose partial-swap work exceeds
-`WORK_BUDGET`, or a config whose batch and table hold more than
+must be finite.  A config whose batch and table hold more than
 `CELL_BUDGET` values (sweep-s, sweep-theta, trajectory, trotter and
-baselines), is a config error naming the key with the largest factor.
+baselines), or whose partial-swap work exceeds `WORK_BUDGET` (sweep-s,
+grid-km, sweep-theta and finite-depth trajectory), is a config error naming
+the key with the largest factor.
 Runners return their tables and `run_config` alone writes them: one writer
 formats every table at 12 significant digits, one format per table, and
 `results_manifest.json` lists exactly the files this run wrote, each with its
@@ -77,6 +78,11 @@ WORK_BUDGET = 10**9
 # (`ExperimentConfig.cells`); the README derives it from the measured peak RSS
 # per value.
 CELL_BUDGET = 5 * 10**6
+# The DME record's cost in those entry-steps, about 20 ns each: a cooling step
+# costs 44-97 us besides its batch, and each state and instruction marginal of
+# each angle 130-200 ns (README).
+_RECORD_STEP = 5000
+_RECORD_VALUE = 10
 
 
 class ConfigError(ValueError):
@@ -224,8 +230,8 @@ class ExperimentConfig:
                 applies = ", ".join(applied) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
         for size, (_, factors), budget, what in (
-            (self.work, self._work_factors(), WORK_BUDGET, "partial-swap entry-steps"),
             (self.cells, self._cell_factors(), CELL_BUDGET, "batch and table values"),
+            (self.work, self._work_factors(), WORK_BUDGET, "partial-swap entry-steps"),
         ):
             if size > budget:  # named by the key with the largest factor
                 key = max(factors, key=factors.get)
@@ -240,22 +246,36 @@ class ExperimentConfig:
             raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
         return _sized(lambda n: values * n, self.k // len(values), "k")
 
+    def _copies(self) -> int:
+        """n, the instruction copies of the run's schedule (the sum of its
+        depths), from the raw key values; 0 for exact reflectors."""
+        return 0 if self.m is None else self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
+
     def _work_factors(self) -> tuple[int, dict]:
-        """`work` as a constant and one factor per key: T·S·k·M for sweep-s,
-        and for grid-km dbac's SEARCH_ENTRIES times the sum of k·M over its
-        (k, M) cells, M = 1 for exact reflectors, which is (sum of k)(sum of M)."""
+        """`work` and the factors that name its largest key: T·S·k·M for
+        sweep-s; for grid-km dbac's SEARCH_ENTRIES times the sum of k·M over
+        its (k, M) cells, M = 1 for exact reflectors, which is (sum of k)(sum
+        of M); and for the DME record (sweep-theta, and trajectory at finite
+        depth, T = 1) _RECORD_STEP per cooling step plus _RECORD_VALUE per
+        state and instruction marginal of each angle, T(k + n)."""
         if self.experiment == "sweep-s":
-            return 1, {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
+            factors = {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
+            return math.prod(factors.values()), factors
         if self.experiment == "grid-km":
-            return SEARCH_ENTRIES, {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
+            factors = {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
+            return SEARCH_ENTRIES * math.prod(factors.values()), factors
+        if self.experiment in ("sweep-theta", "trajectory") and self.m is not None:
+            angles = {"theta_count": self.theta_count} if self.experiment == "sweep-theta" else {}
+            values = math.prod(angles.values()) * (self.k + self._copies())
+            return _RECORD_STEP * self.k + _RECORD_VALUE * values, {**angles, "k": self.k, "m": max(self.m)}
         return 0, {}
 
     @property
     def work(self) -> int:
-        """The partial-swap entry-steps the run makes (sweep-s) or at most
-        makes (grid-km); 0 for the experiments that no budget bounds yet."""
-        scale, factors = self._work_factors()
-        return scale * math.prod(factors.values())
+        """The partial-swap entry-steps the run makes (sweep-s), at most
+        makes (grid-km), or costs (the DME record); 0 for the experiments
+        that no budget bounds yet."""
+        return self._work_factors()[0]
 
     def _cell_factors(self) -> tuple[int, dict]:
         """`cells` and the factors that name its largest key, from the raw
@@ -267,7 +287,7 @@ class ExperimentConfig:
         2(k + 1 + n) for trajectory's one record (300-370 bytes per state or
         marginal), 2 per trotter depth (260 bytes) and 4 per baselines round
         (770 bytes: three rows of Python objects)."""
-        n = 0 if self.m is None else self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
+        n = self._copies()
         depths = {} if self.m is None else {"m": max(self.m)}
         if self.experiment == "sweep-s":
             return self.theta_count * self.s_count, {"theta_count": self.theta_count, "s_count": self.s_count}

@@ -299,7 +299,10 @@ def copies_accounting(schedule: DbacSchedule) -> int:
 # _search_pass_z, the step-size search's one pass for both reflector kinds,
 # runs M_j dme.partial_swap calls per step (faster than the closed form at
 # its depths M <= 4 and batches of thousands), the last being dme.swap_z, or
-# one rescaled rotation per exact reflector.  The partial swap, the exact
+# one rescaled rotation per exact reflector, whose last rescale divides only
+# the z plane it returns.  Like the kernels, the pass and _to_data_frame sum
+# each plane by in-place statements in its expression's order, bit for bit
+# the expression, with half its temporaries.  The partial swap, the exact
 # reflector and depolarizing commute with rotations about z, so a step
 # rotates its instruction once into the data's frame (_to_data_frame)
 # instead of rotating the data there and back: every output is in the
@@ -385,7 +388,11 @@ def _to_data_frame(r, cos: np.ndarray, sin: np.ndarray) -> tuple:
     (cos, sin), as the triple (cos x + sin y, cos y - sin x, z): an
     instruction in the frame of the data that a step rotates by phi."""
     x, y, z = r
-    return cos * x + sin * y, cos * y - sin * x, z
+    rx = cos * x
+    rx += sin * y
+    ry = cos * y
+    ry -= sin * x
+    return rx, ry, z
 
 
 def _bloch_steps(r0, tables, recursion, noise):
@@ -427,16 +434,21 @@ def _search_pass_z(r0, k, table, mode):
     exp(is|a><a|) rotates the data by -s about a: one call with the
     :func:`dme.rotation_operands` of a, rescaled to unit length as
     :func:`_exact_steps` renormalizes (about a non-unit axis |a| - 1 grows up
-    to fivefold per chained step).  The kernels are looked up in this module,
-    so a test can trace them."""
+    to fivefold per chained step); the last step rescales only the z plane
+    it returns.  The kernels are looked up in this module, so a test can
+    trace them."""
     out = r0
     for j in range(k):
         a = _to_data_frame(out, table.cos_phi, table.sin_phi)
         out = r0 if mode == "fresh" else out  # the step's data
         if table.m is None:
-            x, y, z = partial_swap(out, rotation_operands(a, out, table.coeffs))
-            norm = np.sqrt(x * x + y * y + z * z)
-            out = x / norm, y / norm, z / norm
+            out = partial_swap(out, rotation_operands(a, out, table.coeffs))
+            norm = out[0] * out[0]
+            norm += out[1] * out[1]
+            norm += out[2] * out[2]
+            np.sqrt(norm, out=norm)
+            for plane in out[2:] if j == k - 1 else out:  # the last step's z alone
+                plane /= norm
         else:
             step = swap_operands(a, table.coeffs)
             for _ in range(table.m - 1):
@@ -505,7 +517,8 @@ def optimal_step(e0: float, k: int, m: Optional[int] = None, mode: str = "chain"
 # The basin bisection halves (lo, hi), from _BASIN_ENDS, to width _BASIN_TOL.
 # Each full-grid pass also carries, as witness entries, the midpoints that may
 # be probed in the _WITNESS_LEVELS levels after it, on either side of its own
-# decision.
+# decision, and the upper end at the first grid step, which the lower end's
+# pass, the first, proves or not.
 _BASIN_ENDS = (1e-6, 1.0 - 1e-6)
 _BASIN_TOL = 1e-4
 _WITNESS_LEVELS = 4
@@ -513,9 +526,9 @@ _WITNESSES = 2 * (2**_WITNESS_LEVELS - 1)
 # The most engine entries that optimal_step and basin_min_fidelity run for one
 # (k, M): at most 3 + h full-grid passes (the optimal step's, one at each end
 # of the basin interval and one per halving, h in all, of its width down to
-# _BASIN_TOL), each of the grid and the witness slots.
+# _BASIN_TOL), each of the grid, the witness slots and the upper end's slot.
 SEARCH_ENTRIES = (3 + math.ceil(math.log2((_BASIN_ENDS[1] - _BASIN_ENDS[0]) / _BASIN_TOL))) * (
-    _S_GRID.size + _WITNESSES
+    _S_GRID.size + _WITNESSES + 1
 )
 
 
@@ -551,17 +564,20 @@ class _BasinPasses:
     """The full-grid passes of one basin search for ``f_target``.
 
     One table holds the S grid entries, copied from :func:`_grid_table`, then
-    _WITNESSES witness slots.  Before each pass the slots are rewritten to the
-    witness step: the grid step that was best in the previous pass, or
-    :func:`_seed_step` before the first pass.  Every witness initial fidelity
-    that reaches ``f_target`` at that step joins ``proven``."""
+    _WITNESSES witness slots, then one slot for the upper end of the basin
+    interval at the first grid step (s = 1e-3).  Before each pass the witness
+    slots are rewritten to the witness step: the grid step that was best in
+    the previous pass, or :func:`_seed_step` before the first pass.  Every
+    witness initial fidelity that reaches ``f_target`` at that step joins
+    ``proven``, and so does the upper end if it reaches it at the first grid
+    step."""
 
     def __init__(self, k: int, m: Optional[int], mode: str, f_target: float):
-        self._grid = grid = _grid_table(m)
-        self._table = grid.map(lambda a: np.concatenate([a, np.empty(_WITNESSES)]))
+        grid = _grid_table(m)
+        self._table = grid.map(lambda a: np.concatenate([a, np.empty(_WITNESSES), a[:1]]))
         self._slots = list(zip(self._table.arrays(), grid.arrays()))
         self._size = grid.cos_phi.size
-        self._counts = np.concatenate([[self._size], np.ones(_WITNESSES, dtype=int)])
+        self._counts = np.concatenate([[self._size], np.ones(_WITNESSES + 1, dtype=int)])
         self._k, self._mode, self._f_target = k, mode, f_target
         self._best = _seed_step(k)
         self.proven: set[float] = set()
@@ -569,25 +585,20 @@ class _BasinPasses:
     def _reached(self, e) -> bool:
         return (1.0 - e) / 2.0 >= self._f_target
 
-    def at_first_step(self, f0: float) -> bool:
-        """Whether the first grid step alone takes ``f0`` to the target: a
-        witness-only batch of one entry.  True proves that the full pass would
-        say True; False decides nothing."""
-        one = self._grid.map(lambda a: a[:1])
-        e = _final_energies(np.array([np.arccos(2.0 * f0 - 1.0)]), self._k, one, self._mode)
-        return self._reached(e[0, 0])
-
     def __call__(self, f0: float, witnesses: Sequence[float] = ()) -> bool:
         """Whether the grid's best step takes ``f0`` to the target, with the
         ``witnesses`` (at most _WITNESSES) evaluated in the same batch."""
         for slots, grid in self._slots:
-            slots[self._size :] = grid[self._best]
-        f0s = np.full(1 + _WITNESSES, f0)  # unused slots repeat f0
+            slots[self._size : -1] = grid[self._best]
+        f0s = np.full(2 + _WITNESSES, f0)  # unused witness slots repeat f0
         f0s[1 : 1 + len(witnesses)] = witnesses
+        f0s[-1] = _BASIN_ENDS[1]
         e = _final_energies(np.arccos(2.0 * f0s - 1.0), self._k, self._table, self._mode, self._counts)
         grid, tried = e[: self._size], e[self._size : self._size + len(witnesses)]
         self._best = int(np.argmin(grid))
         self.proven.update(itertools.compress(witnesses, self._reached(tried)))
+        if self._reached(e[-1]):
+            self.proven.add(_BASIN_ENDS[1])
         return self._reached(grid[self._best])
 
 
@@ -600,19 +611,19 @@ def basin_min_fidelity(
     Returns the 1.0 sentinel when no initial fidelity below 1 attains the
     target.
 
-    The upper end, 1 - 1e-6, is decided by one witness entry at the first
+    The first full-grid pass (the grid of :func:`optimal_step`) is the lower
+    end's, 1e-6.  Its batch also holds the upper end, 1 - 1e-6, at the first
     grid step (s = 1e-3); only when that entry misses the target does a
-    full-grid pass (the grid of :func:`optimal_step`) decide it.
+    full-grid pass at the upper end decide it, before any halving.
 
-    Witness rule: each later full-grid pass also runs, in the same engine
-    batch, one witness entry for each bisection midpoint that may be probed
-    in the next 4 levels on either side of its decision (30 entries; 15 for
-    the pass at the lower end), each at the grid step that was best in the
-    previous full-grid pass, or at the closed-form estimate :func:`_seed_step`
-    when no full-grid pass has run yet (the lower end's pass, whenever the
-    upper end's witness decided it).  A midpoint whose witness reaches the
-    target is proven: the loop moves ``hi`` there without a pass.  Every other
-    decision comes from a full-grid pass.
+    Witness rule: each full-grid pass also runs, in the same engine batch,
+    one witness entry for each bisection midpoint that may be probed in the
+    next 4 levels on either side of its decision (30 entries; 15 for the
+    pass at the lower end), each at the grid step that was best in the
+    previous full-grid pass, or at the closed-form estimate
+    :func:`_seed_step` in the lower end's pass, the first.  A midpoint whose
+    witness reaches the target is proven: the loop moves ``hi`` there
+    without a pass.  Every other decision comes from a full-grid pass.
 
     The result is exactly that of the plain bisection, in which every probe is
     a full-grid pass.  The engine is elementwise over batch entries, so a
@@ -624,9 +635,10 @@ def basin_min_fidelity(
     """
     reaches = _BasinPasses(k, m, mode, f_target)
     lo, hi = _BASIN_ENDS
-    if not (reaches.at_first_step(hi) or reaches(hi)):
+    lo_reached = reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS))
+    if not (hi in reaches.proven or reaches(hi)):
         return 1.0
-    if reaches(lo, _midpoints(lo, hi, _WITNESS_LEVELS)):
+    if lo_reached:
         return lo
     while hi - lo > _BASIN_TOL:
         mid = 0.5 * (lo + hi)

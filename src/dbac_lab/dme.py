@@ -25,13 +25,17 @@ which unpacks as one.  The commutator is a cross product: with instruction
 
 A step builds the operands ``(c2, s2 a, cs a)`` once (:func:`swap_operands`,
 from :func:`swap_coefficients`) for all its swaps, since their instruction is
-the same, and each swap is ``c2 b + s2a + csa x b``, one expression per
-plane; the z plane's is :func:`swap_z`, all the step-size search computes of
-its last swap.  The instruction marginal is ``a + b - out`` (the joint
-state's two marginals sum to ``a + b``).  With the operands of
-:func:`rotation_operands` the kernel rotates ``b`` about a unit axis, as both
-exact qubit maps do: the search's exact reflector exp(i s |c><c|) (by -s
-about a unit ``c``), and the M -> infinity limit of :func:`dme_errors`.
+the same, and each swap is ``c2 b + s2a + csa x b``.  Each plane is one
+list of in-place statements in that expression's order (``t = cy * z; t -=
+cz * y; t += c2 * x; t += s2x``): the expression's bits, with only its
+products allocated, half its temporaries.  The first product must already
+have the output's broadcast shape.  The z plane's list is :func:`swap_z`,
+all the step-size search computes of its last swap.  The instruction
+marginal is ``a + b - out`` (the joint state's two marginals sum to
+``a + b``).  With the operands of :func:`rotation_operands` the kernel
+rotates ``b`` about a unit axis, as both exact qubit maps do: the search's
+exact reflector exp(i s |c><c|) (by -s about a unit ``c``), and the
+M -> infinity limit of :func:`dme_errors`.
 
 Because the instruction is fixed, M swaps compose in closed form:
 :func:`partial_swap_power` gives the output after any number of swaps, or
@@ -121,22 +125,30 @@ def rotation_operands(u, sig, coeffs) -> tuple:
     two as triples, from ``coeffs = (cos theta, 1 - cos theta, sin theta)``."""
     cos, one_minus_cos, sin = coeffs
     (ux, uy, uz), (x, y, z) = u, sig
-    along = one_minus_cos * (ux * x + uy * y + uz * z)
+    along = ux * x
+    along += uy * y
+    along += uz * z
+    along *= one_minus_cos  # the product one_minus_cos * (u.sig), bit for bit
     return cos, (along * ux, along * uy, along * uz), (sin * ux, sin * uy, sin * uz)
 
 
 def swap_z(sig, step):
     """The z plane of :func:`partial_swap`'s output, ``csa_x y - csa_y x + c2 z
-    + s2a_z``: all that the step-size search reads of its last swap."""
+    + s2a_z``, summed in place in that order: all that the step-size search
+    reads of its last swap."""
     c2, s2a, (cx, cy, _) = step
     x, y, z = sig
-    return cx * y - cy * x + c2 * z + s2a[2]
+    out = cx * y
+    out -= cy * x
+    out += c2 * z
+    out += s2a[2]
+    return out
 
 
 def partial_swap(sig, step) -> tuple:
     """One partial-swap step on Bloch planes: the data output ``c2 sig + s2a
-    + csa x sig`` as an (x, y, z) triple, one expression per plane, the cross
-    term first (the z plane's is :func:`swap_z`).
+    + csa x sig`` as an (x, y, z) triple, each plane summed in place in that
+    order, the cross term first (the z plane's is :func:`swap_z`).
 
     ``sig`` is a triple of planes or a ``(3, ...)`` array, and ``step = (c2,
     s2a, csa)`` is :func:`swap_operands` of the instruction: ``c2`` a scalar
@@ -146,7 +158,15 @@ def partial_swap(sig, step) -> tuple:
     caller that records it.  Nothing is validated."""
     c2, (s2x, s2y, _), (cx, cy, cz) = step
     x, y, z = sig
-    return cy * z - cz * y + c2 * x + s2x, cz * x - cx * z + c2 * y + s2y, swap_z(sig, step)
+    out_x = cy * z
+    out_x -= cz * y
+    out_x += c2 * x
+    out_x += s2x
+    out_y = cz * x
+    out_y -= cx * z
+    out_y += c2 * y
+    out_y += s2y
+    return out_x, out_y, swap_z(sig, step)
 
 
 def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float = 1.0) -> np.ndarray:

@@ -507,11 +507,33 @@ class TestWork:
         cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
         assert cfg.work == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
 
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("sweep-theta", "theta_count = 5\nk = 3\nm = 2\n"),
+            ("sweep-theta", "theta_count = 4\nk = 3\nm = 1,4,2\ns = 0.3\n"),
+            ("trajectory", "k = 4\nm = 3\n"),
+            ("trajectory", "k = 4\nm = exact\n"),
+        ],
+    )
+    def test_dme_record_work_counts_its_steps_and_values(self, tmp_path, experiment, text):
+        # a per-step cost, and a per-value cost for each state after the first
+        # and each instruction marginal of each angle; the exact record has none
+        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
+        if cfg.m is None:
+            assert cfg.work == 0
+            return
+        thetas = cfg.theta_grid if experiment == "sweep-theta" else np.array([cfg.theta])
+        rec = dbac.dbac_via_dme(thetas, cfg.schedule, cfg.noise)
+        values = rec.energies.size - thetas.size + rec.instruction_energies.size
+        assert cfg.work == cli._RECORD_STEP * cfg.k + cli._RECORD_VALUE * values
+
     def test_grid_km_passes_are_bounded(self):
         # 17 passes: the optimal step's, one at each end of the basin interval
-        # and one per halving of its width 1 - 2e-6 down to 1e-4
+        # and one per halving of its width 1 - 2e-6 down to 1e-4, each of the
+        # grid, the witness slots and the upper end's first-step slot
         halvings = int(np.ceil(np.log2((1 - 2e-6) / 1e-4)))
-        assert dbac.SEARCH_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES)
+        assert dbac.SEARCH_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES + 1)
 
     def test_default_configs_within_budget(self, tmp_path):
         for experiment in cli.EXPERIMENTS:
@@ -775,11 +797,16 @@ class TestCommandLine:
         [
             ("sweep-s", "m = 100000000000000000000\ns_count = 2\ntheta_count = 2\nk = 1\n", "m"),
             ("grid-km", "m_list = 100000000000000000000\n", "m_list"),
+            ("sweep-theta", "k = 1000000\ntheta_count = 2\n", "k"),
+            ("trajectory", "k = 1000000\nm = 1\n", "k"),
         ],
     )
     def test_work_over_budget_is_a_config_error(self, tmp_path, experiment, text, key):
-        # both ran without end; now refused at validation, before any
-        # allocation, in a child limited to 2 GB of address space
+        # the first three ran without end (the sweep-theta one, within the
+        # cell budget, still ran after 30 s), and the fourth, also within it,
+        # makes a million DME record steps, about a minute; now refused at
+        # validation, before any allocation, in a child limited to 2 GB of
+        # address space
         resource = pytest.importorskip("resource")
 
         def limit():

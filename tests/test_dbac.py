@@ -770,13 +770,14 @@ class TestSearchEngineOracle:
         m = None if exact else m
         fids = final_fidelities_over_s(theta, k, m, s_values, mode)
         assert fids.shape == (len(s_values),)
+        within = tol("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact")
         for s, f in zip(s_values, fids):
             schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
             if m is None:
                 rec = dbac_recursive_exact(rx_init(theta), schedule)
             else:
                 rec = dbac_via_dme(theta, schedule)
-            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < 1e-12
+            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < within
 
 
 def _counted_rotations(monkeypatch, call, *args):
@@ -1143,27 +1144,30 @@ class TestBasinWitnesses:
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
         """Every recorded engine call of basin_min_fidelity(2, m, f_target, mode)
-        against grid-only passes; returns whether the upper end's witness missed."""
+        against grid-only passes; returns whether the upper end's first-step
+        slot missed."""
         k, size = 2, step_size_grid().size
         _, passes = _recorded_passes(monkeypatch, k, m, f_target, mode)
         assert len(passes) >= 2
         grid = dbac._grid_table(m)
-        # the upper end's witness-only batch: one entry at the first grid step
-        (upper,), e = passes[0]
-        alone = dbac._final_energies(upper[None], k, grid, mode)[0]
-        assert upper == np.arccos(2.0 * (1.0 - 1e-6) - 1.0)
-        assert np.array_equal(e, [[alone[0]]])
-        missed = (1.0 - e[0, 0]) / 2.0 < f_target
+        lower, upper = (np.arccos(2.0 * f0 - 1.0) for f0 in (1e-6, 1.0 - 1e-6))
         best = dbac._seed_step(k)  # the witness slots start at the closed-form estimate
-        for thetas, e in passes[1:]:
+        for thetas, e in passes:
+            # the grid, _WITNESSES witness slots and the first-step slot, in every pass
+            assert thetas.size == dbac._WITNESSES + 2
             alone = [dbac._final_energies(theta[None], k, grid, mode)[0] for theta in thetas]
-            assert e.shape == (size + thetas.size - 1,)
+            assert e.shape == (size + dbac._WITNESSES + 1,)
             assert np.array_equal(e[:size], alone[0])
-            assert np.array_equal(e[size:], [row[best] for row in alone[1:]])
+            assert np.array_equal(e[size:-1], [row[best] for row in alone[1:-1]])
+            assert np.array_equal(e[-1:], alone[-1][:1])
             best = int(np.argmin(alone[0]))
-        # a missed witness is followed by a full pass at the upper end, else
-        # the next pass is the lower end's
-        assert passes[1][0][0] == (upper if missed else np.arccos(2.0 * 1e-6 - 1.0))
+        # the first pass is the lower end's; every pass's last slot is the
+        # upper end at the first grid step
+        assert passes[0][0][0] == lower and all(thetas[-1] == upper for thetas, _ in passes)
+        missed = (1.0 - passes[0][1][-1]) / 2.0 < f_target
+        # a missed slot is followed by a full pass at the upper end, else the
+        # next pass is a halving's
+        assert (passes[1][0][0] == upper) == missed
         return missed
 
     @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain"), (3, "fresh")])
@@ -1196,13 +1200,13 @@ class TestBasinWitnesses:
 
     def test_fewer_full_grid_passes(self, monkeypatch):
         # the plain bisection makes 16: both ends of the interval, then 14
-        # halvings; the upper end is decided by a one-entry witness batch
+        # halvings; the upper end is decided by a slot of the lower end's pass
         result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
         want = plain_basin(2, 2, 0.8, "fresh")
         assert agrees(result, want, "basin_min_fidelity", "plain_basin")
         sizes = [thetas.size for thetas, _ in passes]
-        assert sizes[0] == 1 and sizes.count(1) == 1  # one witness-only batch, at the upper end
-        assert len(sizes) - 1 == 9 < 16
+        assert sizes == [dbac._WITNESSES + 2] * len(sizes)  # every batch a full-grid pass
+        assert len(sizes) == 9 < 16
 
 
 class TestSearchArgumentChecks:

@@ -14,9 +14,10 @@ def test_the_list_holds_every_run_ci_makes():
     assert len(runs.WRITES) == 23 and len({run.argv[-1] for run in runs.WRITES}) == 23
     assert sum("--config" in run.argv for run in runs.WRITES) == 14
     assert runs.WRITES[-1].argv[:3] == ("trotter", "--seed", "9")
-    # 27 reject cases and the 3 accepted configs that ended in exit 3 or a traceback
-    assert (len(runs.REJECTS), len(runs.UNREADABLE), len(runs.BLOCKED)) == (30, 3, 2)
-    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 15 + [1] * 33 + [3] * 2
+    # 27 reject cases, the 3 accepted configs that ended in exit 3 or a
+    # traceback and the 2 DME records that ran a million steps
+    assert (len(runs.REJECTS), len(runs.UNREADABLE), len(runs.BLOCKED)) == (32, 3, 2)
+    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 15 + [1] * 35 + [3] * 2
     configs = [Path(run.argv[run.argv.index("--config") + 1]) for run in runs.RUNS if "--config" in run.argv]
     files = [p for p in runs.CONFIGS.rglob("*") if p.is_file()]
     assert sorted(p for p in configs if runs.CONFIGS in p.parents) == sorted(files)  # each listed once
