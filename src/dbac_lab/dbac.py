@@ -474,9 +474,22 @@ def _final_energies(
     else shares the batch."""
     reps = table.cos_phi.size // thetas.size if counts is None else counts
     if table.m is None and mode == "chain":
-        e = np.repeat(-np.cos(thetas), reps)
-        for _ in range(k):
-            e = _energy_law(e, *table.law)
+        # the law on the populations p = (1 + E) / 2 and q = (1 - E) / 2, each
+        # step moving d from p to q: E = -cos(theta) would round away 1 -+ E
+        # near theta = 0 or pi, where the law's repelling steps amplify it
+        two_sin2, one_minus_cos, cos = table.law
+        twice = 2.0 * two_sin2
+        p, q = (np.repeat(f(thetas / 2) ** 2, reps) for f in (np.sin, np.cos))
+        for _ in range(k):  # d = 2 (2 sin^2 s) p q ((1 - cos s)(p - q) + cos s), in place
+            x = p - q
+            x *= one_minus_cos
+            x += cos
+            d = twice * p
+            d *= q
+            d *= x
+            p -= d
+            q += d
+        e = p - q
     else:
         z = _search_pass_z(np.repeat(_rx_planes(thetas), reps, axis=1), k, table, mode)
         e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * z  # populations (1 +- z) / 2

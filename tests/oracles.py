@@ -8,18 +8,30 @@ gate-level oracle of the DME simulation.  The recursive bisection midpoints
 (:func:`midpoints`) and the row-by-row CSV writer (:func:`render_rows`) are
 the plain forms of two faster program paths.
 
-Every numeric comparison of a program path with one of them reads its
-tolerance from TOLERANCES, through :func:`tol`, next to the reason the two may
-differ."""
+Every numeric comparison of a program path with one of them is a row of
+TOLERANCES: its tolerance, the reason the two may differ, a hypothesis
+strategy of valid arguments, the program call, the oracle call and the measure
+of their difference (absolute, relative, per s^2 or per 1/s^2, up to a global
+phase, or up to the CHAOTIC cutoff).  One derandomized property,
+``tests/test_oracles.py::test_program_path_agrees_with_its_oracle``, runs every
+row on its draws.  A test elsewhere names a regime of a row's inputs through
+:func:`pins` or :func:`check`; only the few that pin a call structure compare
+the values they record by hand, with :func:`tol`."""
+
+import contextlib
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from hypothesis import strategies as st
 
-from dbac_lab import circuits, dbac, qmath, tomography
-from dbac_lab.baselines import ppa_round, target_polarization, thermal_qubit
-from dbac_lab.dbac import CoolingRecord, check_step_sizes
+from dbac_lab import circuits, dbac, dme, qmath, tomography
+from dbac_lab.baselines import hbac_round_closed, ppa_round, target_polarization, thermal_qubit
+from dbac_lab.dbac import CoolingRecord, DbacSchedule, check_step_sizes
 from dbac_lab.dme import bloch_planes, partial_swap, swap_operands
 from dbac_lab.states import DensityMatrix, HamiltonianSpec, PureState
 from dbac_lab.tomography import PTM, pauli_labels, pauli_matrix
+
+from conftest import random_density, random_state, random_unitary
 
 EXACT = "the same arithmetic in the same order: bit for bit"
 SAME_OPS = "same operations, same order: bit for bit, and so is the sign of every zero"
@@ -32,76 +44,104 @@ CHAOTIC = "the chaotic cutoff of exact fresh chains: one that moves by more unde
 LAW = "relative: M times the Trotter error converges to its 1/M limit, with an O(1/M) correction"
 SQUARED = "relative to the largest entry: the power series' rounding grows with each of its squarings"
 SYNTHESIZED = (
-    "the same chain by dense unitary products; worst measured 1.1e-13 in final energy"
-    " (60 random H of 1 to 3 qubits, 3 steps, s in [0.01, 0.3])"
+    "the same chain by dense unitary products; worst measured 4.6e-13 in final energy"
+    " (3000 random H of 1 to 3 qubits, 3 steps, s in [0.01, 0.3])"
 )
 SEARCHED = (
     "in ground fidelity: the search's Bloch planes and chain law against the record engines' closed-form"
-    " swaps and state vectors; worst measured 2.7e-15 with exact reflectors (fresh, k = 11) and 5.6e-16"
-    " at finite depth, over the 100 derandomized examples of k M <= 16 that compare them"
+    " swaps and state vectors; worst measured 2.3e-13 with exact reflectors (fresh, k = 16), 8.4e-15 on the"
+    " chain law and 2.2e-15 at finite depth, over 10000 random draws of the row; an exact fresh chain past"
+    " the CHAOTIC cutoff (16 of their 26915 step sizes) is not compared"
 )
+COMPILED = "up to a global phase, by products of the compiled gates' matrices; worst measured 2.2e-15 (1000 draws)"
+CLOSED = "a closed form against the eigendecomposed exponential; worst measured 4.4e-16 (3000 draws)"
 IMAGINARY = (
     "per s^2: a step of duration sqrt(s) and imaginary time s both descend by 2 s V0 to first order;"
     " worst measured 2.41 (H = -Z at theta = 2.0, where the limit (1 - E0^2)(3 E0 + 5/3) peaks),"
     " 1.31 on random 2- and 3-qubit H with eigenvalues in [-1, 1]"
 )
 
-# (program path, oracle): (tolerance, why the two may differ), absolute unless
-# the reason says otherwise; a path named with a qualifier is that path in one regime
-TOLERANCES = {
-    ("_exact_steps", "dbac_step_exact"): (1e-12, ORDER),
-    ("dbac_energy_analytic", "dbac_step_exact"): (1e-10, ORDER),
-    ("dbac_recursive_exact", "dbac_step_exact"): (1e-13, ORDER),
-    ("dbac_recursive_exact", "recursive_exact"): (1e-12, ORDER),
-    ("descent_bound_residual", "dense_descent_bound_residual"): (1e-13, CANCELLED),
-    ("_records", "records"): (1e-14, ORDER),
-    ("dbac_via_dme", "dme_chain"): (1e-12, RENORMALIZED),
-    ("_bloch_steps", "dme_chain"): (1e-12, RENORMALIZED),
-    ("_search_pass_z exact", "_exact_steps"): (1e-11, COMPOUNDED),
-    ("_exact_steps perturbed", "_exact_steps"): (1e-13, CHAOTIC),
-    ("final_fidelities_over_s", "tiled_table_fidelities"): (0.0, EXACT),
-    ("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact"): (1e-12, SEARCHED),
-    ("_final_energies", "search_loop"): (0.0, SAME_OPS),
-    ("_final_energies exact fresh", "search_exact_loop"): (0.0, SAME_OPS),
-    ("_rx_planes", "bloch_planes of _rx_init"): (0.0, SPLIT),
-    ("basin_min_fidelity", "plain_basin"): (0.0, EXACT),
-    ("_midpoints", "midpoints"): (0.0, EXACT),
-    ("partial_swap", "dme_step_exact"): (1e-12, ORDER),
-    ("partial_swap_power", "partial_swap loop"): (1e-13, ORDER),
-    ("partial swaps at the swap point", "the instruction"): (1e-15, ORDER),
-    ("partial_swap_power one copy", "dme_step_exact"): (1e-14, ORDER),
-    ("partial_swap_power", "trotter_state"): (1e-12, ORDER),
-    ("dme_errors", "dme_error"): (1e-13, ORDER),
-    ("dme_errors deep", "dme_error"): (1e-12, COMPOUNDED),
-    ("dme_errors 10^6", "dme_errors 10^9"): (1e-5, LAW),
-    ("dme_errors 4096", "dme_errors 10^9"): (1e-3, LAW),
-    ("dme_errors reference", "exact_conjugation"): (1e-14, ORDER),
-    ("HamiltonianSpec.eig", "expm_series"): (1e-12, SQUARED),
-    ("dbac_recursive_exact chain", "synthesize_uk"): (1e-12, SYNTHESIZED),
-    ("dbac_recursive_exact one step", "ite_evolve"): (3.0, IMAGINARY),
-    ("dbac_via_dme", "layout_energy"): (1e-12, ORDER),
-    ("circuit_unitaries", "loop_unitary"): (0.0, EXACT),
-    ("embed_gate", "embed_gate_by_index"): (1e-14, ORDER),
-    ("ptm_of_circuits", "dense_channel"): (1e-12, ORDER),
-    ("ptm_of_circuits", "ptm_of_channel"): (1e-12, ORDER),
-    ("_transfer", "ptm_of_channel"): (1e-12, ORDER),
-    ("bloch_planes", "pauli_expectations"): (1e-15, ORDER),
-    ("hbac_round_closed", "hbac_round_dense"): (1e-15, ORDER),
-    ("hbac steady state", "hbac_round_dense"): (1e-12, ORDER),
-}
+
+
+# Each measure of a row's (program, oracle) results, given the arguments:
+# the largest |got - want|, infinite unless the shapes match ...
+def absolute(got, want, args) -> float:
+    return float(np.abs(got - want).max(initial=0.0)) if got.shape == want.shape else np.inf
+
+
+def signed(got, want, args) -> float:  # ... and where a sign bit differs, -0.0 against 0.0 included
+    return absolute(got, want, args) if np.array_equal(np.signbit(got), np.signbit(want)) else np.inf
+
+
+def relative(got, want, args) -> float:  # of got / want - 1
+    return absolute(got / want, np.ones_like(want), args)
+
+
+def to_largest(got, want, args) -> float:  # over the largest |want|
+    return absolute(got, want, args) / np.abs(want).max()
+
+
+def per_s2(got, want, args) -> float:  # over the step size squared
+    return absolute(got, want, args) / args["s"] ** 2
+
+
+def per_inverse_s2(got, want, args) -> float:  # times each step size squared
+    return absolute(got * np.square(args["s"]), want * np.square(args["s"]), args)
+
+
+def up_to_phase(got, want, args) -> float:  # of a stack of unitaries, each over a global phase
+    return float(np.max(qmath.dist_up_to_global_phase(got, want))) if got.shape == want.shape else np.inf
+
+
+def up_to_cutoff(got, want, args) -> float:  # where want is not NaN: the entries within the CHAOTIC cutoff
+    well = ~np.isnan(want)
+    return absolute(got[well], want[well], args) if got.shape == want.shape else np.inf
+
+
+def third_closest(got, want, args) -> float:  # the third smallest over the last axis: 3 chains within the cutoff
+    return float(np.sort(np.abs(got - want).reshape(-1, got.shape[-1]).max(axis=0))[2])
+
+
+class Row(NamedTuple):
+    """One comparison of a program path with an oracle: ``draw`` is a hypothesis
+    strategy of keyword-argument dicts, valid arguments of both; ``program`` and
+    ``oracle`` compute the two sides from them, and ``measure`` the difference
+    that ``tol`` bounds.  The property runs ``draws`` drawn dicts and every one
+    of ``examples``."""
+
+    tol: float
+    reason: str
+    draw: Optional[st.SearchStrategy] = None
+    program: Optional[Callable] = None
+    oracle: Optional[Callable] = None
+    measure: Callable = absolute
+    examples: tuple = ()
+    draws: int = 30
 
 
 def tol(path: str, oracle: str) -> float:
     """The tolerance of comparing ``path`` with ``oracle``."""
-    return TOLERANCES[path, oracle][0]
+    return TOLERANCES[path, oracle].tol
 
 
-def agrees(got, want, path: str, oracle: str) -> bool:
-    """Whether ``got`` has the shape of ``want`` and is within the tolerance of
-    comparing ``path`` with ``oracle`` of it in every entry; at tolerance 0.0
-    that is ``np.array_equal``."""
-    got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and bool(np.abs(got - want).max(initial=0.0) <= tol(path, oracle))
+def check(key: tuple, **args) -> None:
+    """Assert that the row of ``key`` holds at ``args``: its measure of the
+    program's result against the oracle's is within its tolerance."""
+    row = TOLERANCES[key]
+    got, want = (np.asarray(call(**args)) for call in (row.program, row.oracle))
+    err = row.measure(got, want, args)
+    assert err <= row.tol, f"{key}: {err:.3g} > {row.tol:g} at {args}"
+
+
+def pins(key: tuple, *cases: dict):
+    """A test of the row of ``key`` at each of ``cases``: named regimes of its
+    inputs, which the property's draws need not hit."""
+
+    def test(*_):
+        for args in cases:
+            check(key, **args)
+
+    return test
 
 
 def basis(index: int, num_qubits: int = 1) -> PureState:
@@ -428,29 +468,39 @@ def unitary_channel(u):
     return lambda rho: u @ rho @ u.conj().T
 
 
-def _dense_noise(rho, noise, qubits, n):
-    """Depolarize the gate's qubits as a Pauli twirl, then damp each of them."""
+def _dense_noise(noise, qubits, n):
+    """The noise after a gate on ``qubits``, as a channel on dense matrices:
+    depolarize them as a Pauli twirl, then damp each of them."""
     p = noise.p2 if len(qubits) == 2 else noise.p1
     paulis = [qmath.embed_gate(pauli_matrix(lb), qubits, n) for lb in pauli_labels(len(qubits))]
-    out = (1 - p) * rho + p * apply_kraus(rho, paulis) / len(paulis)
+    damping = []
     if noise.t1_us is not None:
         dt = tomography.GATE_TIME_2Q_US if len(qubits) == 2 else tomography.GATE_TIME_1Q_US
         kraus = tomography._damping_kraus(noise, dt)
-        for q in qubits:
-            out = apply_kraus(out, [qmath.embed_gate(k, (q,), n) for k in kraus])
-    return out
+        damping = [[qmath.embed_gate(k, (q,), n) for k in kraus] for q in qubits]
+
+    def channel(rho):
+        out = (1 - p) * rho + p * apply_kraus(rho, paulis) / len(paulis)
+        for ops in damping:
+            out = apply_kraus(out, ops)
+        return out
+
+    return channel
 
 
 def dense_channel(c: circuits.Circuit, noise=None):
     """Apply every gate, then its noise, to the probe as dense matrices."""
     n = c.num_qubits
+    noisy = noise is not None and noise.enabled
+    gates = [
+        (qmath.embed_gate(gate_matrix(g), g.qubits, n), noisy and _dense_noise(noise, g.qubits, n)) for g in c.gates
+    ]
 
     def ch(rho):
         out = rho
-        for g in c.gates:
-            out = apply_kraus(out, [qmath.embed_gate(gate_matrix(g), g.qubits, n)])
-            if noise is not None and noise.enabled:
-                out = _dense_noise(out, noise, g.qubits, n)
+        for u, after in gates:
+            out = apply_kraus(out, [u])
+            out = after(out) if after else out
         return out
 
     return ch
@@ -554,3 +604,716 @@ def render_rows(header, rows) -> bytes:
     fmt = ",".join("%s" if issubclass(k, (int, np.integer, str)) else "%.12g" for k in kinds) + "\n"
     values = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for row in rows for v in row]
     return (",".join(header) + "\n" + (fmt * len(rows)) % tuple(values)).encode()
+
+
+# The rows' arguments and calls.  Each random input is drawn from a seed, so
+# that a failing example prints as a call that rebuilds it.
+
+H = HamiltonianSpec.default_single_qubit()
+W = H.eig[0]
+SWAP = HamiltonianSpec(qmath.swap_operator(2))
+HEISENBERG = HamiltonianSpec(sum(np.kron(p, p) for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)))
+ZZ = HamiltonianSpec(np.kron(qmath.PAULI_Z, qmath.PAULI_Z))
+GROUND = np.diag([1.0, 0.0]).astype(complex)
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+SEEDS = st.integers(0, 2**32 - 1)
+MODES = st.sampled_from(dbac.RECURSION_MODES)
+NOISES = st.sampled_from([None, (1e-3, 0.0), (0.0, 0.02), (2e-3, 0.01)])
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+POLARIZATIONS = st.floats(-1.0, 1.0)
+_OFF_END = st.floats(-9.0, -1.0).map(lambda x: 10.0**x)
+NEAR_ENDS = st.floats(0.0, np.pi) | _OFF_END | _OFF_END.map(lambda d: np.pi - d)  # and log-uniform near 0 and pi
+STEPS = st.floats(1e-3, np.pi) | st.floats(-4.0, 12.0)  # step sizes of either sign, and above pi
+SWAP_ANGLES = st.lists(ANGLES | st.sampled_from([0.0, np.pi / 8, np.pi / 4, np.pi / 2, 1e-9]), min_size=1, max_size=4)
+
+
+def depths(max_steps: int, max_k: int):
+    """(k, M) pairs with k M <= max_steps."""
+    return st.integers(1, max_k).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, max(1, max_steps // k))))
+
+
+def random_hamiltonian(rng, dim: int) -> HamiltonianSpec:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return HamiltonianSpec(0.5 * (a + a.conj().T))
+
+
+def qubit(theta: float, phase: float = -np.pi / 2) -> PureState:
+    """cos(theta/2)|0> + e^{i phase} sin(theta/2)|1>; R_X(theta)|0> by default."""
+    return PureState(np.array([np.cos(theta / 2), np.exp(1j * phase) * np.sin(theta / 2)]))
+
+
+def pure_planes(v) -> np.ndarray:
+    """Bloch planes of a (B, 2) batch of unit vectors."""
+    return bloch_planes(v[:, :, None] * v.conj()[:, None, :])
+
+
+def flat(rec: CoolingRecord) -> np.ndarray:
+    return np.concatenate([rec.energies.ravel(), rec.instruction_energies.ravel(), rec.trajectory.ravel()])
+
+
+def eigenbasis_chain(h, psi, s, mode):
+    """The exact chain of step durations ``s`` from ``psi`` under any H, run
+    by _exact_steps in H's eigenbasis, as descent_bound_residual runs its one
+    step: the k + 1 energies, and the (k + 1, d) states in that basis."""
+    w, v = h.eig
+    psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d)
+    vecs = np.array([psi0, *dbac._exact_steps(psi0, np.asarray(s, dtype=float)[:, None], w, mode)])[:, 0]
+    return (vecs * vecs.conj()).real @ w, vecs
+
+
+def trotter(rho, sigma, t: float, m: int) -> np.ndarray:
+    """The final state of one M-step Trotter circuit, as a matrix."""
+    planes = dme.partial_swap_power(bloch_planes(sigma), bloch_planes(rho), dme.swap_coefficients(t / m), m)
+    return dme.density_matrices(planes)
+
+
+@contextlib.contextmanager
+def recording(module, name: str):
+    """The (arguments, result) of every call of ``module.name`` while active,
+    array arguments copied as they were passed."""
+    calls, real = [], getattr(module, name)
+
+    def record(*args):
+        calls.append((tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args), real(*args)))
+        return calls[-1][1]
+
+    setattr(module, name, record)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, real)
+
+
+def pair(seed: int, kind: str = "random", **rest) -> dict:
+    """A (rho, sigma) pair of qubit states, random unless ``kind`` says otherwise, and ``rest``."""
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_density(rng), random_density(rng)
+    if kind == "pure":
+        rho = density(PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)))
+    elif kind == "maximally mixed":
+        rho = np.eye(2, dtype=complex) / 2
+    elif kind == "sigma = rho":
+        sigma = rho
+    elif kind == "ground and plus":
+        rho, sigma = GROUND, PLUS
+    return dict(rho=rho, sigma=sigma, **rest)
+
+
+def _one_exact_step(theta, t):
+    (psi,) = dbac._exact_steps(dbac._rx_init(np.array([theta])), np.array([[t]]), W, "chain")
+    return np.append(psi[0], np.abs(psi[0]) ** 2 @ W)
+
+
+def _dense_step(theta, t):
+    out = dbac_step_exact(qubit(theta), t, H)
+    return np.append(out.amplitudes, energy(out, H))
+
+
+def chain_args(seed: int, kind: str, k: int, exact: bool, mode: str) -> dict:
+    """A schedule of k random durations, and a random state of a qubit under
+    -Z, or of two qubits under a random H or U diag(-1, -1, 0, 2) U^dag."""
+    rng = np.random.default_rng(seed)
+    if kind == "1q":
+        h = H
+    elif kind == "2q":
+        h = random_hamiltonian(rng, 4)
+    else:
+        u = random_unitary(rng, 4)
+        h = HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T)
+    psi = PureState.from_vector(random_state(rng, h.matrix.shape[0]))
+    s = tuple(rng.uniform(0.1, 2.0, size=k))
+    return dict(h=h, psi=psi, schedule=DbacSchedule(s=s, m=None if exact else (2,) * k, recursion=mode))
+
+
+def _recursive_exact(h, psi, schedule):
+    if psi.num_qubits > 1:
+        return eigenbasis_chain(h, psi, schedule.s, schedule.recursion)[0]
+    rec = dbac.dbac_recursive_exact(psi, schedule)
+    return np.append(rec.energies, rec.trajectory)
+
+
+def descent_args(seed: int, dim: int, s) -> dict:
+    rng = np.random.default_rng(seed)
+    return dict(h=random_hamiltonian(rng, dim), psi=PureState.from_vector(random_state(rng, dim)), s=np.array(s))
+
+
+def record_args(seed: int, exact: bool, k: int, mode: str, noise) -> dict:
+    """A run of either record engine, of k random step sizes: an exact chain
+    from a random qubit, or a DME run from 1 to 5 random angles."""
+    rng = np.random.default_rng(seed)
+    s = tuple(rng.uniform(0.1, 2.0, size=k))
+    if exact:
+        psi = PureState.from_vector(random_state(rng, 2))
+        return dict(thetas=None, psi=psi, schedule=DbacSchedule(s=s, recursion=mode))
+    schedule = DbacSchedule(s=s, m=tuple(int(mj) for mj in rng.integers(1, 5, size=k)), recursion=mode)
+    thetas = rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6)))
+    return dict(thetas=thetas, psi=None, schedule=schedule, noise=noise and tomography.NoiseModel(*noise))
+
+
+def _record(thetas, psi, schedule, noise=None):
+    exact = thetas is None
+    return flat(dbac.dbac_recursive_exact(psi, schedule) if exact else dbac.dbac_via_dme(thetas, schedule, noise))
+
+
+def _records_of_checked_states(thetas, psi, schedule, noise=None):
+    with recording(dbac, "check_pure" if thetas is None else "check_bloch") as calls:
+        _record(thetas, psi, schedule, noise)
+    ((arg,), _), *_ = calls
+    if thetas is None:  # (k + 1, 1, 2) vectors
+        return flat(records(arg[..., :, None] * arg.conj()[..., None, :]))
+    mats = dme.density_matrices(arg)  # of (3, k + 1 + n, B) planes
+    return flat(records(mats[: schedule.k + 1], mats[schedule.k + 1 :], thetas.shape))
+
+
+@st.composite
+def schedules(draw, max_steps: int = 39, max_k: int = 8):
+    """DME schedules of 1 to ``max_k`` steps, each its own duration and depth, at most ``max_steps`` swaps."""
+    k = draw(st.integers(1, max_k))
+    m = draw(st.lists(st.integers(1, max(1, max_steps // k)), min_size=k, max_size=k))
+    s = draw(st.lists(st.floats(0.05, 1.5), min_size=k, max_size=k))
+    return DbacSchedule(s=tuple(s), m=tuple(m), recursion=draw(MODES))
+
+
+def _via_dme(thetas, schedule, noise):
+    rec = dbac.dbac_via_dme(thetas, schedule, noise)
+    return np.concatenate([rec.energies.ravel(), rec.instruction_energies.ravel(), rec.trajectory[:, -1].ravel()])
+
+
+def _dme_chain_records(thetas, schedule, noise):
+    energies, instr, last = [], [], []
+    for theta in thetas:
+        rho0 = density(qubit(theta))
+        outs, margs = dme_chain(rho0, H.matrix, schedule.s, schedule.m, schedule.recursion, noise)
+        energies.append([np.trace(H.matrix @ rho).real for rho in [rho0, *outs]])
+        instr.append([np.trace(H.matrix @ rho).real for rho in margs])
+        last.append(pauli_expectations(outs[-1]))
+    return np.concatenate([np.ravel(energies), np.ravel(instr), np.ravel(last)])
+
+
+def bloch_steps_args(seed: int, km: tuple, per_entry: bool, mode: str, noise) -> dict:
+    """Two random states, k random steps of M copies each, of one duration
+    for both or one each, under a random diagonal H."""
+    (k, m), rng = km, np.random.default_rng(seed)
+    w, rho0 = np.sort(rng.normal(size=2)), np.array([random_density(rng) for _ in range(2)])
+    steps = rng.uniform(0.05, 1.5, size=(k, 2 if per_entry else 1))
+    return dict(w=w, rho0=rho0, steps=steps, m=m, mode=mode, noise=noise and tomography.NoiseModel(*noise))
+
+
+def _bloch_steps(w, rho0, steps, m, mode, noise):
+    outs, margs = [], []
+    tables = [dbac._step_table(t, m, w) for t in steps]
+    for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise):
+        outs.append(out)
+        margs.extend(step_margs)
+    return dme.density_matrices(np.stack(outs + margs, axis=1))  # (k + k M, B, 2, 2)
+
+
+def _dme_chains(w, rho0, steps, m, mode, noise):
+    steps = np.broadcast_to(steps, (len(steps), len(rho0)))
+    chains = [dme_chain(rho, np.diag(w), steps[:, b], [m] * len(steps), mode, noise) for b, rho in enumerate(rho0)]
+    return np.stack([np.concatenate(chain) for chain in chains], axis=1)
+
+
+def reflector_args(seed: int, k: int, mode: str) -> dict:
+    """12 random angles, each with its own step size: four negative, four in
+    (0, pi] and four above pi; and the initial states perturbed by 1e-15 in phase."""
+    rng = np.random.default_rng(seed)
+    psi0 = dbac._rx_init(rng.uniform(0.0, np.pi, 12))
+    s = np.concatenate([rng.uniform(-2 * np.pi, 0.0, 4), rng.uniform(1e-3, np.pi, 4), rng.uniform(np.pi, 3 * np.pi, 4)])
+    return dict(psi0=psi0, nearby=psi0 * np.exp(1e-15j * rng.normal(size=psi0.shape)), steps=s, k=k, mode=mode)
+
+
+def _exact_planes(psi0, steps, k, mode):
+    """The (k, 3, B) Bloch planes of every state of _exact_steps' chains."""
+    chains = dbac._exact_steps(psi0, np.broadcast_to(steps, (k, steps.size)), W, mode)
+    return np.array([pure_planes(out) for out in chains])
+
+
+def _well_conditioned_z(psi0, nearby, steps, k, mode):
+    want = _exact_planes(psi0, steps, k, mode)
+    moved = np.abs(_exact_planes(nearby, steps, k, mode) - want).max(axis=(0, 1))
+    return np.where(moved <= tol("_exact_steps perturbed", "_exact_steps"), want[-1, 2], np.nan)
+
+
+@st.composite
+def search_args(draw) -> dict:
+    """A step-size search from one angle, near 0 and pi too: exact reflectors
+    up to k = 20 when chained, k M <= 16 otherwise."""
+    exact, mode, (k, m) = draw(st.booleans()), draw(MODES), draw(depths(16, 16))
+    k = draw(st.integers(1, 20)) if exact and mode == "chain" else k
+    s_values = draw(st.lists(STEPS, min_size=1, max_size=4))
+    return dict(theta=draw(NEAR_ENDS), k=k, m=None if exact else m, s_values=s_values, mode=mode)
+
+
+def _simulated_fidelities(theta, k, m, s_values, mode):
+    """The record engines' final ground fidelities; NaN for an exact fresh
+    chain that moves by more than the CHAOTIC cutoff when rerun from initial
+    phases perturbed by 1e-15."""
+    out = []
+    for s in s_values:
+        schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
+        rec = dbac.dbac_recursive_exact(qubit(theta), schedule) if m is None else dbac.dbac_via_dme(theta, schedule)
+        out.append((1.0 - rec.energies[-1]) / 2.0)
+        if m is None and mode == "fresh":
+            nearby = PureState(qubit(theta).amplitudes * np.exp(1e-15j * np.array([1.0, -1.0])))
+            moved = np.abs(dbac.dbac_recursive_exact(nearby, schedule).trajectory - rec.trajectory).max()
+            out[-1] = np.nan if moved > tol("_exact_steps perturbed", "_exact_steps") else out[-1]
+    return out
+
+
+def pass_args(seed: int, k: int, m, mode: str, with_counts: bool, special) -> dict:
+    """Angles, some of them special, and seven step sizes, 0 and -0 among
+    them, where the swap's operands are (1, 0, 0); with or without counts."""
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([special, rng.uniform(-2 * np.pi, 2 * np.pi, 4)])
+    table = dbac._step_table(np.tile(np.concatenate([[0.0, -0.0], rng.uniform(-np.pi, np.pi, 5)]), thetas.size), m, W)
+    counts = rng.multinomial(table.cos_phi.size - thetas.size, np.ones(thetas.size) / thetas.size) + 1
+    return dict(thetas=thetas, k=k, table=table, mode=mode, counts=counts if with_counts else None)
+
+
+PASSES = dict(seed=SEEDS, k=st.integers(1, 6), with_counts=st.booleans(),
+              special=st.lists(st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]), max_size=3))
+
+
+def swap_args(seed: int, batch: int, form: str, special=()) -> dict:
+    """Random instruction and data states with random swap angles, the first
+    ones replaced by ``special``: a batch of each, one pair of matrices, one
+    instruction against a batch, or a batch at one angle."""
+    rng = np.random.default_rng(seed)
+    instr, sig = (np.array([random_density(rng) for _ in range(batch)]) for _ in range(2))
+    deltas = rng.uniform(-np.pi, np.pi, batch)
+    deltas[: len(special)] = special[:batch]
+    if form == "one pair":
+        instr, sig, deltas = instr[0], sig[0], deltas[0]
+    elif form == "one instruction":
+        instr = instr[0]
+    elif form == "one angle":
+        deltas = deltas[0]
+    return dict(instr=instr, sig=sig, deltas=deltas)
+
+
+def swap_marginals(instr, sig, deltas):
+    """partial_swap's output and the instruction marginal instr + sig - out,
+    as the one recording caller computes it, as matrices."""
+    ri, rs = bloch_planes(instr), bloch_planes(sig)
+    ri = ri[:, None] if ri.ndim < rs.ndim else ri
+    out = np.array(partial_swap(rs, swap_operands(ri, dme.swap_coefficients(deltas))))
+    return np.stack([dme.density_matrices(out), dme.density_matrices(ri + rs - out)])
+
+
+def _joint_marginals(instr, sig, deltas):
+    instr, deltas = np.broadcast_to(instr, sig.shape), np.broadcast_to(deltas, sig.shape[:-2])
+    pairs = [dme_step_marginals(instr[i], sig[i], deltas[i]) for i in np.ndindex(sig.shape[:-2])]
+    return np.stack([np.reshape([p[j] for p in pairs], sig.shape) for j in (0, 1)])
+
+
+def power_args(seed: int, m: int, p2: float, length: float, antiparallel: bool, per_entry: bool) -> dict:
+    """Four random data planes, instruction planes of one length (antiparallel
+    to the data's, or random), depolarizing 1 - p2, and one random exponent each."""
+    rng = np.random.default_rng(seed)
+    sig = bloch_planes(np.array([random_density(rng) for _ in range(4)]))
+    instr = -sig if antiparallel else bloch_planes(np.array([random_density(rng) for _ in range(4)]))
+    instr = instr * (length / np.linalg.norm(instr, axis=0))
+    coeffs = dme.swap_coefficients(rng.uniform(-np.pi, np.pi, 4 if per_entry else 1))
+    return dict(sig=sig, instr=instr, coeffs=coeffs, m=m, q=1.0 - p2, exponents=rng.integers(1, m + 1, 4))
+
+
+def _powers(sig, instr, coeffs, m, q, exponents):
+    copies = dme.partial_swap_power(sig, instr, coeffs, np.arange(1, m + 1).reshape(-1, 1, 1), q)
+    return np.concatenate([copies.ravel(), dme.partial_swap_power(sig, instr, coeffs, exponents, q).ravel()])
+
+
+def _swap_loop(sig, instr, coeffs, m, q, exponents):
+    want, step = [sig], swap_operands(instr, coeffs)
+    for _ in range(m):
+        want.append(q * np.array(partial_swap(want[-1], step)))
+    return np.concatenate([np.ravel(want[1:]), np.array(want)[exponents, :, np.arange(4)].T.ravel()])
+
+
+def swap_point_args(seed: int, batch: int, copies: int) -> dict:
+    rng = np.random.default_rng(seed)
+    instr, sig = (bloch_planes(np.array([random_density(rng) for _ in range(batch)])) for _ in range(2))
+    instr[:, 0] = 0.0
+    return dict(instr=instr, sig=sig, copies=copies)
+
+
+def _at_swap_point(instr, sig, copies):
+    coeffs = dme.swap_coefficients(np.pi / 2)
+    power = dme.partial_swap_power(sig, instr, coeffs, np.arange(1, copies + 1).reshape(-1, 1, 1))
+    return np.concatenate([power.ravel(), np.ravel(partial_swap(sig, swap_operands(instr, coeffs)))])
+
+
+def _dme_reference(rho, sigma, t):
+    """dme_errors' one partial_swap call, its M -> infinity reference."""
+    with recording(dme, "partial_swap") as calls:
+        dme.dme_errors(rho, sigma, t, [1, 7])
+    ((_, ref),) = calls
+    return ref
+
+
+def scaled_error(rho, sigma, t: float, m: int) -> float:
+    """M times dme_errors' error at depth M."""
+    return m * float(dme.dme_errors(rho, sigma, t, [m])[0])
+
+
+def hamiltonian_args(seed: int, dim: int, **rest) -> dict:
+    return dict(h=random_hamiltonian(np.random.default_rng(seed), dim), **rest)
+
+
+def synthesis_args(seed: int, n: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return dict(h=random_hamiltonian(rng, 2**n), s=rng.uniform(0.01, 0.3, size=3))
+
+
+def _synthesized_energy(h, s):
+    w = synthesize_uk(h, s)[:, 0]
+    return np.vdot(w, h.matrix @ w).real
+
+
+def ite_args(seed: int, dim: int, theta: float, s: float) -> dict:
+    """A step size s, and R_X(theta)|0> under -Z, or a random state under a
+    random H of ``dim`` with eigenvalues in [-1, 1], as -Z's."""
+    if dim == 2:
+        return dict(h=H, psi=qubit(theta), s=s)
+    rng = np.random.default_rng(seed)
+    h = random_hamiltonian(rng, dim)
+    psi = PureState.from_vector(random_state(rng, dim))
+    return dict(h=HamiltonianSpec(h.matrix / np.abs(h.eig[0]).max()), psi=psi, s=s)
+
+
+def _layout_simulated(which, theta, phi):
+    _, _, swaps, stages = LAYOUTS[which]
+    return dbac.dbac_via_dme(theta, DbacSchedule.uniform(len(stages), swaps * phi, m=swaps)).energies[-1]
+
+
+@st.composite
+def embed_args(draw) -> dict:
+    """A random gate, or a stack of 1 to 3, on any ordered qubits of 1 to 5."""
+    n = draw(st.integers(1, 5))
+    qubits = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    return embedding(draw(SEEDS), n, qubits, draw(st.sampled_from([None, 1, 2, 3])))
+
+
+def embedding(seed: int, n: int, qubits: tuple, stack) -> dict:
+    dim = 2 ** len(qubits)
+    shape = (dim, dim) if stack is None else (stack, dim, dim)
+    rng = np.random.default_rng(seed)
+    return dict(gate=rng.normal(size=shape) + 1j * rng.normal(size=shape), qubits=qubits, n=n)
+
+
+def _embedded_by_index(gate, qubits, n):
+    each = [embed_gate_by_index(g, qubits, n) for g in gate.reshape((-1,) + gate.shape[-2:])]
+    return np.reshape(each, gate.shape[:-2] + (2**n, 2**n))
+
+
+@st.composite
+def noise_models(draw):
+    """Depolarizing, damping with and without dephasing (t2 < 2 t1), or all:
+    these T1 put 2q-gate damping between dt/T1 = 0.04 and 1, and the channel
+    depends on the gate times only through dt/T1 and dt/T2."""
+    probs, t1 = st.floats(0.0, 0.2), draw(st.floats(0.1, 2.5))
+    t2 = t1 * draw(st.floats(0.2, 1.9))
+    kind = draw(st.sampled_from([dict(p1=probs), dict(p2=probs), dict(t1_us=st.just(t1)),
+                                 dict(t1_us=st.just(t1), t2_us=st.just(t2)),
+                                 dict(p1=probs, p2=probs, t1_us=st.just(t1), t2_us=st.just(t2))]))
+    return tomography.NoiseModel(**draw(st.fixed_dictionaries(kind)))
+
+
+@st.composite
+def circuit_batches(draw, max_qubits: int = 2, max_size: int = 4):
+    """One to ``max_size`` circuits on one register of 1 to ``max_qubits``
+    qubits, and an empty one: gates of every kind at drawn angles, and on two
+    or more qubits compiled native and H/S partial swaps, cz, cnot, swap3 (on
+    wires 0 and 1) and the cooling layout of that register size."""
+    n = draw(st.integers(1, max_qubits))
+    kinds = [k for k in circuits.GATE_KINDS if n > 1 or k != "RZZ"]
+
+    def gates():
+        out = []
+        for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+            qubits = tuple(draw(st.permutations(range(n)))[:2]) if kind == "RZZ" else (draw(st.integers(0, n - 1)),)
+            out.append(circuits.Gate(kind, (draw(ANGLES),) if kind in ("RX", "RY", "RZ", "RZZ") else (), qubits))
+        return circuits.Circuit(n, tuple(out))
+
+    compiled = [
+        lambda: circuits.compile_udme_native(draw(ANGLES)),
+        lambda: circuits.compile_udme_hs(draw(ANGLES)),
+        circuits.compile_cz,
+        circuits.compile_cnot,
+        circuits.compile_swap3,
+        lambda: build_circuit("ABC"[n - 2], draw(ANGLES), draw(ANGLES)),  # the layout on n wires
+    ]
+    makers = st.sampled_from([gates, *compiled] if n > 1 else [gates])
+    batch = [circuits.Circuit(n, make().gates) for make in draw(st.lists(makers, min_size=1, max_size=max_size))]
+    batch.insert(draw(st.integers(0, len(batch))), circuits.Circuit(n, ()))
+    return batch
+
+
+def _ptms(batch, noises):
+    return np.array([[p.r for p in ptms] for ptms in tomography.ptm_of_circuits(batch, noises)])
+
+
+def _dense_ptms(batch, noises):
+    return np.array([[ptm_of_channel(dense_channel(c, noise), c.num_qubits).r for c in batch] for noise in noises])
+
+
+def kraus_args(seed: int, n: int, count: int) -> dict:
+    """The Kraus operators of a random channel: blocks of a random isometry."""
+    d = 2**n
+    return dict(kraus=random_unitary(np.random.default_rng(seed), d * count)[:, :d].reshape(count, d, d), n=n)
+
+
+def density_stack(seed: int, batch) -> dict:
+    """One random qubit state, or a stack of ``batch``."""
+    rng = np.random.default_rng(seed)
+    rho = np.array([random_density(rng) for _ in range(batch or 1)])
+    return dict(rho=rho[0] if batch is None else rho)
+
+
+def hbac_rounds(step, eps, bath, rounds: int) -> list:
+    """Target polarizations of ``rounds`` rounds: the first compresses three
+    qubits at ``eps``, each later one the target and two qubits reset to ``bath``."""
+    out = [step(*eps)]
+    for _ in range(rounds - 1):
+        out.append(step(out[-1], bath, bath))
+    return out
+
+
+def _expm_swaps(phis):
+    return np.array([expm(SWAP, -1j * phi) for phi in phis])
+
+
+def _args(**strategies):
+    return st.fixed_dictionaries(strategies)
+
+
+QUBITS = _args(theta=st.floats(0.0, np.pi), phase=st.floats(0.0, 2 * np.pi), t=st.floats(-2 * np.pi, 2 * np.pi))
+PAIRS = dict(seed=SEEDS, kind=st.sampled_from(["random", "ground and plus"]), t=st.floats(-2, 2) | st.just(np.pi / 4))
+DIMS = st.sampled_from([2, 4, 8])
+REFLECTORS = st.builds(reflector_args, seed=SEEDS, k=st.integers(1, 200), mode=MODES)
+
+# (program path, oracle): its row, whose tolerance bounds the row's measure,
+# absolute unless the row and its reason say otherwise; a path named with a
+# qualifier is that path in one regime
+TOLERANCES = {
+    ("_exact_steps", "dbac_step_exact"): Row(
+        1e-12, ORDER, _args(theta=st.floats(0.0, np.pi), t=ANGLES), _one_exact_step, _dense_step
+    ),
+    ("dbac_energy_analytic", "dbac_step_exact"): Row(
+        1e-10, ORDER, QUBITS, lambda theta, phase, t: dbac.dbac_energy_analytic(-np.cos(theta), t),
+        lambda theta, phase, t: energy(dbac_step_exact(qubit(theta, phase), t), H),
+    ),
+    ("dbac_recursive_exact", "dbac_step_exact"): Row(
+        1e-13, ORDER, QUBITS,
+        lambda theta, phase, t: dbac.dbac_recursive_exact(qubit(theta, phase), DbacSchedule.uniform(1, t)).energies[-1],
+        lambda theta, phase, t: energy(dbac_step_exact(qubit(theta, phase), t), H),
+    ),
+    ("dbac_recursive_exact", "recursive_exact"): Row(
+        1e-12, ORDER,
+        st.builds(chain_args, seed=SEEDS, kind=st.sampled_from(["1q", "2q", "2q-degenerate"]), k=st.integers(1, 6),
+                  exact=st.booleans(), mode=MODES),
+        _recursive_exact, lambda h, psi, schedule: np.append(*recursive_exact(psi, schedule, h)),
+    ),
+    ("descent_bound_residual", "dense_descent_bound_residual"): Row(
+        1e-13, CANCELLED,
+        st.builds(descent_args, seed=SEEDS, dim=DIMS, s=st.lists(st.floats(1e-6, 0.1), min_size=1, max_size=4)),
+        dbac.descent_bound_residual, lambda h, psi, s: [dense_descent_bound_residual(h, psi, sj) for sj in s],
+        per_inverse_s2,
+    ),
+    ("_records", "records"): Row(
+        1e-14, ORDER,
+        st.builds(record_args, seed=SEEDS, exact=st.booleans(), k=st.integers(1, 4), mode=MODES, noise=NOISES),
+        _record, _records_of_checked_states,
+    ),
+    ("dbac_via_dme", "dme_chain"): Row(
+        1e-12, RENORMALIZED,
+        _args(thetas=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=4).map(np.array), schedule=schedules(),
+              noise=st.none() | st.builds(tomography.NoiseModel, p1=st.sampled_from([0.0, 1e-3, 0.02]),
+                                          p2=st.just(0.0) | st.floats(1e-4, 0.1))),
+        _via_dme, _dme_chain_records, draws=60,
+    ),
+    ("_bloch_steps", "dme_chain"): Row(
+        1e-12, RENORMALIZED,
+        st.builds(bloch_steps_args, seed=SEEDS, km=depths(200, 40), per_entry=st.booleans(), mode=MODES, noise=NOISES),
+        _bloch_steps, _dme_chains, draws=25,
+    ),
+    ("_search_pass_z exact", "_exact_steps"): Row(
+        1e-11, COMPOUNDED + "; compared up to the CHAOTIC cutoff", REFLECTORS,
+        lambda psi0, nearby, steps, k, mode: dbac._search_pass_z(
+            pure_planes(psi0), k, dbac._step_table(steps, None, W), mode
+        ),
+        _well_conditioned_z, up_to_cutoff,
+    ),
+    ("_exact_steps perturbed", "_exact_steps"): Row(
+        1e-13, CHAOTIC + "; at least 3 of the 12 chains of a draw stay within it", REFLECTORS,
+        lambda psi0, nearby, steps, k, mode: _exact_planes(nearby, steps, k, mode),
+        lambda psi0, nearby, steps, k, mode: _exact_planes(psi0, steps, k, mode), third_closest,
+    ),
+    ("final_fidelities_over_s", "tiled_table_fidelities"): Row(
+        0.0, EXACT,
+        _args(theta=st.floats(0.0, np.pi) | st.lists(st.floats(0.0, np.pi), min_size=1, max_size=6).map(np.array),
+              k=st.integers(1, 6), m=st.none() | st.integers(1, 8), s_values=st.lists(STEPS, min_size=1, max_size=12),
+              mode=MODES),
+        dbac.final_fidelities_over_s, tiled_table_fidelities, draws=60,
+    ),
+    ("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact"): Row(
+        1e-12, SEARCHED, search_args(), dbac.final_fidelities_over_s, _simulated_fidelities, up_to_cutoff,
+        examples=[dict(theta=5.96e-8, k=15, m=None, s_values=[2.058], mode="chain")], draws=100,
+    ),
+    ("_final_energies", "search_loop"): Row(
+        0.0, SAME_OPS, st.builds(pass_args, m=st.integers(1, 8), mode=MODES, **PASSES),
+        dbac._final_energies, search_loop, signed, draws=60,
+    ),
+    ("_final_energies exact fresh", "search_exact_loop"): Row(
+        0.0, SAME_OPS, st.builds(pass_args, m=st.none(), mode=st.just("fresh"), **PASSES),
+        dbac._final_energies, lambda thetas, k, table, mode, counts: search_exact_loop(thetas, k, table, counts),
+        signed, draws=40,
+    ),
+    ("_rx_planes", "bloch_planes of _rx_init"): Row(
+        0.0, SPLIT,
+        _args(thetas=st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, np.pi, -np.pi]), min_size=1,
+                              max_size=8).map(np.array)),
+        dbac._rx_planes, lambda thetas: pure_planes(dbac._rx_init(thetas)), signed, draws=60,
+    ),
+    ("basin_min_fidelity", "plain_basin"): Row(
+        0.0, EXACT,
+        _args(k=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 4, None]), mode=MODES,
+              f_target=st.floats(0.01, 0.99) | st.floats(1e-12, 1e-6) | st.floats(1 - 1e-9, 1 - 1e-15)),
+        lambda k, m, mode, f_target: dbac.basin_min_fidelity(k, m, f_target, mode), plain_basin, draws=60,
+    ),
+    ("_midpoints", "midpoints"): Row(
+        0.0, EXACT,
+        _args(lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0) | st.floats(0.0, 1e-3), levels=st.integers(0, 4)),
+        lambda lo, width, levels: dbac._midpoints(lo, min(lo + width, 1.0), levels),
+        lambda lo, width, levels: midpoints(lo, min(lo + width, 1.0), levels), draws=60,
+    ),
+    ("partial_swap", "dme_step_exact"): Row(
+        1e-12, ORDER,
+        st.builds(swap_args, seed=SEEDS, batch=st.integers(1, 8),
+                  form=st.sampled_from(["batch", "one pair", "one instruction", "one angle"]),
+                  special=st.lists(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]), max_size=2)),
+        swap_marginals, _joint_marginals, draws=40,
+    ),
+    ("partial_swap_power", "partial_swap loop"): Row(
+        1e-13, ORDER,
+        st.builds(power_args, seed=SEEDS, m=st.integers(1, 64), p2=st.floats(0.0, 0.1), length=st.floats(0.0, 1.0),
+                  antiparallel=st.booleans(), per_entry=st.booleans()),
+        _powers, _swap_loop, draws=40,
+    ),
+    ("partial swaps at the swap point", "the instruction"): Row(
+        1e-15, ORDER, st.builds(swap_point_args, seed=SEEDS, batch=st.integers(1, 6), copies=st.integers(1, 8)),
+        _at_swap_point, lambda instr, sig, copies: np.concatenate([np.tile(instr.ravel(), copies), instr.ravel()]),
+    ),
+    ("partial_swap_power one copy", "dme_step_exact"): Row(
+        1e-14, ORDER, st.builds(pair, seed=SEEDS, t=st.floats(-2.0, 2.0)),
+        lambda rho, sigma, t: trotter(rho, sigma, t, 1), lambda rho, sigma, t: dme_step_exact(rho, sigma, t).matrix,
+    ),
+    ("partial_swap_power", "trotter_state"): Row(
+        1e-12, ORDER, st.builds(pair, seed=SEEDS, t=st.floats(-2.0, 2.0), m=st.integers(1, 64)), trotter, trotter_state,
+        draws=40,
+    ),
+    ("dme_errors", "dme_error"): Row(
+        1e-13, ORDER, st.builds(pair, **PAIRS, ms=st.lists(st.integers(1, 64), min_size=1, max_size=8)),
+        dme.dme_errors, lambda rho, sigma, t, ms: [dme_error(rho, sigma, t, m) for m in ms], draws=12,
+    ),
+    ("dme_errors deep", "dme_error"): Row(
+        1e-12, COMPOUNDED, st.builds(pair, **PAIRS, ms=st.integers(65, 1000).map(lambda m: [m])),
+        dme.dme_errors, lambda rho, sigma, t, ms: [dme_error(rho, sigma, t, m) for m in ms], draws=4,
+    ),
+    ("dme_errors 10^6", "dme_errors 10^9"): Row(
+        # at t = 0.1 the 10^9 error keeps only 4 to 5 digits (CHANGES.md, FOUND)
+        1e-5, LAW, st.builds(pair, seed=SEEDS, t=st.just(0.9)),
+        lambda rho, sigma, t: scaled_error(rho, sigma, t, 10**6),
+        lambda rho, sigma, t: scaled_error(rho, sigma, t, 10**9), relative,
+    ),
+    ("dme_errors 4096", "dme_errors 10^9"): Row(
+        1e-3, LAW, st.builds(pair, seed=SEEDS, t=st.floats(0.1, 2.0)),
+        lambda rho, sigma, t: scaled_error(rho, sigma, t, 4096),
+        lambda rho, sigma, t: scaled_error(rho, sigma, t, 10**9), relative,
+    ),
+    ("dme_errors reference", "exact_conjugation"): Row(
+        1e-14, ORDER,
+        st.builds(pair, seed=SEEDS, kind=st.sampled_from(["random", "pure", "maximally mixed", "sigma = rho"]),
+                  t=st.floats(-10.0, 10.0)),
+        _dme_reference, lambda rho, sigma, t: pauli_expectations(exact_conjugation(rho, sigma, t)), draws=40,
+    ),
+    ("HamiltonianSpec.eig", "expm_series"): Row(
+        1e-12, SQUARED,
+        st.builds(hamiltonian_args, seed=SEEDS, dim=DIMS,
+                  scale=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+        expm, lambda h, scale: expm_series(h.matrix, scale), to_largest,
+    ),
+    ("dbac_recursive_exact chain", "synthesize_uk"): Row(
+        1e-12, SYNTHESIZED, st.builds(synthesis_args, seed=SEEDS, n=st.integers(1, 3)),
+        lambda h, s: eigenbasis_chain(h, basis(0, len(h.matrix).bit_length() - 1), np.sqrt(s), "chain")[0][-1],
+        _synthesized_energy,
+    ),
+    ("dbac_recursive_exact one step", "ite_evolve"): Row(
+        3.0, IMAGINARY,
+        st.builds(ite_args, seed=SEEDS, dim=DIMS, theta=st.floats(0.0, np.pi), s=st.floats(1e-3, 1e-2)),
+        lambda h, psi, s: eigenbasis_chain(h, psi, [np.sqrt(s)], "chain")[0][-1],
+        lambda h, psi, s: energy(ite_evolve(psi, s, h), h), per_s2,
+    ),
+    ("dbac_via_dme", "layout_energy"): Row(
+        1e-12, ORDER, _args(which=st.sampled_from("ABC"), theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi)),
+        _layout_simulated, layout_energy,
+    ),
+    ("circuit_unitaries", "loop_unitary"): Row(
+        0.0, EXACT, _args(batch=circuit_batches(max_qubits=4, max_size=8)),
+        lambda batch: circuits.circuit_unitaries(batch), lambda batch: [loop_unitary(c) for c in batch], draws=60,
+    ),
+    ("embed_gate", "embed_gate_by_index"): Row(
+        1e-14, ORDER, embed_args(), qmath.embed_gate, _embedded_by_index, draws=40
+    ),
+    ("ptm_of_circuits", "dense_channel"): Row(
+        1e-12, ORDER,
+        _args(batch=circuit_batches(), noises=st.lists(st.none() | noise_models(), min_size=1, max_size=3)),
+        _ptms, _dense_ptms,
+    ),
+    ("ptm_of_circuits", "ptm_of_channel"): Row(
+        1e-12, ORDER, _args(phi=ANGLES),
+        lambda phi: _ptms([circuits.compile_udme_native(phi), circuits.compile_udme_hs(phi)], [None])[0],
+        lambda phi: [ptm_of_channel(unitary_channel(expm(SWAP, -1j * phi)), 2).r] * 2,
+    ),
+    ("_transfer", "ptm_of_channel"): Row(
+        1e-12, ORDER, st.builds(kraus_args, seed=SEEDS, n=st.integers(1, 2), count=st.integers(1, 4)),
+        lambda kraus, n: tomography._transfer(kraus, n).sum(axis=0),
+        lambda kraus, n: ptm_of_channel(lambda rho: apply_kraus(rho, kraus), n).r,
+    ),
+    ("bloch_planes", "pauli_expectations"): Row(
+        1e-15, ORDER, st.builds(density_stack, seed=SEEDS, batch=st.none() | st.integers(1, 20)), bloch_planes,
+        lambda rho: np.transpose([pauli_expectations(m) for m in rho.reshape(-1, 2, 2)]).reshape((3,) + rho.shape[:-2]),
+    ),
+    ("hbac_round_closed", "hbac_round_dense"): Row(
+        1e-15, ORDER,
+        _args(eps=st.tuples(*[POLARIZATIONS] * 3), bath=POLARIZATIONS, rounds=st.integers(1, 12)),
+        lambda **args: hbac_rounds(hbac_round_closed, **args), lambda **args: hbac_rounds(hbac_round_dense, **args),
+        draws=100,
+    ),
+    ("hbac steady state", "hbac_round_dense"): Row(
+        1e-12, ORDER, _args(bath=POLARIZATIONS),
+        lambda bath: 2 * bath / (1 + bath * bath),
+        lambda bath: hbac_round_dense(2 * bath / (1 + bath * bath), bath, bath), draws=100,
+    ),
+    ("partial_swap_unitaries", "expm"): Row(
+        1e-15, CLOSED, _args(phis=SWAP_ANGLES), circuits.partial_swap_unitaries, _expm_swaps
+    ),
+    ("partial_swap_ptms", "_transfer of expm"): Row(
+        1e-15, CLOSED, _args(phis=SWAP_ANGLES), lambda phis: [p.r for p in tomography.partial_swap_ptms(phis)],
+        lambda phis: tomography._transfer(_expm_swaps(phis), 2),
+    ),
+    ("compile_udme_native and compile_udme_hs", "expm"): Row(
+        1e-13, COMPILED, _args(phi=ANGLES),
+        lambda phi: circuits.circuit_unitaries([circuits.compile_udme_native(phi), circuits.compile_udme_hs(phi)]),
+        lambda phi: _expm_swaps([phi, phi]), up_to_phase,
+    ),
+    ("compile_udme_native", "expm of the Heisenberg generator"): Row(
+        1e-13, COMPILED, _args(phi=ANGLES), lambda phi: circuits.circuit_unitaries([circuits.compile_udme_native(phi)]),
+        lambda phi: expm(HEISENBERG, -0.5j * phi)[None], up_to_phase,
+    ),
+    ("_gate_matrices RZZ", "expm"): Row(
+        1e-14, CLOSED, _args(phi=ANGLES),
+        lambda phi: circuits._gate_matrices([circuits.Gate("RZZ", (phi,), (0, 1))])[0],
+        lambda phi: expm(ZZ, -0.5j * phi),
+    ),
+}

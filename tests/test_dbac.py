@@ -20,47 +20,27 @@ from dbac_lab.dbac import (
     optimal_step,
     step_size_grid,
 )
-from dbac_lab.dme import bloch_planes, density_matrices
+from dbac_lab.dme import density_matrices
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import HamiltonianSpec, PureState, rx_init
 from dbac_lab.tomography import NoiseModel
 
-from conftest import config, config_error, counted_swaps, random_density, random_state, random_unitary
+from conftest import config, config_error, counted_swaps, random_state
 from oracles import (
-    LAYOUTS, basis, dbac_step_exact, dense_descent_bound_residual, density, dme_chain, energy, expm, fidelity,
-    ground_projector, ite_evolve, midpoints, pauli_expectations, plain_basin, records, recursive_exact, reflector,
-    search_exact_loop, search_loop, synthesize_uk, tiled_table_fidelities, agrees, tol,
+    LAYOUTS, H, basis, bloch_steps_args, chain_args, check, dbac_step_exact, depths, descent_args, eigenbasis_chain,
+    energy, expm, fidelity, ground_projector, ite_args, ite_evolve, pass_args, pins, qubit, random_hamiltonian,
+    reflector, reflector_args, synthesis_args, synthesize_uk,
 )
 
-H = HamiltonianSpec.default_single_qubit()
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
-SEEDS = st.integers(0, 2**32 - 1)
-
-
-def _depths(max_steps, max_k):
-    """(k, M) pairs with k * M <= max_steps."""
-    return st.integers(1, max_k).flatmap(
-        lambda k: st.tuples(st.just(k), st.integers(1, max(1, max_steps // k)))
-    )
+SEARCHED = ("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact")
+LAW = ("dbac_energy_analytic", "dbac_step_exact")
+CRITERION_1 = np.linspace(0.0, np.pi, 101)[[0, 1, 17, 50, 73, 99, 100]]
+LAW_GRID = np.linspace(0, np.pi, 21)
 
 
 def _best_fidelity(f0, k, m):
     """The search's best final fidelity from ground fidelity f0, as criteria 5a-5d read it."""
     return final_fidelities_over_s(np.arccos(2 * f0 - 1), k, m, step_size_grid()).max()
-
-
-def _assert_matches_oracle(thetas, schedule, noise):
-    got = dbac_via_dme(np.array(thetas), schedule, noise)
-    assert len(got.energies) == len(thetas)
-    h = H.matrix
-    for i, theta in enumerate(thetas):
-        rho0 = density(rx_init(theta))
-        outs, margs = dme_chain(rho0, h, schedule.s, schedule.m, schedule.recursion, noise)
-        energies = [np.trace(h @ rho).real for rho in [rho0, *outs]]
-        instr_energies = [np.trace(h @ rho).real for rho in margs]
-        assert np.abs(np.subtract(got.energies[i], energies)).max() < tol("dbac_via_dme", "dme_chain")
-        assert np.abs(np.subtract(got.instruction_energies[i], instr_energies)).max() < tol("dbac_via_dme", "dme_chain")
-        assert np.abs(got.trajectory[i, -1] - pauli_expectations(outs[-1])).max() < tol("dbac_via_dme", "dme_chain")
 
 
 class TestStepExact:
@@ -77,19 +57,12 @@ class TestStepExact:
         out = dbac_step_exact(rx_init(np.pi / 2), np.pi / 4)
         assert abs(energy(out, H) + np.sqrt(2) / 2) < 1e-12
 
-    def test_checks_exact_reflector_engine_on_criterion_1_grid(self):
-        # acceptance criterion 1 runs one _exact_steps step over this grid,
-        # theta-major; the dense step checks a fixed subsample of it, with
-        # theta, t in {0, pi/2, pi}
-        grid = np.linspace(0.0, np.pi, 101)
-        idx = [0, 1, 17, 50, 73, 99, 100]
-        thetas, ts = np.repeat(grid[idx], len(idx)), np.tile(grid[idx], len(idx))
-        w = H.eig[0]
-        (psi1,) = dbac._exact_steps(dbac._rx_init(thetas), ts[None], w, "chain")
-        for theta, t, got in zip(thetas, ts, psi1):
-            dense = dbac_step_exact(rx_init(theta), t, H)
-            assert np.abs(got - dense.amplitudes).max() < tol("_exact_steps", "dbac_step_exact")
-            assert abs(np.abs(got) ** 2 @ w - energy(dense, H)) < tol("_exact_steps", "dbac_step_exact")
+    # acceptance criterion 1 runs one _exact_steps step over this grid,
+    # theta-major; the dense step checks a fixed subsample of it, with theta,
+    # t in {0, pi/2, pi}
+    test_checks_exact_reflector_engine_on_criterion_1_grid = pins(
+        ("_exact_steps", "dbac_step_exact"), *(dict(theta=theta, t=t) for theta in CRITERION_1 for t in CRITERION_1)
+    )
 
 
 class TestEnergyAnalytic:
@@ -129,36 +102,17 @@ class TestEnergyAnalytic:
         with pytest.raises(ContractViolationError):
             dbac_energy_analytic(np.array(e0), np.array(t))
 
-    def test_matches_brute_force_on_grid(self):
-        worst = 0.0
-        for theta in np.linspace(0, np.pi, 21):
-            psi = rx_init(theta)
-            e0 = energy(psi, H)
-            for t in np.linspace(0, np.pi, 21):
-                e1 = energy(dbac_step_exact(psi, t), H)
-                worst = max(worst, abs(e1 - dbac_energy_analytic(e0, t)))
-        assert worst < tol("dbac_energy_analytic", "dbac_step_exact")
-
-    def test_state_independent_given_energy(self, rng):
-        # any state with the same energy steps to the same energy
-        t = 0.73
-        theta = 1.9
-        e0 = -np.cos(theta)
-        base = dbac_energy_analytic(e0, t)
-        for _ in range(10):
-            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            amp = np.array([np.cos(theta / 2), phase * np.sin(theta / 2)], dtype=complex)
-            e1 = energy(dbac_step_exact(PureState(amp), t), H)
-            assert abs(e1 - base) < tol("dbac_energy_analytic", "dbac_step_exact")
+    test_matches_brute_force_on_grid = pins(
+        LAW, *(dict(theta=theta, phase=-np.pi / 2, t=t) for theta in LAW_GRID for t in LAW_GRID)
+    )
+    # any state with the same energy steps to the same energy
+    test_state_independent_given_energy = pins(LAW, *(dict(theta=1.9, phase=p, t=0.73) for p in np.linspace(0, 6, 10)))
 
 
 class TestRecursiveExact:
-    def test_k1_reduces_to_single_step(self):
-        psi = rx_init(0.8)
-        rec = dbac_recursive_exact(psi, DbacSchedule.uniform(1, 0.6))
-        direct = dbac_step_exact(psi, 0.6)
-        assert abs(rec.energies[-1] - energy(direct, H)) < tol("dbac_recursive_exact", "dbac_step_exact")
-        assert len(rec.energies) == 2
+    test_k1_reduces_to_single_step = pins(
+        ("dbac_recursive_exact", "dbac_step_exact"), dict(theta=0.8, phase=-np.pi / 2, t=0.6)
+    )
 
     def test_small_angle_one_step_reaches_target(self):
         rec = dbac_recursive_exact(rx_init(0.2 * np.pi), DbacSchedule.uniform(1, np.pi / 4, m=1))
@@ -248,33 +202,19 @@ class TestViaDme:
 
 
 class TestViaDmeBatch:
-    THETAS = st.lists(st.floats(0.0, np.pi), min_size=1, max_size=4)
-    STEP = st.floats(0.05, 1.5)
-
-    @PROPERTY
-    @given(thetas=THETAS, km=_depths(39, 8), s=STEP, mode=st.sampled_from(RECURSION_MODES))
-    @example(thetas=[2.0], km=(4, 9), s=1.2, mode="chain")
-    def test_noiseless_matches_exact_step_oracle(self, thetas, km, s, mode):
-        k, m = km
-        _assert_matches_oracle(thetas, DbacSchedule.uniform(k, s, m=m, recursion=mode), None)
-
-    @PROPERTY
-    @given(
-        thetas=THETAS,
-        km=_depths(39, 8),
-        s=STEP,
-        mode=st.sampled_from(RECURSION_MODES),
-        p1=st.sampled_from([0.0, 1e-3, 0.02]),
-        p2=st.floats(1e-4, 0.1),
+    test_noiseless_matches_exact_step_oracle = pins(
+        ("dbac_via_dme", "dme_chain"),
+        dict(thetas=np.array([2.0]), schedule=DbacSchedule.uniform(4, 1.2, m=9), noise=None),
     )
-    def test_p2_closed_form_matches_joint_depolarize(self, thetas, km, s, mode, p1, p2):
-        k, m = km
-        schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
-        _assert_matches_oracle(thetas, schedule, NoiseModel(p1=p1, p2=p2))
+    test_p2_closed_form_matches_joint_depolarize = pins(
+        ("dbac_via_dme", "dme_chain"),
+        dict(thetas=np.array([0.0, 1.2, np.pi]), schedule=DbacSchedule(s=(0.3, 1.4), m=(7, 2), recursion="fresh"),
+             noise=NoiseModel(p1=0.02, p2=0.08)),
+    )
 
-    @PROPERTY
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        km=_depths(200, 40),
+        km=depths(200, 40),
         s=st.floats(0.3, 1.2),
         mode=st.sampled_from(RECURSION_MODES),
         noise=st.sampled_from([None, (1e-3, 0.0), (0.0, 0.02), (2e-3, 0.01)]),
@@ -387,52 +327,22 @@ class TestRecordsOracle:
     """Records are read from populations and Bloch planes; the density-matrix
     einsums they replaced are the oracle, on the states each engine checked."""
 
-    FIELDS = ("energies", "instruction_energies", "trajectory")
-
-    @staticmethod
-    def _recorded(monkeypatch, name):
-        seen = []
-        check = getattr(dbac, name)
-
-        def recording(arg):
-            seen.append(arg.copy())
-            return check(arg)
-
-        monkeypatch.setattr(dbac, name, recording)
-        return seen
-
-    def _assert_matches(self, rec, want):
-        for name in self.FIELDS:
-            got, ref = getattr(rec, name), getattr(want, name)
-            assert got.shape == ref.shape, name
-            assert ref.size == 0 or np.abs(got - ref).max() <= tol("_records", "records"), name
-
     @pytest.mark.parametrize("mode", RECURSION_MODES)
-    def test_via_dme(self, monkeypatch, mode):
+    def test_via_dme(self, mode):
         schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion=mode)
-        thetas = np.linspace(0.1, 3.0, 5)
-        seen = self._recorded(monkeypatch, "check_bloch")
-        rec = dbac_via_dme(thetas, schedule, NoiseModel(p1=1e-3, p2=1e-2))
-        mats = density_matrices(seen[0])  # (k + 1 + n, B, 2, 2)
-        self._assert_matches(rec, records(mats[:4], mats[4:], thetas.shape))
+        args = dict(thetas=np.linspace(0.1, 3.0, 5), psi=None, schedule=schedule, noise=NoiseModel(p1=1e-3, p2=1e-2))
+        check(("_records", "records"), **args)
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("mode", RECURSION_MODES)
-    def test_recursive_exact(self, rng, monkeypatch, dim, mode):
+    def test_recursive_exact(self, dim, mode):
         # a qubit's record under -Z; beyond a qubit, the energies of the exact
         # chain in the eigenbasis of a random H
-        s = (0.3, 1.1, 0.5, 2.0)
-        psi = PureState.from_vector(random_state(rng, dim))
         if dim == 2:
-            seen = self._recorded(monkeypatch, "check_pure")
-            rec = dbac_recursive_exact(psi, DbacSchedule(s=s, recursion=mode))
-            (vecs,) = seen  # (k + 1, 1, 2)
-            self._assert_matches(rec, records(vecs[..., :, None] * vecs.conj()[..., None, :]))
-            return
-        h = _random_hamiltonian(rng, dim)
-        energies, vecs = _eigenbasis_chain(h, psi, s, mode)
-        want = records(vecs[:, None, :, None] * vecs.conj()[:, None, None, :], h=h)
-        self._assert_matches(CoolingRecord(energies, np.empty((0, 3))), want)
+            schedule = DbacSchedule(s=(0.3, 1.1, 0.5, 2.0), recursion=mode)
+            check(("_records", "records"), psi=qubit(1.3, 0.4), thetas=None, schedule=schedule)
+        else:
+            check(("dbac_recursive_exact", "recursive_exact"), **chain_args(0, "2q", 4, True, mode))
 
 
 class TestSynthesizeUk:
@@ -452,7 +362,7 @@ class TestSynthesizeUk:
     def test_two_qubit_descent_from_random_start(self, rng):
         # |00> is a random start in the eigenbasis of a random H
         for _ in range(5):
-            h2 = _random_hamiltonian(rng, 4)
+            h2 = random_hamiltonian(rng, 4)
             e0 = h2.matrix[0, 0].real
             w = synthesize_uk(h2, [0.02])[:, 0]
             e1 = float(np.real(w.conj() @ h2.matrix @ w))
@@ -469,43 +379,31 @@ class TestSynthesizeUk:
         assert abs(float(np.real(w.conj() @ H.matrix @ w)) - e) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_chain_engine(self, rng, n):
+    def test_matches_chain_engine(self, n):
         # U_k |0...0> is the exact chain from |0...0> at step durations sqrt(s)
-        for _ in range(20):
-            h = _random_hamiltonian(rng, 2**n)
-            s = rng.uniform(0.01, 0.3, size=3)
-            w = synthesize_uk(h, s)[:, 0]
-            energies, _ = _eigenbasis_chain(h, basis(0, n), np.sqrt(s), "chain")
-            want = np.vdot(w, h.matrix @ w).real
-            assert abs(energies[-1] - want) < tol("dbac_recursive_exact chain", "synthesize_uk")
+        for seed in range(20):
+            check(("dbac_recursive_exact chain", "synthesize_uk"), **synthesis_args(seed, n))
 
 
 class TestImaginaryTimeOracle:
     """One exact step of duration sqrt(s) and imaginary time s agree in energy
     to O(s^2): both descend by 2 s V0 to first order."""
 
-    def _gap(self, psi, h, s):
-        """(E_step - E_ite) / s^2."""
-        e_step = _eigenbasis_chain(h, psi, [np.sqrt(s)], "chain")[0][-1]
-        return (e_step - energy(ite_evolve(psi, s, h), h)) / s**2
-
     @pytest.mark.parametrize("theta", [0.5, 1.2, 2.0, 2.8])
     def test_single_qubit_gap_is_second_order(self, theta):
         # under H = -Z the gap per s^2 tends to (1 - E0^2)(3 E0 + 5/3)
         e0 = -np.cos(theta)
         for s in (1e-2, 1e-3):
-            gap = self._gap(rx_init(theta), H, s)
-            assert abs(gap) <= tol("dbac_recursive_exact one step", "ite_evolve")
+            check(("dbac_recursive_exact one step", "ite_evolve"), **ite_args(0, 2, theta, s))
+        e_step = eigenbasis_chain(H, rx_init(theta), [np.sqrt(s)], "chain")[0][-1]
+        gap = (e_step - energy(ite_evolve(rx_init(theta), s, H), H)) / s**2
         assert abs(gap - (1 - e0**2) * (3 * e0 + 5 / 3)) < 0.02
 
     @pytest.mark.parametrize("dim", [4, 8])
-    def test_random_hamiltonians(self, rng, dim):
-        for _ in range(10):
-            h = _random_hamiltonian(rng, dim)
-            h = HamiltonianSpec(h.matrix / np.abs(h.eig[0]).max())  # eigenvalues in [-1, 1], as -Z's
-            psi = PureState.from_vector(random_state(rng, dim))
+    def test_random_hamiltonians(self, dim):
+        for seed in range(10):
             for s in (1e-2, 1e-3):
-                assert abs(self._gap(psi, h, s)) <= tol("dbac_recursive_exact one step", "ite_evolve")
+                check(("dbac_recursive_exact one step", "ite_evolve"), **ite_args(seed, dim, 0.0, s))
 
 
 class TestDescentBound:
@@ -547,21 +445,12 @@ class TestDescentBound:
             got = descent_bound_residual(H, rx_init(1.0), s)
             assert got.shape == np.shape(s) and got.dtype == float
 
-    @PROPERTY
-    @given(seed=SEEDS, dim=st.sampled_from([2, 4, 8]), s=st.lists(st.floats(1e-6, 0.1), min_size=1, max_size=4))
-    @example(seed=0, dim=8, s=[0.1, 0.01, 1e-3, 1e-6])
-    def test_engine_matches_dense_oracle(self, seed, dim, s):
+    def test_engine_matches_dense_oracle(self):
         # one engine step over every s against one dense step per s, within
         # the table's tolerance per 1/s^2; one s gives a float
-        rng = np.random.default_rng(seed)
-        h = _random_hamiltonian(rng, dim)
-        psi = PureState.from_vector(random_state(rng, dim))
-        got = descent_bound_residual(h, psi, np.array(s))
-        assert got.shape == (len(s),)
-        for sj, r in zip(s, got):
-            want = dense_descent_bound_residual(h, psi, sj)
-            assert abs(r - want) < tol("descent_bound_residual", "dense_descent_bound_residual") / sj**2
-        assert type(descent_bound_residual(h, psi, s[0])) is float
+        args = descent_args(0, 8, [0.1, 0.01, 1e-3, 1e-6])
+        check(("descent_bound_residual", "dense_descent_bound_residual"), **args)
+        assert type(descent_bound_residual(args["h"], args["psi"], 0.1)) is float
 
 
 class TestOptimalStep:
@@ -696,57 +585,14 @@ class TestScheduleValidation:
                 check_step_sizes([s])
 
 
-def _random_hamiltonian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HamiltonianSpec(0.5 * (a + a.conj().T))
-
-
-def _degenerate_hamiltonian(rng):
-    """Two-qubit H = U diag(-1, -1, 0, 2) U^dag: a two-dimensional ground space."""
-    u = random_unitary(rng, 4)
-    return HamiltonianSpec(u @ np.diag([-1.0, -1.0, 0.0, 2.0]) @ u.conj().T)
-
-
-def _eigenbasis_chain(h, psi, s, mode):
-    """The exact chain of step durations ``s`` from ``psi`` under any H, run
-    by _exact_steps in H's eigenbasis, as descent_bound_residual runs its one
-    step: the k + 1 energies, and the (k + 1, d) states in that basis."""
-    w, v = h.eig
-    psi0 = (psi.amplitudes @ v.conj())[None]  # (1, d)
-    steps = np.asarray(s, dtype=float)[:, None]
-    vecs = np.array([psi0, *dbac._exact_steps(psi0, steps, w, mode)])[:, 0]
-    return (vecs * vecs.conj()).real @ w, vecs
-
-
 class TestRecursiveExactOracle:
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     @pytest.mark.parametrize("kind", ["1q", "2q", "2q-degenerate"])
-    def test_record_matches_public_step_loop(self, rng, mode, kind):
+    def test_record_matches_public_step_loop(self, mode, kind):
         # a qubit's record under -Z; beyond a qubit, the exact chain in the
         # eigenbasis of a random H
         for trial in range(4):
-            if kind == "2q-degenerate":
-                h = _degenerate_hamiltonian(rng)
-            else:
-                h = H if kind == "1q" else _random_hamiltonian(rng, 4)
-            dim = h.matrix.shape[0]
-            psi = PureState.from_vector(random_state(rng, dim))
-            k = 1 + trial % 3 + (trial // 3) * 3
-            m = None if trial % 2 else (2,) * k
-            s = tuple(rng.uniform(0.1, 2.0, size=k))
-            schedule = DbacSchedule(s=s, m=m, recursion=mode)
-            energies, traj = recursive_exact(psi, schedule, h)
-            within = tol("dbac_recursive_exact", "recursive_exact")
-            if dim == 2:
-                rec = dbac_recursive_exact(psi, schedule)
-                got = rec.energies
-                assert len(rec.trajectory) == len(traj) == k + 1
-                assert np.abs(np.subtract(rec.trajectory, traj)).max() < within
-                assert rec.instruction_energies.size == 0
-            else:
-                got, _ = _eigenbasis_chain(h, psi, s, mode)
-                assert traj == []
-            assert np.abs(np.subtract(got, energies)).max() < within
+            check(("dbac_recursive_exact", "recursive_exact"), **chain_args(trial, kind, 1 + trial, trial % 2, mode))
 
 
 class TestSearchEngineOracle:
@@ -757,27 +603,12 @@ class TestSearchEngineOracle:
         # the ground projector of H = -Z is (I - H) / 2, so <P> = (1 - E) / 2
         assert np.array_equal(ground_projector(H), (np.eye(2) - H.matrix) / 2)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        theta=st.floats(0.0, np.pi),
-        km=_depths(16, 16),
-        exact=st.booleans(),
-        s_values=st.lists(st.floats(1e-3, np.pi), min_size=1, max_size=4),
-        mode=st.sampled_from(RECURSION_MODES),
+    # one fidelity per step size, at both ends of the angles
+    test_final_fidelities_match_simulators = pins(
+        SEARCHED,
+        *(dict(theta=theta, k=8 // (m or 1), m=m, s_values=[0.05, 1.3, 2.6, np.pi], mode=mode)
+          for theta, m, mode in ((1e-9, 4, "fresh"), (np.pi - 1e-9, None, "chain"), (0.7, 2, "chain"))),
     )
-    def test_final_fidelities_match_simulators(self, theta, km, exact, s_values, mode):
-        k, m = km
-        m = None if exact else m
-        fids = final_fidelities_over_s(theta, k, m, s_values, mode)
-        assert fids.shape == (len(s_values),)
-        within = tol("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact")
-        for s, f in zip(s_values, fids):
-            schedule = DbacSchedule.uniform(k, s, m=m, recursion=mode)
-            if m is None:
-                rec = dbac_recursive_exact(rx_init(theta), schedule)
-            else:
-                rec = dbac_via_dme(theta, schedule)
-            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < within
 
 
 def _counted_rotations(monkeypatch, call, *args):
@@ -839,96 +670,29 @@ class TestSearchBatch:
 
 
 class TestDmeStepsOracle:
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(
-        seed=SEEDS,
-        km=_depths(200, 40),
-        per_entry=st.booleans(),
-        mode=st.sampled_from(RECURSION_MODES),
-        noise=st.sampled_from([None, (1e-3, 0.0), (0.0, 0.02), (2e-3, 0.01)]),
+    test_matches_exact_step_chains = pins(
+        ("_bloch_steps", "dme_chain"),
+        bloch_steps_args(1, (200, 1), False, "chain", (2e-3, 0.01)),
+        bloch_steps_args(2, (4, 50), True, "chain", None),
     )
-    @example(seed=1, km=(200, 1), per_entry=False, mode="chain", noise=(2e-3, 0.01))
-    @example(seed=2, km=(4, 50), per_entry=True, mode="chain", noise=None)
-    def test_matches_exact_step_chains(self, seed, km, per_entry, mode, noise):
-        k, m = km
-        rng = np.random.default_rng(seed)
-        batch = 2
-        w = np.sort(rng.normal(size=2))
-        rho0 = np.array([random_density(rng) for _ in range(batch)])
-        steps = rng.uniform(0.05, 1.5, size=(k, batch if per_entry else 1))
-        noise = NoiseModel(*noise) if noise else None
-        outs, margs = [], []
-        tables = [dbac._step_table(t, m, w) for t in steps]
-        for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise):
-            outs.append(density_matrices(out))
-            margs.extend(density_matrices(marg) for marg in step_margs)
-        assert len(outs) == k and len(margs) == k * m
-        for b in range(batch):
-            entry_steps = steps[:, b if per_entry else 0]
-            want_outs, want_margs = dme_chain(rho0[b], np.diag(w), entry_steps, [m] * k, mode, noise)
-            assert np.abs(np.array(outs)[:, b] - want_outs).max() < tol("_bloch_steps", "dme_chain")
-            assert np.abs(np.array(margs)[:, b] - want_margs).max() < tol("_bloch_steps", "dme_chain")
 
 
 class TestSearchPassOracle:
     """The search's finite-depth pass, which computes only the last swap's z,
     against the loop that computed every plane of every swap."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        seed=SEEDS,
-        k=st.integers(1, 6),
-        m=st.integers(1, 8),
-        mode=st.sampled_from(RECURSION_MODES),
-        with_counts=st.booleans(),
-        special=st.lists(st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]), max_size=3),
+    def test_final_energies_match_the_search_loop(self):
+        for args in ((0, 1, 1, "chain", False, [0.0, np.pi]), (1, 6, 8, "fresh", True, [-0.0, 3 * np.pi])):
+            args = pass_args(*args)
+            check(("_final_energies", "search_loop"), **args)
+            check(("_rx_planes", "bloch_planes of _rx_init"), thetas=args["thetas"])
+
+    # the search's only pass through the exact reflectors, pinned bit for bit
+    test_exact_fresh_energies_match_the_exact_search_loop = pins(
+        ("_final_energies exact fresh", "search_exact_loop"),
+        pass_args(0, 1, None, "fresh", False, [0.0, np.pi]),
+        pass_args(1, 6, None, "fresh", True, [np.pi, 0.0]),
     )
-    @example(seed=0, k=1, m=1, mode="chain", with_counts=False, special=[0.0, np.pi])
-    @example(seed=1, k=6, m=8, mode="fresh", with_counts=True, special=[-0.0, 3 * np.pi])
-    def test_final_energies_match_the_search_loop(self, seed, k, m, mode, with_counts, special):
-        rng = np.random.default_rng(seed)
-        thetas = np.concatenate([special, rng.uniform(-2 * np.pi, 2 * np.pi, 4)])
-        # step sizes of either sign and 0, where the swap's operands are (1, 0, 0)
-        s = np.concatenate([[0.0, -0.0], rng.uniform(-np.pi, np.pi, 5)])
-        table = dbac._step_table(np.tile(s, thetas.size), m, H.eig[0])
-        counts = rng.multinomial(table.cos_phi.size - thetas.size, np.ones(thetas.size) / thetas.size) + 1
-        counts = counts if with_counts else None
-        got = dbac._final_energies(thetas, k, table, mode, counts)
-        want = search_loop(thetas, k, table, mode, counts)
-        assert agrees(got, want, "_final_energies", "search_loop")
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        # the initial planes too, built from cos and sin of theta / 2
-        amps = dbac._rx_init(thetas)
-        got, want = dbac._rx_planes(thetas), bloch_planes(amps[:, :, None] * amps.conj()[:, None, :])
-        assert agrees(got, want, "_rx_planes", "bloch_planes of _rx_init")
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        seed=SEEDS,
-        k=st.integers(1, 6),
-        with_counts=st.booleans(),
-        special=st.lists(st.sampled_from([0.0, np.pi]), max_size=2),
-    )
-    @example(seed=0, k=1, with_counts=False, special=[0.0, np.pi])
-    @example(seed=1, k=6, with_counts=True, special=[np.pi, 0.0])
-    def test_exact_fresh_energies_match_the_exact_search_loop(self, seed, k, with_counts, special):
-        # the search's only pass through the exact reflectors, pinned bit for bit
-        rng = np.random.default_rng(seed)
-        thetas = np.concatenate([special, rng.uniform(0.0, np.pi, 4)])
-        s = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, 5)])
-        table = dbac._step_table(np.tile(s, thetas.size), None, H.eig[0])
-        counts = rng.multinomial(table.cos_phi.size - thetas.size, np.ones(thetas.size) / thetas.size) + 1
-        counts = counts if with_counts else None
-        got = dbac._final_energies(thetas, k, table, "fresh", counts)
-        want = search_exact_loop(thetas, k, table, counts)
-        assert agrees(got, want, "_final_energies exact fresh", "search_exact_loop")
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def _pure_planes(v):
-    """Bloch planes of a (B, 2) batch of unit vectors."""
-    return bloch_planes(v[:, :, None] * v.conj()[:, None, :])
 
 
 class TestBlochReflectorOracle:
@@ -943,41 +707,17 @@ class TestBlochReflectorOracle:
     1e-13 of itself over the whole chain.  The pass gives the final z plane
     alone, the one the search reads."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(seed=SEEDS, k=st.integers(1, 200), mode=st.sampled_from(RECURSION_MODES))
-    @example(seed=3, k=200, mode="chain")
-    @example(seed=4, k=200, mode="fresh")
-    def test_matches_exact_steps(self, seed, k, mode):
-        rng = np.random.default_rng(seed)
-        w = H.eig[0]
-        thetas = rng.uniform(0.0, np.pi, 12)
-        # four step sizes each: negative, in (0, pi] and above pi
-        s = np.concatenate(
-            [rng.uniform(-2 * np.pi, 0.0, 4), rng.uniform(1e-3, np.pi, 4), rng.uniform(np.pi, 3 * np.pi, 4)]
-        )
-        psi0 = dbac._rx_init(thetas)
-        steps = np.broadcast_to(s, (k, s.size))
-        table = dbac._step_table(s, None, w)
-        got = dbac._search_pass_z(_pure_planes(psi0), k, table, mode)
-        want = np.array([_pure_planes(out) for out in dbac._exact_steps(psi0, steps, w, mode)])
-        nearby = psi0 * np.exp(1e-15j * rng.normal(size=psi0.shape))
-        again = np.array([_pure_planes(out) for out in dbac._exact_steps(nearby, steps, w, mode)])
-        well = np.abs(again - want).max(axis=(0, 1)) <= tol("_exact_steps perturbed", "_exact_steps")
-        assert well.sum() >= 3
-        assert got.shape == (s.size,)
-        assert np.abs(got - want[-1, 2])[well].max() <= tol("_search_pass_z exact", "_exact_steps")
+    def test_matches_exact_steps(self):
+        for args in (reflector_args(3, 200, "chain"), reflector_args(4, 200, "fresh")):
+            check(("_exact_steps perturbed", "_exact_steps"), **args)
+            check(("_search_pass_z exact", "_exact_steps"), **args)
 
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     @pytest.mark.parametrize("k", [1, 3])
     def test_search_energies_match_exact_steps(self, mode, k):
         # the search's exact path (Bloch-plane reflectors when fresh, the
-        # closed-form law when chained) over the whole grid
-        theta, grid = 1.1, step_size_grid()
-        w = H.eig[0]
-        psi0 = dbac._rx_init(np.full(grid.size, theta))
-        *_, last = dbac._exact_steps(psi0, np.broadcast_to(grid, (k, grid.size)), w, mode)
-        got = 1.0 - 2.0 * final_fidelities_over_s(theta, k, None, grid, mode)
-        assert np.abs(got - np.abs(last) ** 2 @ w).max() <= tol("_search_pass_z exact", "_exact_steps")
+        # closed-form law when chained) over every tenth step size of the grid
+        check(SEARCHED, theta=1.1, k=k, m=None, s_values=step_size_grid()[::10], mode=mode)
 
 
 # (k, M, recursion, theta, f_target, optimal_step(-cos theta), basin F_min)
@@ -1076,21 +816,11 @@ class TestGridTables:
 
 
 class TestStepTableOnDistinctSizes:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        thetas=st.one_of(
-            st.floats(0.0, np.pi),
-            st.lists(st.floats(0.0, np.pi), min_size=1, max_size=6).map(np.array),
-        ),
-        s_values=st.lists(st.floats(1e-3, np.pi), min_size=1, max_size=12),
-        k=st.integers(1, 6),
-        m=st.sampled_from([None, 1, 2, 4]),
-        mode=st.sampled_from(RECURSION_MODES),
+    test_equals_tiled_table = pins(
+        ("final_fidelities_over_s", "tiled_table_fidelities"),
+        *(dict(theta=np.linspace(0.0, np.pi, 6), s_values=[1e-3, 0.5, np.pi, -1.0, 11.5], k=6, m=m, mode="fresh")
+          for m in (None, 1, 2, 4)),
     )
-    def test_equals_tiled_table(self, thetas, s_values, k, m, mode):
-        got = final_fidelities_over_s(thetas, k, m, s_values, mode)
-        want = tiled_table_fidelities(thetas, k, m, s_values, mode)
-        assert agrees(got, want, "final_fidelities_over_s", "tiled_table_fidelities")
 
     def test_table_built_on_the_step_sizes(self, monkeypatch):
         builds = []
@@ -1124,22 +854,15 @@ def _recorded_passes(monkeypatch, *args):
 class TestBasinWitnesses:
     """Witness entries skip full-grid passes but never change a decision."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        k=st.integers(1, 6),
-        m=st.sampled_from([1, 2, 3, 4, None]),
-        mode=st.sampled_from(RECURSION_MODES),
-        f_target=st.one_of(st.floats(0.01, 0.99), st.floats(1e-12, 1e-6), st.floats(1 - 1e-9, 1 - 1e-15)),
+    test_matches_plain_bisection = pins(
+        ("basin_min_fidelity", "plain_basin"),
+        dict(k=1, m=1, mode="chain", f_target=1 - 1e-14),  # the (1.0, False) sentinel
+        dict(k=6, m=None, mode="fresh", f_target=1 - 1e-9),
+        dict(k=3, m=None, mode="fresh", f_target=1e-7),  # lo is returned
+        dict(k=6, m=4, mode="chain", f_target=1e-9),
+        dict(k=2, m=2, mode="fresh", f_target=0.8),
+        dict(k=2, m=2, mode="chain", f_target=1 - 1e-7),  # the upper end's witness misses
     )
-    @example(k=1, m=1, mode="chain", f_target=1 - 1e-14)  # the (1.0, False) sentinel
-    @example(k=6, m=None, mode="fresh", f_target=1 - 1e-9)
-    @example(k=3, m=None, mode="fresh", f_target=1e-7)  # lo is returned
-    @example(k=6, m=4, mode="chain", f_target=1e-9)
-    @example(k=2, m=2, mode="fresh", f_target=0.8)
-    @example(k=2, m=2, mode="chain", f_target=1 - 1e-7)  # the upper end's witness misses
-    def test_matches_plain_bisection(self, k, m, mode, f_target):
-        got, want = basin_min_fidelity(k, m, f_target, mode), plain_basin(k, m, f_target, mode)
-        assert agrees(got, want, "basin_min_fidelity", "plain_basin")
 
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
@@ -1187,23 +910,13 @@ class TestBasinWitnesses:
                 e = dbac_energy_analytic(e, grid)
             assert dbac._seed_step(k) == int(np.argmin(e))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        lo=st.floats(0.0, 1.0),
-        width=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-3)),
-        levels=st.integers(0, 4),
-    )
-    @example(lo=1e-6, width=1.0 - 2e-6, levels=4)  # the lower end's witnesses
-    def test_midpoints_match_the_recursion(self, lo, width, levels):
-        hi = min(lo + width, 1.0)
-        assert agrees(dbac._midpoints(lo, hi, levels), midpoints(lo, hi, levels), "_midpoints", "midpoints")
+    # the lower end's witnesses
+    test_midpoints_match_the_recursion = pins(("_midpoints", "midpoints"), dict(lo=1e-6, width=1.0 - 2e-6, levels=4))
 
     def test_fewer_full_grid_passes(self, monkeypatch):
         # the plain bisection makes 16: both ends of the interval, then 14
         # halvings; the upper end is decided by a slot of the lower end's pass
-        result, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
-        want = plain_basin(2, 2, 0.8, "fresh")
-        assert agrees(result, want, "basin_min_fidelity", "plain_basin")
+        _, passes = _recorded_passes(monkeypatch, 2, 2, 0.8, "fresh")
         sizes = [thetas.size for thetas, _ in passes]
         assert sizes == [dbac._WITNESSES + 2] * len(sizes)  # every batch a full-grid pass
         assert len(sizes) == 9 < 16
@@ -1241,11 +954,7 @@ class TestSearchArgumentChecks:
 
     @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain")])
     def test_negative_and_large_steps_allowed(self, m, mode):
-        fids = final_fidelities_over_s(0.3, 2, m, [-1.0, 10.0], mode)
-        for s, f in zip([-1.0, 10.0], fids):
-            schedule = DbacSchedule.uniform(2, s, m=m, recursion=mode)
-            rec = dbac_recursive_exact(rx_init(0.3), schedule) if m is None else dbac_via_dme(0.3, schedule)
-            assert abs((1.0 - rec.energies[-1]) / 2.0 - f) < 1e-12
+        check(SEARCHED, theta=0.3, k=2, m=m, s_values=[-1.0, 10.0], mode=mode)
 
     @pytest.mark.parametrize("m, mode", [(None, "fresh"), (2, "chain")])
     def test_overflowing_echo_angle_rejected(self, tmp_path, m, mode):

@@ -21,22 +21,13 @@ from dbac_lab.states import HamiltonianSpec, PureState, check_density, rx_init
 
 from conftest import random_density, verdict
 from oracles import (
-    basis, density, dme_error, dme_step_exact, dme_step_marginals, exact_conjugation, expm, pauli_expectations,
-    reflector, trace_distance, tol, trotter_state,
+    GROUND, PLUS, basis, check, dme_step_exact, exact_conjugation, expm, pair, pins, power_args, recording,
+    reflector, swap_args, swap_marginals, swap_point_args, tol, trace_distance, trotter, trotter_state,
 )
 
-GROUND = np.diag([1.0, 0.0]).astype(complex)
-PLUS = np.full((2, 2), 0.5, dtype=complex)
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-SEEDS = st.integers(0, 2**32 - 1)
 SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
 CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
-
-
-def _trotter(rho, sigma, t, m):
-    """The final state of one M-step Trotter circuit, as a matrix."""
-    return density_matrices(partial_swap_power(bloch_planes(sigma), bloch_planes(rho), swap_coefficients(t / m), m))
+SWAP = ("partial_swap", "dme_step_exact")
 
 
 def _error(rho, sigma, t, m):
@@ -50,13 +41,6 @@ def _marginals(instr, sig, coeffs):
     the one recording caller computes it."""
     out = np.array(partial_swap(sig, swap_operands(instr, coeffs)))
     return out, instr + sig - out
-
-
-def _swap(instr, sig, delta):
-    """partial_swap on density matrices, or on stacks of them: the inputs go in
-    as Bloch planes, and both outputs come back as matrices."""
-    out, marg = _marginals(bloch_planes(instr), bloch_planes(sig), swap_coefficients(delta))
-    return density_matrices(out), density_matrices(marg)
 
 
 class TestReflector:
@@ -101,22 +85,10 @@ class TestDmeStep:
         for delta in (0.2, 1.0, 2.7):
             assert np.abs(dme_step_exact(rho, rho, delta).matrix - rho).max() < 1e-13
 
-    def test_closed_form_matches_exact(self, rng):
-        worst = 0.0
-        for _ in range(200):
-            rho, sigma = random_density(rng), random_density(rng)
-            delta = rng.uniform(-np.pi, np.pi)
-            worst = max(
-                worst,
-                np.abs(
-                    dme_step_exact(rho, sigma, delta).matrix
-                    - _swap(rho, sigma, delta)[0]
-                ).max(),
-            )
-        assert worst < tol("partial_swap", "dme_step_exact")
+    test_closed_form_matches_exact = pins(SWAP, swap_args(0, 200, "batch"))  # 200 random pairs and angles
 
     def test_quarter_pi_closed_value(self):
-        out = _swap(GROUND, PLUS, np.pi / 4)[0]
+        out = swap_marginals(GROUND, PLUS, np.pi / 4)[0]
         comm = PLUS @ GROUND - GROUND @ PLUS
         expected = 0.5 * (PLUS + GROUND) + 0.5j * comm
         assert np.abs(out - expected).max() < 1e-14
@@ -126,7 +98,7 @@ class TestDmeStep:
         comm = GROUND @ PLUS - PLUS @ GROUND
         devs = []
         for delta in (1e-2, 5e-3, 2.5e-3):
-            out = _swap(GROUND, PLUS, delta)[0]
+            out = swap_marginals(GROUND, PLUS, delta)[0]
             devs.append(np.abs(out - (PLUS - 1j * delta * comm)).max())
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.05)
         assert devs[1] / devs[2] == pytest.approx(4.0, rel=0.05)
@@ -146,48 +118,16 @@ class TestDmeStep:
 
 
 class TestPartialSwap:
-    @PROPERTY
-    @given(seed=SEEDS, batch=st.integers(1, 6), per_entry=st.booleans())
-    def test_matches_partial_traces_of_joint_state(self, seed, batch, per_entry):
-        rng = np.random.default_rng(seed)
-        instr = np.array([random_density(rng) for _ in range(batch)])
-        sig = np.array([random_density(rng) for _ in range(batch)])
-        deltas = rng.uniform(-np.pi, np.pi, batch)
-        out, marg = _swap(instr, sig, deltas if per_entry else deltas[0])
-        assert out.shape == marg.shape == (batch, 2, 2)
-        for b in range(batch):
-            want_out, want_marg = dme_step_marginals(instr[b], sig[b], deltas[b if per_entry else 0])
-            assert np.abs(out[b] - want_out).max() < tol("partial_swap", "dme_step_exact")
-            assert np.abs(marg[b] - want_marg).max() < tol("partial_swap", "dme_step_exact")
+    """Pins of the partial_swap row's forms: each output and instruction
+    marginal against the joint state's partial traces."""
 
-    def test_matches_partial_traces_at_search_batch(self, rng):
-        instr = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
-        sig = np.array([random_density(rng) for _ in range(SEARCH_BATCH)])
-        deltas = rng.uniform(-np.pi, np.pi, SEARCH_BATCH)
-        out, marg = _swap(instr, sig, deltas)
-        for b in range(SEARCH_BATCH):
-            want_out, want_marg = dme_step_marginals(instr[b], sig[b], deltas[b])
-            assert np.abs(out[b] - want_out).max() < tol("partial_swap", "dme_step_exact")
-            assert np.abs(marg[b] - want_marg).max() < tol("partial_swap", "dme_step_exact")
-
-    def test_matches_partial_traces_on_one_matrix(self, rng):
-        for delta in (0.4, -2.1, np.pi / 2):
-            rho, sigma = random_density(rng), random_density(rng)
-            out, marg = _swap(rho, sigma, delta)
-            want_out, want_marg = dme_step_marginals(rho, sigma, delta)
-            assert out.shape == marg.shape == (2, 2)
-            assert np.abs(out - want_out).max() < tol("partial_swap", "dme_step_exact")
-            assert np.abs(marg - want_marg).max() < tol("partial_swap", "dme_step_exact")
-
-    def test_one_instruction_against_a_batch(self, rng):
-        # a (3, 1) instruction plane broadcasts against a (3, B) data batch
-        rho = random_density(rng)
-        sig = np.array([random_density(rng) for _ in range(4)])
-        out, marg = _marginals(bloch_planes(rho)[:, None], bloch_planes(sig), swap_coefficients(0.7))
-        for b in range(4):
-            want_out, want_marg = dme_step_marginals(rho, sig[b], 0.7)
-            assert np.abs(density_matrices(out[:, b]) - want_out).max() < tol("partial_swap", "dme_step_exact")
-            assert np.abs(density_matrices(marg[:, b]) - want_marg).max() < tol("partial_swap", "dme_step_exact")
+    test_matches_partial_traces_of_joint_state = pins(SWAP, swap_args(1, 6, "batch"), swap_args(1, 6, "one angle"))
+    test_matches_partial_traces_at_search_batch = pins(SWAP, swap_args(2, SEARCH_BATCH, "batch"))
+    test_matches_partial_traces_on_one_matrix = pins(
+        SWAP, *(swap_args(3, 1, "one pair", [delta]) for delta in (0.4, -2.1, np.pi / 2))
+    )
+    # a (3, 1) instruction plane broadcasts against a (3, B) data batch
+    test_one_instruction_against_a_batch = pins(SWAP, swap_args(4, 4, "one instruction"))
 
     def test_zero_angle_returns_sigma_exactly(self, rng):
         # angle 0, whose coefficients are (1, 0, 0), is the identity, bit for bit
@@ -222,53 +162,24 @@ class TestPartialSwap:
 
 
 class TestPartialSwapPower:
-    @PROPERTY
-    @given(
-        seed=SEEDS,
-        m=st.integers(1, 64),
-        p2=st.floats(0.0, 0.1),
-        length=st.floats(0.0, 1.0),
-        antiparallel=st.booleans(),
-        per_entry=st.booleans(),
+    # every copy of an m-swap step, and each entry's own exponent, against m
+    # partial_swap calls: |a| = 0, |a|^2 underflowing and a antiparallel to b,
+    # at the extreme depths and noise
+    test_matches_partial_swap_loop = pins(
+        ("partial_swap_power", "partial_swap loop"),
+        power_args(0, 64, 0.0, 0.0, False, True),
+        power_args(1, 64, 0.1, 1.0, True, False),
+        power_args(2, 1, 0.05, 0.0, True, True),
+        power_args(4, 3, 0.0, 1e-300, False, False),
+        power_args(5, 2, 0.01, 5e-324, True, True),
     )
-    @example(seed=0, m=64, p2=0.0, length=0.0, antiparallel=False, per_entry=True)
-    @example(seed=1, m=64, p2=0.1, length=1.0, antiparallel=True, per_entry=False)
-    @example(seed=2, m=1, p2=0.05, length=0.0, antiparallel=True, per_entry=True)
-    @example(seed=4, m=3, p2=0.0, length=1e-300, antiparallel=False, per_entry=False)  # |a|^2 underflows
-    @example(seed=5, m=2, p2=0.01, length=5e-324, antiparallel=True, per_entry=True)
-    def test_matches_partial_swap_loop(self, seed, m, p2, length, antiparallel, per_entry):
-        # every copy of an m-swap step, and each entry's own exponent, against
-        # m partial_swap calls; |a| = 0 and a antiparallel to b included
-        rng = np.random.default_rng(seed)
-        batch = 4
-        sig = bloch_planes(np.array([random_density(rng) for _ in range(batch)]))
-        instr = -sig if antiparallel else bloch_planes(np.array([random_density(rng) for _ in range(batch)]))
-        instr *= length / np.linalg.norm(instr, axis=0)
-        coeffs = swap_coefficients(rng.uniform(-np.pi, np.pi, batch if per_entry else 1))
-        q = 1.0 - p2
-        copies = partial_swap_power(sig, instr, coeffs, np.arange(1, m + 1).reshape(-1, 1, 1), q)
-        assert copies.shape == (m, 3, batch)
-        want, step = [sig], swap_operands(instr, coeffs)
-        for _ in range(m):
-            want.append(q * np.array(partial_swap(want[-1], step)))
-        within = tol("partial_swap_power", "partial_swap loop")
-        assert np.abs(copies - np.array(want[1:])).max() <= within
-        exponents = rng.integers(1, m + 1, batch)
-        own = partial_swap_power(sig, instr, coeffs, exponents, q)
-        assert np.abs(own - np.array(want)[exponents, :, np.arange(batch)].T).max() <= within
 
     def test_swap_point_and_full_depolarizing(self, rng):
         # at delta = pi/2 (sin^2 = 1 exactly, cos^2 = 3.7e-33) every swap
         # outputs the instruction; at p2 = 1 every output is I/2
-        instr = bloch_planes(np.array([random_density(rng) for _ in range(3)]))
-        sig = bloch_planes(np.array([random_density(rng) for _ in range(3)]))
-        instr[:, 0] = 0.0
-        coeffs = swap_coefficients(np.pi / 2)
-        assert coeffs[1] == 1.0
-        copies = partial_swap_power(sig, instr, coeffs, np.arange(1, 4).reshape(-1, 1, 1))
-        within = tol("partial swaps at the swap point", "the instruction")
-        assert np.abs(copies - instr).max() < within
-        assert np.abs(partial_swap(sig, swap_operands(instr, coeffs)) - instr).max() < within
+        assert swap_coefficients(np.pi / 2)[1] == 1.0
+        check(("partial swaps at the swap point", "the instruction"), **swap_point_args(0, 3, 3))
+        instr, sig = (bloch_planes(np.array([random_density(rng) for _ in range(3)])) for _ in range(2))
         assert np.array_equal(partial_swap_power(sig, instr, swap_coefficients(0.4), np.array([1, 2, 7]), 0.0), 0 * sig)
 
     def test_zero_angle_returns_sigma_exactly(self, rng):
@@ -318,25 +229,15 @@ class TestCheckBloch:
 
 
 class TestDmeTrotter:
-    @PROPERTY
-    @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m=st.integers(1, 64))
-    def test_matches_exact_step_loop(self, seed, t, m):
-        rng = np.random.default_rng(seed)
-        rho, sigma = random_density(rng), random_density(rng)
-        want = trotter_state(rho, sigma, t, m)
-        assert np.abs(_trotter(rho, sigma, t, m) - want).max() < tol("partial_swap_power", "trotter_state")
-
-    def test_m_one_is_single_step(self, rng):
-        rho, sigma = random_density(rng), random_density(rng)
-        t = 0.77
-        a = _trotter(rho, sigma, t, 1)
-        b = dme_step_exact(rho, sigma, t).matrix
-        assert np.abs(a - b).max() < tol("partial_swap_power one copy", "dme_step_exact")
+    test_matches_exact_step_loop = pins(
+        ("partial_swap_power", "trotter_state"), pair(0, t=2.0, m=64), pair(1, t=-1.3, m=7)
+    )
+    test_m_one_is_single_step = pins(("partial_swap_power one copy", "dme_step_exact"), pair(0, t=0.77))
 
     def test_large_m_approaches_conjugation(self):
         t = np.pi / 2
         ideal = exact_conjugation(GROUND, PLUS, t)
-        err_small = np.abs(_trotter(GROUND, PLUS, t, 64) - ideal).max()
+        err_small = np.abs(trotter(GROUND, PLUS, t, 64) - ideal).max()
         assert err_small < 0.02
 
 
@@ -380,22 +281,11 @@ class TestDmeError:
 
 
 class TestDmeErrors:
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(seed=SEEDS, t=st.floats(-2.0, 2.0), m_max=st.integers(1, 64))
-    def test_matches_exact_step_loop(self, seed, t, m_max):
-        rng = np.random.default_rng(seed)
-        rho, sigma = random_density(rng), random_density(rng)
-        ms = np.arange(1, m_max + 1)
-        errs = dme_errors(rho, sigma, t, ms)
-        assert errs.shape == (m_max,)
-        for m, err in zip(ms, errs):
-            assert abs(err - dme_error(rho, sigma, t, m)) < tol("dme_errors", "dme_error")
-
-    def test_criterion_3_depths(self, rng):
-        for rho, sigma in ((GROUND, PLUS), (random_density(rng), random_density(rng))):
-            errs = dme_errors(rho, sigma, np.pi / 4, CRITERION_3_DEPTHS)
-            for m, err in zip(CRITERION_3_DEPTHS, errs):
-                assert abs(err - dme_error(rho, sigma, np.pi / 4, m)) < tol("dme_errors", "dme_error")
+    test_matches_exact_step_loop = pins(("dme_errors", "dme_error"), pair(0, t=-2.0, ms=list(range(1, 65))))
+    test_criterion_3_depths = pins(
+        ("dme_errors", "dme_error"),
+        *(pair(0, kind, t=np.pi / 4, ms=CRITERION_3_DEPTHS) for kind in ("ground and plus", "random")),
+    )
 
     def test_depths_in_any_order_match_one_depth_runs(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
@@ -437,16 +327,14 @@ class TestDmeErrors:
         start = time.perf_counter()
         errs = dme_errors(rho, sigma, t, ms)
         assert time.perf_counter() - start < 0.25
-        assert abs(errs[0] - dme_error(rho, sigma, t, 4096)) < tol("dme_errors deep", "dme_error")
+        check(("dme_errors deep", "dme_error"), rho=rho, sigma=sigma, t=t, ms=[4096])
         scaled = ms * errs
         assert scaled[2] > 0 and abs(scaled[1] / scaled[2] - 1.0) < tol("dme_errors 10^6", "dme_errors 10^9")
         assert abs(scaled[0] / scaled[2] - 1.0) < tol("dme_errors 4096", "dme_errors 10^9")
 
-    def test_deep_circuits_match_exact_step_loop(self):
-        ms = np.arange(1, 1001)
-        errs = dme_errors(GROUND, PLUS, np.pi / 4, ms)
-        for m in (1, 361, 362, 1000):
-            assert abs(errs[m - 1] - dme_error(GROUND, PLUS, np.pi / 4, m)) < tol("dme_errors deep", "dme_error")
+    test_deep_circuits_match_exact_step_loop = pins(
+        ("dme_errors deep", "dme_error"), pair(0, "ground and plus", t=np.pi / 4, ms=[1, 361, 362, 1000])
+    )
 
     def test_invalid_intermediate_state_raises(self):
         with pytest.raises(ContractViolationError, match="trace"):
@@ -473,35 +361,14 @@ class TestDmeErrors:
         cli.run_config(cfg)
         assert powers == [(cfg.m_max,)] and swaps == [(3,)]
 
-    @PROPERTY
-    @given(
-        seed=SEEDS,
-        t=st.floats(-10.0, 10.0),
-        kind=st.sampled_from(["random", "pure", "maximally mixed", "sigma = rho"]),
-    )
-    @example(seed=0, t=10.0, kind="pure")
-    @example(seed=0, t=-7.5, kind="maximally mixed")
-    def test_reference_matches_dense_conjugation(self, seed, t, kind):
+    def test_reference_matches_dense_conjugation(self):
         # the reference is dme_errors' one partial_swap call: sigma's Bloch
         # vector rotated by t|a| about rho's; at rho = I/2 it is sigma, bit for bit
-        rng = np.random.default_rng(seed)
-        rho, sigma = random_density(rng), random_density(rng)
-        if kind == "pure":
-            rho = density(PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)))
-        elif kind == "maximally mixed":
-            rho = np.eye(2, dtype=complex) / 2
-        elif kind == "sigma = rho":
-            sigma = rho
-        refs, swap = [], dme.partial_swap
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dme, "partial_swap", lambda sig, step: refs.append(swap(sig, step)) or refs[-1])
-            dme_errors(rho, sigma, t, [1, 7])
-        (ref,) = refs
-        want = pauli_expectations(exact_conjugation(rho, sigma, t))
-        assert np.shape(ref) == want.shape == (3,)
-        assert np.abs(ref - want).max() < tol("dme_errors reference", "exact_conjugation")
-        if kind == "maximally mixed":
-            assert np.array_equal(ref, bloch_planes(check_density(sigma)))  # sigma as dme_errors takes it
+        for args in (pair(0, "pure", t=10.0), pair(0, "maximally mixed", t=-7.5)):
+            check(("dme_errors reference", "exact_conjugation"), **args)
+        with recording(dme, "partial_swap") as calls:
+            dme_errors(np.eye(2) / 2, PLUS, -7.5, [1, 7])
+        assert np.array_equal([ref for _, ref in calls], [bloch_planes(PLUS)])
 
 
 class TestQubitOnlyEntryPoints:

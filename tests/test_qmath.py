@@ -9,7 +9,7 @@ from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 
 from conftest import random_density, random_unitary
-from oracles import embed_gate_by_index, tol
+from oracles import check, embedding
 
 I2, X, Y, Z = qmath.I2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z
 
@@ -141,22 +141,14 @@ class TestStackedDist:
 
 class TestEmbedGate:
     @pytest.mark.parametrize("n,qubits", [(2, (0,)), (2, (1, 0)), (3, (2,)), (3, (0, 2)), (4, (3, 1))])
-    def test_against_index_oracle(self, rng, n, qubits):
-        dim = 2 ** len(qubits)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        want = embed_gate_by_index(g, qubits, n)
-        assert np.abs(qmath.embed_gate(g, qubits, n) - want).max() < tol("embed_gate", "embed_gate_by_index")
+    def test_against_index_oracle(self, n, qubits):
+        check(("embed_gate", "embed_gate_by_index"), **embedding(0, n, qubits, None))
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
-    def test_stack_against_index_oracle(self, rng, n, k):
+    def test_stack_against_index_oracle(self, n, k):
         # every ordered qubit tuple, reversed ones included, slice by slice
-        dim = 2**k
-        for qubits in itertools.permutations(range(n), k):
-            gates = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
-            got = qmath.embed_gate(gates, qubits, n)
-            assert got.shape == (2, 2**n, 2**n)
-            for g, u in zip(gates, got):
-                assert np.abs(u - embed_gate_by_index(g, qubits, n)).max() < tol("embed_gate", "embed_gate_by_index")
+        for seed, qubits in enumerate(itertools.permutations(range(n), k)):
+            check(("embed_gate", "embed_gate_by_index"), **embedding(seed, n, qubits, 2))
 
     @pytest.mark.parametrize(
         "single, stack, qubits, error, message",

@@ -19,7 +19,7 @@ from dbac_lab.states import (
 
 from conftest import random_density as reference_density, random_unitary, verdict
 from oracles import (
-    basis, density, energy, expm, expm_series, fidelity, ground_projector, ite_evolve, pauli_expectations, tol,
+    basis, check, density, density_stack, energy, expm, fidelity, ground_projector, hamiltonian_args, ite_evolve, pins,
 )
 
 H = HamiltonianSpec.default_single_qubit()
@@ -163,11 +163,9 @@ class TestBlochVector:
             b = bloch_planes(density(PureState.from_vector(v)))
             assert np.linalg.norm(b) <= 1 + 1e-10
 
-    def test_planes_are_pauli_expectations(self, rng):
-        stack = np.array([reference_density(rng) for _ in range(20)])
-        want = np.array([pauli_expectations(m) for m in stack]).T
-        assert np.abs(bloch_planes(stack) - want).max() < tol("bloch_planes", "pauli_expectations")
-        assert np.abs(bloch_planes(stack[0]) - want[:, 0]).max() < tol("bloch_planes", "pauli_expectations")
+    test_planes_are_pauli_expectations = pins(
+        ("bloch_planes", "pauli_expectations"), density_stack(0, 20), density_stack(0, None)
+    )
 
 
 class TestValidation:
@@ -275,12 +273,9 @@ class TestHamiltonianEigensystem:
     """The eigensystem checked through the tests' dense exponential built on it."""
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_expm_matches_power_series(self, rng, dim):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = HamiltonianSpec(0.5 * (a + a.conj().T))
+    def test_expm_matches_power_series(self, dim):
         for scale in (-0.7j, 1.3j, -0.4, 2.0 - 0.5j):
-            want = expm_series(h.matrix, scale)
-            assert np.abs(expm(h, scale) - want).max() <= tol("HamiltonianSpec.eig", "expm_series") * np.abs(want).max()
+            check(("HamiltonianSpec.eig", "expm_series"), **hamiltonian_args(0, dim, scale=scale))
 
     def test_expm_zero_scale(self):
         assert np.abs(expm(HamiltonianSpec(qmath.PAULI_Z), 0) - qmath.I2).max() < 1e-15

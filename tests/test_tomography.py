@@ -26,52 +26,17 @@ from dbac_lab.tomography import (
 )
 
 from conftest import config_error, random_unitary
-from oracles import apply_kraus, dense_channel, expm, ptm_of_channel, tol, trace_preserving, unitary_channel
+from oracles import (
+    check, circuit_batches, expm, kraus_args, noise_models, pins, ptm_of_channel, trace_preserving,
+    unitary_channel,
+)
 
 
 def ptm_of_circuit(c, noise=None):
     return ptm_of_circuits([c], (noise,))[0][0]
 
 
-ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
-
-
-@st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 2))
-    kinds = [k for k in GATE_KINDS if n == 2 or k != "RZZ"]
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
-        if kind == "RZZ":
-            qubits = draw(st.sampled_from([(0, 1), (1, 0)]))
-        else:
-            qubits = (draw(st.integers(0, n - 1)),)
-        params = (draw(ANGLES),) if kind in ("RX", "RY", "RZ", "RZZ") else ()
-        gates.append(Gate(kind, params, qubits))
-    return Circuit(n, tuple(gates))
-
-
-PROBS = st.floats(0.0, 0.2)
-# the channel depends on the gate times only through dt/T1 and dt/T2: these T1
-# put 2q-gate damping between dt/T1 = 0.04 and 1
-T1S = st.floats(0.1, 2.5)
-
-
-@st.composite
-def noise_models(draw):
-    kind = draw(st.sampled_from(["p1", "p2", "t1", "t1_t2", "all"]))
-    if kind == "p1":
-        return NoiseModel(p1=draw(PROBS))
-    if kind == "p2":
-        return NoiseModel(p2=draw(PROBS))
-    t1 = draw(T1S)
-    if kind == "t1":
-        return NoiseModel(t1_us=t1)
-    # t2 < 2 t1 switches the dephasing on
-    t2 = t1 * draw(st.floats(0.2, 1.9))
-    if kind == "t1_t2":
-        return NoiseModel(t1_us=t1, t2_us=t2)
-    return NoiseModel(p1=draw(PROBS), p2=draw(PROBS), t1_us=t1, t2_us=t2)
+PTM_DENSE = ("ptm_of_circuits", "dense_channel")
 
 
 IDENTITY_1Q_CSV = (
@@ -89,11 +54,7 @@ class TestPtmOfChannel:
         assert np.abs(ptm.r - np.eye(16)).max() < 1e-14
         assert trace_preserving(ptm.r)
 
-    def test_swap_point(self):
-        swap = qmath.swap_operator(2)
-        compiled = ptm_of_circuit(compile_udme_native(np.pi / 2))
-        analytic = ptm_of_channel(unitary_channel(swap), 2)
-        assert np.abs(compiled.r - analytic.r).max() < tol("ptm_of_circuits", "ptm_of_channel")
+    test_swap_point = pins(("ptm_of_circuits", "ptm_of_channel"), dict(phi=np.pi / 2))
 
     def test_fully_depolarizing(self):
         ch = lambda rho: np.trace(rho) * np.eye(2) / 2
@@ -126,12 +87,7 @@ class TestPtmOfCircuit:
         ptm = ptm_of_circuit(compile_udme_native(0.0))
         assert np.abs(ptm.r - np.eye(16)).max() < 1e-12
 
-    def test_matches_channel_path(self):
-        phi = np.pi / 4
-        target = unitary_channel(expm(HamiltonianSpec(qmath.swap_operator(2)), -1j * phi))
-        a = ptm_of_circuit(compile_udme_native(phi)).r
-        b = ptm_of_channel(target, 2).r
-        assert np.abs(a - b).max() < tol("ptm_of_circuits", "ptm_of_channel")
+    test_matches_channel_path = pins(("ptm_of_circuits", "ptm_of_channel"), dict(phi=np.pi / 4))
 
     def test_noise_lowers_average_fidelity_monotonically(self):
         phi = np.pi / 4
@@ -157,11 +113,11 @@ class TestPtmOfCircuit:
 class TestComposedPtm:
     """The composed PTMs against the dense channel, tomographed, as the oracle."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(c=circuits(), noise=st.none() | noise_models())
-    def test_matches_dense_oracle(self, c, noise):
-        want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-        assert np.abs(ptm_of_circuit(c, noise).r - want).max() < tol("ptm_of_circuits", "dense_channel")
+    test_matches_dense_oracle = pins(
+        PTM_DENSE,
+        dict(batch=[compile_udme_native(0.6), Circuit(2, ())],
+             noises=[None, NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2)]),
+    )
 
     @pytest.mark.parametrize(
         "noise",
@@ -183,9 +139,8 @@ class TestComposedPtm:
         ))
         assert {g.kind for g in every_kind.gates} == set(GATE_KINDS)
         one_qubit = Circuit(1, tuple(replace(g, qubits=(0,)) for g in every_kind.gates if len(g.qubits) == 1))
-        for c in (every_kind, compile_swap3(), one_qubit):
-            want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-            assert np.abs(ptm_of_circuit(c, noise).r - want).max() < tol("ptm_of_circuits", "dense_channel")
+        check(PTM_DENSE, batch=[every_kind, compile_swap3()], noises=[noise])
+        check(PTM_DENSE, batch=[one_qubit], noises=[noise])
 
     def test_noise_ptm_built_once_per_qubit_set(self, monkeypatch):
         built = []
@@ -198,11 +153,9 @@ class TestComposedPtm:
         monkeypatch.setattr(tomography, "_noise_ptm", counting)
         noise = NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2)
         c = compile_udme_native(0.6)
-        got = ptm_of_circuit(c, noise).r
+        ptm_of_circuit(c, noise)
         assert len(c.gates) == 11
         assert sorted(built) == sorted({g.qubits for g in c.gates}) and len(built) == 3
-        want = ptm_of_channel(dense_channel(c, noise), 2).r
-        assert np.abs(got - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     def test_one_embed_per_qubit_set(self, monkeypatch, noisy):
@@ -216,11 +169,8 @@ class TestComposedPtm:
         monkeypatch.setattr(qmath, "embed_gate", counting)
         noise = NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2) if noisy else None
         c = compile_udme_native(0.6)
-        got = ptm_of_circuit(c, noise).r
+        ptm_of_circuit(c, noise)
         assert sorted(embedded) == [(0,), (0, 1), (1,)]
-        monkeypatch.undo()
-        want = ptm_of_channel(dense_channel(c, noise), 2).r
-        assert np.abs(got - want).max() < tol("ptm_of_circuits", "dense_channel")
 
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
     def test_depolarizing_is_diagonal(self, p):
@@ -241,13 +191,8 @@ class TestComposedPtm:
         assert np.abs(r - np.array(want)).max() < 1e-15
 
     @pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 1), (2, 4)])
-    def test_kraus_matches_probe(self, rng, n, count):
-        # the Kraus operators of a random channel: blocks of a random isometry
-        d = 2**n
-        kraus = random_unitary(rng, d * count)[:, :d].reshape(count, d, d)
-        want = ptm_of_channel(lambda rho: apply_kraus(rho, kraus), n)
-        got = tomography._transfer(kraus, n).sum(axis=0)
-        assert trace_preserving(want.r) and np.abs(got - want.r).max() < tol("_transfer", "ptm_of_channel")
+    def test_kraus_matches_probe(self, n, count):
+        check(("_transfer", "ptm_of_channel"), **kraus_args(0, n, count))
 
     def test_more_than_two_qubits_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -347,16 +292,6 @@ NOISES = [
 ]
 
 
-@st.composite
-def circuit_batches(draw):
-    """One to four circuits on one register size, one of them empty."""
-    drawn = draw(st.lists(circuits(), min_size=1, max_size=4))
-    n = drawn[0].num_qubits
-    batch = [c for c in drawn if c.num_qubits == n]
-    batch.insert(draw(st.integers(0, len(batch))), Circuit(n, ()))
-    return batch
-
-
 class TestPtmOfCircuits:
     """The batched pass against each circuit's PTM computed alone."""
 
@@ -380,11 +315,7 @@ class TestPtmOfCircuits:
         ]
         if n == 2:
             batch.append(compile_udme_native(0.9))
-        got = ptm_of_circuits(batch, NOISES)
-        for ptms, noise in zip(got, NOISES):
-            for c, ptm in zip(batch, ptms):
-                want = ptm_of_channel(dense_channel(c, noise), n).r
-                assert np.abs(ptm.r - want).max() < tol("ptm_of_circuits", "dense_channel")
+        check(PTM_DENSE, batch=batch, noises=NOISES)
 
     def test_gateless_batch_is_identity(self):
         batch = [Circuit(2, ())] * 3
@@ -428,12 +359,9 @@ class TestPtmOfCircuits:
 
     @pytest.mark.parametrize("phis", [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9]])
     def test_partial_swaps_match_kraus_route(self, phis):
-        swap = qmath.swap_operator(2)
-        got = partial_swap_ptms(phis)
-        for phi, u, ptm in zip(phis, partial_swap_unitaries(phis), got, strict=True):
+        for u, ptm in zip(partial_swap_unitaries(phis), partial_swap_ptms(phis), strict=True):
             assert np.array_equal(ptm.r, tomography._transfer(u[None], 2)[0]) and trace_preserving(ptm.r)
-            target = expm(HamiltonianSpec(swap), -1j * phi)
-            assert np.abs(ptm.r - tomography._transfer(target[None], 2)[0]).max() < 1e-15
+        check(("partial_swap_ptms", "_transfer of expm"), phis=phis)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_recurring_gate_objects_transferred_once(self, monkeypatch, count):
@@ -453,11 +381,6 @@ class TestPtmOfCircuits:
         ]
         noises = (None, NoiseModel(p1=0.01, p2=0.05))  # depolarizing builds no transfer
         monkeypatch.setattr(tomography, "_transfer", counting)
-        got = [ptm_of_circuits(batch, noises) for batch in batches]
+        for batch in batches:
+            ptm_of_circuits(batch, noises)
         assert sizes == [count + 8, 3]
-        monkeypatch.undo()
-        for batch, by_noise in zip(batches, got):
-            for noise, ptms in zip(noises, by_noise):
-                for c, ptm in zip(batch, ptms):
-                    want = ptm_of_channel(dense_channel(c, noise), c.num_qubits).r
-                    assert np.abs(ptm.r - want).max() < tol("ptm_of_circuits", "dense_channel")
