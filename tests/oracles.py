@@ -461,7 +461,9 @@ def embed_gate_by_index(gate, qubits, n: int) -> np.ndarray:
 
 
 def apply_kraus(rho, kraus):
-    return sum(k @ rho @ k.conj().T for k in kraus)
+    """The sum of K rho K^dag over the operators K of ``kraus``."""
+    kraus = np.asarray(kraus)
+    return (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def unitary_channel(u):
@@ -492,15 +494,14 @@ def dense_channel(c: circuits.Circuit, noise=None):
     """Apply every gate, then its noise, to the probe as dense matrices."""
     n = c.num_qubits
     noisy = noise is not None and noise.enabled
-    gates = [
-        (qmath.embed_gate(gate_matrix(g), g.qubits, n), noisy and _dense_noise(noise, g.qubits, n)) for g in c.gates
-    ]
+    noise_on = {q: _dense_noise(noise, q, n) for q in {g.qubits for g in c.gates}} if noisy else {}
+    gates = [(qmath.embed_gate(gate_matrix(g), g.qubits, n), noise_on.get(g.qubits)) for g in c.gates]
 
     def ch(rho):
         out = rho
-        for u, after in gates:
+        for u, gate_noise in gates:
             out = apply_kraus(out, [u])
-            out = after(out) if after else out
+            out = gate_noise(out) if gate_noise else out
         return out
 
     return ch
@@ -1288,7 +1289,7 @@ TOLERANCES = {
         1e-15, ORDER,
         _args(eps=st.tuples(*[POLARIZATIONS] * 3), bath=POLARIZATIONS, rounds=st.integers(1, 12)),
         lambda **args: hbac_rounds(hbac_round_closed, **args), lambda **args: hbac_rounds(hbac_round_dense, **args),
-        draws=100,
+        draws=200,
     ),
     ("hbac steady state", "hbac_round_dense"): Row(
         1e-12, ORDER, _args(bath=POLARIZATIONS),
