@@ -479,7 +479,8 @@ def _final_energies(
         # near theta = 0 or pi, where the law's repelling steps amplify it
         two_sin2, one_minus_cos, cos = table.law
         twice = 2.0 * two_sin2
-        p, q = (np.repeat(f(thetas / 2) ** 2, reps) for f in (np.sin, np.cos))
+        half = thetas / 2
+        p, q = np.repeat(np.stack([np.sin(half), np.cos(half)]) ** 2, reps, axis=1)
         for _ in range(k):  # d = 2 (2 sin^2 s) p q ((1 - cos s)(p - q) + cos s), in place
             x = p - q
             x *= one_minus_cos

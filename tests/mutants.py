@@ -12,14 +12,13 @@ occur exactly once.  Tests are never mutated.
 The run only needs each verdict, not the smallest failing example, so it
 turns off hypothesis's shrink phase; nothing else of tier-1 changes.
 
-    python -m tests.mutants                            # every mutant, in the listed order
-    python -m tests.mutants --only law-on-e0 tie-tol   # these two
+    python -m tests.mutants
 
-Run from the repository root.  The list is ordered fastest first, and only
-grows: a survivor is answered by a test that kills it.
+runs every mutant, in the listed order, from the repository root.  The list
+is ordered fastest first, and only grows: a survivor is answered by a test
+that kills it.
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -50,7 +49,8 @@ class Mutant(NamedTuple):
 
 
 LAW_BRANCH = """        twice = 2.0 * two_sin2
-        p, q = (np.repeat(f(thetas / 2) ** 2, reps) for f in (np.sin, np.cos))
+        half = thetas / 2
+        p, q = np.repeat(np.stack([np.sin(half), np.cos(half)]) ** 2, reps, axis=1)
         for _ in range(k):  # d = 2 (2 sin^2 s) p q ((1 - cos s)(p - q) + cos s), in place
             x = p - q
             x *= one_minus_cos
@@ -157,24 +157,17 @@ def run(mutant: Mutant) -> tuple[str, float, str]:
     return ("survived" if done.returncode == 0 else KILLED), seconds, failed.group(1) if failed else ""
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
-    args = parser.parse_args(argv)
-    names = {m.name for m in MUTANTS}
-    if args.only and not set(args.only) <= names:
-        parser.error(f"unknown mutants: {sorted(set(args.only) - names)}")
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    for mutant in chosen:  # every old text, before any tier-1 run
+def main() -> int:
+    for mutant in MUTANTS:  # every old text, before any tier-1 run
         _mutated(mutant, ROOT / "src")
     wrong = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         got, seconds, failed = run(mutant)
         want = KILLED if mutant.verdict == KILLED else "survived"
         wrong += got != want
         mark = "ok" if got == want else "UNEXPECTED"
         print(f"{mark:<10} {mutant.name:<24} {got:<8} {seconds:6.1f} s  {failed or mutant.verdict}", flush=True)
-    print(f"{len(chosen) - wrong} of {len(chosen)} mutants as listed")
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} mutants as listed")
     return 1 if wrong else 0
 
 

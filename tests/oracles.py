@@ -10,18 +10,23 @@ the plain forms of two faster program paths.
 
 Every numeric comparison of a program path with one of them is a row of
 TOLERANCES: its tolerance, the reason the two may differ, a hypothesis
-strategy of valid arguments, the program call, the oracle call and the measure
-of their difference (absolute, relative, per s^2 or per 1/s^2, up to a global
-phase, or up to the CHAOTIC cutoff).  One derandomized property,
+strategy of valid arguments, the program call, the oracle call (each one array
+or a tuple of fields, compared field by field in shape and value) and the
+measure of their difference (absolute, relative, per s^2 or per 1/s^2, up to a
+global phase, or up to the CHAOTIC cutoff).  One derandomized property,
 ``tests/test_oracles.py::test_program_path_agrees_with_its_oracle``, runs every
-row on its draws.  A test elsewhere names a regime of a row's inputs through
-:func:`pins` or :func:`check`; only the few that pin a call structure compare
-the values they record by hand, with :func:`tol`."""
+row on its draws and examples.  A row's pins are named regimes of its inputs,
+each run under a test id of its own by :func:`pins`; a test that pins a call
+structure runs a row with :func:`check`, and only a few compare the values
+they record by hand, with :func:`tol`."""
 
 import contextlib
+import itertools
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from dbac_lab import circuits, dbac, dme, qmath, tomography
@@ -62,11 +67,16 @@ IMAGINARY = (
 )
 
 
+EXACT_GRID = (
+    "in final energy: the search's exact path (Bloch-plane reflectors when fresh, the population law when chained)"
+    " against _exact_steps' amplitudes over the whole step grid; worst measured 1.0e-14 (4500 draws)"
+)
 
-# Each measure of a row's (program, oracle) results, given the arguments:
-# the largest |got - want|, infinite unless the shapes match ...
+
+# Each measure of one field of a row's (program, oracle) results, given the
+# arguments: the largest |got - want| ...
 def absolute(got, want, args) -> float:
-    return float(np.abs(got - want).max(initial=0.0)) if got.shape == want.shape else np.inf
+    return float(np.abs(got - want).max(initial=0.0))
 
 
 def signed(got, want, args) -> float:  # ... and where a sign bit differs, -0.0 against 0.0 included
@@ -74,7 +84,7 @@ def signed(got, want, args) -> float:  # ... and where a sign bit differs, -0.0 
 
 
 def relative(got, want, args) -> float:  # of got / want - 1
-    return absolute(got / want, np.ones_like(want), args)
+    return absolute(got / want, 1.0, args)
 
 
 def to_largest(got, want, args) -> float:  # over the largest |want|
@@ -90,12 +100,12 @@ def per_inverse_s2(got, want, args) -> float:  # times each step size squared
 
 
 def up_to_phase(got, want, args) -> float:  # of a stack of unitaries, each over a global phase
-    return float(np.max(qmath.dist_up_to_global_phase(got, want))) if got.shape == want.shape else np.inf
+    return float(np.max(qmath.dist_up_to_global_phase(got, want)))
 
 
 def up_to_cutoff(got, want, args) -> float:  # where want is not NaN: the entries within the CHAOTIC cutoff
     well = ~np.isnan(want)
-    return absolute(got[well], want[well], args) if got.shape == want.shape else np.inf
+    return absolute(got[well], want[well], args)
 
 
 def third_closest(got, want, args) -> float:  # the third smallest over the last axis: 3 chains within the cutoff
@@ -105,9 +115,11 @@ def third_closest(got, want, args) -> float:  # the third smallest over the last
 class Row(NamedTuple):
     """One comparison of a program path with an oracle: ``draw`` is a hypothesis
     strategy of keyword-argument dicts, valid arguments of both; ``program`` and
-    ``oracle`` compute the two sides from them, and ``measure`` the difference
-    that ``tol`` bounds.  The property runs ``draws`` drawn dicts and every one
-    of ``examples``."""
+    ``oracle`` compute the two sides from them, one array or a tuple of fields
+    (a record's, say), and ``measure`` the difference of each field that
+    ``tol`` bounds.  The property runs ``draws`` drawn dicts and every one of
+    ``examples``; ``pins`` holds named regimes of the inputs, which the draws
+    need not hit, each run by a test of its own (:func:`pins`)."""
 
     tol: float
     reason: str
@@ -117,6 +129,7 @@ class Row(NamedTuple):
     measure: Callable = absolute
     examples: tuple = ()
     draws: int = 30
+    pins: dict = {}
 
 
 def tol(path: str, oracle: str) -> float:
@@ -125,22 +138,33 @@ def tol(path: str, oracle: str) -> float:
 
 
 def check(key: tuple, **args) -> None:
-    """Assert that the row of ``key`` holds at ``args``: its measure of the
-    program's result against the oracle's is within its tolerance."""
+    """Assert that the row of ``key`` holds at ``args``: the program's and the
+    oracle's results have the same fields of the same shapes, and the row's
+    measure of each field's difference is within its tolerance."""
     row = TOLERANCES[key]
-    got, want = (np.asarray(call(**args)) for call in (row.program, row.oracle))
-    err = row.measure(got, want, args)
-    assert err <= row.tol, f"{key}: {err:.3g} > {row.tol:g} at {args}"
+    got, want = (out if isinstance(out, tuple) else (out,) for out in (row.program(**args), row.oracle(**args)))
+    assert len(got) == len(want), f"{key}: {len(got)} fields against {len(want)} at {args}"
+    for field, (g, w) in enumerate(zip(map(np.asarray, got), map(np.asarray, want))):
+        assert g.shape == w.shape, f"{key}: field {field} is {g.shape} against {w.shape} at {args}"
+        err = row.measure(g, w, args)
+        assert err <= row.tol, f"{key}: {err:.3g} > {row.tol:g} in field {field} at {args}"
 
 
-def pins(key: tuple, *cases: dict):
-    """A test of the row of ``key`` at each of ``cases``: named regimes of its
-    inputs, which the property's draws need not hit."""
+def pins(key: tuple, name: str):
+    """The test of the row of ``key`` at its pinned inputs ``name``: a list of
+    cases is one test, and a dict of them one test per id, each id's one case
+    or list of cases."""
+    cases = TOLERANCES[key].pins[name]
 
-    def test(*_):
-        for args in cases:
-            check(key, **args)
+    def test(_self, args=cases):
+        for case in args if isinstance(args, list) else [args]:
+            check(key, **case)
 
+    def each(_self, args):
+        test(_self, args)
+
+    if isinstance(cases, dict):
+        return pytest.mark.parametrize("args", list(cases.values()), ids=list(cases))(each)
     return test
 
 
@@ -607,8 +631,9 @@ def render_rows(header, rows) -> bytes:
     return (",".join(header) + "\n" + (fmt * len(rows)) % tuple(values)).encode()
 
 
-# The rows' arguments and calls.  Each random input is drawn from a seed, so
-# that a failing example prints as a call that rebuilds it.
+# The rows' arguments and calls.  Each random input is built from a seed, by
+# :func:`qubits` or a builder on it, so that a failing example prints as a
+# call that rebuilds it.
 
 H = HamiltonianSpec.default_single_qubit()
 W = H.eig[0]
@@ -626,6 +651,19 @@ _OFF_END = st.floats(-9.0, -1.0).map(lambda x: 10.0**x)
 NEAR_ENDS = st.floats(0.0, np.pi) | _OFF_END | _OFF_END.map(lambda d: np.pi - d)  # and log-uniform near 0 and pi
 STEPS = st.floats(1e-3, np.pi) | st.floats(-4.0, 12.0)  # step sizes of either sign, and above pi
 SWAP_ANGLES = st.lists(ANGLES | st.sampled_from([0.0, np.pi / 8, np.pi / 4, np.pi / 2, 1e-9]), min_size=1, max_size=4)
+GRID = dbac.step_size_grid()
+CRITERION_1 = np.linspace(0.0, np.pi, 101)[[0, 1, 17, 50, 73, 99, 100]]  # a subsample of criterion 1's grid
+FULL_NOISE = tomography.NoiseModel(p1=0.01, p2=0.05, t1_us=0.25, t2_us=0.2)
+EVERY_KIND = circuits.Circuit(2, (
+    circuits.Gate("RX", (0.3,), (0,)), circuits.Gate("RY", (-1.1,), (1,)), circuits.Gate("RZ", (2.2,), (0,)),
+    circuits.Gate("H", (), (1,)), circuits.Gate("S", (), (0,)), circuits.Gate("SDG", (), (1,)),
+    circuits.Gate("RZZ", (0.7,), (0, 1)), circuits.Gate("RZZ", (-0.4,), (1, 0)),
+))
+assert {g.kind for g in EVERY_KIND.gates} == set(circuits.GATE_KINDS)
+ONE_QUBIT_KINDS = circuits.Circuit(1, tuple(replace(g, qubits=(0,)) for g in EVERY_KIND.gates if len(g.qubits) == 1))
+NOISE_KINDS = {"noiseless": None, "p1": tomography.NoiseModel(p1=0.01), "p2": tomography.NoiseModel(p2=0.05),
+               "t1": tomography.NoiseModel(t1_us=0.25), "t1_t2": tomography.NoiseModel(t1_us=0.25, t2_us=0.2),
+               "all": FULL_NOISE}
 
 
 def depths(max_steps: int, max_k: int):
@@ -643,13 +681,20 @@ def qubit(theta: float, phase: float = -np.pi / 2) -> PureState:
     return PureState(np.array([np.cos(theta / 2), np.exp(1j * phase) * np.sin(theta / 2)]))
 
 
+def qubits(seed: int, *shapes) -> list:
+    """Random qubit density matrices from ``seed``: a stack of each of
+    ``shapes``, () for one matrix; then the generator, for the rest of a draw."""
+    rng = np.random.default_rng(seed)
+    return [np.reshape([random_density(rng) for _ in range(int(np.prod(s)))], (*s, 2, 2)) for s in shapes] + [rng]
+
+
 def pure_planes(v) -> np.ndarray:
     """Bloch planes of a (B, 2) batch of unit vectors."""
     return bloch_planes(v[:, :, None] * v.conj()[:, None, :])
 
 
-def flat(rec: CoolingRecord) -> np.ndarray:
-    return np.concatenate([rec.energies.ravel(), rec.instruction_energies.ravel(), rec.trajectory.ravel()])
+def fields(rec: CoolingRecord) -> tuple:
+    return rec.energies, rec.instruction_energies, rec.trajectory
 
 
 def eigenbasis_chain(h, psi, s, mode):
@@ -687,27 +732,20 @@ def recording(module, name: str):
 
 def pair(seed: int, kind: str = "random", **rest) -> dict:
     """A (rho, sigma) pair of qubit states, random unless ``kind`` says otherwise, and ``rest``."""
-    rng = np.random.default_rng(seed)
-    rho, sigma = random_density(rng), random_density(rng)
-    if kind == "pure":
-        rho = density(PureState.from_vector(rng.normal(size=2) + 1j * rng.normal(size=2)))
-    elif kind == "maximally mixed":
-        rho = np.eye(2, dtype=complex) / 2
-    elif kind == "sigma = rho":
-        sigma = rho
-    elif kind == "ground and plus":
-        rho, sigma = GROUND, PLUS
-    return dict(rho=rho, sigma=sigma, **rest)
+    rho, sigma, rng = qubits(seed, (), ())
+    pure = density(PureState.from_vector(random_state(rng)))
+    rho = {"pure": pure, "maximally mixed": np.eye(2, dtype=complex) / 2, "ground and plus": GROUND}.get(kind, rho)
+    return dict(rho=rho, sigma={"sigma = rho": rho, "ground and plus": PLUS}.get(kind, sigma), **rest)
 
 
 def _one_exact_step(theta, t):
     (psi,) = dbac._exact_steps(dbac._rx_init(np.array([theta])), np.array([[t]]), W, "chain")
-    return np.append(psi[0], np.abs(psi[0]) ** 2 @ W)
+    return psi[0], np.abs(psi[0]) ** 2 @ W
 
 
 def _dense_step(theta, t):
     out = dbac_step_exact(qubit(theta), t, H)
-    return np.append(out.amplitudes, energy(out, H))
+    return out.amplitudes, energy(out, H)
 
 
 def chain_args(seed: int, kind: str, k: int, exact: bool, mode: str) -> dict:
@@ -727,10 +765,11 @@ def chain_args(seed: int, kind: str, k: int, exact: bool, mode: str) -> dict:
 
 
 def _recursive_exact(h, psi, schedule):
+    """A qubit's record under -Z; beyond a qubit, the exact chain's energies in the eigenbasis of H."""
     if psi.num_qubits > 1:
-        return eigenbasis_chain(h, psi, schedule.s, schedule.recursion)[0]
+        return eigenbasis_chain(h, psi, schedule.s, schedule.recursion)[0], [], []
     rec = dbac.dbac_recursive_exact(psi, schedule)
-    return np.append(rec.energies, rec.trajectory)
+    return rec.energies, rec.trajectory, rec.instruction_energies
 
 
 def descent_args(seed: int, dim: int, s) -> dict:
@@ -753,7 +792,7 @@ def record_args(seed: int, exact: bool, k: int, mode: str, noise) -> dict:
 
 def _record(thetas, psi, schedule, noise=None):
     exact = thetas is None
-    return flat(dbac.dbac_recursive_exact(psi, schedule) if exact else dbac.dbac_via_dme(thetas, schedule, noise))
+    return fields(dbac.dbac_recursive_exact(psi, schedule) if exact else dbac.dbac_via_dme(thetas, schedule, noise))
 
 
 def _records_of_checked_states(thetas, psi, schedule, noise=None):
@@ -761,9 +800,9 @@ def _records_of_checked_states(thetas, psi, schedule, noise=None):
         _record(thetas, psi, schedule, noise)
     ((arg,), _), *_ = calls
     if thetas is None:  # (k + 1, 1, 2) vectors
-        return flat(records(arg[..., :, None] * arg.conj()[..., None, :]))
+        return fields(records(arg[..., :, None] * arg.conj()[..., None, :]))
     mats = dme.density_matrices(arg)  # of (3, k + 1 + n, B) planes
-    return flat(records(mats[: schedule.k + 1], mats[schedule.k + 1 :], thetas.shape))
+    return fields(records(mats[: schedule.k + 1], mats[schedule.k + 1 :], thetas.shape))
 
 
 @st.composite
@@ -777,7 +816,7 @@ def schedules(draw, max_steps: int = 39, max_k: int = 8):
 
 def _via_dme(thetas, schedule, noise):
     rec = dbac.dbac_via_dme(thetas, schedule, noise)
-    return np.concatenate([rec.energies.ravel(), rec.instruction_energies.ravel(), rec.trajectory[:, -1].ravel()])
+    return rec.energies, rec.instruction_energies, rec.trajectory[:, -1]
 
 
 def _dme_chain_records(thetas, schedule, noise):
@@ -788,31 +827,28 @@ def _dme_chain_records(thetas, schedule, noise):
         energies.append([np.trace(H.matrix @ rho).real for rho in [rho0, *outs]])
         instr.append([np.trace(H.matrix @ rho).real for rho in margs])
         last.append(pauli_expectations(outs[-1]))
-    return np.concatenate([np.ravel(energies), np.ravel(instr), np.ravel(last)])
+    return energies, instr, last
 
 
 def bloch_steps_args(seed: int, km: tuple, per_entry: bool, mode: str, noise) -> dict:
     """Two random states, k random steps of M copies each, of one duration
     for both or one each, under a random diagonal H."""
-    (k, m), rng = km, np.random.default_rng(seed)
-    w, rho0 = np.sort(rng.normal(size=2)), np.array([random_density(rng) for _ in range(2)])
+    (k, m), (rho0, rng) = km, qubits(seed, (2,))
     steps = rng.uniform(0.05, 1.5, size=(k, 2 if per_entry else 1))
+    w = np.sort(rng.normal(size=2))
     return dict(w=w, rho0=rho0, steps=steps, m=m, mode=mode, noise=noise and tomography.NoiseModel(*noise))
 
 
 def _bloch_steps(w, rho0, steps, m, mode, noise):
-    outs, margs = [], []
-    tables = [dbac._step_table(t, m, w) for t in steps]
-    for out, step_margs in dbac._bloch_steps(bloch_planes(rho0), tables, mode, noise):
-        outs.append(out)
-        margs.extend(step_margs)
-    return dme.density_matrices(np.stack(outs + margs, axis=1))  # (k + k M, B, 2, 2)
+    runs = list(dbac._bloch_steps(bloch_planes(rho0), [dbac._step_table(t, m, w) for t in steps], mode, noise))
+    outs, margs = [out for out, _ in runs], [marg for _, step in runs for marg in step]
+    return tuple(dme.density_matrices(np.stack(planes, axis=1)) for planes in (outs, margs))  # (k or k M, B, 2, 2)
 
 
 def _dme_chains(w, rho0, steps, m, mode, noise):
     steps = np.broadcast_to(steps, (len(steps), len(rho0)))
     chains = [dme_chain(rho, np.diag(w), steps[:, b], [m] * len(steps), mode, noise) for b, rho in enumerate(rho0)]
-    return np.stack([np.concatenate(chain) for chain in chains], axis=1)
+    return tuple(np.stack(field, axis=1) for field in zip(*chains))
 
 
 def reflector_args(seed: int, k: int, mode: str) -> dict:
@@ -831,6 +867,9 @@ def _exact_planes(psi0, steps, k, mode):
 
 
 def _well_conditioned_z(psi0, nearby, steps, k, mode):
+    """The final z plane where _exact_steps is well conditioned, NaN elsewhere:
+    exact fresh chains are chaotic for some (theta, s), runs from states 1e-15
+    apart parting by O(1) within 50 steps for about a third of the pairs."""
     want = _exact_planes(psi0, steps, k, mode)
     moved = np.abs(_exact_planes(nearby, steps, k, mode) - want).max(axis=(0, 1))
     return np.where(moved <= tol("_exact_steps perturbed", "_exact_steps"), want[-1, 2], np.nan)
@@ -862,6 +901,13 @@ def _simulated_fidelities(theta, k, m, s_values, mode):
     return out
 
 
+def _exact_grid_energies(theta, k, mode):
+    """The final energies of _exact_steps' chains from R_X(theta)|0>, one per step size of the grid."""
+    psi0 = dbac._rx_init(np.full(GRID.size, theta))
+    *_, last = dbac._exact_steps(psi0, np.broadcast_to(GRID, (k, GRID.size)), W, mode)
+    return np.abs(last) ** 2 @ W
+
+
 def pass_args(seed: int, k: int, m, mode: str, with_counts: bool, special) -> dict:
     """Angles, some of them special, and seven step sizes, 0 and -0 among
     them, where the swap's operands are (1, 0, 0); with or without counts."""
@@ -874,23 +920,17 @@ def pass_args(seed: int, k: int, m, mode: str, with_counts: bool, special) -> di
 
 PASSES = dict(seed=SEEDS, k=st.integers(1, 6), with_counts=st.booleans(),
               special=st.lists(st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]), max_size=3))
+SWAP_FORMS = {"batch": (), "one pair": ("instr", "sig", "deltas"), "one instruction": ("instr",),
+              "one angle": ("deltas",)}
 
 
 def swap_args(seed: int, batch: int, form: str, special=()) -> dict:
     """Random instruction and data states with random swap angles, the first
-    ones replaced by ``special``: a batch of each, one pair of matrices, one
-    instruction against a batch, or a batch at one angle."""
-    rng = np.random.default_rng(seed)
-    instr, sig = (np.array([random_density(rng) for _ in range(batch)]) for _ in range(2))
-    deltas = rng.uniform(-np.pi, np.pi, batch)
-    deltas[: len(special)] = special[:batch]
-    if form == "one pair":
-        instr, sig, deltas = instr[0], sig[0], deltas[0]
-    elif form == "one instruction":
-        instr = instr[0]
-    elif form == "one angle":
-        deltas = deltas[0]
-    return dict(instr=instr, sig=sig, deltas=deltas)
+    ones ``special``: a batch of each, or by ``form`` one pair of matrices,
+    one instruction against a batch, or a batch at one angle."""
+    instr, sig, rng = qubits(seed, (batch,), (batch,))
+    args = dict(instr=instr, sig=sig, deltas=np.concatenate([special, rng.uniform(-np.pi, np.pi, batch)])[:batch])
+    return {name: x[0] if name in SWAP_FORMS[form] else x for name, x in args.items()}
 
 
 def swap_marginals(instr, sig, deltas):
@@ -899,41 +939,40 @@ def swap_marginals(instr, sig, deltas):
     ri, rs = bloch_planes(instr), bloch_planes(sig)
     ri = ri[:, None] if ri.ndim < rs.ndim else ri
     out = np.array(partial_swap(rs, swap_operands(ri, dme.swap_coefficients(deltas))))
-    return np.stack([dme.density_matrices(out), dme.density_matrices(ri + rs - out)])
+    return dme.density_matrices(out), dme.density_matrices(ri + rs - out)
 
 
 def _joint_marginals(instr, sig, deltas):
     instr, deltas = np.broadcast_to(instr, sig.shape), np.broadcast_to(deltas, sig.shape[:-2])
     pairs = [dme_step_marginals(instr[i], sig[i], deltas[i]) for i in np.ndindex(sig.shape[:-2])]
-    return np.stack([np.reshape([p[j] for p in pairs], sig.shape) for j in (0, 1)])
+    return tuple(np.reshape([p[j] for p in pairs], sig.shape) for j in (0, 1))
 
 
 def power_args(seed: int, m: int, p2: float, length: float, antiparallel: bool, per_entry: bool) -> dict:
     """Four random data planes, instruction planes of one length (antiparallel
     to the data's, or random), depolarizing 1 - p2, and one random exponent each."""
-    rng = np.random.default_rng(seed)
-    sig = bloch_planes(np.array([random_density(rng) for _ in range(4)]))
-    instr = -sig if antiparallel else bloch_planes(np.array([random_density(rng) for _ in range(4)]))
-    instr = instr * (length / np.linalg.norm(instr, axis=0))
+    sig, instr, rng = qubits(seed, (4,), (4,))
+    sig = bloch_planes(sig)
+    instr = -sig if antiparallel else bloch_planes(instr)
     coeffs = dme.swap_coefficients(rng.uniform(-np.pi, np.pi, 4 if per_entry else 1))
-    return dict(sig=sig, instr=instr, coeffs=coeffs, m=m, q=1.0 - p2, exponents=rng.integers(1, m + 1, 4))
+    return dict(sig=sig, instr=instr * (length / np.linalg.norm(instr, axis=0)), coeffs=coeffs, m=m, q=1.0 - p2,
+                exponents=rng.integers(1, m + 1, 4))
 
 
 def _powers(sig, instr, coeffs, m, q, exponents):
     copies = dme.partial_swap_power(sig, instr, coeffs, np.arange(1, m + 1).reshape(-1, 1, 1), q)
-    return np.concatenate([copies.ravel(), dme.partial_swap_power(sig, instr, coeffs, exponents, q).ravel()])
+    return copies, dme.partial_swap_power(sig, instr, coeffs, exponents, q)
 
 
 def _swap_loop(sig, instr, coeffs, m, q, exponents):
     want, step = [sig], swap_operands(instr, coeffs)
     for _ in range(m):
         want.append(q * np.array(partial_swap(want[-1], step)))
-    return np.concatenate([np.ravel(want[1:]), np.array(want)[exponents, :, np.arange(4)].T.ravel()])
+    return want[1:], np.array(want)[exponents, :, np.arange(4)].T
 
 
 def swap_point_args(seed: int, batch: int, copies: int) -> dict:
-    rng = np.random.default_rng(seed)
-    instr, sig = (bloch_planes(np.array([random_density(rng) for _ in range(batch)])) for _ in range(2))
+    instr, sig = (bloch_planes(x) for x in qubits(seed, (batch,), (batch,))[:2])
     instr[:, 0] = 0.0
     return dict(instr=instr, sig=sig, copies=copies)
 
@@ -941,7 +980,7 @@ def swap_point_args(seed: int, batch: int, copies: int) -> dict:
 def _at_swap_point(instr, sig, copies):
     coeffs = dme.swap_coefficients(np.pi / 2)
     power = dme.partial_swap_power(sig, instr, coeffs, np.arange(1, copies + 1).reshape(-1, 1, 1))
-    return np.concatenate([power.ravel(), np.ravel(partial_swap(sig, swap_operands(instr, coeffs)))])
+    return power, np.array(partial_swap(sig, swap_operands(instr, coeffs)))
 
 
 def _dme_reference(rho, sigma, t):
@@ -949,7 +988,7 @@ def _dme_reference(rho, sigma, t):
     with recording(dme, "partial_swap") as calls:
         dme.dme_errors(rho, sigma, t, [1, 7])
     ((_, ref),) = calls
-    return ref
+    return np.array(ref)
 
 
 def scaled_error(rho, sigma, t: float, m: int) -> float:
@@ -1058,17 +1097,26 @@ def _dense_ptms(batch, noises):
     return np.array([[ptm_of_channel(dense_channel(c, noise), c.num_qubits).r for c in batch] for noise in noises])
 
 
+def mixed_counts(n: int) -> list:
+    """Circuits of 1, 3 and no gates on n qubits, and on two a compiled partial swap."""
+    q = (0, 1)[:n]
+    return [
+        circuits.Circuit(n, (circuits.Gate("RX", (0.4,), (q[-1],)),)),
+        circuits.Circuit(n, (circuits.Gate("H", (), (0,)), circuits.Gate("RZ", (1.3,), (q[-1],)),
+                             circuits.Gate("S", (), (0,)))),
+        circuits.Circuit(n, ()),
+    ] + [circuits.compile_udme_native(0.9)] * (n == 2)
+
+
 def kraus_args(seed: int, n: int, count: int) -> dict:
     """The Kraus operators of a random channel: blocks of a random isometry."""
     d = 2**n
     return dict(kraus=random_unitary(np.random.default_rng(seed), d * count)[:, :d].reshape(count, d, d), n=n)
 
 
-def density_stack(seed: int, batch) -> dict:
-    """One random qubit state, or a stack of ``batch``."""
-    rng = np.random.default_rng(seed)
-    rho = np.array([random_density(rng) for _ in range(batch or 1)])
-    return dict(rho=rho[0] if batch is None else rho)
+def _pauli_expectations(seed, shape):
+    rho = qubits(seed, shape)[0]
+    return np.moveaxis(np.reshape([pauli_expectations(m) for m in rho.reshape(-1, 2, 2)], (*shape, 3)), -1, 0)
 
 
 def hbac_rounds(step, eps, bath, rounds: int) -> list:
@@ -1092,28 +1140,36 @@ QUBITS = _args(theta=st.floats(0.0, np.pi), phase=st.floats(0.0, 2 * np.pi), t=s
 PAIRS = dict(seed=SEEDS, kind=st.sampled_from(["random", "ground and plus"]), t=st.floats(-2, 2) | st.just(np.pi / 4))
 DIMS = st.sampled_from([2, 4, 8])
 REFLECTORS = st.builds(reflector_args, seed=SEEDS, k=st.integers(1, 200), mode=MODES)
+KINDS = ("1q", "2q", "2q-degenerate")
 
 # (program path, oracle): its row, whose tolerance bounds the row's measure,
 # absolute unless the row and its reason say otherwise; a path named with a
 # qualifier is that path in one regime
 TOLERANCES = {
     ("_exact_steps", "dbac_step_exact"): Row(
-        1e-12, ORDER, _args(theta=st.floats(0.0, np.pi), t=ANGLES), _one_exact_step, _dense_step
+        1e-12, ORDER, _args(theta=st.floats(0.0, np.pi), t=ANGLES), _one_exact_step, _dense_step,
+        pins={"criterion 1": [dict(theta=theta, t=t) for theta in CRITERION_1 for t in CRITERION_1]},
     ),
     ("dbac_energy_analytic", "dbac_step_exact"): Row(
         1e-10, ORDER, QUBITS, lambda theta, phase, t: dbac.dbac_energy_analytic(-np.cos(theta), t),
         lambda theta, phase, t: energy(dbac_step_exact(qubit(theta, phase), t), H),
+        pins={"grid": [dict(theta=theta, phase=-np.pi / 2, t=t) for theta in np.linspace(0, np.pi, 21)
+                       for t in np.linspace(0, np.pi, 21)],
+              "one energy": [dict(theta=1.9, phase=p, t=0.73) for p in np.linspace(0, 6, 10)]},  # any phase
     ),
     ("dbac_recursive_exact", "dbac_step_exact"): Row(
         1e-13, ORDER, QUBITS,
         lambda theta, phase, t: dbac.dbac_recursive_exact(qubit(theta, phase), DbacSchedule.uniform(1, t)).energies[-1],
         lambda theta, phase, t: energy(dbac_step_exact(qubit(theta, phase), t), H),
+        pins={"k = 1": [dict(theta=0.8, phase=-np.pi / 2, t=0.6)]},
     ),
     ("dbac_recursive_exact", "recursive_exact"): Row(
         1e-12, ORDER,
-        st.builds(chain_args, seed=SEEDS, kind=st.sampled_from(["1q", "2q", "2q-degenerate"]), k=st.integers(1, 6),
-                  exact=st.booleans(), mode=MODES),
-        _recursive_exact, lambda h, psi, schedule: np.append(*recursive_exact(psi, schedule, h)),
+        st.builds(chain_args, seed=SEEDS, kind=st.sampled_from(KINDS), k=st.integers(1, 6), exact=st.booleans(),
+                  mode=MODES),
+        _recursive_exact, lambda h, psi, schedule: (*recursive_exact(psi, schedule, h), []),
+        pins={"kinds": {f"{kind}-{mode}": [chain_args(trial, kind, 1 + trial, trial % 2, mode) for trial in range(4)]
+                        for mode in dbac.RECURSION_MODES for kind in KINDS}},
     ),
     ("descent_bound_residual", "dense_descent_bound_residual"): Row(
         1e-13, CANCELLED,
@@ -1125,6 +1181,9 @@ TOLERANCES = {
         1e-14, ORDER,
         st.builds(record_args, seed=SEEDS, exact=st.booleans(), k=st.integers(1, 4), mode=MODES, noise=NOISES),
         _record, _records_of_checked_states,
+        pins={"dme": {mode: dict(thetas=np.linspace(0.1, 3.0, 5), psi=None, noise=tomography.NoiseModel(1e-3, 1e-2),
+                                 schedule=DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion=mode))
+                      for mode in dbac.RECURSION_MODES}},
     ),
     ("dbac_via_dme", "dme_chain"): Row(
         1e-12, RENORMALIZED,
@@ -1132,11 +1191,16 @@ TOLERANCES = {
               noise=st.none() | st.builds(tomography.NoiseModel, p1=st.sampled_from([0.0, 1e-3, 0.02]),
                                           p2=st.just(0.0) | st.floats(1e-4, 0.1))),
         _via_dme, _dme_chain_records, draws=60,
+        pins={"deep": [dict(thetas=np.array([2.0]), schedule=DbacSchedule.uniform(4, 1.2, m=9), noise=None)],
+              "p2": [dict(thetas=np.array([0.0, 1.2, np.pi]), schedule=DbacSchedule(s=(0.3, 1.4), m=(7, 2),
+                          recursion="fresh"), noise=tomography.NoiseModel(p1=0.02, p2=0.08))]},
     ),
     ("_bloch_steps", "dme_chain"): Row(
         1e-12, RENORMALIZED,
         st.builds(bloch_steps_args, seed=SEEDS, km=depths(200, 40), per_entry=st.booleans(), mode=MODES, noise=NOISES),
         _bloch_steps, _dme_chains, draws=25,
+        pins={"long": [bloch_steps_args(1, (200, 1), False, "chain", (2e-3, 0.01)),
+                       bloch_steps_args(2, (4, 50), True, "chain", None)]},
     ),
     ("_search_pass_z exact", "_exact_steps"): Row(
         1e-11, COMPOUNDED + "; compared up to the CHAOTIC cutoff", REFLECTORS,
@@ -1156,10 +1220,23 @@ TOLERANCES = {
               k=st.integers(1, 6), m=st.none() | st.integers(1, 8), s_values=st.lists(STEPS, min_size=1, max_size=12),
               mode=MODES),
         dbac.final_fidelities_over_s, tiled_table_fidelities, draws=60,
+        pins={"fresh": [dict(theta=np.linspace(0.0, np.pi, 6), s_values=[1e-3, 0.5, np.pi, -1.0, 11.5], k=6, m=m,
+                             mode="fresh") for m in (None, 1, 2, 4)]},
     ),
     ("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact"): Row(
         1e-12, SEARCHED, search_args(), dbac.final_fidelities_over_s, _simulated_fidelities, up_to_cutoff,
         examples=[dict(theta=5.96e-8, k=15, m=None, s_values=[2.058], mode="chain")], draws=100,
+        pins={"ends": [dict(theta=theta, k=8 // (m or 1), m=m, s_values=[0.05, 1.3, 2.6, np.pi], mode=mode)
+                       for theta, m, mode in ((1e-9, 4, "fresh"), (np.pi - 1e-9, None, "chain"), (0.7, 2, "chain"))],
+              "outside (0, pi]": {f"{m}-{mode}": dict(theta=0.3, k=2, m=m, s_values=[-1.0, 10.0], mode=mode)
+                                  for m, mode in ((None, "chain"), (None, "fresh"), (2, "chain"))}},
+    ),
+    ("final_fidelities_over_s exact", "_exact_steps"): Row(
+        1e-11, EXACT_GRID, _args(theta=NEAR_ENDS, k=st.integers(1, 3), mode=MODES),
+        lambda theta, k, mode: 1.0 - 2.0 * dbac.final_fidelities_over_s(theta, k, None, GRID, mode),
+        _exact_grid_energies,
+        pins={"whole grid": {f"{k}-{mode}": dict(theta=1.1, k=k, mode=mode)
+                             for k in (1, 3) for mode in dbac.RECURSION_MODES}},
     ),
     ("_final_energies", "search_loop"): Row(
         0.0, SAME_OPS, st.builds(pass_args, m=st.integers(1, 8), mode=MODES, **PASSES),
@@ -1169,6 +1246,8 @@ TOLERANCES = {
         0.0, SAME_OPS, st.builds(pass_args, m=st.none(), mode=st.just("fresh"), **PASSES),
         dbac._final_energies, lambda thetas, k, table, mode, counts: search_exact_loop(thetas, k, table, counts),
         signed, draws=40,
+        pins={"ends": [pass_args(0, 1, None, "fresh", False, [0.0, np.pi]),
+                       pass_args(1, 6, None, "fresh", True, [np.pi, 0.0])]},
     ),
     ("_rx_planes", "bloch_planes of _rx_init"): Row(
         0.0, SPLIT,
@@ -1181,45 +1260,67 @@ TOLERANCES = {
         _args(k=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 4, None]), mode=MODES,
               f_target=st.floats(0.01, 0.99) | st.floats(1e-12, 1e-6) | st.floats(1 - 1e-9, 1 - 1e-15)),
         lambda k, m, mode, f_target: dbac.basin_min_fidelity(k, m, f_target, mode), plain_basin, draws=60,
+        pins={"ends": [
+            dict(k=1, m=1, mode="chain", f_target=1 - 1e-14),  # the (1.0, False) sentinel
+            dict(k=6, m=None, mode="fresh", f_target=1 - 1e-9),
+            dict(k=3, m=None, mode="fresh", f_target=1e-7),  # lo is returned
+            dict(k=6, m=4, mode="chain", f_target=1e-9),
+            dict(k=2, m=2, mode="fresh", f_target=0.8),
+            dict(k=2, m=2, mode="chain", f_target=1 - 1e-7),  # the upper end's witness misses
+        ]},
     ),
     ("_midpoints", "midpoints"): Row(
         0.0, EXACT,
         _args(lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0) | st.floats(0.0, 1e-3), levels=st.integers(0, 4)),
         lambda lo, width, levels: dbac._midpoints(lo, min(lo + width, 1.0), levels),
         lambda lo, width, levels: midpoints(lo, min(lo + width, 1.0), levels), draws=60,
+        pins={"lower end": [dict(lo=1e-6, width=1.0 - 2e-6, levels=4)]},  # the lower end's witnesses
     ),
     ("partial_swap", "dme_step_exact"): Row(
         1e-12, ORDER,
-        st.builds(swap_args, seed=SEEDS, batch=st.integers(1, 8),
-                  form=st.sampled_from(["batch", "one pair", "one instruction", "one angle"]),
+        st.builds(swap_args, seed=SEEDS, batch=st.integers(1, 8), form=st.sampled_from(list(SWAP_FORMS)),
                   special=st.lists(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]), max_size=2)),
         swap_marginals, _joint_marginals, draws=40,
+        pins={"200 pairs": [swap_args(0, 200, "batch")],
+              "six": [swap_args(1, 6, "batch"), swap_args(1, 6, "one angle")],
+              "search batch": [swap_args(2, GRID.size, "batch")],  # the batch the step-size search runs
+              "one pair": [swap_args(3, 1, "one pair", [delta]) for delta in (0.4, -2.1, np.pi / 2)],
+              "one instruction": [swap_args(4, 4, "one instruction")]},  # a (3, 1) plane against a (3, B) batch
     ),
     ("partial_swap_power", "partial_swap loop"): Row(
         1e-13, ORDER,
         st.builds(power_args, seed=SEEDS, m=st.integers(1, 64), p2=st.floats(0.0, 0.1), length=st.floats(0.0, 1.0),
                   antiparallel=st.booleans(), per_entry=st.booleans()),
         _powers, _swap_loop, draws=40,
+        # |a| = 0, |a|^2 underflowing and a antiparallel to b, at the extreme depths and noise
+        pins={"extremes": [power_args(0, 64, 0.0, 0.0, False, True), power_args(1, 64, 0.1, 1.0, True, False),
+                           power_args(2, 1, 0.05, 0.0, True, True), power_args(4, 3, 0.0, 1e-300, False, False),
+                           power_args(5, 2, 0.01, 5e-324, True, True)]},
     ),
     ("partial swaps at the swap point", "the instruction"): Row(
         1e-15, ORDER, st.builds(swap_point_args, seed=SEEDS, batch=st.integers(1, 6), copies=st.integers(1, 8)),
-        _at_swap_point, lambda instr, sig, copies: np.concatenate([np.tile(instr.ravel(), copies), instr.ravel()]),
+        _at_swap_point, lambda instr, sig, copies: (np.broadcast_to(instr, (copies, *instr.shape)), instr),
     ),
     ("partial_swap_power one copy", "dme_step_exact"): Row(
         1e-14, ORDER, st.builds(pair, seed=SEEDS, t=st.floats(-2.0, 2.0)),
         lambda rho, sigma, t: trotter(rho, sigma, t, 1), lambda rho, sigma, t: dme_step_exact(rho, sigma, t).matrix,
+        pins={"t = 0.77": [pair(0, t=0.77)]},
     ),
     ("partial_swap_power", "trotter_state"): Row(
         1e-12, ORDER, st.builds(pair, seed=SEEDS, t=st.floats(-2.0, 2.0), m=st.integers(1, 64)), trotter, trotter_state,
-        draws=40,
+        draws=40, pins={"loop": [pair(0, t=2.0, m=64), pair(1, t=-1.3, m=7)]},
     ),
     ("dme_errors", "dme_error"): Row(
         1e-13, ORDER, st.builds(pair, **PAIRS, ms=st.lists(st.integers(1, 64), min_size=1, max_size=8)),
         dme.dme_errors, lambda rho, sigma, t, ms: [dme_error(rho, sigma, t, m) for m in ms], draws=12,
+        pins={"1 to 64": [pair(0, t=-2.0, ms=list(range(1, 65)))],
+              "criterion 3": [pair(0, kind, t=np.pi / 4, ms=[1, 2, 4, 8, 16, 32, 64])
+                              for kind in ("ground and plus", "random")]},
     ),
     ("dme_errors deep", "dme_error"): Row(
         1e-12, COMPOUNDED, st.builds(pair, **PAIRS, ms=st.integers(65, 1000).map(lambda m: [m])),
         dme.dme_errors, lambda rho, sigma, t, ms: [dme_error(rho, sigma, t, m) for m in ms], draws=4,
+        pins={"deep": [pair(0, "ground and plus", t=np.pi / 4, ms=[1, 361, 362, 1000])]},
     ),
     ("dme_errors 10^6", "dme_errors 10^9"): Row(
         # at t = 0.1 the 10^9 error keeps only 4 to 5 digits (CHANGES.md, FOUND)
@@ -1243,38 +1344,64 @@ TOLERANCES = {
         st.builds(hamiltonian_args, seed=SEEDS, dim=DIMS,
                   scale=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
         expm, lambda h, scale: expm_series(h.matrix, scale), to_largest,
+        pins={"scales": {str(dim): [hamiltonian_args(0, dim, scale=scale) for scale in (-0.7j, 1.3j, -0.4, 2.0 - 0.5j)]
+                         for dim in (2, 4, 8)}},
     ),
     ("dbac_recursive_exact chain", "synthesize_uk"): Row(
         1e-12, SYNTHESIZED, st.builds(synthesis_args, seed=SEEDS, n=st.integers(1, 3)),
         lambda h, s: eigenbasis_chain(h, basis(0, len(h.matrix).bit_length() - 1), np.sqrt(s), "chain")[0][-1],
         _synthesized_energy,
+        pins={"seeds": {str(n): [synthesis_args(seed, n) for seed in range(20)] for n in (1, 2, 3)}},
     ),
     ("dbac_recursive_exact one step", "ite_evolve"): Row(
         3.0, IMAGINARY,
         st.builds(ite_args, seed=SEEDS, dim=DIMS, theta=st.floats(0.0, np.pi), s=st.floats(1e-3, 1e-2)),
         lambda h, psi, s: eigenbasis_chain(h, psi, [np.sqrt(s)], "chain")[0][-1],
         lambda h, psi, s: energy(ite_evolve(psi, s, h), h), per_s2,
+        pins={"random H": {str(dim): [ite_args(seed, dim, 0.0, s) for seed in range(10) for s in (1e-2, 1e-3)]
+                           for dim in (4, 8)}},
     ),
     ("dbac_via_dme", "layout_energy"): Row(
         1e-12, ORDER, _args(which=st.sampled_from("ABC"), theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi)),
         _layout_simulated, layout_energy,
+        pins={which: {str(theta): dict(which=which, theta=theta, phi=phi) for theta in thetas}
+              for which, phi, thetas in (("A", np.pi / 4, np.linspace(0.1, np.pi - 0.1, 7)),
+                                         ("B", np.pi / 8, (0.3, 1.1, 2.4)), ("C", np.pi / 4, (0.3, 1.1, 2.4)))},
     ),
     ("circuit_unitaries", "loop_unitary"): Row(
         0.0, EXACT, _args(batch=circuit_batches(max_qubits=4, max_size=8)),
         lambda batch: circuits.circuit_unitaries(batch), lambda batch: [loop_unitary(c) for c in batch], draws=60,
+        pins={"mixed": [dict(batch=[circuits.compile_udme_native(0.3), circuits.compile_cz(),
+                                    build_circuit("A", 0.4, 0.7), circuits.Circuit(2, ()), circuits.compile_swap3()])]},
     ),
     ("embed_gate", "embed_gate_by_index"): Row(
-        1e-14, ORDER, embed_args(), qmath.embed_gate, _embedded_by_index, draws=40
+        1e-14, ORDER, embed_args(), qmath.embed_gate, _embedded_by_index, draws=40,
+        pins={"one gate": {f"{n}-qubits{i}": embedding(0, n, qubits, None) for i, (n, qubits)
+                           in enumerate([(2, (0,)), (2, (1, 0)), (3, (2,)), (3, (0, 2)), (4, (3, 1))])},
+              # every ordered qubit tuple, reversed ones included
+              "stacks": {f"{n}-{k}": [embedding(seed, n, qubits, 2)
+                                      for seed, qubits in enumerate(itertools.permutations(range(n), k))]
+                         for n in range(1, 6) for k in range(1, n + 1)}},
     ),
     ("ptm_of_circuits", "dense_channel"): Row(
         1e-12, ORDER,
         _args(batch=circuit_batches(), noises=st.lists(st.none() | noise_models(), min_size=1, max_size=3)),
         _ptms, _dense_ptms,
+        pins={"compiled": [dict(batch=[circuits.compile_udme_native(0.6), circuits.Circuit(2, ())],
+                                noises=[None, FULL_NOISE])],
+              # every gate kind, on two qubits and the 1-qubit ones on one, under each kind of noise
+              "every kind": {name: [dict(batch=[EVERY_KIND, circuits.compile_swap3()], noises=[noise]),
+                                    dict(batch=[ONE_QUBIT_KINDS], noises=[noise])]
+                             for name, noise in NOISE_KINDS.items()},
+              "mixed counts": {str(n): dict(batch=mixed_counts(n), noises=[
+                  *list(NOISE_KINDS.values())[:3], tomography.NoiseModel(), FULL_NOISE])  # NoiseModel() is off
+                               for n in (1, 2)}},
     ),
     ("ptm_of_circuits", "ptm_of_channel"): Row(
         1e-12, ORDER, _args(phi=ANGLES),
         lambda phi: _ptms([circuits.compile_udme_native(phi), circuits.compile_udme_hs(phi)], [None])[0],
         lambda phi: [ptm_of_channel(unitary_channel(expm(SWAP, -1j * phi)), 2).r] * 2,
+        pins={"swap point": [dict(phi=np.pi / 2)], "quarter": [dict(phi=np.pi / 4)]},
     ),
     ("_transfer", "ptm_of_channel"): Row(
         1e-12, ORDER, st.builds(kraus_args, seed=SEEDS, n=st.integers(1, 2), count=st.integers(1, 4)),
@@ -1282,14 +1409,17 @@ TOLERANCES = {
         lambda kraus, n: ptm_of_channel(lambda rho: apply_kraus(rho, kraus), n).r,
     ),
     ("bloch_planes", "pauli_expectations"): Row(
-        1e-15, ORDER, st.builds(density_stack, seed=SEEDS, batch=st.none() | st.integers(1, 20)), bloch_planes,
-        lambda rho: np.transpose([pauli_expectations(m) for m in rho.reshape(-1, 2, 2)]).reshape((3,) + rho.shape[:-2]),
+        1e-15, ORDER, _args(seed=SEEDS, shape=st.just(()) | st.tuples(st.integers(1, 20))),
+        lambda seed, shape: bloch_planes(qubits(seed, shape)[0]), _pauli_expectations,
+        pins={"20 and one": [dict(seed=0, shape=(20,)), dict(seed=0, shape=())]},
     ),
     ("hbac_round_closed", "hbac_round_dense"): Row(
         1e-15, ORDER,
         _args(eps=st.tuples(*[POLARIZATIONS] * 3), bath=POLARIZATIONS, rounds=st.integers(1, 12)),
         lambda **args: hbac_rounds(hbac_round_closed, **args), lambda **args: hbac_rounds(hbac_round_dense, **args),
         draws=200,
+        pins={"ends": [dict(eps=eps, bath=0.0, rounds=1)
+                       for eps in ((1.0, 1.0, 1.0), (-1.0, 0.5, -1.0), (0.3, -0.7, 0.9))]},
     ),
     ("hbac steady state", "hbac_round_dense"): Row(
         1e-12, ORDER, _args(bath=POLARIZATIONS),
@@ -1297,7 +1427,9 @@ TOLERANCES = {
         lambda bath: hbac_round_dense(2 * bath / (1 + bath * bath), bath, bath), draws=100,
     ),
     ("partial_swap_unitaries", "expm"): Row(
-        1e-15, CLOSED, _args(phis=SWAP_ANGLES), circuits.partial_swap_unitaries, _expm_swaps
+        1e-15, CLOSED, _args(phis=SWAP_ANGLES), circuits.partial_swap_unitaries, _expm_swaps,
+        pins={"angles": {f"phis{i}": dict(phis=phis) for i, phis in enumerate(
+            [[0.0], [0.0, np.pi / 8, np.pi / 4, np.pi / 2], [-0.7, 2.9, 1e-9, -3.1]])}},
     ),
     ("partial_swap_ptms", "_transfer of expm"): Row(
         1e-15, CLOSED, _args(phis=SWAP_ANGLES), lambda phis: [p.r for p in tomography.partial_swap_ptms(phis)],
@@ -1307,14 +1439,15 @@ TOLERANCES = {
         1e-13, COMPILED, _args(phi=ANGLES),
         lambda phi: circuits.circuit_unitaries([circuits.compile_udme_native(phi), circuits.compile_udme_hs(phi)]),
         lambda phi: _expm_swaps([phi, phi]), up_to_phase,
+        pins={"angles": {str(phi): dict(phi=phi) for phi in (np.pi / 8, np.pi / 4, np.pi / 2, -0.9, 2.2)}},
     ),
     ("compile_udme_native", "expm of the Heisenberg generator"): Row(
         1e-13, COMPILED, _args(phi=ANGLES), lambda phi: circuits.circuit_unitaries([circuits.compile_udme_native(phi)]),
-        lambda phi: expm(HEISENBERG, -0.5j * phi)[None], up_to_phase,
+        lambda phi: expm(HEISENBERG, -0.5j * phi)[None], up_to_phase, pins={"phi = 0.63": [dict(phi=0.63)]},
     ),
     ("_gate_matrices RZZ", "expm"): Row(
         1e-14, CLOSED, _args(phi=ANGLES),
         lambda phi: circuits._gate_matrices([circuits.Gate("RZZ", (phi,), (0, 1))])[0],
-        lambda phi: expm(ZZ, -0.5j * phi),
+        lambda phi: expm(ZZ, -0.5j * phi), pins={"angles": [dict(phi=phi) for phi in (0.3, -1.1, 2.9)]},
     ),
 }

@@ -99,9 +99,7 @@ def _rounds(eps0, eps_bath, rounds, step=hbac_round_closed):
 
 
 class TestHbacStep:
-    test_closed_form_matches_dense_round = pins(
-        HBAC, *(dict(eps=eps, bath=0.0, rounds=1) for eps in ((1.0, 1.0, 1.0), (-1.0, 0.5, -1.0), (0.3, -0.7, 0.9)))
-    )
+    test_closed_form_matches_dense_round = pins(HBAC, "ends")
 
     def test_all_zero_forever(self):
         assert _rounds(0.0, 0.0, 4) == [0.0] * 5

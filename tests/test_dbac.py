@@ -27,15 +27,15 @@ from dbac_lab.tomography import NoiseModel
 
 from conftest import config, config_error, counted_swaps, random_state
 from oracles import (
-    LAYOUTS, H, basis, bloch_steps_args, chain_args, check, dbac_step_exact, depths, descent_args, eigenbasis_chain,
-    energy, expm, fidelity, ground_projector, ite_args, ite_evolve, pass_args, pins, qubit, random_hamiltonian,
-    reflector, reflector_args, synthesis_args, synthesize_uk,
+    LAYOUTS, H, basis, chain_args, check, dbac_step_exact, depths, descent_args, eigenbasis_chain, energy, expm,
+    fidelity, ground_projector, ite_args, ite_evolve, pass_args, pins, qubit, random_hamiltonian, reflector,
+    reflector_args, synthesize_uk,
 )
 
 SEARCHED = ("final_fidelities_over_s", "dbac_via_dme and dbac_recursive_exact")
 LAW = ("dbac_energy_analytic", "dbac_step_exact")
-CRITERION_1 = np.linspace(0.0, np.pi, 101)[[0, 1, 17, 50, 73, 99, 100]]
-LAW_GRID = np.linspace(0, np.pi, 21)
+RECURSIVE = ("dbac_recursive_exact", "recursive_exact")
+EXACT_FRESH = ("_final_energies exact fresh", "search_exact_loop")
 
 
 def _best_fidelity(f0, k, m):
@@ -57,12 +57,7 @@ class TestStepExact:
         out = dbac_step_exact(rx_init(np.pi / 2), np.pi / 4)
         assert abs(energy(out, H) + np.sqrt(2) / 2) < 1e-12
 
-    # acceptance criterion 1 runs one _exact_steps step over this grid,
-    # theta-major; the dense step checks a fixed subsample of it, with theta,
-    # t in {0, pi/2, pi}
-    test_checks_exact_reflector_engine_on_criterion_1_grid = pins(
-        ("_exact_steps", "dbac_step_exact"), *(dict(theta=theta, t=t) for theta in CRITERION_1 for t in CRITERION_1)
-    )
+    test_checks_exact_reflector_engine_on_criterion_1_grid = pins(("_exact_steps", "dbac_step_exact"), "criterion 1")
 
 
 class TestEnergyAnalytic:
@@ -102,17 +97,12 @@ class TestEnergyAnalytic:
         with pytest.raises(ContractViolationError):
             dbac_energy_analytic(np.array(e0), np.array(t))
 
-    test_matches_brute_force_on_grid = pins(
-        LAW, *(dict(theta=theta, phase=-np.pi / 2, t=t) for theta in LAW_GRID for t in LAW_GRID)
-    )
-    # any state with the same energy steps to the same energy
-    test_state_independent_given_energy = pins(LAW, *(dict(theta=1.9, phase=p, t=0.73) for p in np.linspace(0, 6, 10)))
+    test_matches_brute_force_on_grid = pins(LAW, "grid")
+    test_state_independent_given_energy = pins(LAW, "one energy")
 
 
 class TestRecursiveExact:
-    test_k1_reduces_to_single_step = pins(
-        ("dbac_recursive_exact", "dbac_step_exact"), dict(theta=0.8, phase=-np.pi / 2, t=0.6)
-    )
+    test_k1_reduces_to_single_step = pins(("dbac_recursive_exact", "dbac_step_exact"), "k = 1")
 
     def test_small_angle_one_step_reaches_target(self):
         rec = dbac_recursive_exact(rx_init(0.2 * np.pi), DbacSchedule.uniform(1, np.pi / 4, m=1))
@@ -202,15 +192,8 @@ class TestViaDme:
 
 
 class TestViaDmeBatch:
-    test_noiseless_matches_exact_step_oracle = pins(
-        ("dbac_via_dme", "dme_chain"),
-        dict(thetas=np.array([2.0]), schedule=DbacSchedule.uniform(4, 1.2, m=9), noise=None),
-    )
-    test_p2_closed_form_matches_joint_depolarize = pins(
-        ("dbac_via_dme", "dme_chain"),
-        dict(thetas=np.array([0.0, 1.2, np.pi]), schedule=DbacSchedule(s=(0.3, 1.4), m=(7, 2), recursion="fresh"),
-             noise=NoiseModel(p1=0.02, p2=0.08)),
-    )
+    test_noiseless_matches_exact_step_oracle = pins(("dbac_via_dme", "dme_chain"), "deep")
+    test_p2_closed_form_matches_joint_depolarize = pins(("dbac_via_dme", "dme_chain"), "p2")
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -324,25 +307,16 @@ class TestRecordArrays:
 
 
 class TestRecordsOracle:
-    """Records are read from populations and Bloch planes; the density-matrix
-    einsums they replaced are the oracle, on the states each engine checked."""
-
-    @pytest.mark.parametrize("mode", RECURSION_MODES)
-    def test_via_dme(self, mode):
-        schedule = DbacSchedule(s=(0.7, 0.4, 0.9), m=(4, 2, 3), recursion=mode)
-        args = dict(thetas=np.linspace(0.1, 3.0, 5), psi=None, schedule=schedule, noise=NoiseModel(p1=1e-3, p2=1e-2))
-        check(("_records", "records"), **args)
+    test_via_dme = pins(("_records", "records"), "dme")
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("mode", RECURSION_MODES)
     def test_recursive_exact(self, dim, mode):
-        # a qubit's record under -Z; beyond a qubit, the energies of the exact
-        # chain in the eigenbasis of a random H
+        schedule = DbacSchedule(s=(0.3, 1.1, 0.5, 2.0), recursion=mode)
         if dim == 2:
-            schedule = DbacSchedule(s=(0.3, 1.1, 0.5, 2.0), recursion=mode)
             check(("_records", "records"), psi=qubit(1.3, 0.4), thetas=None, schedule=schedule)
         else:
-            check(("dbac_recursive_exact", "recursive_exact"), **chain_args(0, "2q", 4, True, mode))
+            check(RECURSIVE, **chain_args(0, "2q", 4, True, mode))
 
 
 class TestSynthesizeUk:
@@ -378,17 +352,10 @@ class TestSynthesizeUk:
             e = dbac_energy_analytic(e, np.sqrt(s))
         assert abs(float(np.real(w.conj() @ H.matrix @ w)) - e) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_chain_engine(self, n):
-        # U_k |0...0> is the exact chain from |0...0> at step durations sqrt(s)
-        for seed in range(20):
-            check(("dbac_recursive_exact chain", "synthesize_uk"), **synthesis_args(seed, n))
+    test_matches_chain_engine = pins(("dbac_recursive_exact chain", "synthesize_uk"), "seeds")
 
 
 class TestImaginaryTimeOracle:
-    """One exact step of duration sqrt(s) and imaginary time s agree in energy
-    to O(s^2): both descend by 2 s V0 to first order."""
-
     @pytest.mark.parametrize("theta", [0.5, 1.2, 2.0, 2.8])
     def test_single_qubit_gap_is_second_order(self, theta):
         # under H = -Z the gap per s^2 tends to (1 - E0^2)(3 E0 + 5/3)
@@ -399,11 +366,7 @@ class TestImaginaryTimeOracle:
         gap = (e_step - energy(ite_evolve(rx_init(theta), s, H), H)) / s**2
         assert abs(gap - (1 - e0**2) * (3 * e0 + 5 / 3)) < 0.02
 
-    @pytest.mark.parametrize("dim", [4, 8])
-    def test_random_hamiltonians(self, dim):
-        for seed in range(10):
-            for s in (1e-2, 1e-3):
-                check(("dbac_recursive_exact one step", "ite_evolve"), **ite_args(seed, dim, 0.0, s))
+    test_random_hamiltonians = pins(("dbac_recursive_exact one step", "ite_evolve"), "random H")
 
 
 class TestDescentBound:
@@ -586,29 +549,15 @@ class TestScheduleValidation:
 
 
 class TestRecursiveExactOracle:
-    @pytest.mark.parametrize("mode", RECURSION_MODES)
-    @pytest.mark.parametrize("kind", ["1q", "2q", "2q-degenerate"])
-    def test_record_matches_public_step_loop(self, mode, kind):
-        # a qubit's record under -Z; beyond a qubit, the exact chain in the
-        # eigenbasis of a random H
-        for trial in range(4):
-            check(("dbac_recursive_exact", "recursive_exact"), **chain_args(trial, kind, 1 + trial, trial % 2, mode))
+    test_record_matches_public_step_loop = pins(RECURSIVE, "kinds")
 
 
 class TestSearchEngineOracle:
-    """The search's ground fidelities against the simulators' final energies,
-    through F = (1 - E) / 2 under H = -Z."""
-
     def test_ground_fidelity_is_read_from_the_energy(self):
         # the ground projector of H = -Z is (I - H) / 2, so <P> = (1 - E) / 2
         assert np.array_equal(ground_projector(H), (np.eye(2) - H.matrix) / 2)
 
-    # one fidelity per step size, at both ends of the angles
-    test_final_fidelities_match_simulators = pins(
-        SEARCHED,
-        *(dict(theta=theta, k=8 // (m or 1), m=m, s_values=[0.05, 1.3, 2.6, np.pi], mode=mode)
-          for theta, m, mode in ((1e-9, 4, "fresh"), (np.pi - 1e-9, None, "chain"), (0.7, 2, "chain"))),
-    )
+    test_final_fidelities_match_simulators = pins(SEARCHED, "ends")
 
 
 def _counted_rotations(monkeypatch, call, *args):
@@ -670,54 +619,26 @@ class TestSearchBatch:
 
 
 class TestDmeStepsOracle:
-    test_matches_exact_step_chains = pins(
-        ("_bloch_steps", "dme_chain"),
-        bloch_steps_args(1, (200, 1), False, "chain", (2e-3, 0.01)),
-        bloch_steps_args(2, (4, 50), True, "chain", None),
-    )
+    test_matches_exact_step_chains = pins(("_bloch_steps", "dme_chain"), "long")
 
 
 class TestSearchPassOracle:
-    """The search's finite-depth pass, which computes only the last swap's z,
-    against the loop that computed every plane of every swap."""
-
     def test_final_energies_match_the_search_loop(self):
         for args in ((0, 1, 1, "chain", False, [0.0, np.pi]), (1, 6, 8, "fresh", True, [-0.0, 3 * np.pi])):
             args = pass_args(*args)
             check(("_final_energies", "search_loop"), **args)
             check(("_rx_planes", "bloch_planes of _rx_init"), thetas=args["thetas"])
 
-    # the search's only pass through the exact reflectors, pinned bit for bit
-    test_exact_fresh_energies_match_the_exact_search_loop = pins(
-        ("_final_energies exact fresh", "search_exact_loop"),
-        pass_args(0, 1, None, "fresh", False, [0.0, np.pi]),
-        pass_args(1, 6, None, "fresh", True, [np.pi, 0.0]),
-    )
+    test_exact_fresh_energies_match_the_exact_search_loop = pins(EXACT_FRESH, "ends")
 
 
 class TestBlochReflectorOracle:
-    """Exact reflectors as rotations of Bloch planes (the search's pass,
-    _search_pass_z, on exact tables) against the complex-amplitude _exact_steps.
-
-    Fresh recursion with exact reflectors is chaotic for some (theta, s): two
-    runs of the oracle from initial states 1e-15 apart part by O(1) within 50
-    steps for about a third of the pairs, so no two evaluations of such a
-    chain agree.  Chains are compared on the entries where the oracle is well
-    conditioned: rerun from initial phases perturbed by 1e-15, it stays within
-    1e-13 of itself over the whole chain.  The pass gives the final z plane
-    alone, the one the search reads."""
-
     def test_matches_exact_steps(self):
         for args in (reflector_args(3, 200, "chain"), reflector_args(4, 200, "fresh")):
             check(("_exact_steps perturbed", "_exact_steps"), **args)
             check(("_search_pass_z exact", "_exact_steps"), **args)
 
-    @pytest.mark.parametrize("mode", RECURSION_MODES)
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_search_energies_match_exact_steps(self, mode, k):
-        # the search's exact path (Bloch-plane reflectors when fresh, the
-        # closed-form law when chained) over every tenth step size of the grid
-        check(SEARCHED, theta=1.1, k=k, m=None, s_values=step_size_grid()[::10], mode=mode)
+    test_search_energies_match_exact_steps = pins(("final_fidelities_over_s exact", "_exact_steps"), "whole grid")
 
 
 # (k, M, recursion, theta, f_target, optimal_step(-cos theta), basin F_min)
@@ -816,11 +737,7 @@ class TestGridTables:
 
 
 class TestStepTableOnDistinctSizes:
-    test_equals_tiled_table = pins(
-        ("final_fidelities_over_s", "tiled_table_fidelities"),
-        *(dict(theta=np.linspace(0.0, np.pi, 6), s_values=[1e-3, 0.5, np.pi, -1.0, 11.5], k=6, m=m, mode="fresh")
-          for m in (None, 1, 2, 4)),
-    )
+    test_equals_tiled_table = pins(("final_fidelities_over_s", "tiled_table_fidelities"), "fresh")
 
     def test_table_built_on_the_step_sizes(self, monkeypatch):
         builds = []
@@ -854,15 +771,7 @@ def _recorded_passes(monkeypatch, *args):
 class TestBasinWitnesses:
     """Witness entries skip full-grid passes but never change a decision."""
 
-    test_matches_plain_bisection = pins(
-        ("basin_min_fidelity", "plain_basin"),
-        dict(k=1, m=1, mode="chain", f_target=1 - 1e-14),  # the (1.0, False) sentinel
-        dict(k=6, m=None, mode="fresh", f_target=1 - 1e-9),
-        dict(k=3, m=None, mode="fresh", f_target=1e-7),  # lo is returned
-        dict(k=6, m=4, mode="chain", f_target=1e-9),
-        dict(k=2, m=2, mode="fresh", f_target=0.8),
-        dict(k=2, m=2, mode="chain", f_target=1 - 1e-7),  # the upper end's witness misses
-    )
+    test_matches_plain_bisection = pins(("basin_min_fidelity", "plain_basin"), "ends")
 
     @staticmethod
     def _check_passes(monkeypatch, m, mode, f_target):
@@ -910,8 +819,7 @@ class TestBasinWitnesses:
                 e = dbac_energy_analytic(e, grid)
             assert dbac._seed_step(k) == int(np.argmin(e))
 
-    # the lower end's witnesses
-    test_midpoints_match_the_recursion = pins(("_midpoints", "midpoints"), dict(lo=1e-6, width=1.0 - 2e-6, levels=4))
+    test_midpoints_match_the_recursion = pins(("_midpoints", "midpoints"), "lower end")
 
     def test_fewer_full_grid_passes(self, monkeypatch):
         # the plain bisection makes 16: both ends of the interval, then 14
@@ -952,9 +860,7 @@ class TestSearchArgumentChecks:
         error = config_error(tmp_path, "sweep-s", text)
         assert error == f"line 3: bad value for {key}: angle must be finite, got '{value}'"
 
-    @pytest.mark.parametrize("m, mode", [(None, "chain"), (None, "fresh"), (2, "chain")])
-    def test_negative_and_large_steps_allowed(self, m, mode):
-        check(SEARCHED, theta=0.3, k=2, m=m, s_values=[-1.0, 10.0], mode=mode)
+    test_negative_and_large_steps_allowed = pins(SEARCHED, "outside (0, pi]")
 
     @pytest.mark.parametrize("m, mode", [(None, "fresh"), (2, "chain")])
     def test_overflowing_echo_angle_rejected(self, tmp_path, m, mode):

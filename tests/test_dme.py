@@ -21,13 +21,12 @@ from dbac_lab.states import HamiltonianSpec, PureState, check_density, rx_init
 
 from conftest import random_density, verdict
 from oracles import (
-    GROUND, PLUS, basis, check, dme_step_exact, exact_conjugation, expm, pair, pins, power_args, recording,
-    reflector, swap_args, swap_marginals, swap_point_args, tol, trace_distance, trotter, trotter_state,
+    GROUND, PLUS, basis, check, dme_step_exact, exact_conjugation, expm, pair, pins, recording, reflector,
+    swap_marginals, swap_point_args, tol, trace_distance, trotter, trotter_state,
 )
 
-SEARCH_BATCH = 3142  # the batch the step-size search runs the kernel on
-CRITERION_3_DEPTHS = [1, 2, 4, 8, 16, 32, 64]
 SWAP = ("partial_swap", "dme_step_exact")
+ERRORS = ("dme_errors", "dme_error")
 
 
 def _error(rho, sigma, t, m):
@@ -85,7 +84,7 @@ class TestDmeStep:
         for delta in (0.2, 1.0, 2.7):
             assert np.abs(dme_step_exact(rho, rho, delta).matrix - rho).max() < 1e-13
 
-    test_closed_form_matches_exact = pins(SWAP, swap_args(0, 200, "batch"))  # 200 random pairs and angles
+    test_closed_form_matches_exact = pins(SWAP, "200 pairs")
 
     def test_quarter_pi_closed_value(self):
         out = swap_marginals(GROUND, PLUS, np.pi / 4)[0]
@@ -118,16 +117,10 @@ class TestDmeStep:
 
 
 class TestPartialSwap:
-    """Pins of the partial_swap row's forms: each output and instruction
-    marginal against the joint state's partial traces."""
-
-    test_matches_partial_traces_of_joint_state = pins(SWAP, swap_args(1, 6, "batch"), swap_args(1, 6, "one angle"))
-    test_matches_partial_traces_at_search_batch = pins(SWAP, swap_args(2, SEARCH_BATCH, "batch"))
-    test_matches_partial_traces_on_one_matrix = pins(
-        SWAP, *(swap_args(3, 1, "one pair", [delta]) for delta in (0.4, -2.1, np.pi / 2))
-    )
-    # a (3, 1) instruction plane broadcasts against a (3, B) data batch
-    test_one_instruction_against_a_batch = pins(SWAP, swap_args(4, 4, "one instruction"))
+    test_matches_partial_traces_of_joint_state = pins(SWAP, "six")
+    test_matches_partial_traces_at_search_batch = pins(SWAP, "search batch")
+    test_matches_partial_traces_on_one_matrix = pins(SWAP, "one pair")
+    test_one_instruction_against_a_batch = pins(SWAP, "one instruction")
 
     def test_zero_angle_returns_sigma_exactly(self, rng):
         # angle 0, whose coefficients are (1, 0, 0), is the identity, bit for bit
@@ -162,17 +155,7 @@ class TestPartialSwap:
 
 
 class TestPartialSwapPower:
-    # every copy of an m-swap step, and each entry's own exponent, against m
-    # partial_swap calls: |a| = 0, |a|^2 underflowing and a antiparallel to b,
-    # at the extreme depths and noise
-    test_matches_partial_swap_loop = pins(
-        ("partial_swap_power", "partial_swap loop"),
-        power_args(0, 64, 0.0, 0.0, False, True),
-        power_args(1, 64, 0.1, 1.0, True, False),
-        power_args(2, 1, 0.05, 0.0, True, True),
-        power_args(4, 3, 0.0, 1e-300, False, False),
-        power_args(5, 2, 0.01, 5e-324, True, True),
-    )
+    test_matches_partial_swap_loop = pins(("partial_swap_power", "partial_swap loop"), "extremes")
 
     def test_swap_point_and_full_depolarizing(self, rng):
         # at delta = pi/2 (sin^2 = 1 exactly, cos^2 = 3.7e-33) every swap
@@ -229,10 +212,8 @@ class TestCheckBloch:
 
 
 class TestDmeTrotter:
-    test_matches_exact_step_loop = pins(
-        ("partial_swap_power", "trotter_state"), pair(0, t=2.0, m=64), pair(1, t=-1.3, m=7)
-    )
-    test_m_one_is_single_step = pins(("partial_swap_power one copy", "dme_step_exact"), pair(0, t=0.77))
+    test_matches_exact_step_loop = pins(("partial_swap_power", "trotter_state"), "loop")
+    test_m_one_is_single_step = pins(("partial_swap_power one copy", "dme_step_exact"), "t = 0.77")
 
     def test_large_m_approaches_conjugation(self):
         t = np.pi / 2
@@ -281,11 +262,8 @@ class TestDmeError:
 
 
 class TestDmeErrors:
-    test_matches_exact_step_loop = pins(("dme_errors", "dme_error"), pair(0, t=-2.0, ms=list(range(1, 65))))
-    test_criterion_3_depths = pins(
-        ("dme_errors", "dme_error"),
-        *(pair(0, kind, t=np.pi / 4, ms=CRITERION_3_DEPTHS) for kind in ("ground and plus", "random")),
-    )
+    test_matches_exact_step_loop = pins(ERRORS, "1 to 64")
+    test_criterion_3_depths = pins(ERRORS, "criterion 3")
 
     def test_depths_in_any_order_match_one_depth_runs(self, rng):
         rho, sigma = random_density(rng), random_density(rng)
@@ -332,9 +310,7 @@ class TestDmeErrors:
         assert scaled[2] > 0 and abs(scaled[1] / scaled[2] - 1.0) < tol("dme_errors 10^6", "dme_errors 10^9")
         assert abs(scaled[0] / scaled[2] - 1.0) < tol("dme_errors 4096", "dme_errors 10^9")
 
-    test_deep_circuits_match_exact_step_loop = pins(
-        ("dme_errors deep", "dme_error"), pair(0, "ground and plus", t=np.pi / 4, ms=[1, 361, 362, 1000])
-    )
+    test_deep_circuits_match_exact_step_loop = pins(("dme_errors deep", "dme_error"), "deep")
 
     def test_invalid_intermediate_state_raises(self):
         with pytest.raises(ContractViolationError, match="trace"):

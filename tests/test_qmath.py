@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from dbac_lab import qmath
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 
 from conftest import random_density, random_unitary
-from oracles import check, embedding
+from oracles import pins
 
 I2, X, Y, Z = qmath.I2, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z
 
@@ -140,15 +138,8 @@ class TestStackedDist:
 
 
 class TestEmbedGate:
-    @pytest.mark.parametrize("n,qubits", [(2, (0,)), (2, (1, 0)), (3, (2,)), (3, (0, 2)), (4, (3, 1))])
-    def test_against_index_oracle(self, n, qubits):
-        check(("embed_gate", "embed_gate_by_index"), **embedding(0, n, qubits, None))
-
-    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
-    def test_stack_against_index_oracle(self, n, k):
-        # every ordered qubit tuple, reversed ones included, slice by slice
-        for seed, qubits in enumerate(itertools.permutations(range(n), k)):
-            check(("embed_gate", "embed_gate_by_index"), **embedding(seed, n, qubits, 2))
+    test_against_index_oracle = pins(("embed_gate", "embed_gate_by_index"), "one gate")
+    test_stack_against_index_oracle = pins(("embed_gate", "embed_gate_by_index"), "stacks")
 
     @pytest.mark.parametrize(
         "single, stack, qubits, error, message",
