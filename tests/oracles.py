@@ -65,8 +65,6 @@ IMAGINARY = (
     " worst measured 2.41 (H = -Z at theta = 2.0, where the limit (1 - E0^2)(3 E0 + 5/3) peaks),"
     " 1.31 on random 2- and 3-qubit H with eigenvalues in [-1, 1]"
 )
-
-
 EXACT_GRID = (
     "in final energy: the search's exact path (Bloch-plane reflectors when fresh, the population law when chained)"
     " against _exact_steps' amplitudes over the whole step grid; worst measured 1.0e-14 (4500 draws)"
@@ -151,9 +149,9 @@ def check(key: tuple, **args) -> None:
 
 
 def pins(key: tuple, name: str):
-    """The test of the row of ``key`` at its pinned inputs ``name``: a list of
-    cases is one test, and a dict of them one test per id, each id's one case
-    or list of cases."""
+    """The test method of the row of ``key`` at its pinned inputs ``name``: a
+    list of cases is one test, and a dict of them one test per id, each id's
+    one case or list of cases."""
     cases = TOLERANCES[key].pins[name]
 
     def test(_self, args=cases):
