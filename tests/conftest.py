@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from dbac_lab import cli, dbac
 from dbac_lab.errors import ContractViolationError
+
+import runs
 
 
 @pytest.fixture
@@ -36,18 +45,20 @@ def verdict(check, arg):
     return None
 
 
-def config(tmp_path, experiment, text):
-    """The validated config of a run of ``experiment`` whose config file holds ``text``."""
+def config(tmp_path, experiment, text, out="out"):
+    """The validated config of a run of ``experiment`` (None: the one the text
+    names) whose config file holds ``text``, writing to ``tmp_path / out``
+    (None: where the text says)."""
     path = tmp_path / "cfg.txt"
     path.write_text(text)
-    return cli.validate_config(path, experiment, out_override=tmp_path / "out")
+    return cli.validate_config(path, experiment, out_override=out and tmp_path / out)
 
 
-def config_error(tmp_path, experiment, text):
+def config_error(tmp_path, experiment, text, out="out"):
     """The config error of a run of ``experiment`` whose config file holds
     ``text``: the checks where a run's inputs enter, which the engines do not repeat."""
     with pytest.raises(cli.ConfigError) as info:
-        config(tmp_path, experiment, text)
+        config(tmp_path, experiment, text, out)
     return str(info.value)
 
 
@@ -63,3 +74,46 @@ def counted_swaps(monkeypatch):
 
         monkeypatch.setattr(dbac, name, counting)
     return calls
+
+
+TracedRuns = NamedTuple("TracedRuns", [("faults", dict), ("ran", set)])
+
+# the child: traces the package's lines from before its import, makes each run
+# and prints its exit code and stderr, then the lines that ran
+_TRACED_RUNS = """
+import json, sys
+import numpy, runs  # not the package: untraced
+src, argvs = json.load(sys.stdin)
+hits = set()
+def line(frame, event, arg):
+    if event == "line":
+        hits.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(src) else None
+sys.settrace(call)
+ends = runs.in_process(argvs)
+sys.settrace(None)
+json.dump([ends, sorted(hits)], sys.stdout)
+"""
+
+
+@pytest.fixture(scope="session")
+def traced_runs(tmp_path_factory):
+    """Every run of ``runs.RUNS``, made by ``cli.main`` in one child process
+    under ``runs.AS_LIMIT`` and 60 s, traced from before the package is
+    imported: ``faults``, why each run, by its ``--out``, did not end as listed
+    ('' if it did, by ``runs._fault``), and ``ran``, each (module, line) of the
+    package that ran."""
+    work, src = tmp_path_factory.mktemp("runs"), Path(cli.__file__).parent
+    runs.prepare(work)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src.parent), str(Path(runs.__file__).parent)]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _TRACED_RUNS],
+        input=json.dumps([str(src), [run.argv for run in runs.RUNS]]), cwd=work, env=env,
+        capture_output=True, text=True, check=True, timeout=60, **runs.limited(),
+    )
+    ends, hits = json.loads(child.stdout)
+    faults = {run.argv[-1]: runs._fault(run, work / run.argv[-1], *end)
+              for run, end in zip(runs.RUNS, ends, strict=True)}
+    return TracedRuns(faults, {(Path(f).stem, n) for f, n in hits})

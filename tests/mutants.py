@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-CAP = 240  # seconds of tier-1 per mutant; a killed one took at most 20 s on a 2-core VM
+CAP = 240  # seconds of tier-1 per mutant; a killed one took at most 64 s on a 2-core VM (a 60 s child timeout)
 KILLED = "killed"
 PROFILE = """from hypothesis import Phase, settings
 
@@ -63,59 +63,80 @@ LAW_BRANCH = """        twice = 2.0 * two_sin2
         e = p - q"""
 
 MUTANTS = [
+    Mutant("echo-dropped", "dbac.py", "        a = _to_data_frame(out, table.cos_phi, table.sin_phi)\n",
+           "        a = out\n", "the search pass leaves its instruction out of the data's frame", KILLED),
     Mutant("partial-swap-x-plane", "dme.py", "    out_x += c2 * x\n", "    out_x += c2 * y\n",
            "partial_swap's x plane reads c2 y", KILLED),
     Mutant("cem-success", "baselines.py", "p_success = 1.0 - 0.5 * x + 0.25 * x * x",
            "p_success = 1.0 - 0.5 * x + 0.25 * x * x + 1e-12", "cem_round_closed's success probability", KILLED),
-    Mutant("swap-z-cross-sign", "dme.py", "    out -= cy * x\n", "    out += cy * x\n",
-           "swap_z's cross term changes sign", KILLED),
-    Mutant("pass-one-step-more", "dbac.py", "    for j in range(k):\n", "    for j in range(k + 1):\n",
-           "the search pass makes k + 1 steps", KILLED),
-    Mutant("extra-swap", "dbac.py", "for _ in range(table.m - 1):", "for _ in range(table.m):",
-           "one swap too many before the search pass's last", KILLED),
-    Mutant("data-frame-sign", "dbac.py", "    ry -= sin * x\n", "    ry += sin * x\n",
-           "_to_data_frame's y plane rotates the wrong way", KILLED),
-    Mutant("record-recursion-swapped", "dbac.py", 'data = out if recursion == "chain" else r0',
-           'data = out if recursion == "fresh" else r0', "the DME record runs chain as fresh and fresh as chain",
-           KILLED),
-    Mutant("echo-dropped", "dbac.py", "        a = _to_data_frame(out, table.cos_phi, table.sin_phi)\n",
-           "        a = out\n", "the search pass leaves its instruction out of the data's frame", KILLED),
     Mutant("record-depth-plus-one", "dbac.py", "np.arange(1, m + 1).reshape(-1, 1, 1) for m in",
            "np.arange(2, m + 2).reshape(-1, 1, 1) for m in", "every copy of a DME record step makes one swap more",
            KILLED),
-    Mutant("basin-upper-end", "dbac.py", "_BASIN_ENDS = (1e-6, 1.0 - 1e-6)", "_BASIN_ENDS = (1e-6, 1.0 - 1e-5)",
-           "the basin bisection's upper end", KILLED),
-    Mutant("exact-rescale-dropped", "dbac.py", "                plane /= norm\n", "                pass\n",
-           "the exact search pass's rescale, dropped", KILLED),
+    Mutant("bound-times-ten", "acceptance.py", "passed = passed and elapsed < bound",
+           "passed = passed and elapsed < 10 * bound", "a criterion passes up to ten times its wall-time bound", KILLED),
+    Mutant("pass-one-step-more", "dbac.py", "    for j in range(k):\n", "    for j in range(k + 1):\n",
+           "the search pass makes k + 1 steps", KILLED),
+    Mutant("record-recursion-swapped", "dbac.py", 'data = out if recursion == "chain" else r0',
+           'data = out if recursion == "fresh" else r0', "the DME record runs chain as fresh and fresh as chain",
+           KILLED),
+    Mutant("data-frame-sign", "dbac.py", "    ry -= sin * x\n", "    ry += sin * x\n",
+           "_to_data_frame's y plane rotates the wrong way", KILLED),
+    Mutant("grid-count-one", "cli.py", "_GRID_COUNT = (lambda v: v >= 2,", "_GRID_COUNT = (lambda v: v >= 1,",
+           "a one-point theta or s grid is accepted", KILLED),
+    Mutant("first-round-bath", "cli.py", "bath = cfg.eps0 if r == 1 else cfg.eps_bath", "bath = cfg.eps_bath",
+           "the baselines run's round 1 compresses against eps_bath, not eps0", KILLED),
+    Mutant("swap-z-cross-sign", "dme.py", "    out -= cy * x\n", "    out += cy * x\n",
+           "swap_z's cross term changes sign", KILLED),
+    Mutant("extra-swap", "dbac.py", "for _ in range(table.m - 1):", "for _ in range(table.m):",
+           "one swap too many before the search pass's last", KILLED),
+    Mutant("largest-factor-key", "cli.py", "key = max(factors, key=factors.get)",
+           "key = min(factors, key=factors.get)", "a budget error names the key of the smallest factor", KILLED),
+    Mutant("exact-trajectory-noise", "cli.py",
+           'applied = () if self.experiment == "trajectory" and self.m is None else applied', "applied = applied",
+           "an exact trajectory accepts the noise keys it never applies", KILLED),
     Mutant("marginals-without-p2", "dbac.py", "            margs *= 1.0 - p2\n", "            pass\n",
            "the DME record's instruction marginals lose the p2 scaling", KILLED),
+    Mutant("output-without-p1", "dbac.py", "            out *= 1.0 - p1\n", "            pass\n",
+           "the DME record's step output loses the p1 scaling", KILLED),
+    Mutant("noisy-g-without-q", "dme.py", "dg = d + q * s2 / np.expm1(log_c2) * r",
+           "dg = d + s2 / np.expm1(log_c2) * r",
+           "partial_swap_power's noisy g loses its factor q", KILLED),
+    Mutant("product-cell-digits", "cli.py", 'cell = b"%.12g\\n"', 'cell = b"%.11g\\n"',
+           "a product table writes its values with 11 digits", KILLED),
+    Mutant("exact-rescale-dropped", "dbac.py", "                plane /= norm\n", "                pass\n",
+           "the exact search pass's rescale, dropped", KILLED),
+    Mutant("basin-upper-end", "dbac.py", "_BASIN_ENDS = (1e-6, 1.0 - 1e-6)", "_BASIN_ENDS = (1e-6, 1.0 - 1e-5)",
+           "the basin bisection's upper end", KILLED),
+    Mutant("tie-tol", "dbac.py", "_TIE_TOL = 1e-9", "_TIE_TOL = 1e-6", "optimal_step's tie tolerance", KILLED),
+    Mutant("witness-proof", "dbac.py", "itertools.compress(witnesses, self._reached(tried))",
+           "itertools.compress(witnesses, ~self._reached(tried))",
+           "a basin witness counts as proven when it misses the target", KILLED),
     Mutant("seed-step", "dbac.py", "    return int(np.argmin(e))\n", "    return int(np.argmin(e)) + 1\n",
            "the witness slots' first step, one grid step off", KILLED),
     Mutant("exact-rescale-off", "dbac.py", "                plane /= norm\n",
            "                plane /= norm * (1 + 1e-15)\n",
            "the exact search pass's rescale, off by 1e-15", KILLED),
-    Mutant("tie-tol", "dbac.py", "_TIE_TOL = 1e-9", "_TIE_TOL = 1e-6", "optimal_step's tie tolerance", KILLED),
-    Mutant("output-without-p1", "dbac.py", "            out *= 1.0 - p1\n", "            pass\n",
-           "the DME record's step output loses the p1 scaling", KILLED),
     Mutant("dme-errors-scale", "dme.py", "return 0.5 * np.linalg.norm(", "return 0.5 * (1 + 1e-9) * np.linalg.norm(",
            "dme_errors scaled by 1 + 1e-9", KILLED),
+    Mutant("trotter-cells", "cli.py", 'return 2 * self.m_max, {"m_max": self.m_max}',
+           'return self.m_max, {"m_max": self.m_max}', "trotter's cells count one per depth", KILLED),
     Mutant("eig-tol", "states.py", "EIG_TOL = 1e-10", "EIG_TOL = 1e-8", "the eigenvalue tolerance", KILLED),
-    Mutant("noisy-g-without-q", "dme.py", "dg = d + q * s2 / np.expm1(log_c2) * r",
-           "dg = d + s2 / np.expm1(log_c2) * r",
-           "partial_swap_power's noisy g loses its factor q", KILLED),
-    Mutant("witness-proof", "dbac.py", "itertools.compress(witnesses, self._reached(tried))",
-           "itertools.compress(witnesses, ~self._reached(tried))",
-           "a basin witness counts as proven when it misses the target", KILLED),
     Mutant("law-on-e0", "dbac.py", LAW_BRANCH,
            "        e = np.repeat(-np.cos(thetas), reps)\n"
            "        for _ in range(k):\n            e = _energy_law(e, *table.law)",
            "the exact chain's law on E0 = -cos(theta), which rounds away 1 -+ E0 near 0 and pi", KILLED),
+    Mutant("baselines-cells", "cli.py", 'return 4 * self.rounds, {"rounds": self.rounds}',
+           'return 2 * self.rounds, {"rounds": self.rounds}', "baselines' cells count two per round", KILLED),
+    Mutant("record-step-work", "cli.py", "_RECORD_STEP = 5000", "_RECORD_STEP = 500",
+           "a DME record step costs a tenth of its work", KILLED),
+    Mutant("budget-doubled", "cli.py", "            if size > budget:", "            if size > 2 * budget:",
+           "a config up to twice a budget is accepted", KILLED),
+    Mutant("basin-tol", "dbac.py", "_BASIN_TOL = 1e-4", "_BASIN_TOL = 1.2e-4", "the basin bisection's width",
+           "equivalent: (1 - 2e-6) / 2^13 = 1.2207e-4 exceeds both, so both stop at the 14th halving"),
     Mutant("witness-levels", "dbac.py", "_WITNESS_LEVELS = 4", "_WITNESS_LEVELS = 3",
            "fewer witness levels in each basin pass",
            "equivalent: witnesses only skip full-grid passes, never change a decision, and the work bound"
            " SEARCH_ENTRIES is derived from their count"),
-    Mutant("basin-tol", "dbac.py", "_BASIN_TOL = 1e-4", "_BASIN_TOL = 1.2e-4", "the basin bisection's width",
-           "equivalent: (1 - 2e-6) / 2^13 = 1.2207e-4 exceeds both, so both stop at the 14th halving"),
 ]
 
 

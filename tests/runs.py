@@ -1,7 +1,9 @@
 """Every run that CI makes, in one list, ``RUNS``.  From the repository's root,
-``python -m tests.runs`` makes each with the installed ``dbac-lab`` and checks
-how it ends (``check``); ``python -m tests.runs --against REV`` compares the
-files that the runs write on this tree and on REV (``against``)."""
+``python -m tests.runs`` makes each with the installed ``dbac-lab``, under
+``AS_LIMIT``, and checks how it ends (``check``); ``python -m tests.runs
+--against REV`` compares the files that the runs write on this tree and on REV
+(``against``).  Tier-1 makes every run in one child process under the same
+limit (``conftest.traced_runs``) and checks each with the same ``_fault``."""
 
 import argparse
 import contextlib
@@ -20,7 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "tests" / "configs"
 EXPERIMENTS = ("sweep-theta", "sweep-s", "grid-km", "trotter", "ptm", "baselines", "trajectory", "acceptance")
 MANIFEST = "results_manifest.json"
-_ERROR = r"config error: {}[ :].*\n\Z"  # one line, naming the error's cause
+AS_LIMIT = 2 * 2**30  # bytes of address space for each run: a config that needs more must be refused
+_ERROR = r"config error: {}.*\n\Z"  # one line, starting with the error's message
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -36,14 +39,25 @@ WRITES = [Run((e, "--out", f"out/{e}"), 2 if e == "acceptance" else 0, r"\Z") fo
     Run((e, "--config", str(p), "--out", f"out/{p.stem}"), 0, r"\Z")
     for p in sorted(CONFIGS.glob("*.txt")) for e in EXPERIMENTS if p.stem.startswith(e + "-")
 ] + [Run(("trotter", "--seed", "9", "--out", "out/trotter@9"), 0, r"\Z")]
-REJECTS = [  # the first line of each names the experiment and the config error's prefix
-    Run((e, "--config", str(p), "--out", f"unusable/{p.stem}"), 1, _ERROR.format(re.escape(prefix)))
+
+
+def reject_case(path: Path) -> tuple:
+    """(experiment, the start of its config error, config text) of a file in
+    ``tests/configs/reject/``: its first line names the experiment and the
+    error's start, and its second says why the case exists."""
+    head, _, text = path.read_text().split("\n", 2)
+    return (*head.lstrip("# ").split(" ", 1), text)
+
+
+REJECTS = [
+    Run((e, "--config", str(p), "--out", f"unusable/{p.stem}"), 1, _ERROR.format(re.escape(start)))
     for p in sorted((CONFIGS / "reject").glob("*.txt"))
-    for e, prefix in [p.read_text().split(":", 1)[0].lstrip("# ").split()]
+    for e, start, _ in [reject_case(p)]
 ]
 UNREADABLE = [  # a --config that is a directory, holds a non-UTF-8 byte, or is missing
-    Run(("sweep-theta", "--config", c, "--out", "unusable/config"), 1, _ERROR.format(re.escape(f"config file {c}")))
-    for c in ("cfg/a-directory", "cfg/non-utf8.txt", "cfg/missing.txt")
+    Run(("sweep-theta", "--config", c, "--out", f"unusable/{Path(c).stem}"), 1,
+        _ERROR.format(re.escape(f"config file {c}{end}")))
+    for c, end in (("cfg/a-directory", ": "), ("cfg/non-utf8.txt", ": "), ("cfg/missing.txt", " does not exist"))
 ]
 # a directory in the place of the manifest, or of a table
 BLOCKED = [Run(("baselines", "--out", d), 3, r"runtime error: .*\n\Z") for d in ("blocked", "blocked-table")]
@@ -55,6 +69,16 @@ def prepare(work: Path) -> None:
     for d in ("cfg/a-directory", f"blocked/{MANIFEST}", "blocked-table/baselines.csv"):
         (work / d).mkdir(parents=True)
     (work / "cfg" / "non-utf8.txt").write_bytes(b"k = 2\xff\n")
+
+
+def limited() -> dict:
+    """The ``subprocess`` keyword that caps a child's address space at
+    ``AS_LIMIT``, where the platform has ``resource``; none elsewhere."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    return {"preexec_fn": lambda: resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))}
 
 
 def in_process(argvs) -> list:
@@ -89,16 +113,18 @@ def _fault(run: Run, out: Path, status: int, stderr: str) -> str:
 
 
 def check(work: Path) -> int:
-    """Make every run with the installed dbac-lab in ``work``, one that writes
-    files twice, to the same bytes.  Each must end as listed: its exit code, one
-    stderr line and no traceback on an error, nothing written on a config error,
-    a manifest that lists exactly its files with their sha256, and only 5d
-    failed in acceptance.  1 if any ends otherwise."""
+    """Make every run with the installed dbac-lab in ``work``, each under
+    ``AS_LIMIT``, one that writes files twice, to the same bytes.  Each must
+    end as listed: its exit code, one stderr line and no traceback on an
+    error, nothing written on a config error, a manifest that lists exactly its
+    files with their sha256, and only 5d failed in acceptance.  1 if any ends
+    otherwise."""
     prepare(work)
     faults = 0
     for run in RUNS:
         for out in [run.argv[-1]] + ([run.argv[-1].replace("out/", "rerun/")] if run in WRITES else []):
-            proc = subprocess.run(["dbac-lab", *run.argv[:-1], out], cwd=work, capture_output=True, text=True)
+            proc = subprocess.run(["dbac-lab", *run.argv[:-1], out], cwd=work, capture_output=True, text=True,
+                                  **limited())
             fault = _fault(run, work / out, proc.returncode, proc.stderr)
             if not fault and out != run.argv[-1] and _files(work / out) != _files(work / run.argv[-1]):
                 fault = "its rerun wrote other bytes"

@@ -8,6 +8,8 @@ search-verified optimum is ground fidelity ~0.63 from 179 degrees, with the
 basin edge near 178.1 degrees).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,13 +105,16 @@ def test_summary_shape():
     assert summary["unexpected_failures"] == []
 
 
-def test_bound_is_applied_by_the_timing_wrapper():
+def test_bound_is_applied_by_the_timing_wrapper(monkeypatch):
     check = acceptance._criterion("x", "bounded check", bound=0.0)(lambda: (True, "check ran"))
     r = check()
     assert not r.passed
     assert r.detail == "check ran, runtime < 0s: False"
     unbounded = acceptance._criterion("y", "unbounded check")(lambda: (True, "check ran"))()
     assert unbounded.passed and unbounded.detail == "check ran" and unbounded.runtime_s >= 0.0
+    monkeypatch.setattr(acceptance.time, "perf_counter", itertools.count(10.0, 3.0).__next__)  # each check takes 3 s
+    slow = acceptance._criterion("z", "slow check", bound=2.0)(lambda: (True, "check ran"))()
+    assert not slow.passed and slow.detail.endswith("runtime < 2s: False") and slow.runtime_s == 3.0
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,8 @@ from dbac_lab.baselines import (
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import DensityMatrix, PureState, check_density, pseudo_pure, rx_init
 
-from conftest import random_unitary
+import runs
+from conftest import config, random_unitary
 from oracles import check, density, hbac_round_dense, pins, tol
 
 
@@ -146,7 +147,8 @@ class TestHbacStep:
             raise AssertionError("a dense register was built")
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", dense)
-        cfg = cli.validate_config(None, experiment="baselines", out_override=tmp_path / "out")
+        # eps0 = 0.9 and a cold bath, so that round 1 (three eps0 qubits) differs from the later rounds
+        cfg = config(tmp_path, "baselines", (runs.CONFIGS / "baselines-cold.txt").read_text())
         rows = cli._run_baselines(cfg)["baselines.csv"][1]
         monkeypatch.undo()
         got = [value for _, protocol, _, value in rows if protocol == "hbac"]

@@ -15,21 +15,31 @@ from hypothesis import strategies as st
 from dbac_lab import cli, dbac
 from dbac_lab.dbac import dbac_energy_analytic
 
-from conftest import counted_swaps
+import runs
+from conftest import config, config_error, counted_swaps
 from oracles import render_rows
 
 
-def _write_cfg(tmp_path, text, name="cfg.txt"):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
+def _refused(*stems, ids=None):
+    """A test that the reject files ``stems`` end as listed in the one child
+    of ``conftest.traced_runs``, each under the id its case had inline: ``ids``
+    formatted with the file's experiment, text, error's key, ``line`` (the error
+    names a line) and ``value`` (the text's last); one file alone, no ``ids``."""
+
+    def test(self, traced_runs, stem):
+        assert traced_runs.faults[f"unusable/{stem}"] == ""
+
+    if ids is None:
+        return lambda self, traced_runs: test(self, traced_runs, *stems)
+    cases = [runs.reject_case(runs.CONFIGS / "reject" / f"{stem}.txt") for stem in stems]
+    names = [ids.format(experiment=e, text=text, key=start.split(":")[0], line=start.startswith("line "),
+                        value=text.split("= ")[-1].strip()) for e, start, text in cases]
+    return pytest.mark.parametrize("stem", stems, ids=names)(test)
 
 
 class TestConfigValidation:
     def test_minimal_config_fully_defaulted(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = sweep-theta\n"), out_override=tmp_path / "o"
-        )
+        cfg = config(tmp_path, None, "experiment = sweep-theta\n")
         assert cfg.s == (np.pi / 4,)
         assert cfg.k == 1 and cfg.m == (1,)
         assert cfg.seed == 0
@@ -38,77 +48,34 @@ class TestConfigValidation:
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path)
         assert cfg.experiment == "trotter"
 
-    def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="wobble"):
-            cli.validate_config(
-                _write_cfg(tmp_path, "experiment = trotter\nwobble = 3\n"), out_override=tmp_path
-            )
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        # the last value used to win silently, and the manifest showed only it
-        cfg = _write_cfg(tmp_path, "experiment = trotter\nm_max = 3\n\nm_max = 5\n")
-        with pytest.raises(cli.ConfigError) as info:
-            cli.validate_config(cfg, out_override=tmp_path / "out")
-        assert str(info.value) == "line 4: duplicate key 'm_max' (first set on line 2)"
-
-    def test_phi_key_exits_one(self, tmp_path, capsys):
-        # no experiment reads a single phi (ptm takes phi_list), so the key is unknown
-        cfg = _write_cfg(tmp_path, "experiment = ptm\nphi = 0.3\n")
-        assert cli.main(["ptm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "'phi'" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_negative_m_names_field(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="m"):
-            cli.validate_config(
-                _write_cfg(tmp_path, "experiment = sweep-theta\nm = -1\n"), out_override=tmp_path
-            )
-
-    def test_single_point_grid_rejected(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="theta_count"):
-            cli.validate_config(
-                _write_cfg(tmp_path, "experiment = sweep-theta\ntheta_count = 1\n"),
-                out_override=tmp_path,
-            )
+    test_unknown_key_rejected = _refused("trotter-unknown-key")
+    test_duplicate_key_rejected = _refused("trotter-duplicate-key")
+    test_phi_key_exits_one = _refused("ptm-phi-key")
+    test_negative_m_names_field = _refused("sweep-theta-m-negative")
+    test_single_point_grid_rejected = _refused("sweep-theta-theta-count-one")
 
     def test_degree_suffix_accepted(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = trajectory\ntheta = 90deg\nm = exact\n"),
-            out_override=tmp_path,
-        )
+        cfg = config(tmp_path, "trajectory", "theta = 90deg\nm = exact\n")
         assert cfg.theta == pytest.approx(np.pi / 2)
         assert cfg.m is None
 
-    def test_experiment_subcommand_mismatch(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="experiment"):
-            cli.validate_config(
-                _write_cfg(tmp_path, "experiment = trotter\n"),
-                experiment="sweep-theta",
-                out_override=tmp_path,
-            )
+    test_experiment_subcommand_mismatch = _refused("trotter-experiment-mismatch")
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="does not exist"):
             cli.validate_config(tmp_path / "nope.txt", out_override=tmp_path)
 
-    def test_workers_below_one_rejected(self, tmp_path):
-        # nothing reads the key, but configs that set it are still checked
-        with pytest.raises(cli.ConfigError, match="^workers: "):
-            cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\nworkers = 0\n"), out_override=tmp_path)
+    test_workers_below_one_rejected = _refused("trotter-workers-zero")
 
     def test_missing_out_dir(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="out"):
-            cli.validate_config(_write_cfg(tmp_path, "experiment = trotter\n"))
+        assert config_error(tmp_path, "trotter", "", out=None) == "out: an output directory is required"
 
-    @pytest.mark.parametrize("text, key", [("k = 3\ns = 0.1, 0.2\n", "s"), ("k = 3\nm = 1, 2\n", "m")])
-    def test_per_step_lists_need_one_or_k_values(self, tmp_path, text, key):
-        with pytest.raises(cli.ConfigError, match=f"^{key}: give one value or 3 per-step values, got 2$"):
-            cli.validate_config(_write_cfg(tmp_path, "experiment = sweep-theta\n" + text), out_override=tmp_path)
+    test_per_step_lists_need_one_or_k_values = _refused(
+        "sweep-theta-s-per-step-count", "sweep-theta-m-per-step-count", ids="{text}-{key}"
+    )
 
     def test_per_step_lists_expand_to_k(self, tmp_path):
-        text = "experiment = trajectory\nk = 3\ns = 0.1, 0.2, 0.3\nm = 2\n"
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path)
+        cfg = config(tmp_path, "trajectory", "k = 3\ns = 0.1, 0.2, 0.3\nm = 2\n")
         assert cfg.schedule.s == (0.1, 0.2, 0.3) and cfg.schedule.m == (2, 2, 2)
 
     def test_config_cannot_exist_unvalidated(self):
@@ -141,8 +108,7 @@ class TestBuiltOnce:
                 return _cls(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counting)
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, None, text))
         assert sorted(built) == ["DbacSchedule", "NoiseModel"]
 
     def test_sweep_s_builds_no_schedule(self, tmp_path, monkeypatch):
@@ -156,9 +122,7 @@ class TestBuiltOnce:
             return schedule(*args, **kwargs)
 
         monkeypatch.setattr(cli, "DbacSchedule", counting)
-        text = "experiment = sweep-s\nk = 3\ns = 0.1, 0.2\ntheta_count = 3\ns_count = 4\n"
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "sweep-s", "k = 3\ns = 0.1, 0.2\ntheta_count = 3\ns_count = 4\n"))
         assert built == []
         assert len((tmp_path / "out" / "sweep_s.csv").read_text().splitlines()) == 1 + 3 * 4
 
@@ -206,7 +170,7 @@ class TestEveryKeyParsed:
         text, want = _KEY_ROWS[key]
         # ptm applies every noise key; t2 needs a t1 of at least half its value
         lines = {"experiment": "ptm", "out": "out", "noise_t1_us": "100", key: f" {text} "}
-        cfg = cli.validate_config(_write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items())))
+        cfg = config(tmp_path, None, "".join(f"{k} = {v}\n" for k, v in lines.items()), out=None)
         got = getattr(cfg, key)
         assert got == (pytest.approx(want, rel=1e-15) if isinstance(want, float) else want)
         assert type(got) is type(want) and cfg.raw[key] == text
@@ -229,7 +193,7 @@ _RULE_ROWS = {
     "eps0": ("nan", "-1"),
     "eps_bath": ("nan", "1"),
     "x0": ("nan", "0"),
-    "phi_list": (",", "0"),
+    "phi_list": ("", "0"),
     "noise_p1": ("nan", "1"),
     "noise_p2": ("nan", "1"),
 }
@@ -243,24 +207,17 @@ class TestKeyRules:
     def test_rejected_value_names_its_key_alone(self, tmp_path, key):
         # ptm applies every noise key, so each key's own rule is all that can reject it
         rejected, edge = _RULE_ROWS[key]
-        with pytest.raises(cli.ConfigError) as info:
-            cli.validate_config(_write_cfg(tmp_path, f"{key} = {rejected}\n"), "ptm", out_override=tmp_path)
-        assert str(info.value).startswith(f"{key}: ")
-        cfg = cli.validate_config(_write_cfg(tmp_path, f"{key} = {edge}\n"), "ptm", out_override=tmp_path)
-        assert cfg.raw == {key: edge}
+        assert config_error(tmp_path, "ptm", f"{key} = {rejected}\n").startswith(f"{key}: ")
+        assert config(tmp_path, "ptm", f"{key} = {edge}\n").raw == {key: edge}
+
+
+def _boom(cfg):  # a runner that fails
+    raise ValueError("synthetic\nfailure")
 
 
 class TestRunners:
     def test_sweep_theta_analytic_column(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(
-                tmp_path,
-                "experiment = sweep-theta\ntheta_count = 181\nk = 1\nm = 1\n"
-                "s = 0.7853981633974483\n",
-            ),
-            out_override=tmp_path / "out",
-        )
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "sweep-theta", "theta_count = 181\nk = 1\nm = 1\ns = 0.7853981633974483\n"))
         rows = (tmp_path / "out" / "sweep_theta.csv").read_text().splitlines()
         assert rows[0] == "theta,E_target,E_instr_1,E_analytic"
         assert len(rows) == 182
@@ -272,10 +229,7 @@ class TestRunners:
         # k * M kernel calls over all theta_count * s_count points, not
         # theta_count * k * M; rows run over s within each theta
         calls = counted_swaps(monkeypatch)
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = sweep-s\nk = 3\nm = 2\ntheta_count = 5\ns_count = 7\n"),
-            out_override=tmp_path / "out",
-        )
+        cfg = config(tmp_path, "sweep-s", "k = 3\nm = 2\ntheta_count = 5\ns_count = 7\n")
         cli.run_config(cfg)
         # k M - 1 whole swaps, then only the z plane of the last, all that is read
         assert calls == [("partial_swap", (3, 5 * 7))] * (3 * 2 - 1) + [("swap_z", (3, 5 * 7))]
@@ -314,10 +268,9 @@ class TestRunners:
         assert len(emitted) >= 9
 
     def test_deterministic_reruns(self, tmp_path):
-        text = "experiment = sweep-theta\ntheta_count = 7\nseed = 11\n"
         sums = []
         for name in ("a", "b"):
-            cfg = cli.validate_config(_write_cfg(tmp_path, text, f"{name}.txt"), out_override=tmp_path / name)
+            cfg = config(tmp_path, "sweep-theta", "theta_count = 7\nseed = 11\n", out=name)
             sums.append(cli.run_config(cfg)["files"])
         assert sums[0] == sums[1]
 
@@ -338,68 +291,49 @@ class TestRunners:
             assert manifest["acceptance"]["failed"] == ["5d"]
 
     def test_trajectory_exact(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = trajectory\ntheta = 1.2\nk = 3\nm = exact\ns = 0.6\n"),
-            out_override=tmp_path / "out",
-        )
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "trajectory", "theta = 1.2\nk = 3\nm = exact\ns = 0.6\n"))
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "step,x,y,z"
         assert len(rows) == 5  # header + k+1 states
 
     @pytest.mark.parametrize(
-        "text", ["k = 5\nm = 3\n", "k = 30\nm = exact\n", "k = 30\nm = exact\nrecursion = fresh\n"],
+        "text", ["theta = 0\nk = 5\nm = 3\n", "theta = 0\nk = 30\nm = exact\n",
+                 (runs.CONFIGS / "trajectory-theta0.txt").read_text()],
         ids=["dme", "exact-chain", "exact-fresh"],
     )
     def test_trajectory_at_theta_zero_writes_no_negative_zero(self, tmp_path, text):
         # from |0> the state stays at the pole: its x and y are zeros, written as 0
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = trajectory\ntheta = 0\n" + text), out_override=tmp_path / "out"
-        )
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "trajectory", text))
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
         cells = [cell for row in rows for cell in row.split(",")[1:3]]
         assert "0" in cells and "-0" not in cells
 
     def test_baselines_rows(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = baselines\nrounds = 3\n"), out_override=tmp_path / "out"
-        )
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "baselines", "rounds = 3\n"))
         text = (tmp_path / "out" / "baselines.csv").read_text()
         assert "hbac,target_polarization" in text
         assert "cem,p_success" in text
 
     def test_failed_stage_recorded_in_manifest(self, tmp_path, monkeypatch):
-        def boom(cfg):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(RuntimeError, match="manifest records"):
             cli.run_config(cfg)
         manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
-        assert manifest["failed_stage"]["error"] == "RuntimeError: synthetic failure"
+        assert manifest["failed_stage"]["error"] == "ValueError: synthetic\nfailure"
 
     def test_manifest_lists_only_this_runs_files(self, tmp_path):
         # a 1-angle run into a directory holding a 4-angle run's files
         out = tmp_path / "out"
         cli.run_config(cli.validate_config(None, experiment="ptm", out_override=out))
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = ptm\nphi_list = 0.3\n"), out_override=out
-        )
-        manifest = cli.run_config(cfg)
+        manifest = cli.run_config(config(tmp_path, "ptm", "phi_list = 0.3\n"))
         assert list(manifest["files"]) == ["ptm_analytic_0.csv", "ptm_compiled_0.csv", "ptm_fidelities.json"]
         assert (out / "ptm_analytic_3.csv").exists()  # the earlier run's files are left alone
 
     def test_failed_run_lists_no_files(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
-
-        def boom(cfg):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
         with pytest.raises(cli.RunError):
             cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
         manifest = json.loads((out / "results_manifest.json").read_text())
@@ -407,11 +341,7 @@ class TestRunners:
         assert (out / "trotter.csv").exists()
 
     def test_grid_km_with_exact(self, tmp_path):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, "experiment = grid-km\nk_list = 1\nm_list = 1,exact\n"),
-            out_override=tmp_path / "out",
-        )
-        cli.run_config(cfg)
+        cli.run_config(config(tmp_path, "grid-km", "k_list = 1\nm_list = 1,exact\n"))
         rows = (tmp_path / "out" / "grid_km.csv").read_text().splitlines()
         assert rows[0] == "k,M,s_opt,F_min_basin"
         assert rows[1].startswith("1,1,") and rows[2].startswith("1,exact,")
@@ -447,10 +377,7 @@ class TestWholeTableFormat:
         ],
     )
     def test_list_table_matches_per_row_format(self, tmp_path, experiment, text, name):
-        cfg = cli.validate_config(
-            _write_cfg(tmp_path, f"experiment = {experiment}\n{text}"), out_override=tmp_path / "out"
-        )
-        header, rows = cli._RUNNERS[experiment](cfg)[name]
+        header, rows = cli._RUNNERS[experiment](config(tmp_path, experiment, text))[name]
         assert isinstance(rows, list)
         if experiment == "grid-km":  # the M column mixes ints and `exact`
             assert {type(r[1]) for r in rows} == {int, str}
@@ -491,7 +418,7 @@ class TestWork:
         "text", ["theta_count = 5\ns_count = 7\nk = 3\nm = 2\n", "k = 2\nm = 4\nrecursion = fresh\ntheta_count = 2\n"]
     )
     def test_sweep_s_work_is_its_entry_steps(self, tmp_path, monkeypatch, text):
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "sweep-s", text)
         assert cfg.work == cfg.theta_count * cfg.s_count * cfg.k * cfg.m[0] == self._entry_steps(monkeypatch, cfg)
 
     @pytest.mark.parametrize(
@@ -503,7 +430,7 @@ class TestWork:
         ],
     )
     def test_grid_km_work_bounds_its_entry_steps(self, tmp_path, monkeypatch, text):
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="grid-km", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "grid-km", text)
         cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
         assert cfg.work == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
 
@@ -519,7 +446,7 @@ class TestWork:
     def test_dme_record_work_counts_its_steps_and_values(self, tmp_path, experiment, text):
         # a per-step cost, and a per-value cost for each state after the first
         # and each instruction marginal of each angle; the exact record has none
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
+        cfg = config(tmp_path, experiment, text)
         if cfg.m is None:
             assert cfg.work == 0
             return
@@ -540,19 +467,9 @@ class TestWork:
             cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path)
             assert cfg.work <= cli.WORK_BUDGET // 100 and cfg.cells <= cli.CELL_BUDGET // 100
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("theta_count = 100000\ns_count = 20000\n", "theta_count"),
-            ("k = 400\nm = 2\ntheta_count = 10000\ns_count = 400\n", "theta_count"),
-            ("k = 50000\nm = 3\n", "k"),
-        ],
+    test_largest_factor_is_named = _refused(
+        "sweep-s-cells-and-work", "sweep-s-work-theta-count", "sweep-s-work-k", ids="{text}-{key}"
     )
-    def test_largest_factor_is_named(self, tmp_path, capsys, text, key):
-        cfg = _write_cfg(tmp_path, text)
-        assert cli.main(["sweep-s", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
-        assert not (tmp_path / "out").exists()
 
 
 # floats whose text is easy to get wrong: a signed zero, an exponent form, the
@@ -570,7 +487,7 @@ class TestCells:
 
     @pytest.mark.parametrize("text", ["theta_count = 5\ns_count = 7\nk = 3\nm = 2\n", "theta_count = 2\ns_count = 3\n"])
     def test_sweep_s_cells_are_its_rows(self, tmp_path, text):
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "sweep-s", text)
         header, axes, fids = cli._run_sweep_s(cfg)["sweep_s.csv"]
         assert cfg.cells == fids.size == cfg.theta_count * cfg.s_count
 
@@ -581,39 +498,21 @@ class TestCells:
         records = []
         via_dme = cli.dbac_via_dme
         monkeypatch.setattr(cli, "dbac_via_dme", lambda *args: records.append(via_dme(*args)) or records[-1])
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-theta", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "sweep-theta", text)
         (header, rows), = cli._run_sweep_theta(cfg).values()
         (rec,) = records
         assert cfg.cells == rec.energies.size + rec.instruction_energies.size
         n = len(header) - 3  # theta, E_target, E_analytic and one column per marginal
         assert rows.shape == (cfg.theta_count, len(header)) and cfg.cells == cfg.theta_count * (cfg.k + 1 + n)
 
-    @pytest.mark.parametrize(
-        "experiment, text, key",
-        [
-            ("sweep-s", "theta_count = 3000\ns_count = 2000\n", "theta_count"),
-            ("sweep-s", "theta_count = 2000\ns_count = 2501\n", "s_count"),
-            ("sweep-theta", "theta_count = 2000000\n", "theta_count"),
-            ("sweep-theta", "k = 30000\nm = 1\n", "k"),
-            ("sweep-theta", "k = 10\nm = 5000\n", "m"),
-            ("sweep-theta", "k = 2\nm = 3,5000000\ntheta_count = 2\n", "m"),
-            ("trajectory", "k = 2500000\nm = exact\n", "k"),
-            ("trajectory", "k = 2\nm = 3,2500000\n", "m"),
-            ("trotter", "m_max = 2500001\n", "m_max"),
-            ("baselines", "rounds = 1250001\n", "rounds"),
-        ],
+    test_largest_factor_is_named = _refused(
+        "sweep-s-cells-theta-count", "sweep-s-cells-s-count", "sweep-theta-cells-theta-count", "sweep-theta-cells-k",
+        "sweep-theta-cells-m", "sweep-theta-cells-m-per-step", "trajectory-cells-k-exact",
+        "trajectory-cells-m-per-step", "trotter-cells-m-max", "baselines-cells-rounds", ids="{experiment}-{text}-{key}",
     )
-    def test_largest_factor_is_named(self, tmp_path, capsys, experiment, text, key):
-        cfg = _write_cfg(tmp_path, text)
-        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        budget = f"{cli.CELL_BUDGET:.0e}"
-        assert err == f"config error: {key}: the run's batch and table values would exceed the budget, {budget}\n"
-        assert not (tmp_path / "out").exists()
 
     def test_budget_is_inclusive(self, tmp_path):
-        cfg = _write_cfg(tmp_path, "theta_count = 2500\ns_count = 2000\n")
-        assert cli.validate_config(cfg, experiment="sweep-s", out_override=tmp_path / "out").cells == cli.CELL_BUDGET
+        assert config(tmp_path, "sweep-s", "theta_count = 2500\ns_count = 2000\n").cells == cli.CELL_BUDGET
 
     @pytest.mark.parametrize("text", ["k = 3\nm = 2\n", "k = 4\nm = exact\n", "k = 3\nm = 1,4,2\ns = 0.3\n", ""])
     def test_trajectory_cells_are_twice_its_record(self, tmp_path, monkeypatch, text):
@@ -621,7 +520,7 @@ class TestCells:
         for name in ("dbac_via_dme", "dbac_recursive_exact"):
             engine = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *args, engine=engine: records.append(engine(*args)) or records[-1])
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="trajectory", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "trajectory", text)
         (header, rows), = cli._run_trajectory(cfg).values()
         (rec,) = records
         assert cfg.cells == 2 * (rec.energies.size + rec.instruction_energies.size) and len(rows) == cfg.k + 1
@@ -631,7 +530,7 @@ class TestCells:
     )
     def test_trotter_and_baselines_cells_weigh_their_rows(self, tmp_path, experiment, text):
         # 2 per trotter depth, one row each; 4 per baselines round, three rows each and two more
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
+        cfg = config(tmp_path, experiment, text)
         (header, rows), = cli._RUNNERS[experiment](cfg).values()
         assert cfg.cells == (2 * len(rows) if experiment == "trotter" else 4 * (len(rows) - 2) // 3)
 
@@ -645,8 +544,7 @@ class TestCells:
     )
     def test_new_terms_budget_is_inclusive(self, tmp_path, experiment, text):
         # validation only: each config at the budget's edge, whose run peaked at 0.6-1.0 GB
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment=experiment, out_override=tmp_path / "out")
-        assert cfg.cells == cli.CELL_BUDGET
+        assert config(tmp_path, experiment, text).cells == cli.CELL_BUDGET
 
 
 class TestProductTable:
@@ -669,8 +567,7 @@ class TestProductTable:
         assert cli._render("t.csv", (header, axes, values)) == render_rows(header, rows)
 
     def test_sweep_s_is_a_product_table(self, tmp_path):
-        text = "theta_start = -0.5\ntheta_stop = -0\ns_start = 0.00001\ns_stop = 1e16\ntheta_count = 2\ns_count = 3\n"
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), experiment="sweep-s", out_override=tmp_path / "out")
+        cfg = config(tmp_path, "sweep-s", (runs.CONFIGS / "sweep-s-extremes.txt").read_text())
         header, (thetas, svals), fids = cli._run_sweep_s(cfg)["sweep_s.csv"]
         assert fids.shape == (thetas.size, svals.size)
         rows = np.column_stack([np.repeat(thetas, svals.size), np.tile(svals, thetas.size), fids.ravel()])
@@ -692,16 +589,13 @@ class TestInProcessMain:
         assert blocker.read_text() == "keep\n" and sorted(tmp_path.iterdir()) == [blocker]
 
     def test_long_dme_chain_trajectory_exits_zero(self, tmp_path):
-        cfg = _write_cfg(tmp_path, "experiment = trajectory\ntheta = 2.0\nk = 6\nm = 8\ns = 0.8\n")
+        (cfg := tmp_path / "cfg.txt").write_text("theta = 2.0\nk = 6\nm = 8\ns = 0.8\n")
         assert cli.main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 8  # header + k+1 states
 
     def test_exit_three_on_runtime_failure(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg):
-            raise ValueError("synthetic\nfailure")
-
-        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
         assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
@@ -749,17 +643,9 @@ class TestInProcessMain:
         assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1.5\n").hexdigest()}
         assert manifest["failed_stage"]["error"].startswith("TypeError: ")
 
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
-    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
-        cfg = tmp_path / "cfg"
-        if kind == "directory":
-            cfg.mkdir()
-        else:
-            cfg.write_bytes(b"k = 2\xff\n")
-        assert cli.main(["sweep-theta", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: config file {cfg}: ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("out", ["a-directory", "non-utf8"], ids=["directory", "non-utf8"])
+    def test_unreadable_config_is_a_config_error(self, traced_runs, out):
+        assert traced_runs.faults[f"unusable/{out}"] == ""  # runs.UNREADABLE
 
     @pytest.mark.parametrize("fails", [False, True], ids=["run-ok", "run-failed"])
     def test_unwritable_manifest_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, fails):
@@ -773,10 +659,7 @@ class TestInProcessMain:
         assert ("ZeroDivisionError" in err) == fails
 
     def test_runtime_failure_chains_its_cause(self, tmp_path, monkeypatch):
-        def boom(cfg):
-            raise ValueError("synthetic failure")
-
-        monkeypatch.setitem(cli._RUNNERS, "trotter", boom)
+        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(cli.RunError) as info:
             cli.run_config(cfg)
@@ -784,132 +667,36 @@ class TestInProcessMain:
 
 
 class TestCommandLine:
-    def _run(self, *args, **kwargs):
+    test_work_over_budget_is_a_config_error = _refused(
+        "sweep-s-work-over-budget", "grid-km-work-over-budget", "sweep-theta-work-over-budget",
+        "trajectory-work-over-budget", ids="{experiment}-{text}-{key}",
+    )
+    test_cells_over_budget_is_a_config_error = _refused(
+        "sweep-s-cells-over-budget", "sweep-theta-cells-over-budget", ids="{experiment}-{text}"
+    )
+    test_accepted_failures_are_config_errors = _refused(
+        "baselines-cells-over-budget", "trotter-cells-over-budget", "trajectory-cells-over-budget",
+        "trajectory-cells-dme", ids="{experiment}-{text}-{key}",
+    )
+
+    def test_exit_zero_on_success(self, tmp_path):
         # the child imports dbac_lab from where this process did, installed or not
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        return subprocess.run(
-            [sys.executable, "-m", "dbac_lab.cli", *args], capture_output=True, text=True, env=env, **kwargs
-        )
-
-    @pytest.mark.parametrize(
-        "experiment, text, key",
-        [
-            ("sweep-s", "m = 100000000000000000000\ns_count = 2\ntheta_count = 2\nk = 1\n", "m"),
-            ("grid-km", "m_list = 100000000000000000000\n", "m_list"),
-            ("sweep-theta", "k = 1000000\ntheta_count = 2\n", "k"),
-            ("trajectory", "k = 1000000\nm = 1\n", "k"),
-        ],
-    )
-    def test_work_over_budget_is_a_config_error(self, tmp_path, experiment, text, key):
-        # the first three ran without end (the sweep-theta one, within the
-        # cell budget, still ran after 30 s), and the fourth, also within it,
-        # makes a million DME record steps, about a minute; now refused at
-        # validation, before any allocation, in a child limited to 2 GB of
-        # address space
-        resource = pytest.importorskip("resource")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
-
-        cfg = _write_cfg(tmp_path, text)
-        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"config error: {key}: ") and proc.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "experiment, text",
-        [
-            ("sweep-s", "theta_count = 40000\ns_count = 25000\nk = 1\nm = 1\n"),
-            ("sweep-theta", "theta_count = 50000000\n"),
-        ],
-    )
-    def test_cells_over_budget_is_a_config_error(self, tmp_path, experiment, text):
-        # both were accepted and then exited 3 with MemoryError in a child
-        # limited to 2 GB of address space; now refused at validation, the
-        # sweep-s one within the work budget
-        resource = pytest.importorskip("resource")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
-
-        cfg = _write_cfg(tmp_path, text)
-        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("config error: theta_count: the run's batch and table values")
-        assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "experiment, text, key",
-        [
-            ("baselines", "rounds = 1000000000\n", "rounds"),
-            ("trotter", "m_max = 10000000\n", "m_max"),
-            ("trajectory", "k = 100000000\nm = exact\n", "k"),
-            ("trajectory", "k = 10000000\nm = 1\n", "k"),
-        ],
-    )
-    def test_accepted_failures_are_config_errors(self, tmp_path, experiment, text, key):
-        # accepted before the trajectory, trotter and baselines cells terms: in
-        # a child limited to 2 GB of address space the first two exited 3 with
-        # MemoryError, the third exited 1 with a traceback, and the fourth was
-        # still running after 30 s
-        resource = pytest.importorskip("resource")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
-
-        cfg = _write_cfg(tmp_path, text)
-        proc = self._run(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=limit, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"config error: {key}: the run's batch and table values")
-        assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    def test_exit_zero_on_success(self, tmp_path):
-        proc = self._run("trotter", "--out", str(tmp_path / "out"), "--seed", "1")
-        assert proc.returncode == 0
+        argv = [sys.executable, "-m", "dbac_lab.cli", "trotter", "--out", str(tmp_path / "out"), "--seed", "1"]
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
         assert (tmp_path / "out" / "results_manifest.json").exists()
 
-    def test_exit_one_on_config_error(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("experiment = trotter\nm_max = 0\n")
-        proc = self._run("trotter", "--config", str(bad), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 1
-        assert "m_max" in proc.stderr
+    test_exit_one_on_config_error = _refused("trotter-m-max-zero")
 
 
 class TestIgnoredNoiseRejected:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "experiment = sweep-theta\nnoise_t1_us = 0.01\n",
-            "experiment = trajectory\nm = 2\nnoise_t1_us = 0.01\nnoise_t2_us = 0.01\n",
-            "experiment = trajectory\nm = exact\nnoise_p1 = 0.01\n",
-            "experiment = trajectory\nm = exact\nnoise_p2 = 0.01\n",
-            "experiment = ptm\nnoise_t2_us = 5\n",
-            "experiment = ptm\nnoise_p1 = 0.01\nnoise_t2_us = 5\n",
-            "experiment = grid-km\nnoise_p2 = 0.01\n",
-            "experiment = grid-km\nnoise_t1_us = 0\n",
-            "experiment = grid-km\nnoise_t1_us = -0.0\n",
-        ],
+    test_exit_one = _refused(
+        "sweep-theta-t1-unapplied", "trajectory-t1-t2-unapplied", "trajectory-exact-noisy", "trajectory-exact-noisy-p2",
+        "ptm-t2-without-t1", "ptm-p1-t2-without-t1", "grid-km-noisy", "grid-km-t1-zero", "grid-km-t1-negative-zero",
+        ids="experiment = {experiment}\n{text}",
     )
-    def test_exit_one(self, tmp_path, capsys, text):
-        cfg = _write_cfg(tmp_path, text)
-        experiment = text.split("\n", 1)[0].split("=")[1].strip()
-        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and ("noise_" in err or "t2 requires t1" in err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-0.0"])
-    def test_key_set_to_zero_is_set(self, tmp_path, capsys, value):
-        # a key counts as set when it differs from its default (None for t1),
-        # so the error names the unapplied key, not a noise model grid-km never builds
-        cfg = _write_cfg(tmp_path, f"experiment = grid-km\nnoise_t1_us = {value}\n")
-        assert cli.main(["grid-km", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "config error: noise_t1_us: grid-km would run without it (applies: none)\n"
+    test_key_set_to_zero_is_set = _refused("grid-km-t1-zero", "grid-km-t1-negative-zero", ids="{value}")
 
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
     def test_noise_built_only_where_applied(self, tmp_path, experiment):
@@ -926,94 +713,30 @@ class TestIgnoredNoiseRejected:
         ],
     )
     def test_applied_noise_accepted(self, tmp_path, text):
-        cfg = cli.validate_config(_write_cfg(tmp_path, text), out_override=tmp_path / "out")
-        assert cfg.noise is not None
+        assert config(tmp_path, None, text).noise is not None
 
 
 class TestUnusableValuesRejected:
-    # each of these passed validation and then exited 3 as a runtime error
-    @pytest.mark.parametrize(
-        "text, names_line",
-        [
-            ("experiment = trajectory\nm = 2\ntheta = nan\n", True),
-            ("experiment = trajectory\nm = exact\ntheta = -inf deg\n", True),
-            ("experiment = sweep-theta\ntheta_stop = nan\n", True),
-            ("experiment = grid-km\ntheta = 0\n", False),
-            ("experiment = grid-km\ntheta = 180deg\n", False),
-            ("experiment = ptm\nnoise_t1_us = nan\n", False),
-            ("experiment = baselines\neps0 = nan\n", False),
-            ("experiment = baselines\neps_bath = nan\n", False),
-            ("experiment = grid-km\nk_list = 0\n", False),
-            ("experiment = grid-km\nm_list = 0\n", False),
-            ("experiment = grid-km\nm_list = -2\n", False),
-            # an empty list ran and emitted nothing: a header-only grid_km.csv or `[]`
-            ("experiment = grid-km\nk_list =\n", False),
-            ("experiment = grid-km\nm_list = ,\n", False),
-            ("experiment = ptm\nphi_list = ,\n", False),
-            ("experiment = trotter\nseed = -1\n", False),
-            # a span or an echo angle s (w_max - w_min) that overflows
-            ("experiment = sweep-theta\ntheta_start = 1e308\ntheta_stop = -1e308\n", False),
-            ("experiment = sweep-s\ntheta_start = -1e308\ntheta_stop = 1e308\n", False),
-            ("experiment = sweep-s\ns_start = 1e308\ns_stop = -1e308\n", False),
-            ("experiment = sweep-s\ns_stop = 1e308\n", False),
-            ("experiment = sweep-theta\ns = 1e308\n", False),
-            ("experiment = trajectory\nm = 2\ns = 1e308\n", False),
-            ("experiment = trajectory\nm = exact\ns = -1e308\n", False),
-            # a grid count numpy cannot index or size: rejected before anything is allocated
-            ("experiment = sweep-theta\ntheta_count = 10000000000000000000\n", False),
-            ("experiment = sweep-theta\ntheta_count = 4611686018427387904\n", False),
-            ("experiment = sweep-s\ns_count = 10000000000000000000\n", False),
-            ("experiment = sweep-s\ns_count = 4611686018427387904\n", False),
-            # a step count the per-step values cannot be repeated over, or a
-            # Trotter depth range numpy cannot build: refused before any allocation
-            ("experiment = trajectory\nk = 100000000000000000000\n", False),
-            ("experiment = trajectory\nk = 4611686018427387904\n", False),
-            ("experiment = trotter\nm_max = 100000000000000000000\n", False),
-            ("experiment = trotter\nm_max = 4611686018427387904\n", False),
-            # a copy count whose indices 1..M numpy cannot build
-            ("experiment = sweep-theta\nm = 100000000000000000000\n", False),
-            ("experiment = sweep-theta\nm = 4611686018427387904\n", False),
-            ("experiment = trajectory\nm = 100000000000000000000\n", False),
-            ("experiment = trajectory\nm = 4611686018427387904\n", False),
-        ],
+    test_exit_one = _refused(
+        "trajectory-theta-nan", "trajectory-exact-theta-inf", "sweep-theta-theta-stop-nan", "grid-km-theta-fixed-point",
+        "grid-km-theta-pi", "ptm-t1-nan", "baselines-eps0-nan", "baselines-eps-bath-nan", "grid-km-k-list-zero",
+        "grid-km-m-list-zero", "grid-km-m-list-negative", "grid-km-k-list-empty", "grid-km-m-list-empty",
+        "ptm-phi-list-empty", "trotter-seed-negative", "sweep-theta-grid-span-overflow", "sweep-s-theta-span-overflow",
+        "sweep-s-grid-span-reversed", "sweep-s-s-stop-overflow", "sweep-theta-s-overflow", "trajectory-s-overflow",
+        "trajectory-exact-s-overflow", "sweep-theta-theta-count-huge", "sweep-theta-theta-count-2-62",
+        "sweep-s-s-count-huge", "sweep-s-s-count-2-62", "trajectory-k-huge", "trajectory-k-2-62", "trotter-m-max-huge",
+        "trotter-m-max-2-62", "sweep-theta-m-huge", "sweep-theta-m-2-62", "trajectory-m-huge", "trajectory-m-2-62",
+        ids="experiment = {experiment}\n{text}-{line}",
     )
-    def test_exit_one(self, tmp_path, capsys, text, names_line):
-        cfg = _write_cfg(tmp_path, text)
-        experiment = text.split("\n", 1)[0].split("=")[1].strip()
-        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and ("line " in err) == names_line
-        assert not (tmp_path / "out").exists()
 
 
 class TestDerivedValueErrorsNameKeys:
-    # a library contract violation while building what the runner reads is a
-    # config error that names the keys the failed value derives from; a grid
-    # count numpy cannot build names its count key
-    @pytest.mark.parametrize(
-        "text, keys",
-        [
-            ("experiment = ptm\nnoise_t1_us = 10\nnoise_t2_us = 30\n", "noise_*"),
-            ("experiment = ptm\nnoise_t1_us = nan\n", "noise_*"),
-            ("experiment = sweep-theta\ns = 1e308\n", "s/m"),
-            ("experiment = trajectory\nm = 2\ns = 1e308\n", "s/m"),
-            ("experiment = sweep-s\ntheta_start = -1e308\ntheta_stop = 1e308\n", "theta_start/theta_stop"),
-            ("experiment = sweep-s\ns_stop = 1e308\n", "s_start/s_stop"),
-            ("experiment = sweep-theta\ntheta_count = 10000000000000000000\n", "theta_count"),
-            ("experiment = sweep-s\ns_count = 4611686018427387904\n", "s_count"),
-            ("experiment = sweep-theta\nk = 100000000000000000000\n", "k"),
-            ("experiment = trajectory\nk = 4611686018427387904\n", "k"),
-            ("experiment = trotter\nm_max = 100000000000000000000\n", "m_max"),
-            ("experiment = sweep-theta\nm = 4611686018427387904\n", "m"),
-            ("experiment = trajectory\nm = 100000000000000000000\n", "m"),
-        ],
+    test_message_names_keys = _refused(
+        "ptm-t2-above-twice-t1", "ptm-t1-nan", "sweep-theta-s-overflow", "trajectory-s-overflow",
+        "sweep-s-theta-span-overflow", "sweep-s-s-stop-overflow", "sweep-theta-theta-count-huge",
+        "sweep-s-s-count-2-62", "sweep-theta-k-huge", "trajectory-k-2-62", "trotter-m-max-huge", "sweep-theta-m-2-62",
+        "trajectory-m-huge", ids="experiment = {experiment}\n{text}-{key}",
     )
-    def test_message_names_keys(self, tmp_path, capsys, text, keys):
-        cfg = _write_cfg(tmp_path, text)
-        experiment = text.split("\n", 1)[0].split("=")[1].strip()
-        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {keys}: ")
-        assert not (tmp_path / "out").exists()
 
 
 class TestManifestEnvironment:

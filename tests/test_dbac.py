@@ -178,10 +178,10 @@ class TestViaDme:
         noisy = dbac_via_dme(1.0, DbacSchedule.uniform(1, np.pi / 4, m=1), NoiseModel(p1=0.01, p2=0.05))
         assert noisy.energies[-1] > clean.energies[-1]
 
-    def test_exact_schedule_rejected(self, tmp_path, monkeypatch):
+    def test_exact_schedule_rejected(self, tmp_path, monkeypatch, traced_runs):
         # an exact schedule never reaches the DME run: sweep-theta's config
         # rejects it, and trajectory runs it by dbac_recursive_exact
-        assert config_error(tmp_path, "sweep-theta", "m = exact\n").startswith("m: ")
+        assert traced_runs.faults["unusable/sweep-theta-m-exact"] == ""
         monkeypatch.setattr(cli, "dbac_via_dme", None)
         cli.run_config(config(tmp_path, "trajectory", "m = exact\n"))
 
@@ -263,10 +263,11 @@ class TestViaDmeBatch:
                 # row i of the batch is the single-angle record, bit for bit
                 assert np.array_equal(getattr(batch, field)[i], getattr(single, field))
 
-    @pytest.mark.parametrize("theta", [{"theta_count": "1"}, {"theta_count": "0"}, {"theta_stop": "nan"}])
+    @pytest.mark.parametrize("theta", [{"theta_count": "-1"}, {"theta_count": "0"}, {"theta_stop": "inf"}])
     def test_bad_theta_rejected(self, tmp_path, theta):
         # the run's angles are one finite theta or a grid of at least two finite
-        # ones: the config rejects any other where it enters
+        # ones: the config rejects any other where it enters (reject files hold
+        # theta_count = 1 and theta_stop = nan)
         ((key, value),) = theta.items()
         assert key in config_error(tmp_path, "sweep-theta", f"{key} = {value}\n")
 
@@ -433,7 +434,7 @@ class TestOptimalStep:
     def test_degenerate_endpoints_rejected(self, tmp_path):
         # e0 = -cos(theta) = +/-1 is a fixed point: grid-km's config rejects
         # such a theta, so the search never sees it
-        for theta in ("0", "180deg", "-180deg"):
+        for theta in ("-180deg", "360deg"):  # reject files hold 0 and 180deg
             assert config_error(tmp_path, "grid-km", f"theta = {theta}\n").startswith("theta: |cos(theta)| = 1")
 
     def test_quarter_pi_cools_everywhere(self):
@@ -893,11 +894,11 @@ class TestSearchArgumentChecks:
         assert "angle must be finite" in config_error(tmp_path, "grid-km", "theta = nan\n")
 
 
-def test_via_dme_rejects_damping(tmp_path):
+def test_via_dme_rejects_damping(tmp_path, traced_runs):
     # the DME runs model no damping: their configs reject t1 where it enters
-    for experiment, text in (("sweep-theta", ""), ("trajectory", "m = 2\n")):
-        error = config_error(tmp_path, experiment, text + "noise_t1_us = 0.01\n")
-        assert error.startswith(f"noise_t1_us: {experiment} would run without it")
+    assert traced_runs.faults["unusable/sweep-theta-t1-unapplied"] == ""
+    error = config_error(tmp_path, "trajectory", "m = 2\nnoise_t1_us = 0.01\n")
+    assert error.startswith("noise_t1_us: trajectory would run without it")
 
 
 def test_simulators_reuse_the_validated_hamiltonian(monkeypatch):

@@ -25,24 +25,17 @@ matched by name as above, passes it by keyword or by position, or passes
 ``*`` or ``**`` arguments: an option that no run sets holds one value, a
 constant.
 
-Statements are those of function bodies, docstrings aside.  A child process
-traces ``cli.main`` from before ``dbac_lab`` is imported, so that what runs on
-import counts, over every run that CI makes, the list in ``tests/runs.py``:
-every experiment at its default config, every config it reruns and every case
-it rejects.  A statement runs when a line of it, decorators included, runs; a
-``raise`` is a guard and need not run."""
+Statements are those of function bodies, docstrings aside.  The child process
+of ``conftest.traced_runs`` traces ``cli.main`` from before ``dbac_lab`` is
+imported, so that what runs on import counts, over every run that CI makes, the
+list in ``tests/runs.py``: every experiment at its default config, every config
+it reruns and every case it rejects.  A statement runs when a line of it,
+decorators included, runs; a ``raise`` is a guard and need not run."""
 
 import ast
-import json
-import os
-import re
-import subprocess
-import sys
 from pathlib import Path
 
 import dbac_lab
-
-import runs
 
 SRC = Path(dbac_lab.__file__).resolve().parent
 
@@ -184,26 +177,6 @@ def test_every_option_is_set_by_a_run():
     assert _walk()[2] == sorted(UNSET_BY_DESIGN)
 
 
-# the child: traces the package's lines from before its import, makes each run
-# and prints its exit code and stderr, then the lines that ran
-_TRACED_RUNS = """
-import json, sys
-import numpy, runs  # not the package: untraced
-src, argvs = json.load(sys.stdin)
-hits = set()
-def line(frame, event, arg):
-    if event == "line":
-        hits.add((frame.f_code.co_filename, frame.f_lineno))
-    return line
-def call(frame, event, arg):
-    return line if frame.f_code.co_filename.startswith(src) else None
-sys.settrace(call)
-ends = runs.in_process(argvs)
-sys.settrace(None)
-json.dump([ends, sorted(hits)], sys.stdout)
-"""
-
-
 def _function_statements(tree: ast.Module):
     """(qualified name of its function, statement) for every statement of a
     function body in ``tree``, docstrings aside."""
@@ -228,25 +201,14 @@ def _function_statements(tree: ast.Module):
     yield from visit(tree, "", False)
 
 
-def test_every_statement_runs(tmp_path):
-    runs.prepare(tmp_path)
-    spec = [str(SRC), [run.argv for run in runs.RUNS]]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(Path(runs.__file__).parent)]))
-    child = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUNS], input=json.dumps(spec), cwd=tmp_path, env=env,
-        capture_output=True, text=True, check=True,
-    )
-    ends, hits = json.loads(child.stdout)
-    for run, (got, err) in zip(runs.RUNS, ends, strict=True):  # each run ends as CI requires
-        assert got == run.status and re.match(run.stderr, err), (run.argv, err)
-    ran = {(Path(f).stem, n) for f, n in hits}
+def test_every_statement_runs(traced_runs):
     unrun = []
     for path in sorted(SRC.glob("*.py")):
         lines = path.read_text().splitlines()
         for scope, stmt in _function_statements(ast.parse("\n".join(lines))):
             first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])])
             if not isinstance(stmt, ast.Raise) and not any(
-                (path.stem, n) in ran for n in range(first, stmt.end_lineno + 1)
+                (path.stem, n) in traced_runs.ran for n in range(first, stmt.end_lineno + 1)
             ):
                 unrun.append(f"{path.stem}{scope}: {lines[stmt.lineno - 1].strip()}")
     assert unrun == sorted(UNRUN_BY_DESIGN)

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from dbac_lab import cli
 
 import runs
@@ -10,17 +12,22 @@ import runs
 def test_the_list_holds_every_run_ci_makes():
     # spelled out in runs.py, whose import must not import the package: the statement test traces that import
     assert runs.EXPERIMENTS == cli.EXPERIMENTS
-    # 8 defaults, 14 configs and one --seed run write files, each to its own directory
-    assert len(runs.WRITES) == 23 and len({run.argv[-1] for run in runs.WRITES}) == 23
+    # 8 defaults, 14 configs and one --seed run write files; each run has its own --out
+    assert len(runs.WRITES) == 23 and len({run.argv[-1] for run in runs.RUNS}) == len(runs.RUNS)
     assert sum("--config" in run.argv for run in runs.WRITES) == 14
     assert runs.WRITES[-1].argv[:3] == ("trotter", "--seed", "9")
-    # 27 reject cases, the 3 accepted configs that ended in exit 3 or a
-    # traceback and the 2 DME records that ran a million steps
-    assert (len(runs.REJECTS), len(runs.UNREADABLE), len(runs.BLOCKED)) == (32, 3, 2)
-    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 15 + [1] * 35 + [3] * 2
+    # 84 reject files, 3 unreadable configs and 2 outputs that cannot be written
+    assert (len(runs.REJECTS), len(runs.UNREADABLE), len(runs.BLOCKED)) == (84, 3, 2)
+    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 15 + [1] * 87 + [3] * 2
     configs = [Path(run.argv[run.argv.index("--config") + 1]) for run in runs.RUNS if "--config" in run.argv]
     files = [p for p in runs.CONFIGS.rglob("*") if p.is_file()]
     assert sorted(p for p in configs if runs.CONFIGS in p.parents) == sorted(files)  # each listed once
+
+
+@pytest.mark.parametrize("run", runs.RUNS, ids=[run.argv[-1] for run in runs.RUNS])
+def test_each_run_ends_as_listed(traced_runs, run):
+    # in tier-1's one child, by CI's own check
+    assert traced_runs.faults[run.argv[-1]] == ""
 
 
 def test_report_names_each_difference_and_counts_runs_and_files(tmp_path):

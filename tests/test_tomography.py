@@ -21,7 +21,7 @@ from dbac_lab.tomography import (
     ptm_of_circuits,
 )
 
-from conftest import config_error, random_unitary
+from conftest import random_unitary
 from oracles import (
     apply_kraus, check, circuit_batches, expm, kraus_args, noise_models, pins, ptm_of_channel, trace_preserving,
     unitary_channel,
@@ -279,9 +279,9 @@ class TestPtmOfCircuits:
         with pytest.raises(DimensionMismatchError):
             ptm_of_circuits([compile_udme_native(0.3), Circuit(1, (Gate("H", (), (0,)),))])
 
-    def test_empty_batch_rejected(self, tmp_path):
+    def test_empty_batch_rejected(self, traced_runs):
         # the ptm run builds one circuit per phi_list angle: its config requires one
-        assert config_error(tmp_path, "ptm", "phi_list = ,\n") == "phi_list: give at least one value"
+        assert traced_runs.faults["unusable/ptm-phi-list-empty"] == ""
 
     @pytest.mark.parametrize("count", [1, 3, 5])
     def test_work_per_qubit_set_not_per_circuit(self, monkeypatch, count):
