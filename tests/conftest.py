@@ -78,8 +78,8 @@ def counted_swaps(monkeypatch):
 
 TracedRuns = NamedTuple("TracedRuns", [("faults", dict), ("ran", set)])
 
-# the child: traces the package's lines from before its import, makes each run
-# and prints its exit code and stderr, then the lines that ran
+# the child: traces the package's lines from before its import, makes each run,
+# naming it on stderr as it starts, and prints their ends, then the lines that ran
 _TRACED_RUNS = """
 import json, sys
 import numpy, runs  # not the package: untraced
@@ -92,7 +92,10 @@ def line(frame, event, arg):
 def call(frame, event, arg):
     return line if frame.f_code.co_filename.startswith(src) else None
 sys.settrace(call)
-ends = runs.in_process(argvs)
+ends = []
+for argv in argvs:
+    print(*argv, file=sys.stderr, flush=True)
+    ends += runs.in_process([argv])
 sys.settrace(None)
 json.dump([ends, sorted(hits)], sys.stdout)
 """
@@ -108,11 +111,12 @@ def traced_runs(tmp_path_factory):
     work, src = tmp_path_factory.mktemp("runs"), Path(cli.__file__).parent
     runs.prepare(work)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src.parent), str(Path(runs.__file__).parent)]))
-    child = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", _TRACED_RUNS],
-        input=json.dumps([str(src), [run.argv for run in runs.RUNS]]), cwd=work, env=env,
-        capture_output=True, text=True, check=True, timeout=60, **runs.limited(),
-    )
+    try:
+        child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _TRACED_RUNS], cwd=work, env=env,
+                               input=json.dumps([str(src), [run.argv for run in runs.RUNS]]), capture_output=True,
+                               text=True, check=True, timeout=60, **runs.limited())
+    except subprocess.TimeoutExpired as err:  # its stderr: the bytes the child wrote before it
+        pytest.fail(f"the runs took over 60 s; the last to start: {(err.stderr or b'').decode().splitlines()[-1:]}")
     ends, hits = json.loads(child.stdout)
     faults = {run.argv[-1]: runs._fault(run, work / run.argv[-1], *end)
               for run, end in zip(runs.RUNS, ends, strict=True)}

@@ -32,8 +32,8 @@ def _refused(*stems, ids=None):
     if ids is None:
         return lambda self, traced_runs: test(self, traced_runs, *stems)
     cases = [runs.reject_case(runs.CONFIGS / "reject" / f"{stem}.txt") for stem in stems]
-    names = [ids.format(experiment=e, text=text, key=start.split(":")[0], line=start.startswith("line "),
-                        value=text.split("= ")[-1].strip()) for e, start, text in cases]
+    names = [ids.format(experiment=e, text=text, key=message.split(":")[0], line=message.startswith("line "),
+                        value=text.split("= ")[-1].strip()) for e, message, text in cases]
     return pytest.mark.parametrize("stem", stems, ids=names)(test)
 
 
