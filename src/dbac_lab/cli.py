@@ -14,10 +14,10 @@ and builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
 must be finite.  A config whose batch and table hold more than
-`CELL_BUDGET` values (sweep-s, sweep-theta, trajectory, trotter and
-baselines), or whose partial-swap work exceeds `WORK_BUDGET` (sweep-s,
-grid-km, sweep-theta and finite-depth trajectory), is a config error naming
-the key with the largest factor.
+`CELL_BUDGET` values (sweep-s, sweep-theta, trajectory, trotter, baselines
+and ptm), or whose partial-swap work exceeds `WORK_BUDGET` (sweep-s,
+grid-km, sweep-theta and trajectory), is a config error naming the key with
+the largest factor.
 Runners return their tables and `run_config` alone writes them: one writer
 formats every table at 12 significant digits, one format per table, and
 `results_manifest.json` lists exactly the files this run wrote, each with its
@@ -58,8 +58,8 @@ from .dbac import (
     SEARCH_ENTRIES,
     DbacSchedule,
     basin_min_fidelity,
+    chain_law_energies,
     check_step_sizes,
-    dbac_energy_analytic,
     dbac_recursive_exact,
     dbac_via_dme,
     final_fidelities_over_s,
@@ -83,6 +83,11 @@ CELL_BUDGET = 5 * 10**6
 # each angle 130-200 ns (README).
 _RECORD_STEP = 5000
 _RECORD_VALUE = 10
+# An exact-reflector step of trajectory's one state vector, 10-15 us (README).
+_EXACT_STEP = 1000
+# The cells of one PTM that ptm builds per angle, with its table: 38 KB of
+# peak RSS per angle for two PTMs, 46 KB for three (README).
+_PTM_CELLS = 100
 
 
 class ConfigError(ValueError):
@@ -257,7 +262,8 @@ class ExperimentConfig:
         its (k, M) cells, M = 1 for exact reflectors, which is (sum of k)(sum
         of M); and for the DME record (sweep-theta, and trajectory at finite
         depth, T = 1) _RECORD_STEP per cooling step plus _RECORD_VALUE per
-        state and instruction marginal of each angle, T(k + n)."""
+        state and instruction marginal of each angle, T(k + n); for the exact
+        trajectory, _EXACT_STEP per step."""
         if self.experiment == "sweep-s":
             factors = {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
             return math.prod(factors.values()), factors
@@ -268,6 +274,8 @@ class ExperimentConfig:
             angles = {"theta_count": self.theta_count} if self.experiment == "sweep-theta" else {}
             values = math.prod(angles.values()) * (self.k + self._copies())
             return _RECORD_STEP * self.k + _RECORD_VALUE * values, {**angles, "k": self.k, "m": max(self.m)}
+        if self.experiment == "trajectory":
+            return _EXACT_STEP * self.k, {"k": self.k}
         return 0, {}
 
     @property
@@ -285,8 +293,10 @@ class ExperimentConfig:
         angle's record holds and its table row reads.  The other terms weigh
         a unit by its measured peak RSS, a cell being up to 200 bytes:
         2(k + 1 + n) for trajectory's one record (300-370 bytes per state or
-        marginal), 2 per trotter depth (260 bytes) and 4 per baselines round
-        (770 bytes: three rows of Python objects)."""
+        marginal), 2 per trotter depth (260 bytes), 4 per baselines round
+        (770 bytes: three rows of Python objects) and, per ptm angle,
+        _PTM_CELLS for each PTM it builds: ideal and compiled, and noisy when
+        a noise key is set."""
         n = self._copies()
         depths = {} if self.m is None else {"m": max(self.m)}
         if self.experiment == "sweep-s":
@@ -299,13 +309,16 @@ class ExperimentConfig:
             return 2 * self.m_max, {"m_max": self.m_max}
         if self.experiment == "baselines":
             return 4 * self.rounds, {"rounds": self.rounds}
+        if self.experiment == "ptm":
+            ptms = 2 + any(getattr(self, name) != _DEFAULTS[name] for name in _NOISE)
+            return _PTM_CELLS * ptms * len(self.phi_list), {"phi_list": len(self.phi_list)}
         return 0, {}
 
     @property
     def cells(self) -> int:
         """The values, in units of about 200 bytes of peak RSS, that the
         run's batch and table hold; 0 for the experiments that no budget
-        bounds yet (grid-km, ptm, acceptance)."""
+        bounds yet (grid-km, acceptance)."""
         return self._cell_factors()[0]
 
     @_built("s/m")
@@ -427,7 +440,7 @@ def _run_sweep_theta(cfg: ExperimentConfig) -> dict:
     schedule, thetas = cfg.schedule, cfg.theta_grid
     rec = dbac_via_dme(thetas, schedule, cfg.noise)
     header = ["theta", "E_target"] + [f"E_instr_{i+1}" for i in range(sum(schedule.m))] + ["E_analytic"]
-    law = functools.reduce(dbac_energy_analytic, schedule.s, -np.cos(thetas))  # the law, once per step
+    law = chain_law_energies(thetas, schedule.s)
     rows = np.column_stack([thetas, rec.energies[:, -1], rec.instruction_energies, law])
     return {"sweep_theta.csv": (header, rows)}
 

@@ -21,8 +21,8 @@ checked once, where its config enters (``cli.ExperimentConfig``), so
 :func:`dbac_via_dme` and the step-size search (:func:`final_fidelities_over_s`,
 :func:`optimal_step`, :func:`basin_min_fidelity`) check none of their
 arguments.  What is checked here: :class:`DbacSchedule` on construction,
-the energy law's E0 (in a sweep, its own iterates), and every state a
-record reports (:func:`check_pure`, :func:`dme.check_bloch`).
+the E0 of :func:`dbac_energy_analytic`, and every state a record reports
+(:func:`check_pure`, :func:`dme.check_bloch`).
 """
 
 from __future__ import annotations
@@ -131,24 +131,49 @@ class CoolingRecord:
 def dbac_energy_analytic(e0: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Post-step energy E1 = E0 - 2 sin^2(t) (1 - E0^2) ((1 - cos t) E0 + cos t),
     elementwise over arrays of ``e0`` and ``t`` that broadcast together; two
-    scalars give a float.  Every E0 must lie in [-1, 1]: a sweep applies the
-    law to its own iterates."""
-    e0, t = np.asarray(e0, dtype=float), np.asarray(t, dtype=float)
+    scalars give a float.  Every E0 must lie in [-1, 1].  E1 is E0 - 2d, d
+    the :func:`_law_steps` increment of the populations (1 +- E0) / 2."""
+    e0, t = np.broadcast_arrays(np.asarray(e0, dtype=float), np.asarray(t, dtype=float))
     if not (np.abs(e0) <= 1.0).all():  # NaN fails too
         raise ContractViolationError("e0 must lie in [-1, 1]")
-    e1 = _energy_law(e0, *_law_terms(t))
+    e1 = e0 - 2.0 * _law_steps(0.5 * (1.0 + e0), 0.5 * (1.0 - e0), [_law_terms(t)])[1]
     return float(e1) if e1.ndim == 0 else e1
 
 
+def chain_law_energies(thetas: np.ndarray, s: Sequence[float]) -> np.ndarray:
+    """The energy of R_X(theta)|0>, for each angle of the 1-D array ``thetas``, after one exact chain
+    step of each size in ``s`` by the closed-form law; a run's config checks both."""
+    return _law_steps(*_rx_populations(thetas), [_law_terms(sj) for sj in s])[0]
+
+
 def _law_terms(t):
-    """The terms of the energy law that depend on t alone: (2 sin^2 t, 1 - cos t, cos t)."""
+    """The terms of the energy law that depend on t alone: (4 sin^2 t, 1 - cos t, cos t)."""
     c = np.cos(t)
-    return 2.0 * np.sin(t) ** 2, 1.0 - c, c
+    return 4.0 * np.sin(t) ** 2, 1.0 - c, c
 
 
-def _energy_law(e0, two_sin2, one_minus_cos, cos):
-    """E1 from E0 and :func:`_law_terms` of t, elementwise over arrays."""
-    return e0 - two_sin2 * (1.0 - e0**2) * (one_minus_cos * e0 + cos)
+def _law_steps(p, q, laws) -> tuple:
+    """The energies p - q after one exact chain step per :func:`_law_terms` of ``laws`` from the
+    populations p and q, which the steps move in place (each law's terms broadcast to their shape),
+    and the last step's d = (4 sin^2 s) p q ((1 - cos s)(p - q) + cos s), which each moves from p to q."""
+    x, d = np.empty_like(p), np.empty_like(p)
+    for four_sin2, one_minus_cos, cos in laws:  # each ufunc's third argument is its output
+        np.subtract(p, q, x)
+        x *= one_minus_cos
+        x += cos
+        np.multiply(four_sin2, p, d)
+        d *= q
+        d *= x
+        p -= d
+        q += d
+    return np.subtract(p, q, x), d
+
+
+def _rx_populations(thetas: np.ndarray) -> np.ndarray:
+    """The populations (1 +- E) / 2 of R_X(theta)|0>, sin^2 and cos^2 of theta/2: from E = -cos(theta)
+    they would round away 1 -+ E near theta = 0 and pi."""
+    half = thetas / 2
+    return np.stack([np.sin(half), np.cos(half)]) ** 2
 
 
 def _records(pops: np.ndarray, planes: np.ndarray, shape: tuple = ()) -> CoolingRecord:
@@ -461,37 +486,23 @@ def _final_energies(
     thetas: np.ndarray, k: int, table: _StepTable, mode: str, counts: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
-    H = -Z, for each angle of the 1-D array ``thetas`` and each of the S
-    common step sizes that ``table`` holds for every angle in turn (T S
-    entries, angle-major): shape (T, S).  Every (angle, step size) pair is one
-    entry of one engine batch.  Exact reflectors (``table.m`` None) in chain
-    recursion follow the closed-form law.
+    H = -Z, for each angle of the 1-D array ``thetas`` and each of the S step
+    sizes that ``table`` holds, common to every angle: shape (T, S).  Every
+    (angle, step size) pair is one entry of one engine batch, angle-major.
+    Exact reflectors (``table.m`` None) in chain recursion follow the law.
 
     With ``counts``, an integer array of T entry counts summing to the table's
-    size, angle i takes the next ``counts[i]`` table entries instead of S, and
+    size, angle i takes the next ``counts[i]`` table entries instead, and
     the energies come back flat, one per table entry.  The engine is
     elementwise over entries, so an entry's energy does not depend on what
     else shares the batch."""
-    reps = table.cos_phi.size // thetas.size if counts is None else counts
-    if table.m is None and mode == "chain":
-        # the law on the populations p = (1 + E) / 2 and q = (1 - E) / 2, each
-        # step moving d from p to q: E = -cos(theta) would round away 1 -+ E
-        # near theta = 0 or pi, where the law's repelling steps amplify it
-        two_sin2, one_minus_cos, cos = table.law
-        twice = 2.0 * two_sin2
-        half = thetas / 2
-        p, q = np.repeat(np.stack([np.sin(half), np.cos(half)]) ** 2, reps, axis=1)
-        for _ in range(k):  # d = 2 (2 sin^2 s) p q ((1 - cos s)(p - q) + cos s), in place
-            x = p - q
-            x *= one_minus_cos
-            x += cos
-            d = twice * p
-            d *= q
-            d *= x
-            p -= d
-            q += d
-        e = p - q
+    reps = table.cos_phi.size if counts is None else counts
+    if table.m is None and mode == "chain":  # the law: (T, S) populations against (S,) terms
+        pops = np.repeat(_rx_populations(thetas), reps, axis=1)
+        e = _law_steps(*(pops.reshape(2, thetas.size, -1) if counts is None else pops), [table.law] * k)[0]
     else:
+        if counts is None and thetas.size > 1:  # every angle's entries, angle-major
+            table = table.map(lambda a: np.tile(a, thetas.size))
         z = _search_pass_z(np.repeat(_rx_planes(thetas), reps, axis=1), k, table, mode)
         e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * z  # populations (1 +- z) / 2
     return e.reshape(thetas.size, -1) if counts is None else e
@@ -511,8 +522,7 @@ def final_fidelities_over_s(
     size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
     in one engine pass."""
     s, thetas = np.asarray(s_values, dtype=float), np.asarray(theta, dtype=float)
-    table = _step_table(s.ravel(), m, _W).map(lambda a: np.tile(a, thetas.size))  # once per step size
-    energies = _final_energies(np.atleast_1d(thetas), k, table, mode)
+    energies = _final_energies(np.atleast_1d(thetas), k, _step_table(s.ravel(), m, _W), mode)  # once per step size
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
 
 
@@ -567,11 +577,7 @@ def _seed_step(k: int) -> int:
     """The grid step that minimizes the final energy of k exact-reflector chain
     steps from f0 = 1/2 (E0 = 0) under the closed-form law: a cheap estimate of
     the best step for the middle of the basin interval."""
-    law = _law_terms(_S_GRID)
-    e = np.zeros(_S_GRID.size)
-    for _ in range(k):
-        e = _energy_law(e, *law)
-    return int(np.argmin(e))
+    return int(np.argmin(_law_steps(*np.full((2, _S_GRID.size), 0.5), [_law_terms(_S_GRID)] * k)[0]))
 
 
 class _BasinPasses:

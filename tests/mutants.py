@@ -48,20 +48,6 @@ class Mutant(NamedTuple):
     verdict: str  # KILLED, or "equivalent: <why no result changes>"
 
 
-LAW_BRANCH = """        twice = 2.0 * two_sin2
-        half = thetas / 2
-        p, q = np.repeat(np.stack([np.sin(half), np.cos(half)]) ** 2, reps, axis=1)
-        for _ in range(k):  # d = 2 (2 sin^2 s) p q ((1 - cos s)(p - q) + cos s), in place
-            x = p - q
-            x *= one_minus_cos
-            x += cos
-            d = twice * p
-            d *= q
-            d *= x
-            p -= d
-            q += d
-        e = p - q"""
-
 MUTANTS = [
     Mutant("echo-dropped", "dbac.py", "        a = _to_data_frame(out, table.cos_phi, table.sin_phi)\n",
            "        a = out\n", "the search pass leaves its instruction out of the data's frame", KILLED),
@@ -72,6 +58,8 @@ MUTANTS = [
     Mutant("record-depth-plus-one", "dbac.py", "np.arange(1, m + 1).reshape(-1, 1, 1) for m in",
            "np.arange(2, m + 2).reshape(-1, 1, 1) for m in", "every copy of a DME record step makes one swap more",
            KILLED),
+    Mutant("law-increment-sign", "dbac.py", "        np.subtract(p, q, x)\n", "        np.subtract(q, p, x)\n",
+           "the exact chain law's increment reads E as q - p", KILLED),
     Mutant("bound-times-ten", "acceptance.py", "passed = passed and elapsed < bound",
            "passed = passed and elapsed < 10 * bound", "a criterion passes up to ten times its wall-time bound", KILLED),
     Mutant("pass-one-step-more", "dbac.py", "    for j in range(k):\n", "    for j in range(k + 1):\n",
@@ -111,7 +99,7 @@ MUTANTS = [
     Mutant("witness-proof", "dbac.py", "itertools.compress(witnesses, self._reached(tried))",
            "itertools.compress(witnesses, ~self._reached(tried))",
            "a basin witness counts as proven when it misses the target", KILLED),
-    Mutant("seed-step", "dbac.py", "    return int(np.argmin(e))\n", "    return int(np.argmin(e)) + 1\n",
+    Mutant("seed-step", "dbac.py", "[_law_terms(_S_GRID)] * k)[0]))\n", "[_law_terms(_S_GRID)] * k)[0])) + 1\n",
            "the witness slots' first step, one grid step off", KILLED),
     Mutant("exact-rescale-off", "dbac.py", "                plane /= norm\n",
            "                plane /= norm * (1 + 1e-15)\n",
@@ -121,10 +109,13 @@ MUTANTS = [
     Mutant("trotter-cells", "cli.py", 'return 2 * self.m_max, {"m_max": self.m_max}',
            'return self.m_max, {"m_max": self.m_max}', "trotter's cells count one per depth", KILLED),
     Mutant("eig-tol", "states.py", "EIG_TOL = 1e-10", "EIG_TOL = 1e-8", "the eigenvalue tolerance", KILLED),
-    Mutant("law-on-e0", "dbac.py", LAW_BRANCH,
-           "        e = np.repeat(-np.cos(thetas), reps)\n"
-           "        for _ in range(k):\n            e = _energy_law(e, *table.law)",
-           "the exact chain's law on E0 = -cos(theta), which rounds away 1 -+ E0 near 0 and pi", KILLED),
+    Mutant("law-on-e0", "dbac.py", "    return np.stack([np.sin(half), np.cos(half)]) ** 2\n",
+           "    e0 = -np.cos(thetas)\n    return np.stack([0.5 * (1.0 + e0), 0.5 * (1.0 - e0)])\n",
+           "the exact chain law's populations from E0 = -cos(theta), which rounds away 1 -+ E0 near 0 and pi",
+           KILLED),
+    Mutant("dephasing-rate", "tomography.py", "inv_tphi = 1.0 / noise.t2_us - 0.5 / noise.t1_us",
+           "inv_tphi = 1.0 / noise.t2_us - 0.49 / noise.t1_us", "pure dephasing 1/T2 - 0.49/T1, not 1/T2 - 0.5/T1",
+           KILLED),
     Mutant("baselines-cells", "cli.py", 'return 4 * self.rounds, {"rounds": self.rounds}',
            'return 2 * self.rounds, {"rounds": self.rounds}', "baselines' cells count two per round", KILLED),
     Mutant("record-step-work", "cli.py", "_RECORD_STEP = 5000", "_RECORD_STEP = 500",

@@ -407,7 +407,8 @@ class TestWork:
         final_energies = dbac._final_energies
 
         def counting(thetas, k, table, mode, counts=None):
-            seen.append(table.cos_phi.size * k * (table.m or 1))
+            entries = table.cos_phi.size * (thetas.size if counts is None else 1)  # without counts, S per angle
+            seen.append(entries * k * (table.m or 1))
             return final_energies(thetas, k, table, mode, counts)
 
         monkeypatch.setattr(dbac, "_final_energies", counting)
@@ -445,10 +446,10 @@ class TestWork:
     )
     def test_dme_record_work_counts_its_steps_and_values(self, tmp_path, experiment, text):
         # a per-step cost, and a per-value cost for each state after the first
-        # and each instruction marginal of each angle; the exact record has none
+        # and each instruction marginal of each angle; the exact record's, per step
         cfg = config(tmp_path, experiment, text)
         if cfg.m is None:
-            assert cfg.work == 0
+            assert cfg.work == cli._EXACT_STEP * cfg.k
             return
         thetas = cfg.theta_grid if experiment == "sweep-theta" else np.array([cfg.theta])
         rec = dbac.dbac_via_dme(thetas, cfg.schedule, cfg.noise)
@@ -534,6 +535,13 @@ class TestCells:
         (header, rows), = cli._RUNNERS[experiment](cfg).values()
         assert cfg.cells == (2 * len(rows) if experiment == "trotter" else 4 * (len(rows) - 2) // 3)
 
+    @pytest.mark.parametrize("text", ["", "phi_list = 0.3\nnoise_p2 = 0.01\n", "phi_list = 0,1\nnoise_t1_us = 40\n"])
+    def test_ptm_cells_weigh_its_ptms(self, tmp_path, text):
+        # _PTM_CELLS for each PTM table written: ideal and compiled, and noisy with a noise key
+        cfg = config(tmp_path, "ptm", text)
+        tables = [name for name in cli._run_ptm(cfg) if name.endswith(".csv")]
+        assert cfg.cells == cli._PTM_CELLS * len(tables)
+
     @pytest.mark.parametrize(
         "experiment, text",
         [
@@ -542,9 +550,15 @@ class TestCells:
             ("baselines", "rounds = 1250000\n"),
         ],
     )
-    def test_new_terms_budget_is_inclusive(self, tmp_path, experiment, text):
-        # validation only: each config at the budget's edge, whose run peaked at 0.6-1.0 GB
-        assert config(tmp_path, experiment, text).cells == cli.CELL_BUDGET
+    def test_new_terms_budget_is_inclusive(self, tmp_path, traced_runs, experiment, text):
+        # validation only: each config at the budget's edge, whose run peaked at 0.6-1.0 GB; the exact
+        # trajectory there is refused by the work budget alone (its reject file), since the cell budget
+        # names a config over both
+        if experiment == "trajectory":
+            assert runs.reject_case(runs.CONFIGS / "reject" / "trajectory-work-cell-edge.txt")[2] == text
+            assert traced_runs.faults["unusable/trajectory-work-cell-edge"] == ""
+        else:
+            assert config(tmp_path, experiment, text).cells == cli.CELL_BUDGET
 
 
 class TestProductTable:
