@@ -8,9 +8,10 @@ trajectory, acceptance.  The config file is line-oriented `key = value` text
 with `#` comments; unknown keys, keys set twice, and noise keys the experiment
 does not apply, are rejected.  Each config key is declared once, as a field of
 the frozen `ExperimentConfig` carrying its default, its parser and its rule;
-each experiment is declared once in `_READS` with the noise keys it applies
-and the values built for its runner.  Constructing a config runs every check
-and builds, once, the schedule, noise model and grids its runner reads.
+each experiment is declared once in `_EXPERIMENTS` with its runner, the
+noise keys it applies, the values built for its runner and its two costs.
+Constructing a config runs every check, the budgets before any build, and
+builds, once, the schedule, noise model and grids its runner reads.
 Angles are finite, in radians unless the value carries a `deg` suffix; `seed`
 is >= 0; a grid's span and every step size's echo angle s (w_max - w_min)
 must be finite.  A config whose batch and table hold more than
@@ -46,7 +47,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ _PI = float(np.pi)
 # an accepted config may make; the README derives it from the measured rate.
 WORK_BUDGET = 10**9
 # The most values the batch and table of an accepted config may hold
-# (`ExperimentConfig.cells`); the README derives it from the measured peak RSS
+# (an experiment's `cells`); the README derives it from the measured peak RSS
 # per value.
 CELL_BUDGET = 5 * 10**6
 # The DME record's cost in those entry-steps, about 20 ns each: a cooling step
@@ -159,21 +160,11 @@ def _built(keys: str):
     return wrap
 
 
-def _sized(build, count: int, count_key: str):
-    """build(count); a count too large to index, or to allocate, is a config
-    error naming `count_key`, raised before anything is allocated."""
-    try:
-        return build(count)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError(f"{count_key}: cannot build {count} entries ({exc or type(exc).__name__})") from exc
-
-
-def _grid(start: float, stop: float, count: int, count_key: str) -> np.ndarray:
-    """np.linspace(start, stop, count), read-only; its span must be finite,
-    and a count numpy cannot build is a config error naming `count_key`."""
+def _grid(start: float, stop: float, count: int) -> np.ndarray:
+    """np.linspace(start, stop, count), read-only; its span must be finite."""
     if not np.isfinite(stop - start):
         raise ContractViolationError("the grid's span must be finite")
-    grid = _sized(lambda n: np.linspace(start, stop, n), count, count_key)
+    grid = np.linspace(start, stop, count)
     grid.setflags(write=False)
     return grid
 
@@ -224,152 +215,73 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {message}")
         if self.experiment in ("sweep-theta", "sweep-s") and self.m is None:
             raise ConfigError("m: this experiment simulates the instruction-copy protocol; use finite depths")
-        if self.experiment == "sweep-s" and len(set(self._per_step("m"))) != 1:
+        if self.experiment == "sweep-s" and len(set(self._given("m"))) != 1:
             raise ConfigError("m: sweep-s uses one common depth per step")
         if self.experiment == "grid-km" and abs(float(np.cos(self.theta))) >= 1.0:
             raise ConfigError("theta: |cos(theta)| = 1 is a protocol fixed point; no step optimizes it")
-        applied, built = _READS[self.experiment]
-        applied = () if self.experiment == "trajectory" and self.m is None else applied
-        for name in _NOISE:  # a noise key is set when it differs from its default
-            if getattr(self, name) != _DEFAULTS[name] and name not in applied:
+        record = _EXPERIMENTS[self.experiment]
+        applied = record.noise(self)
+        for name in self._set_noise():
+            if name not in applied:
                 applies = ", ".join(applied) or "none"
                 raise ConfigError(f"{name}: {self.experiment} would run without it (applies: {applies})")
-        for size, (_, factors), budget, what in (
-            (self.cells, self._cell_factors(), CELL_BUDGET, "batch and table values"),
-            (self.work, self._work_factors(), WORK_BUDGET, "partial-swap entry-steps"),
+        for (size, factors), budget, what in (
+            (record.cells(self), CELL_BUDGET, "batch and table values"),
+            (record.work(self), WORK_BUDGET, "partial-swap entry-steps"),
         ):
             if size > budget:  # named by the key with the largest factor
                 key = max(factors, key=factors.get)
                 raise ConfigError(f"{key}: the run's {what} would exceed the budget, {budget:.0e}")
-        for name in built:  # build, once, what the runner reads
+        for name in record.built:  # build, once, what the runner reads, within the budgets
             getattr(self, name)
 
-    def _per_step(self, name: str) -> tuple:
-        """Key `name` (s or m) as k per-step values, given one value or k."""
+    def _set_noise(self) -> tuple:
+        """The noise keys set: those that differ from their defaults."""
+        return tuple(name for name in _NOISE if getattr(self, name) != _DEFAULTS[name])
+
+    def _given(self, name: str) -> tuple:
+        """Key `name` (s or m), which holds one value or k per-step values."""
         values = getattr(self, name)
         if len(values) not in (1, self.k):
             raise ConfigError(f"{name}: give one value or {self.k} per-step values, got {len(values)}")
-        return _sized(lambda n: values * n, self.k // len(values), "k")
+        return values
+
+    def _per_step(self, name: str) -> tuple:
+        """Key `name` (s or m) as k per-step values, given one value or k."""
+        values = self._given(name)
+        return values * (self.k // len(values))
 
     def _copies(self) -> int:
         """n, the instruction copies of the run's schedule (the sum of its
         depths), from the raw key values; 0 for exact reflectors."""
         return 0 if self.m is None else self.k * self.m[0] if len(self.m) == 1 else sum(self.m)
 
-    def _work_factors(self) -> tuple[int, dict]:
-        """`work` and the factors that name its largest key: T·S·k·M for
-        sweep-s; for grid-km dbac's SEARCH_ENTRIES times the sum of k·M over
-        its (k, M) cells, M = 1 for exact reflectors, which is (sum of k)(sum
-        of M); and for the DME record (sweep-theta, and trajectory at finite
-        depth, T = 1) _RECORD_STEP per cooling step plus _RECORD_VALUE per
-        state and instruction marginal of each angle, T(k + n); for the exact
-        trajectory, _EXACT_STEP per step."""
-        if self.experiment == "sweep-s":
-            factors = {"theta_count": self.theta_count, "s_count": self.s_count, "k": self.k, "m": self.m[0]}
-            return math.prod(factors.values()), factors
-        if self.experiment == "grid-km":
-            factors = {"k_list": sum(self.k_list), "m_list": sum(m or 1 for m in self.m_list)}
-            return SEARCH_ENTRIES * math.prod(factors.values()), factors
-        if self.experiment in ("sweep-theta", "trajectory") and self.m is not None:
-            angles = {"theta_count": self.theta_count} if self.experiment == "sweep-theta" else {}
-            values = math.prod(angles.values()) * (self.k + self._copies())
-            return _RECORD_STEP * self.k + _RECORD_VALUE * values, {**angles, "k": self.k, "m": max(self.m)}
-        if self.experiment == "trajectory":
-            return _EXACT_STEP * self.k, {"k": self.k}
-        return 0, {}
-
-    @property
-    def work(self) -> int:
-        """The partial-swap entry-steps the run makes (sweep-s), at most
-        makes (grid-km), or costs (the DME record); 0 for the experiments
-        that no budget bounds yet."""
-        return self._work_factors()[0]
-
-    def _cell_factors(self) -> tuple[int, dict]:
-        """`cells` and the factors that name its largest key, from the raw
-        key values: T·S for sweep-s, a batch entry and a table row per
-        (angle, step size); for sweep-theta T(k + 1 + n), n the sum of the
-        depths (0 for exact reflectors), the states and marginals each
-        angle's record holds and its table row reads.  The other terms weigh
-        a unit by its measured peak RSS, a cell being up to 200 bytes:
-        2(k + 1 + n) for trajectory's one record (300-370 bytes per state or
-        marginal), 2 per trotter depth (260 bytes), 4 per baselines round
-        (770 bytes: three rows of Python objects) and, per ptm angle,
-        _PTM_CELLS for each PTM it builds: ideal and compiled, and noisy when
-        a noise key is set."""
-        n = self._copies()
-        depths = {} if self.m is None else {"m": max(self.m)}
-        if self.experiment == "sweep-s":
-            return self.theta_count * self.s_count, {"theta_count": self.theta_count, "s_count": self.s_count}
-        if self.experiment == "sweep-theta":
-            return self.theta_count * (self.k + 1 + n), {"theta_count": self.theta_count, "k": self.k, **depths}
-        if self.experiment == "trajectory":
-            return 2 * (self.k + 1 + n), {"k": self.k, **depths}
-        if self.experiment == "trotter":
-            return 2 * self.m_max, {"m_max": self.m_max}
-        if self.experiment == "baselines":
-            return 4 * self.rounds, {"rounds": self.rounds}
-        if self.experiment == "ptm":
-            ptms = 2 + any(getattr(self, name) != _DEFAULTS[name] for name in _NOISE)
-            return _PTM_CELLS * ptms * len(self.phi_list), {"phi_list": len(self.phi_list)}
-        return 0, {}
-
-    @property
-    def cells(self) -> int:
-        """The values, in units of about 200 bytes of peak RSS, that the
-        run's batch and table hold; 0 for the experiments that no budget
-        bounds yet (grid-km, acceptance)."""
-        return self._cell_factors()[0]
-
     @_built("s/m")
     def schedule(self) -> DbacSchedule:
         s = self._per_step("s")
-        for mj in set(self.m or ()):  # the copy indices 1..M that dbac_via_dme builds per step
-            _sized(lambda n: np.arange(1, n + 1), mj, "m")
         return DbacSchedule(s=s, m=None if self.m is None else self._per_step("m"), recursion=self.recursion)
 
     @_built("noise_*")
     def noise(self) -> Optional[NoiseModel]:
-        if (self.noise_p1, self.noise_p2, self.noise_t1_us, self.noise_t2_us) == (0, 0, None, None):
+        if not self._set_noise():
             return None
         return NoiseModel(p1=self.noise_p1, p2=self.noise_p2, t1_us=self.noise_t1_us, t2_us=self.noise_t2_us)
 
     @_built("theta_start/theta_stop")
     def theta_grid(self) -> np.ndarray:
-        return _grid(self.theta_start, self.theta_stop, self.theta_count, "theta_count")
+        return _grid(self.theta_start, self.theta_stop, self.theta_count)
 
     @_built("s_start/s_stop")
     def s_grid(self) -> np.ndarray:
-        return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count, "s_count"))
-
-    @_built("m_max")
-    def m_grid(self) -> np.ndarray:
-        """The Trotter depths 1..m_max, read-only."""
-        depths = _sized(lambda n: np.arange(1, n + 1), self.m_max, "m_max")
-        depths.setflags(write=False)
-        return depths
+        return check_step_sizes(_grid(self.s_start, self.s_stop, self.s_count))
 
 
 # key -> parser (unknown keys are rejected with the key name), key -> default,
-# and each key's rule, in declaration order
+# and each key's rule, in declaration order; the noise keys
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig) if "parse" in f.metadata}
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _RULES = [(f.name, f.metadata["rule"]) for f in fields(ExperimentConfig) if f.metadata.get("rule")]
-
-# Each experiment once: the noise keys it applies (trajectory only with finite
-# m; a config that sets any other is rejected rather than run without it) and
-# the values validation builds for its runner.
 _NOISE = ("noise_p1", "noise_p2", "noise_t1_us", "noise_t2_us")
-_READS = {
-    "sweep-theta": (_NOISE[:2], ("schedule", "theta_grid", "noise")),
-    "sweep-s": ((), ("theta_grid", "s_grid")),
-    "grid-km": ((), ()),
-    "trotter": ((), ("m_grid",)),
-    "ptm": (_NOISE, ("noise",)),
-    "baselines": ((), ()),
-    "trajectory": (_NOISE[:2], ("schedule", "noise")),
-    "acceptance": ((), ()),
-}
 
 
 def validate_config(
@@ -465,7 +377,7 @@ def _run_grid_km(cfg: ExperimentConfig) -> dict:
 def _run_trotter(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     rho, sigma = random_density(rng), random_density(rng)
-    ms = cfg.m_grid
+    ms = np.arange(1, cfg.m_max + 1)
     rows = np.column_stack([np.full(ms.size, cfg.t), ms, dme_errors(rho, sigma, cfg.t, ms)])
     return {"trotter.csv": (["t", "M", "error"], rows)}
 
@@ -534,17 +446,77 @@ def _run_acceptance(cfg: ExperimentConfig) -> dict:
     return {"acceptance.json": summary, _MANIFEST: {"acceptance": record}}
 
 
-_RUNNERS = {
-    "sweep-theta": _run_sweep_theta,
-    "sweep-s": _run_sweep_s,
-    "grid-km": _run_grid_km,
-    "trotter": _run_trotter,
-    "ptm": _run_ptm,
-    "baselines": _run_baselines,
-    "trajectory": _run_trajectory,
-    "acceptance": _run_acceptance,
+def _product(weight: int, **factors) -> tuple[int, dict]:
+    """A cost: `weight` times the product of its factors, and the factors."""
+    return weight * math.prod(factors.values()), factors
+
+
+def _record_cells(cfg: ExperimentConfig, weight: int, angles: dict) -> tuple[int, dict]:
+    """A DME record's cells: `weight`·T(k + 1 + n), T the product of the
+    `angles` counts and n the sum of the depths (0 for exact reflectors),
+    the states and marginals of each angle's record."""
+    depths = {} if cfg.m is None else {"m": max(cfg.m, default=0)}
+    return weight * math.prod(angles.values()) * (cfg.k + 1 + cfg._copies()), {**angles, "k": cfg.k, **depths}
+
+
+def _record_work(cfg: ExperimentConfig, angles: dict) -> tuple[int, dict]:
+    """A DME record's work: _RECORD_STEP per cooling step plus _RECORD_VALUE
+    per state after the first and instruction marginal of each angle,
+    T(k + n); the exact record's, _EXACT_STEP per step."""
+    if cfg.m is None:
+        return _EXACT_STEP * cfg.k, {"k": cfg.k}
+    values = math.prod(angles.values()) * (cfg.k + cfg._copies())
+    return _RECORD_STEP * cfg.k + _RECORD_VALUE * values, {**angles, "k": cfg.k, "m": max(cfg.m, default=0)}
+
+
+class _Experiment(NamedTuple):
+    """One experiment: its runner; the noise keys it applies, given its
+    config; the values validation builds for the runner; and its two costs,
+    each a (size, factors) pair from the raw key values, with 0 where no
+    budget bounds it yet.  `cells` is the values, in units of about 200 bytes
+    of peak RSS, that the run's batch and table hold; `work` is the
+    partial-swap entry-steps it makes (sweep-s), at most makes (grid-km) or
+    costs (the DME record).  A size over its budget is refused, named by the
+    key of the largest factor, the first of a tie."""
+
+    run: Callable[[ExperimentConfig], dict]
+    noise: Callable[[ExperimentConfig], tuple] = lambda cfg: ()
+    built: tuple = ()
+    cells: Callable[[ExperimentConfig], tuple] = lambda cfg: (0, {})
+    work: Callable[[ExperimentConfig], tuple] = lambda cfg: (0, {})
+
+
+# Each experiment once.  A config that sets a noise key its experiment does not
+# apply (trajectory applies none with exact reflectors) is rejected rather than
+# run without it.  Cells weigh a unit by its measured peak RSS (README).
+_EXPERIMENTS = {
+    "sweep-theta": _Experiment(
+        _run_sweep_theta, lambda c: _NOISE[:2], ("schedule", "theta_grid", "noise"),
+        cells=lambda c: _record_cells(c, 1, {"theta_count": c.theta_count}),
+        work=lambda c: _record_work(c, {"theta_count": c.theta_count}),
+    ),
+    "sweep-s": _Experiment(
+        _run_sweep_s, built=("theta_grid", "s_grid"),
+        cells=lambda c: _product(1, theta_count=c.theta_count, s_count=c.s_count),
+        work=lambda c: _product(1, theta_count=c.theta_count, s_count=c.s_count, k=c.k, m=c.m[0]),
+    ),
+    "grid-km": _Experiment(  # M = 1 for exact reflectors
+        _run_grid_km,
+        work=lambda c: _product(SEARCH_ENTRIES, k_list=sum(c.k_list), m_list=sum(m or 1 for m in c.m_list)),
+    ),
+    "trotter": _Experiment(_run_trotter, cells=lambda c: _product(2, m_max=c.m_max)),
+    "ptm": _Experiment(
+        _run_ptm, lambda c: _NOISE, ("noise",),
+        cells=lambda c: _product(_PTM_CELLS * (2 + bool(c._set_noise())), phi_list=len(c.phi_list)),
+    ),
+    "baselines": _Experiment(_run_baselines, cells=lambda c: _product(4, rounds=c.rounds)),
+    "trajectory": _Experiment(
+        _run_trajectory, lambda c: () if c.m is None else _NOISE[:2], ("schedule", "noise"),
+        cells=lambda c: _record_cells(c, 2, {}), work=lambda c: _record_work(c, {}),
+    ),
+    "acceptance": _Experiment(_run_acceptance),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @functools.cache
@@ -626,7 +598,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
     started = time.perf_counter()
     payloads, files, extra, error = {}, {}, {}, None
     try:
-        payloads = _RUNNERS[cfg.experiment](cfg)
+        payloads = _EXPERIMENTS[cfg.experiment].run(cfg)
         extra = payloads.pop(_MANIFEST, {})
         for name in sorted(payloads):
             data = _render(name, payloads[name])

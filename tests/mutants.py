@@ -79,8 +79,7 @@ MUTANTS = [
            "one swap too many before the search pass's last", KILLED),
     Mutant("largest-factor-key", "cli.py", "key = max(factors, key=factors.get)",
            "key = min(factors, key=factors.get)", "a budget error names the key of the smallest factor", KILLED),
-    Mutant("exact-trajectory-noise", "cli.py",
-           'applied = () if self.experiment == "trajectory" and self.m is None else applied', "applied = applied",
+    Mutant("exact-trajectory-noise", "cli.py", "lambda c: () if c.m is None else _NOISE[:2]", "lambda c: _NOISE[:2]",
            "an exact trajectory accepts the noise keys it never applies", KILLED),
     Mutant("marginals-without-p2", "dbac.py", "            margs *= 1.0 - p2\n", "            pass\n",
            "the DME record's instruction marginals lose the p2 scaling", KILLED),
@@ -106,8 +105,8 @@ MUTANTS = [
            "the exact search pass's rescale, off by 1e-15", KILLED),
     Mutant("dme-errors-scale", "dme.py", "return 0.5 * np.linalg.norm(", "return 0.5 * (1 + 1e-9) * np.linalg.norm(",
            "dme_errors scaled by 1 + 1e-9", KILLED),
-    Mutant("trotter-cells", "cli.py", 'return 2 * self.m_max, {"m_max": self.m_max}',
-           'return self.m_max, {"m_max": self.m_max}', "trotter's cells count one per depth", KILLED),
+    Mutant("trotter-cells", "cli.py", "_product(2, m_max=c.m_max)", "_product(1, m_max=c.m_max)",
+           "trotter's cells count one per depth", KILLED),
     Mutant("eig-tol", "states.py", "EIG_TOL = 1e-10", "EIG_TOL = 1e-8", "the eigenvalue tolerance", KILLED),
     Mutant("law-on-e0", "dbac.py", "    return np.stack([np.sin(half), np.cos(half)]) ** 2\n",
            "    e0 = -np.cos(thetas)\n    return np.stack([0.5 * (1.0 + e0), 0.5 * (1.0 - e0)])\n",
@@ -116,8 +115,10 @@ MUTANTS = [
     Mutant("dephasing-rate", "tomography.py", "inv_tphi = 1.0 / noise.t2_us - 0.5 / noise.t1_us",
            "inv_tphi = 1.0 / noise.t2_us - 0.49 / noise.t1_us", "pure dephasing 1/T2 - 0.49/T1, not 1/T2 - 0.5/T1",
            KILLED),
-    Mutant("baselines-cells", "cli.py", 'return 4 * self.rounds, {"rounds": self.rounds}',
-           'return 2 * self.rounds, {"rounds": self.rounds}', "baselines' cells count two per round", KILLED),
+    Mutant("ptm-cells-noisy", "cli.py", "_PTM_CELLS * (2 + bool(c._set_noise()))", "_PTM_CELLS * 2",
+           "a noisy ptm run's cells leave out its third PTM", KILLED),
+    Mutant("baselines-cells", "cli.py", "_product(4, rounds=c.rounds)", "_product(2, rounds=c.rounds)",
+           "baselines' cells count two per round", KILLED),
     Mutant("record-step-work", "cli.py", "_RECORD_STEP = 5000", "_RECORD_STEP = 500",
            "a DME record step costs a tenth of its work", KILLED),
     Mutant("budget-doubled", "cli.py", "            if size > budget:", "            if size > 2 * budget:",

@@ -215,6 +215,16 @@ def _boom(cfg):  # a runner that fails
     raise ValueError("synthetic\nfailure")
 
 
+def _runner(monkeypatch, experiment, run):
+    """Make ``run`` the runner of ``experiment`` while ``monkeypatch`` is active."""
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment, cli._EXPERIMENTS[experiment]._replace(run=run))
+
+
+def _cost(cfg, name) -> int:
+    """The size of ``cfg``'s ``cells`` or ``work``, by its experiment's record in ``cli._EXPERIMENTS``."""
+    return getattr(cli._EXPERIMENTS[cfg.experiment], name)(cfg)[0]
+
+
 class TestRunners:
     def test_sweep_theta_analytic_column(self, tmp_path):
         cli.run_config(config(tmp_path, "sweep-theta", "theta_count = 181\nk = 1\nm = 1\ns = 0.7853981633974483\n"))
@@ -315,7 +325,7 @@ class TestRunners:
         assert "cem,p_success" in text
 
     def test_failed_stage_recorded_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
+        _runner(monkeypatch, "trotter", _boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(RuntimeError, match="manifest records"):
             cli.run_config(cfg)
@@ -333,7 +343,7 @@ class TestRunners:
     def test_failed_run_lists_no_files(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
-        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
+        _runner(monkeypatch, "trotter", _boom)
         with pytest.raises(cli.RunError):
             cli.run_config(cli.validate_config(None, experiment="trotter", out_override=out))
         manifest = json.loads((out / "results_manifest.json").read_text())
@@ -377,7 +387,7 @@ class TestWholeTableFormat:
         ],
     )
     def test_list_table_matches_per_row_format(self, tmp_path, experiment, text, name):
-        header, rows = cli._RUNNERS[experiment](config(tmp_path, experiment, text))[name]
+        header, rows = cli._EXPERIMENTS[experiment].run(config(tmp_path, experiment, text))[name]
         assert isinstance(rows, list)
         if experiment == "grid-km":  # the M column mixes ints and `exact`
             assert {type(r[1]) for r in rows} == {int, str}
@@ -386,7 +396,7 @@ class TestWholeTableFormat:
     @pytest.mark.parametrize("experiment", ["sweep-theta", "trotter", "trajectory"])
     def test_float_array_is_the_12_digit_join(self, tmp_path, experiment):
         cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path / "out")
-        (name, (header, rows)), = cli._RUNNERS[experiment](cfg).items()
+        (name, (header, rows)), = cli._EXPERIMENTS[experiment].run(cfg).items()
         assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
         body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows.tolist())
         assert cli._render(name, (header, rows)) == (",".join(header) + "\n" + body).encode()
@@ -396,10 +406,11 @@ class TestWholeTableFormat:
 
 
 class TestWork:
-    """`ExperimentConfig.work` is the partial-swap entry-steps a sweep-s run
-    makes, and bounds those of a grid-km run: a swap entry-step is one entry
-    of one search batch through one of its k·M swaps (k steps of one exact
-    reflection each for m = exact)."""
+    """An experiment's `work`, in its record in `cli._EXPERIMENTS`, is the
+    partial-swap entry-steps a sweep-s run makes, and bounds those of a
+    grid-km run: a swap entry-step is one entry of one search batch through
+    one of its k·M swaps (k steps of one exact reflection each for m =
+    exact)."""
 
     @staticmethod
     def _entry_steps(monkeypatch, cfg) -> int:
@@ -412,7 +423,7 @@ class TestWork:
             return final_energies(thetas, k, table, mode, counts)
 
         monkeypatch.setattr(dbac, "_final_energies", counting)
-        cli._RUNNERS[cfg.experiment](cfg)
+        cli._EXPERIMENTS[cfg.experiment].run(cfg)
         return sum(seen)
 
     @pytest.mark.parametrize(
@@ -420,7 +431,8 @@ class TestWork:
     )
     def test_sweep_s_work_is_its_entry_steps(self, tmp_path, monkeypatch, text):
         cfg = config(tmp_path, "sweep-s", text)
-        assert cfg.work == cfg.theta_count * cfg.s_count * cfg.k * cfg.m[0] == self._entry_steps(monkeypatch, cfg)
+        work = _cost(cfg, "work")
+        assert work == cfg.theta_count * cfg.s_count * cfg.k * cfg.m[0] == self._entry_steps(monkeypatch, cfg)
 
     @pytest.mark.parametrize(
         "text",
@@ -433,7 +445,7 @@ class TestWork:
     def test_grid_km_work_bounds_its_entry_steps(self, tmp_path, monkeypatch, text):
         cfg = config(tmp_path, "grid-km", text)
         cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
-        assert cfg.work == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
+        assert _cost(cfg, "work") == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
 
     @pytest.mark.parametrize(
         "experiment, text",
@@ -449,12 +461,12 @@ class TestWork:
         # and each instruction marginal of each angle; the exact record's, per step
         cfg = config(tmp_path, experiment, text)
         if cfg.m is None:
-            assert cfg.work == cli._EXACT_STEP * cfg.k
+            assert _cost(cfg, "work") == cli._EXACT_STEP * cfg.k
             return
         thetas = cfg.theta_grid if experiment == "sweep-theta" else np.array([cfg.theta])
         rec = dbac.dbac_via_dme(thetas, cfg.schedule, cfg.noise)
         values = rec.energies.size - thetas.size + rec.instruction_energies.size
-        assert cfg.work == cli._RECORD_STEP * cfg.k + cli._RECORD_VALUE * values
+        assert _cost(cfg, "work") == cli._RECORD_STEP * cfg.k + cli._RECORD_VALUE * values
 
     def test_grid_km_passes_are_bounded(self):
         # 17 passes: the optimal step's, one at each end of the basin interval
@@ -466,7 +478,7 @@ class TestWork:
     def test_default_configs_within_budget(self, tmp_path):
         for experiment in cli.EXPERIMENTS:
             cfg = cli.validate_config(None, experiment=experiment, out_override=tmp_path)
-            assert cfg.work <= cli.WORK_BUDGET // 100 and cfg.cells <= cli.CELL_BUDGET // 100
+            assert _cost(cfg, "work") <= cli.WORK_BUDGET // 100 and _cost(cfg, "cells") <= cli.CELL_BUDGET // 100
 
     test_largest_factor_is_named = _refused(
         "sweep-s-cells-and-work", "sweep-s-work-theta-count", "sweep-s-work-k", ids="{text}-{key}"
@@ -481,16 +493,17 @@ _CELL_FLOATS = st.one_of(
 
 
 class TestCells:
-    """`ExperimentConfig.cells` is the values a sweep-s or sweep-theta run's
-    batch and table hold: one per (angle, step size) for sweep-s, and for
-    sweep-theta one per state and instruction marginal of each angle's
-    record, whose energies fill the angle's row."""
+    """An experiment's `cells`, in its record in `cli._EXPERIMENTS`, is the
+    values a sweep-s or sweep-theta run's batch and table hold: one per
+    (angle, step size) for sweep-s, and for sweep-theta one per state and
+    instruction marginal of each angle's record, whose energies fill the
+    angle's row."""
 
     @pytest.mark.parametrize("text", ["theta_count = 5\ns_count = 7\nk = 3\nm = 2\n", "theta_count = 2\ns_count = 3\n"])
     def test_sweep_s_cells_are_its_rows(self, tmp_path, text):
         cfg = config(tmp_path, "sweep-s", text)
         header, axes, fids = cli._run_sweep_s(cfg)["sweep_s.csv"]
-        assert cfg.cells == fids.size == cfg.theta_count * cfg.s_count
+        assert _cost(cfg, "cells") == fids.size == cfg.theta_count * cfg.s_count
 
     @pytest.mark.parametrize(
         "text", ["theta_count = 5\nk = 3\nm = 2\n", "theta_count = 4\nk = 3\nm = 1,4,2\ns = 0.3\n", ""]
@@ -502,9 +515,10 @@ class TestCells:
         cfg = config(tmp_path, "sweep-theta", text)
         (header, rows), = cli._run_sweep_theta(cfg).values()
         (rec,) = records
-        assert cfg.cells == rec.energies.size + rec.instruction_energies.size
+        cells = _cost(cfg, "cells")
+        assert cells == rec.energies.size + rec.instruction_energies.size
         n = len(header) - 3  # theta, E_target, E_analytic and one column per marginal
-        assert rows.shape == (cfg.theta_count, len(header)) and cfg.cells == cfg.theta_count * (cfg.k + 1 + n)
+        assert rows.shape == (cfg.theta_count, len(header)) and cells == cfg.theta_count * (cfg.k + 1 + n)
 
     test_largest_factor_is_named = _refused(
         "sweep-s-cells-theta-count", "sweep-s-cells-s-count", "sweep-theta-cells-theta-count", "sweep-theta-cells-k",
@@ -513,7 +527,7 @@ class TestCells:
     )
 
     def test_budget_is_inclusive(self, tmp_path):
-        assert config(tmp_path, "sweep-s", "theta_count = 2500\ns_count = 2000\n").cells == cli.CELL_BUDGET
+        assert _cost(config(tmp_path, "sweep-s", "theta_count = 2500\ns_count = 2000\n"), "cells") == cli.CELL_BUDGET
 
     @pytest.mark.parametrize("text", ["k = 3\nm = 2\n", "k = 4\nm = exact\n", "k = 3\nm = 1,4,2\ns = 0.3\n", ""])
     def test_trajectory_cells_are_twice_its_record(self, tmp_path, monkeypatch, text):
@@ -524,7 +538,8 @@ class TestCells:
         cfg = config(tmp_path, "trajectory", text)
         (header, rows), = cli._run_trajectory(cfg).values()
         (rec,) = records
-        assert cfg.cells == 2 * (rec.energies.size + rec.instruction_energies.size) and len(rows) == cfg.k + 1
+        cells = _cost(cfg, "cells")
+        assert cells == 2 * (rec.energies.size + rec.instruction_energies.size) and len(rows) == cfg.k + 1
 
     @pytest.mark.parametrize(
         "experiment, text", [("trotter", "m_max = 7\n"), ("baselines", "rounds = 5\n"), ("trotter", "")]
@@ -532,15 +547,15 @@ class TestCells:
     def test_trotter_and_baselines_cells_weigh_their_rows(self, tmp_path, experiment, text):
         # 2 per trotter depth, one row each; 4 per baselines round, three rows each and two more
         cfg = config(tmp_path, experiment, text)
-        (header, rows), = cli._RUNNERS[experiment](cfg).values()
-        assert cfg.cells == (2 * len(rows) if experiment == "trotter" else 4 * (len(rows) - 2) // 3)
+        (header, rows), = cli._EXPERIMENTS[experiment].run(cfg).values()
+        assert _cost(cfg, "cells") == (2 * len(rows) if experiment == "trotter" else 4 * (len(rows) - 2) // 3)
 
     @pytest.mark.parametrize("text", ["", "phi_list = 0.3\nnoise_p2 = 0.01\n", "phi_list = 0,1\nnoise_t1_us = 40\n"])
     def test_ptm_cells_weigh_its_ptms(self, tmp_path, text):
         # _PTM_CELLS for each PTM table written: ideal and compiled, and noisy with a noise key
         cfg = config(tmp_path, "ptm", text)
         tables = [name for name in cli._run_ptm(cfg) if name.endswith(".csv")]
-        assert cfg.cells == cli._PTM_CELLS * len(tables)
+        assert _cost(cfg, "cells") == cli._PTM_CELLS * len(tables)
 
     @pytest.mark.parametrize(
         "experiment, text",
@@ -558,7 +573,7 @@ class TestCells:
             assert runs.reject_case(runs.CONFIGS / "reject" / "trajectory-work-cell-edge.txt")[2] == text
             assert traced_runs.faults["unusable/trajectory-work-cell-edge"] == ""
         else:
-            assert config(tmp_path, experiment, text).cells == cli.CELL_BUDGET
+            assert _cost(config(tmp_path, experiment, text), "cells") == cli.CELL_BUDGET
 
 
 class TestProductTable:
@@ -609,7 +624,7 @@ class TestInProcessMain:
         assert len(rows) == 8  # header + k+1 states
 
     def test_exit_three_on_runtime_failure(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
+        _runner(monkeypatch, "trotter", _boom)
         assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
@@ -651,7 +666,7 @@ class TestInProcessMain:
         def half(cfg):
             return {"a.csv": (["x"], [[1.5]]), "b.csv": None}
 
-        monkeypatch.setitem(cli._RUNNERS, "trotter", half)
+        _runner(monkeypatch, "trotter", half)
         assert cli.main(["trotter", "--out", str(tmp_path / "out")]) == 3
         manifest = json.loads((tmp_path / "out" / "results_manifest.json").read_text())
         assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1.5\n").hexdigest()}
@@ -665,7 +680,7 @@ class TestInProcessMain:
     def test_unwritable_manifest_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, fails):
         # a directory in the manifest's place: the run's record cannot be written
         if fails:
-            monkeypatch.setitem(cli._RUNNERS, "baselines", lambda cfg: 1 / 0)
+            _runner(monkeypatch, "baselines", lambda cfg: 1 / 0)
         (tmp_path / "out" / "results_manifest.json").mkdir(parents=True)
         assert cli.main(["baselines", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
@@ -673,7 +688,7 @@ class TestInProcessMain:
         assert ("ZeroDivisionError" in err) == fails
 
     def test_runtime_failure_chains_its_cause(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(cli._RUNNERS, "trotter", _boom)
+        _runner(monkeypatch, "trotter", _boom)
         cfg = cli.validate_config(None, experiment="trotter", out_override=tmp_path / "out")
         with pytest.raises(cli.RunError) as info:
             cli.run_config(cfg)
