@@ -86,6 +86,9 @@ _RECORD_STEP = 5000
 _RECORD_VALUE = 10
 # An exact-reflector step of trajectory's one state vector, 10-15 us (README).
 _EXACT_STEP = 1000
+# A search step's own cost, besides its M swaps, in swaps per batch entry: its
+# echo rotation and operand build, at most 3.6 swaps measured at M = 1 (README).
+_SEARCH_STEP = 4
 # The cells of one PTM that ptm builds per angle, with its table: 38 KB of
 # peak RSS per angle for two PTMs, 46 KB for three (README).
 _PTM_CELLS = 100
@@ -476,7 +479,8 @@ class _Experiment(NamedTuple):
     budget bounds it yet.  `cells` is the values, in units of about 200 bytes
     of peak RSS, that the run's batch and table hold; `work` is the
     partial-swap entry-steps it makes (sweep-s), at most makes (grid-km) or
-    costs (the DME record).  A size over its budget is refused, named by the
+    costs (the DME record), a search step's own cost counted as
+    `_SEARCH_STEP` more swaps.  A size over its budget is refused, named by the
     key of the largest factor, the first of a tie."""
 
     run: Callable[[ExperimentConfig], dict]
@@ -498,11 +502,12 @@ _EXPERIMENTS = {
     "sweep-s": _Experiment(
         _run_sweep_s, built=("theta_grid", "s_grid"),
         cells=lambda c: _product(1, theta_count=c.theta_count, s_count=c.s_count),
-        work=lambda c: _product(1, theta_count=c.theta_count, s_count=c.s_count, k=c.k, m=c.m[0]),
+        work=lambda c: _product(1, theta_count=c.theta_count, s_count=c.s_count, k=c.k, m=c.m[0] + _SEARCH_STEP),
     ),
-    "grid-km": _Experiment(  # M = 1 for exact reflectors
+    "grid-km": _Experiment(  # k(M + _SEARCH_STEP) per (k, M) cell, M = 1 for exact reflectors
         _run_grid_km,
-        work=lambda c: _product(SEARCH_ENTRIES, k_list=sum(c.k_list), m_list=sum(m or 1 for m in c.m_list)),
+        work=lambda c: _product(SEARCH_ENTRIES, k_list=sum(c.k_list),
+                                m_list=sum((m or 1) + _SEARCH_STEP for m in c.m_list)),
     ),
     "trotter": _Experiment(_run_trotter, cells=lambda c: _product(2, m_max=c.m_max)),
     "ptm": _Experiment(

@@ -31,7 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,9 @@ from .dme import (
 )
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
-from .tomography import NoiseModel
+
+if TYPE_CHECKING:  # named in an annotation only; the record reads its p1 and p2
+    from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
 

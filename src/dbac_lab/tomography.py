@@ -11,12 +11,13 @@ PTMs compose by matrix product: the PTM of E2 after E1 is R(E2) R(E1).  So
 from the gate stack `circuits.embedded_gates` gives (each distinct gate object
 embedded once), turned into one stack of PTMs by one transfer; each enabled
 noise model applies each qubit set's noise PTM (diagonal for depolarizing, a
-Kronecker product of one-qubit PTMs for damping and dephasing), built once, to
-a copy of that stack; and `circuits.compose` multiplies every circuit's PTMs
-in gate order, the same product that gives the circuits' unitaries.
-:func:`partial_swap_ptms` gives the ideal PTMs the compiled partial swaps are
-checked against.  The tests check the composed PTMs against their oracle in
-``tests/oracles.py``: a dense gate-by-gate channel probed with every Pauli string.
+Kronecker product of one-qubit relaxation PTMs in closed form for damping and
+dephasing), built once, to a copy of that stack; and `circuits.compose`
+multiplies every circuit's PTMs in gate order, the same product that gives the
+circuits' unitaries.  :func:`partial_swap_ptms` gives the ideal PTMs the
+compiled partial swaps are checked against.  The tests check the composed PTMs
+against their oracle in ``tests/oracles.py``: a dense gate-by-gate channel,
+its relaxation built from Kraus operators, probed with every Pauli string.
 """
 
 from __future__ import annotations
@@ -127,21 +128,6 @@ class NoiseModel:
         return self.p1 > 0 or self.p2 > 0 or self.t1_us is not None
 
 
-def _damping_kraus(noise: NoiseModel, dt_us: float) -> list[np.ndarray]:
-    gamma = 1.0 - np.exp(-dt_us / noise.t1_us)
-    kraus = [
-        np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-    ]
-    if noise.t2_us is not None:
-        inv_tphi = 1.0 / noise.t2_us - 0.5 / noise.t1_us
-        if inv_tphi > 0:
-            lam = 0.5 * (1.0 - np.exp(-dt_us * inv_tphi))
-            deph = [np.sqrt(1 - lam) * qmath.I2, np.sqrt(lam) * qmath.PAULI_Z]
-            kraus = [d @ k for k in kraus for d in deph]
-    return kraus
-
-
 def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """PTM of the noise after a gate on `qubits`: depolarizing with p1 (or p2 for
     a two-qubit gate), then damping and dephasing on each of the gate's qubits
@@ -153,7 +139,12 @@ def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray
     r = np.diag([1.0 if all(lb[q] == "I" for q in qubits) else 1.0 - p for lb in pauli_labels(n)])
     if noise.t1_us is not None:
         dt = GATE_TIME_2Q_US if two_qubit else GATE_TIME_1Q_US
-        damp = _transfer(np.array(_damping_kraus(noise, dt)), 1).sum(axis=0)
+        # one qubit's relaxation in closed form: the z population relaxes
+        # toward |0> as e^{-dt/T1}, and the coherences decay as e^{-dt/T2},
+        # with T2 = 2 T1 (damping alone) when it is unset
+        t2 = 2 * noise.t1_us if noise.t2_us is None else noise.t2_us
+        e1, c = np.exp(-dt / noise.t1_us), np.exp(-dt / t2)
+        damp = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [1 - e1, 0, 0, e1]])
         # the PTM of a product channel is the Kronecker product, qubit 0 first
         r = functools.reduce(np.kron, [damp if q in qubits else np.eye(4) for q in range(n)]) @ r
     return r

@@ -77,6 +77,9 @@ def counted_swaps(monkeypatch):
 
 
 TracedRuns = NamedTuple("TracedRuns", [("faults", dict), ("ran", set)])
+# seconds for the child of every run: they take under 1 s on a 2-core VM, and
+# a config that a budget should have refused runs into this limit
+RUNS_TIMEOUT = 15
 
 # the child: traces the package's lines from before its import, makes each run,
 # naming it on stderr as it starts, and prints their ends, then the lines that ran
@@ -104,7 +107,7 @@ json.dump([ends, sorted(hits)], sys.stdout)
 @pytest.fixture(scope="session")
 def traced_runs(tmp_path_factory):
     """Every run of ``runs.RUNS``, made by ``cli.main`` in one child process
-    under ``runs.AS_LIMIT`` and 60 s, traced from before the package is
+    under ``runs.AS_LIMIT`` and ``RUNS_TIMEOUT``, traced from before the package is
     imported: ``faults``, why each run, by its ``--out``, did not end as listed
     ('' if it did, by ``runs._fault``), and ``ran``, each (module, line) of the
     package that ran."""
@@ -114,9 +117,10 @@ def traced_runs(tmp_path_factory):
     try:
         child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _TRACED_RUNS], cwd=work, env=env,
                                input=json.dumps([str(src), [run.argv for run in runs.RUNS]]), capture_output=True,
-                               text=True, check=True, timeout=60, **runs.limited())
+                               text=True, check=True, timeout=RUNS_TIMEOUT, **runs.limited())
     except subprocess.TimeoutExpired as err:  # its stderr: the bytes the child wrote before it
-        pytest.fail(f"the runs took over 60 s; the last to start: {(err.stderr or b'').decode().splitlines()[-1:]}")
+        last = (err.stderr or b"").decode().splitlines()[-1:]
+        pytest.fail(f"the runs took over {RUNS_TIMEOUT} s; the last to start: {last}")
     ends, hits = json.loads(child.stdout)
     faults = {run.argv[-1]: runs._fault(run, work / run.argv[-1], *end)
               for run, end in zip(runs.RUNS, ends, strict=True)}

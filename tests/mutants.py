@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-CAP = 240  # seconds of tier-1 per mutant; a killed one took at most 64 s on a 2-core VM (a 60 s child timeout)
+CAP = 240  # seconds of tier-1 per mutant; a killed one took at most 21 s on a 2-core VM (a 15 s child timeout)
 KILLED = "killed"
 PROFILE = """from hypothesis import Phase, settings
 
@@ -67,6 +67,14 @@ MUTANTS = [
     Mutant("record-recursion-swapped", "dbac.py", 'data = out if recursion == "chain" else r0',
            'data = out if recursion == "fresh" else r0', "the DME record runs chain as fresh and fresh as chain",
            KILLED),
+    Mutant("native-angle", "circuits.py", '("RY", np.pi / 2)', '("RY", -np.pi / 2)',
+           "the native partial swap's first RY basis change turns the other way", KILLED),
+    Mutant("compose-order", "circuits.py", "        r = layer @ r\n", "        r = r @ layer\n",
+           "compose multiplies a circuit's gates in reverse order", KILLED),
+    Mutant("ry-sign", "circuits.py", "[c, -s, s, c]", "[c, s, -s, c]", "RY rotates the other way", KILLED),
+    Mutant("take-padding-side", "circuits.py", "[len(gates)] * (depth - len(gs)) + [where[id(g)] for g in gs]",
+           "[where[id(g)] for g in gs] + [len(gates)] * (depth - len(gs))",
+           "a shorter circuit's identity padding comes after its gates, not before", KILLED),
     Mutant("data-frame-sign", "dbac.py", "    ry -= sin * x\n", "    ry += sin * x\n",
            "_to_data_frame's y plane rotates the wrong way", KILLED),
     Mutant("grid-count-one", "cli.py", "_GRID_COUNT = (lambda v: v >= 2,", "_GRID_COUNT = (lambda v: v >= 1,",
@@ -112,9 +120,16 @@ MUTANTS = [
            "    e0 = -np.cos(thetas)\n    return np.stack([0.5 * (1.0 + e0), 0.5 * (1.0 - e0)])\n",
            "the exact chain law's populations from E0 = -cos(theta), which rounds away 1 -+ E0 near 0 and pi",
            KILLED),
-    Mutant("dephasing-rate", "tomography.py", "inv_tphi = 1.0 / noise.t2_us - 0.5 / noise.t1_us",
-           "inv_tphi = 1.0 / noise.t2_us - 0.49 / noise.t1_us", "pure dephasing 1/T2 - 0.49/T1, not 1/T2 - 0.5/T1",
-           KILLED),
+    Mutant("relaxed-population", "tomography.py", "[1 - e1, 0, 0, e1]", "[e1 - 1, 0, 0, e1]",
+           "damping relaxes the z population toward |1>, not |0>", KILLED),
+    Mutant("noise-before-gate", "tomography.py", "ptms[idx] = _noise_ptm(noise, qubits, n) @ ptms[idx]",
+           "ptms[idx] = ptms[idx] @ _noise_ptm(noise, qubits, n)", "a gate's noise acts before the gate", KILLED),
+    Mutant("gate-time-2q", "tomography.py", "GATE_TIME_2Q_US = 0.1\n", "GATE_TIME_2Q_US = 0.11\n",
+           "two-qubit gates relax for 0.11 us, not 0.1", KILLED),
+    Mutant("dephasing-rate", "tomography.py", "np.exp(-dt / t2)\n", "np.exp(-dt / t2 - 0.01 * dt / noise.t1_us)\n",
+           "coherences decay at 1/T2 + 0.01/T1, not 1/T2", KILLED),
+    Mutant("t2-unset-rate", "tomography.py", "t2 = 2 * noise.t1_us if", "t2 = 1.9 * noise.t1_us if",
+           "with T2 unset, coherences decay at 1/(1.9 T1), not 1/(2 T1)", KILLED),
     Mutant("ptm-cells-noisy", "cli.py", "_PTM_CELLS * (2 + bool(c._set_noise()))", "_PTM_CELLS * 2",
            "a noisy ptm run's cells leave out its third PTM", KILLED),
     Mutant("baselines-cells", "cli.py", "_product(4, rounds=c.rounds)", "_product(2, rounds=c.rounds)",
@@ -123,6 +138,8 @@ MUTANTS = [
            "a DME record step costs a tenth of its work", KILLED),
     Mutant("budget-doubled", "cli.py", "            if size > budget:", "            if size > 2 * budget:",
            "a config up to twice a budget is accepted", KILLED),
+    Mutant("average-fidelity", "tomography.py", "f_avg = (d * f_pro + 1.0) / (d + 1.0)",
+           "f_avg = (d * f_pro + 1.0) / (d + 2.0)", "process_fidelity's average fidelity divides by d + 2", KILLED),
     Mutant("basin-tol", "dbac.py", "_BASIN_TOL = 1e-4", "_BASIN_TOL = 1.2e-4", "the basin bisection's width",
            "equivalent: (1 - 2e-6) / 2^13 = 1.2207e-4 exceeds both, so both stop at the 14th halving"),
     Mutant("witness-levels", "dbac.py", "_WITNESS_LEVELS = 4", "_WITNESS_LEVELS = 3",

@@ -38,6 +38,7 @@ class TestCircuitUnitary:
         assert np.abs(u - np.diag([-1j, 1j, 1j, -1j])).max() < 1e-15
 
     test_rzz_matches_expm = pins(("_gate_matrices RZZ", "expm"), "angles")
+    test_rotations_match_expm = pins(("_gate_matrices RX, RY and RZ", "expm"), "angles")
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rzz_rejects_non_finite_angle(self, phi):

@@ -410,7 +410,7 @@ class TestWork:
     partial-swap entry-steps a sweep-s run makes, and bounds those of a
     grid-km run: a swap entry-step is one entry of one search batch through
     one of its k·M swaps (k steps of one exact reflection each for m =
-    exact)."""
+    exact), and each of its k steps costs `cli._SEARCH_STEP` more."""
 
     @staticmethod
     def _entry_steps(monkeypatch, cfg) -> int:
@@ -419,7 +419,7 @@ class TestWork:
 
         def counting(thetas, k, table, mode, counts=None):
             entries = table.cos_phi.size * (thetas.size if counts is None else 1)  # without counts, S per angle
-            seen.append(entries * k * (table.m or 1))
+            seen.append(entries * k * ((table.m or 1) + cli._SEARCH_STEP))
             return final_energies(thetas, k, table, mode, counts)
 
         monkeypatch.setattr(dbac, "_final_energies", counting)
@@ -432,7 +432,8 @@ class TestWork:
     def test_sweep_s_work_is_its_entry_steps(self, tmp_path, monkeypatch, text):
         cfg = config(tmp_path, "sweep-s", text)
         work = _cost(cfg, "work")
-        assert work == cfg.theta_count * cfg.s_count * cfg.k * cfg.m[0] == self._entry_steps(monkeypatch, cfg)
+        steps = cfg.theta_count * cfg.s_count * cfg.k
+        assert work == steps * (cfg.m[0] + cli._SEARCH_STEP) == self._entry_steps(monkeypatch, cfg)
 
     @pytest.mark.parametrize(
         "text",
@@ -444,7 +445,7 @@ class TestWork:
     )
     def test_grid_km_work_bounds_its_entry_steps(self, tmp_path, monkeypatch, text):
         cfg = config(tmp_path, "grid-km", text)
-        cells = sum(k * (m or 1) for k in cfg.k_list for m in cfg.m_list)
+        cells = sum(k * ((m or 1) + cli._SEARCH_STEP) for k in cfg.k_list for m in cfg.m_list)
         assert _cost(cfg, "work") == dbac.SEARCH_ENTRIES * cells >= self._entry_steps(monkeypatch, cfg)
 
     @pytest.mark.parametrize(
@@ -474,6 +475,13 @@ class TestWork:
         # grid, the witness slots and the upper end's first-step slot
         halvings = int(np.ceil(np.log2((1 - 2e-6) / 1e-4)))
         assert dbac.SEARCH_ENTRIES == (1 + 2 + halvings) * (dbac.step_size_grid().size + dbac._WITNESSES + 1)
+
+    test_step_cost_refuses_the_m_one_edge = _refused("sweep-s-work-m-one")
+
+    def test_step_cost_accepts_below_the_m_one_edge(self, tmp_path):
+        # one step fewer than the reject file sweep-s-work-m-one: T·S·k·(1 + 4) is within the budget
+        cfg = config(tmp_path, "sweep-s", "k = 17265\nm = 1\n")
+        assert _cost(cfg, "work") == 181 * 64 * 17265 * (1 + cli._SEARCH_STEP) <= cli.WORK_BUDGET
 
     def test_default_configs_within_budget(self, tmp_path):
         for experiment in cli.EXPERIMENTS:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -946,3 +951,12 @@ def test_library_rejects_nan_inputs(call, error, match):
     # the value reaches it only through a check that does, where it enters
     with pytest.raises(error, match=match):
         call()
+
+
+def test_package_import_loads_no_tomography():
+    # dbac names NoiseModel in an annotation only, so the package's import stops at the engines
+    code = "import sys, dbac_lab; print(*sorted(m for m in sys.modules if m.startswith('dbac_lab.')))"
+    src = str(Path(dbac.__file__).parents[1])
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+    assert loaded == ["dbac_lab.dbac", "dbac_lab.dme", "dbac_lab.errors", "dbac_lab.qmath", "dbac_lab.states"]

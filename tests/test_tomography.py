@@ -111,6 +111,7 @@ class TestComposedPtm:
 
     test_matches_dense_oracle = pins(PTM_DENSE, "compiled")
     test_fixed_circuits_match_dense_oracle = pins(PTM_DENSE, "every kind")
+    test_no_dephasing_edge_matches_dense_oracle = pins(PTM_DENSE, "t2 = 2 t1")
 
     def test_noise_ptm_built_once_per_qubit_set(self, monkeypatch):
         built = []
@@ -332,7 +333,8 @@ class TestPtmOfCircuits:
             [compile_udme_native(phi) for phi in np.linspace(0.2, 1.2, count)],
             [Circuit(1, (rx, Gate("H", (), (0,)), rx)), Circuit(1, (Gate("RX", (0.4,), (0,)), rx))],
         ]
-        noises = (None, NoiseModel(p1=0.01, p2=0.05))  # depolarizing builds no transfer
+        # noise builds no transfer: depolarizing is diagonal, relaxation a closed form
+        noises = (None, NoiseModel(p1=0.01, p2=0.05), NoiseModel(t1_us=0.25, t2_us=0.2))
         monkeypatch.setattr(tomography, "_transfer", counting)
         for batch in batches:
             ptm_of_circuits(batch, noises)
