@@ -4,10 +4,10 @@ Library layout:
 
 * :mod:`dbac_lab.qmath` - dense linear algebra for small qubit registers
 * :mod:`dbac_lab.states` - states and the cooling Hamiltonian
-* :mod:`dbac_lab.dme` - density-matrix exponentiation channel and Trotterization
+* :mod:`dbac_lab.dme` - density-matrix exponentiation channel, Trotterization, noise model
 * :mod:`dbac_lab.dbac` - the cooling protocol, recursion, step-size optimization
 * :mod:`dbac_lab.circuits` - gates, circuits and native-ZZ compilation
-* :mod:`dbac_lab.tomography` - Pauli transfer matrices, fidelities, noise model
+* :mod:`dbac_lab.tomography` - Pauli transfer matrices, fidelities, noise channels
 * :mod:`dbac_lab.baselines` - compression-round and two-copy purification references
 * :mod:`dbac_lab.acceptance` - the numbered acceptance criteria
 * :mod:`dbac_lab.cli` - config-driven experiment runner (`dbac-lab` entry point)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qmath
+from . import cli, qmath
 from .baselines import (
     cem_round_closed,
     cem_round_simulated,
@@ -263,8 +263,6 @@ def criterion_9():
 @_criterion("10", "deterministic reruns")
 def criterion_10():
     """Identical config and seed produce byte-identical outputs."""
-    from . import cli
-
     cfg_text = (
         "experiment = sweep-theta\n"
         "theta_start = 0\ntheta_stop = 3.141592653589793\ntheta_count = 25\n"

@@ -18,6 +18,8 @@ runs dense on a whole stack of qubit states at once
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import qmath
@@ -53,7 +55,13 @@ def ppa_compression_unitary() -> np.ndarray:
     return cff @ _controlled_flip(0b011, 0b100) @ cff @ sw12 @ sw02
 
 
-_U_PPA = ppa_compression_unitary()
+@functools.cache
+def _u_ppa() -> np.ndarray:
+    """The compression round's unitary, read-only, built on first use: the
+    `baselines` experiment runs the closed forms alone."""
+    u = ppa_compression_unitary()
+    u.setflags(write=False)
+    return u
 
 
 def ppa_round(rho3: DensityMatrix) -> DensityMatrix:
@@ -61,7 +69,8 @@ def ppa_round(rho3: DensityMatrix) -> DensityMatrix:
     qubit 2 = reset line)."""
     if rho3.matrix.shape != (8, 8):
         raise DimensionMismatchError("ppa_round expects a 3-qubit register")
-    return DensityMatrix(_U_PPA @ rho3.matrix @ _U_PPA.conj().T)
+    u = _u_ppa()
+    return DensityMatrix(u @ rho3.matrix @ u.conj().T)
 
 
 def target_polarization(rho3: DensityMatrix) -> float:

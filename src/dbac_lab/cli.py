@@ -51,9 +51,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, acceptance
-from .baselines import cem_round_closed, hbac_round_closed
-from .circuits import compile_udme_native
+from . import __version__
 from .dbac import (
     RECURSION_MODES,
     SEARCH_ENTRIES,
@@ -66,10 +64,9 @@ from .dbac import (
     final_fidelities_over_s,
     optimal_step,
 )
-from .dme import dme_errors
+from .dme import NoiseModel, dme_errors
 from .errors import ContractViolationError
 from .states import random_density, rx_init
-from .tomography import NoiseModel, partial_swap_ptms, pauli_labels, process_fidelity, ptm_of_circuits
 
 _PI = float(np.pi)
 # The most partial-swap entry-steps (one swap applied to one batch entry) that
@@ -345,7 +342,9 @@ def validate_config(
 # the writer formats each axis value once.  The payload's shape alone selects
 # the form.  The one writer, run_config, formats every table at 12
 # significant digits, and its manifest lists exactly the files this run
-# wrote: none if the runner raised.
+# wrote: none if the runner raised.  A runner imports what only it runs
+# (circuits and tomography for ptm, baselines, acceptance) when it runs, so
+# importing cli loads the engine modules alone.
 # ---------------------------------------------------------------------------
 
 _MANIFEST = "results_manifest.json"
@@ -387,6 +386,8 @@ def _run_trotter(cfg: ExperimentConfig) -> dict:
 
 def _ptm_table(ptm) -> tuple:
     """A PTM as a CSV payload: row-major, with a basis-label column."""
+    from .tomography import pauli_labels
+
     labels = pauli_labels(ptm.n_qubits)
     return ["basis", *labels], [[lb, *row] for lb, row in zip(labels, ptm.r.tolist())]
 
@@ -395,6 +396,9 @@ def _run_ptm(cfg: ExperimentConfig) -> dict:
     """Every angle's ideal, compiled and (with a noise model) noisy PTM: the
     ideal ones from one stacked transfer, the compiled and noisy ones from one
     batched `ptm_of_circuits` pass over all the compiled circuits."""
+    from .circuits import compile_udme_native
+    from .tomography import partial_swap_ptms, process_fidelity, ptm_of_circuits
+
     noises = (None,) if cfg.noise is None else (None, cfg.noise)
     ideal = partial_swap_ptms(cfg.phi_list)
     built = ptm_of_circuits([compile_udme_native(phi) for phi in cfg.phi_list], noises)
@@ -411,6 +415,8 @@ def _run_ptm(cfg: ExperimentConfig) -> dict:
 
 
 def _run_baselines(cfg: ExperimentConfig) -> dict:
+    from .baselines import cem_round_closed, hbac_round_closed
+
     eps = cfg.eps0
     rows = [[0, "hbac", "target_polarization", eps]]
     for r in range(1, cfg.rounds + 1):
@@ -438,6 +444,8 @@ def _run_trajectory(cfg: ExperimentConfig) -> dict:
 
 
 def _run_acceptance(cfg: ExperimentConfig) -> dict:
+    from . import acceptance
+
     results = acceptance.run_all()
     for r in results:
         status = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")

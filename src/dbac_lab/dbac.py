@@ -31,18 +31,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dme import (
-    check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands, swap_z,
+    NoiseModel, check_bloch, partial_swap, partial_swap_power, rotation_operands, swap_coefficients, swap_operands,
+    swap_z,
 )
 from .errors import ContractViolationError, DimensionMismatchError
 from .states import HamiltonianSpec, PureState, check_pure
-
-if TYPE_CHECKING:  # named in an annotation only; the record reads its p1 and p2
-    from .tomography import NoiseModel
 
 RECURSION_MODES = ("chain", "fresh")
 
@@ -484,6 +482,12 @@ def _search_pass_z(r0, k, table, mode):
     return out[2] if table.m is None else out
 
 
+# The most entries the exact-chain law steps at once, about 10 angles of the
+# search grid: its four buffers, 256 KB each, stay in cache over a step's 8
+# array passes, where 5d's whole (179, 3142) grid streams 18 MB on each.
+_LAW_BLOCK = 2**15
+
+
 def _final_energies(
     thetas: np.ndarray, k: int, table: _StepTable, mode: str, counts: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -491,7 +495,10 @@ def _final_energies(
     H = -Z, for each angle of the 1-D array ``thetas`` and each of the S step
     sizes that ``table`` holds, common to every angle: shape (T, S).  Every
     (angle, step size) pair is one entry of one engine batch, angle-major.
-    Exact reflectors (``table.m`` None) in chain recursion follow the law.
+    Exact reflectors (``table.m`` None) in chain recursion follow the law,
+    stepped over blocks of whole angles of at most ``_LAW_BLOCK`` entries (one
+    angle a block if it holds more); the flat entries of ``counts`` step as one
+    block (a basin pass's 3173).
 
     With ``counts``, an integer array of T entry counts summing to the table's
     size, angle i takes the next ``counts[i]`` table entries instead, and
@@ -499,9 +506,16 @@ def _final_energies(
     elementwise over entries, so an entry's energy does not depend on what
     else shares the batch."""
     reps = table.cos_phi.size if counts is None else counts
-    if table.m is None and mode == "chain":  # the law: (T, S) populations against (S,) terms
-        pops = np.repeat(_rx_populations(thetas), reps, axis=1)
-        e = _law_steps(*(pops.reshape(2, thetas.size, -1) if counts is None else pops), [table.law] * k)[0]
+    if table.m is None and mode == "chain":  # the law
+        if counts is not None:  # flat populations against flat terms, one block
+            e = _law_steps(*np.repeat(_rx_populations(thetas), reps, axis=1), [table.law] * k)[0]
+        else:  # (T, S) populations against (S,) terms, a block of whole angles at a time
+            rows = max(1, _LAW_BLOCK // reps)
+            e = np.concatenate([
+                _law_steps(*np.repeat(_rx_populations(thetas[i : i + rows]), reps, axis=1).reshape(2, -1, reps),
+                           [table.law] * k)[0]
+                for i in range(0, thetas.size, rows)
+            ])
     else:
         if counts is None and thetas.size > 1:  # every angle's entries, angle-major
             table = table.map(lambda a: np.tile(a, thetas.size))

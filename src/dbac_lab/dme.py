@@ -14,6 +14,9 @@ Conventions fixed here and used package-wide:
 * Depolarizing the joint register with probability p before the partial
   trace leaves (1 - p) sigma' + p I/d on either register, where sigma' is the
   noiseless marginal; ``dbac.dbac_via_dme`` applies two-qubit noise this way.
+  Its probabilities come from :class:`NoiseModel`, the gate-level noise
+  model, defined here because the DME record reads its p1 and p2;
+  ``tomography`` applies all of it to compiled circuits.
 
 :func:`partial_swap` is the one partial-swap step.  It holds qubit states as
 real Bloch vectors, rho = (I + a.sigma) / 2, as three (x, y, z) planes: a
@@ -71,6 +74,8 @@ exp(-i t rho) sigma exp(+i t rho), the oracle of :func:`dme_errors`' rotation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -219,6 +224,38 @@ def partial_swap_power(sig: np.ndarray, instr: np.ndarray, coeffs, n, q: float =
         dg = d + q * s2 / np.expm1(log_c2) * r  # g = c2_n q s2 / (q c2 - 1), where q c2 < 1
     along = (1.0 - z_n.real) * d + c2_n * dg
     return z_n.real * sig + z_n.imag * across + along * u
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Depolarizing probabilities per gate plus optional relaxation.
+
+    p1/p2 apply after every single-/two-qubit gate on the gate's qubits.  When
+    t1_us is set, amplitude damping (and dephasing from t2_us, which must not
+    exceed 2*t1_us) acts on the gate's qubits for the gate duration,
+    ``tomography.GATE_TIME_1Q_US`` or ``GATE_TIME_2Q_US``.
+    """
+
+    p1: float = 0.0
+    p2: float = 0.0
+    t1_us: Optional[float] = None
+    t2_us: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
+            raise ContractViolationError("depolarizing probabilities must lie in [0, 1]")
+        # written so that NaN fails every comparison
+        if self.t1_us is not None and not self.t1_us > 0:
+            raise ContractViolationError("t1 must be positive")
+        if self.t2_us is not None:
+            if self.t1_us is None:
+                raise ContractViolationError("t2 requires t1")
+            if not 0 < self.t2_us <= 2 * self.t1_us:
+                raise ContractViolationError("t2 must lie in (0, 2*t1]")
+
+    @property
+    def enabled(self) -> bool:
+        return self.p1 > 0 or self.p2 > 0 or self.t1_us is not None
 
 
 def check_bloch(planes: np.ndarray) -> None:

@@ -1,4 +1,5 @@
-"""Pauli transfer matrices, process fidelities, and a gate-level noise model.
+"""Pauli transfer matrices, process fidelities, and the gate-level noise
+model's channels (:class:`dme.NoiseModel`, which the DME record reads too).
 
 The PTM of a channel E on n qubits is the real matrix
 R[i][j] = Tr[P_i E(P_j)] / 2^n over the unnormalized Pauli strings ordered
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import qmath
 from .circuits import Circuit, compose, embedded_gates, partial_swap_unitaries
+from .dme import NoiseModel
 from .errors import ContractViolationError, DimensionMismatchError
 
 PAULI_LABELS_1Q = "IXYZ"
@@ -91,41 +93,9 @@ def _transfer(ops: np.ndarray, n: int) -> np.ndarray:
     return (rows.conj() @ sup @ rows.T).real / d
 
 
-# the duration of a single- and a two-qubit gate, for damping and dephasing
+# the duration of a single- and a two-qubit gate, for a NoiseModel's damping and dephasing
 GATE_TIME_1Q_US = 0.02
 GATE_TIME_2Q_US = 0.1
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing probabilities per gate plus optional relaxation.
-
-    p1/p2 apply after every single-/two-qubit gate on the gate's qubits.  When
-    t1_us is set, amplitude damping (and dephasing from t2_us, which must not
-    exceed 2*t1_us) acts on the gate's qubits for the gate duration,
-    GATE_TIME_1Q_US or GATE_TIME_2Q_US.
-    """
-
-    p1: float = 0.0
-    p2: float = 0.0
-    t1_us: Optional[float] = None
-    t2_us: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
-            raise ContractViolationError("depolarizing probabilities must lie in [0, 1]")
-        # written so that NaN fails every comparison
-        if self.t1_us is not None and not self.t1_us > 0:
-            raise ContractViolationError("t1 must be positive")
-        if self.t2_us is not None:
-            if self.t1_us is None:
-                raise ContractViolationError("t2 requires t1")
-            if not 0 < self.t2_us <= 2 * self.t1_us:
-                raise ContractViolationError("t2 must lie in (0, 2*t1]")
-
-    @property
-    def enabled(self) -> bool:
-        return self.p1 > 0 or self.p2 > 0 or self.t1_us is not None
 
 
 def _noise_ptm(noise: NoiseModel, qubits: tuple[int, ...], n: int) -> np.ndarray:

@@ -111,6 +111,8 @@ MUTANTS = [
     Mutant("exact-rescale-off", "dbac.py", "                plane /= norm\n",
            "                plane /= norm * (1 + 1e-15)\n",
            "the exact search pass's rescale, off by 1e-15", KILLED),
+    Mutant("acceptance-at-import", "cli.py", "from . import __version__\n", "from . import __version__, acceptance\n",
+           "cli imports acceptance, and through it every module, at its own import", KILLED),
     Mutant("dme-errors-scale", "dme.py", "return 0.5 * np.linalg.norm(", "return 0.5 * (1 + 1e-9) * np.linalg.norm(",
            "dme_errors scaled by 1 + 1e-9", KILLED),
     Mutant("trotter-cells", "cli.py", "_product(2, m_max=c.m_max)", "_product(1, m_max=c.m_max)",

@@ -25,10 +25,9 @@ from dbac_lab.dbac import (
     optimal_step,
     step_size_grid,
 )
-from dbac_lab.dme import density_matrices
+from dbac_lab.dme import NoiseModel, density_matrices
 from dbac_lab.errors import ContractViolationError, DimensionMismatchError
 from dbac_lab.states import HamiltonianSpec, PureState, rx_init
-from dbac_lab.tomography import NoiseModel
 
 from conftest import config, config_error, counted_swaps, random_state
 from oracles import (
@@ -617,6 +616,15 @@ class TestSearchBatch:
         shapes = _counted_rotations(monkeypatch, final_fidelities_over_s, self.THETAS, 3, m, self.S_VALUES, mode)
         assert shapes == [(3, self.THETAS.size * self.S_VALUES.size)] * 3
 
+    def test_law_blocks_give_the_unblocked_law(self):
+        # 5d's (179, 3142) grid steps the law over blocks of whole angles, with the whole grid's bits
+        thetas, s_values = np.deg2rad(np.arange(1, 180)), step_size_grid()
+        table = dbac._step_table(s_values, None, dbac._W)
+        pops = np.repeat(dbac._rx_populations(thetas), s_values.size, axis=1).reshape(2, thetas.size, -1)
+        unblocked = dbac._law_steps(*pops, [table.law] * 6)[0]
+        assert thetas.size * s_values.size > dbac._LAW_BLOCK
+        assert np.array_equal(dbac._final_energies(thetas, 6, table, "chain"), unblocked)
+
     @pytest.mark.parametrize("theta", [{"theta_count": "1"}, {"theta_count": "0"}])
     def test_bad_theta_rejected(self, tmp_path, theta):
         # sweep-s searches from a grid of at least two angles: the config rejects a shorter one
@@ -953,10 +961,51 @@ def test_library_rejects_nan_inputs(call, error, match):
         call()
 
 
-def test_package_import_loads_no_tomography():
-    # dbac names NoiseModel in an annotation only, so the package's import stops at the engines
-    code = "import sys, dbac_lab; print(*sorted(m for m in sys.modules if m.startswith('dbac_lab.')))"
+def _loaded(code: str, cwd=None) -> list:
+    """The dbac_lab modules a fresh interpreter holds after running ``code``:
+    the last line it prints."""
+    code += "\nprint(*sorted(m for m in sys.modules if m.startswith('dbac_lab.')))"
     src = str(Path(dbac.__file__).parents[1])
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                            env=dict(os.environ, PYTHONPATH=src)).stdout.split()
-    assert loaded == ["dbac_lab.dbac", "dbac_lab.dme", "dbac_lab.errors", "dbac_lab.qmath", "dbac_lab.states"]
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True, text=True, check=True,
+                         cwd=cwd, env=dict(os.environ, PYTHONPATH=src)).stdout
+    return out.splitlines()[-1].split()
+
+
+ENGINES = ["dbac_lab.cli", "dbac_lab.dbac", "dbac_lab.dme", "dbac_lab.errors", "dbac_lab.qmath", "dbac_lab.states"]
+
+
+def test_package_import_loads_no_tomography():
+    # NoiseModel lives in dme, which the DME record reads, so the package's import stops at the engines
+    assert _loaded("import dbac_lab") == [m for m in ENGINES if m != "dbac_lab.cli"]
+
+
+def test_cli_import_loads_the_engines_alone():
+    # each runner imports the gate-level, baseline and acceptance modules it runs, when it runs
+    assert _loaded("import dbac_lab.cli") == ENGINES
+
+
+_GATES = ["dbac_lab.circuits", "dbac_lab.tomography"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["sweep-theta"], []),
+        (["sweep-theta", "--config", "noisy.txt"], []),  # NoiseModel comes from dme
+        (["sweep-s"], []),
+        (["grid-km"], []),
+        (["trotter"], []),
+        (["trajectory"], []),
+        (["ptm"], _GATES),
+        (["baselines"], ["dbac_lab.baselines"]),
+        (["acceptance"], ["dbac_lab.acceptance", "dbac_lab.baselines", *_GATES]),
+    ],
+    ids=["sweep-theta", "sweep-theta-noisy", "sweep-s", "grid-km", "trotter", "trajectory", "ptm", "baselines",
+         "acceptance"],
+)
+def test_each_experiment_loads_its_modules(tmp_path, argv, extra):
+    # a default run, through cli.main in a fresh interpreter, loads the engines and its own modules alone
+    (tmp_path / "noisy.txt").write_text("noise_p1 = 0.01\nnoise_p2 = 0.02\n")
+    status = 2 if argv[0] == "acceptance" else 0  # 5d is acceptance's expected failure
+    code = f"from dbac_lab import cli\nif cli.main({argv + ['--out', 'out']!r}) != {status}: sys.exit('failed')"
+    assert _loaded(code, cwd=tmp_path) == sorted(ENGINES + extra)
