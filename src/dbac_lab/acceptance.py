@@ -101,7 +101,7 @@ def criterion_1():
     """Energy-law closed form vs one exact-reflector step, each over a 101x101 (theta, t) grid at once."""
     grid = np.linspace(0.0, np.pi, 101)
     psi0 = np.repeat(_rx_init(grid), grid.size, axis=0)  # theta-major
-    (psi1,) = _exact_steps(psi0, np.tile(grid, grid.size)[None], _W, "chain")
+    (psi1,) = _exact_steps(psi0, np.broadcast_to(grid, (grid.size, grid.size)).reshape(1, -1), _W, "chain")
     e1 = (np.abs(psi1) ** 2 @ _W).reshape(grid.size, grid.size)
     worst = float(np.abs(e1 - dbac_energy_analytic(-np.cos(grid)[:, None], grid)).max())
     return worst <= 1e-9, f"max |formula - brute force| = {worst:.3e} (tol 1e-9)"

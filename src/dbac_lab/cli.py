@@ -84,7 +84,7 @@ _RECORD_VALUE = 10
 # An exact-reflector step of trajectory's one state vector, 10-15 us (README).
 _EXACT_STEP = 1000
 # A search step's own cost, besides its M swaps, in swaps per batch entry: its
-# echo rotation and operand build, at most 3.6 swaps measured at M = 1 (README).
+# echo rotation and operand build, 1.4-4.6 swaps measured at M = 1 (README).
 _SEARCH_STEP = 4
 # The cells of one PTM that ptm builds per angle, with its table: 38 KB of
 # peak RSS per angle for two PTMs, 46 KB for three (README).

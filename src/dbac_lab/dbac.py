@@ -45,7 +45,7 @@ from .states import HamiltonianSpec, PureState, check_pure
 RECURSION_MODES = ("chain", "fresh")
 
 # the eigenvalues (-1, 1) of H = -Z, in its eigenbasis, the computational basis
-_W = HamiltonianSpec.default_single_qubit().eig[0]
+_W = np.array([-1.0, 1.0])
 
 # step-size search grid: resolution 1e-3 on (0, pi], ties resolved toward
 # smaller s within 1e-9
@@ -335,8 +335,9 @@ def copies_accounting(schedule: DbacSchedule) -> int:
 # marginals, of which dbac_via_dme reads only energies and lengths.  The
 # step-size terms come in a _StepTable, built once per distinct step, once
 # per final_fidelities_over_s call, and once per depth for the search grid
-# (_grid_table), never once per probe.  The search runs every (angle, step
-# size) pair of a call as one batch entry.  The dense exact step and the
+# (_grid_table), never once per probe.  The search steps its (angle, step
+# size) product in blocks of whole angles against that (S,) table, untiled,
+# and a basin pass's flat batch as one block.  The dense exact step and the
 # kron-and-partial-trace step, both in tests/oracles.py, are the oracles,
 # _exact_steps is the oracle of the Bloch-plane reflectors, and
 # oracles.search_loop and oracles.search_exact_loop, which compute every
@@ -450,10 +451,11 @@ def _bloch_steps(r0, tables, recursion, noise):
 
 
 def _search_pass_z(r0, k, table, mode):
-    """The z plane of the last output of k noiseless steps from the (3, B)
-    planes ``r0``, every step by ``table``: the step-size search's one pass,
-    for both reflector kinds.  A step rotates its instruction a, the previous
-    output, once into the data's frame.  At depth M it makes M
+    """The z plane of the last output of k noiseless steps from the (3, rows,
+    S) or (3, B) planes ``r0``, every step by ``table``, whose arrays
+    broadcast against one plane: the step-size search's one pass, for both
+    reflector kinds.  A step rotates its instruction a, the previous output,
+    once into the data's frame.  At depth M it makes M
     :func:`dme.partial_swap` calls with the :func:`dme.swap_operands` of a,
     the pass's last swap being :func:`dme.swap_z`.  An exact reflector
     exp(is|a><a|) rotates the data by -s about a: one call with the
@@ -482,10 +484,10 @@ def _search_pass_z(r0, k, table, mode):
     return out[2] if table.m is None else out
 
 
-# The most entries the exact-chain law steps at once, about 10 angles of the
-# search grid: its four buffers, 256 KB each, stay in cache over a step's 8
-# array passes, where 5d's whole (179, 3142) grid streams 18 MB on each.
-_LAW_BLOCK = 2**15
+# The most (angle, step size) entries the search steps at once, about 10 angles
+# of its grid, whose arrays of 256 KB each stay in cache over a step (2-core VM,
+# 5d's grid: 2^15 the law's and the pass's fastest or near it, 2^17 1.7-1.8x).
+_SEARCH_BLOCK = 2**15
 
 
 def _final_energies(
@@ -493,35 +495,29 @@ def _final_energies(
 ) -> np.ndarray:
     """Final energy of the noiseless k-step protocol from R_X(theta)|0> under
     H = -Z, for each angle of the 1-D array ``thetas`` and each of the S step
-    sizes that ``table`` holds, common to every angle: shape (T, S).  Every
-    (angle, step size) pair is one entry of one engine batch, angle-major.
-    Exact reflectors (``table.m`` None) in chain recursion follow the law,
-    stepped over blocks of whole angles of at most ``_LAW_BLOCK`` entries (one
-    angle a block if it holds more); the flat entries of ``counts`` step as one
-    block (a basin pass's 3173).
+    sizes that ``table`` holds, common to every angle: shape (T, S), stepped a
+    block of whole angles at a time, at most ``_SEARCH_BLOCK`` entries (one
+    angle if it holds more), as (2 or 3, rows, S) states against the (S,) table.
 
     With ``counts``, an integer array of T entry counts summing to the table's
     size, angle i takes the next ``counts[i]`` table entries instead, and
-    the energies come back flat, one per table entry.  The engine is
-    elementwise over entries, so an entry's energy does not depend on what
-    else shares the batch."""
-    reps = table.cos_phi.size if counts is None else counts
-    if table.m is None and mode == "chain":  # the law
-        if counts is not None:  # flat populations against flat terms, one block
-            e = _law_steps(*np.repeat(_rx_populations(thetas), reps, axis=1), [table.law] * k)[0]
-        else:  # (T, S) populations against (S,) terms, a block of whole angles at a time
-            rows = max(1, _LAW_BLOCK // reps)
-            e = np.concatenate([
-                _law_steps(*np.repeat(_rx_populations(thetas[i : i + rows]), reps, axis=1).reshape(2, -1, reps),
-                           [table.law] * k)[0]
-                for i in range(0, thetas.size, rows)
-            ])
-    else:
-        if counts is None and thetas.size > 1:  # every angle's entries, angle-major
-            table = table.map(lambda a: np.tile(a, thetas.size))
-        z = _search_pass_z(np.repeat(_rx_planes(thetas), reps, axis=1), k, table, mode)
-        e = 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * z  # populations (1 +- z) / 2
-    return e.reshape(thetas.size, -1) if counts is None else e
+    the energies come back flat, one per table entry, from one block (a basin
+    pass's 3173).  The engine is elementwise over entries, so an entry's
+    energy does not depend on what else shares its block."""
+    law = table.m is None and mode == "chain"
+    start = (_rx_populations if law else _rx_planes)(thetas)
+
+    def block(x):  # final energies from a block's (2, ...) populations by the law, or (3, ...) planes by the pass
+        if law:
+            return _law_steps(*x, [table.law] * k)[0]
+        return 0.5 * (_W[0] + _W[1]) + 0.5 * (_W[0] - _W[1]) * _search_pass_z(x, k, table, mode)  # (1 +- z) / 2
+
+    if counts is not None:
+        return block(np.repeat(start, counts, axis=1))
+    size = table.cos_phi.size
+    rows = max(1, _SEARCH_BLOCK // size)
+    return np.concatenate([block(np.repeat(start[:, i : i + rows, None], size, axis=2))
+                           for i in range(0, thetas.size, rows)])
 
 
 def step_size_grid() -> np.ndarray:
@@ -535,8 +531,8 @@ def final_fidelities_over_s(
     """Ground-state fidelity after the k-step protocol, for each common step
     size in ``s_values`` (noiseless, H = -Z; ``m=None`` selects exact
     reflectors).  ``theta`` is one angle, which gives one fidelity per step
-    size, or a 1-D array of T angles, which gives a (T, S) grid, all simulated
-    in one engine pass."""
+    size, or a 1-D array of T angles, which gives a (T, S) grid, simulated in
+    blocks of whole angles against one table of the S step sizes."""
     s, thetas = np.asarray(s_values, dtype=float), np.asarray(theta, dtype=float)
     energies = _final_energies(np.atleast_1d(thetas), k, _step_table(s.ravel(), m, _W), mode)  # once per step size
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)

@@ -104,8 +104,8 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Hermitian generator, validated once, on construction; its eigensystem
-    is computed once, on first use.  The cooling runs use
-    :meth:`default_single_qubit`; the descent bound takes any H."""
+    is computed once, on first use.  The cooling runs' H = -Z is diagonal,
+    and ``dbac`` writes its eigenvalues (-1, 1) out; the descent bound takes any H."""
 
     matrix: np.ndarray
 
@@ -113,12 +113,6 @@ class HamiltonianSpec:
         m = qmath.check_hermitian(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    @functools.cache
-    def default_single_qubit(cls) -> "HamiltonianSpec":
-        """H = -Z, ground state |0> at energy -1; one shared instance."""
-        return cls(-qmath.PAULI_Z)
 
     @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:

@@ -77,6 +77,9 @@ MUTANTS = [
            "a shorter circuit's identity padding comes after its gates, not before", KILLED),
     Mutant("data-frame-sign", "dbac.py", "    ry -= sin * x\n", "    ry += sin * x\n",
            "_to_data_frame's y plane rotates the wrong way", KILLED),
+    Mutant("last-block-skipped", "dbac.py", "for i in range(0, thetas.size, rows)",
+           "for i in range(0, thetas.size - thetas.size % rows or thetas.size, rows)",
+           "the search's product batch leaves out its last block when that block is partial", KILLED),
     Mutant("grid-count-one", "cli.py", "_GRID_COUNT = (lambda v: v >= 2,", "_GRID_COUNT = (lambda v: v >= 1,",
            "a one-point theta or s grid is accepted", KILLED),
     Mutant("first-round-bath", "cli.py", "bath = cfg.eps0 if r == 1 else cfg.eps_bath", "bath = cfg.eps_bath",

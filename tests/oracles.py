@@ -224,7 +224,7 @@ def dbac_step_exact(psi: PureState, t: float, h: HamiltonianSpec | None = None, 
     """exp(i t H) exp(i t |psi><psi|) exp(-i t H) applied to ``target`` (default
     ``psi``; the fresh recursion's original state), renormalized, by a dense
     application of every factor."""
-    em = expm(h or HamiltonianSpec.default_single_qubit(), -1j * t)  # exp(+i t H) is its adjoint
+    em = expm(h or H, -1j * t)  # exp(+i t H) is its adjoint
     v = em.conj().T @ reflector(psi, t) @ em @ (target or psi).amplitudes
     return PureState(v / np.linalg.norm(v))
 
@@ -238,7 +238,7 @@ def dense_descent_bound_residual(h: HamiltonianSpec, psi: PureState, s: float) -
 def recursive_exact(psi: PureState, schedule, h: HamiltonianSpec | None = None):
     """The exact chain of ``schedule`` under H (default -Z), one dense step at
     a time: energies and, for a qubit, trajectory."""
-    h = h or HamiltonianSpec.default_single_qubit()
+    h = h or H
     states = [psi]
     for t in schedule.s:
         states.append(dbac_step_exact(states[-1], t, h, psi if schedule.recursion == "fresh" else None))
@@ -252,7 +252,7 @@ def records(states, marginals=(), shape=(), h: HamiltonianSpec | None = None) ->
     per observable."""
     _, b, d, _ = states.shape
     marginals = np.reshape(marginals, (-1, b, d, d))
-    w, v = (h or HamiltonianSpec.default_single_qubit()).eig
+    w, v = (h or H).eig
 
     def expect(op, rho):
         return np.einsum("ij,...ji->...", op, rho).real
@@ -311,8 +311,7 @@ def tiled_table_fidelities(theta, k, m, s_values, mode):
     S by its count: the oracle of the table built once per distinct step size."""
     s = check_step_sizes(s_values)
     thetas = np.asarray(theta, dtype=float)
-    w = HamiltonianSpec.default_single_qubit().eig[0]
-    table = dbac._step_table(np.tile(s.ravel(), thetas.size), m, w)
+    table = dbac._step_table(np.tile(s.ravel(), thetas.size), m, W)
     energies = dbac._final_energies(np.atleast_1d(thetas), k, table, mode, np.full(thetas.size, s.size))
     return ((1.0 - energies) / 2.0).reshape(thetas.shape + s.shape)
 
@@ -343,8 +342,7 @@ def search_loop(thetas, k, table, mode, counts=None):
             out = partial_swap(out, step)
         instr = out
         data = out if mode == "chain" else r0
-    w = HamiltonianSpec.default_single_qubit().eig[0]
-    e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]
+    e = 0.5 * (W[0] + W[1]) + 0.5 * (W[0] - W[1]) * out[2]
     return e.reshape(thetas.size, -1) if counts is None else e
 
 
@@ -367,8 +365,7 @@ def search_exact_loop(thetas, k, table, counts=None):
         across = [minus_sin * a[j] * b[l] - minus_sin * a[l] * b[j] for j, l in ((1, 2), (2, 0), (0, 1))]
         out = np.array([across[i] + cos_s * b[i] + along * a[i] for i in range(3)])
         out = out / np.sqrt(out[0] * out[0] + out[1] * out[1] + out[2] * out[2])
-    w = HamiltonianSpec.default_single_qubit().eig[0]
-    e = 0.5 * (w[0] + w[1]) + 0.5 * (w[0] - w[1]) * out[2]
+    e = 0.5 * (W[0] + W[1]) + 0.5 * (W[0] - W[1]) * out[2]
     return e.reshape(thetas.size, -1) if counts is None else e
 
 
@@ -691,7 +688,7 @@ def render_rows(header, rows) -> bytes:
 # :func:`qubits` or a builder on it, so that a failing example prints as a
 # call that rebuilds it.
 
-H = HamiltonianSpec.default_single_qubit()
+H = HamiltonianSpec(-qmath.PAULI_Z)  # the cooling runs' H, ground state |0> at energy -1
 W = H.eig[0]
 SWAP = HamiltonianSpec(qmath.swap_operator(2))
 HEISENBERG = HamiltonianSpec(sum(np.kron(p, p) for p in (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)))

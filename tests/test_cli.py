@@ -236,13 +236,13 @@ class TestRunners:
             assert abs(e_analytic - dbac_energy_analytic(-np.cos(theta), np.pi / 4)) < 1e-9
 
     def test_sweep_s_is_one_engine_pass(self, tmp_path, monkeypatch):
-        # k * M kernel calls over all theta_count * s_count points, not
+        # k * M kernel calls on one (theta_count, s_count) block, not
         # theta_count * k * M; rows run over s within each theta
         calls = counted_swaps(monkeypatch)
         cfg = config(tmp_path, "sweep-s", "k = 3\nm = 2\ntheta_count = 5\ns_count = 7\n")
         cli.run_config(cfg)
         # k M - 1 whole swaps, then only the z plane of the last, all that is read
-        assert calls == [("partial_swap", (3, 5 * 7))] * (3 * 2 - 1) + [("swap_z", (3, 5 * 7))]
+        assert calls == [("partial_swap", (3, 5, 7))] * (3 * 2 - 1) + [("swap_z", (3, 5, 7))]
         rows = [
             [float(v) for v in line.split(",")]
             for line in (tmp_path / "out" / "sweep_s.csv").read_text().splitlines()[1:]

@@ -581,8 +581,8 @@ def _counted_rotations(monkeypatch, call, *args):
 
 
 class TestSearchBatch:
-    """final_fidelities_over_s on an angle array is one engine pass over every
-    (angle, step size) pair; it must equal the one-angle calls."""
+    """final_fidelities_over_s on an angle array steps its (angle, step size)
+    product in blocks of whole angles; it must equal the one-angle calls."""
 
     THETAS = np.linspace(0.05, 3.1, 9)
     S_VALUES = np.linspace(0.02, np.pi, 13)
@@ -598,23 +598,46 @@ class TestSearchBatch:
             assert np.abs(row - single).max() < 1e-14
 
     def test_one_kernel_call_per_dme_step_for_all_angles(self, monkeypatch):
-        # k M calls over the whole batch, the last of which computes z alone
+        # k M calls on one block of every angle against the S step sizes, the last computing z alone
         calls = counted_swaps(monkeypatch)
         final_fidelities_over_s(self.THETAS, 3, 2, self.S_VALUES)
-        batch = (3, self.THETAS.size * self.S_VALUES.size)
-        assert calls == [("partial_swap", batch)] * 5 + [("swap_z", batch)]
+        block = (3, self.THETAS.size, self.S_VALUES.size)
+        assert calls == [("partial_swap", block)] * 5 + [("swap_z", block)]
 
     def test_one_kernel_call_per_exact_step_for_all_angles(self, monkeypatch):
         # an exact reflector is one whole call, whose planes its rescale reads
         calls = counted_swaps(monkeypatch)
         final_fidelities_over_s(self.THETAS, 3, None, self.S_VALUES, "fresh")
-        assert calls == [("partial_swap", (3, self.THETAS.size * self.S_VALUES.size))] * 3
+        assert calls == [("partial_swap", (3, self.THETAS.size, self.S_VALUES.size))] * 3
+
+    @pytest.mark.parametrize("m, swaps", [(2, ["partial_swap"] * 5 + ["swap_z"]), (None, ["partial_swap"] * 3)])
+    def test_one_kernel_call_per_swap_per_block(self, monkeypatch, m, swaps):
+        # blocks of whole angles, 4 to a block, the last holding the ninth alone
+        monkeypatch.setattr(dbac, "_SEARCH_BLOCK", 4 * self.S_VALUES.size)
+        calls = counted_swaps(monkeypatch)
+        final_fidelities_over_s(self.THETAS, 3, m, self.S_VALUES, "fresh")
+        assert calls == [(name, (3, rows, self.S_VALUES.size)) for rows in (4, 4, 1) for name in swaps]
 
     @pytest.mark.parametrize("m, mode", [(2, "chain"), (1, "fresh"), (None, "fresh")])
     def test_one_rotation_per_cooling_step(self, monkeypatch, m, mode):
         # the instruction is rotated into the data's frame; the data never is
         shapes = _counted_rotations(monkeypatch, final_fidelities_over_s, self.THETAS, 3, m, self.S_VALUES, mode)
-        assert shapes == [(3, self.THETAS.size * self.S_VALUES.size)] * 3
+        assert shapes == [(3, self.THETAS.size, self.S_VALUES.size)] * 3
+
+    @pytest.mark.parametrize("m, mode", [(2, "chain"), (None, "fresh")])
+    def test_pass_reads_the_untiled_table(self, monkeypatch, m, mode):
+        # every block's pass gets the (S,) table itself, not a copy tiled over its angles
+        tables, search_pass = [], dbac._search_pass_z
+
+        def recording(r0, k, table, mode):
+            tables.append(table)
+            return search_pass(r0, k, table, mode)
+
+        monkeypatch.setattr(dbac, "_search_pass_z", recording)
+        monkeypatch.setattr(dbac, "_SEARCH_BLOCK", 4 * self.S_VALUES.size)
+        table = dbac._step_table(self.S_VALUES, m, dbac._W)
+        dbac._final_energies(self.THETAS, 3, table, mode)
+        assert len(tables) == 3 and all(t is table for t in tables)
 
     def test_law_blocks_give_the_unblocked_law(self):
         # 5d's (179, 3142) grid steps the law over blocks of whole angles, with the whole grid's bits
@@ -622,8 +645,17 @@ class TestSearchBatch:
         table = dbac._step_table(s_values, None, dbac._W)
         pops = np.repeat(dbac._rx_populations(thetas), s_values.size, axis=1).reshape(2, thetas.size, -1)
         unblocked = dbac._law_steps(*pops, [table.law] * 6)[0]
-        assert thetas.size * s_values.size > dbac._LAW_BLOCK
+        assert thetas.size * s_values.size > dbac._SEARCH_BLOCK
         assert np.array_equal(dbac._final_energies(thetas, 6, table, "chain"), unblocked)
+
+    @pytest.mark.parametrize("m, mode", [(3, "chain"), (2, "fresh"), (None, "chain"), (None, "fresh")])
+    def test_blocks_give_the_one_block_product(self, monkeypatch, m, mode):
+        # 11 angles of the search grid fill a block of 10 and one of 1, with the bits of one block of 11
+        thetas, table = np.linspace(0.05, 3.1, 11), dbac._grid_table(m)
+        blocked = dbac._final_energies(thetas, 3, table, mode)
+        assert thetas.size * table.cos_phi.size > dbac._SEARCH_BLOCK
+        monkeypatch.setattr(dbac, "_SEARCH_BLOCK", thetas.size * table.cos_phi.size)
+        assert np.array_equal(blocked, dbac._final_energies(thetas, 3, table, mode))
 
     @pytest.mark.parametrize("theta", [{"theta_count": "1"}, {"theta_count": "0"}])
     def test_bad_theta_rejected(self, tmp_path, theta):
@@ -764,6 +796,11 @@ class TestStepTableOnDistinctSizes:
         monkeypatch.setattr(dbac, "_step_table", counting)
         final_fidelities_over_s(np.linspace(0.1, 3.0, 7), 2, None, np.linspace(0.01, 3.0, 5).reshape(5, 1))
         assert builds == [(5,)]
+
+
+def test_w_is_the_eigenvalues_of_h():
+    # the literal (-1, 1) is the eigendecomposition's, bit for bit
+    assert dbac._W.tobytes() == HamiltonianSpec(-qmath.PAULI_Z).eig[0].tobytes()
 
 
 def _recorded_passes(monkeypatch, *args):

@@ -12,13 +12,13 @@ import runs
 def test_the_list_holds_every_run_ci_makes():
     # spelled out in runs.py, whose import must not import the package: the statement test traces that import
     assert runs.EXPERIMENTS == cli.EXPERIMENTS
-    # 8 defaults, 14 configs and one --seed run write files; each run has its own --out
-    assert len(runs.WRITES) == 23 and len({run.argv[-1] for run in runs.RUNS}) == len(runs.RUNS)
-    assert sum("--config" in run.argv for run in runs.WRITES) == 14
+    # 8 defaults, 15 configs and one --seed run write files; each run has its own --out
+    assert len(runs.WRITES) == 24 and len({run.argv[-1] for run in runs.RUNS}) == len(runs.RUNS)
+    assert sum("--config" in run.argv for run in runs.WRITES) == 15
     assert runs.WRITES[-1].argv[:3] == ("trotter", "--seed", "9")
     # 92 reject files, 3 unreadable configs and 2 outputs that cannot be written
     assert (len(runs.REJECTS), len(runs.UNREADABLE), len(runs.BLOCKED)) == (92, 3, 2)
-    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 15 + [1] * 95 + [3] * 2
+    assert [run.status for run in runs.RUNS] == [0] * 7 + [2] + [0] * 16 + [1] * 95 + [3] * 2
     configs = [Path(run.argv[run.argv.index("--config") + 1]) for run in runs.RUNS if "--config" in run.argv]
     files = [p for p in runs.CONFIGS.rglob("*") if p.is_file()]
     assert sorted(p for p in configs if runs.CONFIGS in p.parents) == sorted(files)  # each listed once

@@ -18,9 +18,7 @@ from dbac_lab.states import (
 )
 
 from conftest import random_density as reference_density, random_unitary, verdict
-from oracles import basis, density, energy, expm, fidelity, ground_projector, ite_evolve, pins
-
-H = HamiltonianSpec.default_single_qubit()
+from oracles import H, basis, density, energy, expm, fidelity, ground_projector, ite_evolve, pins
 
 
 class TestRxInit:
@@ -302,8 +300,8 @@ class TestHamiltonianEigensystem:
         ground = u[:, :2]
         assert np.abs(ground_projector(h) - ground @ ground.conj().T).max() < 1e-12
 
-    def test_default_is_one_shared_read_only_instance(self):
-        h = HamiltonianSpec.default_single_qubit()
-        assert h is HamiltonianSpec.default_single_qubit()
+    def test_matrix_and_eigensystem_are_read_only(self):
+        h = HamiltonianSpec(-qmath.PAULI_Z)
+        assert h.eig is h.eig  # computed once
         for arr in (h.matrix, *h.eig):
             assert not arr.flags.writeable
